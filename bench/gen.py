@@ -33,7 +33,12 @@ CORPUS = (
 # Sizes per family; TINY holds the self-test's smallest instance of each.
 FULL = {
     "wide_disclosure_k": (1, 3, 5, 7),
-    "chains": ((2, 2), (3, 2), (1, 4), (2, 3)),  # (hops, arity)
+    # (hops, arity, muted). Without a muted (2, 3) chain the workload holds
+    # 21 scenarios. An odd count puts the median audit inside one scenario's
+    # times rather than between two scenarios of different cost, where noise
+    # moves it most.
+    "chains": ((2, 2, False), (2, 2, True), (3, 2, False), (3, 2, True), (1, 4, False), (1, 4, True),
+               (2, 3, False)),
     "wide_confidentiality_k": (6, 9, 12),
     # (states, beta). beta = 0.999 makes value-iteration sweeps dominate and
     # large S makes max-entropy IRL and parsing dominate; (50, 0.999) and
@@ -53,7 +58,7 @@ FULL = {
 }
 TINY = {
     "wide_disclosure_k": (1,),
-    "chains": ((1, 2),),
+    "chains": ((1, 2, False), (1, 2, True)),
     "wide_confidentiality_k": (2,),
     "mdp_cases": ((5, 0.9),),
     "probes": (("dictator", 2, 3), ("plurality", 2, 2), ("borda", 3, 3)),
@@ -249,10 +254,9 @@ def _families(workload: str, tiny: bool, rng: random.Random):
                 golden = "disclosure_demo_muted" if muted else "disclosure_demo"
                 yield "wide-disclosure", wide_disclosure(k, muted, rng), {
                     "kind": "same_loyalty", "golden": f"tests/golden/{golden}.report.json"}
-        for hops, arity in size["chains"]:
-            for muted in (False, True):
-                yield "chain-disclosure", chain_disclosure(hops, arity, muted, rng), {
-                    "kind": "disclosure", "passes": not muted}
+        for hops, arity, muted in size["chains"]:
+            yield "chain-disclosure", chain_disclosure(hops, arity, muted, rng), {
+                "kind": "disclosure", "passes": not muted}
         for k in size["wide_confidentiality_k"]:
             for leaking in (True, False):
                 yield "wide-confidentiality", wide_confidentiality(k, leaking, rng), {

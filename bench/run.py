@@ -8,9 +8,10 @@ manipulation (see README.md for why each exists). The command generates
 the workload's scenario files from the seed, measures set-up time over
 fresh interpreters, then audits the files in a closed loop in a fresh
 worker process for about S seconds, and checks every report against its
-reference. With --trace 0 it reports the end-to-end metrics; with
---trace 1 it reports per-layer self time and work counts from a traced run
-plus the tracing overhead. The last line of output is one JSON object:
+reference. With --trace 0 it reports the end-to-end metrics, with audit
+and set-up times at reference speed (see speed.py) and the wall-clock
+figures printed beside them; with --trace 1 it reports per-layer self time
+and work counts from a traced run plus the tracing overhead. The last line of output is one JSON object:
 {"correct", "attempted", "failed", "metrics"}. The exit code is 0 only when
 every audit met its reference.
 
@@ -35,6 +36,7 @@ HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE))
 
 import gen  # noqa: E402
+from speed import reference_seconds, slowdown  # noqa: E402
 
 OUT_ROOT = Path(".bench_build", "fidaudit-bench")
 SETUP_LAUNCHES = 9
@@ -47,65 +49,64 @@ REQUIRED = ("src/fidaudit/audit.py", "scenarios", "tests/golden")
 DEADLINE_S = 170.0
 
 
-def measure_setup() -> tuple[float, int]:
-    """Median seconds from launching a fresh interpreter until fidaudit.cli
-    is imported and the duty catalog is loaded."""
-    times = []
+def measure_setup() -> dict:
+    """Seconds from launching a fresh interpreter until fidaudit.cli is
+    imported and the duty catalog is loaded: the median over launches, in
+    wall time and at reference speed."""
+    wall, at_reference = [], []
+    before = reference_seconds()
     for _ in range(SETUP_LAUNCHES):
         t0 = time.perf_counter()
         with subprocess.Popen([sys.executable, "-c", SETUP_PROBE], stdout=subprocess.PIPE, text=True) as proc:
             line = proc.stdout.readline()
-            times.append(time.perf_counter() - t0)
+            elapsed = time.perf_counter() - t0
             proc.stdout.read()
         if proc.returncode != 0 or line.strip() != "ready":
             raise RuntimeError("set-up probe failed to import fidaudit")
-    return statistics.median(times), len(times)
+        after = reference_seconds(elapsed)
+        wall.append(elapsed)
+        at_reference.append(elapsed / slowdown(before, after))
+        before = after
+    return {"launches": len(wall), "wall_s": statistics.median(wall), "ref_s": statistics.median(at_reference)}
 
 
-def run_worker(manifest: list[dict], run_dir: Path, seconds: float, trace: int, deadline: float,
-               cpus: list[int]) -> dict:
-    """Audit in a fresh worker process that alternates over ``cpus``."""
+def run_worker(manifest: list[dict], run_dir: Path, seconds: float, trace: int, deadline: float) -> dict:
+    """Audit in a fresh worker process."""
     manifest_path = run_dir / "manifest.json"
     manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
     out = run_dir / f"result-trace{trace}.json"
     subprocess.run(
-        [sys.executable, str(HERE / "worker.py"), str(manifest_path), str(seconds), str(trace), str(out),
-         ",".join(map(str, cpus))],
+        [sys.executable, str(HERE / "worker.py"), str(manifest_path), str(seconds), str(trace), str(out)],
         check=True,
         timeout=max(1.0, deadline - time.monotonic()),
     )
     return json.loads(out.read_text("utf-8"))
 
 
-def measure(workload: str, seed: int, seconds: float, trace: int, deadline: float, cpus: list[int]) -> dict:
+def measure(workload: str, seed: int, seconds: float, trace: int, deadline: float) -> dict:
     """One run: generate, (set up,) audit in a fresh worker; metrics by name."""
     run_dir = OUT_ROOT / f"{workload}-seed{seed}-trace{trace}"
     shutil.rmtree(run_dir, ignore_errors=True)
     run_dir.mkdir(parents=True)
     manifest = gen.generate(workload, seed, run_dir / "scenarios")
     if trace == 0:
-        setup_s, launches = measure_setup()
-    result = run_worker(manifest, run_dir, seconds, trace, deadline, cpus)
-    timed = result["untraced"]
-    notes = {"scenarios": len(manifest), "audits": timed["audits"],
-             "wall": {k: timed[k] for k in ("wall_s", "wall_audits_per_s", "wall_p50_ms", "wall_p90_ms")}}
+        setup = measure_setup()
+    result = run_worker(manifest, run_dir, seconds, trace, deadline)
+    notes = {"scenarios": len(manifest), "audits": result["audits"]}
     if trace == 0:
         metrics = {
-            "audits_per_s": (timed["audits_per_s"], "1/s"),
-            "audit_p50_ms": (timed["audit_p50_ms"], "ms"),
-            "audit_p90_ms": (timed["audit_p90_ms"], "ms"),
+            "ref_audits_per_s": (result["ref_audits_per_s"], "1/s"),
+            "ref_audit_p50_ms": (result["ref_audit_p50_ms"], "ms"),
+            "ref_audit_p90_ms": (result["ref_audit_p90_ms"], "ms"),
             "peak_rss_mb": (result["peak_rss_mb"], "MB"),
-            "setup_s": (setup_s, "s"),
+            "setup_s": (setup["ref_s"], "s"),
         }
-        notes["setup_launches"] = launches
+        notes["wall"] = {k: result[k] for k in ("audits_per_s", "audit_p50_ms", "audit_p90_ms", "slowdown")}
+        notes["setup"] = setup
     else:
-        traced = result["traced"]
         metrics = {name: tuple(v) for name, v in result["layers"].items()}
         metrics["scenario.input_kb"] = (result["input_kb"], "KiB")
-        metrics["trace.overhead_pct"] = (
-            100.0 * (1.0 - traced["audits_per_s"] / timed["audits_per_s"]), "%")
-        notes.update(traced_audits=traced["audits"], traced_audits_per_s=traced["audits_per_s"],
-                     untraced_audits_per_s=timed["audits_per_s"])
+        metrics["trace.overhead_pct"] = (result["overhead_pct"], "%")
     return {
         "workload": workload,
         "seed": seed,
@@ -127,17 +128,16 @@ def report(run: dict) -> None:
         print(f"  {name:32s} {value:14.6g} {unit}")
     print(f"  {'failed_share':32s} {run['failed'] / run['attempted']:14.6g} "
           f"({run['failed']} of {run['attempted']})")
-    wall = n["wall"]
-    print(f"  samples: {n['audits']} timed audits ({n['audits'] // n['scenarios']} per scenario), "
-          f"each timed at its scenario's fastest repeat; wall clock {wall['wall_s']:.1f} s: "
-          f"{wall['wall_audits_per_s']:.4g} audits/s, p50 {wall['wall_p50_ms']:.4g} ms, "
-          f"p90 {wall['wall_p90_ms']:.4g} ms")
     if run["trace"] == 0:
-        print(f"  setup_s is the median of {n['setup_launches']} launches")
+        wall, setup = n["wall"], n["setup"]
+        print(f"  samples: {n['audits']} timed audits ({n['audits'] // n['scenarios']} per scenario); "
+              f"setup_s is the median of {setup['launches']} launches")
+        print(f"  in wall time, at a slowdown of {wall['slowdown']:.3f}: "
+              f"audits_per_s {wall['audits_per_s']:.6g} 1/s, audit_p50_ms {wall['audit_p50_ms']:.6g} ms, "
+              f"audit_p90_ms {wall['audit_p90_ms']:.6g} ms, setup {setup['wall_s']:.6g} s")
     else:
-        print(f"  samples: {n['traced_audits']} traced audits at {n['traced_audits_per_s']:.4g}/s "
-              f"against {n['audits']} untraced at {n['untraced_audits_per_s']:.4g}/s; "
-              "self time and counts are means per audit; no layer waits on another")
+        print(f"  samples: {n['audits']} traced audits, in cycles alternating with untraced ones; "
+              "self time and counts are means per traced audit; no layer waits on another")
     for problem in run["problems"]:
         print(f"  FAILED {problem}")
 
@@ -178,14 +178,13 @@ def main(argv: list[str] | None = None) -> int:
     if missing:
         print(f"run from the fidaudit repository root; missing {', '.join(missing)}", file=sys.stderr)
         return 2
-    # Pin this process and the ones it starts to one CPU for steadier timings;
-    # the worker alternates over the CPUs allowed here.
-    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
-    if cpus:
-        os.sched_setaffinity(0, {cpus[-1]})
+    # Pin this process and the ones it starts to one CPU, so numpy's BLAS
+    # runs single-threaded and the audits do not migrate between CPUs.
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
 
     if args.workload != "all":
-        run = measure(args.workload, args.seed, args.seconds, args.trace, time.monotonic() + DEADLINE_S, cpus)
+        run = measure(args.workload, args.seed, args.seconds, args.trace, time.monotonic() + DEADLINE_S)
         report(run)
         print(json.dumps({
             "correct": run["correct"],
@@ -198,7 +197,7 @@ def main(argv: list[str] | None = None) -> int:
     runs = []
     for workload in gen.WORKLOADS:
         for trace in (0, 1):
-            run = measure(workload, args.seed, args.seconds, trace, time.monotonic() + DEADLINE_S, cpus)
+            run = measure(workload, args.seed, args.seconds, trace, time.monotonic() + DEADLINE_S)
             report(run)
             runs.append(run)
     if args.record:

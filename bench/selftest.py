@@ -114,15 +114,17 @@ def main() -> int:
     tracer.install()
     try:
         expect(loyalty.expected_utility is not originals[1], "tracer wraps expected_utility in loyalty too")
-        n = 0
-        for workload in gen.WORKLOADS:
-            loop = run(manifests[workload], tracer)
-            n += loop.attempted
-            expect(loop.failed == 0, f"{workload}: traced reports still meet their references")
     finally:
         tracer.uninstall()
+    n = 0
+    for workload in gen.WORKLOADS:
+        loop = run(manifests[workload], tracer)  # untraced and traced cycles alternate
+        n += loop.attempted // 2
+        expect(loop.failed == 0, f"{workload}: traced reports still meet their references")
     expect((macid.expected_utility, loyalty.expected_utility, aggregation.find_manipulation) == originals,
            "tracer restores every wrapped function")
+    calls = tracer.totals()[1]["audit.run_audit"]
+    expect(calls == n, f"only traced cycles record spans: {calls} run_audit spans for {n} traced audits")
     metrics = tracer.metrics(n)
     expect(set(spans.METRICS) <= set(metrics) and metrics["macid.joint_calls"][0] > 0
            and metrics["mdp.vi_sweeps"][0] > 0 and metrics["aggregation.profiles_scanned"][0] > 0,

@@ -4,7 +4,8 @@
 timing wrapper, in every loaded ``fidaudit`` module that binds the same
 function object (``expected_utility``, say, is bound in both
 ``fidaudit.macid`` and ``fidaudit.loyalty``), and ``uninstall()`` puts the
-originals back. Each call records a span: name, start, end, parent span
+originals back. A tracer can be installed and uninstalled many times; its
+spans accumulate. Each call records a span: name, start, end, parent span
 and audit id. Spans are kept in compact arrays and written out once, by
 ``save()``, when the run ends.
 
@@ -47,7 +48,8 @@ SPANS = {
 
 # Per-layer metrics: name -> (unit, source). The source is a list of spans
 # whose self times are summed, "calls:<span>", or a counter filled by
-# COUNTERS. Times and counts are means per audit.
+# COUNTERS. Times and counts are means per audit. The evaluate_policy span
+# has no metric: the audit pipeline never calls it, so it would always read 0.
 METRICS = {
     "scenario.load_ms": ("ms", ["scenario.load_scenario"]),
     "scenario.validate_ms": ("ms", ["scenario.validate_scenario"]),
@@ -74,7 +76,6 @@ METRICS = {
     "mdp.vi_sweeps": ("count", "vi_sweeps"),
     "mdp.vi_unconverged": ("count", "vi_unconverged"),
     "mdp.vi_ms": ("ms", ["mdp.value_iteration"]),
-    "mdp.evaluate_policy_ms": ("ms", ["mdp.evaluate_policy"]),
     "assessment.maxent_ms": ("ms", ["assessment.maxent_irl", "assessment.demo_log_likelihood"]),
     "assessment.grad_evals": ("count", "calls:assessment.demo_log_likelihood"),
     "assessment.infer_discount_ms": ("ms", ["assessment.infer_discount"]),
@@ -149,7 +150,7 @@ class Tracer:
         self.counts: Counter = Counter()
         self.audit_id = -1
         self._stack: list[int] = []
-        self._restore: list[tuple[object, str, object]] = []
+        self._patches: list[tuple[object, str, object, object]] = []
 
     def _wrap(self, code: int, fn, count):
         start, end, excluded, parent = self.start, self.end, self.excluded, self.parent
@@ -178,8 +179,10 @@ class Tracer:
 
         return timed
 
-    def install(self) -> None:
+    def _bind(self) -> list[tuple[object, str, object, object]]:
+        """(module, name, original, wrapper) for every binding to wrap."""
         modules = [m for n, m in sys.modules.items() if n.startswith("fidaudit") and m is not None]
+        patches = []
         for layer, functions in SPANS.items():
             home = sys.modules[f"fidaudit.{layer}"]
             for function in functions:
@@ -187,18 +190,25 @@ class Tracer:
                 name = f"{layer}.{function}"
                 self.names.append(name)
                 wrapper = self._wrap(len(self.names) - 1, original, COUNTERS.get(name))
-                for module in modules:
-                    if module.__dict__.get(function) is original:
-                        setattr(module, function, wrapper)
-                        self._restore.append((module, function, original))
+                patches.extend((module, function, original, wrapper) for module in modules
+                               if module.__dict__.get(function) is original)
+        return patches
+
+    def install(self) -> None:
+        if not self._patches:
+            self._patches = self._bind()
+        for module, function, _, wrapper in self._patches:
+            setattr(module, function, wrapper)
 
     def uninstall(self) -> None:
-        for module, function, original in reversed(self._restore):
+        for module, function, original, _ in reversed(self._patches):
             setattr(module, function, original)
-        self._restore.clear()
 
-    def totals(self) -> tuple[dict[str, float], dict[str, int]]:
-        """Self time in seconds and number of calls, per span name."""
+    def totals(self, slowdowns: list[float] | None = None) -> tuple[dict[str, float], dict[str, int]]:
+        """Self time in seconds and number of calls, per span name. With
+        ``slowdowns``, indexed by audit id, each span's self time is divided
+        by its audit's slowdown, which gives it at reference speed (see
+        speed.py)."""
         start, end = np.frombuffer(self.start), np.frombuffer(self.end)
         parent = np.frombuffer(self.parent, dtype=np.int64)
         duration = end - start
@@ -206,14 +216,17 @@ class Tracer:
         children = np.bincount(parent[has_parent], weights=duration[has_parent],
                                minlength=len(duration))
         own = duration - children - np.frombuffer(self.excluded)
+        if slowdowns is not None:
+            own = own / np.asarray(slowdowns)[np.frombuffer(self.audit, dtype=np.int32)]
         codes = np.frombuffer(self.code, dtype=np.int32)
         seconds = np.bincount(codes, weights=own, minlength=len(self.names))
         calls = np.bincount(codes, minlength=len(self.names))
         return dict(zip(self.names, seconds.tolist())), dict(zip(self.names, calls.tolist()))
 
-    def metrics(self, n_audits: int) -> dict[str, tuple[float, str]]:
-        """Per-layer metrics as means per audit, keyed by metric name."""
-        seconds, calls = self.totals()
+    def metrics(self, n_audits: int, slowdowns: list[float] | None = None) -> dict[str, tuple[float, str]]:
+        """Per-layer metrics as means per audit, keyed by metric name; see
+        ``totals`` for ``slowdowns``."""
+        seconds, calls = self.totals(slowdowns)
         out = {}
         for metric, (unit, source) in METRICS.items():
             if isinstance(source, list):

@@ -1,51 +1,59 @@
 """Timed worker: audits one workload's scenarios in a closed loop.
 
-    python3 bench/worker.py MANIFEST SECONDS TRACE OUT CPUS
+    python3 bench/worker.py MANIFEST SECONDS TRACE OUT
 
 Run from the repository root in a fresh process, so that its peak
 resident memory is the workload's own. Each audit makes the three calls
 ``fidaudit check`` makes: ``load_scenario``, ``run_audit`` and
 ``emit_report(..., "machine")``. One audit is in flight at a time, and the
 loop always finishes the cycle through the manifest it is in, so every run
-weighs each scenario equally. With TRACE 1 the loop runs untraced for the
-first half of the time and traced for the rest; the traced half yields the
-per-layer metrics and the tracing overhead. Results go to OUT as JSON.
-
-CPUS is a comma-separated list of CPU ids, possibly empty. The worker
-starts pinned to one CPU, so numpy's BLAS runs single-threaded, and moves
-to the next CPU of the list at every cycle. On a shared machine each CPU
-has slow phases of its own that can last a whole run; alternating lets
-every scenario meet the fast phases of any of them.
+weighs each scenario equally. The loop runs for SECONDS and at least
+MIN_AUDITS audits. Each audit's time is also reported at reference speed:
+its wall time divided by the slowdown that the reference work of
+``speed.py``, run between audits, measured around it. With TRACE 1, untraced and traced cycles alternate; the
+traced cycles yield the per-layer metrics, and each traced cycle against
+the untraced one before it yields the tracing overhead. Results go to OUT
+as JSON.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
-import os
 import resource
 import statistics
 import sys
 from pathlib import Path
 from time import perf_counter
+from typing import NamedTuple
 
 sys.path.insert(0, "src")
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import check  # noqa: E402
 from spans import Tracer  # noqa: E402
+from speed import reference_seconds, slowdown  # noqa: E402
 
 from fidaudit import audit, scenario  # noqa: E402
 
 MAX_PROBLEMS = 20
+# Enough audits for ten of them to lie beyond the 90th percentile.
+MIN_AUDITS = 100
+
+
+class Cycle(NamedTuple):
+    """One pass over the manifest: each audit's wall time in seconds and
+    the machine's slowdown around it (see speed.py)."""
+
+    traced: bool
+    seconds: list[float]
+    slowdowns: list[float]
 
 
 class Loop:
     """Closed-loop audit runner; tracks failures across all its phases."""
 
-    def __init__(self, manifest: list[dict], cpus: tuple[int, ...] = ()) -> None:
+    def __init__(self, manifest: list[dict]) -> None:
         self.manifest = manifest
-        self.cpus = cpus
         self.first: dict[str, str] = {}
         self.audits: dict[str, int] = {}
         self.attempted = 0
@@ -74,20 +82,34 @@ class Loop:
             self._fail(name, "report bytes differ on a repeat")
         return elapsed
 
-    def run(self, deadline: float, tracer: Tracer | None = None) -> tuple[list[float], float]:
-        """Whole cycles until ``perf_counter()`` passes ``deadline``; per-audit
-        times and wall time."""
-        durations: list[float] = []
-        start = perf_counter()
-        for cycle in itertools.count():
-            if self.cpus:
-                os.sched_setaffinity(0, {self.cpus[cycle % len(self.cpus)]})
-            for entry in self.manifest:
-                if tracer is not None:
-                    tracer.audit_id = len(durations)
-                durations.append(self.audit_once(entry))
-            if perf_counter() >= deadline:
-                return durations, perf_counter() - start
+    def run(self, deadline: float, tracer: Tracer | None = None, min_audits: int = 0) -> list[Cycle]:
+        """Whole cycles until ``perf_counter()`` passes ``deadline`` and at
+        least ``min_audits`` audits ran. With a tracer, cycles alternate
+        untraced and traced, in pairs. The reference work runs between
+        audits, so each audit gets the slowdown measured around it."""
+        cycles: list[Cycle] = []
+        audits = 0
+        before = reference_seconds()
+        while True:
+            cycle = Cycle(tracer is not None and len(cycles) % 2 == 1, [], [])
+            if cycle.traced:
+                tracer.install()
+            try:
+                for entry in self.manifest:
+                    if cycle.traced:
+                        tracer.audit_id = audits
+                    cycle.seconds.append(self.audit_once(entry))
+                    after = reference_seconds(cycle.seconds[-1])
+                    cycle.slowdowns.append(slowdown(before, after))
+                    before = after
+                    audits += 1
+            finally:
+                if cycle.traced:
+                    tracer.uninstall()
+            cycles.append(cycle)
+            paired = tracer is None or cycle.traced
+            if paired and audits >= min_audits and perf_counter() >= deadline:
+                return cycles
 
     def check_references(self) -> None:
         """Every report's first rendering against its reference; repeats
@@ -104,37 +126,41 @@ class Loop:
                 self._fail(name, "; ".join(found), n=self.audits[name])
 
 
-def _timings(durations: list[float], wall: float, n_scenarios: int) -> dict:
-    """Timing metrics of one loop; ``durations`` holds whole cycles.
-
-    Each scenario's cost is its fastest repeat in the loop: the machine is
-    shared and slows single audits by 10-40 % at random, which the fastest
-    repeat filters out. Throughput is one cycle over the summed costs, and
-    the percentiles are taken over all audits, each at its scenario's cost.
-    Wall-clock figures are kept alongside for reference.
-    """
-    cost = [min(durations[i::n_scenarios]) for i in range(n_scenarios)]
-    per_audit = [cost[i % n_scenarios] for i in range(len(durations))]
+def _timings(cycles: list[Cycle]) -> dict:
+    """Throughput and percentiles over every audit, at reference speed and
+    in wall time."""
+    seconds = [t for c in cycles for t in c.seconds]
+    at_reference = [t / k for c in cycles for t, k in zip(c.seconds, c.slowdowns)]
+    n = len(seconds)
     return {
-        "audits": len(durations),
-        "audits_per_s": n_scenarios / sum(cost),
-        "audit_p50_ms": statistics.median(per_audit) * 1000.0,
-        "audit_p90_ms": _p90(per_audit) * 1000.0,
-        "wall_s": wall,
-        "wall_audits_per_s": len(durations) / wall,
-        "wall_p50_ms": statistics.median(durations) * 1000.0,
-        "wall_p90_ms": _p90(durations) * 1000.0,
+        "audits": n,
+        "ref_audits_per_s": n / sum(at_reference),
+        "ref_audit_p50_ms": statistics.median(at_reference) * 1000.0,
+        "ref_audit_p90_ms": _p90(at_reference) * 1000.0,
+        "audits_per_s": n / sum(seconds),
+        "audit_p50_ms": statistics.median(seconds) * 1000.0,
+        "audit_p90_ms": _p90(seconds) * 1000.0,
+        "slowdown": sum(seconds) / sum(at_reference),
     }
+
+
+def _overhead_pct(cycles: list[Cycle]) -> float:
+    """Median, over (untraced, traced) pairs of cycles, of how much longer
+    the traced cycle took at reference speed, in percent."""
+    def at_reference(c: Cycle) -> float:
+        return sum(t / k for t, k in zip(c.seconds, c.slowdowns))
+
+    ratios = [at_reference(traced) / at_reference(plain) for plain, traced in zip(cycles[::2], cycles[1::2])]
+    return 100.0 * (statistics.median(ratios) - 1.0)
 
 
 def _p90(values: list[float]) -> float:
     return statistics.quantiles(values, n=10, method="inclusive")[-1]
 
 
-def main(manifest_path: str, seconds: str, trace: str, out: str, cpus: str) -> None:
+def main(manifest_path: str, seconds: str, trace: str, out: str) -> None:
     manifest = json.loads(Path(manifest_path).read_text("utf-8"))
-    seconds_f = float(seconds)
-    loop = Loop(manifest, tuple(int(c) for c in cpus.split(",") if c))
+    loop = Loop(manifest)
     # warm up caches and lazy imports on the smallest scenario of each family
     seen = set()
     for entry in manifest:
@@ -142,22 +168,17 @@ def main(manifest_path: str, seconds: str, trace: str, out: str, cpus: str) -> N
             seen.add(entry["family"])
             loop.audit_once(entry)
     result = {"input_kb": statistics.mean(Path(e["file"]).stat().st_size for e in manifest) / 1024}
-    start = perf_counter()
+    deadline = perf_counter() + float(seconds)
     if trace == "1":
-        untraced, wall = loop.run(start + seconds_f / 2)
-        result["untraced"] = _timings(untraced, wall, len(manifest))
         tracer = Tracer()
-        tracer.install()
-        try:
-            traced, wall = loop.run(start + seconds_f, tracer)
-        finally:
-            tracer.uninstall()
-        result["traced"] = _timings(traced, wall, len(manifest))
-        result["layers"] = tracer.metrics(len(traced))
+        cycles = loop.run(deadline, tracer)
+        traced = sum(len(c.seconds) for c in cycles if c.traced)
+        slowdowns = [k for c in cycles for k in c.slowdowns]  # indexed by audit id
+        result.update(audits=traced, overhead_pct=_overhead_pct(cycles),
+                      layers=tracer.metrics(traced, slowdowns))
         tracer.save(Path(out).with_name("spans.npz"))
     else:
-        durations, wall = loop.run(start + seconds_f)
-        result["untraced"] = _timings(durations, wall, len(manifest))
+        result.update(_timings(loop.run(deadline, min_audits=MIN_AUDITS)))
         result["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     loop.check_references()
     result.update(attempted=loop.attempted, failed=loop.failed, problems=loop.problems)
