@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Any, Collection, Sequence
 
 import numpy as np
 
 from . import __version__
 from .aggregation import (
-    ApprovalBallot,
     PriorityClasses,
     UtilityMatrix,
     VotingRule,
@@ -63,7 +62,6 @@ from .context import (
     DISCLOSURE,
     duty_entry,
     identify_principals,
-    validate_context,
 )
 from .errors import FidauditError
 from .loyalty import (
@@ -75,8 +73,8 @@ from .loyalty import (
     disgorgement_check,
     no_conflict_check,
 )
-from .mdp import DiscountSpec, RewardOption, detect_preference_reversal, value_iteration
-from .scenario import Scenario
+from .mdp import DiscountSpec, detect_preference_reversal, value_iteration
+from .scenario import Scenario, Variant
 
 TOOL_NAME = "fidaudit"
 
@@ -86,8 +84,6 @@ DISCLAIMER = (
     "sufficient one: it is not legal advice and not a guarantee of "
     "compliance."
 )
-
-STEP_ORDER = ("context", "identification", "assessment", "aggregation", "loyalty", "care")
 
 RUBRIC = {
     "context": "Which social context does the system operate in, and what purposes, roles and norms define it?",
@@ -207,12 +203,9 @@ def _skip(step: str, cause: str) -> StepRecord:
 
 @dataclass
 class _State:
-    context_ok: bool = False
     best_classes: tuple = ()
-    obedience_classes: tuple = ()
     prudent_investor_ran: bool = False
-    aggregate_utility: dict[str, float] | None = None
-    aggregation_ran: bool = False
+    aggregate_utility: dict[str, float] | None = None  # set once aggregation has run
     confidentiality_norms_checked: int = 0
     disclosure_norms_checked: int = 0
     no_conflict_ran: bool = False
@@ -221,54 +214,48 @@ class _State:
 # --- step 1: context -------------------------------------------------------------
 
 
-def _run_context(scenario: Scenario, state: _State) -> StepRecord:
-    if scenario.context is None:
+def _run_context(scenario: Scenario) -> StepRecord:
+    context = scenario.context
+    if context is None:
         return _skip("context", "scenario omits the context section")
-    findings: list[Finding] = []
-    violations = validate_context(scenario.context)
-    if violations:
-        for v in violations:
-            findings.append(Finding("schema", FAIL, v.message, {"path": v.path}))
-    else:
-        state.context_ok = True
+    findings = [
+        Finding(
+            "schema",
+            PASS,
+            f"context {context.name!r} declares "
+            f"{len(context.purposes)} purpose(s), "
+            f"{len(context.roles)} role(s), "
+            f"{len(context.norms)} norm(s)",
+            {
+                "purposes": list(context.purposes),
+                "roles": [r.id for r in context.roles],
+                "care_standard": context.care_standard,
+            },
+        )
+    ]
+    checkable = [n for n in context.norms if n.machine_checkable()]
+    if context.norms:
         findings.append(
             Finding(
-                "schema",
+                "norm-bindings",
                 PASS,
-                f"context {scenario.context.name!r} declares "
-                f"{len(scenario.context.purposes)} purpose(s), "
-                f"{len(scenario.context.roles)} role(s), "
-                f"{len(scenario.context.norms)} norm(s)",
+                f"{len(checkable)} of {len(context.norms)} norm(s) bound to model nodes",
                 {
-                    "purposes": list(scenario.context.purposes),
-                    "roles": [r.id for r in scenario.context.roles],
-                    "care_standard": scenario.context.care_standard,
+                    "machine_checkable": [
+                        f"{n.transmission_principle}:{n.attribute}" for n in checkable
+                    ]
                 },
             )
         )
-        checkable = [n for n in scenario.context.norms if n.machine_checkable()]
-        if scenario.context.norms:
-            findings.append(
-                Finding(
-                    "norm-bindings",
-                    PASS,
-                    f"{len(checkable)} of {len(scenario.context.norms)} norm(s) bound to model nodes",
-                    {
-                        "machine_checkable": [
-                            f"{n.transmission_principle}:{n.attribute}" for n in checkable
-                        ]
-                    },
-                )
+    if context.subsidiary_duties:
+        findings.append(
+            Finding(
+                "subsidiary-duties",
+                PASS,
+                f"{len(context.subsidiary_duties)} catalog dut(ies) declared",
+                {"keys": list(context.subsidiary_duties)},
             )
-        if scenario.context.subsidiary_duties:
-            findings.append(
-                Finding(
-                    "subsidiary-duties",
-                    PASS,
-                    f"{len(scenario.context.subsidiary_duties)} catalog dut(ies) declared",
-                    {"keys": list(scenario.context.subsidiary_duties)},
-                )
-            )
+        )
     return StepRecord("context", _step_status(findings), findings)
 
 
@@ -292,7 +279,7 @@ def _run_identification(scenario: Scenario, state: _State) -> StepRecord:
         )
         return StepRecord("identification", _step_status(findings), findings)
     state.best_classes = tuple(c for c in ordered if c.relationship == BEST_INTERESTS)
-    state.obedience_classes = tuple(c for c in ordered if c.relationship != BEST_INTERESTS)
+    obedience = [c.class_id for c in ordered if c.relationship != BEST_INTERESTS]
     findings.append(
         Finding(
             "principal-classes",
@@ -306,14 +293,14 @@ def _run_identification(scenario: Scenario, state: _State) -> StepRecord:
             },
         )
     )
-    if state.obedience_classes:
+    if obedience:
         findings.append(
             Finding(
                 "obedience-classes",
                 PASS,
                 "obedience-model classes are excluded from alignment targets "
                 "(consent alone does not make a principal)",
-                {"excluded": [c.class_id for c in state.obedience_classes]},
+                {"excluded": obedience},
             )
         )
     return StepRecord("identification", _step_status(findings), findings)
@@ -322,38 +309,10 @@ def _run_identification(scenario: Scenario, state: _State) -> StepRecord:
 # --- step 3: assessment ----------------------------------------------------------------
 
 
-def _parse_features(doc: Any, mdp) -> FeatureMap:
-    if doc == "one_hot_states":
-        return FeatureMap.one_hot_states(mdp)
-    dim = int(doc["dim"])
-    rows = doc["table"]
-    table = {}
-    index = 0
-    for s in mdp.states:
-        for a in mdp.actions:
-            table[(s, a)] = np.asarray(rows[index], dtype=float)
-            index += 1
-    return FeatureMap(dim, table)
-
-
-def _parse_trajectory(steps: Sequence[Sequence[int]], mdp) -> Trajectory:
-    return Trajectory(tuple((mdp.states[si], mdp.actions[ai]) for si, ai in steps))
-
-
-def _run_one_method(method: Mapping[str, Any], scenario: Scenario, state: _State, rng) -> Finding:
-    kind = method["kind"]
+def _run_one_method(method: Variant, scenario: Scenario, state: _State, rng) -> Finding:
     mdp = scenario.world.mdp
-    default_beta = (
-        scenario.world.discount.beta
-        if scenario.world.discount and scenario.world.discount.kind == "exponential"
-        else 0.9
-    )
-    if kind == "prudent_investor":
-        problem = PortfolioProblem(
-            mu=np.asarray(method["mu"], dtype=float),
-            sigma=np.asarray(method["sigma"], dtype=float),
-            risk_aversion=float(method["risk_aversion"]),
-        )
+    if method.kind == "prudent_investor":
+        problem = PortfolioProblem(method.mu, method.sigma, method.risk_aversion)
         weights = prudent_investor_weights(problem)
         state.prudent_investor_ran = True
         return Finding(
@@ -362,16 +321,14 @@ def _run_one_method(method: Mapping[str, Any], scenario: Scenario, state: _State
             "mean-variance template solved in closed form",
             {"weights": weights, "objective": problem.objective(weights)},
         )
-    if kind == "discount_inference":
-        grid = [float(b) for b in method["beta_grid"]]
-        prior_doc = method.get("prior", "uniform")
-        prior = [1.0 / len(grid)] * len(grid) if prior_doc == "uniform" else [float(p) for p in prior_doc]
+    if method.kind == "discount_inference":
+        grid = method.beta_grid
         posterior = infer_discount(
             mdp,
-            dict(method["behavior"]),
+            method.behavior,
             grid,
-            prior,
-            temperature=float(method.get("temperature", 0.01)),
+            method.prior,
+            temperature=method.temperature,
         )
         argmax = max(posterior, key=posterior.get)
         return Finding(
@@ -380,20 +337,18 @@ def _run_one_method(method: Mapping[str, Any], scenario: Scenario, state: _State
             f"posterior over {len(grid)} candidate discounts peaks at {argmax}",
             {"posterior": posterior, "argmax": argmax},
         )
-    if kind == "maxent_irl":
-        features = _parse_features(method.get("features", "one_hot_states"), mdp)
-        demos = [_parse_trajectory(d, mdp) for d in method["demos"]]
+    if method.kind == "maxent_irl":
+        features = method.features or FeatureMap.one_hot_states(mdp)
+        demos = [Trajectory(steps) for steps in method.demos]
         estimate = maxent_irl(
             mdp,
             features,
             demos,
-            beta=float(method.get("beta", default_beta)),
-            learn_rate=float(method["learn_rate"]),
-            iters=int(method["iters"]),
+            beta=method.beta,
+            learn_rate=method.learn_rate,
+            iters=method.iters,
         )
-        greedy = value_iteration(
-            mdp.with_reward(estimate.table), float(method.get("beta", default_beta))
-        ).policy
+        greedy = value_iteration(mdp.with_reward(estimate.table), method.beta).policy
         return Finding(
             "behavior-irl",
             PASS,
@@ -405,29 +360,15 @@ def _run_one_method(method: Mapping[str, Any], scenario: Scenario, state: _State
                 "greedy_policy": greedy,
             },
         )
-    if kind == "preference_fit":
-        # trajectories live over the declared mdp when present, else over a
-        # free-standing universe given directly as feature rows
-        if mdp is not None:
-            features = _parse_features(method.get("features", "one_hot_states"), mdp)
-            trajectories = [_parse_trajectory(t, mdp) for t in method["trajectories"]]
-        else:
-            table = {
-                (str(i), "a"): np.asarray(vec, dtype=float)
-                for i, vec in enumerate(method["feature_rows"])
-            }
-            features = FeatureMap(len(method["feature_rows"][0]), table)
-            trajectories = [
-                Trajectory(tuple((str(i), "a") for i in t)) for t in method["trajectories"]
-            ]
+    if method.kind == "preference_fit":
+        features = method.features or FeatureMap.one_hot_states(mdp)
+        trajectories = [Trajectory(steps) for steps in method.trajectories]
         comparisons = [
-            PairwiseComparison(
-                trajectories[c["left"]], trajectories[c["right"]], c["preferred"]
-            )
-            for c in method["comparisons"]
+            PairwiseComparison(trajectories[left], trajectories[right], preferred)
+            for left, right, preferred in method.comparisons
         ]
         estimate = fit_preference_reward(
-            features, comparisons, float(method["learn_rate"]), int(method["iters"])
+            features, comparisons, method.learn_rate, method.iters
         )
         return Finding(
             "preference-fit",
@@ -438,16 +379,15 @@ def _run_one_method(method: Mapping[str, Any], scenario: Scenario, state: _State
                 "log_likelihood": estimate.diagnostics["log_likelihood"],
             },
         )
-    if kind == "feasibility_probe":
+    if method.kind == "feasibility_probe":
         feasible = feasible_rewards_irl(
             mdp,
-            dict(method["policy"]),
-            beta=float(method.get("beta", default_beta)),
-            bound=float(method.get("bound", 1.0)),
+            method.policy,
+            beta=method.beta,
+            bound=method.bound,
         )
-        n_samples = int(method.get("samples", 3))
         all_contained = all(
-            feasible.contains(feasible.sample(rng)) for _ in range(n_samples)
+            feasible.contains(feasible.sample(rng)) for _ in range(method.samples)
         )
         return Finding(
             "reward-feasibility",
@@ -460,15 +400,15 @@ def _run_one_method(method: Mapping[str, Any], scenario: Scenario, state: _State
                 "samples_verified": bool(all_contained),
             },
         )
-    if kind == "patient_advice":
+    if method.kind == "patient_advice":
         estimate = RewardEstimate(method=AssessmentMethod.LEGAL_STANDARD, table=mdp.reward)
         advice = patient_recommendation(
-            mdp, estimate, float(method["beta_fit"]), float(method["beta_advice"])
+            mdp, estimate, method.beta_fit, method.beta_advice
         )
         return Finding(
             "patient-advice",
             PASS,
-            f"advice at patience {method['beta_advice']} diverges from the "
+            f"advice at patience {method.beta_advice} diverges from the "
             f"fitted discount in {len(advice.divergent_states)} state(s)",
             {
                 "divergent_states": list(advice.divergent_states),
@@ -476,38 +416,34 @@ def _run_one_method(method: Mapping[str, Any], scenario: Scenario, state: _State
                 "fitted": {s: advice.fitted_policy[s] for s in advice.divergent_states},
             },
         )
-    if kind == "preference_reversal":
-        d = method["discount"]
-        spec = (
-            DiscountSpec.exponential(float(d["beta"]))
-            if d["kind"] == "exponential"
-            else DiscountSpec.hyperbolic(float(d["k"]))
-        )
-        early = RewardOption(float(method["early"][0]), int(method["early"][1]))
-        late = RewardOption(float(method["late"][0]), int(method["late"][1]))
-        report = detect_preference_reversal(spec, early, late, int(method.get("horizon", 10)))
-        detail = (
-            f"time inconsistency: preference flips at epoch {report.reversal_epoch}"
-            if report.reversed
-            else "no preference reversal over the horizon"
-        )
-        return Finding(
-            "time-consistency",
-            PASS,
-            detail,
-            {
-                "reversal_epoch": report.reversal_epoch,
-                "initial_preference": report.initial_preference,
-            },
-        )
-    raise FidauditError(f"unknown assessment method {kind!r}")  # pragma: no cover
+    kind, param = method.discount  # preference reversal
+    spec = (
+        DiscountSpec.exponential(param)
+        if kind == "exponential"
+        else DiscountSpec.hyperbolic(param)
+    )
+    report = detect_preference_reversal(spec, method.early, method.late, method.horizon)
+    detail = (
+        f"time inconsistency: preference flips at epoch {report.reversal_epoch}"
+        if report.reversed
+        else "no preference reversal over the horizon"
+    )
+    return Finding(
+        "time-consistency",
+        PASS,
+        detail,
+        {
+            "reversal_epoch": report.reversal_epoch,
+            "initial_preference": report.initial_preference,
+        },
+    )
 
 
 def _run_assessment(scenario: Scenario, state: _State, rng) -> StepRecord:
     if scenario.assessment is None:
         return _skip("assessment", "scenario omits the assessment section")
     findings: list[Finding] = []
-    for i, method in enumerate(scenario.assessment.get("methods", [])):
+    for i, method in enumerate(scenario.assessment):
         try:
             findings.append(_run_one_method(method, scenario, state, rng))
         except (FidauditError, ValueError, KeyError, TypeError) as exc:
@@ -515,8 +451,8 @@ def _run_assessment(scenario: Scenario, state: _State, rng) -> StepRecord:
                 Finding(
                     f"method[{i}]",
                     FAIL,
-                    f"{method.get('kind', '?')}: {exc}",
-                    {"kind": method.get("kind"), "error": str(exc)},
+                    f"{method.kind}: {exc}",
+                    {"kind": method.kind, "error": str(exc)},
                 )
             )
     return StepRecord("assessment", _step_status(findings), findings)
@@ -526,37 +462,27 @@ def _run_assessment(scenario: Scenario, state: _State, rng) -> StepRecord:
 
 
 def _run_aggregation(scenario: Scenario, state: _State) -> StepRecord:
-    if scenario.aggregation is None:
-        return _skip("aggregation", "scenario omits the aggregation section")
     doc = scenario.aggregation
+    if doc is None:
+        return _skip("aggregation", "scenario omits the aggregation section")
     findings: list[Finding] = []
-    options = [str(o) for o in doc.get("options", [])]
-    method = doc.get("method")
 
-    if method == "approval":
-        try:
-            ballots = [
-                ApprovalBallot(str(b["voter"]), frozenset(str(o) for o in b["approved"]))
-                for b in doc.get("ballots", [])
-            ]
-            result = approval_winners(ballots, options)
-            state.aggregate_utility = {o: float(c) for o, c in result.counts.items()}
-            state.aggregation_ran = True
-            findings.append(
-                Finding(
-                    "approval",
-                    PASS,
-                    f"{len(result.winners)} co-winner(s) by approval count"
-                    + (" (tie surfaced, not broken)" if result.tied else ""),
-                    {"winners": result.winners, "counts": result.counts, "tied": result.tied},
-                )
+    if doc.method == "approval":
+        # loading rejects ballots that approve undeclared options
+        result = approval_winners(doc.ballots, doc.options)
+        state.aggregate_utility = {o: float(c) for o, c in result.counts.items()}
+        findings.append(
+            Finding(
+                "approval",
+                PASS,
+                f"{len(result.winners)} co-winner(s) by approval count"
+                + (" (tie surfaced, not broken)" if result.tied else ""),
+                {"winners": result.winners, "counts": result.counts, "tied": result.tied},
             )
-        except FidauditError as exc:
-            findings.append(Finding("approval", FAIL, str(exc), {"error": str(exc)}))
-    elif method in ("pareto", "lexicographic"):
+        )
+    elif doc.method is not None:
         class_ids = [c.class_id for c in state.best_classes]
-        declared = doc.get("utilities", {})
-        missing = [c for c in class_ids if c not in declared]
+        missing = [c for c in class_ids if c not in doc.utilities]
         if not class_ids:
             findings.append(
                 Finding(
@@ -564,7 +490,7 @@ def _run_aggregation(scenario: Scenario, state: _State) -> StepRecord:
                     FAIL,
                     "no best-interests classes available to aggregate "
                     "(identification step did not supply any)",
-                    {"declared_utilities": sorted(declared)},
+                    {"declared_utilities": sorted(doc.utilities)},
                 )
             )
         elif missing:
@@ -579,19 +505,14 @@ def _run_aggregation(scenario: Scenario, state: _State) -> StepRecord:
         else:
             matrix = UtilityMatrix(
                 principals=tuple(class_ids),
-                options=tuple(options),
-                values={
-                    c: {o: float(v) for o, v in zip(options, declared[c])} for c in class_ids
-                },
+                options=doc.options,
+                values={c: doc.utilities[c] for c in class_ids},
             )
-            weights_doc = doc.get("weights", {})
-            weighted = {
-                o: sum(float(weights_doc.get(c, 1.0)) * matrix.values[c][o] for c in class_ids)
-                for o in options
+            weight = dict.fromkeys(class_ids, 1.0) | dict(doc.weights or {})
+            state.aggregate_utility = {
+                o: sum(weight[c] * matrix.values[c][o] for c in class_ids) for o in doc.options
             }
-            state.aggregate_utility = weighted
-            state.aggregation_ran = True
-            if method == "pareto":
+            if doc.method == "pareto":
                 front = pareto_front(matrix)
                 findings.append(
                     Finding(
@@ -603,7 +524,7 @@ def _run_aggregation(scenario: Scenario, state: _State) -> StepRecord:
                 )
             else:
                 classes = PriorityClasses(tuple((c,) for c in class_ids))
-                choice = lexicographic_select(matrix, classes, doc.get("class_score", "sum"))
+                choice = lexicographic_select(matrix, classes, doc.class_score)
                 findings.append(
                     Finding(
                         "lexicographic",
@@ -617,16 +538,14 @@ def _run_aggregation(scenario: Scenario, state: _State) -> StepRecord:
                         },
                     )
                 )
-    elif method is not None:
-        findings.append(Finding("method", FAIL, f"unknown method {method!r}", {"method": method}))
 
-    if doc.get("weights") is not None:
+    if doc.weights is not None:
         try:
             verdict = impartiality_check(
-                {str(k): float(v) for k, v in doc["weights"].items()},
-                agent=str(doc.get("agent_id")),
-                favored=doc.get("favored"),
-                cap=doc.get("favoritism_cap"),
+                doc.weights,
+                agent=doc.agent_id,
+                favored=doc.favored,
+                cap=doc.favoritism_cap,
             )
             if verdict.passed:
                 findings.append(
@@ -634,7 +553,7 @@ def _run_aggregation(scenario: Scenario, state: _State) -> StepRecord:
                         "impartiality",
                         PASS,
                         "no self-interest weight; unequal principal weights are permitted",
-                        {"weights": doc["weights"]},
+                        {"weights": dict(doc.weights)},
                     )
                 )
             else:
@@ -649,18 +568,18 @@ def _run_aggregation(scenario: Scenario, state: _State) -> StepRecord:
         except FidauditError as exc:
             findings.append(Finding("impartiality", FAIL, str(exc), {"error": str(exc)}))
 
-    probe = doc.get("manipulation_probe")
+    probe = doc.probe
     if probe is not None:
         try:
-            rule = VotingRule(probe["rule"], dictator_voter=int(probe.get("dictator_voter", 0)))
-            instance = find_manipulation(rule, int(probe["voters"]), int(probe["options"]))
+            rule = VotingRule(probe.rule, dictator_voter=probe.dictator_voter)
+            instance = find_manipulation(rule, probe.voters, probe.options)
             if instance is None:
                 findings.append(
                     Finding(
                         "manipulation-probe",
                         PASS,
-                        f"no profitable misreport exists for {probe['rule']} at this size",
-                        {"rule": probe["rule"], "voters": probe["voters"], "options": probe["options"]},
+                        f"no profitable misreport exists for {probe.rule} at this size",
+                        {"rule": probe.rule, "voters": probe.voters, "options": probe.options},
                     )
                 )
             else:
@@ -668,7 +587,7 @@ def _run_aggregation(scenario: Scenario, state: _State) -> StepRecord:
                     Finding(
                         "manipulation-probe",
                         WARN,
-                        f"rule {probe['rule']!r} admits insincere-ballot manipulation; "
+                        f"rule {probe.rule!r} admits insincere-ballot manipulation; "
                         "prefer approval or partial-order aggregation",
                         {
                             "profile": [list(b) for b in instance.profile],
@@ -692,20 +611,11 @@ def _run_aggregation(scenario: Scenario, state: _State) -> StepRecord:
 # --- step 5: loyalty ---------------------------------------------------------------------
 
 
-def _table_from(doc: Mapping[str, Any], role: RoleTag, outcomes: Sequence[str], key: str) -> UtilityTable | None:
-    vals = doc.get(key)
-    if vals is None or not isinstance(vals, list):
-        return None
-    return UtilityTable({o: float(v) for o, v in zip(outcomes, vals)}, role)
-
-
 def _run_loyalty(scenario: Scenario, state: _State, tol: float) -> StepRecord:
-    if scenario.loyalty is None:
-        return _skip("loyalty", "scenario omits the loyalty section")
     doc = scenario.loyalty
-    tables_doc = doc.get("tables", {}) or {}
-    needs_aggregation = tables_doc.get("aggregated_principal") == "from_aggregation"
-    if needs_aggregation and not state.aggregation_ran:
+    if doc is None:
+        return _skip("loyalty", "scenario omits the loyalty section")
+    if doc.from_aggregation and state.aggregate_utility is None:
         return _skip(
             "loyalty",
             "loyalty requires the aggregation step's output "
@@ -713,26 +623,18 @@ def _run_loyalty(scenario: Scenario, state: _State, tol: float) -> StepRecord:
         )
 
     findings: list[Finding] = []
-    outcomes = [str(o) for o in tables_doc.get("outcomes", [])]
+
+    def table(name: str, role: RoleTag) -> UtilityTable | None:
+        return UtilityTable(doc.tables[name], role) if name in doc.tables else None
 
     # 5a. no-conflict rule: system objective vs aggregated principal interests
-    system_objective = _table_from(tables_doc, RoleTag.SYSTEM_OBJECTIVE, outcomes, "system_objective")
+    system_objective = table("system_objective", RoleTag.SYSTEM_OBJECTIVE)
     aggregated: UtilityTable | None = None
-    if needs_aggregation:
-        agg = state.aggregate_utility or {}
-        if sorted(agg) != sorted(outcomes):
-            findings.append(
-                Finding(
-                    "no-conflict",
-                    FAIL,
-                    "aggregation produced utilities over different outcomes than declared",
-                    {"aggregation_outcomes": sorted(agg), "declared": sorted(outcomes)},
-                )
-            )
-        else:
-            aggregated = UtilityTable({o: agg[o] for o in outcomes}, RoleTag.PRINCIPAL_TRUE)
+    if doc.from_aggregation:  # loading checks the outcomes are the aggregation options
+        agg = state.aggregate_utility
+        aggregated = UtilityTable({o: agg[o] for o in doc.outcomes}, RoleTag.PRINCIPAL_TRUE)
     else:
-        aggregated = _table_from(tables_doc, RoleTag.PRINCIPAL_TRUE, outcomes, "aggregated_principal")
+        aggregated = table("aggregated_principal", RoleTag.PRINCIPAL_TRUE)
     if system_objective is not None and aggregated is not None:
         verdict = no_conflict_check(system_objective, aggregated)
         state.no_conflict_ran = True
@@ -742,7 +644,7 @@ def _run_loyalty(scenario: Scenario, state: _State, tol: float) -> StepRecord:
                     "no-conflict",
                     PASS,
                     "system objective preserves the aggregated preference order",
-                    {"outcomes": outcomes},
+                    {"outcomes": doc.outcomes},
                 )
             )
         else:
@@ -756,9 +658,9 @@ def _run_loyalty(scenario: Scenario, state: _State, tol: float) -> StepRecord:
             )
 
     # 5b. alignment and disgorgement over declared role tables
-    principal_true = _table_from(tables_doc, RoleTag.PRINCIPAL_TRUE, outcomes, "principal_true")
-    agent_f = _table_from(tables_doc, RoleTag.AGENT_FIDUCIARY, outcomes, "agent_fiduciary")
-    agent_nf = _table_from(tables_doc, RoleTag.AGENT_NONFIDUCIARY, outcomes, "agent_nonfiduciary")
+    principal_true = table("principal_true", RoleTag.PRINCIPAL_TRUE)
+    agent_f = table("agent_fiduciary", RoleTag.AGENT_FIDUCIARY)
+    agent_nf = table("agent_nonfiduciary", RoleTag.AGENT_NONFIDUCIARY)
     if principal_true is not None and agent_f is not None:
         verdict = alignment_check(principal_true, agent_f)
         findings.append(
@@ -816,7 +718,7 @@ def _run_loyalty(scenario: Scenario, state: _State, tol: float) -> StepRecord:
         if id(norm) in conflicted:
             continue
         label = f"{norm.transmission_principle}:{norm.attribute}"
-        if model is None or profile is None:
+        if profile is None:  # loading checks bound node ids against world.macid
             findings.append(
                 Finding(
                     label,
@@ -884,25 +786,23 @@ def _run_loyalty(scenario: Scenario, state: _State, tol: float) -> StepRecord:
             findings.append(Finding(label, FAIL, str(exc), {"binding": dict(norm.binding)}))
 
     # 5d. attestations and loyalty-duty coverage
-    attested = {a["duty"]: a for a in doc.get("attestations", [])}
-    for key, att in attested.items():
+    for key, att in doc.attestations.items():
         findings.append(
             Finding(
                 f"attestation:{key}",
-                PASS if att.get("attested") else FAIL,
-                att.get("note", "") or ("attested" if att.get("attested") else "attestation refused"),
+                PASS if att.attested else FAIL,
+                att.note or ("attested" if att.attested else "attestation refused"),
                 {"duty": key},
             )
         )
     duties = scenario.context.subsidiary_duties if scenario.context else ()
     for key in duties:
-        try:
-            entry = duty_entry(key)
-        except FidauditError:
-            continue  # already reported by the context step
+        entry = duty_entry(key)
         if entry.kind != "loyalty":
             continue  # care and both route to the care step
-        covered, how = _loyalty_duty_covered(entry, attested, state)
+        covered, how = _duty_covered(
+            entry, state, doc.attestations, "expected an attestation entry"
+        )
         if not covered:
             findings.append(
                 Finding(
@@ -918,44 +818,47 @@ def _run_loyalty(scenario: Scenario, state: _State, tol: float) -> StepRecord:
     return StepRecord("loyalty", _step_status(findings), findings)
 
 
-def _loyalty_duty_covered(entry, attested: Mapping[str, Any], state: _State) -> tuple[bool, str]:
+def _duty_covered(
+    entry, state: _State, evidence: Collection[str], expected: str
+) -> tuple[bool, str]:
+    """Whether the audit evidenced a declared catalog duty, and the evidence it
+    expects: the automated check the duty binds to, else ``expected``, an
+    entry of ``evidence`` named by the duty key."""
     operation = entry.automated_operation()
-    if operation is None:
-        if entry.key in attested:
-            return True, "attested"
-        return False, "expected an attestation entry"
+    if operation == "prudent_investor_weights":
+        return state.prudent_investor_ran, "expected a prudent-investor assessment method"
     if operation == "confidentiality_check":
         return state.confidentiality_norms_checked > 0, "expected a bound confidentiality norm"
     if operation == "disclosure_check":
         return state.disclosure_norms_checked > 0, "expected a bound disclosure norm"
     if operation == "no_conflict_check":
         return state.no_conflict_ran, "expected the no-conflict check to run"
-    return entry.key in attested, "expected an attestation entry"
+    return entry.key in evidence, expected
 
 
 # --- step 6: care ------------------------------------------------------------------------
 
 
 def _run_care(scenario: Scenario, state: _State) -> StepRecord:
-    if scenario.care is None:
-        return _skip("care", "scenario omits the care section")
     doc = scenario.care
+    if doc is None:
+        return _skip("care", "scenario omits the care section")
     known = set(BUILTIN_STANDARDS)
     if scenario.context is not None and scenario.context.care_standard:
         known.add(scenario.context.care_standard)
 
     computed: list[CareFinding] = []
-    for entry in doc.get("checks", []):
-        name = entry["name"]
+    for entry in doc.checks:
+        name = entry.name
         try:
-            if entry["kind"] == "inductive_bias":
+            if entry.kind == "inductive_bias":
                 diagnostic = inductive_bias_diagnostic(
                     BinaryEvidence(
-                        float(entry["prior"]),
-                        float(entry["likelihood1"]),
-                        float(entry["likelihood0"]),
+                        entry.prior,
+                        entry.likelihood1,
+                        entry.likelihood0,
                     ),
-                    dominance_threshold=float(entry.get("dominance_threshold", 0.1)),
+                    dominance_threshold=entry.dominance_threshold,
                 )
                 flagged = diagnostic.prior_dominated or diagnostic.degenerate_prior
                 note = diagnostic.rationale
@@ -974,13 +877,8 @@ def _run_care(scenario: Scenario, state: _State) -> StepRecord:
                         note=note,
                     )
                 )
-            elif entry["kind"] == "distribution_shift":
-                support = tuple(str(x) for x in entry["support"])
-                pair = DiscreteDistributionPair(
-                    support,
-                    dict(zip(support, map(float, entry["train"]))),
-                    dict(zip(support, map(float, entry["deploy"]))),
-                )
+            elif entry.kind == "distribution_shift":
+                pair = DiscreteDistributionPair(entry.support, entry.train, entry.deploy)
                 score = distribution_shift_score(pair)
                 if score.absolute_continuity_violation:
                     computed.append(
@@ -1000,38 +898,24 @@ def _run_care(scenario: Scenario, state: _State) -> StepRecord:
                 computed.append(
                     CareFinding(
                         name,
-                        "pass" if entry.get("attested") else "fail",
-                        evidence={"attested": bool(entry.get("attested"))},
-                        note=entry.get("note", ""),
+                        "pass" if entry.attested else "fail",
+                        evidence={"attested": entry.attested},
+                        note=entry.note,
                     )
                 )
         except FidauditError as exc:
             computed.append(CareFinding(name, "fail", evidence={"error": str(exc)}, note=str(exc)))
 
-    declared = list(doc.get("declared_checks", []))
     # declared subsidiary duties of care (or both) must be evidenced too
     duties = scenario.context.subsidiary_duties if scenario.context else ()
     check_names = {c.name for c in computed}
     for key in duties:
-        try:
-            entry = duty_entry(key)
-        except FidauditError:
-            continue
+        entry = duty_entry(key)
         if entry.kind == "loyalty":
             continue
-        operation = entry.automated_operation()
-        if operation == "prudent_investor_weights":
-            covered = state.prudent_investor_ran
-            expected = "expected a prudent-investor assessment method"
-        elif operation == "confidentiality_check":
-            covered = state.confidentiality_norms_checked > 0
-            expected = "expected a bound confidentiality norm"
-        elif operation == "disclosure_check":
-            covered = state.disclosure_norms_checked > 0
-            expected = "expected a bound disclosure norm"
-        else:
-            covered = key in check_names
-            expected = "expected an attestation check named by the duty key"
+        covered, expected = _duty_covered(
+            entry, state, check_names, "expected an attestation check named by the duty key"
+        )
         if covered:
             computed.append(
                 CareFinding(f"duty:{key}", "pass", evidence={"duty": key}, note="covered")
@@ -1048,11 +932,11 @@ def _run_care(scenario: Scenario, state: _State) -> StepRecord:
 
     try:
         section = prudence_report(
-            str(doc.get("standard", "")), declared, computed, known_standards=frozenset(known)
+            doc.standard, list(doc.declared_checks), computed, known_standards=frozenset(known)
         )
     except FidauditError as exc:
         findings = [
-            Finding("standard", FAIL, str(exc), {"standard": doc.get("standard")}),
+            Finding("standard", FAIL, str(exc), {"standard": doc.standard}),
         ]
         return StepRecord("care", _step_status(findings), findings)
 
@@ -1100,7 +984,7 @@ def run_audit(scenario: Scenario, tol: float = 1e-9, seed: int = 0) -> AuditRepo
     state = _State()
     rng = np.random.default_rng(seed)
     steps = [
-        _guarded("context", lambda: _run_context(scenario, state)),
+        _guarded("context", lambda: _run_context(scenario)),
         _guarded("identification", lambda: _run_identification(scenario, state)),
         _guarded("assessment", lambda: _run_assessment(scenario, state, rng)),
         _guarded("aggregation", lambda: _run_aggregation(scenario, state)),
@@ -1113,8 +997,8 @@ def run_audit(scenario: Scenario, tol: float = 1e-9, seed: int = 0) -> AuditRepo
         if _SEVERITY[mapped] > _SEVERITY[overall]:
             overall = mapped
     return AuditReport(
-        scenario_id=scenario.meta.scenario_id,
-        scenario_version=scenario.meta.version,
+        scenario_id=scenario.scenario_id,
+        scenario_version=scenario.version,
         digest=scenario.digest,
         seed=seed,
         tolerance=tol,

@@ -6,15 +6,16 @@
     fidaudit catalog LABEL
     fidaudit --version
 
-Exit codes from ``check``: 0 pass, 1 warn, 2 fail; schema errors also
-exit 2. All configuration is flags and the scenario file; no environment
-variables are consulted.
+Exit codes from ``check``: 0 pass, 1 warn, 2 fail. A schema error, or any
+other error, also exits 2 with one line on stderr: exit 1 means "warn", so
+no error may end with it. All configuration is flags and the scenario file;
+no environment variables are consulted.
 """
 
 from __future__ import annotations
 
-import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
@@ -23,7 +24,20 @@ from . import __version__
 from .audit import EXIT_CODES, emit_report, run_audit
 from .context import catalog_lookup
 from .errors import SchemaError, UnknownContextLabel
-from .scenario import load_scenario, validate_scenario
+from .scenario import load_scenario, read_document, validate_scenario
+
+
+@contextmanager
+def _errors_exit_2():
+    try:
+        yield
+    except SchemaError as exc:
+        where = f"{exc.path}: " if exc.path else ""
+        click.echo(f"schema error: {where}{exc}", err=True)
+        sys.exit(2)
+    except Exception as exc:  # noqa: BLE001 - a traceback would exit 1, which reads as "warn"
+        click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
+        sys.exit(2)
 
 
 @click.group()
@@ -40,16 +54,12 @@ def main() -> None:
 @click.option("--seed", type=int, default=0, show_default=True, help="Seed for sampled evidence; recorded in the report.")
 def check(scenario_file: Path, report_path: Path | None, fmt: str, tol: float, seed: int) -> None:
     """Run the six-step audit over SCENARIO_FILE."""
-    try:
-        scenario = load_scenario(scenario_file)
-    except SchemaError as exc:
-        click.echo(f"schema error: {exc}", err=True)
-        sys.exit(2)
-    report = run_audit(scenario, tol=tol, seed=seed)
-    rendered = emit_report(report, fmt)
-    click.echo(rendered, nl=False)
-    if report_path is not None:
-        report_path.write_text(rendered, encoding="utf-8")
+    with _errors_exit_2():
+        report = run_audit(load_scenario(scenario_file), tol=tol, seed=seed)
+        rendered = emit_report(report, fmt)
+        click.echo(rendered, nl=False)
+        if report_path is not None:
+            report_path.write_text(rendered, encoding="utf-8")
     sys.exit(EXIT_CODES[report.overall])
 
 
@@ -57,12 +67,8 @@ def check(scenario_file: Path, report_path: Path | None, fmt: str, tol: float, s
 @click.argument("scenario_file", type=click.Path(exists=True, dir_okay=False, path_type=Path))
 def validate(scenario_file: Path) -> None:
     """List every schema violation in SCENARIO_FILE."""
-    try:
-        raw = json.loads(scenario_file.read_text("utf-8"))
-    except json.JSONDecodeError as exc:
-        click.echo(f"not valid JSON: {exc}", err=True)
-        sys.exit(2)
-    problems = validate_scenario(raw)
+    with _errors_exit_2():
+        problems = validate_scenario(read_document(scenario_file))
     if not problems:
         click.echo(f"{scenario_file}: valid")
         return

@@ -12,6 +12,7 @@ information flows and which contexts are proposals not yet settled law.
 from __future__ import annotations
 
 import difflib
+import functools
 import json
 from dataclasses import dataclass, field
 from importlib import resources
@@ -128,9 +129,8 @@ def validate_context(spec: ContextSpec) -> list[Violation]:
             )
     if not spec.care_standard:
         out.append(Violation("care_standard", "care standard id is empty"))
-    known = {entry.key for entry in _all_entries()}
     for i, key in enumerate(spec.subsidiary_duties):
-        if key not in known:
+        if key not in _index():
             out.append(
                 Violation(f"subsidiary_duties[{i}]", f"unknown catalog key {key!r}")
             )
@@ -199,28 +199,21 @@ class SubsidiaryDutyEntry:
         return None
 
 
-def _load_catalog() -> dict:
+@functools.cache
+def _catalog() -> dict:
     raw = resources.files("fidaudit").joinpath("data/duty_catalog.json").read_text("utf-8")
     return json.loads(raw)
-
-
-_CATALOG_CACHE: dict | None = None
-
-
-def _catalog() -> dict:
-    global _CATALOG_CACHE
-    if _CATALOG_CACHE is None:
-        _CATALOG_CACHE = _load_catalog()
-    return _CATALOG_CACHE
 
 
 def catalog_labels() -> tuple[str, ...]:
     return tuple(ctx["label"] for ctx in _catalog()["contexts"])
 
 
-def _entries_for(ctx: dict) -> list[SubsidiaryDutyEntry]:
-    return [
-        SubsidiaryDutyEntry(
+@functools.cache
+def _index() -> dict[str, SubsidiaryDutyEntry]:
+    """Every catalog entry by its key, in catalog order, built once."""
+    return {
+        e["key"]: SubsidiaryDutyEntry(
             key=e["key"],
             context_label=ctx["label"],
             duty=e["duty"],
@@ -230,22 +223,16 @@ def _entries_for(ctx: dict) -> list[SubsidiaryDutyEntry]:
             speculative=ctx["speculative"],
             area=e.get("area"),
         )
+        for ctx in _catalog()["contexts"]
         for e in ctx["entries"]
-    ]
-
-
-def _all_entries() -> list[SubsidiaryDutyEntry]:
-    out: list[SubsidiaryDutyEntry] = []
-    for ctx in _catalog()["contexts"]:
-        out.extend(_entries_for(ctx))
-    return out
+    }
 
 
 def catalog_lookup(context_label: str) -> tuple[SubsidiaryDutyEntry, ...]:
     """Entries for one catalog context; unknown labels suggest the nearest."""
-    for ctx in _catalog()["contexts"]:
-        if ctx["label"] == context_label:
-            return tuple(_entries_for(ctx))
+    entries = tuple(e for e in _index().values() if e.context_label == context_label)
+    if entries:
+        return entries
     close = difflib.get_close_matches(context_label, catalog_labels(), n=1)
     suggestion = close[0] if close else None
     hint = f"; did you mean {suggestion!r}?" if suggestion else ""
@@ -255,7 +242,7 @@ def catalog_lookup(context_label: str) -> tuple[SubsidiaryDutyEntry, ...]:
 
 
 def duty_entry(key: str) -> SubsidiaryDutyEntry:
-    for entry in _all_entries():
-        if entry.key == key:
-            return entry
-    raise UnknownContextLabel(f"unknown catalog key {key!r}")
+    try:
+        return _index()[key]
+    except KeyError:
+        raise UnknownContextLabel(f"unknown catalog key {key!r}") from None

@@ -162,9 +162,10 @@ class InvalidSpec(FidauditError):
 class SchemaError(FidauditError):
     """Scenario document failed schema validation.
 
-    ``path`` points at the offending location, e.g. ``world.macid.cpds.C``.
+    ``path`` points at the offending location, e.g. ``world.macid.cpds.C``;
+    the message does not repeat it.
     """
 
     def __init__(self, message: str, path: str = ""):
-        super().__init__(f"{path}: {message}" if path else message)
+        super().__init__(message)
         self.path = path

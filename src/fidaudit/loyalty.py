@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
 
-from .errors import OutcomeSpaceMismatch, UnknownNode
+from .errors import NodeKindMismatch, OutcomeSpaceMismatch, UnknownNode
 from .macid import (
     DecisionRule,
     Macid,
@@ -235,7 +235,7 @@ def disclosure_check(
         if node not in model.node_map:
             raise UnknownNode(f"unknown node {node!r}")
     if model.node_map[report_node].kind is not NodeKind.DECISION:
-        raise UnknownNode(f"report node {report_node!r} must be a decision node")
+        raise NodeKindMismatch(f"report node {report_node!r} must be a decision node")
 
     voi = materiality_value(model, report_node, material_node, principal_decision)
     if voi <= tol:

@@ -6,51 +6,46 @@ A scenario is a single JSON document with top-level sections ``context``,
 nested arrays ordered by the declared id lists (states, actions, domains,
 outcomes), and demos/comparisons reference states and actions by index.
 
-``validate_scenario`` returns every violation with a path;
-``load_scenario`` builds the typed objects and raises SchemaError on the
-first problem. The scenario digest is computed over the canonical
-serialized form, so reordering keys in the file changes nothing.
+One reader walks a document once: it checks each field and builds its
+typed, frozen value in the same pass, recording every problem with its
+path. ``validate_scenario`` returns those problems and ``parse_scenario``
+raises SchemaError at the first, so both accept exactly the same
+documents. A wrong JSON type, shape, length or id is a problem, and so is
+a world model its constructor rejects. A method, table or check value that
+a library call rejects (an asymmetric covariance, a discount outside
+(0, 1)) is left to its audit step, which reports a Fail finding. A field
+given as null counts as absent. The scenario digest is computed over the
+canonical serialized form, so reordering keys in the file changes nothing.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Any, Mapping
 
 import numpy as np
 
+from .aggregation import ApprovalBallot
+from .assessment import FeatureMap
 from .context import ContextSpec, Norm, PrincipalClassSpec, Role, validate_context
 from .errors import FidauditError, SchemaError
 from .macid import Cpd, DecisionRule, Macid, Node, NodeKind
-from .mdp import DiscountSpec, Mdp
+from .mdp import DiscountSpec, Mdp, RewardOption
 
 SUPPORTED_SCHEMA_VERSIONS = (1,)
 
-STEP_SECTIONS = ("context", "principals", "assessment", "aggregation", "loyalty", "care")
-KNOWN_SECTIONS = set(STEP_SECTIONS) | {"schema_version", "metadata", "world"}
-
-ASSESSMENT_KINDS = (
-    "prudent_investor",
-    "discount_inference",
-    "maxent_irl",
-    "preference_fit",
-    "feasibility_probe",
-    "patient_advice",
-    "preference_reversal",
-)
+SECTIONS = ("context", "principals", "assessment", "aggregation", "loyalty", "care")
+KNOWN_SECTIONS = set(SECTIONS) | {"schema_version", "metadata", "world"}
 
 AGGREGATION_METHODS = ("approval", "pareto", "lexicographic")
-
-
-@dataclass(frozen=True)
-class ScenarioMeta:
-    scenario_id: str
-    version: str
-    seed: int
+LOYALTY_TABLES = ("principal_true", "agent_fiduciary", "agent_nonfiduciary", "system_objective")
+_NEEDS_MDP = ("discount_inference", "maxent_irl", "feasibility_probe", "patient_advice")
 
 
 @dataclass(frozen=True)
@@ -62,17 +57,80 @@ class World:
 
 
 @dataclass(frozen=True)
+class Variant:
+    """One entry of a kind-tagged list: an assessment method or a care check.
+
+    Its typed fields, as the reader method named by ``kind`` builds them,
+    are read as attributes. Demos and trajectories are tuples of (state,
+    action) id pairs.
+    """
+
+    kind: str
+    fields: Mapping[str, Any]
+
+    def __getattr__(self, name: str) -> Any:
+        fields = self.__dict__.get("fields", {})
+        if name in fields:
+            return fields[name]
+        raise AttributeError(name)
+
+
+@dataclass(frozen=True)
+class ManipulationProbe:
+    rule: str
+    voters: int
+    options: int
+    dictator_voter: int
+
+
+@dataclass(frozen=True)
+class Aggregation:
+    method: str | None
+    options: tuple[str, ...]
+    ballots: tuple[ApprovalBallot, ...]
+    utilities: Mapping[str, Mapping[str, float]]  # class id -> option -> utility
+    class_score: str
+    weights: Mapping[str, float] | None
+    agent_id: str | None
+    favored: str | None
+    favoritism_cap: float | None
+    probe: ManipulationProbe | None
+
+
+@dataclass(frozen=True)
+class Attestation:
+    duty: str
+    attested: bool
+    note: str
+
+
+@dataclass(frozen=True)
+class Loyalty:
+    outcomes: tuple[str, ...]
+    tables: Mapping[str, Mapping[str, float]]  # role or "aggregated_principal" -> outcome -> utility
+    from_aggregation: bool
+    attestations: Mapping[str, Attestation]  # by duty key; a repeated key keeps the last
+
+
+@dataclass(frozen=True)
+class Care:
+    standard: str
+    declared_checks: tuple[str, ...]
+    checks: tuple[Variant, ...]
+
+
+@dataclass(frozen=True)
 class Scenario:
-    meta: ScenarioMeta
+    scenario_id: str
+    version: str
     digest: str
     context: ContextSpec | None
     principals: tuple[PrincipalClassSpec, ...] | None
     world: World
-    assessment: Mapping[str, Any] | None
-    aggregation: Mapping[str, Any] | None
-    loyalty: Mapping[str, Any] | None
-    care: Mapping[str, Any] | None
-    raw: Mapping[str, Any] = field(repr=False, default_factory=dict)
+    assessment: tuple[Variant, ...] | None
+    aggregation: Aggregation | None
+    loyalty: Loyalty | None
+    care: Care | None
 
 
 def canonical_digest(raw: Mapping[str, Any]) -> str:
@@ -80,546 +138,598 @@ def canonical_digest(raw: Mapping[str, Any]) -> str:
     return "sha256:" + hashlib.sha256(blob).hexdigest()
 
 
-# --- low-level shape helpers -------------------------------------------------
+# --- the reader ------------------------------------------------------------------
+
+_REQUIRED = object()
 
 
-class _Check:
-    """Collects violations as (path, message) pairs."""
+def _object(read):
+    """A read method for one JSON object: any other value is a problem."""
+
+    @functools.wraps(read)
+    def checked(self: _Reader, value: Any, path: str, **options):
+        if isinstance(value, dict):
+            return read(self, value, path, **options)
+        self.fail(path, "must be an object")
+
+    return checked
+
+
+class _Reader:
+    """One walk over a scenario document.
+
+    Each read method takes a JSON value and its path and returns the typed
+    value, or None after recording what is wrong. The walk goes on past a
+    problem, so one pass finds every problem; a typed value built from a
+    document with problems is never returned to a caller. The world is read
+    first: later sections check their ids against its node, state and
+    action ids, and loyalty checks its outcomes against the aggregation
+    options.
+    """
 
     def __init__(self) -> None:
         self.problems: list[tuple[str, str]] = []
+        self.node_ids: set[str] = set()
+        self.has_mdp = False
+        self.states: tuple[str, ...] = ()
+        self.actions: tuple[str, ...] = ()
+        self.default_beta = 0.9
+        self.options: tuple[str, ...] | None = None  # the aggregation's, once it declares a method
 
-    def add(self, path: str, message: str) -> None:
+    def fail(self, path: str, message: str) -> None:
         self.problems.append((path, message))
 
-    def expect(self, condition: bool, path: str, message: str) -> bool:
-        if not condition:
-            self.add(path, message)
-        return condition
+    def field(self, doc: Mapping[str, Any], key: str, path: str, read, default=_REQUIRED, **options):
+        """``doc[key]`` through ``read``; an absent or null field gives ``default``."""
+        path = f"{path}.{key}" if path else key
+        value = doc.get(key)
+        if value is not None:
+            return read(value, path, **options)
+        if default is _REQUIRED:
+            self.fail(path, "required")
+            return None
+        return default
 
+    def record(self, doc: Mapping[str, Any], path: str, **reads) -> dict:
+        """The named fields of ``doc``; a read given as ``(read, default)`` makes
+        its field optional."""
+        values = {}
+        for key, read in reads.items():
+            read, default = read if isinstance(read, tuple) else (read, _REQUIRED)
+            values[key] = self.field(doc, key, path, read, default)
+        return values
 
-def _is_num(x: Any) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    # scalars, lists, objects and ids
 
+    def str_(self, value: Any, path: str) -> str | None:
+        if isinstance(value, str):
+            return value
+        self.fail(path, "string required")
 
-def _validate_macid_section(doc: Mapping[str, Any], check: _Check, path: str) -> None:
-    if not check.expect(isinstance(doc, dict), path, "must be an object"):
-        return
-    nodes = doc.get("nodes")
-    if not check.expect(isinstance(nodes, list) and nodes, f"{path}.nodes", "non-empty list required"):
-        return
-    ids = []
-    for i, node in enumerate(nodes):
-        npath = f"{path}.nodes[{i}]"
-        if not check.expect(isinstance(node, dict), npath, "must be an object"):
-            continue
-        check.expect(isinstance(node.get("id"), str), f"{npath}.id", "string id required")
-        kind = node.get("kind")
-        check.expect(
-            kind in ("chance", "decision", "utility"),
-            f"{npath}.kind",
-            "kind must be chance, decision or utility",
-        )
-        if kind in ("decision", "utility"):
-            check.expect(isinstance(node.get("owner"), str), f"{npath}.owner", "owner required")
-        if kind in ("chance", "decision"):
-            dom = node.get("domain")
-            check.expect(
-                isinstance(dom, list) and dom and all(isinstance(v, str) for v in dom),
-                f"{npath}.domain",
-                "non-empty list of strings required",
+    def num(self, value: Any, path: str) -> float | None:
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return float(value)
+        self.fail(path, "number required")
+
+    def int_(self, value: Any, path: str) -> int | None:
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value
+        self.fail(path, "integer required")
+
+    def bool_(self, value: Any, path: str) -> bool | None:
+        if isinstance(value, bool):
+            return value
+        self.fail(path, "boolean required")
+
+    @_object
+    def obj(self, doc: dict, path: str) -> dict:
+        return doc
+
+    def choice(self, value: Any, path: str, options) -> str | None:
+        if isinstance(value, str) and value in options:
+            return value
+        self.fail(path, f"must be one of {', '.join(options)}")
+
+    def id_(self, value: Any, path: str, ids, what: str) -> str | None:
+        if isinstance(value, str) and value in ids:
+            return value
+        self.fail(path, f"unknown {what} {value!r}")
+
+    def index(self, value: Any, path: str, n: int) -> int | None:
+        i = self.int_(value, path)
+        if i is None or 0 <= i < n:
+            return i
+        self.fail(path, f"index {i} outside 0..{n - 1}")
+
+    def list_(self, value: Any, path: str, item=None, length=None, nonempty=False) -> tuple | None:
+        if not isinstance(value, list):
+            return self.fail(path, "list required")
+        if nonempty and not value:
+            return self.fail(path, "non-empty list required")
+        if length is not None and len(value) != length:
+            return self.fail(path, f"{length} entries required, got {len(value)}")
+        if item is None:
+            return tuple(value)
+        out = tuple(item(v, f"{path}[{i}]") for i, v in enumerate(value))
+        return None if any(v is None for v in out) else out
+
+    def strs(self, value: Any, path: str, nonempty=False) -> tuple[str, ...] | None:
+        return self.list_(value, path, self.str_, nonempty=nonempty)
+
+    def nums(self, value: Any, path: str, length=None, nonempty=False) -> tuple[float, ...] | None:
+        return self.list_(value, path, self.num, length=length, nonempty=nonempty)
+
+    @_object
+    def mapping(self, doc: dict, path: str, item) -> dict | None:
+        out = {key: item(v, f"{path}.{key}") for key, v in doc.items()}
+        return None if any(v is None for v in out.values()) else out
+
+    def array(self, value: Any, path: str, shape: tuple[int, ...]) -> np.ndarray | None:
+        """A dense numeric table, converted in one numpy call."""
+        try:
+            arr = np.asarray(value)
+        except ValueError:  # ragged nesting
+            arr = None
+        if arr is None or arr.shape != shape or arr.dtype.kind not in "iuf":
+            return self.fail(path, f"dense {'x'.join(map(str, shape))} numeric table required")
+        return arr.astype(float, copy=False)
+
+    # the document
+
+    def scenario(self, raw: Any) -> Scenario | None:
+        if not isinstance(raw, dict):
+            self.fail("", "scenario document must be a JSON object")
+            return None
+        version = self.field(raw, "schema_version", "", self.int_)
+        if version is not None and version not in SUPPORTED_SCHEMA_VERSIONS:
+            self.fail("schema_version", f"supported versions: {SUPPORTED_SCHEMA_VERSIONS}, got {version!r}")
+        for key in raw:
+            if key not in KNOWN_SECTIONS:
+                self.fail(key, "unknown top-level section")
+        meta = self.field(raw, "metadata", "", self.metadata, default={"scenario_id": "unnamed", "version": "0"})
+        world = self.field(raw, "world", "", self.world, default=World())
+        sections = {key: self.field(raw, key, "", getattr(self, key), default=None) for key in SECTIONS}
+        if self.problems:
+            return None
+        return Scenario(**meta, digest=canonical_digest(raw), world=world, **sections)
+
+    @_object
+    def metadata(self, doc: dict, path: str) -> dict:
+        # the seed is informational: ``--seed`` is the only seed an audit uses
+        self.field(doc, "seed", path, self.int_, default=0)
+        return self.record(doc, path, scenario_id=(self.str_, "unnamed"), version=(self.str_, "0"))
+
+    # world models
+
+    @_object
+    def world(self, doc: dict, path: str) -> World:
+        macid, profile = self.field(doc, "macid", path, self.macid, default=None) or (None, None)
+        self.has_mdp = doc.get("mdp") is not None
+        mdp, discount = self.field(doc, "mdp", path, self.mdp, default=None) or (None, None)
+        if discount is not None and discount.kind == "exponential":
+            self.default_beta = discount.beta
+        return World(macid=macid, profile=profile, mdp=mdp, discount=discount)
+
+    @_object
+    def node(self, doc: dict, path: str) -> Node | None:
+        nid = self.field(doc, "id", path, self.str_)
+        kind = self.field(doc, "kind", path, self.choice, options=("chance", "decision", "utility"))
+        owner = self.field(doc, "owner", path, self.str_, default=None)
+        domain = self.field(doc, "domain", path, self.strs, default=())
+        if nid is not None:
+            self.node_ids.add(nid)
+        if nid is None or kind is None or domain is None:
+            return None
+        try:
+            return Node(id=nid, kind=NodeKind(kind), owner=owner, domain=domain)
+        except FidauditError as exc:
+            self.fail(path, str(exc))
+
+    def node_tables(self, doc: Mapping[str, Any], key: str, path: str, assignments, read_row) -> dict:
+        """``{node id: {parent assignment: row}}`` for one per-node table field."""
+        out = {}
+        for nid, rows in (self.field(doc, key, path, self.obj, default={}) or {}).items():
+            tpath = f"{path}.{key}.{nid}"
+            if self.id_(nid, tpath, self.node_ids, "node") is None:
+                continue
+            keys = assignments(nid)
+            rows = self.list_(rows, tpath, read_row, length=None if keys is None else len(keys))
+            if rows is not None and keys is not None:
+                out[nid] = dict(zip(keys, rows))
+        return out
+
+    @_object
+    def macid(self, doc: dict, path: str) -> tuple[Macid, dict | None] | None:
+        start = len(self.problems)
+        nodes = self.field(doc, "nodes", path, self.list_, item=self.node, nonempty=True) or ()
+        edges = {}
+        for nid, parents in (self.field(doc, "edges", path, self.obj, default={}) or {}).items():
+            epath = f"{path}.edges.{nid}"
+            self.id_(nid, epath, self.node_ids, "node")
+            edges[nid] = self.list_(parents, epath, partial(self.id_, ids=self.node_ids, what="parent"))
+        domains = {n.id: n.domain for n in nodes}
+
+        def assignments(nid: str) -> list[tuple[str, ...]] | None:
+            parents = edges.get(nid, ())
+            if parents is None or any(p not in domains for p in parents):
+                return None
+            return list(itertools.product(*(domains[p] for p in parents)))
+
+        cpds = self.node_tables(doc, "cpds", path, assignments, self.nums)
+        utilities = self.node_tables(doc, "utilities", path, assignments, self.num)
+        profile = self.node_tables(doc, "profile", path, assignments, self.nums)
+        agents = self.field(doc, "agents", path, self.strs)
+        if len(self.problems) > start:
+            return None
+        try:
+            model = Macid(
+                nodes=nodes,
+                edges={n.id: edges.get(n.id, ()) for n in nodes},
+                cpds={nid: Cpd(nid, table) for nid, table in cpds.items()},
+                utilities=utilities,
+                agents=agents,
             )
-        ids.append(node.get("id"))
-    edges = doc.get("edges", {})
-    check.expect(isinstance(edges, dict), f"{path}.edges", "must map node id -> parent list")
-    if isinstance(edges, dict):
-        for nid, parents in edges.items():
-            check.expect(nid in ids, f"{path}.edges.{nid}", "unknown node id")
-            if isinstance(parents, list):
-                for p in parents:
-                    check.expect(p in ids, f"{path}.edges.{nid}", f"unknown parent {p!r}")
-            else:
-                check.add(f"{path}.edges.{nid}", "parent list required")
-    for table_field in ("cpds", "utilities", "profile"):
-        table = doc.get(table_field, {})
-        if check.expect(isinstance(table, dict), f"{path}.{table_field}", "must be an object"):
-            for nid in table:
-                check.expect(nid in ids, f"{path}.{table_field}.{nid}", "unknown node id")
-    check.expect(
-        isinstance(doc.get("agents"), list) and all(isinstance(a, str) for a in doc.get("agents", [])),
-        f"{path}.agents",
-        "list of agent ids required",
-    )
+        except FidauditError as exc:
+            self.fail(path, str(exc))
+            return None
+        if doc.get("profile") is None:
+            return model, None
+        return model, {nid: DecisionRule(nid, table) for nid, table in profile.items()}
 
+    @_object
+    def mdp(self, doc: dict, path: str) -> tuple[Mdp, DiscountSpec | None] | None:
+        start = len(self.problems)
+        states = self.field(doc, "states", path, self.strs, nonempty=True)
+        actions = self.field(doc, "actions", path, self.strs, nonempty=True)
+        if states is None or actions is None:
+            return None
+        self.states, self.actions = states, actions
+        n_s, n_a = len(states), len(actions)
+        transition = self.field(doc, "transition", path, self.array, shape=(n_s, n_a, n_s))
+        reward = self.field(doc, "reward", path, self.array, shape=(n_s, n_a))
+        discount = self.field(doc, "discount", path, self.discount, default=None)
+        if len(self.problems) > start:
+            return None
+        try:
+            mdp = Mdp(states=states, actions=actions, transition=transition, reward=reward)
+        except ValueError as exc:
+            self.fail(path, str(exc))
+            return None
+        if discount is None:
+            return mdp, None
+        try:
+            return mdp, DiscountSpec(discount[0], **{"beta" if discount[0] == "exponential" else "k": discount[1]})
+        except FidauditError as exc:
+            self.fail(f"{path}.discount", str(exc))
+            return None
 
-def _validate_mdp_section(doc: Mapping[str, Any], check: _Check, path: str) -> None:
-    if not check.expect(isinstance(doc, dict), path, "must be an object"):
-        return
-    states = doc.get("states")
-    actions = doc.get("actions")
-    ok_states = check.expect(
-        isinstance(states, list) and states and all(isinstance(s, str) for s in states),
-        f"{path}.states",
-        "non-empty list of strings required",
-    )
-    ok_actions = check.expect(
-        isinstance(actions, list) and actions and all(isinstance(a, str) for a in actions),
-        f"{path}.actions",
-        "non-empty list of strings required",
-    )
-    if not (ok_states and ok_actions):
-        return
-    transition = doc.get("transition")
-    reward = doc.get("reward")
-    n_s, n_a = len(states), len(actions)
-    shape_ok = (
-        isinstance(transition, list)
-        and len(transition) == n_s
-        and all(isinstance(row, list) and len(row) == n_a for row in transition)
-        and all(isinstance(cell, list) and len(cell) == n_s for row in transition for cell in row)
-    )
-    check.expect(shape_ok, f"{path}.transition", f"dense {n_s}x{n_a}x{n_s} tensor required")
-    reward_ok = (
-        isinstance(reward, list)
-        and len(reward) == n_s
-        and all(isinstance(row, list) and len(row) == n_a for row in reward)
-    )
-    check.expect(reward_ok, f"{path}.reward", f"dense {n_s}x{n_a} matrix required")
-    discount = doc.get("discount")
-    if discount is not None:
-        if check.expect(isinstance(discount, dict), f"{path}.discount", "must be an object"):
-            kind = discount.get("kind")
-            check.expect(
-                kind in ("exponential", "hyperbolic"),
-                f"{path}.discount.kind",
-                "kind must be exponential or hyperbolic",
+    @_object
+    def discount(self, doc: dict, path: str) -> tuple[str, float] | None:
+        """(kind, beta or k); DiscountSpec checks the value."""
+        kind = self.field(doc, "kind", path, self.choice, options=("exponential", "hyperbolic"))
+        if kind is None:
+            return None
+        param = self.field(doc, "beta" if kind == "exponential" else "k", path, self.num)
+        return None if param is None else (kind, param)
+
+    # context and principals
+
+    @_object
+    def context(self, doc: dict, path: str) -> ContextSpec | None:
+        start = len(self.problems)
+        spec = ContextSpec(
+            **self.record(
+                doc, path,
+                name=(self.str_, ""),
+                purposes=(self.strs, ()),
+                roles=(partial(self.list_, item=self.role), ()),
+                norms=(partial(self.list_, item=self.norm), ()),
+                care_standard=(self.str_, ""),
+                subsidiary_duties=(self.strs, ()),
             )
-
-
-def _validate_assessment(doc: Mapping[str, Any], check: _Check, world: Mapping[str, Any]) -> None:
-    methods = doc.get("methods")
-    if not check.expect(isinstance(methods, list) and methods, "assessment.methods", "non-empty list required"):
-        return
-    has_mdp = isinstance(world.get("mdp"), dict)
-    needs_mdp = {"discount_inference", "maxent_irl", "feasibility_probe", "patient_advice"}
-    for i, method in enumerate(methods):
-        mpath = f"assessment.methods[{i}]"
-        if not check.expect(isinstance(method, dict), mpath, "must be an object"):
-            continue
-        kind = method.get("kind")
-        if not check.expect(kind in ASSESSMENT_KINDS, f"{mpath}.kind", f"kind must be one of {ASSESSMENT_KINDS}"):
-            continue
-        if kind in needs_mdp:
-            check.expect(has_mdp, mpath, f"{kind} requires world.mdp")
-        if kind == "prudent_investor":
-            mu = method.get("mu")
-            sigma = method.get("sigma")
-            check.expect(isinstance(mu, list) and all(_is_num(v) for v in mu), f"{mpath}.mu", "numeric vector required")
-            check.expect(isinstance(sigma, list), f"{mpath}.sigma", "matrix required")
-            check.expect(_is_num(method.get("risk_aversion")), f"{mpath}.risk_aversion", "number required")
-        elif kind == "discount_inference":
-            check.expect(isinstance(method.get("beta_grid"), list), f"{mpath}.beta_grid", "list required")
-            check.expect(isinstance(method.get("behavior"), dict), f"{mpath}.behavior", "state->action map required")
-        elif kind in ("maxent_irl", "preference_fit"):
-            check.expect(_is_num(method.get("learn_rate")), f"{mpath}.learn_rate", "number required")
-            check.expect(isinstance(method.get("iters"), int), f"{mpath}.iters", "integer required")
-        elif kind == "feasibility_probe":
-            check.expect(isinstance(method.get("policy"), dict), f"{mpath}.policy", "state->action map required")
-        elif kind == "patient_advice":
-            check.expect(_is_num(method.get("beta_fit")), f"{mpath}.beta_fit", "number required")
-            check.expect(_is_num(method.get("beta_advice")), f"{mpath}.beta_advice", "number required")
-        elif kind == "preference_reversal":
-            for key in ("early", "late"):
-                pair = method.get(key)
-                check.expect(
-                    isinstance(pair, list) and len(pair) == 2 and all(_is_num(v) for v in pair),
-                    f"{mpath}.{key}",
-                    "[reward, delay] pair required",
-                )
-        if kind in needs_mdp and has_mdp:
-            states = world["mdp"].get("states", [])
-            actions = world["mdp"].get("actions", [])
-            for map_field in ("behavior", "policy"):
-                mapping = method.get(map_field)
-                if isinstance(mapping, dict):
-                    for s, a in mapping.items():
-                        check.expect(s in states, f"{mpath}.{map_field}.{s}", "unknown state id")
-                        check.expect(a in actions, f"{mpath}.{map_field}.{s}", f"unknown action {a!r}")
-            for demo_field in ("demos",):
-                demos = method.get(demo_field)
-                if isinstance(demos, list):
-                    for d_i, demo in enumerate(demos):
-                        for s_i, step in enumerate(demo if isinstance(demo, list) else []):
-                            ok = (
-                                isinstance(step, list)
-                                and len(step) == 2
-                                and all(isinstance(v, int) for v in step)
-                                and 0 <= step[0] < len(states)
-                                and 0 <= step[1] < len(actions)
-                            )
-                            check.expect(ok, f"{mpath}.{demo_field}[{d_i}][{s_i}]", "[state_index, action_index] required")
-
-
-def _validate_aggregation(doc: Mapping[str, Any], check: _Check) -> None:
-    method = doc.get("method")
-    if method is not None:
-        check.expect(method in AGGREGATION_METHODS, "aggregation.method", f"must be one of {AGGREGATION_METHODS}")
-        options = doc.get("options")
-        check.expect(
-            isinstance(options, list) and options and all(isinstance(o, str) for o in options),
-            "aggregation.options",
-            "non-empty list of option ids required",
         )
+        if len(self.problems) > start:
+            return None
+        for violation in validate_context(spec):
+            self.fail(f"{path}.{violation.path}", violation.message)
+        # bound node ids must exist in the declared influence model
+        for i, norm in enumerate(spec.norms):
+            for key in norm.required_binding_keys():
+                nid = norm.binding.get(key)
+                if nid is not None and nid not in self.node_ids:
+                    self.fail(f"{path}.norms[{i}].binding.{key}", f"node {nid!r} not declared in world.macid")
+        return spec
+
+    @_object
+    def role(self, doc: dict, path: str) -> Role:
+        return Role(**self.record(doc, path, id=self.str_, description=(self.str_, "")))
+
+    @_object
+    def norm(self, doc: dict, path: str) -> Norm:
+        return Norm(
+            **self.record(
+                doc, path,
+                sender=self.str_, receiver=self.str_, subject=self.str_, attribute=(self.str_, ""),
+                transmission_principle=self.str_, binding=(partial(self.mapping, item=self.str_), {}),
+            )
+        )
+
+    def principals(self, value: Any, path: str) -> tuple[PrincipalClassSpec, ...] | None:
+        return self.list_(value, path, self.principal)
+
+    @_object
+    def principal(self, doc: dict, path: str) -> PrincipalClassSpec | None:
+        fields = self.record(
+            doc, path,
+            class_id=self.str_, role=self.str_, rank=self.int_,
+            relationship=partial(self.choice, options=("best_interests", "obedience")),
+        )
+        return None if fields["relationship"] is None else PrincipalClassSpec(**fields)
+
+    # assessment
+
+    @_object
+    def assessment(self, doc: dict, path: str) -> tuple[Variant, ...] | None:
+        return self.field(doc, "methods", path, self.list_, item=self.method, nonempty=True)
+
+    @_object
+    def method(self, doc: dict, path: str) -> Variant | None:
+        options = ("prudent_investor", "preference_fit", "preference_reversal") + _NEEDS_MDP
+        kind = self.field(doc, "kind", path, self.choice, options=options)
+        if kind in _NEEDS_MDP and not self.has_mdp:
+            self.fail(path, f"{kind} requires world.mdp")
+        elif kind is not None:
+            return Variant(kind, getattr(self, kind)(doc, path))
+
+    def steps(self, value: Any, path: str) -> tuple[tuple[str, str], ...] | None:
+        """[[state_index, action_index], ...] as (state, action) ids."""
+        return self.list_(value, path, self.step)
+
+    def step(self, value: Any, path: str) -> tuple[str, str] | None:
+        pair = self.list_(value, path, length=2)
+        if pair is None:
+            return None
+        s, a = self.index(pair[0], path, len(self.states)), self.index(pair[1], path, len(self.actions))
+        return None if s is None or a is None else (self.states[s], self.actions[a])
+
+    @_object
+    def policy(self, doc: dict, path: str) -> dict:
+        """A state id -> action id map."""
+        for s, a in doc.items():
+            self.id_(s, f"{path}.{s}", self.states, "state")
+            self.id_(a, f"{path}.{s}", self.actions, "action")
+        return dict(doc)
+
+    def features(self, value: Any, path: str) -> FeatureMap | None:
+        """A declared table in MDP order, or None for one-hot state features."""
+        if value == "one_hot_states":
+            return None
+        doc = self.obj(value, path)
+        if doc is None:
+            return None
+        dim = self.field(doc, "dim", path, self.int_)
+        keys = list(itertools.product(self.states, self.actions))
+        rows = self.field(doc, "table", path, self.list_, length=len(keys), item=self.nums)
+        return None if rows is None else self.feature_map(dim, dict(zip(keys, rows)), path)
+
+    def feature_map(self, dim: int, rows: Mapping[tuple[str, str], tuple[float, ...]], path: str) -> FeatureMap | None:
+        try:
+            return FeatureMap(dim, {key: np.asarray(row) for key, row in rows.items()})
+        except ValueError as exc:  # a row of the wrong length, or non-finite entries
+            self.fail(path, str(exc))
+
+    def prudent_investor(self, doc: Mapping[str, Any], path: str) -> dict:
+        mu = self.field(doc, "mu", path, self.nums)
+        n = None if mu is None else len(mu)
+        sigma = self.field(doc, "sigma", path, self.list_, length=n, item=partial(self.nums, length=n))
+        return {"mu": mu, "sigma": sigma, "risk_aversion": self.field(doc, "risk_aversion", path, self.num)}
+
+    def discount_inference(self, doc: Mapping[str, Any], path: str) -> dict:
+        grid = self.field(doc, "beta_grid", path, self.nums, nonempty=True) or ()
+        prior = (1.0 / len(grid),) * len(grid) if grid else None
+        if doc.get("prior") not in (None, "uniform"):
+            prior = self.nums(doc["prior"], f"{path}.prior", length=len(grid))
+        fields = self.record(doc, path, behavior=self.policy, temperature=(self.num, 0.01))
+        return dict(fields, beta_grid=grid, prior=prior)
+
+    def maxent_irl(self, doc: Mapping[str, Any], path: str) -> dict:
+        return self.record(
+            doc, path,
+            features=(self.features, None), demos=partial(self.list_, item=self.steps),
+            beta=(self.num, self.default_beta), learn_rate=self.num, iters=self.int_,
+        )
+
+    def preference_fit(self, doc: Mapping[str, Any], path: str) -> dict:
+        if self.has_mdp:
+            fields = self.record(
+                doc, path, features=(self.features, None), trajectories=partial(self.list_, item=self.steps)
+            )
+        else:
+            # a free-standing universe: trajectories index the feature rows
+            rows = self.field(doc, "feature_rows", path, self.list_, nonempty=True, item=self.nums) or ()
+            features = self.feature_map(
+                len(rows[0]) if rows else 0, {(str(i), "a"): row for i, row in enumerate(rows)}, f"{path}.feature_rows"
+            )
+            row_steps = partial(self.list_, item=lambda v, p: self.index(v, p, len(rows)))
+            trajectories = self.field(doc, "trajectories", path, self.list_, item=row_steps)
+            trajectories = trajectories and tuple(tuple((str(i), "a") for i in t) for t in trajectories)
+            fields = {"features": features, "trajectories": trajectories}
+        n = None if fields["trajectories"] is None else len(fields["trajectories"])
+        return dict(
+            fields,
+            **self.record(
+                doc, path,
+                comparisons=partial(self.list_, item=partial(self.comparison, n=n)),
+                learn_rate=self.num, iters=self.int_,
+            ),
+        )
+
+    @_object
+    def comparison(self, doc: dict, path: str, n: int | None) -> tuple[int, int, str]:
+        """(left, right, preferred side); the sides index the trajectories."""
+        side = self.int_ if n is None else partial(self.index, n=n)
+        fields = self.record(doc, path, left=side, right=side, preferred=partial(self.choice, options=("left", "right")))
+        return tuple(fields.values())
+
+    def feasibility_probe(self, doc: Mapping[str, Any], path: str) -> dict:
+        return self.record(
+            doc, path,
+            policy=self.policy, beta=(self.num, self.default_beta), bound=(self.num, 1.0), samples=(self.int_, 3),
+        )
+
+    def patient_advice(self, doc: Mapping[str, Any], path: str) -> dict:
+        return self.record(doc, path, beta_fit=self.num, beta_advice=self.num)
+
+    def preference_reversal(self, doc: Mapping[str, Any], path: str) -> dict:
+        return self.record(
+            doc, path, discount=self.discount, early=self.dated_reward, late=self.dated_reward, horizon=(self.int_, 10)
+        )
+
+    def dated_reward(self, value: Any, path: str) -> RewardOption | None:
+        pair = self.list_(value, path, length=2)
+        if pair is None:
+            return None
+        reward, delay = self.num(pair[0], f"{path}[0]"), self.int_(pair[1], f"{path}[1]")
+        return None if reward is None or delay is None else RewardOption(reward, delay)
+
+    # aggregation
+
+    @_object
+    def aggregation(self, doc: dict, path: str) -> Aggregation:
+        method = self.field(doc, "method", path, self.choice, default=None, options=AGGREGATION_METHODS)
+        options = ballots = None
+        utilities, class_score = {}, "sum"
+        if doc.get("method") is not None:
+            options = self.options = self.field(doc, "options", path, self.strs, nonempty=True)
         if method == "approval":
-            ballots = doc.get("ballots")
-            check.expect(isinstance(ballots, list), "aggregation.ballots", "list of ballots required")
-        else:
-            utilities = doc.get("utilities")
-            if check.expect(isinstance(utilities, dict) and utilities, "aggregation.utilities", "class->values map required"):
-                for cid, vals in utilities.items():
-                    check.expect(
-                        isinstance(vals, list) and len(vals) == len(doc.get("options", [])),
-                        f"aggregation.utilities.{cid}",
-                        "one value per option required",
-                    )
-    weights = doc.get("weights")
-    if weights is not None:
-        check.expect(isinstance(weights, dict), "aggregation.weights", "id->weight map required")
-        check.expect(isinstance(doc.get("agent_id"), str), "aggregation.agent_id", "agent id required with weights")
-    probe = doc.get("manipulation_probe")
-    if probe is not None and check.expect(isinstance(probe, dict), "aggregation.manipulation_probe", "must be an object"):
-        check.expect(
-            probe.get("rule") in ("borda", "plurality", "dictator"),
-            "aggregation.manipulation_probe.rule",
-            "rule must be borda, plurality or dictator",
-        )
-        check.expect(isinstance(probe.get("voters"), int), "aggregation.manipulation_probe.voters", "integer required")
-        check.expect(isinstance(probe.get("options"), int), "aggregation.manipulation_probe.options", "integer required")
-
-
-def _validate_loyalty(doc: Mapping[str, Any], check: _Check, world: Mapping[str, Any]) -> None:
-    tables = doc.get("tables")
-    if tables is not None and check.expect(isinstance(tables, dict), "loyalty.tables", "must be an object"):
-        outcomes = tables.get("outcomes")
-        roles = [k for k in tables if k not in ("outcomes", "aggregated_principal")]
-        if roles or isinstance(tables.get("aggregated_principal"), list):
-            check.expect(
-                isinstance(outcomes, list) and outcomes and all(isinstance(o, str) for o in outcomes),
-                "loyalty.tables.outcomes",
-                "declared outcome list required",
-            )
-        for role in roles:
-            if role not in ("principal_true", "agent_fiduciary", "agent_nonfiduciary", "system_objective"):
-                check.add(f"loyalty.tables.{role}", "unknown table role")
-                continue
-            vals = tables[role]
-            check.expect(
-                isinstance(vals, list) and isinstance(outcomes, list) and len(vals) == len(outcomes),
-                f"loyalty.tables.{role}",
-                "one value per declared outcome required",
-            )
-        agg = tables.get("aggregated_principal")
-        if agg is not None and not isinstance(agg, list):
-            check.expect(
-                agg == "from_aggregation",
-                "loyalty.tables.aggregated_principal",
-                "array or 'from_aggregation' required",
-            )
-    attestations = doc.get("attestations")
-    if attestations is not None and check.expect(isinstance(attestations, list), "loyalty.attestations", "list required"):
-        for i, att in enumerate(attestations):
-            apath = f"loyalty.attestations[{i}]"
-            if check.expect(isinstance(att, dict), apath, "must be an object"):
-                check.expect(isinstance(att.get("duty"), str), f"{apath}.duty", "catalog key required")
-                check.expect(isinstance(att.get("attested"), bool), f"{apath}.attested", "boolean required")
-
-
-def _validate_care(doc: Mapping[str, Any], check: _Check) -> None:
-    check.expect(isinstance(doc.get("standard"), str), "care.standard", "standard id required")
-    declared = doc.get("declared_checks", [])
-    check.expect(
-        isinstance(declared, list) and all(isinstance(n, str) for n in declared),
-        "care.declared_checks",
-        "list of check names required",
-    )
-    checks = doc.get("checks", [])
-    if not check.expect(isinstance(checks, list), "care.checks", "list required"):
-        return
-    for i, entry in enumerate(checks):
-        cpath = f"care.checks[{i}]"
-        if not check.expect(isinstance(entry, dict), cpath, "must be an object"):
-            continue
-        check.expect(isinstance(entry.get("name"), str), f"{cpath}.name", "name required")
-        kind = entry.get("kind")
-        if not check.expect(
-            kind in ("inductive_bias", "distribution_shift", "attestation"),
-            f"{cpath}.kind",
-            "kind must be inductive_bias, distribution_shift or attestation",
-        ):
-            continue
-        if kind == "inductive_bias":
-            for key in ("prior", "likelihood1", "likelihood0"):
-                check.expect(_is_num(entry.get(key)), f"{cpath}.{key}", "number required")
-        elif kind == "distribution_shift":
-            support = entry.get("support")
-            ok = isinstance(support, list) and support
-            check.expect(ok, f"{cpath}.support", "non-empty support list required")
-            for key in ("train", "deploy"):
-                vals = entry.get(key)
-                check.expect(
-                    isinstance(vals, list) and ok and len(vals) == len(support),
-                    f"{cpath}.{key}",
-                    "one probability per support point required",
-                )
-        else:
-            check.expect(isinstance(entry.get("attested"), bool), f"{cpath}.attested", "boolean required")
-
-
-def validate_scenario(raw: Mapping[str, Any]) -> list[tuple[str, str]]:
-    """Every schema violation as (path, message); empty means loadable."""
-    check = _Check()
-    if not isinstance(raw, dict):
-        return [("", "scenario document must be a JSON object")]
-    version = raw.get("schema_version")
-    check.expect(
-        version in SUPPORTED_SCHEMA_VERSIONS,
-        "schema_version",
-        f"supported versions: {SUPPORTED_SCHEMA_VERSIONS}, got {version!r}",
-    )
-    for key in raw:
-        check.expect(key in KNOWN_SECTIONS, key, "unknown top-level section")
-    meta = raw.get("metadata", {})
-    if check.expect(isinstance(meta, dict), "metadata", "must be an object"):
-        check.expect(isinstance(meta.get("scenario_id", ""), str), "metadata.scenario_id", "string required")
-        check.expect(isinstance(meta.get("seed", 0), int), "metadata.seed", "integer required")
-
-    world = raw.get("world", {})
-    if check.expect(isinstance(world, dict), "world", "must be an object"):
-        if "macid" in world:
-            _validate_macid_section(world["macid"], check, "world.macid")
-        if "mdp" in world:
-            _validate_mdp_section(world["mdp"], check, "world.mdp")
-
-    context_doc = raw.get("context")
-    if context_doc is not None and check.expect(isinstance(context_doc, dict), "context", "must be an object"):
-        try:
-            spec = _parse_context(context_doc)
-        except SchemaError as exc:
-            check.add(exc.path, str(exc))
-        else:
-            for violation in validate_context(spec):
-                check.add(f"context.{violation.path}", violation.message)
-            # bound node ids must exist in the declared influence model
-            macid_doc = world.get("macid") if isinstance(world, dict) else None
-            node_ids = (
-                {n.get("id") for n in macid_doc.get("nodes", [])} if isinstance(macid_doc, dict) else set()
-            )
-            for i, norm in enumerate(spec.norms):
-                if norm.principle_kind() in ("confidentiality", "disclosure"):
-                    for key in norm.required_binding_keys():
-                        nid = norm.binding.get(key)
-                        if nid is not None and nid not in node_ids:
-                            check.add(
-                                f"context.norms[{i}].binding.{key}",
-                                f"node {nid!r} not declared in world.macid",
-                            )
-
-    principals_doc = raw.get("principals")
-    if principals_doc is not None and check.expect(isinstance(principals_doc, list), "principals", "must be a list"):
-        for i, item in enumerate(principals_doc):
-            ppath = f"principals[{i}]"
-            if not check.expect(isinstance(item, dict), ppath, "must be an object"):
-                continue
-            check.expect(isinstance(item.get("class_id"), str), f"{ppath}.class_id", "string required")
-            check.expect(isinstance(item.get("role"), str), f"{ppath}.role", "string required")
-            check.expect(isinstance(item.get("rank"), int), f"{ppath}.rank", "integer required")
-            check.expect(
-                item.get("relationship") in ("best_interests", "obedience"),
-                f"{ppath}.relationship",
-                "relationship must be best_interests or obedience",
-            )
-
-    if raw.get("assessment") is not None:
-        if check.expect(isinstance(raw["assessment"], dict), "assessment", "must be an object"):
-            _validate_assessment(raw["assessment"], check, world if isinstance(world, dict) else {})
-    if raw.get("aggregation") is not None:
-        if check.expect(isinstance(raw["aggregation"], dict), "aggregation", "must be an object"):
-            _validate_aggregation(raw["aggregation"], check)
-    if raw.get("loyalty") is not None:
-        if check.expect(isinstance(raw["loyalty"], dict), "loyalty", "must be an object"):
-            _validate_loyalty(raw["loyalty"], check, world if isinstance(world, dict) else {})
-    if raw.get("care") is not None:
-        if check.expect(isinstance(raw["care"], dict), "care", "must be an object"):
-            _validate_care(raw["care"], check)
-    return check.problems
-
-
-# --- parsing into typed objects -------------------------------------------------
-
-
-def _parse_context(doc: Mapping[str, Any]) -> ContextSpec:
-    try:
-        roles = tuple(Role(r["id"], r.get("description", "")) for r in doc.get("roles", []))
-        norms = tuple(
-            Norm(
-                sender=n["sender"],
-                receiver=n["receiver"],
-                subject=n["subject"],
-                attribute=n.get("attribute", ""),
-                transmission_principle=n["transmission_principle"],
-                binding=dict(n.get("binding", {})),
-            )
-            for n in doc.get("norms", [])
-        )
-        return ContextSpec(
-            name=doc.get("name", ""),
-            purposes=tuple(doc.get("purposes", [])),
-            roles=roles,
-            norms=norms,
-            care_standard=doc.get("care_standard", ""),
-            subsidiary_duties=tuple(doc.get("subsidiary_duties", [])),
-        )
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"malformed context section: {exc!r}", path="context") from exc
-
-
-def _parse_macid(doc: Mapping[str, Any]) -> tuple[Macid, dict[str, DecisionRule] | None]:
-    kind_map = {"chance": NodeKind.CHANCE, "decision": NodeKind.DECISION, "utility": NodeKind.UTILITY}
-    nodes = tuple(
-        Node(
-            id=n["id"],
-            kind=kind_map[n["kind"]],
-            owner=n.get("owner"),
-            domain=tuple(n.get("domain", ())),
-        )
-        for n in doc["nodes"]
-    )
-    edges = {n.id: tuple(doc.get("edges", {}).get(n.id, ())) for n in nodes}
-    domains = {n.id: n.domain for n in nodes}
-
-    def rows_for(nid: str) -> list[tuple[str, ...]]:
-        return list(itertools.product(*[domains[p] for p in edges[nid]]))
-
-    cpds = {}
-    for nid, rows in doc.get("cpds", {}).items():
-        assignments = rows_for(nid)
-        if len(rows) != len(assignments):
-            raise SchemaError(
-                f"{len(assignments)} rows required (row-major over parent domains), got {len(rows)}",
-                path=f"world.macid.cpds.{nid}",
-            )
-        cpds[nid] = Cpd(nid, {pa: tuple(float(x) for x in row) for pa, row in zip(assignments, rows)})
-    utilities = {}
-    for nid, flat in doc.get("utilities", {}).items():
-        assignments = rows_for(nid)
-        if len(flat) != len(assignments):
-            raise SchemaError(
-                f"{len(assignments)} values required (row-major over parent domains), got {len(flat)}",
-                path=f"world.macid.utilities.{nid}",
-            )
-        utilities[nid] = {pa: float(v) for pa, v in zip(assignments, flat)}
-    try:
-        model = Macid(
-            nodes=nodes,
-            edges=edges,
-            cpds=cpds,
+            ballots = self.field(doc, "ballots", path, self.list_, item=partial(self.ballot, options=options or ()))
+        elif method is not None:
+            values = partial(self.nums, length=None if options is None else len(options))
+            utilities = self.field(doc, "utilities", path, self.mapping, item=values)
+            if utilities is not None and not utilities:
+                self.fail(f"{path}.utilities", "class->values map required")
+            utilities = {c: dict(zip(options or (), vals)) for c, vals in (utilities or {}).items()}
+            if method == "lexicographic":
+                class_score = self.field(doc, "class_score", path, self.choice, default="sum", options=("sum", "min"))
+        weights = self.field(doc, "weights", path, self.mapping, default=None, item=self.num)
+        agent_id = favored = cap = None
+        if doc.get("weights") is not None:
+            agent_id = self.field(doc, "agent_id", path, self.str_)
+            favored = self.field(doc, "favored", path, self.str_, default=None)
+            cap = self.field(doc, "favoritism_cap", path, self.num, default=None)
+        return Aggregation(
+            method=method,
+            options=options or (),
+            ballots=ballots or (),
             utilities=utilities,
-            agents=tuple(doc.get("agents", ())),
+            class_score=class_score,
+            weights=weights,
+            agent_id=agent_id,
+            favored=favored,
+            favoritism_cap=cap,
+            probe=self.field(doc, "manipulation_probe", path, self.probe, default=None),
         )
-    except FidauditError as exc:
-        raise SchemaError(str(exc), path="world.macid") from exc
 
-    profile_doc = doc.get("profile")
-    profile = None
-    if profile_doc is not None:
-        profile = {}
-        for nid, rows in profile_doc.items():
-            assignments = rows_for(nid)
-            if len(rows) != len(assignments):
-                raise SchemaError(
-                    f"{len(assignments)} rows required, got {len(rows)}",
-                    path=f"world.macid.profile.{nid}",
+    @_object
+    def ballot(self, doc: dict, path: str, options: tuple[str, ...]) -> ApprovalBallot:
+        option = partial(self.id_, ids=options, what="option")
+        fields = self.record(doc, path, voter=self.str_, approved=partial(self.list_, item=option))
+        return ApprovalBallot(fields["voter"], frozenset(fields["approved"] or ()))
+
+    @_object
+    def probe(self, doc: dict, path: str) -> ManipulationProbe:
+        rule = partial(self.choice, options=("borda", "plurality", "dictator"))
+        return ManipulationProbe(
+            **self.record(doc, path, rule=rule, voters=self.int_, options=self.int_, dictator_voter=(self.int_, 0))
+        )
+
+    # loyalty and care
+
+    @_object
+    def loyalty(self, doc: dict, path: str) -> Loyalty:
+        tpath = f"{path}.tables"
+        tables = self.field(doc, "tables", path, self.obj, default={}) or {}
+        from_aggregation = tables.get("aggregated_principal") == "from_aggregation"
+        declared = [key for key in tables if key != "outcomes" and not (key == "aggregated_principal" and from_aggregation)]
+        outcomes = self.field(tables, "outcomes", tpath, self.strs, default=_REQUIRED if declared else (), nonempty=True)
+        values = {}
+        for key in declared:
+            if key not in LOYALTY_TABLES + ("aggregated_principal",):
+                self.fail(f"{tpath}.{key}", "unknown table role")
+                continue
+            row = self.nums(tables[key], f"{tpath}.{key}", length=None if outcomes is None else len(outcomes))
+            values[key] = dict(zip(outcomes or (), row or ()))
+        if from_aggregation and self.options and outcomes is not None:
+            options = sorted(set(self.options))
+            if sorted(outcomes) != options:
+                self.fail(f"{tpath}.outcomes", f"the aggregation options {options} required")
+        attestations = self.field(doc, "attestations", path, self.list_, default=(), item=self.attestation)
+        return Loyalty(
+            outcomes=outcomes or (),
+            tables=values,
+            from_aggregation=from_aggregation,
+            attestations={a.duty: a for a in attestations or ()},
+        )
+
+    @_object
+    def attestation(self, doc: dict, path: str) -> Attestation:
+        return Attestation(**self.record(doc, path, duty=self.str_, attested=self.bool_, note=(self.str_, "")))
+
+    @_object
+    def care(self, doc: dict, path: str) -> Care:
+        return Care(
+            **self.record(
+                doc, path,
+                standard=self.str_, declared_checks=(self.strs, ()),
+                checks=(partial(self.list_, item=self.care_check), ()),
+            )
+        )
+
+    @_object
+    def care_check(self, doc: dict, path: str) -> Variant | None:
+        kinds = ("inductive_bias", "distribution_shift", "attestation")
+        kind = self.field(doc, "kind", path, self.choice, options=kinds)
+        fields = self.record(doc, path, name=self.str_)
+        if kind == "inductive_bias":
+            fields.update(
+                self.record(
+                    doc, path, prior=self.num, likelihood1=self.num, likelihood0=self.num, dominance_threshold=(self.num, 0.1)
                 )
-            profile[nid] = DecisionRule(
-                nid, {pa: tuple(float(x) for x in row) for pa, row in zip(assignments, rows)}
             )
-    return model, profile
+        elif kind == "distribution_shift":
+            support = fields["support"] = self.field(doc, "support", path, self.strs, nonempty=True) or ()
+            for key in ("train", "deploy"):  # support point -> probability
+                fields[key] = dict(zip(support, self.field(doc, key, path, self.nums, length=len(support)) or ()))
+        elif kind == "attestation":
+            fields.update(self.record(doc, path, attested=self.bool_, note=(self.str_, "")))
+        return None if kind is None else Variant(kind, fields)
 
 
-def _parse_mdp(doc: Mapping[str, Any]) -> tuple[Mdp, DiscountSpec | None]:
+def validate_scenario(raw: Any) -> list[tuple[str, str]]:
+    """Every schema problem as (path, message); empty means loadable."""
+    reader = _Reader()
+    reader.scenario(raw)
+    return reader.problems
+
+
+def parse_scenario(raw: Any) -> Scenario:
+    """Typed scenario from a document; raises SchemaError at the first problem."""
+    reader = _Reader()
+    scenario = reader.scenario(raw)
+    if scenario is None:
+        path, message = reader.problems[0]
+        more = len(reader.problems) - 1
+        raise SchemaError(f"{message} (+{more} more)" if more else message, path=path)
+    return scenario
+
+
+def read_document(path: str | Path) -> Any:
+    """The JSON document in a file; invalid UTF-8 or JSON is a SchemaError."""
     try:
-        mdp = Mdp(
-            states=tuple(doc["states"]),
-            actions=tuple(doc["actions"]),
-            transition=np.asarray(doc["transition"], dtype=float),
-            reward=np.asarray(doc["reward"], dtype=float),
-        )
-    except (ValueError, KeyError) as exc:
-        raise SchemaError(str(exc), path="world.mdp") from exc
-    discount = None
-    d = doc.get("discount")
-    if d is not None:
-        try:
-            if d["kind"] == "exponential":
-                discount = DiscountSpec.exponential(float(d["beta"]))
-            else:
-                discount = DiscountSpec.hyperbolic(float(d["k"]))
-        except (FidauditError, KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(str(exc), path="world.mdp.discount") from exc
-    return mdp, discount
-
-
-def parse_scenario(raw: Mapping[str, Any]) -> Scenario:
-    """Typed scenario from a validated document; raises SchemaError."""
-    problems = validate_scenario(raw)
-    if problems:
-        path, message = problems[0]
-        more = f" (+{len(problems) - 1} more)" if len(problems) > 1 else ""
-        raise SchemaError(f"{message}{more}", path=path)
-
-    meta_doc = raw.get("metadata", {})
-    meta = ScenarioMeta(
-        scenario_id=str(meta_doc.get("scenario_id", "unnamed")),
-        version=str(meta_doc.get("version", "0")),
-        seed=int(meta_doc.get("seed", 0)),
-    )
-    world_doc = raw.get("world", {})
-    macid_model = profile = mdp = discount = None
-    if "macid" in world_doc:
-        macid_model, profile = _parse_macid(world_doc["macid"])
-    if "mdp" in world_doc:
-        mdp, discount = _parse_mdp(world_doc["mdp"])
-
-    context = _parse_context(raw["context"]) if raw.get("context") is not None else None
-    principals = None
-    if raw.get("principals") is not None:
-        principals = tuple(
-            PrincipalClassSpec(
-                class_id=p["class_id"],
-                role=p["role"],
-                rank=p["rank"],
-                relationship=p["relationship"],
-            )
-            for p in raw["principals"]
-        )
-    return Scenario(
-        meta=meta,
-        digest=canonical_digest(raw),
-        context=context,
-        principals=principals,
-        world=World(macid=macid_model, profile=profile, mdp=mdp, discount=discount),
-        assessment=raw.get("assessment"),
-        aggregation=raw.get("aggregation"),
-        loyalty=raw.get("loyalty"),
-        care=raw.get("care"),
-        raw=raw,
-    )
+        return json.loads(Path(path).read_text("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+        raise SchemaError(f"not valid UTF-8 JSON: {exc}", path=str(path)) from exc
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    text = Path(path).read_text("utf-8")
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"not valid JSON: {exc}", path=str(path)) from exc
-    return parse_scenario(raw)
+    return parse_scenario(read_document(path))

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from fidaudit.errors import OutcomeSpaceMismatch, UnknownNode
+from fidaudit.errors import NodeKindMismatch, OutcomeSpaceMismatch, UnknownNode
 from fidaudit.loyalty import (
     RoleTag,
     UtilityTable,
@@ -222,6 +222,12 @@ def test_copying_report_discloses():
     assert verdict.information_bits == pytest.approx(1.0)
     assert verdict.principal_utility == pytest.approx(1.0)
     assert verdict.silent_baseline == pytest.approx(0.5)
+
+
+def test_disclosure_report_node_must_be_a_decision():
+    model = disclosure_model()
+    with pytest.raises(NodeKindMismatch):
+        disclosure_check(model, disclosure_profile(model), "C", "C", "B_b")
 
 
 def test_muted_report_fails_disclosure():

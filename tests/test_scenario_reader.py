@@ -1,0 +1,219 @@
+"""The scenario reader: one walk decides what both ``validate`` and ``check`` accept."""
+
+import copy
+import json
+import random
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+from fidaudit.audit import run_audit
+from fidaudit.cli import main
+from fidaudit.errors import SchemaError
+from fidaudit.scenario import parse_scenario, validate_scenario
+
+SCENARIOS = Path(__file__).parent.parent / "scenarios"
+
+
+def raw_scenario(name):
+    return json.loads((SCENARIOS / name).read_text())
+
+
+def assert_rejected_at(raw, path):
+    problems = validate_scenario(raw)
+    assert problems and problems[0][0] == path, problems
+    with pytest.raises(SchemaError) as exc:
+        parse_scenario(raw)
+    assert exc.value.path == path
+
+
+# --- documents `validate` used to pass and `check` then rejected or crashed on ---
+
+
+def cpd_row_sum_above_one(raw):
+    raw["world"]["macid"]["cpds"]["C"] = [[0.7, 0.7]]
+
+
+def missing_utility_table(raw):
+    del raw["world"]["macid"]["utilities"]["U_b"]
+
+
+def mdp_row_sum_two(raw):
+    raw["world"]["mdp"]["transition"][0][0] = [1, 1, 0, 0, 0]
+
+
+def string_in_mdp_reward(raw):
+    raw["world"]["mdp"]["reward"][0][0] = "high"
+
+
+def string_cpd_entry(raw):
+    raw["world"]["macid"]["cpds"]["C"] = [["half", 0.5]]
+
+
+@pytest.mark.parametrize(
+    "scenario, mutate, path",
+    [
+        ("disclosure_demo.json", cpd_row_sum_above_one, "world.macid"),
+        ("disclosure_demo.json", missing_utility_table, "world.macid"),
+        ("trust_portfolio.json", mdp_row_sum_two, "world.mdp"),
+        ("trust_portfolio.json", string_in_mdp_reward, "world.mdp.reward"),
+        ("disclosure_demo.json", string_cpd_entry, "world.macid.cpds.C[0][0]"),
+    ],
+)
+def test_validate_and_check_reject_the_same_documents(tmp_path, scenario, mutate, path):
+    raw = raw_scenario(scenario)
+    mutate(raw)
+    assert_rejected_at(raw, path)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    runner = CliRunner()
+    validated = runner.invoke(main, ["validate", str(bad)])
+    assert validated.exit_code == 2
+    assert validated.output.startswith(f"{path}: ")
+    checked = runner.invoke(main, ["check", str(bad)])
+    assert checked.exit_code == 2
+    assert checked.stderr.startswith(f"schema error: {path}: ")
+
+
+# --- integers, booleans and paths ------------------------------------------------
+
+
+def test_boolean_schema_version_rejected():
+    raw = raw_scenario("disclosure_demo.json")
+    raw["schema_version"] = True
+    assert_rejected_at(raw, "schema_version")
+
+
+def test_boolean_rank_rejected():
+    raw = raw_scenario("disclosure_demo.json")
+    raw["principals"][0]["rank"] = True
+    assert_rejected_at(raw, "principals[0].rank")
+
+
+@pytest.mark.parametrize("seed", ["seven", True, 1.5])
+def test_metadata_seed_must_be_an_integer(seed):
+    raw = raw_scenario("disclosure_demo.json")
+    raw["metadata"]["seed"] = seed
+    assert_rejected_at(raw, "metadata.seed")
+
+
+def test_schema_error_path_printed_once(tmp_path):
+    raw = raw_scenario("disclosure_demo.json")
+    raw["context"]["roles"] = [{"description": "no id"}]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    runner = CliRunner()
+    validated = runner.invoke(main, ["validate", str(bad)])
+    checked = runner.invoke(main, ["check", str(bad)])
+    for text in (validated.output, checked.stderr):
+        assert "context.roles[0].id: required" in text
+        assert text.count("context.roles[0].id") == 1
+
+
+def test_loyalty_outcomes_must_be_the_aggregation_options():
+    raw = raw_scenario("disclosure_demo.json")
+    raw["loyalty"]["tables"]["outcomes"] = ["balanced", "aggressive"]
+    assert_rejected_at(raw, "loyalty.tables.outcomes")
+
+
+# --- the CLI never exits 1 on an error ------------------------------------------
+
+
+@pytest.mark.parametrize("command", ["validate", "check"])
+def test_latin1_file_is_a_schema_error(tmp_path, command):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes('{"schema_version": 1, "metadata": {"scenario_id": "café"}}'.encode("latin-1"))
+    result = CliRunner().invoke(main, [command, str(bad)])
+    assert result.exit_code == 2
+    assert result.stderr.startswith(f"schema error: {bad}: not valid UTF-8 JSON")
+
+
+def test_unexpected_exception_is_an_internal_error(monkeypatch):
+    def explode(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("fidaudit.cli.run_audit", explode)
+    result = CliRunner().invoke(main, ["check", str(SCENARIOS / "disclosure_demo.json")])
+    assert result.exit_code == 2
+    assert result.stderr == "internal error: RuntimeError: boom\n"
+
+
+# --- seeded mutation of the shipped scenarios -------------------------------------
+
+
+def _nodes(doc, path=()):
+    yield path, doc
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _nodes(value, path + (key,))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from _nodes(value, path + (i,))
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _retyped(value, rng):
+    """The value as another JSON type (numbers also as numeric strings)."""
+    choices = {
+        dict: [[], "x", None],
+        list: [{}, "x", None],
+        str: [7, [value], {}, None],
+        bool: ["true", 1, None],
+    }.get(type(value), ["x", str(value), [value], None])
+    return rng.choice(choices)
+
+
+# operation -> (which values it may target, how it changes the one it picks;
+# None deletes the key)
+MUTATIONS = {
+    "drop a key": (lambda path, value: isinstance(path[-1], str), None),
+    "change a JSON type": (lambda path, value: True, _retyped),
+    "string in a numeric table": (
+        lambda path, value: isinstance(path[-1], int) and _is_number(value),
+        lambda value, rng: "x",
+    ),
+    "bool for an int": (
+        lambda path, value: _is_number(value) and isinstance(value, int),
+        lambda value, rng: rng.choice([True, False]),
+    ),
+    "truncate a list": (
+        lambda path, value: isinstance(value, list) and value,
+        lambda value, rng: value[: rng.randrange(len(value))],
+    ),
+    "unknown id": (lambda path, value: isinstance(value, str), lambda value, rng: "ghost"),
+}
+
+
+def mutants(per_operation, seed=0):
+    rng = random.Random(seed)
+    for path in sorted(SCENARIOS.glob("*.json")):
+        base = json.loads(path.read_text())
+        for name, (targets, change) in MUTATIONS.items():
+            for _ in range(per_operation):
+                doc = copy.deepcopy(base)
+                where = rng.choice([p for p, v in list(_nodes(doc))[1:] if targets(p, v)])
+                parent = doc
+                for key in where[:-1]:
+                    parent = parent[key]
+                if change is None:
+                    del parent[where[-1]]
+                else:
+                    parent[where[-1]] = change(parent[where[-1]], rng)
+                yield f"{path.stem}: {name} at {where}", doc
+
+
+def test_mutated_scenarios_end_in_a_schema_error_or_a_clean_report():
+    for label, doc in mutants(per_operation=15):
+        problems = validate_scenario(doc)
+        if problems:
+            with pytest.raises(SchemaError) as exc:
+                parse_scenario(doc)
+            assert exc.value.path == problems[0][0], label
+        else:
+            report = run_audit(parse_scenario(doc))
+            errors = [f for step in report.steps for f in step.findings if f.check == "step-error"]
+            assert not errors, (label, errors)
