@@ -598,7 +598,7 @@ def _run_aggregation(scenario: Scenario, state: _State) -> StepRecord:
                         },
                     )
                 )
-        except FidauditError as exc:
+        except (FidauditError, ValueError) as exc:
             findings.append(Finding("manipulation-probe", FAIL, str(exc), {"error": str(exc)}))
 
     if not findings:
@@ -903,7 +903,7 @@ def _run_care(scenario: Scenario, state: _State) -> StepRecord:
                         note=entry.note,
                     )
                 )
-        except FidauditError as exc:
+        except (FidauditError, ValueError) as exc:
             computed.append(CareFinding(name, "fail", evidence={"error": str(exc)}, note=str(exc)))
 
     # declared subsidiary duties of care (or both) must be evidenced too

@@ -32,7 +32,7 @@ from .macid import (
     Macid,
     NodeKind,
     PolicyProfile,
-    _best_response_detail,
+    _improve,
     expected_utility,
     marginal,
     mutual_information,
@@ -186,13 +186,7 @@ def _principal_best_response_to_silence(
     working = dict(profile)
     own = [n for n in model.decision_nodes() if model.node_map[n].owner == principal]
     for _ in range(max_rounds):
-        changed = False
-        for nid in own:
-            rule, best, current = _best_response_detail(model, working, nid)
-            if best > current + 1e-12:
-                working[nid] = rule
-                changed = True
-        if not changed:
+        if not _improve(model, working, own):
             break
     return expected_utility(model, working, principal)
 

@@ -4,10 +4,14 @@ A model is a DAG of chance, decision and utility nodes. Chance nodes carry
 conditional probability tables, decision nodes carry (externally supplied)
 decision rules, and utility nodes carry real-valued tables over their
 parents. Everything is finite and enumerated exactly, so every query below
-is an exact computation rather than an estimate: the joint distribution is
-the topological-order chain-rule product, equilibria are found by
-best-response iteration over deterministic rules, and information queries
-(value of information, mutual information) reduce to sums over the joint.
+is an exact computation rather than an estimate. One kernel,
+``_chain_products``, enumerates the outcome cells with their
+topological-order chain-rule products: the joint is its output, and the
+best-response payoffs are the same products less the responding node's
+factor. Expected utility and the warm-start welfare sum utilities over one
+joint (``_utility_under``), equilibria come from best-response sweeps over
+deterministic rules (``_improve``), and information queries reduce to sums
+over the joint. Every product and sum runs in a fixed order.
 
 All values are immutable after construction and every operation is a pure
 function, so concurrent use needs no locking.
@@ -124,13 +128,8 @@ class DecisionRule:
     def deterministic(model: "Macid", node: str, choose: Mapping[Assignment, str]) -> "DecisionRule":
         """Build a deterministic rule from a parent-assignment -> value map."""
         dom = model.node_map[node].domain
-        table = {}
-        for pa in model.parent_assignments(node):
-            value = choose[pa]
-            row = [0.0] * len(dom)
-            row[dom.index(value)] = 1.0
-            table[pa] = tuple(row)
-        return DecisionRule(node, table)
+        rows = list(model.parent_assignments(node))
+        return _rule_from_indices(model, node, rows, tuple(dom.index(choose[pa]) for pa in rows))
 
     @staticmethod
     def constant(model: "Macid", node: str, value: str) -> "DecisionRule":
@@ -337,29 +336,25 @@ def _check_profile(model: Macid, profile: PolicyProfile) -> None:
 # -- core queries -------------------------------------------------------------
 
 
-def joint_distribution(
-    model: Macid, profile: PolicyProfile
-) -> dict[Assignment, float]:
-    """Exact joint over chance and decision nodes under ``profile``.
-
-    Keys are value tuples ordered by ``model.outcome_order``; every cell of
-    the Cartesian product appears, including zero-probability ones. The
-    probabilities sum to 1 up to accumulation error.
+def _chain_products(
+    model: Macid, profile: PolicyProfile, skip: str | None = None
+) -> Iterator[tuple[Assignment, float]]:
+    """Every outcome cell, in ``itertools.product`` order over
+    ``model.outcome_order``, with the product of its factors taken in that
+    order (stopping at the first zero), leaving out the factor of ``skip``.
     """
-    _check_profile(model, profile)
     order = model.outcome_order
     positions = {nid: i for i, nid in enumerate(order)}
     domains = [model.node_map[nid].domain for nid in order]
-    value_index = [{v: i for i, v in enumerate(dom)} for dom in domains]
-
     factors = []
     for i, nid in enumerate(order):
+        if nid == skip:
+            continue
         node = model.node_map[nid]
         table = model.cpds[nid].table if node.kind is NodeKind.CHANCE else profile[nid].table
-        parent_pos = tuple(positions[p] for p in model.parents(nid))
-        factors.append((i, parent_pos, table, value_index[i]))
+        vindex = {v: k for k, v in enumerate(domains[i])}
+        factors.append((i, tuple(positions[p] for p in model.parents(nid)), table, vindex))
 
-    joint: dict[Assignment, float] = {}
     for assignment in itertools.product(*domains):
         p = 1.0
         for i, parent_pos, table, vindex in factors:
@@ -367,8 +362,18 @@ def joint_distribution(
             p *= table[pa][vindex[assignment[i]]]
             if p == 0.0:
                 break
-        joint[assignment] = p
-    return joint
+        yield assignment, p
+
+
+def joint_distribution(model: Macid, profile: PolicyProfile) -> dict[Assignment, float]:
+    """Exact joint over chance and decision nodes under ``profile``.
+
+    Keys are value tuples ordered by ``model.outcome_order``; every cell of
+    the Cartesian product appears, including zero-probability ones. The
+    probabilities sum to 1 up to accumulation error.
+    """
+    _check_profile(model, profile)
+    return dict(_chain_products(model, profile))
 
 
 def marginal(
@@ -387,23 +392,29 @@ def marginal(
     return out
 
 
-def _agent_utility(model: Macid, agent: str, positions: dict[str, int]) -> list:
-    """Precompute (parent positions, table) pairs for the agent's utilities."""
-    return [
+def _payoff(model: Macid, agent: str):
+    """The agent's total utility of an outcome cell, as a function of the cell."""
+    positions = {nid: i for i, nid in enumerate(model.outcome_order)}
+    utail = [
         (tuple(positions[p] for p in model.parents(u)), model.utilities[u])
         for u in model.utility_nodes_of(agent)
     ]
+    return lambda cell: sum(table[tuple(cell[j] for j in pos)] for pos, table in utail)
+
+
+def _utility_under(model: Macid, joint: Mapping[Assignment, float], agent: str) -> float:
+    """Sum over the joint's cells of probability times the agent's utilities."""
+    payoff = _payoff(model, agent)
+    total = 0.0
+    for assignment, p in joint.items():
+        if p != 0.0:
+            total += p * payoff(assignment)
+    return total
 
 
 def expected_utility(model: Macid, profile: PolicyProfile, agent: str) -> float:
     """Sum over joint assignments of probability times the agent's utilities."""
-    utail = _agent_utility(model, agent, {n: i for i, n in enumerate(model.outcome_order)})
-    total = 0.0
-    for assignment, p in joint_distribution(model, profile).items():
-        if p == 0.0:
-            continue
-        total += p * sum(table[tuple(assignment[j] for j in pos)] for pos, table in utail)
-    return total
+    return _utility_under(model, joint_distribution(model, profile), agent)
 
 
 # -- deterministic rules and equilibrium --------------------------------------
@@ -442,38 +453,18 @@ def _row_values(model: Macid, profile: PolicyProfile, node_id: str, agent: str):
     is the sum over rows of W[pa][rule(pa)], so best responses decompose
     row by row.
     """
-    order = model.outcome_order
-    positions = {nid: i for i, nid in enumerate(order)}
-    domains = [model.node_map[nid].domain for nid in order]
-    value_index = [{v: i for i, v in enumerate(dom)} for dom in domains]
+    positions = {nid: i for i, nid in enumerate(model.outcome_order)}
     target = positions[node_id]
     target_parents = tuple(positions[p] for p in model.parents(node_id))
-
-    factors = []
-    for i, nid in enumerate(order):
-        if nid == node_id:
-            continue
-        node = model.node_map[nid]
-        table = model.cpds[nid].table if node.kind is NodeKind.CHANCE else profile[nid].table
-        factors.append((i, tuple(positions[p] for p in model.parents(nid)), table, value_index[i]))
-    utail = _agent_utility(model, agent, positions)
-
-    n_actions = len(model.node_map[node_id].domain)
+    actions = {v: k for k, v in enumerate(model.node_map[node_id].domain)}
+    payoff = _payoff(model, agent)
     w: dict[Assignment, list[float]] = {
-        pa: [0.0] * n_actions for pa in model.parent_assignments(node_id)
+        pa: [0.0] * len(actions) for pa in model.parent_assignments(node_id)
     }
-    for assignment in itertools.product(*domains):
-        q = 1.0
-        for i, parent_pos, table, vindex in factors:
-            pa = tuple(assignment[j] for j in parent_pos)
-            q *= table[pa][vindex[assignment[i]]]
-            if q == 0.0:
-                break
-        if q == 0.0:
-            continue
-        u = sum(table[tuple(assignment[j] for j in pos)] for pos, table in utail)
-        pa_key = tuple(assignment[j] for j in target_parents)
-        w[pa_key][value_index[target][assignment[target]]] += q * u
+    for assignment, q in _chain_products(model, profile, skip=node_id):
+        if q != 0.0:
+            pa = tuple(assignment[j] for j in target_parents)
+            w[pa][actions[assignment[target]]] += q * payoff(assignment)
     return w
 
 
@@ -486,8 +477,7 @@ def best_response(
     Equivalent to an exhaustive search over all deterministic rules for the
     node (the rowwise argmax is exact because payoffs decompose by row).
     """
-    rule, best_value, _ = _best_response_detail(model, profile, node_id)
-    return rule, best_value
+    return _best_response_detail(model, profile, node_id)[:2]
 
 
 def _best_response_detail(
@@ -511,6 +501,19 @@ def _best_response_detail(
     return _rule_from_indices(model, node_id, rows, tuple(idx)), best_value, current_value
 
 
+def _improve(model: Macid, profile: dict[str, DecisionRule], nodes) -> bool:
+    """One best-response sweep over ``nodes``: a node that is not already
+    playing a best response switches, in ``profile``, to the
+    lexicographically smallest one. Returns whether any rule changed."""
+    changed = False
+    for nid in nodes:
+        rule, best_value, current_value = _best_response_detail(model, profile, nid)
+        if best_value > current_value + 1e-12:
+            profile[nid] = rule
+            changed = True
+    return changed
+
+
 def _profile_key(model: Macid, profile: PolicyProfile) -> tuple:
     return tuple(
         tuple(profile[nid].table[pa] for pa in _rule_rows(model, nid))
@@ -526,8 +529,9 @@ def _welfare_warm_start(model: Macid) -> dict[str, DecisionRule]:
     by lexicographic rule order. This favors payoff-efficient equilibria
     when several exist, e.g. the informative one in communication models
     where a babbling equilibrium also satisfies the deviation check.
-    Beyond the enumeration budget, fall back to the lexicographically
-    smallest profile.
+    Each candidate's joint is built once and shared by all agents. Beyond
+    the enumeration budget, fall back to the lexicographically smallest
+    profile.
     """
     decisions = model.decision_nodes()
     rows = {nid: _rule_rows(model, nid) for nid in decisions}
@@ -551,7 +555,8 @@ def _welfare_warm_start(model: Macid) -> dict[str, DecisionRule]:
     best_welfare = -math.inf
     for combo in itertools.product(*rule_lists):
         profile = dict(zip(decisions, combo))
-        welfare = sum(expected_utility(model, profile, a) for a in model.agents)
+        joint = joint_distribution(model, profile)
+        welfare = sum(_utility_under(model, joint, a) for a in model.agents)
         if welfare > best_welfare + 1e-12:
             best_welfare = welfare
             best_profile = profile
@@ -561,15 +566,13 @@ def _welfare_warm_start(model: Macid) -> dict[str, DecisionRule]:
 def solve_equilibrium(model: Macid, max_rounds: int = 64) -> dict[str, DecisionRule]:
     """Pure-strategy Nash equilibrium in deterministic rules.
 
-    Best-response iteration: sweep the decision nodes in sorted-id order;
-    a node keeps its rule when it is already a best response, otherwise it
-    switches to the lexicographically smallest best response. A full sweep
-    with no change is a fixed point and hence a Nash equilibrium (no
-    unilateral deviation at any single decision node raises its owner's
-    expected utility). Iteration starts from the welfare warm start (see
-    ``_welfare_warm_start``). If the sweep revisits a profile, or
-    ``max_rounds`` passes without a fixed point, raises ``NoConvergence``
-    carrying the observed cycle.
+    Best-response iteration: sweep the decision nodes in sorted-id order
+    (``_improve``). A full sweep with no change is a fixed point and hence
+    a Nash equilibrium (no unilateral deviation at any single decision node
+    raises its owner's expected utility). Iteration starts from the welfare
+    warm start (see ``_welfare_warm_start``). If the sweep revisits a
+    profile, or ``max_rounds`` passes without a fixed point, raises
+    ``NoConvergence`` carrying the observed cycle.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be positive")
@@ -581,13 +584,7 @@ def solve_equilibrium(model: Macid, max_rounds: int = 64) -> dict[str, DecisionR
     seen: dict[tuple, int] = {_profile_key(model, profile): 0}
     history = [dict(profile)]
     for _ in range(max_rounds):
-        changed = False
-        for nid in decisions:
-            candidate, best_value, current_value = _best_response_detail(model, profile, nid)
-            if best_value > current_value + 1e-12:
-                profile[nid] = candidate
-                changed = True
-        if not changed:
+        if not _improve(model, profile, decisions):
             return dict(profile)
         key = _profile_key(model, profile)
         if key in seen:

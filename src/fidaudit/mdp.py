@@ -142,13 +142,8 @@ def _check_beta(beta: float) -> None:
         raise InvalidDiscount(f"beta must lie in (0, 1), got {beta}")
 
 
-def _greedy(mdp: Mdp, q: np.ndarray) -> np.ndarray:
-    # np.argmax returns the first (lowest-index) maximizer
-    return np.argmax(q, axis=1)
-
-
 def _package(mdp: Mdp, v: np.ndarray, q: np.ndarray, iterations: int, converged: bool, gaps: list[float]) -> ValueFunction:
-    greedy = _greedy(mdp, q)
+    greedy = np.argmax(q, axis=1)  # the first (lowest-index) maximizer
     return ValueFunction(
         values={s: float(v[i]) for i, s in enumerate(mdp.states)},
         q={(s, a): float(q[i, j]) for i, s in enumerate(mdp.states) for j, a in enumerate(mdp.actions)},
@@ -212,14 +207,7 @@ def evaluate_policy(mdp: Mdp, policy: Policy, beta: float) -> ValueFunction:
     if residual > 1e-9:
         raise SingularSystem(f"fixed-point residual {residual} exceeds 1e-9")
     q = mdp.reward + beta * (mdp.transition @ v)
-    greedy = _greedy(mdp, q)
-    return ValueFunction(
-        values={s: float(v[i]) for i, s in enumerate(mdp.states)},
-        q={(s, a): float(q[i, j]) for i, s in enumerate(mdp.states) for j, a in enumerate(mdp.actions)},
-        policy={s: mdp.actions[int(greedy[i])] for i, s in enumerate(mdp.states)},
-        iterations=1,
-        converged=True,
-    )
+    return _package(mdp, v, q, 1, True, [])
 
 
 @dataclass(frozen=True)

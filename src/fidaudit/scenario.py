@@ -265,13 +265,21 @@ class _Reader:
         return None if any(v is None for v in out.values()) else out
 
     def array(self, value: Any, path: str, shape: tuple[int, ...]) -> np.ndarray | None:
-        """A dense numeric table, converted in one numpy call."""
+        """A dense numeric table, converted in one numpy call; a boolean
+        entry is a problem, as in every other numeric field."""
         try:
             arr = np.asarray(value)
         except ValueError:  # ragged nesting
             arr = None
         if arr is None or arr.shape != shape or arr.dtype.kind not in "iuf":
             return self.fail(path, f"dense {'x'.join(map(str, shape))} numeric table required")
+        entries = value
+        for _ in shape[1:]:
+            entries = itertools.chain.from_iterable(entries)
+        types = list(map(type, entries))  # numpy reads a boolean as 0 or 1
+        if bool in types:
+            at = np.unravel_index(types.index(bool), shape)
+            return self.fail(path + "".join(f"[{i}]" for i in at), "number required")
         return arr.astype(float, copy=False)
 
     # the document
@@ -601,6 +609,8 @@ class _Reader:
         utilities, class_score = {}, "sum"
         if doc.get("method") is not None:
             options = self.options = self.field(doc, "options", path, self.strs, nonempty=True)
+            if options is not None and len(set(options)) != len(options):
+                self.fail(f"{path}.options", "duplicate option ids")
         if method == "approval":
             ballots = self.field(doc, "ballots", path, self.list_, item=partial(self.ballot, options=options or ()))
         elif method is not None:

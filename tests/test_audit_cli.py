@@ -143,6 +143,30 @@ def test_bad_method_input_fails_step_but_pipeline_continues():
     assert report.overall == "fail"
 
 
+def test_rejected_care_check_value_fails_that_check_only():
+    raw = raw_scenario("disclosure_demo.json")
+    raw["care"]["checks"][0]["prior"] = 1.5
+    care = next(s for s in run_audit(parse_scenario(raw)).steps if s.step == "care")
+    assert care.status == "fail"
+    checks = {f.check: f for f in care.findings}
+    assert "step-error" not in checks
+    assert checks["prior-informativeness"].status == "fail"
+    assert checks["prior-informativeness"].evidence["error"]
+    assert checks["train-deploy-shift"].status == "pass"
+
+
+@pytest.mark.parametrize("probe", [{"voters": 0}, {"rule": "dictator", "dictator_voter": 3}])
+def test_rejected_manipulation_probe_is_a_probe_failure(probe):
+    raw = raw_scenario("engagement_prior_warn.json")
+    raw["aggregation"]["manipulation_probe"].update(probe)
+    aggregation = next(s for s in run_audit(parse_scenario(raw)).steps if s.step == "aggregation")
+    checks = {f.check: f for f in aggregation.findings}
+    assert "step-error" not in checks
+    assert checks["approval"].status == "pass"
+    assert checks["manipulation-probe"].status == "fail"
+    assert checks["manipulation-probe"].evidence["error"]
+
+
 def test_every_fail_finding_has_evidence():
     for path in sorted(SCENARIOS.glob("*.json")):
         report = run_audit(load_scenario(path))

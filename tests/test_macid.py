@@ -18,6 +18,7 @@ from fidaudit.macid import (
     Macid,
     Node,
     NodeKind,
+    best_response,
     enumerate_deterministic_rules,
     expected_utility,
     is_equilibrium,
@@ -224,6 +225,66 @@ def test_equilibrium_is_deterministic():
     assert {k: dict(v.table) for k, v in first.items()} == {
         k: dict(v.table) for k, v in second.items()
     }
+
+
+# --- best_response ----------------------------------------------------------
+
+
+def _random_rows(rng, assignments, width, zero_share=0.0):
+    """A stochastic table; with probability ``zero_share`` a row is a point mass."""
+    table = {}
+    for pa in assignments:
+        if rng.uniform() < zero_share:
+            row = [0.0] * width
+            row[int(rng.integers(width))] = 1.0
+        else:
+            weights = rng.uniform(0.05, 1.0, size=width)
+            row = list(weights / weights.sum())
+        table[pa] = tuple(float(x) for x in row)
+    return table
+
+
+def _random_game(rng):
+    """Two chance nodes, three decisions owned by two agents, and one
+    utility node per agent; point-mass CPD rows give zero-probability cells.
+    Every decision has at most 64 deterministic rules."""
+    sizes = {"c0": rng.integers(2, 4), "c1": rng.integers(2, 4), "d0": 2, "d1": rng.integers(2, 4), "d2": 2}
+    doms = {nid: tuple(str(k) for k in range(int(n))) for nid, n in sizes.items()}
+    edges = {
+        "c0": (), "d0": ("c0",), "c1": ("c0", "d0"), "d1": ("c1",), "d2": ("d0", "d1"),
+        "u_a": ("c1", "d2"), "u_b": ("c0", "d1", "d2"),
+    }
+    nodes = [
+        Node("c0", NodeKind.CHANCE, domain=doms["c0"]),
+        Node("c1", NodeKind.CHANCE, domain=doms["c1"]),
+        Node("d0", NodeKind.DECISION, owner="a", domain=doms["d0"]),
+        Node("d1", NodeKind.DECISION, owner="b", domain=doms["d1"]),
+        Node("d2", NodeKind.DECISION, owner="a", domain=doms["d2"]),
+        Node("u_a", NodeKind.UTILITY, owner="a"),
+        Node("u_b", NodeKind.UTILITY, owner="b"),
+    ]
+    product = lambda nid: list(itertools.product(*(doms[p] for p in edges[nid])))  # noqa: E731
+    cpds = {c: Cpd(c, _random_rows(rng, product(c), len(doms[c]), zero_share=0.3)) for c in ("c0", "c1")}
+    utilities = {u: {pa: float(rng.uniform(-1, 1)) for pa in product(u)} for u in ("u_a", "u_b")}
+    model = Macid(tuple(nodes), edges, cpds, utilities, agents=("a", "b"))
+    profile = {d: DecisionRule(d, _random_rows(rng, product(d), len(doms[d]))) for d in ("d0", "d1", "d2")}
+    return model, profile
+
+
+def test_best_response_matches_exhaustive_search_under_stochastic_rules(rng):
+    for _ in range(12):
+        model, profile = _random_game(rng)
+        for nid in model.decision_nodes():
+            owner = model.node_map[nid].owner
+            rule, value = best_response(model, profile, nid)
+            scored = [
+                (expected_utility(model, {**profile, nid: r}, owner), r)
+                for r in enumerate_deterministic_rules(model, nid)
+            ]
+            best = max(v for v, _ in scored)
+            smallest = next(r for v, r in scored if v >= best - 1e-12)
+            assert abs(value - best) <= 1e-12
+            assert dict(rule.table) == dict(smallest.table)
 
 
 # --- value_of_information ---------------------------------------------------

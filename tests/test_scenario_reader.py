@@ -28,7 +28,7 @@ def assert_rejected_at(raw, path):
     assert exc.value.path == path
 
 
-# --- documents `validate` used to pass and `check` then rejected or crashed on ---
+# --- documents `validate` used to pass and `check` then rejected, crashed on or misread ---
 
 
 def cpd_row_sum_above_one(raw):
@@ -51,6 +51,19 @@ def string_cpd_entry(raw):
     raw["world"]["macid"]["cpds"]["C"] = [["half", 0.5]]
 
 
+def duplicate_option(raw):
+    options = raw["aggregation"]["options"]
+    options[1] = options[0]
+
+
+def boolean_in_mdp_transition(raw):
+    raw["world"]["mdp"]["transition"][0][0][1] = True  # was 1
+
+
+def boolean_in_mdp_reward(raw):
+    raw["world"]["mdp"]["reward"][0][0] = True  # was 1.0
+
+
 @pytest.mark.parametrize(
     "scenario, mutate, path",
     [
@@ -59,6 +72,10 @@ def string_cpd_entry(raw):
         ("trust_portfolio.json", mdp_row_sum_two, "world.mdp"),
         ("trust_portfolio.json", string_in_mdp_reward, "world.mdp.reward"),
         ("disclosure_demo.json", string_cpd_entry, "world.macid.cpds.C[0][0]"),
+        ("disclosure_demo.json", duplicate_option, "aggregation.options"),
+        ("care_skipped.json", duplicate_option, "aggregation.options"),
+        ("trust_portfolio.json", boolean_in_mdp_transition, "world.mdp.transition[0][0][1]"),
+        ("trust_portfolio.json", boolean_in_mdp_reward, "world.mdp.reward[0][0]"),
     ],
 )
 def test_validate_and_check_reject_the_same_documents(tmp_path, scenario, mutate, path):
