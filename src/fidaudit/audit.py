@@ -73,7 +73,7 @@ from .loyalty import (
     disgorgement_check,
     no_conflict_check,
 )
-from .mdp import DiscountSpec, detect_preference_reversal, value_iteration
+from .mdp import DiscountSpec, detect_preference_reversal, policy_iteration
 from .scenario import Scenario, Variant
 
 TOOL_NAME = "fidaudit"
@@ -348,7 +348,7 @@ def _run_one_method(method: Variant, scenario: Scenario, state: _State, rng) -> 
             learn_rate=method.learn_rate,
             iters=method.iters,
         )
-        greedy = value_iteration(mdp.with_reward(estimate.table), method.beta).policy
+        greedy = policy_iteration(mdp.with_reward(estimate.table), method.beta).policy
         return Finding(
             "behavior-irl",
             PASS,

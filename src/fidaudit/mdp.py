@@ -1,7 +1,9 @@
 """Finite MDP solver and discounting models.
 
-Value iteration with recorded contraction gaps, exact policy evaluation by
-linear solve, exponential and hyperbolic discount curves, and detection of
+Howard policy iteration for exact optimal policies, value iteration with
+recorded contraction gaps (the contraction oracle, and the solver discount
+inference reads its Q values from), exact policy evaluation by linear
+solve, exponential and hyperbolic discount curves, and detection of
 preference reversals between a smaller-sooner and a larger-later reward.
 
 Conventions: rewards are r(s, a); transition is a dense (S, A, S) tensor
@@ -184,6 +186,21 @@ def value_iteration(
     return _package(mdp, v, q, max_iters, False, gaps)
 
 
+def _evaluate(mdp: Mdp, action_idx: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact (V, Q) of the policy choosing action ``action_idx[i]`` in state i."""
+    rows = np.arange(len(mdp.states))
+    p_pi = mdp.transition[rows, action_idx]  # (S, S)
+    r_pi = mdp.reward[rows, action_idx]
+    try:
+        v = np.linalg.solve(np.eye(len(rows)) - beta * p_pi, r_pi)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - beta<1 keeps it regular
+        raise SingularSystem(str(exc)) from exc
+    residual = float(np.max(np.abs(v - (r_pi + beta * p_pi @ v))))
+    if residual > 1e-9:
+        raise SingularSystem(f"fixed-point residual {residual} exceeds 1e-9")
+    return v, mdp.reward + beta * (mdp.transition @ v)
+
+
 def evaluate_policy(mdp: Mdp, policy: Policy, beta: float) -> ValueFunction:
     """Exact V of a stationary policy via the linear system (I - beta*P) V = r.
 
@@ -191,23 +208,39 @@ def evaluate_policy(mdp: Mdp, policy: Policy, beta: float) -> ValueFunction:
     reported as SingularSystem rather than silently propagated.
     """
     _check_beta(beta)
-    n = len(mdp.states)
-    action_idx = np.empty(n, dtype=int)
+    action_idx = np.empty(len(mdp.states), dtype=int)
     for i, s in enumerate(mdp.states):
         if s not in policy:
             raise ValueError(f"policy missing state {s!r}")
         action_idx[i] = mdp.action_index(policy[s])
-    p_pi = mdp.transition[np.arange(n), action_idx]  # (S, S)
-    r_pi = mdp.reward[np.arange(n), action_idx]
-    try:
-        v = np.linalg.solve(np.eye(n) - beta * p_pi, r_pi)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - beta<1 keeps it regular
-        raise SingularSystem(str(exc)) from exc
-    residual = float(np.max(np.abs(v - (r_pi + beta * p_pi @ v))))
-    if residual > 1e-9:
-        raise SingularSystem(f"fixed-point residual {residual} exceeds 1e-9")
-    q = mdp.reward + beta * (mdp.transition @ v)
+    v, q = _evaluate(mdp, action_idx, beta)
     return _package(mdp, v, q, 1, True, [])
+
+
+def policy_iteration(mdp: Mdp, beta: float) -> ValueFunction:
+    """Optimal policy by Howard policy iteration (Puterman 1994, ch. 6).
+
+    Starts from the myopic policy, evaluates each policy exactly and
+    switches a state's action only on a strict Q gain, so it stops after
+    finitely many rounds; the reported policy is the lowest-index
+    maximizer of the exact Q. Each switch strictly raises the exact
+    values, so a policy met again means the gains were rounding noise
+    between tied actions, and the solve stops there too. Hitting
+    MAX_ITERS_CAP rounds returns the last evaluation with
+    ``converged=False``.
+    """
+    _check_beta(beta)
+    rows = np.arange(len(mdp.states))
+    action_idx = np.argmax(mdp.reward, axis=1)
+    visited: set[bytes] = set()
+    for rounds in range(1, MAX_ITERS_CAP + 1):
+        v, q = _evaluate(mdp, action_idx, beta)
+        best = np.argmax(q, axis=1)
+        visited.add(action_idx.tobytes())
+        action_idx = np.where(q[rows, best] > q[rows, action_idx], best, action_idx)
+        if action_idx.tobytes() in visited:  # no switch, or a cycle of ties
+            return _package(mdp, v, q, rounds, True, [])
+    return _package(mdp, v, q, MAX_ITERS_CAP, False, [])
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from fidaudit.assessment import (
     PortfolioProblem,
     RewardEstimate,
     Trajectory,
+    _soft_backup,
     demo_log_likelihood,
     feasible_rewards_irl,
     fit_preference_reward,
@@ -181,6 +182,73 @@ def test_maxent_gradient_matches_finite_differences(rng):
                 numeric = (up - down) / (2 * step)
                 scale = max(abs(numeric), abs(grad[k]), 1e-8)
                 assert abs(grad[k] - numeric) / scale < 1e-4
+
+
+def test_maxent_log_likelihood_is_that_of_the_returned_theta(monkeypatch):
+    import fidaudit.assessment as assessment
+
+    mdp = chain_walk_mdp()
+    demos = [Trajectory((("s0", "right"), ("s1", "right"), ("s2", "left")))]
+    one_hot = FeatureMap.one_hot_states(mdp)
+    zero = FeatureMap(2, {(s, a): np.zeros(2) for s in mdp.states for a in mdp.actions})
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return demo_log_likelihood(*args)
+
+    monkeypatch.setattr(assessment, "demo_log_likelihood", counted)
+    # no steps, the grad_norm == 0 early stop, and a normal run
+    for features, iters, evaluations in [(one_hot, 0, 1), (zero, 50, 1), (one_hot, 25, 26)]:
+        calls.clear()
+        estimate = maxent_irl(mdp, features, demos, beta=0.9, learn_rate=0.1, iters=iters)
+        assert len(calls) == evaluations
+        expected, _ = demo_log_likelihood(mdp, features, demos, estimate.weights, 0.9)
+        assert estimate.diagnostics["log_likelihood"] == expected
+    assert estimate.diagnostics["grad_norm"] > 0.0
+
+
+def _einsum_soft_backup(mdp, features, theta, beta, horizon):
+    # reference: the backup with both gradient contractions written as np.einsum
+    reward = features @ theta
+    v = np.zeros(len(mdp.states))
+    grad_v = np.zeros((len(mdp.states), theta.shape[0]))
+    policies, grad_qs, grad_vs = [None] * horizon, [None] * horizon, [None] * horizon
+    for t in range(horizon - 1, -1, -1):
+        q = reward + beta * (mdp.transition @ v)
+        peak = q.max(axis=1, keepdims=True)
+        exp_q = np.exp(q - peak)
+        norm = exp_q.sum(axis=1, keepdims=True)
+        policies[t] = exp_q / norm
+        v = (peak + np.log(norm)).ravel()
+        grad_qs[t] = features + beta * np.einsum("ijk,kd->ijd", mdp.transition, grad_v)
+        grad_vs[t] = grad_v = np.einsum("ij,ijd->id", policies[t], grad_qs[t])
+    return policies, grad_qs, grad_vs
+
+
+def test_soft_backup_matches_einsum_reference(rng):
+    for n_states, dim in [(3, 1), (5, 4), (8, 6)]:
+        mdp = random_dynamics(rng, n_states, 3)
+        features = rng.normal(size=(n_states, 3, dim))
+        theta = rng.normal(size=dim)
+        got = _soft_backup(mdp, features, theta, 0.95, 6)
+        want = _einsum_soft_backup(mdp, features, theta, 0.95, 6)
+        for got_steps, want_steps in zip(got, want):
+            assert len(got_steps) == len(want_steps) == 6
+            for g, w in zip(got_steps, want_steps):
+                assert g.shape == w.shape
+                assert float(np.max(np.abs(g - w))) <= 1e-12 * float(np.max(np.abs(w)))
+
+
+def test_dense_features_match_the_loop_on_a_shuffled_table(rng):
+    mdp = random_dynamics(rng, 5, 3)
+    keys = [(s, a) for s in mdp.states for a in mdp.actions]
+    features = FeatureMap(4, {keys[k]: rng.normal(size=4) for k in rng.permutation(len(keys))})
+    loop = np.zeros((5, 3, 4))
+    for i, s in enumerate(mdp.states):
+        for j, a in enumerate(mdp.actions):
+            loop[i, j] = features.vector(s, a)
+    assert np.array_equal(features.dense(mdp), loop)
 
 
 # --- fit_preference_reward --------------------------------------------------------

@@ -12,6 +12,7 @@ from fidaudit.mdp import (
     detect_preference_reversal,
     discount_weight,
     evaluate_policy,
+    policy_iteration,
     value_iteration,
 )
 
@@ -133,6 +134,98 @@ def test_greedy_beats_all_deterministic_policies(rng):
         other = evaluate_policy(mdp, policy, beta)
         for s in mdp.states:
             assert greedy_value.values[s] >= other.values[s] - 1e-6
+
+
+# --- policy_iteration -----------------------------------------------------------
+
+
+def test_policy_iteration_beats_all_deterministic_policies(rng):
+    for n_actions, beta in [(2, 0.5), (3, 0.9), (2, 0.99), (3, 0.999)]:
+        mdp = random_mdp(rng, 4, n_actions)
+        result = policy_iteration(mdp, beta)
+        assert result.converged
+        best = evaluate_policy(mdp, result.policy, beta)
+        for assignment in itertools.product(mdp.actions, repeat=len(mdp.states)):
+            other = evaluate_policy(mdp, dict(zip(mdp.states, assignment)), beta)
+            for s in mdp.states:
+                assert best.values[s] >= other.values[s] - 1e-9 * (1.0 + abs(other.values[s]))
+
+
+def test_policy_iteration_is_a_bellman_fixed_point_and_agrees_with_value_iteration(rng):
+    for n_actions, beta in [(2, 0.9), (3, 0.99), (3, 0.999)]:
+        mdp = random_mdp(rng, 6, n_actions)
+        exact = policy_iteration(mdp, beta)
+        v = np.array([exact.values[s] for s in mdp.states])
+        q = mdp.reward + beta * (mdp.transition @ v)
+        assert float(np.max(np.abs(q.max(axis=1) - v))) <= 1e-9
+        oracle = value_iteration(mdp, beta, tol=1e-12)
+        assert oracle.converged
+        for s in mdp.states:
+            ranked = sorted(exact.q[(s, a)] for a in mdp.actions)
+            if ranked[-1] - ranked[-2] > 1e-6:
+                assert exact.policy[s] == oracle.policy[s]
+
+
+def test_policy_iteration_tie_goes_to_lowest_index():
+    assert policy_iteration(single_state_mdp([1.0, 1.0]), beta=0.5).policy["s"] == "a0"
+    # the myopic start picks a1 in s0, whose exact Q then ties with a0's:
+    # a0 pays 0 and leads to s1 (1 forever), a1 pays 0.5 and leads to s2 (0.5 forever)
+    transition = np.zeros((3, 2, 3))
+    transition[0, 0, 1] = transition[0, 1, 2] = 1.0
+    transition[1, :, 1] = transition[2, :, 2] = 1.0
+    reward = np.array([[0.0, 0.5], [1.0, 1.0], [0.5, 0.5]])
+    result = policy_iteration(Mdp(("s0", "s1", "s2"), ("a0", "a1"), transition, reward), beta=0.5)
+    assert result.q[("s0", "a0")] == result.q[("s0", "a1")] == 1.0
+    assert result.policy["s0"] == "a0"
+
+
+def test_policy_iteration_stops_on_ties_that_differ_by_rounding(monkeypatch):
+    # deterministic moves; in s5 actions a1 and a2 tie exactly, but the two
+    # evaluations each show the other one ahead by one ulp, so switching on
+    # every computed gain would flip between them until the round cap
+    moves = [[4, 3, 1], [1, 5, 5], [2, 4, 1], [3, 1, 3], [0, 3, 2], [2, 1, 3]]
+    transition = np.zeros((6, 3, 6))
+    for s, row in enumerate(moves):
+        transition[s, [0, 1, 2], row] = 1.0
+    third = 1.0 / 3.0
+    reward = np.array(
+        [
+            [0.0, 0.0, 0.1],
+            [0.7, 0.7, third],
+            [0.0, third, 0.0],
+            [third, 0.0, 0.7],
+            [0.7, 0.3, 0.3],
+            [0.1, 0.0, 0.0],
+        ]
+    )
+    mdp = Mdp(tuple(f"s{i}" for i in range(6)), ("a0", "a1", "a2"), transition, reward)
+    monkeypatch.setattr("fidaudit.mdp.MAX_ITERS_CAP", 50)
+    result = policy_iteration(mdp, beta=0.95)
+    assert result.converged
+    assert result.iterations <= 4
+    assert result.q[("s5", "a1")] == pytest.approx(result.q[("s5", "a2")], abs=1e-12)
+    assert result.policy["s5"] in ("a1", "a2")
+
+
+def test_policy_iteration_round_cap_returns_unconverged(monkeypatch):
+    # s0: "stay" pays 1 now, "go" pays 0 but leads to s1, which pays 10 forever;
+    # the myopic start stays, so one round cannot finish
+    transition = np.zeros((2, 2, 2))
+    transition[0, 0, 0] = transition[0, 1, 1] = 1.0
+    transition[1, :, 1] = 1.0
+    mdp = Mdp(("s0", "s1"), ("stay", "go"), transition, np.array([[1.0, 0.0], [10.0, 10.0]]))
+    solved = policy_iteration(mdp, beta=0.9)
+    assert solved.converged and solved.iterations == 2 and solved.policy["s0"] == "go"
+    monkeypatch.setattr("fidaudit.mdp.MAX_ITERS_CAP", 1)
+    capped = policy_iteration(mdp, beta=0.9)
+    assert not capped.converged
+    assert capped.iterations == 1
+
+
+def test_policy_iteration_rejects_invalid_discount():
+    for beta in (0.0, 1.0, -0.5, 1.5):
+        with pytest.raises(InvalidDiscount):
+            policy_iteration(chain_mdp(), beta=beta)
 
 
 # --- discount weights -----------------------------------------------------------
