@@ -6,6 +6,13 @@ search for small ordinal rules, and the impartiality test. Outputs never
 hide discretion points: winner ties are returned as sets and index
 tie-breaks are flagged, so an audit can see exactly where a choice was
 made rather than forced.
+
+The ordinal rules (Borda, plurality, dictator) are positional scoring
+rules, each written once as a ``points`` table over the ballots; the
+winner and the manipulation search both read it. The search scores
+blocks of profiles and every misreport in each with one integer numpy
+kernel, and for the anonymous rules it scans only non-decreasing
+profiles, which contain the first witness of the full scan.
 """
 
 from __future__ import annotations
@@ -13,6 +20,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .errors import (
     EmptyClass,
@@ -23,6 +32,10 @@ from .errors import (
 
 MANIPULATION_MAX_VOTERS = 4
 MANIPULATION_MAX_OPTIONS = 4
+# profiles per kernel block: the first blocks are small so an early witness
+# costs little, later ones double up to a cap that keeps memory flat
+_FIRST_BLOCK = 16
+_MAX_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -183,19 +196,33 @@ class VotingRule:
             raise ValueError(f"unknown rule {self.kind!r}")
 
 
+def _scoring_tables(
+    kind: str, n_options: int
+) -> tuple[tuple[tuple[int, ...], ...], np.ndarray, np.ndarray]:
+    """(ballots, position, points): every ballot in ``itertools.permutations``
+    order, with the two tables that score a profile under rule ``kind``.
+
+    ``position[b, o]`` is the place of option ``o`` on ballot ``b`` and
+    ``points[b, o]`` the score the rule gives it: ``n - 1 - position``
+    for Borda, one point for the top place under plurality and dictator.
+    """
+    ballots = tuple(itertools.permutations(range(n_options)))
+    places = [[ballot.index(option) for option in range(n_options)] for ballot in ballots]
+    position = np.array(places, np.intp)
+    points = n_options - 1 - position if kind == "borda" else (position == 0) * 1
+    return ballots, position, points
+
+
+def _scorers(rule: VotingRule, n_voters: int) -> tuple[int, ...]:
+    """Voters whose ballots the rule counts."""
+    return (rule.dictator_voter,) if rule.kind == "dictator" else tuple(range(n_voters))
+
+
 def _winner(rule: VotingRule, profile: tuple[tuple[int, ...], ...], n_options: int) -> int:
     """Single winner; score ties break to the lowest option index."""
-    if rule.kind == "dictator":
-        return profile[rule.dictator_voter][0]
-    scores = [0] * n_options
-    for ballot in profile:
-        if rule.kind == "borda":
-            for position, option in enumerate(ballot):
-                scores[option] += n_options - 1 - position
-        else:  # plurality
-            scores[ballot[0]] += 1
-    top = max(scores)
-    return scores.index(top)
+    ballots, _, points = _scoring_tables(rule.kind, n_options)
+    rows = [ballots.index(profile[voter]) for voter in _scorers(rule, len(profile))]
+    return int(points[rows].sum(axis=0).argmax())
 
 
 @dataclass(frozen=True)
@@ -219,6 +246,19 @@ def find_manipulation(
     when the manipulating voter's sincere ranking strictly prefers the new
     winner. Returns None when the whole space is clean (e.g. dictatorial
     rules, or two-option majority voting).
+
+    All three rules are positional scoring rules, so the search is one
+    integer kernel over blocks of profiles: each profile's score is the
+    sum of its counted ballots' ``points`` rows, and each voter's every
+    misreport is scored at once by swapping that voter's row for every
+    ballot's. ``argmax`` takes the first maximum, which is the
+    lowest-index tie-break of ``_winner``. Only counted voters can change
+    the winner, so under the dictator rule only the dictator is tried.
+    Borda and plurality are anonymous: a permutation of a manipulable
+    profile is manipulable too, and the sorted permutation comes first in
+    lexicographic order, so the first manipulable profile is
+    non-decreasing and only those are scanned. The dictator rule is not
+    anonymous and scans every profile.
     """
     if n_voters < 1 or n_options < 1:
         raise ValueError("need at least one voter and one option")
@@ -230,26 +270,42 @@ def find_manipulation(
     if rule.kind == "dictator" and not 0 <= rule.dictator_voter < n_voters:
         raise ValueError("dictator voter out of range")
 
-    ballots = list(itertools.permutations(range(n_options)))
-    for profile in itertools.product(ballots, repeat=n_voters):
-        sincere_winner = _winner(rule, profile, n_options)
-        for voter in range(n_voters):
-            sincere = profile[voter]
-            rank = {option: position for position, option in enumerate(sincere)}
-            for insincere in ballots:
-                if insincere == sincere:
-                    continue
-                trial = profile[:voter] + (insincere,) + profile[voter + 1 :]
-                new_winner = _winner(rule, trial, n_options)
-                if rank[new_winner] < rank[sincere_winner]:
-                    return ManipulationInstance(
-                        profile=profile,
-                        voter=voter,
-                        insincere_ballot=insincere,
-                        sincere_winner=sincere_winner,
-                        manipulated_winner=new_winner,
-                    )
-    return None
+    ballots, position, points = _scoring_tables(rule.kind, n_options)
+    scorers = _scorers(rule, n_voters)
+    n_ballots = len(ballots)
+    flat_position = position.ravel()
+    if rule.kind == "dictator":
+        profiles = itertools.product(range(n_ballots), repeat=n_voters)
+    else:
+        profiles = itertools.combinations_with_replacement(range(n_ballots), n_voters)
+    size = _FIRST_BLOCK
+    while True:
+        chunk = itertools.chain.from_iterable(itertools.islice(profiles, size))
+        block = np.fromiter(chunk, np.intp).reshape(-1, n_voters)  # ballot indices
+        if not len(block):
+            return None
+        total = points[block[:, scorers]].sum(axis=1)  # (profiles, options)
+        sincere = total.argmax(axis=1)
+        hits = np.zeros((len(block), n_voters, n_ballots), dtype=bool)
+        for voter in scorers:
+            own = block[:, voter]
+            trial = (total - points[own])[:, None, :] + points  # (profiles, ballots, options)
+            # position[own, new] < position[own, sincere], read from the flat table
+            base = own[:, None] * n_options
+            new_place = flat_position[base + trial.argmax(axis=2)]
+            hits[:, voter] = new_place < flat_position[base + sincere[:, None]]
+        if hits.any():
+            p, voter, b = np.unravel_index(hits.argmax(), hits.shape)
+            profile = tuple(ballots[i] for i in block[p])
+            trial_profile = profile[:voter] + (ballots[b],) + profile[voter + 1 :]
+            return ManipulationInstance(
+                profile=profile,
+                voter=int(voter),
+                insincere_ballot=ballots[b],
+                sincere_winner=int(sincere[p]),
+                manipulated_winner=_winner(rule, trial_profile, n_options),
+            )
+        size = min(2 * size, _MAX_BLOCK)
 
 
 # --- impartiality -------------------------------------------------------------

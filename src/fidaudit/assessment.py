@@ -318,11 +318,21 @@ def demo_log_likelihood(
     beta: float,
 ) -> tuple[float, np.ndarray]:
     """Log-likelihood of the demos under the soft policy, with exact gradient."""
+    return _log_likelihood(mdp, features.dense(mdp), demos, theta, beta)
+
+
+def _log_likelihood(
+    mdp: Mdp,
+    dense: np.ndarray,
+    demos: Sequence[Trajectory],
+    theta: np.ndarray,
+    beta: float,
+) -> tuple[float, np.ndarray]:
+    """``demo_log_likelihood`` over a prebuilt (S, A, d) feature tensor."""
     horizon = max(len(d.steps) for d in demos)
-    dense = features.dense(mdp)
     policies, grad_qs, grad_vs = _soft_backup(mdp, dense, np.asarray(theta, float), beta, horizon)
     total = 0.0
-    grad = np.zeros(features.dim)
+    grad = np.zeros(dense.shape[2])
     for demo in demos:
         for t, (s, a) in enumerate(demo.steps):
             i, j = mdp.state_index(s), mdp.action_index(a)
@@ -352,21 +362,22 @@ def maxent_irl(
         raise InvalidDiscount(f"beta must lie in (0, 1), got {beta}")
     for demo in demos:
         demo.validate_against(mdp)
+    dense = features.dense(mdp)
     theta = np.zeros(features.dim)
-    log_likelihood, grad = demo_log_likelihood(mdp, features, demos, theta, beta)
+    log_likelihood, grad = _log_likelihood(mdp, dense, demos, theta, beta)
     initial_norm = float(np.linalg.norm(grad))
     grad_norm = initial_norm
     for _ in range(iters):
         if grad_norm == 0.0:
             break
         theta = theta + learn_rate * grad
-        log_likelihood, grad = demo_log_likelihood(mdp, features, demos, theta, beta)
+        log_likelihood, grad = _log_likelihood(mdp, dense, demos, theta, beta)
         grad_norm = float(np.linalg.norm(grad))
         if initial_norm > 0 and grad_norm > 10.0 * initial_norm:
             raise DivergenceDetected(
                 f"gradient norm {grad_norm:.3g} exceeds 10x initial {initial_norm:.3g}"
             )
-    table = features.dense(mdp) @ theta
+    table = dense @ theta
     return RewardEstimate(
         method=AssessmentMethod.MAXENT_IRL,
         weights=theta,

@@ -1,7 +1,11 @@
+import itertools
+from collections import Counter
+
 import pytest
 
 from fidaudit.aggregation import (
     ApprovalBallot,
+    ManipulationInstance,
     PriorityClasses,
     UtilityMatrix,
     VotingRule,
@@ -197,6 +201,85 @@ def test_borda_three_by_three_manipulable():
     assert new_winner == instance.manipulated_winner
     sincere_rank = {o: i for i, o in enumerate(instance.profile[instance.voter])}
     assert sincere_rank[new_winner] < sincere_rank[sincere_winner]
+
+
+def _reference_winner(rule, profile, n_options):
+    # reference: the scalar scoring loop, ties to the lowest option index
+    if rule.kind == "dictator":
+        return profile[rule.dictator_voter][0]
+    scores = [0] * n_options
+    for ballot in profile:
+        if rule.kind == "borda":
+            for position, option in enumerate(ballot):
+                scores[option] += n_options - 1 - position
+        else:
+            scores[ballot[0]] += 1
+    return scores.index(max(scores))
+
+
+def _reference_manipulation(rule, n_voters, n_options):
+    # reference: every (profile, voter, ballot) of the full product, in order
+    ballots = list(itertools.permutations(range(n_options)))
+    for profile in itertools.product(ballots, repeat=n_voters):
+        sincere_winner = _reference_winner(rule, profile, n_options)
+        for voter in range(n_voters):
+            rank = {option: position for position, option in enumerate(profile[voter])}
+            for insincere in ballots:
+                trial = profile[:voter] + (insincere,) + profile[voter + 1 :]
+                new_winner = _reference_winner(rule, trial, n_options)
+                if rank[new_winner] < rank[sincere_winner]:
+                    return ManipulationInstance(profile, voter, insincere, sincere_winner, new_winner)
+    return None
+
+
+def _count_profiles(monkeypatch):
+    # profiles drawn from each itertools enumeration the search may use
+    drawn = Counter()
+
+    def counting(name):
+        original = getattr(itertools, name)
+
+        def enumerate_and_count(*args, **kwargs):
+            for item in original(*args, **kwargs):
+                drawn[name] += 1
+                yield item
+
+        return enumerate_and_count
+
+    for name in ("product", "combinations_with_replacement"):
+        monkeypatch.setattr(itertools, name, counting(name))
+    return drawn
+
+
+def test_manipulation_search_matches_the_scalar_reference(monkeypatch):
+    # every anonymous size up to the cap; the dictator's full scan stops short
+    # of 3x4, where the reference alone takes about half a second per dictator
+    every = [(v, o) for v in range(1, 5) for o in range(1, 5)]
+    cases = [(VotingRule(kind), v, o) for kind in ("borda", "plurality") for v, o in every]
+    cases += [(VotingRule("dictator", d), v, o) for v, o in every if v < 3 or o < 4 for d in range(v)]
+    expected = [_reference_manipulation(*case) for case in cases]
+    drawn = _count_profiles(monkeypatch)
+    for (rule, n_voters, n_options), want in zip(cases, expected):
+        drawn.clear()
+        assert find_manipulation(rule, n_voters, n_options) == want, (rule, n_voters, n_options)
+        if rule.kind == "dictator":
+            # not anonymous: the clean scan covers every ordered profile
+            n_profiles = len(list(itertools.permutations(range(n_options)))) ** n_voters
+            assert drawn == {"product": n_profiles}
+    assert sum(want is not None for want in expected) > 0
+
+
+def test_anonymous_witnesses_are_sorted_profiles():
+    for kind in ("borda", "plurality"):
+        for n_voters in range(1, 5):
+            for n_options in range(1, 5):
+                instance = find_manipulation(VotingRule(kind), n_voters, n_options)
+                if instance is None:
+                    continue
+                ballots = list(itertools.permutations(range(n_options)))
+                ranks = [ballots.index(ballot) for ballot in instance.profile]
+                assert ranks == sorted(ranks), (kind, n_voters, n_options)
+    assert find_manipulation(VotingRule("dictator", 3), 4, 4) is None
 
 
 def test_two_option_plurality_strategy_proof():

@@ -192,17 +192,26 @@ def test_maxent_log_likelihood_is_that_of_the_returned_theta(monkeypatch):
     one_hot = FeatureMap.one_hot_states(mdp)
     zero = FeatureMap(2, {(s, a): np.zeros(2) for s in mdp.states for a in mdp.actions})
     calls = []
+    builds = []
+    kernel, dense = assessment._log_likelihood, FeatureMap.dense
 
     def counted(*args):
         calls.append(1)
-        return demo_log_likelihood(*args)
+        return kernel(*args)
 
-    monkeypatch.setattr(assessment, "demo_log_likelihood", counted)
-    # no steps, the grad_norm == 0 early stop, and a normal run
+    def counted_dense(self, mdp):
+        builds.append(1)
+        return dense(self, mdp)
+
+    monkeypatch.setattr(assessment, "_log_likelihood", counted)
+    monkeypatch.setattr(FeatureMap, "dense", counted_dense)
+    # no steps, the grad_norm == 0 early stop, and a normal run; the feature
+    # tensor is built once per fit
     for features, iters, evaluations in [(one_hot, 0, 1), (zero, 50, 1), (one_hot, 25, 26)]:
         calls.clear()
+        builds.clear()
         estimate = maxent_irl(mdp, features, demos, beta=0.9, learn_rate=0.1, iters=iters)
-        assert len(calls) == evaluations
+        assert (len(calls), len(builds)) == (evaluations, 1)
         expected, _ = demo_log_likelihood(mdp, features, demos, estimate.weights, 0.9)
         assert estimate.diagnostics["log_likelihood"] == expected
     assert estimate.diagnostics["grad_norm"] > 0.0
