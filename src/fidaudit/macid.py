@@ -4,14 +4,17 @@ A model is a DAG of chance, decision and utility nodes. Chance nodes carry
 conditional probability tables, decision nodes carry (externally supplied)
 decision rules, and utility nodes carry real-valued tables over their
 parents. Everything is finite and enumerated exactly, so every query below
-is an exact computation rather than an estimate. One kernel,
-``_chain_products``, enumerates the outcome cells with their
-topological-order chain-rule products: the joint is its output, and the
-best-response payoffs are the same products less the responding node's
-factor. Expected utility and the warm-start welfare sum utilities over one
-joint (``_utility_under``), equilibria come from best-response sweeps over
-deterministic rules (``_improve``), and information queries reduce to sums
-over the joint. Every product and sum runs in a fixed order.
+is an exact computation rather than an estimate.
+
+Every table becomes a float array with one axis per entry of
+``outcome_order``. The joint is the factors' broadcast product, taken in
+outcome order (``_chain``); best-response payoffs are that product less the
+node's own factor, times the owner's utility array. Every sum is a
+left-to-right fold from 0.0 (``_fold``), so each result has the bits a
+per-cell Python loop gives. The equilibrium warm start scores profiles in
+blocks, a deterministic profile's joint being the chance factors' product
+times a 0/1 mask of its rules; best-response sweeps (``_improve``) go on
+from there.
 
 All values are immutable after construction and every operation is a pure
 function, so concurrent use needs no locking.
@@ -24,6 +27,8 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Mapping
+
+import numpy as np
 
 from .errors import (
     EdgeExists,
@@ -41,6 +46,9 @@ PROB_TOL = 1e-9
 # Enumerating candidate profiles for the equilibrium warm start costs
 # (number of profiles) * (number of joint outcomes); skip it beyond this.
 _WARM_START_BUDGET = 2_000_000
+# Profiles times outcomes scored together in one warm-start block; it
+# bounds the block's temporaries, so peak memory stays flat.
+_BLOCK_CELLS = 4096
 
 
 class NodeKind(Enum):
@@ -188,7 +196,7 @@ class Macid:
             if n.kind is NodeKind.UTILITY and children[n.id]:
                 raise InvalidModel(f"utility node {n.id!r} has children {children[n.id]}")
 
-        order = _topological_order(node_map, self.edges)
+        order = _topological_order(self.edges, children)
 
         for n in self.nodes:
             if n.kind is NodeKind.CHANCE:
@@ -291,14 +299,10 @@ class Macid:
 
 
 def _topological_order(
-    node_map: Mapping[str, Node], edges: Mapping[str, tuple[str, ...]]
+    edges: Mapping[str, tuple[str, ...]], children: Mapping[str, list[str]]
 ) -> tuple[str, ...]:
     """Kahn's algorithm with sorted-id tie-break; raises on cycles."""
     remaining_parents = {nid: set(ps) for nid, ps in edges.items()}
-    children: dict[str, list[str]] = {nid: [] for nid in node_map}
-    for nid, parents in edges.items():
-        for p in parents:
-            children[p].append(nid)
     ready = sorted(nid for nid, ps in remaining_parents.items() if not ps)
     order: list[str] = []
     while ready:
@@ -310,7 +314,7 @@ def _topological_order(
             if not remaining_parents[c]:
                 newly.append(c)
         ready = sorted(ready + newly)
-    if len(order) != len(node_map):
+    if len(order) != len(children):
         raise InvalidModel("edge structure contains a cycle")
     return tuple(order)
 
@@ -336,33 +340,57 @@ def _check_profile(model: Macid, profile: PolicyProfile) -> None:
 # -- core queries -------------------------------------------------------------
 
 
-def _chain_products(
-    model: Macid, profile: PolicyProfile, skip: str | None = None
-) -> Iterator[tuple[Assignment, float]]:
-    """Every outcome cell, in ``itertools.product`` order over
-    ``model.outcome_order``, with the product of its factors taken in that
-    order (stopping at the first zero), leaving out the factor of ``skip``.
-    """
-    order = model.outcome_order
-    positions = {nid: i for i, nid in enumerate(order)}
-    domains = [model.node_map[nid].domain for nid in order]
-    factors = []
-    for i, nid in enumerate(order):
-        if nid == skip:
-            continue
-        node = model.node_map[nid]
-        table = model.cpds[nid].table if node.kind is NodeKind.CHANCE else profile[nid].table
-        vindex = {v: k for k, v in enumerate(domains[i])}
-        factors.append((i, tuple(positions[p] for p in model.parents(nid)), table, vindex))
+def _fold(values: np.ndarray, keep: tuple[int, ...] | list[int] = ()) -> np.ndarray:
+    """For each cell of the ``keep`` axes (in that order), the sum over the
+    other axes in C order, as a left-to-right fold from 0.0: the order a
+    Python loop adds in. ``np.add.accumulate`` is sequential where
+    ``np.sum`` is pairwise, and adding 0.0 turns a -0.0 into +0.0."""
+    rest = [i for i in range(values.ndim) if i not in keep]
+    flat = values.transpose([*keep, *rest]).reshape([*(values.shape[i] for i in keep), -1])
+    return np.cumsum(flat, axis=-1)[..., -1] + 0.0
 
-    for assignment in itertools.product(*domains):
-        p = 1.0
-        for i, parent_pos, table, vindex in factors:
-            pa = tuple(assignment[j] for j in parent_pos)
-            p *= table[pa][vindex[assignment[i]]]
-            if p == 0.0:
-                break
-        yield assignment, p
+
+def _place(model: Macid, scope: tuple[str, ...], local: np.ndarray) -> np.ndarray:
+    """``local``'s trailing axes, one per node of ``scope``, moved onto the
+    axes of ``model.outcome_order`` (size 1 off the scope); leading axes
+    stay in front."""
+    pos = [model.outcome_order.index(nid) for nid in scope]
+    lead = local.ndim - len(pos)
+    shape = [local.shape[lead + pos.index(i)] if i in pos else 1 for i in range(len(model.outcome_order))]
+    order = sorted(range(lead, local.ndim), key=lambda axis: pos[axis - lead])
+    return local.transpose([*range(lead), *order]).reshape([*local.shape[:lead], *shape])
+
+
+def _factor(model: Macid, nid: str, table: Mapping) -> np.ndarray:
+    """A CPD, rule or utility table of ``nid``, keyed by its parent
+    assignments, as an array on the outcome axes."""
+    scope = model.parents(nid) + ((nid,) if model.node_map[nid].domain else ())
+    rows = [table[pa] for pa in model.parent_assignments(nid)]
+    local = np.array(rows, dtype=float).reshape([len(model.node_map[n].domain) for n in scope])
+    return _place(model, scope, local)
+
+
+def _utility_array(model: Macid, agent: str) -> np.ndarray:
+    """The agent's total utility of every outcome cell, summed over its
+    utility nodes in sorted order."""
+    return sum(_factor(model, u, model.utilities[u]) for u in model.utility_nodes_of(agent))
+
+
+def _shape(model: Macid) -> tuple[int, ...]:
+    return tuple(len(model.node_map[nid].domain) for nid in model.outcome_order)
+
+
+def _chain(model: Macid, profile: PolicyProfile, skip=()) -> np.ndarray:
+    """Chain-rule product of the factors of every node not in ``skip``, one
+    axis per entry of ``model.outcome_order``, multiplied in that order. A
+    cell keeps the first zero its product reaches, sign included, like a
+    per-cell loop that stops there."""
+    prod = np.ones((1,) * len(model.outcome_order))
+    for nid in model.outcome_order:
+        if nid not in skip:
+            table = model.cpds[nid].table if nid in model.cpds else profile[nid].table
+            prod = np.where(prod == 0.0, prod, prod * _factor(model, nid, table))
+    return np.broadcast_to(prod, _shape(model))
 
 
 def joint_distribution(model: Macid, profile: PolicyProfile) -> dict[Assignment, float]:
@@ -373,48 +401,39 @@ def joint_distribution(model: Macid, profile: PolicyProfile) -> dict[Assignment,
     probabilities sum to 1 up to accumulation error.
     """
     _check_profile(model, profile)
-    return dict(_chain_products(model, profile))
+    domains = [model.node_map[nid].domain for nid in model.outcome_order]
+    return dict(zip(itertools.product(*domains), _chain(model, profile).ravel().tolist()))
+
+
+def _joint_array(model: Macid, profile: PolicyProfile) -> np.ndarray:
+    joint = joint_distribution(model, profile)
+    return np.fromiter(joint.values(), float, len(joint)).reshape(_shape(model))
 
 
 def marginal(
     model: Macid, profile: PolicyProfile, node_ids: tuple[str, ...]
 ) -> dict[Assignment, float]:
-    """Marginal distribution of ``node_ids`` (in the given order)."""
+    """Marginal distribution of ``node_ids`` (in the given order).
+
+    Keys come in the order they first occur in the joint, and each value
+    sums its cells in the joint's order.
+    """
     positions = {nid: i for i, nid in enumerate(model.outcome_order)}
     for nid in node_ids:
         if nid not in positions:
             raise UnknownNode(f"{nid!r} is not a chance or decision node of the model")
-    idx = [positions[nid] for nid in node_ids]
-    out: dict[Assignment, float] = {}
-    for assignment, p in joint_distribution(model, profile).items():
-        key = tuple(assignment[i] for i in idx)
-        out[key] = out.get(key, 0.0) + p
-    return out
-
-
-def _payoff(model: Macid, agent: str):
-    """The agent's total utility of an outcome cell, as a function of the cell."""
-    positions = {nid: i for i, nid in enumerate(model.outcome_order)}
-    utail = [
-        (tuple(positions[p] for p in model.parents(u)), model.utilities[u])
-        for u in model.utility_nodes_of(agent)
-    ]
-    return lambda cell: sum(table[tuple(cell[j] for j in pos)] for pos, table in utail)
-
-
-def _utility_under(model: Macid, joint: Mapping[Assignment, float], agent: str) -> float:
-    """Sum over the joint's cells of probability times the agent's utilities."""
-    payoff = _payoff(model, agent)
-    total = 0.0
-    for assignment, p in joint.items():
-        if p != 0.0:
-            total += p * payoff(assignment)
-    return total
+    joint = _joint_array(model, profile)
+    kept = sorted({positions[nid] for nid in node_ids})
+    sums = _fold(joint, kept).ravel()
+    slots = [kept.index(positions[nid]) for nid in node_ids]
+    keys = itertools.product(*(model.node_map[model.outcome_order[i]].domain for i in kept))
+    return {tuple(key[s] for s in slots): p for key, p in zip(keys, sums.tolist())}
 
 
 def expected_utility(model: Macid, profile: PolicyProfile, agent: str) -> float:
     """Sum over joint assignments of probability times the agent's utilities."""
-    return _utility_under(model, joint_distribution(model, profile), agent)
+    joint = _joint_array(model, profile)
+    return float(_fold(joint * _utility_array(model, agent)))
 
 
 # -- deterministic rules and equilibrium --------------------------------------
@@ -425,13 +444,8 @@ def _rule_rows(model: Macid, node_id: str) -> list[Assignment]:
 
 
 def _rule_from_indices(model: Macid, node_id: str, rows: list[Assignment], idx: tuple[int, ...]) -> DecisionRule:
-    dom = model.node_map[node_id].domain
-    table = {}
-    for pa, k in zip(rows, idx):
-        row = [0.0] * len(dom)
-        row[k] = 1.0
-        table[pa] = tuple(row)
-    return DecisionRule(node_id, table)
+    actions = range(len(model.node_map[node_id].domain))
+    return DecisionRule(node_id, {pa: tuple(float(a == k) for a in actions) for pa, k in zip(rows, idx)})
 
 
 def enumerate_deterministic_rules(model: Macid, node_id: str) -> Iterator[DecisionRule]:
@@ -442,30 +456,6 @@ def enumerate_deterministic_rules(model: Macid, node_id: str) -> Iterator[Decisi
     rows = _rule_rows(model, node_id)
     for idx in itertools.product(range(len(node.domain)), repeat=len(rows)):
         yield _rule_from_indices(model, node_id, rows, idx)
-
-
-def _row_values(model: Macid, profile: PolicyProfile, node_id: str, agent: str):
-    """Per-row payoffs W[pa][a]: the agent's expected utility mass routed
-    through parent assignment ``pa`` of ``node_id`` when it plays action
-    index ``a`` there, all other factors held at ``profile``.
-
-    Because the joint factorizes, the owner's expected utility of any rule
-    is the sum over rows of W[pa][rule(pa)], so best responses decompose
-    row by row.
-    """
-    positions = {nid: i for i, nid in enumerate(model.outcome_order)}
-    target = positions[node_id]
-    target_parents = tuple(positions[p] for p in model.parents(node_id))
-    actions = {v: k for k, v in enumerate(model.node_map[node_id].domain)}
-    payoff = _payoff(model, agent)
-    w: dict[Assignment, list[float]] = {
-        pa: [0.0] * len(actions) for pa in model.parent_assignments(node_id)
-    }
-    for assignment, q in _chain_products(model, profile, skip=node_id):
-        if q != 0.0:
-            pa = tuple(assignment[j] for j in target_parents)
-            w[pa][actions[assignment[target]]] += q * payoff(assignment)
-    return w
 
 
 def best_response(
@@ -483,22 +473,24 @@ def best_response(
 def _best_response_detail(
     model: Macid, profile: PolicyProfile, node_id: str
 ) -> tuple[DecisionRule, float, float]:
-    """Best response plus the owner's value of the node's current rule."""
-    agent = model.node_map[node_id].owner
-    w = _row_values(model, profile, node_id, agent)
+    """Best response plus the owner's value of the node's current rule.
+
+    Row payoffs W[pa][a] are the owner's expected utility mass routed
+    through parent assignment ``pa`` when the node plays action ``a``
+    there, all other factors held at ``profile``. Because the joint
+    factorizes, the owner's expected utility of any rule is the sum over
+    rows of W[pa][rule(pa)], so best responses decompose row by row; ties
+    go to the lowest action index.
+    """
+    mass = _chain(model, profile, skip=(node_id,)) * _utility_array(model, model.node_map[node_id].owner)
+    scope = [model.outcome_order.index(n) for n in model.parents(node_id) + (node_id,)]
+    declared = {pa: i for i, pa in enumerate(model.parent_assignments(node_id))}
     rows = _rule_rows(model, node_id)
-    current = profile[node_id].table
-    idx = []
-    best_value = 0.0
-    current_value = 0.0
-    for pa in rows:
-        scores = w[pa]
-        best = max(scores)
-        k = scores.index(best)  # lowest action index among maximizers
-        idx.append(k)
-        best_value += best
-        current_value += sum(p * s for p, s in zip(current[pa], scores))
-    return _rule_from_indices(model, node_id, rows, tuple(idx)), best_value, current_value
+    w = _fold(mass, scope).reshape(len(declared), -1)[[declared[pa] for pa in rows]]
+    current = np.array([profile[node_id].table[pa] for pa in rows], dtype=float)
+    best_value = float(_fold(w.max(axis=1)))
+    current_value = float(_fold(_fold(current * w, (0,))))
+    return _rule_from_indices(model, node_id, rows, w.argmax(axis=1)), best_value, current_value
 
 
 def _improve(model: Macid, profile: dict[str, DecisionRule], nodes) -> bool:
@@ -521,6 +513,17 @@ def _profile_key(model: Macid, profile: PolicyProfile) -> tuple:
     )
 
 
+def _rule_masks(model: Macid, node_id: str, rows: list[Assignment], digits: np.ndarray) -> np.ndarray:
+    """0/1 arrays, on the outcome axes behind a rule axis, of the rules of
+    ``node_id`` whose action indices at ``rows`` (sorted) are the rows of
+    ``digits``; the arrays take the parent axes in declared order."""
+    sorted_row = {pa: j for j, pa in enumerate(rows)}
+    actions = digits[:, [sorted_row[pa] for pa in model.parent_assignments(node_id)]]
+    scope = model.parents(node_id) + (node_id,)
+    onehot = actions[..., None] == np.arange(len(model.node_map[node_id].domain))
+    return _place(model, scope, onehot.reshape(len(digits), *(len(model.node_map[n].domain) for n in scope)))
+
+
 def _welfare_warm_start(model: Macid) -> dict[str, DecisionRule]:
     """Deterministic starting profile for best-response iteration.
 
@@ -529,38 +532,39 @@ def _welfare_warm_start(model: Macid) -> dict[str, DecisionRule]:
     by lexicographic rule order. This favors payoff-efficient equilibria
     when several exist, e.g. the informative one in communication models
     where a babbling equilibrium also satisfies the deviation check.
-    Each candidate's joint is built once and shared by all agents. Beyond
-    the enumeration budget, fall back to the lexicographically smallest
-    profile.
+    Profiles are scored in blocks of about ``_BLOCK_CELLS`` cells and
+    scanned in ``itertools.product`` order; one wins only by beating the
+    best so far by more than 1e-12. Beyond the enumeration budget, fall
+    back to the lexicographically smallest profile.
     """
     decisions = model.decision_nodes()
     rows = {nid: _rule_rows(model, nid) for nid in decisions}
-    sizes = [
-        len(model.node_map[nid].domain) ** len(rows[nid]) for nid in decisions
-    ]
-    n_profiles = math.prod(sizes) if sizes else 1
-    n_outcomes = math.prod(
-        len(model.node_map[nid].domain) for nid in model.outcome_order
-    )
-
-    fallback = {
-        nid: _rule_from_indices(model, nid, rows[nid], (0,) * len(rows[nid]))
-        for nid in decisions
-    }
-    if not decisions or n_profiles * n_outcomes > _WARM_START_BUDGET:
-        return fallback
-
-    rule_lists = [list(enumerate_deterministic_rules(model, nid)) for nid in decisions]
-    best_profile = fallback
-    best_welfare = -math.inf
-    for combo in itertools.product(*rule_lists):
-        profile = dict(zip(decisions, combo))
-        joint = joint_distribution(model, profile)
-        welfare = sum(_utility_under(model, joint, a) for a in model.agents)
-        if welfare > best_welfare + 1e-12:
-            best_welfare = welfare
-            best_profile = profile
-    return dict(best_profile)
+    # A profile's number in that order has one mixed-radix digit per
+    # decision and sorted row: the action index played there.
+    radix = [len(model.node_map[nid].domain) for nid in decisions for _ in rows[nid]]
+    cuts = list(itertools.accumulate(len(rows[nid]) for nid in decisions))[:-1]
+    n_profiles = math.prod(radix)
+    n_outcomes = math.prod(_shape(model))
+    picked = np.zeros(len(radix), dtype=int)
+    if decisions and n_profiles * n_outcomes <= _WARM_START_BUDGET:
+        strides = np.array([math.prod(radix[j + 1:]) for j in range(len(radix))])
+        chance = _chain(model, {}, skip=decisions)
+        utilities = [_utility_array(model, a) for a in model.agents]
+        block = max(1, _BLOCK_CELLS // n_outcomes)
+        best_welfare = -math.inf
+        for start in range(0, n_profiles, block):
+            digits = np.arange(start, min(start + block, n_profiles))[:, None] // strides % radix
+            joint = chance
+            for nid, part in zip(decisions, np.split(digits, cuts, axis=1)):
+                joint = joint * _rule_masks(model, nid, rows[nid], part)
+            welfare = sum(_fold(joint * u, (0,)) for u in utilities)
+            # Only a profile that beats the block's starting best can switch.
+            values = welfare.tolist()
+            for i in np.flatnonzero(welfare > best_welfare + 1e-12).tolist():
+                if values[i] > best_welfare + 1e-12:
+                    picked, best_welfare = digits[i], values[i]
+    parts = zip(decisions, np.split(picked, cuts))
+    return {nid: _rule_from_indices(model, nid, rows[nid], part) for nid, part in parts}
 
 
 def solve_equilibrium(model: Macid, max_rounds: int = 64) -> dict[str, DecisionRule]:
@@ -588,20 +592,14 @@ def solve_equilibrium(model: Macid, max_rounds: int = 64) -> dict[str, DecisionR
             return dict(profile)
         key = _profile_key(model, profile)
         if key in seen:
-            start = seen[key]
-            cycle = [
-                {nid: dict(p[nid].table) for nid in decisions} for p in history[start:]
-            ]
-            raise NoConvergence(
-                f"best-response iteration cycles with period {len(history) - start}",
-                cycle=cycle,
-            )
+            history = history[seen[key]:]
+            message = f"best-response iteration cycles with period {len(history)}"
+            break
         seen[key] = len(history)
         history.append(dict(profile))
-    raise NoConvergence(
-        f"no equilibrium after {max_rounds} rounds",
-        cycle=[{nid: dict(p[nid].table) for nid in decisions} for p in history],
-    )
+    else:
+        message = f"no equilibrium after {max_rounds} rounds"
+    raise NoConvergence(message, cycle=[{nid: dict(p[nid].table) for nid in decisions} for p in history])
 
 
 def is_equilibrium(model: Macid, profile: PolicyProfile) -> bool:
@@ -631,10 +629,9 @@ def value_of_information(model: Macid, decision: str, chance: str, max_rounds: i
     optimum (in particular any model where this is the only decision) the
     value is non-negative.
     """
-    if decision not in model.node_map:
-        raise UnknownNode(f"unknown node {decision!r}")
-    if chance not in model.node_map:
-        raise UnknownNode(f"unknown node {chance!r}")
+    for nid in (decision, chance):
+        if nid not in model.node_map:
+            raise UnknownNode(f"unknown node {nid!r}")
     if model.node_map[decision].kind is not NodeKind.DECISION:
         raise NodeKindMismatch(f"{decision!r} is not a decision node")
     if model.node_map[chance].kind is not NodeKind.CHANCE:
@@ -652,9 +649,10 @@ def value_of_information(model: Macid, decision: str, chance: str, max_rounds: i
 def mutual_information(joint: Mapping[tuple[str, str], float]) -> float:
     """Mutual information in bits of a finite joint distribution.
 
-    ``joint`` maps (x, y) pairs to probabilities summing to 1. Terms with
-    zero mass contribute zero. The result is mathematically non-negative;
-    floating accumulation may leave a residue above -1e-12.
+    ``joint`` maps (x, y) pairs to probabilities summing to 1. Cells at or
+    below zero (``PROB_TOL`` admits down to -PROB_TOL) carry no mass. The
+    result is mathematically non-negative; rounding, and the mass the
+    tolerance admits, may leave a residue of order -PROB_TOL.
     """
     total = sum(joint.values())
     if abs(total - 1.0) > PROB_TOL:
@@ -664,6 +662,7 @@ def mutual_information(joint: Mapping[tuple[str, str], float]) -> float:
     px: dict[str, float] = {}
     py: dict[str, float] = {}
     for (x, y), p in joint.items():
+        p = max(p, 0.0)
         px[x] = px.get(x, 0.0) + p
         py[y] = py.get(y, 0.0) + p
     info = 0.0

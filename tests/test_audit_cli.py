@@ -277,3 +277,24 @@ def test_cli_version():
     result = runner.invoke(main, ["--version"])
     assert result.exit_code == 0
     assert "0.1.0" in result.output
+
+
+def test_cli_check_tolerated_negative_probability_is_a_finding(tmp_path):
+    # validation admits entries down to -PROB_TOL; the confidentiality
+    # check must still give its verdict rather than a step error
+    raw = raw_scenario("disclosure_demo.json")
+    raw["context"]["norms"][0].update(
+        transmission_principle="confidentiality", binding={"report_node": "R_a", "secret_node": "C"}
+    )
+    raw["world"]["macid"]["cpds"]["C"] = [[1 - 1e-12, 1e-12]]
+    raw["world"]["macid"]["profile"]["R_a"] = [[1 + 5e-10, -5e-10], [0.5, 0.5]]
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps(raw))
+    runner = CliRunner()
+    assert runner.invoke(main, ["validate", str(path)]).exit_code == 0
+    result = runner.invoke(main, ["check", str(path), "--format", "machine"])
+    loyalty = next(s for s in json.loads(result.output)["steps"] if s["step"] == "loyalty")
+    checks = {f["check"]: f["status"] for f in loyalty["findings"]}
+    assert checks["confidentiality:market-state"] == "pass"
+    assert "step-error" not in checks
+    assert result.exit_code == 0

@@ -13,7 +13,7 @@ from fidaudit.loyalty import (
     materiality_value,
     no_conflict_check,
 )
-from fidaudit.macid import DecisionRule
+from fidaudit.macid import Cpd, DecisionRule, Macid, Node, NodeKind
 
 from helpers import disclosure_model, disclosure_profile, xor_model
 
@@ -186,6 +186,26 @@ def test_xor_masked_report_is_confidential():
     verdict = confidentiality_check(model, {}, "R", "S")
     assert verdict.passed
     assert verdict.mutual_information_bits == pytest.approx(0.0, abs=1e-12)
+
+
+def test_confidentiality_tolerates_admitted_negative_probability():
+    # the rule row (1 + 5e-10, -5e-10) passes validation within PROB_TOL;
+    # its negative cell carries no mass in the information sum
+    model = Macid(
+        nodes=(
+            Node("S", NodeKind.CHANCE, domain=("0", "1")),
+            Node("R", NodeKind.DECISION, owner="a", domain=("0", "1")),
+            Node("U", NodeKind.UTILITY, owner="a"),
+        ),
+        edges={"S": (), "R": ("S",), "U": ("R",)},
+        cpds={"S": Cpd("S", {(): (1 - 1e-12, 1e-12)})},
+        utilities={"U": {("0",): 0.0, ("1",): 1.0}},
+        agents=("a",),
+    )
+    rule = DecisionRule("R", {("0",): (1 + 5e-10, -5e-10), ("1",): (0.5, 0.5)})
+    verdict = confidentiality_check(model, {"R": rule}, "R", "S")
+    assert verdict.passed
+    assert abs(verdict.mutual_information_bits) < 1e-9
 
 
 def test_confidentiality_verdict_invariant_to_relabeling():

@@ -1,8 +1,10 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
+from fidaudit import macid
 from fidaudit.errors import (
     EdgeExists,
     IncompleteProfile,
@@ -423,6 +425,12 @@ def test_mi_invalid_distribution():
         mutual_information({("0", "0"): 1.5, ("0", "1"): -0.5})
 
 
+def test_mi_counts_admitted_negative_cells_as_zero_mass():
+    # the marginal of R = 1 would be negative if the -5e-10 cell counted
+    joint = {("0", "0"): 1 + 5e-10 - 1e-12, ("1", "0"): -5e-10, ("0", "1"): 5e-13, ("1", "1"): 5e-13}
+    assert abs(mutual_information(joint)) < 1e-9
+
+
 def test_mi_nonnegative_and_zero_iff_factorized(rng):
     for _ in range(200):
         raw = rng.uniform(0.01, 1.0, size=4)
@@ -504,3 +512,285 @@ def test_joint_reruns_bit_identical(rng):
     model = disclosure_model()
     profile = disclosure_profile(model)
     assert joint_distribution(model, profile) == joint_distribution(model, profile)
+
+
+# --- bit-identity with the scalar reference -------------------------------------
+#
+# The per-cell Python loops below are the reference the array kernel must
+# match bit for bit: the same products in outcome order, and every sum a
+# left-to-right fold from 0.0 in the joint's cell order.
+
+
+def _ref_chain_products(model, profile, skip=None):
+    order = model.outcome_order
+    positions = {nid: i for i, nid in enumerate(order)}
+    domains = [model.node_map[nid].domain for nid in order]
+    factors = []
+    for i, nid in enumerate(order):
+        if nid == skip:
+            continue
+        node = model.node_map[nid]
+        table = model.cpds[nid].table if node.kind is NodeKind.CHANCE else profile[nid].table
+        vindex = {v: k for k, v in enumerate(domains[i])}
+        factors.append((i, tuple(positions[p] for p in model.parents(nid)), table, vindex))
+    for assignment in itertools.product(*domains):
+        p = 1.0
+        for i, parent_pos, table, vindex in factors:
+            p *= table[tuple(assignment[j] for j in parent_pos)][vindex[assignment[i]]]
+            if p == 0.0:
+                break
+        yield assignment, p
+
+
+def _ref_payoff(model, agent):
+    positions = {nid: i for i, nid in enumerate(model.outcome_order)}
+    utail = [
+        (tuple(positions[p] for p in model.parents(u)), model.utilities[u])
+        for u in model.utility_nodes_of(agent)
+    ]
+    return lambda cell: sum(table[tuple(cell[j] for j in pos)] for pos, table in utail)
+
+
+def _ref_utility_under(model, joint, agent):
+    payoff = _ref_payoff(model, agent)
+    total = 0.0
+    for assignment, p in joint.items():
+        if p != 0.0:
+            total += p * payoff(assignment)
+    return total
+
+
+def _ref_marginal(model, joint, node_ids):
+    idx = [model.outcome_order.index(nid) for nid in node_ids]
+    out = {}
+    for assignment, p in joint.items():
+        key = tuple(assignment[i] for i in idx)
+        out[key] = out.get(key, 0.0) + p
+    return out
+
+
+def _ref_row_values(model, profile, node_id, agent):
+    positions = {nid: i for i, nid in enumerate(model.outcome_order)}
+    target = positions[node_id]
+    target_parents = tuple(positions[p] for p in model.parents(node_id))
+    actions = {v: k for k, v in enumerate(model.node_map[node_id].domain)}
+    payoff = _ref_payoff(model, agent)
+    w = {pa: [0.0] * len(actions) for pa in model.parent_assignments(node_id)}
+    for assignment, q in _ref_chain_products(model, profile, skip=node_id):
+        if q != 0.0:
+            pa = tuple(assignment[j] for j in target_parents)
+            w[pa][actions[assignment[target]]] += q * payoff(assignment)
+    return w
+
+
+def _ref_best_response(model, profile, node_id):
+    """(rule table, best value, value of the current rule)."""
+    w = _ref_row_values(model, profile, node_id, model.node_map[node_id].owner)
+    rows = sorted(model.parent_assignments(node_id))
+    width = len(model.node_map[node_id].domain)
+    table, best_value, current_value = {}, 0.0, 0.0
+    for pa in rows:
+        scores = w[pa]
+        best = max(scores)
+        table[pa] = tuple(1.0 if a == scores.index(best) else 0.0 for a in range(width))
+        best_value += best
+        current_value += sum(p * s for p, s in zip(profile[node_id].table[pa], scores))
+    return table, best_value, current_value
+
+
+def _ref_warm_start(model, budget=macid._WARM_START_BUDGET):
+    decisions = model.decision_nodes()
+    n_profiles = math.prod(
+        len(model.node_map[nid].domain) ** len(list(model.parent_assignments(nid))) for nid in decisions
+    )
+    n_outcomes = math.prod(len(model.node_map[nid].domain) for nid in model.outcome_order)
+    rule_lists = [list(enumerate_deterministic_rules(model, nid)) for nid in decisions]
+    if not decisions or n_profiles * n_outcomes > budget:
+        return {nid: rules[0] for nid, rules in zip(decisions, rule_lists)}
+    best_profile, best_welfare = None, -math.inf
+    for combo in itertools.product(*rule_lists):
+        profile = dict(zip(decisions, combo))
+        joint = dict(_ref_chain_products(model, profile))
+        welfare = sum(_ref_utility_under(model, joint, a) for a in model.agents)
+        if welfare > best_welfare + 1e-12:
+            best_welfare, best_profile = welfare, profile
+    return best_profile
+
+
+def _ref_solve(model, start, max_rounds):
+    """Best-response iteration from the profile ``start``; returns the
+    equilibrium's tables or ("cycle", message, cycle)."""
+    decisions = model.decision_nodes()
+    profile = {nid: dict(rule.table) for nid, rule in start.items()}
+    rules = lambda: {nid: DecisionRule(nid, t) for nid, t in profile.items()}  # noqa: E731
+    key = lambda: tuple(tuple(profile[n][pa] for pa in sorted(profile[n])) for n in decisions)  # noqa: E731
+    seen, history = {key(): 0}, [dict(profile)]
+    for _ in range(max_rounds):
+        changed = False
+        for nid in decisions:
+            table, best_value, current_value = _ref_best_response(model, rules(), nid)
+            if best_value > current_value + 1e-12:
+                profile[nid], changed = table, True
+        if not changed:
+            return profile
+        if key() in seen:
+            cycle = history[seen[key()]:]
+            return ("cycle", f"best-response iteration cycles with period {len(cycle)}", cycle)
+        seen[key()] = len(history)
+        history.append(dict(profile))
+    return ("cycle", f"no equilibrium after {max_rounds} rounds", history)
+
+
+_DOMAINS = (("v0", "v1"), ("v10", "v2"), ("v0", "v1", "v2"), ("v2", "v10", "v1"))
+
+
+def _random_tables(rng, assignments, width):
+    """Stochastic rows: point masses, rows with an exact zero, and dense rows."""
+    table = {}
+    for pa in assignments:
+        kind = rng.uniform()
+        weights = rng.uniform(0.05, 1.0, size=width)
+        if kind < 0.25:
+            weights = np.eye(width)[int(rng.integers(width))]
+        elif kind < 0.5:
+            weights[int(rng.integers(width))] = 0.0
+        table[pa] = tuple(float(x) for x in weights / weights.sum())
+    return table
+
+
+def _random_influence_model(rng, max_cells=1500):
+    """Up to four chance and decision nodes with up to two parents each in
+    shuffled declared order, one or two agents with one or two utility
+    nodes each, and a stochastic profile. Redrawn until the warm start's
+    profiles times outcomes stay within ``max_cells``."""
+    while True:
+        agents = ("a", "b") if rng.uniform() < 0.7 else ("a",)
+        names = [f"{'cd'[int(rng.integers(2))]}{k}" for k in rng.permutation(9)[: int(rng.integers(0, 5))]]
+        doms, edges, nodes = {}, {}, []
+        for i, nid in enumerate(names):
+            doms[nid] = _DOMAINS[int(rng.integers(len(_DOMAINS)))]
+            earlier = list(rng.permutation(names[:i]))
+            edges[nid] = tuple(str(p) for p in earlier[: int(rng.integers(0, 3))])
+            if nid[0] == "c":
+                nodes.append(Node(nid, NodeKind.CHANCE, domain=doms[nid]))
+            else:
+                nodes.append(Node(nid, NodeKind.DECISION, owner=agents[i % len(agents)], domain=doms[nid]))
+        product = lambda nid: list(itertools.product(*(doms[p] for p in edges[nid])))  # noqa: E731
+        utilities = {}
+        for j in range(int(rng.integers(1, 3))):
+            uid = f"u_a{j}"
+            edges[uid] = tuple(str(p) for p in rng.permutation(names)[: int(rng.integers(0, 4))])
+            utilities[uid] = {pa: float(rng.choice([0.0, -0.0, 1.0, rng.uniform(-2, 2)])) for pa in product(uid)}
+            if len(agents) == 2:
+                # a zero-sum half of the games makes best-response cycles common
+                edges[f"u_b{j}"] = edges[uid] if rng.uniform() < 0.5 else tuple(rng.permutation(names)[:2])
+                zero_sum = edges[f"u_b{j}"] == edges[uid]
+                utilities[f"u_b{j}"] = {
+                    pa: -utilities[uid][pa] if zero_sum else float(rng.uniform(-2, 2)) for pa in product(f"u_b{j}")
+                }
+        nodes += [Node(uid, NodeKind.UTILITY, owner=uid[2]) for uid in utilities]
+        decisions = [n for n in names if n[0] == "d"]
+        n_profiles = math.prod(len(doms[d]) ** len(product(d)) for d in decisions)
+        if n_profiles * math.prod(len(doms[n]) for n in names) > max_cells:
+            continue
+        cpds = {c: Cpd(c, _random_tables(rng, product(c), len(doms[c]))) for c in names if c[0] == "c"}
+        model = Macid(tuple(nodes), edges, cpds, utilities, agents)
+        profile = {d: DecisionRule(d, _random_tables(rng, product(d), len(doms[d]))) for d in decisions}
+        return model, profile
+
+
+def _tables(profile):
+    return {nid: dict(rule.table) for nid, rule in profile.items()}
+
+
+def _same(new, ref):
+    """Equal, key order and zero signs included: repr shows every bit of a float."""
+    assert repr(new) == repr(ref)
+
+
+def test_kernel_matches_scalar_reference_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(6)
+    unsorted = cycles = 0
+    for _ in range(300):
+        model, profile = _random_influence_model(rng)
+        unsorted += any(list(n.domain) != sorted(n.domain) for n in model.nodes)
+        joint = dict(_ref_chain_products(model, profile))
+        _same(list(joint_distribution(model, profile).items()), list(joint.items()))
+        order = model.outcome_order
+        for ids in (order[-2:], order[-2:][::-1], order[:1], ()):
+            _same(list(marginal(model, profile, ids).items()), list(_ref_marginal(model, joint, ids).items()))
+        for agent in model.agents:
+            _same(expected_utility(model, profile, agent), _ref_utility_under(model, joint, agent))
+        for nid in model.decision_nodes():
+            rule, value = best_response(model, profile, nid)
+            table, best_value, _current = _ref_best_response(model, profile, nid)
+            _same((dict(rule.table), value), (table, best_value))
+        # small blocks put block boundaries inside most profile spaces
+        with monkeypatch.context() as patch:
+            patch.setattr(macid, "_BLOCK_CELLS", 64)
+            start = _ref_warm_start(model)
+            _same(_tables(macid._welfare_warm_start(model)), _tables(start))
+        try:
+            solved = _tables(solve_equilibrium(model, max_rounds=8))
+        except NoConvergence as exc:
+            solved = ("cycle", str(exc), exc.cycle)
+            cycles += 1
+        _same(solved, _ref_solve(model, start, max_rounds=8))
+    assert unsorted > 0 and cycles > 0
+
+
+# --- warm-start edges ------------------------------------------------------------
+
+
+def _single_decision_model(payoffs):
+    """One parentless decision whose owner is paid ``payoffs[k]`` for action k."""
+    domain = tuple(f"x{k}" for k in range(len(payoffs)))
+    return Macid(
+        nodes=(Node("D", NodeKind.DECISION, owner="a", domain=domain), Node("U", NodeKind.UTILITY, owner="a")),
+        edges={"D": (), "U": ("D",)},
+        cpds={},
+        utilities={"U": {(x,): u for x, u in zip(domain, payoffs)}},
+        agents=("a",),
+    )
+
+
+def test_warm_start_keeps_the_earlier_profile_within_tolerance():
+    # argmax would take the later, higher profile
+    start = macid._welfare_warm_start(_single_decision_model([1.0, 1.0 + 5e-13]))
+    assert start["D"].table[()] == (1.0, 0.0)
+    # a gain counts against the best kept so far, not against the last seen
+    start = macid._welfare_warm_start(_single_decision_model([1.0, 1.0 + 6e-13, 1.0 + 1.2e-12]))
+    assert start["D"].table[()] == (0.0, 0.0, 1.0)
+
+
+def test_warm_start_budget_is_inclusive(monkeypatch):
+    model = _single_decision_model([0.0, 1.0])  # 2 profiles x 2 outcomes
+    monkeypatch.setattr(macid, "_WARM_START_BUDGET", 4)
+    assert macid._welfare_warm_start(model)["D"].table[()] == (0.0, 1.0)
+    monkeypatch.setattr(macid, "_WARM_START_BUDGET", 3)
+    assert macid._welfare_warm_start(model)["D"].table[()] == (1.0, 0.0)
+
+
+def test_warm_start_across_blocks_matches_reference():
+    # C -> R -> B over three values: 27 x 27 profiles of 27 outcomes each,
+    # several 4096-cell blocks, and six tied best profiles (R a bijection,
+    # B its inverse), of which the first in product order must win
+    values = ("v2", "v0", "v1")
+    model = Macid(
+        nodes=(
+            Node("C", NodeKind.CHANCE, domain=values),
+            Node("R", NodeKind.DECISION, owner="a", domain=values),
+            Node("B", NodeKind.DECISION, owner="b", domain=values),
+            Node("U_a", NodeKind.UTILITY, owner="a"),
+            Node("U_b", NodeKind.UTILITY, owner="b"),
+        ),
+        edges={"C": (), "R": ("C",), "B": ("R",), "U_a": ("C", "B"), "U_b": ("B", "C")},
+        cpds={"C": Cpd("C", {(): (0.2, 0.3, 0.5)})},
+        utilities={
+            "U_a": {(c, b): float(c == b) for c in values for b in values},
+            "U_b": {(b, c): 2.0 * (c == b) - 0.5 for c in values for b in values},
+        },
+        agents=("a", "b"),
+    )
+    assert 27 * 27 * 27 > 2 * macid._BLOCK_CELLS
+    _same(_tables(macid._welfare_warm_start(model)), _tables(_ref_warm_start(model)))
