@@ -5,17 +5,18 @@ driven by data versus prior: a likelihood ratio near one means the
 evidence barely discriminates, so the posterior is inherited from the
 prior rather than learned. ``distribution_shift_score`` measures how far
 deployment conditions wander from training conditions. ``prudence_report``
-assembles the declared checks into a step verdict where missing evidence
-is itself a failure: a care standard is not met by silence.
+assembles the declared checks into the step's findings, where missing
+evidence is itself a failure: a care standard is not met by silence.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import SupportMismatch, UnknownStandard, ZeroLikelihood
+from .findings import FAIL, Finding
 
 DOMINANCE_THRESHOLD = 0.1
 
@@ -144,63 +145,24 @@ def distribution_shift_score(pair: DiscreteDistributionPair) -> ShiftScore:
     return ShiftScore(kl_nats=max(kl, 0.0), absolute_continuity_violation=False)
 
 
-@dataclass(frozen=True)
-class CareFinding:
-    """One executed diagnostic or attestation feeding the care step."""
-
-    name: str
-    status: str  # "pass" | "warn" | "fail"
-    evidence: Mapping[str, object] = field(default_factory=dict)
-    note: str = ""
-
-    def __post_init__(self) -> None:
-        if self.status not in ("pass", "warn", "fail"):
-            raise ValueError(f"unknown status {self.status!r}")
-
-
-@dataclass(frozen=True)
-class CareSection:
-    status: str  # "pass" | "warn" | "fail"
-    standard: str
-    findings: tuple[CareFinding, ...]
-
-
-_RANK = {"pass": 0, "warn": 1, "fail": 2}
-
-
 def prudence_report(
     standard: str,
     declared_checks: Sequence[str],
-    findings: Sequence[CareFinding],
+    findings: Sequence[Finding],
     known_standards: frozenset[str] = BUILTIN_STANDARDS,
-) -> CareSection:
+) -> list[Finding]:
     """Assemble the care step: every declared check must be present.
 
     A declared check with no finding fails the step outright (care means
     being highly informed before acting; absent evidence is negligence,
-    not neutrality). Statuses combine monotonically: adding a failing
-    finding can never upgrade the step.
+    not neutrality). The step's status is the ``worst`` of the findings',
+    so adding a failing finding can never upgrade it.
     """
     if standard not in known_standards:
         raise UnknownStandard(f"care standard {standard!r} is not declared for this context")
-    by_name = {f.name: f for f in findings}
-    assembled: list[CareFinding] = []
-    for name in declared_checks:
-        if name in by_name:
-            assembled.append(by_name[name])
-        else:
-            assembled.append(
-                CareFinding(
-                    name=name,
-                    status="fail",
-                    note="declared check missing: no evidence was provided",
-                )
-            )
-    for finding in findings:
-        if finding.name not in declared_checks:
-            assembled.append(finding)
-    status = "pass"
-    for finding in assembled:
-        if _RANK[finding.status] > _RANK[status]:
-            status = finding.status
-    return CareSection(status=status, standard=standard, findings=tuple(assembled))
+    by_check = {f.check: f for f in findings}
+    assembled = [
+        by_check.get(name) or Finding(name, FAIL, "declared check missing: no evidence was provided")
+        for name in declared_checks
+    ]
+    return assembled + [f for f in findings if f.check not in declared_checks]

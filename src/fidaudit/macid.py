@@ -668,5 +668,9 @@ def mutual_information(joint: Mapping[tuple[str, str], float]) -> float:
     info = 0.0
     for (x, y), p in joint.items():
         if p > 0.0:
-            info += p * math.log2(p / (px[x] * py[y]))
+            product = px[x] * py[y]
+            if product > 0.0:
+                info += p * math.log2(p / product)
+            else:  # two tiny marginals whose product underflows
+                info += p * (math.log2(p) - math.log2(px[x]) - math.log2(py[y]))
     return info

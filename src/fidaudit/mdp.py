@@ -52,7 +52,7 @@ class Mdp:
             raise ValueError("transition table has negative entries")
         rows = transition.sum(axis=2)
         if not np.allclose(rows, 1.0, atol=PROB_TOL, rtol=0.0):
-            bad = np.argwhere(np.abs(rows - 1.0) > PROB_TOL)[0]
+            bad = np.argwhere(~(np.abs(rows - 1.0) <= PROB_TOL))[0]  # a NaN row too
             raise ValueError(
                 f"transition row for (s={self.states[bad[0]]}, a={self.actions[bad[1]]}) "
                 f"sums to {rows[tuple(bad)]}"

@@ -10,11 +10,13 @@ One reader walks a document once: it checks each field and builds its
 typed, frozen value in the same pass, recording every problem with its
 path. ``validate_scenario`` returns those problems and ``parse_scenario``
 raises SchemaError at the first, so both accept exactly the same
-documents. A wrong JSON type, shape, length or id is a problem, and so is
-a world model its constructor rejects. A method, table or check value that
-a library call rejects (an asymmetric covariance, a discount outside
-(0, 1)) is left to its audit step, which reports a Fail finding. A field
-given as null counts as absent. The scenario digest is computed over the
+documents. A wrong JSON type, shape, length or id is a problem, and so are
+a number that is not finite or not in float range, a ``policy`` or
+``behavior`` map that leaves out an MDP state, and a world model its
+constructor rejects. A method, table or check value that a library call
+rejects (an asymmetric covariance, a discount outside (0, 1)) is left to
+its audit step, which reports a Fail finding. A field given as null
+counts as absent. The scenario digest is computed over the
 canonical serialized form, so reordering keys in the file changes nothing.
 """
 
@@ -24,6 +26,7 @@ import functools
 import hashlib
 import itertools
 import json
+import sys
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -208,13 +211,21 @@ class _Reader:
 
     def num(self, value: Any, path: str) -> float | None:
         if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return float(value)
+            return float(value) if self.finite(value, path) else None
         self.fail(path, "number required")
 
     def int_(self, value: Any, path: str) -> int | None:
         if isinstance(value, int) and not isinstance(value, bool):
-            return value
+            return value if self.finite(value, path) else None
         self.fail(path, "integer required")
+
+    def finite(self, value: int | float, path: str) -> bool:
+        """Whether a number is finite and in float range; JSON as Python
+        reads it admits NaN, Infinity and integers of any size."""
+        if -sys.float_info.max <= value <= sys.float_info.max:
+            return True
+        self.fail(path, "finite number required")
+        return False
 
     def bool_(self, value: Any, path: str) -> bool | None:
         if isinstance(value, bool):
@@ -502,10 +513,13 @@ class _Reader:
 
     @_object
     def policy(self, doc: dict, path: str) -> dict:
-        """A state id -> action id map."""
+        """A state id -> action id map naming every state."""
         for s, a in doc.items():
             self.id_(s, f"{path}.{s}", self.states, "state")
             self.id_(a, f"{path}.{s}", self.actions, "action")
+        for s in self.states:
+            if s not in doc:
+                self.fail(f"{path}.{s}", "required")
         return dict(doc)
 
     def features(self, value: Any, path: str) -> FeatureMap | None:

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -167,6 +168,55 @@ def test_rejected_manipulation_probe_is_a_probe_failure(probe):
     assert checks["manipulation-probe"].evidence["error"]
 
 
+def all_classes_obedience(raw):
+    for principal in raw["principals"]:
+        principal["relationship"] = "obedience"
+
+
+def negative_weight(raw):
+    raw["aggregation"]["weights"]["clients"] = -1.0
+
+
+def disclosure_by_a_chance_node(raw):
+    raw["context"]["norms"][0]["binding"]["report_node"] = "C"
+
+
+def unknown_care_standard(raw):
+    raw["care"]["standard"] = "astrology-grade"
+
+
+@pytest.mark.parametrize(
+    "mutate, step, check",
+    [
+        (all_classes_obedience, "identification", "principal-classes"),
+        (negative_weight, "aggregation", "impartiality"),
+        (disclosure_by_a_chance_node, "loyalty", "disclosure:market-state"),
+        (unknown_care_standard, "care", "standard"),
+    ],
+)
+def test_rejected_value_is_a_failure_of_that_check(mutate, step, check):
+    raw = raw_scenario("disclosure_demo.json")
+    mutate(raw)
+    record = next(s for s in run_audit(parse_scenario(raw)).steps if s.step == step)
+    checks = {f.check: f for f in record.findings}
+    assert "step-error" not in checks
+    assert checks[check].status == "fail"
+    assert checks[check].evidence["error"] == checks[check].detail
+
+
+def test_care_section_that_declares_nothing_warns():
+    raw = raw_scenario("disclosure_demo.json")
+    raw["context"]["subsidiary_duties"] = []
+    raw["care"] = {"standard": "prudent-adviser"}
+    report = run_audit(parse_scenario(raw))
+    care = next(s for s in report.steps if s.step == "care")
+    assert care.status == "warn"
+    assert [(f.check, f.detail) for f in care.findings] == [
+        ("section", "care section declares nothing to run")
+    ]
+    assert report.overall == "warn"
+
+
 def test_every_fail_finding_has_evidence():
     for path in sorted(SCENARIOS.glob("*.json")):
         report = run_audit(load_scenario(path))
@@ -297,4 +347,25 @@ def test_cli_check_tolerated_negative_probability_is_a_finding(tmp_path):
     checks = {f["check"]: f["status"] for f in loyalty["findings"]}
     assert checks["confidentiality:market-state"] == "pass"
     assert "step-error" not in checks
+    assert result.exit_code == 0
+
+
+def test_cli_check_secret_with_underflowing_marginals_is_a_finding(tmp_path):
+    # the report copies the secret, so both marginals of a joint cell are
+    # 1e-170 and their product underflows to 0
+    raw = raw_scenario("disclosure_demo.json")
+    raw["context"]["norms"][0].update(
+        transmission_principle="confidentiality", binding={"report_node": "R_a", "secret_node": "C"}
+    )
+    raw["world"]["macid"]["cpds"]["C"] = [[1e-170, 1 - 1e-170]]
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(raw))
+    runner = CliRunner()
+    assert runner.invoke(main, ["validate", str(path)]).exit_code == 0
+    result = runner.invoke(main, ["check", str(path), "--format", "machine"])
+    loyalty = next(s for s in json.loads(result.output)["steps"] if s["step"] == "loyalty")
+    checks = {f["check"]: f for f in loyalty["findings"]}
+    assert "step-error" not in checks
+    leak = checks["confidentiality:market-state"]["evidence"]["mutual_information_bits"]
+    assert leak == pytest.approx(1e-170 * math.log2(1e170))
     assert result.exit_code == 0

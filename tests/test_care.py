@@ -4,13 +4,13 @@ import pytest
 
 from fidaudit.care import (
     BinaryEvidence,
-    CareFinding,
     DiscreteDistributionPair,
     distribution_shift_score,
     inductive_bias_diagnostic,
     prudence_report,
 )
 from fidaudit.errors import SupportMismatch, UnknownStandard, ZeroLikelihood
+from fidaudit.findings import Finding, worst
 
 
 # --- inductive_bias_diagnostic ---------------------------------------------
@@ -117,36 +117,36 @@ def _known():
 
 
 def test_all_declared_checks_passing():
-    section = prudence_report(
+    findings = prudence_report(
         "prudent-adviser",
         ["bias-review"],
-        [CareFinding("bias-review", "pass")],
+        [Finding("bias-review", "pass", "check passed")],
         known_standards=_known(),
     )
-    assert section.status == "pass"
+    assert worst(f.status for f in findings) == "pass"
 
 
 def test_missing_declared_check_fails():
-    section = prudence_report(
+    findings = prudence_report(
         "prudent-adviser",
         ["bias-review", "shift-review"],
-        [CareFinding("bias-review", "pass")],
+        [Finding("bias-review", "pass", "check passed")],
         known_standards=_known(),
     )
-    assert section.status == "fail"
-    missing = [f for f in section.findings if f.name == "shift-review"]
+    assert worst(f.status for f in findings) == "fail"
+    missing = [f for f in findings if f.check == "shift-review"]
     assert missing and missing[0].status == "fail"
-    assert "missing" in missing[0].note
+    assert "missing" in missing[0].detail
 
 
 def test_prior_dominated_warns():
-    section = prudence_report(
+    findings = prudence_report(
         "prudent-adviser",
         ["bias-review"],
-        [CareFinding("bias-review", "warn", note="prior dominated")],
+        [Finding("bias-review", "warn", "prior dominated")],
         known_standards=_known(),
     )
-    assert section.status == "warn"
+    assert worst(f.status for f in findings) == "warn"
 
 
 def test_unknown_standard_rejected():
@@ -158,14 +158,14 @@ def test_report_monotone_in_findings():
     base = prudence_report(
         "prudent-adviser",
         ["a"],
-        [CareFinding("a", "pass")],
+        [Finding("a", "pass", "check passed")],
         known_standards=_known(),
     )
     worse = prudence_report(
         "prudent-adviser",
         ["a"],
-        [CareFinding("a", "pass"), CareFinding("extra", "fail")],
+        [Finding("a", "pass", "check passed"), Finding("extra", "fail", "check did not pass")],
         known_standards=_known(),
     )
     order = {"pass": 0, "warn": 1, "fail": 2}
-    assert order[worse.status] >= order[base.status]
+    assert order[worst(f.status for f in worse)] >= order[worst(f.status for f in base)]

@@ -330,6 +330,12 @@ def test_mdp_rejects_bad_rows():
         Mdp(("s",), ("a",), transition, np.zeros((1, 1)))
 
 
+def test_mdp_rejects_nan_transition_row():
+    transition = np.full((1, 1, 1), np.nan)
+    with pytest.raises(ValueError, match="sums to nan"):
+        Mdp(("s",), ("a",), transition, np.zeros((1, 1)))
+
+
 def test_mdp_rejects_nonfinite_reward():
     transition = np.ones((1, 1, 1))
     with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 import random
 from pathlib import Path
 
@@ -64,6 +65,26 @@ def boolean_in_mdp_reward(raw):
     raw["world"]["mdp"]["reward"][0][0] = True  # was 1.0
 
 
+def nan_in_loyalty_table(raw):
+    raw["loyalty"]["tables"]["system_objective"][0] = math.nan
+
+
+def infinity_in_utilities(raw):
+    raw["aggregation"]["utilities"]["clients"][1] = math.inf
+
+
+def huge_integer_weight(raw):
+    raw["aggregation"]["weights"]["clients"] = 10**400
+
+
+def partial_behavior(raw):
+    del raw["assessment"]["methods"][1]["behavior"]["l3"]
+
+
+def partial_policy(raw):
+    del raw["assessment"]["methods"][4]["policy"]["c0"]
+
+
 @pytest.mark.parametrize(
     "scenario, mutate, path",
     [
@@ -76,6 +97,11 @@ def boolean_in_mdp_reward(raw):
         ("care_skipped.json", duplicate_option, "aggregation.options"),
         ("trust_portfolio.json", boolean_in_mdp_transition, "world.mdp.transition[0][0][1]"),
         ("trust_portfolio.json", boolean_in_mdp_reward, "world.mdp.reward[0][0]"),
+        ("disclosure_demo.json", nan_in_loyalty_table, "loyalty.tables.system_objective[0]"),
+        ("disclosure_demo.json", infinity_in_utilities, "aggregation.utilities.clients[1]"),
+        ("disclosure_demo.json", huge_integer_weight, "aggregation.weights.clients"),
+        ("trust_portfolio.json", partial_behavior, "assessment.methods[1].behavior.l3"),
+        ("trust_portfolio.json", partial_policy, "assessment.methods[4].policy.c0"),
     ],
 )
 def test_validate_and_check_reject_the_same_documents(tmp_path, scenario, mutate, path):
@@ -202,6 +228,10 @@ MUTATIONS = {
         lambda value, rng: value[: rng.randrange(len(value))],
     ),
     "unknown id": (lambda path, value: isinstance(value, str), lambda value, rng: "ghost"),
+    "non-finite number": (
+        lambda path, value: _is_number(value),
+        lambda value, rng: rng.choice([math.nan, math.inf, -math.inf, 10**400]),
+    ),
 }
 
 
