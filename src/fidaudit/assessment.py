@@ -7,9 +7,9 @@ inputs (nothing here trains on-line):
   observed policy (the optimality inequalities), making the degeneracy of
   behavior-based inference explicit: the zero reward is always a member.
 * ``maxent_irl`` fits a linear reward by gradient ascent on the demo
-  log-likelihood under a soft-optimal policy; the gradient is computed
-  exactly (feature counts along demos minus expected counts under the
-  fitted policy), so it can be validated against finite differences.
+  log-likelihood under a soft-optimal policy. The gradient is exact (demo
+  feature counts less the expected counts of a forward occupancy pass, in
+  O(T S^2 A)), so it can be validated against finite differences.
 * ``fit_preference_reward`` fits a linear reward to pairwise trajectory
   judgments under a logistic choice model.
 * ``prudent_investor_weights`` is the legal-standard template: the
@@ -275,39 +275,16 @@ def feasible_rewards_irl(
 # --- maximum-entropy IRL -----------------------------------------------------
 
 
-def _soft_backup(
-    mdp: Mdp, features: np.ndarray, theta: np.ndarray, beta: float, horizon: int
-):
-    """Time-indexed soft values, policies, and value gradients.
-
-    Returns (policies, grad_q, grad_v) where policies[t] is (S, A),
-    grad_q[t] is (S, A, d) and grad_v[t] is (S, d); grad_v[t] is exactly
-    the expected discounted feature count from (t, s) under the soft
-    policy, which is what makes the likelihood gradient exact.
-    """
-    n_s, n_a = len(mdp.states), len(mdp.actions)
-    dim = theta.shape[0]
-    reward = features @ theta  # (S, A)
-    flat_transition = mdp.transition.reshape(n_s * n_a, n_s)
-    v = np.zeros(n_s)
-    grad_v = np.zeros((n_s, dim))
-    policies = [None] * horizon
-    grad_qs = [None] * horizon
-    grad_vs = [None] * horizon
-    for t in range(horizon - 1, -1, -1):
-        q = reward + beta * (mdp.transition @ v)  # (S, A)
-        peak = q.max(axis=1, keepdims=True)
-        exp_q = np.exp(q - peak)
-        norm = exp_q.sum(axis=1, keepdims=True)
-        policy = exp_q / norm
-        v = (peak + np.log(norm)).ravel()
-        # one GEMM and one batched product; np.einsum is several times slower
-        grad_q = features + beta * (flat_transition @ grad_v).reshape(n_s, n_a, dim)
-        grad_v = (policy[:, None, :] @ grad_q)[:, 0]
-        policies[t] = policy
-        grad_qs[t] = grad_q
-        grad_vs[t] = grad_v
-    return policies, grad_qs, grad_vs
+def _visits(mdp: Mdp, demos: Sequence[Trajectory]):
+    """The demos' steps as (time, state, action) index arrays in demo order,
+    and their visit counts n_t(s, a) as a (T, S, A) array."""
+    steps = np.array(
+        [(t, mdp.state_index(s), mdp.action_index(a)) for d in demos for t, (s, a) in enumerate(d.steps)],
+        dtype=int,
+    ).reshape(-1, 3).T
+    counts = np.zeros((int(steps[0].max()) + 1, len(mdp.states), len(mdp.actions)))
+    np.add.at(counts, tuple(steps), 1.0)
+    return steps, counts
 
 
 def demo_log_likelihood(
@@ -318,27 +295,42 @@ def demo_log_likelihood(
     beta: float,
 ) -> tuple[float, np.ndarray]:
     """Log-likelihood of the demos under the soft policy, with exact gradient."""
-    return _log_likelihood(mdp, features.dense(mdp), demos, theta, beta)
+    return _log_likelihood(mdp, features.dense(mdp), *_visits(mdp, demos), theta, beta)
 
 
 def _log_likelihood(
-    mdp: Mdp,
-    dense: np.ndarray,
-    demos: Sequence[Trajectory],
-    theta: np.ndarray,
-    beta: float,
+    mdp: Mdp, dense: np.ndarray, steps: np.ndarray, counts: np.ndarray, theta: np.ndarray, beta: float
 ) -> tuple[float, np.ndarray]:
-    """``demo_log_likelihood`` over a prebuilt (S, A, d) feature tensor."""
-    horizon = max(len(d.steps) for d in demos)
-    policies, grad_qs, grad_vs = _soft_backup(mdp, dense, np.asarray(theta, float), beta, horizon)
+    """``demo_log_likelihood`` over a prebuilt (S, A, d) feature tensor and
+    the demos' ``_visits``. A backward soft pass gives the policies pi_t. A
+    forward pass weighs each (t, s, a) by W_t = n_t - (n_t(s) - m_t(s)) pi_t,
+    the demo visits less the soft policy's expected ones; m_t is the
+    discounted occupancy the demo actions before t lead to, less that of
+    the policy's actions (m_0 = 0, m_{t+1} = beta W_t P). The gradient is
+    sum_t W_t phi: one (S A) x S product per step, one feature product."""
+    horizon, n_s, n_a = counts.shape
+    reward = dense @ np.asarray(theta, float)  # (S, A)
+    policies = np.empty(counts.shape)
+    v = np.zeros(n_s)
+    for t in range(horizon - 1, -1, -1):
+        q = reward + beta * (mdp.transition @ v)  # (S, A)
+        peak = q.max(axis=1, keepdims=True)
+        exp_q = np.exp(q - peak)
+        norm = exp_q.sum(axis=1, keepdims=True)
+        policies[t] = exp_q / norm
+        v = (peak + np.log(norm)).ravel()
     total = 0.0
-    grad = np.zeros(dense.shape[2])
-    for demo in demos:
-        for t, (s, a) in enumerate(demo.steps):
-            i, j = mdp.state_index(s), mdp.action_index(a)
-            total += math.log(policies[t][i, j])
-            grad += grad_qs[t][i, j] - grad_vs[t][i]
-    return total, grad
+    for p in policies[tuple(steps)].tolist():
+        total += math.log(p)
+    flat_transition = mdp.transition.reshape(n_s * n_a, n_s)
+    state_counts = counts.sum(axis=2)
+    occupancy = np.zeros(n_s)
+    weight = np.zeros((n_s, n_a))
+    for t in range(horizon):
+        w = counts[t] - (state_counts[t] - occupancy)[:, None] * policies[t]
+        weight += w
+        occupancy = beta * (w.reshape(-1) @ flat_transition)
+    return total, weight.reshape(-1) @ dense.reshape(n_s * n_a, -1)
 
 
 def maxent_irl(
@@ -352,7 +344,10 @@ def maxent_irl(
     """Fit linear reward weights to demonstrations.
 
     Plain gradient ascent from theta = 0 with a fixed step, deterministic
-    by construction. The reward table of ``mdp`` is ignored. Raises
+    by construction. The reward table of ``mdp`` is ignored. The gradient
+    is the demo feature counts less the expected counts of a forward
+    occupancy pass under the current soft policy (see ``_log_likelihood``);
+    the demos' visits are indexed once per fit. Raises
     DivergenceDetected when the gradient norm grows tenfold over its
     initial value (a sign the step size is too large for the instance).
     """
@@ -363,15 +358,16 @@ def maxent_irl(
     for demo in demos:
         demo.validate_against(mdp)
     dense = features.dense(mdp)
+    steps, counts = _visits(mdp, demos)
     theta = np.zeros(features.dim)
-    log_likelihood, grad = _log_likelihood(mdp, dense, demos, theta, beta)
+    log_likelihood, grad = _log_likelihood(mdp, dense, steps, counts, theta, beta)
     initial_norm = float(np.linalg.norm(grad))
     grad_norm = initial_norm
     for _ in range(iters):
         if grad_norm == 0.0:
             break
         theta = theta + learn_rate * grad
-        log_likelihood, grad = _log_likelihood(mdp, dense, demos, theta, beta)
+        log_likelihood, grad = _log_likelihood(mdp, dense, steps, counts, theta, beta)
         grad_norm = float(np.linalg.norm(grad))
         if initial_norm > 0 and grad_norm > 10.0 * initial_norm:
             raise DivergenceDetected(

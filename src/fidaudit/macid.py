@@ -7,14 +7,15 @@ parents. Everything is finite and enumerated exactly, so every query below
 is an exact computation rather than an estimate.
 
 Every table becomes a float array with one axis per entry of
-``outcome_order``. The joint is the factors' broadcast product, taken in
-outcome order (``_chain``); best-response payoffs are that product less the
-node's own factor, times the owner's utility array. Every sum is a
-left-to-right fold from 0.0 (``_fold``), so each result has the bits a
-per-cell Python loop gives. The equilibrium warm start scores profiles in
-blocks, a deterministic profile's joint being the chance factors' product
-times a 0/1 mask of its rules; best-response sweeps (``_improve``) go on
-from there.
+``outcome_order``; the CPD factors and each agent's total utility are
+built once per model, read-only. The joint is the factors' broadcast
+product, taken in outcome order (``_chain``); best-response payoffs are
+that product less the node's own factor, times the owner's utility
+array. Every sum is a left-to-right fold from 0.0 (``_fold``), so each
+result has the bits a per-cell Python loop gives. The equilibrium warm
+start scores profiles in blocks, a deterministic profile's joint being the
+chance factors' product times a 0/1 mask of its rules; best-response
+sweeps (``_improve``) go on from there.
 
 All values are immutable after construction and every operation is a pure
 function, so concurrent use needs no locking.
@@ -169,6 +170,10 @@ class Macid:
     # derived, filled in __post_init__
     node_map: Mapping[str, Node] = field(default=None, repr=False, compare=False)
     outcome_order: tuple[str, ...] = field(default=None, repr=False, compare=False)
+    # read-only arrays on the outcome axes: each chance node's CPD factor
+    # and each agent's total utility (see ``_factor``, ``_utility_array``)
+    cpd_factors: Mapping[str, np.ndarray] = field(default=None, init=False, repr=False, compare=False)
+    utility_arrays: Mapping[str, np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         node_map = {n.id: n for n in self.nodes}
@@ -238,6 +243,13 @@ class Macid:
         for agent, count in owned.items():
             if count == 0:
                 raise InvalidModel(f"agent {agent!r} owns no utility node")
+
+        cpd_factors = {nid: _factor(self, nid, cpd.table) for nid, cpd in self.cpds.items()}
+        utility_arrays = {a: _utility_array(self, a) for a in self.agents}
+        for arr in (*cpd_factors.values(), *utility_arrays.values()):
+            arr.flags.writeable = False
+        object.__setattr__(self, "cpd_factors", cpd_factors)
+        object.__setattr__(self, "utility_arrays", utility_arrays)
 
     # -- structure helpers -------------------------------------------------
 
@@ -373,7 +385,7 @@ def _factor(model: Macid, nid: str, table: Mapping) -> np.ndarray:
 def _utility_array(model: Macid, agent: str) -> np.ndarray:
     """The agent's total utility of every outcome cell, summed over its
     utility nodes in sorted order."""
-    return sum(_factor(model, u, model.utilities[u]) for u in model.utility_nodes_of(agent))
+    return np.asarray(sum(_factor(model, u, model.utilities[u]) for u in model.utility_nodes_of(agent)))
 
 
 def _shape(model: Macid) -> tuple[int, ...]:
@@ -388,8 +400,8 @@ def _chain(model: Macid, profile: PolicyProfile, skip=()) -> np.ndarray:
     prod = np.ones((1,) * len(model.outcome_order))
     for nid in model.outcome_order:
         if nid not in skip:
-            table = model.cpds[nid].table if nid in model.cpds else profile[nid].table
-            prod = np.where(prod == 0.0, prod, prod * _factor(model, nid, table))
+            factor = model.cpd_factors[nid] if nid in model.cpds else _factor(model, nid, profile[nid].table)
+            prod = np.where(prod == 0.0, prod, prod * factor)
     return np.broadcast_to(prod, _shape(model))
 
 
@@ -433,7 +445,9 @@ def marginal(
 def expected_utility(model: Macid, profile: PolicyProfile, agent: str) -> float:
     """Sum over joint assignments of probability times the agent's utilities."""
     joint = _joint_array(model, profile)
-    return float(_fold(joint * _utility_array(model, agent)))
+    if agent not in model.agents:
+        raise UnknownAgent(f"unknown agent {agent!r}")
+    return float(_fold(joint * model.utility_arrays[agent]))
 
 
 # -- deterministic rules and equilibrium --------------------------------------
@@ -482,7 +496,7 @@ def _best_response_detail(
     rows of W[pa][rule(pa)], so best responses decompose row by row; ties
     go to the lowest action index.
     """
-    mass = _chain(model, profile, skip=(node_id,)) * _utility_array(model, model.node_map[node_id].owner)
+    mass = _chain(model, profile, skip=(node_id,)) * model.utility_arrays[model.node_map[node_id].owner]
     scope = [model.outcome_order.index(n) for n in model.parents(node_id) + (node_id,)]
     declared = {pa: i for i, pa in enumerate(model.parent_assignments(node_id))}
     rows = _rule_rows(model, node_id)
@@ -549,7 +563,7 @@ def _welfare_warm_start(model: Macid) -> dict[str, DecisionRule]:
     if decisions and n_profiles * n_outcomes <= _WARM_START_BUDGET:
         strides = np.array([math.prod(radix[j + 1:]) for j in range(len(radix))])
         chance = _chain(model, {}, skip=decisions)
-        utilities = [_utility_array(model, a) for a in model.agents]
+        utilities = list(model.utility_arrays.values())
         block = max(1, _BLOCK_CELLS // n_outcomes)
         best_welfare = -math.inf
         for start in range(0, n_profiles, block):

@@ -11,7 +11,8 @@ typed, frozen value in the same pass, recording every problem with its
 path. ``validate_scenario`` returns those problems and ``parse_scenario``
 raises SchemaError at the first, so both accept exactly the same
 documents. A wrong JSON type, shape, length or id is a problem, and so are
-a number that is not finite or not in float range, a ``policy`` or
+a number that is not finite or not in float range, an ``iters`` or
+``samples`` count outside 1..``MAX_ITERS_CAP``, a ``policy`` or
 ``behavior`` map that leaves out an MDP state, and a world model its
 constructor rejects. A method, table or check value that a library call
 rejects (an asymmetric covariance, a discount outside (0, 1)) is left to
@@ -39,7 +40,7 @@ from .assessment import FeatureMap
 from .context import ContextSpec, Norm, PrincipalClassSpec, Role, validate_context
 from .errors import FidauditError, SchemaError
 from .macid import Cpd, DecisionRule, Macid, Node, NodeKind
-from .mdp import DiscountSpec, Mdp, RewardOption
+from .mdp import MAX_ITERS_CAP, DiscountSpec, Mdp, RewardOption
 
 SUPPORTED_SCHEMA_VERSIONS = (1,)
 
@@ -218,6 +219,13 @@ class _Reader:
         if isinstance(value, int) and not isinstance(value, bool):
             return value if self.finite(value, path) else None
         self.fail(path, "integer required")
+
+    def count(self, value: Any, path: str) -> int | None:
+        """An iteration or sample count: an integer in 1..MAX_ITERS_CAP."""
+        n = self.int_(value, path)
+        if n is None or 1 <= n <= MAX_ITERS_CAP:
+            return n
+        self.fail(path, f"count {n} outside 1..{MAX_ITERS_CAP}")
 
     def finite(self, value: int | float, path: str) -> bool:
         """Whether a number is finite and in float range; JSON as Python
@@ -558,7 +566,7 @@ class _Reader:
         return self.record(
             doc, path,
             features=(self.features, None), demos=partial(self.list_, item=self.steps),
-            beta=(self.num, self.default_beta), learn_rate=self.num, iters=self.int_,
+            beta=(self.num, self.default_beta), learn_rate=self.num, iters=self.count,
         )
 
     def preference_fit(self, doc: Mapping[str, Any], path: str) -> dict:
@@ -582,7 +590,7 @@ class _Reader:
             **self.record(
                 doc, path,
                 comparisons=partial(self.list_, item=partial(self.comparison, n=n)),
-                learn_rate=self.num, iters=self.int_,
+                learn_rate=self.num, iters=self.count,
             ),
         )
 
@@ -596,7 +604,7 @@ class _Reader:
     def feasibility_probe(self, doc: Mapping[str, Any], path: str) -> dict:
         return self.record(
             doc, path,
-            policy=self.policy, beta=(self.num, self.default_beta), bound=(self.num, 1.0), samples=(self.int_, 3),
+            policy=self.policy, beta=(self.num, self.default_beta), bound=(self.num, 1.0), samples=(self.count, 3),
         )
 
     def patient_advice(self, doc: Mapping[str, Any], path: str) -> dict:

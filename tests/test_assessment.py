@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from fidaudit.assessment import (
     PortfolioProblem,
     RewardEstimate,
     Trajectory,
-    _soft_backup,
     demo_log_likelihood,
     feasible_rewards_irl,
     fit_preference_reward,
@@ -21,7 +21,7 @@ from fidaudit.assessment import (
     trajectory_return,
 )
 from fidaudit.errors import DegenerateData, EmptyGrid, InvalidDiscount, InvalidPrior
-from fidaudit.mdp import Mdp, evaluate_policy, value_iteration
+from fidaudit.mdp import Mdp, evaluate_policy, policy_iteration, value_iteration
 
 
 def deterministic_mdp(states, actions, moves, rewards=None):
@@ -217,9 +217,13 @@ def test_maxent_log_likelihood_is_that_of_the_returned_theta(monkeypatch):
     assert estimate.diagnostics["grad_norm"] > 0.0
 
 
-def _einsum_soft_backup(mdp, features, theta, beta, horizon):
-    # reference: the backup with both gradient contractions written as np.einsum
-    reward = features @ theta
+def _einsum_log_likelihood(mdp, dense, demos, theta, beta):
+    # reference: the backward pass that carries the value gradients
+    # dQ_t/dtheta (S, A, d) and dV_t/dtheta (S, d) through every step, with
+    # both contractions written as np.einsum; log pi_t(s, a) has gradient
+    # dQ_t(s, a) - dV_t(s)
+    horizon = max(len(d.steps) for d in demos)
+    reward = dense @ theta
     v = np.zeros(len(mdp.states))
     grad_v = np.zeros((len(mdp.states), theta.shape[0]))
     policies, grad_qs, grad_vs = [None] * horizon, [None] * horizon, [None] * horizon
@@ -230,23 +234,73 @@ def _einsum_soft_backup(mdp, features, theta, beta, horizon):
         norm = exp_q.sum(axis=1, keepdims=True)
         policies[t] = exp_q / norm
         v = (peak + np.log(norm)).ravel()
-        grad_qs[t] = features + beta * np.einsum("ijk,kd->ijd", mdp.transition, grad_v)
+        grad_qs[t] = dense + beta * np.einsum("ijk,kd->ijd", mdp.transition, grad_v)
         grad_vs[t] = grad_v = np.einsum("ij,ijd->id", policies[t], grad_qs[t])
-    return policies, grad_qs, grad_vs
+    total, grad = 0.0, np.zeros(theta.shape[0])
+    for demo in demos:
+        for t, (s, a) in enumerate(demo.steps):
+            i, j = mdp.state_index(s), mdp.action_index(a)
+            total += math.log(policies[t][i, j])
+            grad += grad_qs[t][i, j] - grad_vs[t][i]
+    return total, grad
 
 
-def test_soft_backup_matches_einsum_reference(rng):
-    for n_states, dim in [(3, 1), (5, 4), (8, 6)]:
+def _random_demos(rng, mdp, lengths, choose=None):
+    """One demo per length: actions from ``choose`` (a state index -> action
+    index map) or uniform, next states drawn from the dynamics."""
+    n_s, n_a = mdp.transition.shape[:2]
+    demos = []
+    for length in lengths:
+        i, steps = int(rng.integers(0, n_s)), []
+        for _ in range(length):
+            j = int(rng.integers(0, n_a)) if choose is None else choose[i]
+            steps.append((mdp.states[i], mdp.actions[j]))
+            i = int(rng.choice(n_s, p=mdp.transition[i, j]))
+        demos.append(Trajectory(tuple(steps)))
+    return demos
+
+
+def test_demo_log_likelihood_matches_einsum_reference(rng):
+    for n_states, dim in [(3, 1), (5, 4), (8, 6), (12, 12)]:
         mdp = random_dynamics(rng, n_states, 3)
-        features = rng.normal(size=(n_states, 3, dim))
-        theta = rng.normal(size=dim)
-        got = _soft_backup(mdp, features, theta, 0.95, 6)
-        want = _einsum_soft_backup(mdp, features, theta, 0.95, 6)
-        for got_steps, want_steps in zip(got, want):
-            assert len(got_steps) == len(want_steps) == 6
-            for g, w in zip(got_steps, want_steps):
-                assert g.shape == w.shape
-                assert float(np.max(np.abs(g - w))) <= 1e-12 * float(np.max(np.abs(w)))
+        features = FeatureMap(
+            dim, {(s, a): rng.normal(size=dim) for s in mdp.states for a in mdp.actions}
+        )
+        demos = _random_demos(rng, mdp, [1, 4, 7, 2])
+        for beta in (0.5, 0.999):
+            theta = rng.normal(size=dim)
+            total, grad = demo_log_likelihood(mdp, features, demos, theta, beta)
+            want_total, want_grad = _einsum_log_likelihood(mdp, features.dense(mdp), demos, theta, beta)
+            assert total == want_total
+            assert grad.shape == want_grad.shape
+            assert float(np.max(np.abs(grad - want_grad))) <= 1e-12 * float(np.max(np.abs(want_grad)))
+
+
+def test_maxent_fit_matches_the_einsum_gradient_fit():
+    # the mdp benchmark's shapes: A = 2, one-hot state features, five
+    # 10-step demos of the myopic policy, 20 steps at learn rate 0.01
+    rng = np.random.default_rng(7)
+    for n_states, beta in [(20, 0.9), (20, 0.99), (20, 0.999), (50, 0.9), (50, 0.99), (100, 0.9), (100, 0.99)]:
+        transition = rng.uniform(0.5, 1.5, size=(n_states, 2, n_states))
+        transition /= transition.sum(axis=2, keepdims=True)
+        reward = rng.random((n_states, 2))
+        mdp = Mdp(tuple(f"s{i}" for i in range(n_states)), ("a0", "a1"), transition, reward)
+        demos = _random_demos(rng, mdp, [10] * 5, choose=reward.argmax(axis=1).tolist())
+        features = FeatureMap.one_hot_states(mdp)
+        estimate = maxent_irl(mdp, features, demos, beta=beta, learn_rate=0.01, iters=20)
+
+        dense = features.dense(mdp)
+        theta = np.zeros(n_states)
+        _, grad = _einsum_log_likelihood(mdp, dense, demos, theta, beta)
+        for _ in range(20):
+            theta = theta + 0.01 * grad
+            _, grad = _einsum_log_likelihood(mdp, dense, demos, theta, beta)
+        grad_norm = float(np.linalg.norm(grad))
+
+        assert float(np.max(np.abs(estimate.weights - theta))) <= 1e-12 * float(np.max(np.abs(theta)))
+        assert abs(estimate.diagnostics["grad_norm"] - grad_norm) <= 1e-12 * grad_norm
+        greedy = policy_iteration(mdp.with_reward(estimate.table), beta).policy
+        assert greedy == policy_iteration(mdp.with_reward(dense @ theta), beta).policy
 
 
 def test_dense_features_match_the_loop_on_a_shuffled_table(rng):

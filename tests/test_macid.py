@@ -794,3 +794,24 @@ def test_warm_start_across_blocks_matches_reference():
     )
     assert 27 * 27 * 27 > 2 * macid._BLOCK_CELLS
     _same(_tables(macid._welfare_warm_start(model)), _tables(_ref_warm_start(model)))
+
+
+def test_cpd_and_utility_arrays_are_built_once_per_model(monkeypatch):
+    model = disclosure_model()
+    for arr in (*model.cpd_factors.values(), *model.utility_arrays.values()):
+        with pytest.raises(ValueError):
+            arr[...] = 0.0
+    built = []
+    factor = macid._factor
+    monkeypatch.setattr(macid, "_factor", lambda m, nid, table: built.append(nid) or factor(m, nid, table))
+    profile = solve_equilibrium(model)
+    for agent in model.agents:
+        expected_utility(model, profile, agent)
+    # only the decision rules are turned into factors during the queries
+    assert built and set(built) <= set(model.decision_nodes())
+    built.clear()
+    decision = model.decision_nodes()[0]
+    chance = next(n.id for n in model.nodes if n.kind is NodeKind.CHANCE and n.id not in model.parents(decision))
+    extended = model.with_edge(chance, decision)
+    assert extended.cpd_factors is not model.cpd_factors
+    assert set(built) == set(model.cpds) | {n.id for n in model.nodes if n.kind is NodeKind.UTILITY}

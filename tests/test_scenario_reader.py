@@ -12,6 +12,7 @@ from click.testing import CliRunner
 from fidaudit.audit import run_audit
 from fidaudit.cli import main
 from fidaudit.errors import SchemaError
+from fidaudit.mdp import MAX_ITERS_CAP
 from fidaudit.scenario import parse_scenario, validate_scenario
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
@@ -85,6 +86,20 @@ def partial_policy(raw):
     del raw["assessment"]["methods"][4]["policy"]["c0"]
 
 
+def negative_probe_samples(raw):
+    raw["assessment"]["methods"][4]["samples"] = -3
+
+
+def negative_maxent_iters(raw):
+    raw["assessment"]["methods"].append(
+        {"kind": "maxent_irl", "demos": [[[0, 0], [1, 0]]], "learn_rate": 0.1, "iters": -7}
+    )
+
+
+def huge_preference_iters(raw):
+    raw["assessment"]["methods"][0]["iters"] = 100_000_000
+
+
 @pytest.mark.parametrize(
     "scenario, mutate, path",
     [
@@ -102,6 +117,9 @@ def partial_policy(raw):
         ("disclosure_demo.json", huge_integer_weight, "aggregation.weights.clients"),
         ("trust_portfolio.json", partial_behavior, "assessment.methods[1].behavior.l3"),
         ("trust_portfolio.json", partial_policy, "assessment.methods[4].policy.c0"),
+        ("trust_portfolio.json", negative_probe_samples, "assessment.methods[4].samples"),
+        ("trust_portfolio.json", negative_maxent_iters, "assessment.methods[5].iters"),
+        ("engagement_prior_warn.json", huge_preference_iters, "assessment.methods[0].iters"),
     ],
 )
 def test_validate_and_check_reject_the_same_documents(tmp_path, scenario, mutate, path):
@@ -139,6 +157,23 @@ def test_metadata_seed_must_be_an_integer(seed):
     raw = raw_scenario("disclosure_demo.json")
     raw["metadata"]["seed"] = seed
     assert_rejected_at(raw, "metadata.seed")
+
+
+@pytest.mark.parametrize(
+    "scenario, method, key",
+    [
+        ("trust_portfolio.json", 4, "samples"),
+        ("engagement_prior_warn.json", 0, "iters"),
+    ],
+)
+def test_counts_lie_between_one_and_the_iteration_cap(scenario, method, key):
+    raw = raw_scenario(scenario)
+    for count in (1, MAX_ITERS_CAP):
+        raw["assessment"]["methods"][method][key] = count
+        assert validate_scenario(raw) == []
+    for count in (0, MAX_ITERS_CAP + 1):
+        raw["assessment"]["methods"][method][key] = count
+        assert_rejected_at(raw, f"assessment.methods[{method}].{key}")
 
 
 def test_schema_error_path_printed_once(tmp_path):
