@@ -25,7 +25,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -100,33 +99,15 @@ class FeatureMap:
         return FeatureMap(len(mdp.states), table)
 
 
-class AssessmentMethod(Enum):
-    MAXENT_IRL = "maxent_irl"
-    FEASIBLE_SET_IRL = "feasible_set_irl"
-    PREFERENCE_FIT = "preference_fit"
-    LEGAL_STANDARD = "legal_standard"
-
-
 @dataclass(frozen=True, eq=False)
 class RewardEstimate:
-    """A fitted proxy for principal interests plus provenance.
+    """A fitted linear reward: the ``weights`` vector, the dense r(s, a)
+    ``table`` they give where the fit has an MDP (``maxent_irl``; None for
+    ``fit_preference_reward``), and the fit's ``diagnostics``."""
 
-    Either ``weights`` (a linear parameter vector) or ``table`` (a dense
-    r(s, a) matrix) or both are present depending on the method. The
-    optional ``discount_posterior`` sums to 1.
-    """
-
-    method: AssessmentMethod
-    weights: np.ndarray | None = None
+    weights: np.ndarray
     table: np.ndarray | None = None
-    discount_posterior: Mapping[float, float] | None = None
     diagnostics: Mapping[str, float] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.discount_posterior is not None:
-            total = sum(self.discount_posterior.values())
-            if abs(total - 1.0) > 1e-9:
-                raise InvalidPrior(f"discount posterior sums to {total}")
 
 
 @dataclass(frozen=True)
@@ -375,7 +356,6 @@ def maxent_irl(
             )
     table = dense @ theta
     return RewardEstimate(
-        method=AssessmentMethod.MAXENT_IRL,
         weights=theta,
         table=table,
         diagnostics={"grad_norm": grad_norm, "log_likelihood": log_likelihood},
@@ -419,7 +399,6 @@ def fit_preference_reward(
     margins = diff_matrix @ theta
     log_likelihood = float(np.sum(_log_sigmoid(margins)))
     return RewardEstimate(
-        method=AssessmentMethod.PREFERENCE_FIT,
         weights=theta,
         diagnostics={"log_likelihood": log_likelihood},
     )
@@ -504,27 +483,22 @@ class PatienceAdvice:
     divergent_states: tuple[str, ...]
 
 
-def patient_recommendation(
-    mdp: Mdp, reward: RewardEstimate, beta_fit: float, beta_advice: float
-) -> PatienceAdvice:
+def patient_recommendation(mdp: Mdp, beta_fit: float, beta_advice: float) -> PatienceAdvice:
     """Re-solve under a higher patience and report where advice changes.
 
-    ``reward`` must carry a dense table (e.g. from maxent_irl). Both
-    discounts are solved exactly by policy iteration. Divergent states are
-    those where the advised optimal action differs from the optimal action
-    at the fitted discount; both solves break ties to the lowest action
-    index of the exact Q, so a zero reward yields no divergence.
+    Solves the MDP's own reward (for a fitted one, pass
+    ``mdp.with_reward(estimate.table)``) exactly by policy iteration at
+    both discounts. Divergent states are those where the advised action
+    differs from the one at the fitted discount; both solves break ties to
+    the lowest action index of the exact Q, so a zero reward yields none.
     """
     if not 0.0 < beta_fit < 1.0 or not 0.0 < beta_advice < 1.0:
         raise InvalidDiscount("both discounts must lie in (0, 1)")
     if beta_advice < beta_fit:
         raise InvalidDiscount("beta_advice must be at least beta_fit")
-    if reward.table is None:
-        raise ValueError("reward estimate carries no dense table")
-    shaped = mdp.with_reward(np.asarray(reward.table, float))
-    fitted = policy_iteration(shaped, beta_fit).policy
-    advised = policy_iteration(shaped, beta_advice).policy
-    divergent = tuple(s for s in shaped.states if fitted[s] != advised[s])
+    fitted = policy_iteration(mdp, beta_fit).policy
+    advised = policy_iteration(mdp, beta_advice).policy
+    divergent = tuple(s for s in mdp.states if fitted[s] != advised[s])
     return PatienceAdvice(policy=advised, fitted_policy=fitted, divergent_states=divergent)
 
 

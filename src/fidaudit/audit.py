@@ -36,11 +36,9 @@ from .aggregation import (
     pareto_front,
 )
 from .assessment import (
-    AssessmentMethod,
     FeatureMap,
     PairwiseComparison,
     PortfolioProblem,
-    RewardEstimate,
     Trajectory,
     feasible_rewards_irl,
     fit_preference_reward,
@@ -69,7 +67,7 @@ from .context import (
 from .errors import FidauditError
 from .findings import FAIL, PASS, SKIPPED, WARN, Finding, worst
 from .loyalty import (
-    RoleTag,
+    INFO_TOL,
     UtilityTable,
     alignment_check,
     confidentiality_check,
@@ -283,15 +281,15 @@ def _principal_classes(ordered: tuple[PrincipalClassSpec, ...], state: _State) -
 # --- step 3: assessment ----------------------------------------------------------------
 
 
-def _run_one_method(method: Variant, scenario: Scenario, state: _State) -> Finding:
+def _run_one_method(method: Variant, scenario: Scenario, state: _State) -> tuple[str, str, dict]:
+    """One assessment method's (check, detail, evidence); every method that runs passes."""
     mdp = scenario.world.mdp
     if method.kind == "prudent_investor":
         problem = PortfolioProblem(method.mu, method.sigma, method.risk_aversion)
         weights = prudent_investor_weights(problem)
         state.ran.add("prudent_investor_weights")
-        return Finding(
+        return (
             "prudent-investor",
-            PASS,
             "mean-variance template solved in closed form",
             {"weights": weights, "objective": problem.objective(weights)},
         )
@@ -305,9 +303,8 @@ def _run_one_method(method: Variant, scenario: Scenario, state: _State) -> Findi
             temperature=method.temperature,
         )
         argmax = max(posterior, key=posterior.get)
-        return Finding(
+        return (
             "discount-inference",
-            PASS,
             f"posterior over {len(grid)} candidate discounts peaks at {argmax}",
             {"posterior": posterior, "argmax": argmax},
         )
@@ -323,9 +320,8 @@ def _run_one_method(method: Variant, scenario: Scenario, state: _State) -> Findi
             iters=method.iters,
         )
         greedy = policy_iteration(mdp.with_reward(estimate.table), method.beta).policy
-        return Finding(
+        return (
             "behavior-irl",
-            PASS,
             "reward fitted to demonstrations (policy equivalence is the "
             "criterion; the reward itself is underdetermined)",
             {
@@ -344,9 +340,8 @@ def _run_one_method(method: Variant, scenario: Scenario, state: _State) -> Findi
         estimate = fit_preference_reward(
             features, comparisons, method.learn_rate, method.iters
         )
-        return Finding(
+        return (
             "preference-fit",
-            PASS,
             f"pairwise-choice model fitted to {len(comparisons)} judgment(s)",
             {
                 "weights": estimate.weights,
@@ -363,9 +358,8 @@ def _run_one_method(method: Variant, scenario: Scenario, state: _State) -> Findi
         all_contained = all(
             feasible.contains(feasible.sample(state.rng)) for _ in range(method.samples)
         )
-        return Finding(
+        return (
             "reward-feasibility",
-            PASS,
             "observed behavior is consistent with infinitely many rewards, "
             "including the zero reward; behavior alone cannot pin interests down",
             {
@@ -375,13 +369,9 @@ def _run_one_method(method: Variant, scenario: Scenario, state: _State) -> Findi
             },
         )
     if method.kind == "patient_advice":
-        estimate = RewardEstimate(method=AssessmentMethod.LEGAL_STANDARD, table=mdp.reward)
-        advice = patient_recommendation(
-            mdp, estimate, method.beta_fit, method.beta_advice
-        )
-        return Finding(
+        advice = patient_recommendation(mdp, method.beta_fit, method.beta_advice)
+        return (
             "patient-advice",
-            PASS,
             f"advice at patience {method.beta_advice} diverges from the "
             f"fitted discount in {len(advice.divergent_states)} state(s)",
             {
@@ -390,21 +380,15 @@ def _run_one_method(method: Variant, scenario: Scenario, state: _State) -> Findi
                 "fitted": {s: advice.fitted_policy[s] for s in advice.divergent_states},
             },
         )
-    kind, param = method.discount  # preference reversal
-    spec = (
-        DiscountSpec.exponential(param)
-        if kind == "exponential"
-        else DiscountSpec.hyperbolic(param)
-    )
+    spec = DiscountSpec(**method.discount)  # preference reversal
     report = detect_preference_reversal(spec, method.early, method.late, method.horizon)
     detail = (
         f"time inconsistency: preference flips at epoch {report.reversal_epoch}"
         if report.reversed
         else "no preference reversal over the horizon"
     )
-    return Finding(
+    return (
         "time-consistency",
-        PASS,
         detail,
         {
             "reversal_epoch": report.reversal_epoch,
@@ -414,11 +398,13 @@ def _run_one_method(method: Variant, scenario: Scenario, state: _State) -> Findi
 
 
 def _run_assessment(methods: tuple[Variant, ...], scenario: Scenario, state: _State) -> list[Finding]:
+    def passed(method: Variant) -> list[Finding]:
+        check, detail, evidence = _run_one_method(method, scenario, state)
+        return [Finding(check, PASS, detail, evidence)]
+
     findings: list[Finding] = []
     for i, method in enumerate(methods):
-        findings += _attempt(
-            f"method[{i}]", {"kind": method.kind}, lambda: [_run_one_method(method, scenario, state)]
-        )
+        findings += _attempt(f"method[{i}]", {"kind": method.kind}, lambda: passed(method))
     return findings
 
 
@@ -562,87 +548,65 @@ def _run_loyalty(doc: Loyalty, scenario: Scenario, state: _State) -> list[Findin
         ]
 
     findings: list[Finding] = []
+    tables = {name: UtilityTable(values) for name, values in doc.tables.items()}
+    if doc.from_aggregation:  # loading checks the outcomes are the aggregation options
+        tables["aggregated_principal"] = UtilityTable({o: state.aggregate_utility[o] for o in doc.outcomes})
 
-    def table(name: str, role: RoleTag) -> UtilityTable | None:
-        return UtilityTable(doc.tables[name], role) if name in doc.tables else None
+    def order_check(check: str, run, first: str, second: str, passed: str, failed: str, evidence=None) -> bool:
+        """Append ``run``'s verdict on two declared tables as ``check``, with
+        ``evidence`` if it holds (default: the witnesses); False if undeclared."""
+        if first not in tables or second not in tables:
+            return False
+        verdict = run(tables[first], tables[second])
+        if not verdict.aligned or evidence is None:
+            evidence = {"witnesses": [list(w) for w in verdict.witnesses]}
+        findings.append(_verdict(check, verdict.aligned, evidence, passed, failed))
+        return True
 
     # 5a. no-conflict rule: system objective vs aggregated principal interests
-    system_objective = table("system_objective", RoleTag.SYSTEM_OBJECTIVE)
-    aggregated: UtilityTable | None = None
-    if doc.from_aggregation:  # loading checks the outcomes are the aggregation options
-        agg = state.aggregate_utility
-        aggregated = UtilityTable({o: agg[o] for o in doc.outcomes}, RoleTag.PRINCIPAL_TRUE)
-    else:
-        aggregated = table("aggregated_principal", RoleTag.PRINCIPAL_TRUE)
-    if system_objective is not None and aggregated is not None:
-        verdict = no_conflict_check(system_objective, aggregated)
+    if order_check(
+        "no-conflict", no_conflict_check, "system_objective", "aggregated_principal",
+        "system objective preserves the aggregated preference order",
+        "system objective reverses aggregated principal preferences",
+        {"outcomes": doc.outcomes},
+    ):
         state.ran.add("no_conflict_check")
-        findings.append(
-            _verdict(
-                "no-conflict",
-                verdict.aligned,
-                {"outcomes": doc.outcomes}
-                if verdict.aligned
-                else {"witnesses": [list(w) for w in verdict.witnesses]},
-                "system objective preserves the aggregated preference order",
-                "system objective reverses aggregated principal preferences",
-            )
-        )
-
     # 5b. alignment and disgorgement over declared role tables
-    principal_true = table("principal_true", RoleTag.PRINCIPAL_TRUE)
-    agent_f = table("agent_fiduciary", RoleTag.AGENT_FIDUCIARY)
-    agent_nf = table("agent_nonfiduciary", RoleTag.AGENT_NONFIDUCIARY)
-    if principal_true is not None and agent_f is not None:
-        verdict = alignment_check(principal_true, agent_f)
-        findings.append(
-            _verdict(
-                "alignment",
-                verdict.aligned,
-                {"witnesses": [list(w) for w in verdict.witnesses]},
-                "fiduciary-conditioned utility preserves principal preferences "
-                "(a sufficient condition, not a necessary one)",
-                "fiduciary-conditioned utility reverses principal preferences",
-            )
-        )
-    if agent_nf is not None and agent_f is not None:
-        verdict = disgorgement_check(agent_nf, agent_f)
-        findings.append(
-            _verdict(
-                "disgorgement",
-                verdict.aligned,
-                {"witnesses": [list(w) for w in verdict.witnesses]},
-                "no profit direction of the unconditioned utility survives",
-                "the agent still profits where it would have absent the duty",
-            )
-        )
+    order_check(
+        "alignment", alignment_check, "principal_true", "agent_fiduciary",
+        "fiduciary-conditioned utility preserves principal preferences "
+        "(a sufficient condition, not a necessary one)",
+        "fiduciary-conditioned utility reverses principal preferences",
+    )
+    order_check(
+        "disgorgement", disgorgement_check, "agent_nonfiduciary", "agent_fiduciary",
+        "no profit direction of the unconditioned utility survives",
+        "the agent still profits where it would have absent the duty",
+    )
 
     # 5c. information-flow norms from the context, with the tension rule
     norms = list(scenario.context.norms) if scenario.context else []
     conf_norms = [n for n in norms if n.transmission_principle == CONFIDENTIALITY and n.machine_checkable()]
     disc_norms = [n for n in norms if n.transmission_principle == DISCLOSURE and n.machine_checkable()]
-    conflicted = set()
-    for c in conf_norms:
-        for d in disc_norms:
-            if (
-                c.binding["report_node"] == d.binding["report_node"]
-                and c.binding["secret_node"] == d.binding["material_node"]
-            ):
-                conflicted.add(id(c))
-                conflicted.add(id(d))
-                findings.append(
-                    Finding(
-                        "norm-tension",
-                        WARN,
-                        "confidentiality and disclosure duties are declared over the "
-                        "same report and the same variable; the duties conflict and "
-                        "no verdict is issued for either",
-                        {
-                            "report_node": c.binding["report_node"],
-                            "variable": c.binding["secret_node"],
-                        },
-                    )
-                )
+    tensions = [
+        (c, d)
+        for c in conf_norms
+        for d in disc_norms
+        if c.binding["report_node"] == d.binding["report_node"]
+        and c.binding["secret_node"] == d.binding["material_node"]
+    ]
+    findings += [
+        Finding(
+            "norm-tension",
+            WARN,
+            "confidentiality and disclosure duties are declared over the "
+            "same report and the same variable; the duties conflict and "
+            "no verdict is issued for either",
+            {"report_node": c.binding["report_node"], "variable": c.binding["secret_node"]},
+        )
+        for c, _ in tensions
+    ]
+    conflicted = {id(n) for pair in tensions for n in pair}
     for norm in conf_norms + disc_norms:
         if id(norm) in conflicted:
             continue
@@ -886,7 +850,7 @@ def _run_step(step: str, scenario: Scenario, state: _State) -> StepRecord:
     return StepRecord(step, worst(f.status for f in findings), findings)
 
 
-def run_audit(scenario: Scenario, tol: float = 1e-9, seed: int = 0) -> AuditReport:
+def run_audit(scenario: Scenario, tol: float = INFO_TOL, seed: int = 0) -> AuditReport:
     """Execute all six steps in order and assemble the report.
 
     ``tol`` is the information-flow zero threshold; ``seed`` feeds the only

@@ -116,10 +116,6 @@ class ShiftScore:
     absolute_continuity_violation: bool
     violating_points: tuple[str, ...] = ()
 
-    @property
-    def finite(self) -> bool:
-        return not self.absolute_continuity_violation
-
 
 def distribution_shift_score(pair: DiscreteDistributionPair) -> ShiftScore:
     """KL(deploy || train) in nats; non-negative, zero only on equal inputs.

@@ -24,6 +24,7 @@ from . import __version__
 from .audit import EXIT_CODES, emit_report, run_audit
 from .context import catalog_lookup
 from .errors import SchemaError, UnknownContextLabel
+from .loyalty import INFO_TOL
 from .scenario import load_scenario, read_document, validate_scenario
 
 
@@ -50,7 +51,7 @@ def main() -> None:
 @click.argument("scenario_file", type=click.Path(exists=True, dir_okay=False, path_type=Path))
 @click.option("--report", "report_path", type=click.Path(dir_okay=False, path_type=Path), default=None, help="Also write the rendered report to this path.")
 @click.option("--format", "fmt", type=click.Choice(["text", "machine"]), default="text", show_default=True)
-@click.option("--tol", type=float, default=1e-9, show_default=True, help="Information-flow zero threshold.")
+@click.option("--tol", type=float, default=INFO_TOL, show_default=True, help="Information-flow zero threshold.")
 @click.option("--seed", type=int, default=0, show_default=True, help="Seed for sampled evidence; recorded in the report.")
 def check(scenario_file: Path, report_path: Path | None, fmt: str, tol: float, seed: int) -> None:
     """Run the six-step audit over SCENARIO_FILE."""

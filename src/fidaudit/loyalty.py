@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from enum import Enum
 from typing import Mapping
 
 from .errors import NodeKindMismatch, OutcomeSpaceMismatch, UnknownNode
@@ -42,19 +41,12 @@ from .macid import (
 INFO_TOL = 1e-9
 
 
-class RoleTag(Enum):
-    PRINCIPAL_TRUE = "principal_true"
-    AGENT_FIDUCIARY = "agent_fiduciary"
-    AGENT_NONFIDUCIARY = "agent_nonfiduciary"
-    SYSTEM_OBJECTIVE = "system_objective"
-
-
 @dataclass(frozen=True)
 class UtilityTable:
-    """Outcome-indexed utilities tagged with the role they represent."""
+    """Outcome-indexed utilities; a check reads only their order, and its
+    arguments say which role each table plays."""
 
     values: Mapping[str, float]
-    role: RoleTag
 
     def __post_init__(self) -> None:
         if not self.values:
@@ -69,12 +61,8 @@ class UtilityTable:
 
 @dataclass(frozen=True)
 class AlignmentVerdict:
-    status: str  # "aligned" | "violation"
+    aligned: bool
     witnesses: tuple[tuple[str, str], ...]
-
-    @property
-    def aligned(self) -> bool:
-        return self.status == "aligned"
 
 
 def _shared_outcomes(a: UtilityTable, b: UtilityTable) -> tuple[str, ...]:
@@ -95,8 +83,7 @@ def _ordered_pair_check(
         if premise.values[c1] > premise.values[c2]
         and not holds(conclusion.values[c1], conclusion.values[c2])
     ]
-    status = "violation" if witnesses else "aligned"
-    return AlignmentVerdict(status=status, witnesses=tuple(witnesses))
+    return AlignmentVerdict(aligned=not witnesses, witnesses=tuple(witnesses))
 
 
 def alignment_check(principal: UtilityTable, agent_fiduciary: UtilityTable) -> AlignmentVerdict:

@@ -11,13 +11,13 @@ typed, frozen value in the same pass, recording every problem with its
 path. ``validate_scenario`` returns those problems and ``parse_scenario``
 raises SchemaError at the first, so both accept exactly the same
 documents. A wrong JSON type, shape, length or id is a problem, and so are
-a number that is not finite or not in float range, an ``iters`` or
-``samples`` count outside 1..``MAX_ITERS_CAP``, a ``policy`` or
-``behavior`` map that leaves out an MDP state, and a world model its
-constructor rejects. A method, table or check value that a library call
-rejects (an asymmetric covariance, a discount outside (0, 1)) is left to
-its audit step, which reports a Fail finding. A field given as null
-counts as absent. The scenario digest is computed over the
+a number that is not finite or not in float range, an ``iters``,
+``samples`` or ``horizon`` count outside 1..``MAX_ITERS_CAP``, a
+``policy`` or ``behavior`` map that leaves out an MDP state, and a world
+model its constructor rejects. A method, table or check value that a
+library call rejects (an asymmetric covariance, a discount outside (0, 1))
+is left to its audit step, which reports a Fail finding. A field given as
+null counts as absent. The scenario digest is computed over the
 canonical serialized form, so reordering keys in the file changes nothing.
 """
 
@@ -221,7 +221,7 @@ class _Reader:
         self.fail(path, "integer required")
 
     def count(self, value: Any, path: str) -> int | None:
-        """An iteration or sample count: an integer in 1..MAX_ITERS_CAP."""
+        """An iteration, sample or horizon count: an integer in 1..MAX_ITERS_CAP."""
         n = self.int_(value, path)
         if n is None or 1 <= n <= MAX_ITERS_CAP:
             return n
@@ -425,19 +425,20 @@ class _Reader:
         if discount is None:
             return mdp, None
         try:
-            return mdp, DiscountSpec(discount[0], **{"beta" if discount[0] == "exponential" else "k": discount[1]})
+            return mdp, DiscountSpec(**discount)
         except FidauditError as exc:
             self.fail(f"{path}.discount", str(exc))
             return None
 
     @_object
-    def discount(self, doc: dict, path: str) -> tuple[str, float] | None:
-        """(kind, beta or k); DiscountSpec checks the value."""
+    def discount(self, doc: dict, path: str) -> dict | None:
+        """DiscountSpec's keyword fields: the kind and its beta or k. DiscountSpec checks the value."""
         kind = self.field(doc, "kind", path, self.choice, options=("exponential", "hyperbolic"))
         if kind is None:
             return None
-        param = self.field(doc, "beta" if kind == "exponential" else "k", path, self.num)
-        return None if param is None else (kind, param)
+        key = "beta" if kind == "exponential" else "k"
+        param = self.field(doc, key, path, self.num)
+        return None if param is None else {"kind": kind, key: param}
 
     # context and principals
 
@@ -612,7 +613,7 @@ class _Reader:
 
     def preference_reversal(self, doc: Mapping[str, Any], path: str) -> dict:
         return self.record(
-            doc, path, discount=self.discount, early=self.dated_reward, late=self.dated_reward, horizon=(self.int_, 10)
+            doc, path, discount=self.discount, early=self.dated_reward, late=self.dated_reward, horizon=(self.count, 10)
         )
 
     def dated_reward(self, value: Any, path: str) -> RewardOption | None:

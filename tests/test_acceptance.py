@@ -35,7 +35,6 @@ from fidaudit.audit import emit_report, run_audit
 from fidaudit.care import BinaryEvidence, inductive_bias_diagnostic
 from fidaudit.cli import main
 from fidaudit.loyalty import (
-    RoleTag,
     UtilityTable,
     alignment_check,
     disgorgement_check,
@@ -316,7 +315,7 @@ def test_criterion_10_loyalty_condition_oracles():
         a = {c: float(rng.integers(-3, 4)) for c in outcomes}
         b = {c: float(rng.integers(-3, 4)) for c in outcomes}
         align = alignment_check(
-            UtilityTable(a, RoleTag.PRINCIPAL_TRUE), UtilityTable(b, RoleTag.AGENT_FIDUCIARY)
+            UtilityTable(a), UtilityTable(b)
         )
         expected_align = tuple(
             (c1, c2)
@@ -326,7 +325,7 @@ def test_criterion_10_loyalty_condition_oracles():
         assert align.witnesses == expected_align
         assert align.aligned == (not expected_align)
         dis = disgorgement_check(
-            UtilityTable(a, RoleTag.AGENT_NONFIDUCIARY), UtilityTable(b, RoleTag.AGENT_FIDUCIARY)
+            UtilityTable(a), UtilityTable(b)
         )
         expected_dis = tuple(
             (c1, c2)
@@ -341,14 +340,14 @@ def test_criterion_10_loyalty_condition_oracles():
         a = {c: float(rng.uniform(-2, 2)) for c in outcomes}
         b = {c: float(rng.uniform(-2, 2)) for c in outcomes}
         base = alignment_check(
-            UtilityTable(a, RoleTag.PRINCIPAL_TRUE), UtilityTable(b, RoleTag.AGENT_FIDUCIARY)
+            UtilityTable(a), UtilityTable(b)
         )
         a_t = {c: math.exp(v) for c, v in a.items()}
         b_t = {c: v**3 + 0.5 * v for c, v in b.items()}
         transformed = alignment_check(
-            UtilityTable(a_t, RoleTag.PRINCIPAL_TRUE), UtilityTable(b_t, RoleTag.AGENT_FIDUCIARY)
+            UtilityTable(a_t), UtilityTable(b_t)
         )
-        assert transformed.status == base.status
+        assert transformed.aligned == base.aligned
         assert transformed.witnesses == base.witnesses
     report_line(10, "loyalty-condition-oracles", "1000 pairs exact; 200 transform invariances")
 

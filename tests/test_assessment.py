@@ -5,11 +5,9 @@ import numpy as np
 import pytest
 
 from fidaudit.assessment import (
-    AssessmentMethod,
     FeatureMap,
     PairwiseComparison,
     PortfolioProblem,
-    RewardEstimate,
     Trajectory,
     demo_log_likelihood,
     feasible_rewards_irl,
@@ -496,13 +494,9 @@ def patience_mdp():
     return deterministic_mdp(states, actions, moves, rewards)
 
 
-def _estimate_from(mdp):
-    return RewardEstimate(method=AssessmentMethod.LEGAL_STANDARD, table=mdp.reward)
-
-
 def test_equal_betas_no_divergence():
     mdp = patience_mdp()
-    advice = patient_recommendation(mdp, _estimate_from(mdp), 0.5, 0.5)
+    advice = patient_recommendation(mdp, 0.5, 0.5)
     assert advice.divergent_states == ()
 
 
@@ -510,7 +504,7 @@ def test_patience_flips_to_delayed_branch():
     # exact values: Q(c0, now) = 1 + 0.5*0.6 = 1.3 vs Q(c0, wait) = 1.2875 at 0.5;
     # at 0.95 waiting is worth 13.46 vs 6.7
     mdp = patience_mdp()
-    advice = patient_recommendation(mdp, _estimate_from(mdp), 0.5, 0.95)
+    advice = patient_recommendation(mdp, 0.5, 0.95)
     assert advice.fitted_policy["c0"] == "now"
     assert advice.policy["c0"] == "wait"
     assert advice.divergent_states == ("c0",)
@@ -518,15 +512,14 @@ def test_patience_flips_to_delayed_branch():
 
 def test_zero_reward_no_divergence():
     mdp = patience_mdp()
-    zero = RewardEstimate(method=AssessmentMethod.LEGAL_STANDARD, table=np.zeros((5, 2)))
-    advice = patient_recommendation(mdp, zero, 0.5, 0.95)
+    advice = patient_recommendation(mdp.with_reward(np.zeros((5, 2))), 0.5, 0.95)
     assert advice.divergent_states == ()
 
 
 def test_patiences_validated():
     mdp = patience_mdp()
     with pytest.raises(InvalidDiscount):
-        patient_recommendation(mdp, _estimate_from(mdp), 0.9, 0.5)
+        patient_recommendation(mdp, 0.9, 0.5)
 
 
 # --- prudent_investor_weights -------------------------------------------------------

@@ -7,6 +7,7 @@ from click.testing import CliRunner
 
 from fidaudit.audit import emit_report, run_audit
 from fidaudit.cli import main
+from fidaudit.context import duty_entry
 from fidaudit.errors import SchemaError
 from fidaudit.scenario import load_scenario, parse_scenario, validate_scenario
 
@@ -202,6 +203,69 @@ def test_rejected_value_is_a_failure_of_that_check(mutate, step, check):
     assert "step-error" not in checks
     assert checks[check].status == "fail"
     assert checks[check].evidence["error"] == checks[check].detail
+
+
+def confidential_market_state(raw):
+    # the shipped disclosure norm, turned into a confidentiality norm on the same report
+    raw["context"]["norms"][0].update(
+        transmission_principle="confidentiality", binding={"report_node": "R_a", "secret_node": "C"}
+    )
+
+
+def no_system_objective(raw):
+    del raw["loyalty"]["tables"]["system_objective"]
+
+
+# catalog key, the step that judges it, the finding its check yields, the
+# evidence it expects, and (scenario, edit) where that check runs and where not
+AUTOMATED_DUTIES = [
+    (
+        "legal-representation/no-conflicts-of-interest", "loyalty", "no-conflict",
+        "expected the no-conflict check to run",
+        ("disclosure_demo.json", None), ("disclosure_demo.json", no_system_objective),
+    ),
+    (
+        "health-care/confidentiality", "loyalty", "confidentiality:",
+        "expected a bound confidentiality norm",
+        ("disclosure_demo.json", confidential_market_state), ("disclosure_demo.json", None),
+    ),
+    (
+        "corporate-management/disclosure-to-shareholders", "care", "disclosure:",
+        "expected a bound disclosure norm",
+        ("disclosure_demo.json", None), ("trust_portfolio.json", None),
+    ),
+    (
+        "trusts/prudent-investor-rule", "care", "prudent-investor",
+        "expected a prudent-investor assessment method",
+        ("trust_portfolio.json", None), ("engagement_prior_warn.json", None),
+    ),
+]
+
+
+@pytest.mark.parametrize("ran", [True, False], ids=["check-runs", "check-absent"])
+@pytest.mark.parametrize(
+    "key, step, check, expected, runs, absent", AUTOMATED_DUTIES, ids=[d[0] for d in AUTOMATED_DUTIES]
+)
+def test_automated_duty_is_covered_exactly_when_its_check_runs(key, step, check, expected, runs, absent, ran):
+    scenario, edit = runs if ran else absent
+    raw = raw_scenario(scenario)
+    if edit is not None:
+        edit(raw)
+    raw["context"]["subsidiary_duties"] = [key]
+    report = run_audit(parse_scenario(raw))
+    findings = [(s.step, f) for s in report.steps for f in s.findings]
+    assert any(f.check.startswith(check) for _, f in findings) == ran
+    duty = [(s, f.status, f.detail, f.evidence) for s, f in findings if f.check == f"duty:{key}"]
+    if step == "loyalty":
+        covered = []
+        uncovered = [
+            ("loyalty", "warn", f"declared loyalty duty has no supporting evidence ({expected})",
+             {"duty": key, "binding": duty_entry(key).binding})
+        ]
+    else:
+        covered = [("care", "pass", "covered", {"duty": key})]
+        uncovered = [("care", "fail", f"declared care duty has no evidence ({expected})", {"duty": key})]
+    assert duty == (covered if ran else uncovered)
 
 
 def test_care_section_that_declares_nothing_warns():

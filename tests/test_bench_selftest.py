@@ -3,6 +3,12 @@
 The benchmark tracer wraps the public functions of each layer by name and
 reads the joint as a dict, so a rename or a changed return type breaks the
 benchmark; this test makes that a test failure too.
+
+The wrapping replaces module attributes while the benchmark runs. A library
+function stored in a table at import time keeps its unwrapped original, so
+its calls slip past the tracer, and a read of ``fn.__name__`` sees the
+wrapper's name, ``timed``, in place of the function's. Look library
+functions up by their module name at call time instead.
 """
 
 import os

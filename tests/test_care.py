@@ -69,7 +69,7 @@ def test_identical_distributions_zero():
     pair = DiscreteDistributionPair(("a", "b"), {"a": 0.4, "b": 0.6}, {"a": 0.4, "b": 0.6})
     score = distribution_shift_score(pair)
     assert score.kl_nats == 0.0
-    assert score.finite
+    assert not score.absolute_continuity_violation
 
 
 def test_uniform_vs_skewed_formula():

@@ -4,7 +4,6 @@ import pytest
 
 from fidaudit.errors import NodeKindMismatch, OutcomeSpaceMismatch, UnknownNode
 from fidaudit.loyalty import (
-    RoleTag,
     UtilityTable,
     alignment_check,
     confidentiality_check,
@@ -19,19 +18,19 @@ from helpers import disclosure_model, disclosure_profile, xor_model
 
 
 def principal(values):
-    return UtilityTable(values, RoleTag.PRINCIPAL_TRUE)
+    return UtilityTable(values)
 
 
 def fiduciary(values):
-    return UtilityTable(values, RoleTag.AGENT_FIDUCIARY)
+    return UtilityTable(values)
 
 
 def nonfiduciary(values):
-    return UtilityTable(values, RoleTag.AGENT_NONFIDUCIARY)
+    return UtilityTable(values)
 
 
 def objective(values):
-    return UtilityTable(values, RoleTag.SYSTEM_OBJECTIVE)
+    return UtilityTable(values)
 
 
 # --- alignment_check -----------------------------------------------------
@@ -137,7 +136,7 @@ def test_alignment_invariant_under_increasing_transform(rng):
         a_t = {c: 3.0 * v**3 + 2.0 for c, v in a.items()}  # strictly increasing
         b_t = {c: float(2.0 ** v) for c, v in b.items()}
         transformed = alignment_check(principal(a_t), fiduciary(b_t))
-        assert transformed.status == base.status
+        assert transformed.aligned == base.aligned
         assert transformed.witnesses == base.witnesses
 
 

@@ -100,6 +100,11 @@ def huge_preference_iters(raw):
     raw["assessment"]["methods"][0]["iters"] = 100_000_000
 
 
+def huge_reversal_horizon(raw):
+    # read unbounded, this horizon scans 1e8 epochs of the hyperbolic curve
+    raw["assessment"]["methods"][3].update(early=[8, 100_000_000], late=[10, 100_000_001], horizon=100_000_000)
+
+
 @pytest.mark.parametrize(
     "scenario, mutate, path",
     [
@@ -120,6 +125,7 @@ def huge_preference_iters(raw):
         ("trust_portfolio.json", negative_probe_samples, "assessment.methods[4].samples"),
         ("trust_portfolio.json", negative_maxent_iters, "assessment.methods[5].iters"),
         ("engagement_prior_warn.json", huge_preference_iters, "assessment.methods[0].iters"),
+        ("trust_portfolio.json", huge_reversal_horizon, "assessment.methods[3].horizon"),
     ],
 )
 def test_validate_and_check_reject_the_same_documents(tmp_path, scenario, mutate, path):
@@ -164,6 +170,7 @@ def test_metadata_seed_must_be_an_integer(seed):
     [
         ("trust_portfolio.json", 4, "samples"),
         ("engagement_prior_warn.json", 0, "iters"),
+        ("trust_portfolio.json", 3, "horizon"),
     ],
 )
 def test_counts_lie_between_one_and_the_iteration_cap(scenario, method, key):
