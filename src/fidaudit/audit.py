@@ -550,7 +550,13 @@ def _run_loyalty(doc: Loyalty, scenario: Scenario, state: _State) -> list[Findin
     findings: list[Finding] = []
     tables = {name: UtilityTable(values) for name, values in doc.tables.items()}
     if doc.from_aggregation:  # loading checks the outcomes are the aggregation options
-        tables["aggregated_principal"] = UtilityTable({o: state.aggregate_utility[o] for o in doc.outcomes})
+
+        def aggregated() -> list[Finding]:
+            tables["aggregated_principal"] = UtilityTable({o: state.aggregate_utility[o] for o in doc.outcomes})
+            return []
+
+        # an aggregate that overflows is the no-conflict check's FAIL
+        findings += _attempt("no-conflict", {"outcomes": doc.outcomes}, aggregated)
 
     def order_check(check: str, run, first: str, second: str, passed: str, failed: str, evidence=None) -> bool:
         """Append ``run``'s verdict on two declared tables as ``check``, with

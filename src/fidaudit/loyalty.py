@@ -16,7 +16,13 @@ Two families of checks:
   ``confidentiality_check`` requires zero mutual information between a
   report and a secret; ``disclosure_check`` requires that material
   information actually flows through the report and that communicating
-  leaves the principal no worse off than silence.
+  leaves the principal no worse off than silence. Both check the audited
+  profile against the whole model, then restrict the model to the bound
+  nodes, the utility nodes and their ancestors (``Macid.ancestral``) and
+  the profile to the decisions kept, and compute everything, silenced and
+  extended models included, on the restricted model: nodes no utility and
+  no bound node depends on cannot change a verdict, and they would
+  multiply every joint by their domain sizes.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from .macid import (
     Macid,
     NodeKind,
     PolicyProfile,
+    _check_profile,
     _improve,
     expected_utility,
     marginal,
@@ -121,6 +128,18 @@ def no_conflict_check(
 # --- information-flow duties -------------------------------------------------
 
 
+def _restrict(
+    model: Macid, profile: PolicyProfile, targets: tuple[str, ...]
+) -> tuple[Macid, PolicyProfile]:
+    """``model`` restricted to ``targets``, the utility nodes and their
+    ancestors, with ``profile``'s rules for the decisions kept. The profile
+    is checked against the full model first, so a missing or malformed rule
+    at a dropped decision still raises."""
+    _check_profile(model, profile)
+    model = model.ancestral(targets)
+    return model, {nid: profile[nid] for nid in model.decision_nodes()}
+
+
 @dataclass(frozen=True)
 class ConfidentialityVerdict:
     passed: bool
@@ -145,6 +164,7 @@ def confidentiality_check(
     for node in (report_node, secret_node):
         if node not in model.node_map:
             raise UnknownNode(f"unknown node {node!r}")
+    model, profile = _restrict(model, profile, (report_node, secret_node))
     joint = marginal(model, profile, (report_node, secret_node))
     info = mutual_information(joint)
     return ConfidentialityVerdict(
@@ -217,6 +237,7 @@ def disclosure_check(
             raise UnknownNode(f"unknown node {node!r}")
     if model.node_map[report_node].kind is not NodeKind.DECISION:
         raise NodeKindMismatch(f"report node {report_node!r} must be a decision node")
+    model, profile = _restrict(model, profile, (report_node, material_node, principal_decision))
 
     voi = materiality_value(model, report_node, material_node, principal_decision)
     if voi <= tol:

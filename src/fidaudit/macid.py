@@ -17,6 +17,13 @@ start scores profiles in blocks, a deterministic profile's joint being the
 chance factors' product times a 0/1 mask of its rules; best-response
 sweeps (``_improve``) go on from there.
 
+Every query is exact on the model it is given, barren nodes included.
+``Macid.ancestral(targets)`` restricts a model to the targets, every
+utility node and all of their ancestors; the nodes it drops are barren (no
+kept node depends on them), so the law of the kept nodes and every agent's
+utility are unchanged, and a query that reads only kept nodes can run on
+the smaller joint (Shachter 1986).
+
 All values are immutable after construction and every operation is a pure
 function, so concurrent use needs no locking.
 """
@@ -286,6 +293,34 @@ class Macid:
         edges = dict(self.edges)
         edges[child] = edges[child] + (parent,)
         return Macid(self.nodes, edges, self.cpds, self.utilities, self.agents)
+
+    def ancestral(self, targets) -> "Macid":
+        """The model restricted to ``targets``, every utility node and all of
+        their ancestors; ``self`` when that is every node.
+
+        The other nodes are barren: no kept node depends on them, so summing
+        them out of the joint leaves the law of the kept nodes unchanged and
+        no agent's utility or decision rule can see them (Shachter 1986).
+        """
+        for nid in targets:
+            if nid not in self.node_map:
+                raise UnknownNode(f"unknown node {nid!r}")
+        kept: set[str] = set()
+        stack = [*targets, *self.utilities]
+        while stack:
+            nid = stack.pop()
+            if nid not in kept:
+                kept.add(nid)
+                stack.extend(self.edges[nid])
+        if len(kept) == len(self.nodes):
+            return self
+        return Macid(
+            tuple(n for n in self.nodes if n.id in kept),
+            {nid: ps for nid, ps in self.edges.items() if nid in kept},
+            {nid: cpd for nid, cpd in self.cpds.items() if nid in kept},
+            self.utilities,
+            self.agents,
+        )
 
     def replace_decision_with_constant_chance(self, node_id: str, value: str) -> "Macid":
         """Copy where decision ``node_id`` becomes a parentless point-mass chance node.

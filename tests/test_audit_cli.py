@@ -433,3 +433,27 @@ def test_cli_check_secret_with_underflowing_marginals_is_a_finding(tmp_path):
     leak = checks["confidentiality:market-state"]["evidence"]["mutual_information_bits"]
     assert leak == pytest.approx(1e-170 * math.log2(1e170))
     assert result.exit_code == 0
+
+
+def test_cli_check_overflowing_aggregate_fails_no_conflict(tmp_path):
+    # finite weights whose weighted class utilities overflow to inf: the
+    # aggregated principal table is rejected, which is a no-conflict FAIL
+    raw = raw_scenario("disclosure_demo.json")
+    raw["aggregation"]["weights"]["clients"] = 1e308
+    raw["aggregation"]["utilities"]["clients"] = [10.0, 20.0]
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(raw))
+    runner = CliRunner()
+    assert runner.invoke(main, ["validate", str(path)]).exit_code == 0
+    result = runner.invoke(main, ["check", str(path), "--format", "machine"])
+    report = json.loads(result.output)
+    loyalty = next(s for s in report["steps"] if s["step"] == "loyalty")
+    checks = {f["check"]: f for f in loyalty["findings"]}
+    assert "step-error" not in checks
+    assert checks["no-conflict"]["status"] == "fail"
+    assert "not finite" in checks["no-conflict"]["evidence"]["error"]
+    assert checks["alignment"]["status"] == "pass"
+    assert checks["disclosure:market-state"]["status"] == "pass"
+    # exit 2 here is the audit's FAIL verdict, not an internal error
+    assert report["overall"] == "fail"
+    assert result.exit_code == 2

@@ -1,8 +1,17 @@
 import itertools
+import math
 
+import numpy as np
 import pytest
 
-from fidaudit.errors import NodeKindMismatch, OutcomeSpaceMismatch, UnknownNode
+from fidaudit import macid
+from fidaudit.errors import (
+    FidauditError,
+    IncompleteProfile,
+    NodeKindMismatch,
+    OutcomeSpaceMismatch,
+    UnknownNode,
+)
 from fidaudit.loyalty import (
     UtilityTable,
     alignment_check,
@@ -12,9 +21,10 @@ from fidaudit.loyalty import (
     materiality_value,
     no_conflict_check,
 )
-from fidaudit.macid import Cpd, DecisionRule, Macid, Node, NodeKind
+from fidaudit.macid import Cpd, DecisionRule, Macid, Node, NodeKind, marginal, mutual_information
 
-from helpers import disclosure_model, disclosure_profile, xor_model
+from helpers import disclosure_model, disclosure_profile, match_table, xor_model
+from test_macid import _random_influence_model
 
 
 def principal(values):
@@ -278,3 +288,166 @@ def test_immaterial_node_passes_vacuously():
     assert verdict.passed
     assert not verdict.material
     assert "not material" in verdict.note
+
+
+# --- barren nodes ----------------------------------------------------------------------
+
+
+def with_extra(model, chance=(), decision=None):
+    """``model`` plus chance nodes given as (id, parents, cpd table) and an
+    optional decision given as (id, owner, parents)."""
+    nodes = list(model.nodes)
+    edges = dict(model.edges)
+    cpds = dict(model.cpds)
+    for nid, parents, table in chance:
+        nodes.append(Node(nid, NodeKind.CHANCE, domain=("0", "1")))
+        edges[nid] = parents
+        cpds[nid] = Cpd(nid, table)
+    if decision is not None:
+        nid, owner, parents = decision
+        nodes.append(Node(nid, NodeKind.DECISION, owner=owner, domain=("0", "1")))
+        edges[nid] = parents
+    return Macid(tuple(nodes), edges, cpds, model.utilities, model.agents)
+
+
+def isolated(k):
+    """k parentless binary chance nodes with distinct, uneven CPDs."""
+    return [(f"X{i}", (), {(): (p, 1.0 - p)}) for i, p in enumerate(np.linspace(0.15, 0.85, k).tolist())]
+
+
+def secret_report_model():
+    """Secret S; the adviser's report R observes it and is paid for matching it."""
+    return Macid(
+        nodes=(
+            Node("S", NodeKind.CHANCE, domain=("0", "1")),
+            Node("R", NodeKind.DECISION, owner="a", domain=("0", "1")),
+            Node("U", NodeKind.UTILITY, owner="a"),
+        ),
+        edges={"S": (), "R": ("S",), "U": ("S", "R")},
+        cpds={"S": Cpd("S", {(): (0.3, 0.7)})},
+        utilities={"U": match_table()},
+        agents=("a",),
+    )
+
+
+def test_ancestral_keeps_targets_utilities_and_their_ancestors():
+    model = disclosure_model()
+    assert model.ancestral(("R_a", "C", "B_b")) is model
+    noisy = {pa: (0.25, 0.75) for pa in itertools.product(("0", "1"), repeat=2)}
+    wide = with_extra(model, isolated(2) + [("Y", ("C", "X0"), noisy)], ("D", "bob", ("Y",)))
+    assert set(wide.ancestral(("R_a", "C", "B_b")).node_map) == set(model.node_map)
+    assert set(wide.ancestral(("Y",)).node_map) == set(model.node_map) | {"Y", "X0"}
+    with pytest.raises(UnknownNode):
+        wide.ancestral(("ghost",))
+
+
+def test_barren_nodes_add_no_joint_work(monkeypatch):
+    # 11 and 12 isolated binary nodes multiply the unpruned joint by 2**11
+    # and 2**12; pruned, no joint is larger than the model without them
+    cells = []
+    real = macid.joint_distribution
+
+    def counting(model, profile):
+        cells.append(math.prod(len(model.node_map[n].domain) for n in model.outcome_order))
+        return real(model, profile)
+
+    monkeypatch.setattr(macid, "joint_distribution", counting)
+    small, wide = disclosure_model(), with_extra(disclosure_model(), isolated(11))
+    for copying in (True, False):
+        cells.clear()
+        verdict = disclosure_check(wide, disclosure_profile(wide, copying), "R_a", "C", "B_b")
+        assert cells and max(cells) <= 8
+        assert repr(verdict) == repr(disclosure_check(small, disclosure_profile(small, copying), "R_a", "C", "B_b"))
+    small, wide = secret_report_model(), with_extra(secret_report_model(), isolated(12))
+    for choose in ({("0",): "0", ("1",): "1"}, {("0",): "0", ("1",): "0"}):
+        cells.clear()
+        verdict = confidentiality_check(wide, {"R": DecisionRule.deterministic(wide, "R", choose)}, "R", "S")
+        assert cells and max(cells) <= 4
+        expected = confidentiality_check(small, {"R": DecisionRule.deterministic(small, "R", choose)}, "R", "S")
+        assert repr(verdict) == repr(expected)
+
+
+def _outcome(check, *args):
+    """The check's verdict, or the type and message of what it raised."""
+    try:
+        return check(*args)
+    except FidauditError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_barren_nodes_leave_verdicts_bit_for_bit(rng):
+    confidential = disclosed = 0
+    for _ in range(150):
+        model, profile = _random_influence_model(rng)
+        shown = list(model.outcome_order)
+        if not shown:
+            continue
+        # barren nodes may observe any node, but nothing observes them
+        domains = {nid: model.node_map[nid].domain for nid in shown}
+
+        def parents():
+            return tuple(str(p) for p in rng.permutation(list(domains))[: int(rng.integers(0, 3))])
+
+        chance = []
+        for j in range(int(rng.integers(1, 3))):
+            ps = parents()
+            rows = {pa: tuple(rng.dirichlet([1.0, 1.0]).tolist()) for pa in itertools.product(*(domains[p] for p in ps))}
+            chance.append((f"x{j}", ps, rows))
+            domains[f"x{j}"] = ("0", "1")
+        wide = with_extra(model, chance, ("y0", model.agents[0], parents()))
+        wide_profile = dict(profile, y0=DecisionRule.constant(wide, "y0", "1"))
+
+        if len(shown) >= 2:
+            report, secret = (str(n) for n in rng.permutation(shown)[:2])
+            confidential += 1
+            verdict = _outcome(confidentiality_check, wide, wide_profile, report, secret)
+            assert repr(verdict) == repr(_outcome(confidentiality_check, model, profile, report, secret))
+            bits = mutual_information(marginal(wide, wide_profile, (report, secret)))
+            assert abs(verdict.mutual_information_bits - bits) <= 1e-12
+            with pytest.raises(IncompleteProfile):
+                confidentiality_check(wide, profile, report, secret)
+
+        decisions = model.decision_nodes()
+        chances = [n for n in shown if model.node_map[n].kind is NodeKind.CHANCE]
+        for report, principal_decision in itertools.permutations(decisions, 2):
+            material = [c for c in chances if c not in model.parents(principal_decision)]
+            if material:
+                disclosed += 1
+                args = (report, material[0], principal_decision)
+                verdict = _outcome(disclosure_check, wide, wide_profile, *args)
+                assert repr(verdict) == repr(_outcome(disclosure_check, model, profile, *args))
+                with pytest.raises(IncompleteProfile):
+                    disclosure_check(wide, profile, *args)
+                break
+    assert confidential > 50 and disclosed > 10
+
+
+def second_channel_model():
+    """disclosure_model with a second report R2 of C that the principal also
+    reads: with R_a silenced, C is immaterial exactly when R2 is informative."""
+    model = disclosure_model()
+    nodes = model.nodes[:2] + (Node("R2", NodeKind.DECISION, owner="alice", domain=("0", "1")),) + model.nodes[2:]
+    edges = dict(model.edges, R2=("C",), B_b=("R_a", "R2"))
+    return Macid(nodes, edges, model.cpds, model.utilities, model.agents)
+
+
+def test_barren_nodes_no_longer_push_the_warm_start_over_budget(monkeypatch):
+    # The silenced model has 64 profiles x 16 outcomes = 1024 cells: within
+    # a budget of 1024 the welfare warm start finds the informative R2
+    # equilibrium, so silence costs nothing and C is immaterial. One barren
+    # node doubles the unpruned count; over budget, the lexicographic start
+    # is a babbling equilibrium and C reads as material. Pruning keeps the
+    # warm start.
+    monkeypatch.setattr(macid, "_WARM_START_BUDGET", 1024)
+    small = second_channel_model()
+    wide = with_extra(small, isolated(1))
+    assert materiality_value(small, "R_a", "C", "B_b") == 0.0
+    assert materiality_value(wide, "R_a", "C", "B_b") == 0.5
+    profile = {
+        "R_a": DecisionRule.deterministic(small, "R_a", {("0",): "0", ("1",): "1"}),
+        "R2": DecisionRule.deterministic(small, "R2", {("0",): "0", ("1",): "1"}),
+        "B_b": DecisionRule.deterministic(small, "B_b", {pa: pa[0] for pa in small.parent_assignments("B_b")}),
+    }
+    verdict = disclosure_check(wide, profile, "R_a", "C", "B_b")
+    assert not verdict.material and verdict.value_of_information == 0.0
+    assert repr(verdict) == repr(disclosure_check(small, profile, "R_a", "C", "B_b"))
