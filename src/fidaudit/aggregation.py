@@ -141,7 +141,6 @@ class LexicographicChoice:
     option: str
     tie_break_applied: bool
     tied_options: tuple[str, ...]
-    class_scores: tuple[tuple[float, ...], ...]  # per class, scores of surviving options
 
 
 def lexicographic_select(
@@ -164,10 +163,8 @@ def lexicographic_select(
         return sum(utilities) if class_score == "sum" else min(utilities)
 
     surviving = list(matrix.options)
-    recorded = []
     for cls in classes.classes:
         scores = [score(cls, o) for o in surviving]
-        recorded.append(tuple(scores))
         best = max(scores)
         surviving = [o for o, sc in zip(surviving, scores) if sc == best]
         if len(surviving) == 1:
@@ -179,7 +176,6 @@ def lexicographic_select(
         option=chosen,
         tie_break_applied=tied,
         tied_options=tuple(surviving),
-        class_scores=tuple(recorded),
     )
 
 

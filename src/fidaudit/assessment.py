@@ -22,7 +22,6 @@ re-solved advice at a higher patience than the fitted one.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -38,7 +37,7 @@ from .errors import (
     InvalidPrior,
     SingularCovariance,
 )
-from .mdp import Mdp, Policy, policy_iteration, value_iteration
+from .mdp import Mdp, Policy, _check_beta, policy_iteration, value_iteration
 
 RIDGE_EPSILON = 1e-8
 
@@ -52,11 +51,6 @@ class Trajectory:
     def __post_init__(self) -> None:
         if not self.steps:
             raise ValueError("trajectory must be non-empty")
-
-    def validate_against(self, mdp: Mdp) -> None:
-        for s, a in self.steps:
-            if s not in mdp.states or a not in mdp.actions:
-                raise ValueError(f"trajectory step ({s!r}, {a!r}) not in the MDP")
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,48 +156,18 @@ class FeasibleRewardSet:
         homogeneous, so scaling preserves feasibility).
         """
         n_s, n_a = len(self.mdp.states), len(self.mdp.actions)
+        chosen = self.mdp.policy_index(self.policy)
         v = rng.uniform(-1.0, 1.0, size=n_s)
         q = np.empty((n_s, n_a))
-        for i, s in enumerate(self.mdp.states):
-            chosen = self.mdp.action_index(self.policy[s])
+        for i in range(n_s):
             for j in range(n_a):
-                gap = 0.0 if j == chosen else float(rng.uniform(0.1, 1.0))
+                gap = 0.0 if j == chosen[i] else float(rng.uniform(0.1, 1.0))
                 q[i, j] = v[i] - gap
         reward = q - self.beta * (self.mdp.transition @ v)
         peak = float(np.max(np.abs(reward)))
         if peak > self.bound:
             reward *= self.bound / peak
         return reward
-
-    def vertices(self, max_dim: int = 8) -> list[np.ndarray]:
-        """Vertices of the cone-box intersection, for small instances only.
-
-        Enumerates all choices of dim active constraints; quadratic-or-worse
-        in the constraint count, so guarded by ``max_dim``.
-        """
-        dim = self.constraint_matrix.shape[1]
-        if dim > max_dim:
-            raise InfeasibleNumerics(
-                f"vertex enumeration limited to dimension {max_dim}, got {dim}"
-            )
-        rows = [(row, 0.0) for row in self.constraint_matrix]
-        eye = np.eye(dim)
-        for i in range(dim):
-            rows.append((eye[i], -self.bound))  # r_i <= bound  ->  -r_i >= -bound
-            rows.append((-eye[i], -self.bound))  # r_i >= -bound
-        a_all = np.array([r for r, _ in rows])
-        b_all = np.array([b for _, b in rows])
-        found: list[np.ndarray] = []
-        for combo in itertools.combinations(range(len(rows)), dim):
-            a_sub = a_all[list(combo)]
-            b_sub = b_all[list(combo)]
-            if abs(np.linalg.det(a_sub)) < 1e-12:
-                continue
-            point = np.linalg.solve(a_sub, b_sub)
-            if np.all(a_all @ point >= b_all - 1e-9):
-                if not any(np.allclose(point, seen, atol=1e-9) for seen in found):
-                    found.append(point)
-        return found
 
 
 def feasible_rewards_irl(
@@ -213,23 +177,20 @@ def feasible_rewards_irl(
 
     The reward table of ``mdp`` is ignored; only the dynamics matter.
     Each constraint row is the reward-space functional of the Q gap, using
-    V_pi = (I - beta P_pi)^{-1} r_pi.
+    V_pi = (I - beta P_pi)^{-1} r_pi, solved for the selector of r_pi.
     """
-    if not 0.0 < beta < 1.0:
-        raise InvalidDiscount(f"beta must lie in (0, 1), got {beta}")
+    _check_beta(beta)
     if bound <= 0:
         raise ValueError("bound must be positive")
     n_s, n_a = len(mdp.states), len(mdp.actions)
-    chosen = np.array([mdp.action_index(policy[s]) for s in mdp.states])
-    p_pi = mdp.transition[np.arange(n_s), chosen]
-    try:
-        propagate = np.linalg.inv(np.eye(n_s) - beta * p_pi)
+    chosen = mdp.policy_index(policy)
+    states = np.arange(n_s)
+    selector = np.zeros((n_s, n_s * n_a))  # r_pi = selector @ r_flat
+    selector[states, states * n_a + chosen] = 1.0
+    try:  # V_pi = value_of_reward @ r_flat
+        value_of_reward = np.linalg.solve(np.eye(n_s) - beta * mdp.transition[states, chosen], selector)
     except np.linalg.LinAlgError as exc:
         raise InfeasibleNumerics(f"could not assemble constraints: {exc}") from exc
-    selector = np.zeros((n_s, n_s * n_a))
-    for i in range(n_s):
-        selector[i, i * n_a + chosen[i]] = 1.0
-    value_of_reward = propagate @ selector  # V_pi = value_of_reward @ r_flat
 
     rows = []
     for i in range(n_s):
@@ -258,11 +219,15 @@ def feasible_rewards_irl(
 
 def _visits(mdp: Mdp, demos: Sequence[Trajectory]):
     """The demos' steps as (time, state, action) index arrays in demo order,
-    and their visit counts n_t(s, a) as a (T, S, A) array."""
-    steps = np.array(
-        [(t, mdp.state_index(s), mdp.action_index(a)) for d in demos for t, (s, a) in enumerate(d.steps)],
-        dtype=int,
-    ).reshape(-1, 3).T
+    and their visit counts n_t(s, a) as a (T, S, A) array. A step outside
+    the MDP is a ValueError that names it."""
+    rows = []
+    for d in demos:
+        for t, (s, a) in enumerate(d.steps):
+            if s not in mdp.states or a not in mdp.actions:
+                raise ValueError(f"trajectory step ({s!r}, {a!r}) not in the MDP")
+            rows.append((t, mdp.state_index(s), mdp.action_index(a)))
+    steps = np.array(rows, dtype=int).reshape(-1, 3).T
     counts = np.zeros((int(steps[0].max()) + 1, len(mdp.states), len(mdp.actions)))
     np.add.at(counts, tuple(steps), 1.0)
     return steps, counts
@@ -334,12 +299,9 @@ def maxent_irl(
     """
     if not demos:
         raise ValueError("demos must be non-empty")
-    if not 0.0 < beta < 1.0:
-        raise InvalidDiscount(f"beta must lie in (0, 1), got {beta}")
-    for demo in demos:
-        demo.validate_against(mdp)
-    dense = features.dense(mdp)
+    _check_beta(beta)
     steps, counts = _visits(mdp, demos)
+    dense = features.dense(mdp)
     theta = np.zeros(features.dim)
     log_likelihood, grad = _log_likelihood(mdp, dense, steps, counts, theta, beta)
     initial_norm = float(np.linalg.norm(grad))
@@ -405,12 +367,8 @@ def fit_preference_reward(
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=float)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    ex = np.exp(-np.abs(x))  # at most 1: no overflow on either side
+    return np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
 
 
 def _log_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -445,8 +403,7 @@ def infer_discount(
     if len(set(grid)) != len(grid):
         raise EmptyGrid("beta grid has duplicate entries")
     for b in grid:
-        if not 0.0 < b < 1.0:
-            raise InvalidDiscount(f"grid point {b} outside (0, 1)")
+        _check_beta(b)
     weights = [float(p) for p in prior]
     if len(weights) != len(grid):
         raise InvalidPrior(f"prior length {len(weights)} != grid length {len(grid)}")
@@ -456,15 +413,16 @@ def infer_discount(
         raise InvalidPrior(f"prior sums to {sum(weights)}")
     if temperature <= 0:
         raise ValueError("temperature must be positive")
+    chosen = mdp.policy_index(behavior)
 
     log_posts = []
     for b, w in zip(grid, weights):
         solution = value_iteration(mdp, b)
         loglik = 0.0
-        for s in mdp.states:
+        for s, j in zip(mdp.states, chosen):
             scaled = np.array([solution.q[(s, a)] for a in mdp.actions]) / temperature
             peak = scaled.max()
-            loglik += scaled[mdp.action_index(behavior[s])] - (
+            loglik += scaled[j] - (
                 peak + math.log(np.sum(np.exp(scaled - peak)))
             )
         log_posts.append((b, (math.log(w) if w > 0 else -math.inf) + loglik))
@@ -492,8 +450,8 @@ def patient_recommendation(mdp: Mdp, beta_fit: float, beta_advice: float) -> Pat
     differs from the one at the fitted discount; both solves break ties to
     the lowest action index of the exact Q, so a zero reward yields none.
     """
-    if not 0.0 < beta_fit < 1.0 or not 0.0 < beta_advice < 1.0:
-        raise InvalidDiscount("both discounts must lie in (0, 1)")
+    _check_beta(beta_fit)
+    _check_beta(beta_advice)
     if beta_advice < beta_fit:
         raise InvalidDiscount("beta_advice must be at least beta_fit")
     fitted = policy_iteration(mdp, beta_fit).policy

@@ -64,6 +64,13 @@ class Mdp:
     def action_index(self, action: str) -> int:
         return self.actions.index(action)
 
+    def policy_index(self, policy: Policy) -> np.ndarray:
+        """The action index ``policy`` picks in each state, in state order."""
+        for s in self.states:
+            if s not in policy:
+                raise ValueError(f"policy missing state {s!r}")
+        return np.array([self.action_index(policy[s]) for s in self.states], dtype=int)
+
     @staticmethod
     def from_dynamics(
         states: Sequence[str], actions: Sequence[str], transition: np.ndarray
@@ -208,12 +215,7 @@ def evaluate_policy(mdp: Mdp, policy: Policy, beta: float) -> ValueFunction:
     reported as SingularSystem rather than silently propagated.
     """
     _check_beta(beta)
-    action_idx = np.empty(len(mdp.states), dtype=int)
-    for i, s in enumerate(mdp.states):
-        if s not in policy:
-            raise ValueError(f"policy missing state {s!r}")
-        action_idx[i] = mdp.action_index(policy[s])
-    v, q = _evaluate(mdp, action_idx, beta)
+    v, q = _evaluate(mdp, mdp.policy_index(policy), beta)
     return _package(mdp, v, q, 1, True, [])
 
 
@@ -257,7 +259,6 @@ class ReversalReport:
 
     reversal_epoch: int | None
     initial_preference: str  # "early" | "late"
-    values_at_reversal: tuple[float, float] | None = None
 
     @property
     def reversed(self) -> bool:
@@ -284,14 +285,13 @@ def detect_preference_reversal(
     if horizon < 1:
         raise ValueError("horizon must be positive")
 
-    def preference(epoch: int) -> tuple[str, float, float]:
+    def preference(epoch: int) -> str:
         v_early = early.reward * discount_weight(spec, early.delay - epoch)
         v_late = late.reward * discount_weight(spec, late.delay - epoch)
-        return ("early" if v_early >= v_late else "late"), v_early, v_late
+        return "early" if v_early >= v_late else "late"
 
-    initial, _, _ = preference(0)
+    initial = preference(0)
     for epoch in range(1, min(horizon, early.delay) + 1):
-        current, v_early, v_late = preference(epoch)
-        if current != initial:
-            return ReversalReport(epoch, initial, (v_early, v_late))
+        if preference(epoch) != initial:
+            return ReversalReport(epoch, initial)
     return ReversalReport(None, initial)

@@ -13,11 +13,13 @@ raises SchemaError at the first, so both accept exactly the same
 documents. A wrong JSON type, shape, length or id is a problem, and so are
 a number that is not finite or not in float range, an ``iters``,
 ``samples`` or ``horizon`` count outside 1..``MAX_ITERS_CAP``, a
-``policy`` or ``behavior`` map that leaves out an MDP state, and a world
-model its constructor rejects. A method, table or check value that a
-library call rejects (an asymmetric covariance, a discount outside (0, 1))
-is left to its audit step, which reports a Fail finding. A field given as
-null counts as absent. The scenario digest is computed over the
+``policy`` or ``behavior`` map that leaves out an MDP state, a world
+model its constructor rejects, and a ``world.mdp.discount`` that is not
+exponential: its beta is the default of ``maxent_irl`` and
+``feasibility_probe`` (0.9 without one). A method, table or check value
+that a library call rejects (an asymmetric covariance, a discount outside
+(0, 1)) is left to its audit step, which reports a Fail finding. A field
+given as null counts as absent. The scenario digest is computed over the
 canonical serialized form, so reordering keys in the file changes nothing.
 """
 
@@ -57,7 +59,6 @@ class World:
     macid: Macid | None = None
     profile: Mapping[str, DecisionRule] | None = None
     mdp: Mdp | None = None
-    discount: DiscountSpec | None = None
 
 
 @dataclass(frozen=True)
@@ -332,10 +333,8 @@ class _Reader:
     def world(self, doc: dict, path: str) -> World:
         macid, profile = self.field(doc, "macid", path, self.macid, default=None) or (None, None)
         self.has_mdp = doc.get("mdp") is not None
-        mdp, discount = self.field(doc, "mdp", path, self.mdp, default=None) or (None, None)
-        if discount is not None and discount.kind == "exponential":
-            self.default_beta = discount.beta
-        return World(macid=macid, profile=profile, mdp=mdp, discount=discount)
+        mdp = self.field(doc, "mdp", path, self.mdp, default=None)
+        return World(macid=macid, profile=profile, mdp=mdp)
 
     @_object
     def node(self, doc: dict, path: str) -> Node | None:
@@ -404,7 +403,7 @@ class _Reader:
         return model, {nid: DecisionRule(nid, table) for nid, table in profile.items()}
 
     @_object
-    def mdp(self, doc: dict, path: str) -> tuple[Mdp, DiscountSpec | None] | None:
+    def mdp(self, doc: dict, path: str) -> Mdp | None:
         start = len(self.problems)
         states = self.field(doc, "states", path, self.strs, nonempty=True)
         actions = self.field(doc, "actions", path, self.strs, nonempty=True)
@@ -415,6 +414,8 @@ class _Reader:
         transition = self.field(doc, "transition", path, self.array, shape=(n_s, n_a, n_s))
         reward = self.field(doc, "reward", path, self.array, shape=(n_s, n_a))
         discount = self.field(doc, "discount", path, self.discount, default=None)
+        if discount is not None and discount["kind"] != "exponential":
+            self.fail(f"{path}.discount.kind", "must be exponential: it gives the default beta")
         if len(self.problems) > start:
             return None
         try:
@@ -422,13 +423,13 @@ class _Reader:
         except ValueError as exc:
             self.fail(path, str(exc))
             return None
-        if discount is None:
-            return mdp, None
-        try:
-            return mdp, DiscountSpec(**discount)
-        except FidauditError as exc:
-            self.fail(f"{path}.discount", str(exc))
-            return None
+        if discount is not None:
+            try:
+                self.default_beta = DiscountSpec(**discount).beta
+            except FidauditError as exc:
+                self.fail(f"{path}.discount", str(exc))
+                return None
+        return mdp
 
     @_object
     def discount(self, doc: dict, path: str) -> dict | None:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from fidaudit.assessment import (
     PairwiseComparison,
     PortfolioProblem,
     Trajectory,
+    _sigmoid,
     demo_log_likelihood,
     feasible_rewards_irl,
     fit_preference_reward,
@@ -104,20 +106,15 @@ def test_suboptimal_reward_violates_a_constraint():
     assert not feasible.contains(reward)
 
 
-def test_vertices_enumerable_on_tiny_instance():
-    states = ["s0", "s1"]
-    moves = {
-        ("s0", "stay"): "s0",
-        ("s0", "move"): "s1",
-        ("s1", "stay"): "s1",
-        ("s1", "move"): "s0",
-    }
-    mdp = deterministic_mdp(states, ["stay", "move"], moves)
-    feasible = feasible_rewards_irl(mdp, {"s0": "move", "s1": "stay"}, beta=0.5, bound=1.0)
-    verts = feasible.vertices()
-    assert verts, "bounded cone section must have vertices"
-    for v in verts:
-        assert feasible.contains(v.reshape(2, 2), tol=1e-6)
+def test_a_map_that_leaves_out_a_state_is_a_value_error():
+    mdp = chain_walk_mdp()
+    partial = {"s0": "right", "s1": "right", "s2": "left"}
+    with pytest.raises(ValueError, match="policy missing state 's3'"):
+        feasible_rewards_irl(mdp, partial, beta=0.9, bound=1.0)
+    with pytest.raises(ValueError, match="policy missing state 's3'"):
+        infer_discount(mdp, partial, [0.5, 0.9], [0.5, 0.5])
+    with pytest.raises(ValueError, match="policy missing state 's3'"):
+        evaluate_policy(mdp, partial, 0.9)
 
 
 # --- maxent_irl -----------------------------------------------------------------
@@ -312,6 +309,18 @@ def test_dense_features_match_the_loop_on_a_shuffled_table(rng):
     assert np.array_equal(features.dense(mdp), loop)
 
 
+@pytest.mark.parametrize("bad", [("s9", "right"), ("s1", "jump")])
+def test_a_demo_step_outside_the_mdp_is_named(bad):
+    mdp = chain_walk_mdp()
+    features = FeatureMap.one_hot_states(mdp)
+    demos = [Trajectory((("s0", "right"), bad))]
+    message = re.escape(f"trajectory step {bad!r} not in the MDP")
+    with pytest.raises(ValueError, match=message):
+        demo_log_likelihood(mdp, features, demos, np.zeros(4), 0.9)
+    with pytest.raises(ValueError, match=message):
+        maxent_irl(mdp, features, demos, beta=0.9, learn_rate=0.1, iters=5)
+
+
 # --- fit_preference_reward --------------------------------------------------------
 
 
@@ -329,6 +338,25 @@ def _kendall_tau(order_a, order_b):
         else:
             discordant += 1
     return (concordant - discordant) / (concordant + discordant)
+
+
+def _two_branch_sigmoid(x):
+    """The logistic function as two separately computed halves."""
+    out = np.empty_like(x, dtype=float)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_matches_the_two_branch_reference_bit_for_bit():
+    edges = [0.0, 1e-300, 36.0, 745.0, 1e308, math.inf]
+    x = np.concatenate([edges, [-e for e in edges], [math.nan], np.random.default_rng(5).normal(size=10_000)])
+    got, want = _sigmoid(x), _two_branch_sigmoid(x)
+    nan = np.isnan(want)
+    assert nan.sum() == 1 and np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
 
 
 def test_single_separable_comparison():

@@ -1,11 +1,22 @@
+import itertools
 import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from fidaudit.assessment import (
+    FeatureMap,
+    PairwiseComparison,
+    Trajectory,
+    fit_preference_reward,
+    infer_discount,
+    maxent_irl,
+)
 from fidaudit.audit import emit_report, run_audit
+from fidaudit.care import PRIOR_DOMINANCE_RATIONALE
 from fidaudit.cli import main
 from fidaudit.context import duty_entry
 from fidaudit.errors import SchemaError
@@ -203,6 +214,106 @@ def test_rejected_value_is_a_failure_of_that_check(mutate, step, check):
     assert "step-error" not in checks
     assert checks[check].status == "fail"
     assert checks[check].evidence["error"] == checks[check].detail
+
+
+def step_findings(raw, step):
+    """The findings of one step of the audit of ``raw``, and its status."""
+    record = next(s for s in run_audit(parse_scenario(raw)).steps if s.step == step)
+    return record.status, record.findings
+
+
+@pytest.mark.parametrize("discount, beta", [({"kind": "exponential", "beta": 0.5}, 0.5), (None, 0.9)])
+def test_world_discount_gives_the_default_beta_of_a_declared_feature_fit(discount, beta):
+    raw = raw_scenario("trust_portfolio.json")
+    raw["world"]["mdp"]["discount"] = discount
+    del raw["assessment"]["methods"][4]["beta"]
+    states, actions = raw["world"]["mdp"]["states"], raw["world"]["mdp"]["actions"]
+    table = [[1.0 if a == "now" else 0.0, i / 4] for i in range(len(states)) for a in actions]
+    demos = [[[0, 0], [1, 0]], [[2, 1], [3, 0], [4, 1]]]
+    raw["assessment"]["methods"].append(
+        {"kind": "maxent_irl", "features": {"dim": 2, "table": table}, "demos": demos, "learn_rate": 0.1, "iters": 20}
+    )
+    scenario = parse_scenario(raw)
+    assert [scenario.assessment[i].beta for i in (4, 5)] == [beta, beta]
+
+    status, findings = step_findings(raw, "assessment")
+    assert status == "pass"
+    mdp = scenario.world.mdp
+    features = FeatureMap(2, {key: np.array(row) for key, row in zip(itertools.product(states, actions), table)})
+    trajectories = [Trajectory(tuple((states[i], actions[j]) for i, j in demo)) for demo in demos]
+    want = maxent_irl(mdp, features, trajectories, beta=beta, learn_rate=0.1, iters=20)
+    assert findings[5].check == "behavior-irl"
+    assert np.array_equal(findings[5].evidence["weights"], want.weights)
+    assert findings[5].evidence["grad_norm"] == want.diagnostics["grad_norm"]
+
+
+def test_preference_fit_over_the_world_mdp_uses_one_hot_state_features():
+    raw = raw_scenario("trust_portfolio.json")
+    steps = [[[0, 0], [1, 0]], [[2, 1]], [[3, 1], [4, 0]]]
+    judged = [(0, 1, "left"), (2, 1, "right")]
+    raw["assessment"]["methods"].append(
+        {
+            "kind": "preference_fit",
+            "trajectories": steps,
+            "comparisons": [{"left": left, "right": right, "preferred": side} for left, right, side in judged],
+            "learn_rate": 0.2,
+            "iters": 50,
+        }
+    )
+    mdp = parse_scenario(raw).world.mdp
+    trajectories = [Trajectory(tuple((mdp.states[i], mdp.actions[j]) for i, j in t)) for t in steps]
+    comparisons = [PairwiseComparison(trajectories[left], trajectories[right], side) for left, right, side in judged]
+    want = fit_preference_reward(FeatureMap.one_hot_states(mdp), comparisons, 0.2, 50)
+    _, findings = step_findings(raw, "assessment")
+    assert findings[5].check == "preference-fit" and findings[5].status == "pass"
+    assert np.array_equal(findings[5].evidence["weights"], want.weights)
+    assert findings[5].evidence["log_likelihood"] == want.diagnostics["log_likelihood"]
+
+
+def test_discount_inference_uses_a_declared_prior():
+    raw = raw_scenario("trust_portfolio.json")
+    method = raw["assessment"]["methods"][1]
+    method["prior"] = [0.25, 0.75]
+    mdp = parse_scenario(raw).world.mdp
+    want = infer_discount(mdp, method["behavior"], method["beta_grid"], [0.25, 0.75], temperature=0.01)
+    _, findings = step_findings(raw, "assessment")
+    assert findings[1].check == "discount-inference"
+    assert findings[1].evidence["posterior"] == want
+
+
+def test_pareto_aggregation_reports_the_front():
+    raw = raw_scenario("disclosure_demo.json")
+    raw["aggregation"]["method"] = "pareto"
+    status, findings = step_findings(raw, "aggregation")
+    assert status == "pass"
+    assert (findings[0].check, findings[0].evidence) == ("pareto-front", {"front": frozenset({"balanced"})})
+
+
+def test_missing_class_utilities_fail_principal_selection():
+    raw = raw_scenario("disclosure_demo.json")
+    raw["aggregation"]["utilities"] = {"advisers": [1.0, 2.0]}
+    status, findings = step_findings(raw, "aggregation")
+    assert status == "fail"
+    assert (findings[0].check, findings[0].status, findings[0].evidence) == (
+        "principal-selection", "fail", {"missing": ["clients"]}
+    )
+
+
+@pytest.mark.parametrize(
+    "prior, likelihoods, note",
+    [
+        (0.0, (0.9, 0.1), "degenerate prior pins the posterior"),
+        (1.0, (0.5, 0.5), PRIOR_DOMINANCE_RATIONALE + "; degenerate prior pins the posterior"),
+    ],
+)
+def test_degenerate_prior_warns_with_a_note(prior, likelihoods, note):
+    raw = raw_scenario("disclosure_demo.json")
+    raw["care"]["checks"][0].update(prior=prior, likelihood1=likelihoods[0], likelihood0=likelihoods[1])
+    _, findings = step_findings(raw, "care")
+    checks = {f.check: f for f in findings}
+    finding = checks["prior-informativeness"]
+    assert (finding.status, finding.detail) == ("warn", note)
+    assert finding.evidence["degenerate_prior"]
 
 
 def confidential_market_state(raw):

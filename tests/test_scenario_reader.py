@@ -105,6 +105,20 @@ def huge_reversal_horizon(raw):
     raw["assessment"]["methods"][3].update(early=[8, 100_000_000], late=[10, 100_000_001], horizon=100_000_000)
 
 
+def hyperbolic_world_discount(raw):
+    # without the probe's own beta, the world discount would have to give it
+    raw["world"]["mdp"]["discount"] = {"kind": "hyperbolic", "k": 3.0}
+    del raw["assessment"]["methods"][4]["beta"]
+
+
+def unknown_loyalty_role(raw):
+    raw["loyalty"]["tables"]["regulator"] = [0.0, 1.0]
+
+
+def empty_utilities(raw):
+    raw["aggregation"]["utilities"] = {}
+
+
 @pytest.mark.parametrize(
     "scenario, mutate, path",
     [
@@ -126,6 +140,9 @@ def huge_reversal_horizon(raw):
         ("trust_portfolio.json", negative_maxent_iters, "assessment.methods[5].iters"),
         ("engagement_prior_warn.json", huge_preference_iters, "assessment.methods[0].iters"),
         ("trust_portfolio.json", huge_reversal_horizon, "assessment.methods[3].horizon"),
+        ("trust_portfolio.json", hyperbolic_world_discount, "world.mdp.discount.kind"),
+        ("disclosure_demo.json", unknown_loyalty_role, "loyalty.tables.regulator"),
+        ("disclosure_demo.json", empty_utilities, "aggregation.utilities"),
     ],
 )
 def test_validate_and_check_reject_the_same_documents(tmp_path, scenario, mutate, path):
