@@ -10,9 +10,10 @@ made rather than forced.
 The ordinal rules (Borda, plurality, dictator) are positional scoring
 rules, each written once as a ``points`` table over the ballots; the
 winner and the manipulation search both read it. The search scores
-blocks of profiles and every misreport in each with one integer numpy
-kernel, and for the anonymous rules it scans only non-decreasing
-profiles, which contain the first witness of the full scan.
+blocks of profiles, and one misreport per distinct score row in each,
+with one integer numpy kernel. It enumerates only the counted voters'
+ballots, and for the anonymous rules only non-decreasing profiles: both
+contain the first witness of the full scan.
 """
 
 from __future__ import annotations
@@ -194,19 +195,27 @@ class VotingRule:
 
 def _scoring_tables(
     kind: str, n_options: int
-) -> tuple[tuple[tuple[int, ...], ...], np.ndarray, np.ndarray]:
-    """(ballots, position, points): every ballot in ``itertools.permutations``
-    order, with the two tables that score a profile under rule ``kind``.
+) -> tuple[tuple[tuple[int, ...], ...], np.ndarray, np.ndarray, np.ndarray]:
+    """(ballots, position, points, distinct): every ballot in
+    ``itertools.permutations`` order, with the two tables that score a
+    profile under rule ``kind`` and the first ballot of each score row.
 
     ``position[b, o]`` is the place of option ``o`` on ballot ``b`` and
     ``points[b, o]`` the score the rule gives it: ``n - 1 - position``
     for Borda, one point for the top place under plurality and dictator.
+    ``distinct`` holds, in ascending order, the lowest index of each
+    distinct ``points`` row: every Borda ballot, one ballot per top
+    choice under plurality and dictator.
     """
     ballots = tuple(itertools.permutations(range(n_options)))
     places = [[ballot.index(option) for option in range(n_options)] for ballot in ballots]
     position = np.array(places, np.intp)
     points = n_options - 1 - position if kind == "borda" else (position == 0) * 1
-    return ballots, position, points
+    first = {}  # score row -> lowest ballot index with it, in ascending order
+    for b, row in enumerate(map(tuple, points.tolist())):
+        first.setdefault(row, b)
+    distinct = np.fromiter(first.values(), np.intp)
+    return ballots, position, points, distinct
 
 
 def _scorers(rule: VotingRule, n_voters: int) -> tuple[int, ...]:
@@ -216,7 +225,7 @@ def _scorers(rule: VotingRule, n_voters: int) -> tuple[int, ...]:
 
 def _winner(rule: VotingRule, profile: tuple[tuple[int, ...], ...], n_options: int) -> int:
     """Single winner; score ties break to the lowest option index."""
-    ballots, _, points = _scoring_tables(rule.kind, n_options)
+    ballots, _, points, _ = _scoring_tables(rule.kind, n_options)
     rows = [ballots.index(profile[voter]) for voter in _scorers(rule, len(profile))]
     return int(points[rows].sum(axis=0).argmax())
 
@@ -245,16 +254,23 @@ def find_manipulation(
 
     All three rules are positional scoring rules, so the search is one
     integer kernel over blocks of profiles: each profile's score is the
-    sum of its counted ballots' ``points`` rows, and each voter's every
-    misreport is scored at once by swapping that voter's row for every
-    ballot's. ``argmax`` takes the first maximum, which is the
-    lowest-index tie-break of ``_winner``. Only counted voters can change
-    the winner, so under the dictator rule only the dictator is tried.
-    Borda and plurality are anonymous: a permutation of a manipulable
-    profile is manipulable too, and the sorted permutation comes first in
-    lexicographic order, so the first manipulable profile is
-    non-decreasing and only those are scanned. The dictator rule is not
-    anonymous and scans every profile.
+    sum of its counted ballots' ``points`` rows, and each voter's
+    misreports are scored at once by swapping that voter's row for every
+    other row. ``argmax`` takes the first maximum, which is the
+    lowest-index tie-break of ``_winner``. Two steps skip what cannot
+    change the first witness:
+
+    - Only counted voters can change the winner, so only they are tried
+      and only their ballots are enumerated; the first witness has every
+      uncounted ballot at index 0. The dictator rule draws the dictator's
+      ballots alone. Borda and plurality count every voter and are
+      anonymous: a permutation of a manipulable profile is manipulable
+      too, and the sorted permutation comes first in lexicographic
+      order, so only non-decreasing profiles are scanned.
+    - Ballots with the same ``points`` row give the same trial winner,
+      so one misreport per distinct row is scored and a hit maps back to
+      the lowest-index ballot of its row: one per top choice under
+      plurality and dictator, every ballot under Borda.
     """
     if n_voters < 1 or n_options < 1:
         raise ValueError("need at least one voter and one option")
@@ -266,40 +282,42 @@ def find_manipulation(
     if rule.kind == "dictator" and not 0 <= rule.dictator_voter < n_voters:
         raise ValueError("dictator voter out of range")
 
-    ballots, position, points = _scoring_tables(rule.kind, n_options)
+    ballots, position, points, distinct = _scoring_tables(rule.kind, n_options)
     scorers = _scorers(rule, n_voters)
     n_ballots = len(ballots)
     flat_position = position.ravel()
+    rows = points[distinct]
     if rule.kind == "dictator":
-        profiles = itertools.product(range(n_ballots), repeat=n_voters)
+        counted = itertools.product(range(n_ballots), repeat=len(scorers))
     else:
-        profiles = itertools.combinations_with_replacement(range(n_ballots), n_voters)
+        counted = itertools.combinations_with_replacement(range(n_ballots), n_voters)
     size = _FIRST_BLOCK
     while True:
-        chunk = itertools.chain.from_iterable(itertools.islice(profiles, size))
-        block = np.fromiter(chunk, np.intp).reshape(-1, n_voters)  # ballot indices
-        if not len(block):
+        chunk = itertools.chain.from_iterable(itertools.islice(counted, size))
+        drawn = np.fromiter(chunk, np.intp).reshape(-1, len(scorers))
+        if not len(drawn):
             return None
-        total = points[block[:, scorers]].sum(axis=1)  # (profiles, options)
+        block = np.zeros((len(drawn), n_voters), np.intp)  # ballot indices
+        block[:, scorers] = drawn
+        total = points[drawn].sum(axis=1)  # (profiles, options)
         sincere = total.argmax(axis=1)
-        hits = np.zeros((len(block), n_voters, n_ballots), dtype=bool)
+        hits = np.zeros((len(block), n_voters, len(distinct)), dtype=bool)
         for voter in scorers:
             own = block[:, voter]
-            trial = (total - points[own])[:, None, :] + points  # (profiles, ballots, options)
+            trial = (total - points[own])[:, None, :] + rows  # (profiles, rows, options)
             # position[own, new] < position[own, sincere], read from the flat table
             base = own[:, None] * n_options
             new_place = flat_position[base + trial.argmax(axis=2)]
             hits[:, voter] = new_place < flat_position[base + sincere[:, None]]
         if hits.any():
-            p, voter, b = np.unravel_index(hits.argmax(), hits.shape)
-            profile = tuple(ballots[i] for i in block[p])
-            trial_profile = profile[:voter] + (ballots[b],) + profile[voter + 1 :]
+            p, voter, k = np.unravel_index(hits.argmax(), hits.shape)
+            b = distinct[k]
             return ManipulationInstance(
-                profile=profile,
+                profile=tuple(ballots[i] for i in block[p]),
                 voter=int(voter),
                 insincere_ballot=ballots[b],
                 sincere_winner=int(sincere[p]),
-                manipulated_winner=_winner(rule, trial_profile, n_options),
+                manipulated_winner=int((total[p] - points[block[p, voter]] + points[b]).argmax()),
             )
         size = min(2 * size, _MAX_BLOCK)
 

@@ -203,14 +203,14 @@ def feasible_rewards_irl(
             row += beta * (mdp.transition[i, chosen[i]] - mdp.transition[i, j]) @ value_of_reward
             rows.append(row)
     matrix = np.array(rows) if rows else np.zeros((0, n_s * n_a))
-    zero_ok = bool(np.all(matrix @ np.zeros(n_s * n_a) >= -1e-12))
     return FeasibleRewardSet(
         mdp=mdp,
         policy={s: policy[s] for s in mdp.states},
         beta=beta,
         bound=bound,
         constraint_matrix=matrix,
-        zero_reward_feasible=zero_ok,
+        # R = 0 meets every constraint with equality: the degenerate solution (Ng & Russell 2000)
+        zero_reward_feasible=True,
     )
 
 

@@ -93,8 +93,9 @@ class DiscountSpec:
 
     def __post_init__(self) -> None:
         if self.kind == "exponential":
-            if self.beta is None or not 0.0 < self.beta < 1.0:
-                raise InvalidDiscount(f"exponential discount needs 0 < beta < 1, got {self.beta}")
+            if self.beta is None:
+                raise InvalidDiscount("exponential discount needs 0 < beta < 1, got None")
+            _check_beta(self.beta)
         elif self.kind == "hyperbolic":
             if self.k is None or self.k <= 0.0:
                 raise InvalidDiscount(f"hyperbolic discount needs k > 0, got {self.k}")

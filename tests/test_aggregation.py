@@ -217,10 +217,15 @@ def _reference_winner(rule, profile, n_options):
     return scores.index(max(scores))
 
 
-def _reference_manipulation(rule, n_voters, n_options):
-    # reference: every (profile, voter, ballot) of the full product, in order
+def _reference_manipulation(rule, n_voters, n_options, sorted_profiles=False):
+    # reference: every (profile, voter, ballot) in order, each voter trying
+    # every ballot; profiles from the full product, or only the sorted ones
     ballots = list(itertools.permutations(range(n_options)))
-    for profile in itertools.product(ballots, repeat=n_voters):
+    if sorted_profiles:
+        profiles = itertools.combinations_with_replacement(ballots, n_voters)
+    else:
+        profiles = itertools.product(ballots, repeat=n_voters)
+    for profile in profiles:
         sincere_winner = _reference_winner(rule, profile, n_options)
         for voter in range(n_voters):
             rank = {option: position for position, option in enumerate(profile[voter])}
@@ -252,8 +257,8 @@ def _count_profiles(monkeypatch):
 
 
 def test_manipulation_search_matches_the_scalar_reference(monkeypatch):
-    # every anonymous size up to the cap; the dictator's full scan stops short
-    # of 3x4, where the reference alone takes about half a second per dictator
+    # every anonymous size up to the cap; the dictator cases stop short of
+    # 3x4, where the reference alone takes about half a second per dictator
     every = [(v, o) for v in range(1, 5) for o in range(1, 5)]
     cases = [(VotingRule(kind), v, o) for kind in ("borda", "plurality") for v, o in every]
     cases += [(VotingRule("dictator", d), v, o) for v, o in every if v < 3 or o < 4 for d in range(v)]
@@ -263,10 +268,30 @@ def test_manipulation_search_matches_the_scalar_reference(monkeypatch):
         drawn.clear()
         assert find_manipulation(rule, n_voters, n_options) == want, (rule, n_voters, n_options)
         if rule.kind == "dictator":
-            # not anonymous: the clean scan covers every ordered profile
-            n_profiles = len(list(itertools.permutations(range(n_options)))) ** n_voters
-            assert drawn == {"product": n_profiles}
+            # the clean scan draws the dictator's ballots alone
+            n_ballots = len(list(itertools.permutations(range(n_options))))
+            assert drawn == {"product": n_ballots}
     assert sum(want is not None for want in expected) > 0
+
+
+def test_dictator_scans_only_the_dictators_ballots(monkeypatch):
+    drawn = _count_profiles(monkeypatch)
+    for n_voters in range(1, 5):
+        for n_options in range(1, 5):
+            n_ballots = len(list(itertools.permutations(range(n_options))))
+            for dictator in range(n_voters):
+                drawn.clear()
+                assert find_manipulation(VotingRule("dictator", dictator), n_voters, n_options) is None
+                assert drawn == {"product": n_ballots}, (dictator, n_voters, n_options)
+
+
+def test_one_trial_per_score_row_finds_the_all_ballots_witness():
+    for kind in ("borda", "plurality"):
+        for n_voters in range(1, 5):
+            for n_options in range(1, 5):
+                # the search tries one ballot per score row; the reference every ballot
+                want = _reference_manipulation(VotingRule(kind), n_voters, n_options, sorted_profiles=True)
+                assert find_manipulation(VotingRule(kind), n_voters, n_options) == want, (kind, n_voters, n_options)
 
 
 def test_anonymous_witnesses_are_sorted_profiles():

@@ -222,6 +222,32 @@ def step_findings(raw, step):
     return record.status, record.findings
 
 
+def test_validate_reads_the_beta_rule_for_an_out_of_range_world_discount(tmp_path):
+    raw = raw_scenario("trust_portfolio.json")
+    raw["world"]["mdp"]["discount"] = {"kind": "exponential", "beta": 1.5}
+    path = tmp_path / "impatient.json"
+    path.write_text(json.dumps(raw))
+    result = CliRunner().invoke(main, ["validate", str(path)])
+    assert result.output == "world.mdp.discount: beta must lie in (0, 1), got 1.5\n"
+    assert result.exit_code == 2
+
+
+def test_check_reads_the_beta_rule_for_an_out_of_range_reversal_discount(tmp_path):
+    raw = raw_scenario("trust_portfolio.json")
+    raw["assessment"]["methods"][3]["discount"] = {"kind": "exponential", "beta": 1.5}
+    path = tmp_path / "impatient.json"
+    path.write_text(json.dumps(raw))
+    runner = CliRunner()
+    assert runner.invoke(main, ["validate", str(path)]).exit_code == 0
+    result = runner.invoke(main, ["check", str(path), "--format", "machine"])
+    assessment = next(s for s in json.loads(result.output)["steps"] if s["step"] == "assessment")
+    reversal = next(f for f in assessment["findings"] if f["check"] == "method[3]")
+    assert reversal["status"] == "fail"
+    assert reversal["detail"] == "beta must lie in (0, 1), got 1.5"
+    assert reversal["evidence"] == {"kind": "preference_reversal", "error": reversal["detail"]}
+    assert result.exit_code == 2
+
+
 @pytest.mark.parametrize("discount, beta", [({"kind": "exponential", "beta": 0.5}, 0.5), (None, 0.9)])
 def test_world_discount_gives_the_default_beta_of_a_declared_feature_fit(discount, beta):
     raw = raw_scenario("trust_portfolio.json")
