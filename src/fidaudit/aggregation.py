@@ -24,12 +24,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    EmptyClass,
-    NegativeWeight,
-    SearchSpaceTooLarge,
-    UnknownOption,
-)
 
 MANIPULATION_MAX_VOTERS = 4
 MANIPULATION_MAX_OPTIONS = 4
@@ -61,7 +55,7 @@ def approval_winners(ballots: Sequence[ApprovalBallot], options: Sequence[str]) 
     for ballot in ballots:
         for o in ballot.approved:
             if o not in universe:
-                raise UnknownOption(f"ballot from {ballot.voter!r} approves unknown option {o!r}")
+                raise ValueError(f"ballot from {ballot.voter!r} approves unknown option {o!r}")
             counts[o] += 1
     top = max(counts.values())
     winners = frozenset(o for o, c in counts.items() if c == top)
@@ -130,7 +124,7 @@ class PriorityClasses:
         seen: set[str] = set()
         for i, cls in enumerate(self.classes):
             if not cls:
-                raise EmptyClass(f"priority class {i} is empty")
+                raise ValueError(f"priority class {i} is empty")
             for p in cls:
                 if p in seen:
                     raise ValueError(f"principal {p!r} appears in more than one class")
@@ -275,7 +269,7 @@ def find_manipulation(
     if n_voters < 1 or n_options < 1:
         raise ValueError("need at least one voter and one option")
     if n_voters > MANIPULATION_MAX_VOTERS or n_options > MANIPULATION_MAX_OPTIONS:
-        raise SearchSpaceTooLarge(
+        raise ValueError(
             f"exhaustive search capped at {MANIPULATION_MAX_VOTERS} voters x "
             f"{MANIPULATION_MAX_OPTIONS} options"
         )
@@ -346,7 +340,7 @@ def impartiality_check(
     """
     for key, value in weights.items():
         if value < 0:
-            raise NegativeWeight(f"weight for {key!r} is negative")
+            raise ValueError(f"weight for {key!r} is negative")
     violations: list[tuple[str, float, str]] = []
     agent_weight = weights.get(agent, 0.0)
     if agent_weight > 0:

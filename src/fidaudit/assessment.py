@@ -28,15 +28,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateData,
-    DivergenceDetected,
-    EmptyGrid,
-    InfeasibleNumerics,
-    InvalidDiscount,
-    InvalidPrior,
-    SingularCovariance,
-)
 from .mdp import Mdp, Policy, _check_beta, policy_iteration, value_iteration
 
 RIDGE_EPSILON = 1e-8
@@ -190,7 +181,7 @@ def feasible_rewards_irl(
     try:  # V_pi = value_of_reward @ r_flat
         value_of_reward = np.linalg.solve(np.eye(n_s) - beta * mdp.transition[states, chosen], selector)
     except np.linalg.LinAlgError as exc:
-        raise InfeasibleNumerics(f"could not assemble constraints: {exc}") from exc
+        raise ValueError(f"could not assemble constraints: {exc}") from exc
 
     rows = []
     for i in range(n_s):
@@ -294,7 +285,7 @@ def maxent_irl(
     is the demo feature counts less the expected counts of a forward
     occupancy pass under the current soft policy (see ``_log_likelihood``);
     the demos' visits are indexed once per fit. Raises
-    DivergenceDetected when the gradient norm grows tenfold over its
+    ValueError when the gradient norm grows tenfold over its
     initial value (a sign the step size is too large for the instance).
     """
     if not demos:
@@ -313,9 +304,7 @@ def maxent_irl(
         log_likelihood, grad = _log_likelihood(mdp, dense, steps, counts, theta, beta)
         grad_norm = float(np.linalg.norm(grad))
         if initial_norm > 0 and grad_norm > 10.0 * initial_norm:
-            raise DivergenceDetected(
-                f"gradient norm {grad_norm:.3g} exceeds 10x initial {initial_norm:.3g}"
-            )
+            raise ValueError(f"gradient norm {grad_norm:.3g} exceeds 10x initial {initial_norm:.3g}")
     table = dense @ theta
     return RewardEstimate(
         weights=theta,
@@ -338,7 +327,7 @@ def fit_preference_reward(
     P(left preferred) is the logistic of the return difference, where a
     trajectory's return is the feature count dotted with theta. Data in
     which every pair is feature-identical carries no gradient and is
-    surfaced as DegenerateData rather than silently returning theta = 0.
+    surfaced as a ValueError rather than silently returning theta = 0.
     """
     if not comparisons:
         raise ValueError("need at least one comparison")
@@ -350,7 +339,7 @@ def fit_preference_reward(
         diffs.append(features.counts(winner) - features.counts(loser))
     diff_matrix = np.array(diffs)
     if float(np.max(np.abs(diff_matrix))) < 1e-12:
-        raise DegenerateData("every comparison is feature-identical; gradient is zero")
+        raise ValueError("every comparison is feature-identical; gradient is zero")
 
     theta = np.zeros(features.dim)
     for _ in range(iters):
@@ -399,18 +388,18 @@ def infer_discount(
     """
     grid = [float(b) for b in beta_grid]
     if not grid:
-        raise EmptyGrid("beta grid is empty")
+        raise ValueError("beta grid is empty")
     if len(set(grid)) != len(grid):
-        raise EmptyGrid("beta grid has duplicate entries")
+        raise ValueError("beta grid has duplicate entries")
     for b in grid:
         _check_beta(b)
     weights = [float(p) for p in prior]
     if len(weights) != len(grid):
-        raise InvalidPrior(f"prior length {len(weights)} != grid length {len(grid)}")
+        raise ValueError(f"prior length {len(weights)} != grid length {len(grid)}")
     if any(w < 0 for w in weights):
-        raise InvalidPrior("prior has negative mass")
+        raise ValueError("prior has negative mass")
     if abs(sum(weights) - 1.0) > 1e-9:
-        raise InvalidPrior(f"prior sums to {sum(weights)}")
+        raise ValueError(f"prior sums to {sum(weights)}")
     if temperature <= 0:
         raise ValueError("temperature must be positive")
     chosen = mdp.policy_index(behavior)
@@ -453,7 +442,7 @@ def patient_recommendation(mdp: Mdp, beta_fit: float, beta_advice: float) -> Pat
     _check_beta(beta_fit)
     _check_beta(beta_advice)
     if beta_advice < beta_fit:
-        raise InvalidDiscount("beta_advice must be at least beta_fit")
+        raise ValueError("beta_advice must be at least beta_fit")
     fitted = policy_iteration(mdp, beta_fit).policy
     advised = policy_iteration(mdp, beta_advice).policy
     divergent = tuple(s for s in mdp.states if fitted[s] != advised[s])
@@ -504,4 +493,4 @@ def prudent_investor_weights(problem: PortfolioProblem) -> np.ndarray:
     try:
         return np.linalg.solve(sigma, problem.mu) / (2.0 * problem.risk_aversion)
     except np.linalg.LinAlgError as exc:
-        raise SingularCovariance(f"covariance not invertible after ridge: {exc}") from exc
+        raise ValueError(f"covariance not invertible after ridge: {exc}") from exc

@@ -64,7 +64,6 @@ from .context import (
     duty_entry,
     identify_principals,
 )
-from .errors import FidauditError
 from .findings import FAIL, PASS, SKIPPED, WARN, Finding, worst
 from .loyalty import (
     INFO_TOL,
@@ -176,7 +175,7 @@ def _attempt(check: str, evidence: dict, run) -> list[Finding]:
     the way, one FAIL for ``check`` with the error added to ``evidence``."""
     try:
         return run()
-    except (FidauditError, ValueError) as exc:
+    except ValueError as exc:
         return [Finding(check, FAIL, str(exc), {**evidence, "error": str(exc)})]
 
 

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import SupportMismatch, UnknownStandard, ZeroLikelihood
 from .findings import FAIL, Finding
 
 DOMINANCE_THRESHOLD = 0.1
@@ -46,7 +45,7 @@ class BinaryEvidence:
             raise ValueError(f"prior must lie in [0, 1], got {self.prior}")
         for name, val in (("likelihood1", self.likelihood1), ("likelihood0", self.likelihood0)):
             if val <= 0.0:
-                raise ZeroLikelihood(f"{name} must be strictly positive, got {val}")
+                raise ValueError(f"{name} must be strictly positive, got {val}")
             if val > 1.0:
                 raise ValueError(f"{name} must be at most 1, got {val}")
 
@@ -102,7 +101,7 @@ class DiscreteDistributionPair:
             raise ValueError("support has duplicate points")
         for name, dist in (("train", self.train), ("deploy", self.deploy)):
             if set(dist) != set(self.support):
-                raise SupportMismatch(f"{name} distribution does not match the declared support")
+                raise ValueError(f"{name} distribution does not match the declared support")
             if any(p < 0 for p in dist.values()):
                 raise ValueError(f"{name} distribution has negative mass")
             total = sum(dist.values())
@@ -155,7 +154,7 @@ def prudence_report(
     so adding a failing finding can never upgrade it.
     """
     if standard not in known_standards:
-        raise UnknownStandard(f"care standard {standard!r} is not declared for this context")
+        raise ValueError(f"care standard {standard!r} is not declared for this context")
     by_check = {f.check: f for f in findings}
     assembled = [
         by_check.get(name) or Finding(name, FAIL, "declared check missing: no evidence was provided")

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Mapping, Sequence
 
-from .errors import InvalidSpec, UnknownContextLabel
+from .errors import UnknownContextLabel
 
 BEST_INTERESTS = "best_interests"
 OBEDIENCE = "obedience"
@@ -146,7 +146,7 @@ class PrincipalClassSpec:
 
     def __post_init__(self) -> None:
         if self.relationship not in (BEST_INTERESTS, OBEDIENCE):
-            raise InvalidSpec(f"unknown relationship model {self.relationship!r}")
+            raise ValueError(f"unknown relationship model {self.relationship!r}")
 
 
 def identify_principals(
@@ -160,15 +160,15 @@ def identify_principals(
     protect (consent alone is not enough for a principal).
     """
     if not classes:
-        raise InvalidSpec("no principal classes declared")
+        raise ValueError("no principal classes declared")
     ids = [c.class_id for c in classes]
     if len(set(ids)) != len(ids):
-        raise InvalidSpec("duplicate principal class ids")
+        raise ValueError("duplicate principal class ids")
     ranks = sorted(c.rank for c in classes)
     if ranks != list(range(1, len(classes) + 1)):
-        raise InvalidSpec(f"ranks must be contiguous from 1, got {ranks}")
+        raise ValueError(f"ranks must be contiguous from 1, got {ranks}")
     if not any(c.relationship == BEST_INTERESTS for c in classes):
-        raise InvalidSpec("at least one class must use the best-interests model")
+        raise ValueError("at least one class must use the best-interests model")
     return tuple(sorted(classes, key=lambda c: c.rank))
 
 

@@ -31,7 +31,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import NodeKindMismatch, OutcomeSpaceMismatch, UnknownNode
 from .macid import (
     DecisionRule,
     Macid,
@@ -74,9 +73,7 @@ class AlignmentVerdict:
 
 def _shared_outcomes(a: UtilityTable, b: UtilityTable) -> tuple[str, ...]:
     if a.outcomes() != b.outcomes():
-        raise OutcomeSpaceMismatch(
-            f"outcome spaces differ: {a.outcomes()} vs {b.outcomes()}"
-        )
+        raise ValueError(f"outcome spaces differ: {a.outcomes()} vs {b.outcomes()}")
     return a.outcomes()
 
 
@@ -161,9 +158,6 @@ def confidentiality_check(
     distribution; anything above ``tol`` fails. The verdict depends only
     on the joint law, so relabeling domain values cannot change it.
     """
-    for node in (report_node, secret_node):
-        if node not in model.node_map:
-            raise UnknownNode(f"unknown node {node!r}")
     model, profile = _restrict(model, profile, (report_node, secret_node))
     joint = marginal(model, profile, (report_node, secret_node))
     info = mutual_information(joint)
@@ -232,12 +226,9 @@ def disclosure_check(
     when the report is a constant and they best-respond to it (most
     favorable constant). Immaterial nodes pass vacuously with a note.
     """
-    for node in (report_node, material_node, principal_decision):
-        if node not in model.node_map:
-            raise UnknownNode(f"unknown node {node!r}")
-    if model.node_map[report_node].kind is not NodeKind.DECISION:
-        raise NodeKindMismatch(f"report node {report_node!r} must be a decision node")
     model, profile = _restrict(model, profile, (report_node, material_node, principal_decision))
+    if model.node_map[report_node].kind is not NodeKind.DECISION:
+        raise ValueError(f"report node {report_node!r} must be a decision node")
 
     voi = materiality_value(model, report_node, material_node, principal_decision)
     if voi <= tol:

@@ -38,16 +38,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .errors import (
-    EdgeExists,
-    IncompleteProfile,
-    InvalidDistribution,
-    InvalidModel,
-    NoConvergence,
-    NodeKindMismatch,
-    UnknownAgent,
-    UnknownNode,
-)
+from .errors import NoConvergence
 
 PROB_TOL = 1e-9
 
@@ -81,17 +72,17 @@ class Node:
 
     def __post_init__(self) -> None:
         if self.kind is NodeKind.CHANCE and self.owner is not None:
-            raise InvalidModel(f"chance node {self.id!r} must not have an owner")
+            raise ValueError(f"chance node {self.id!r} must not have an owner")
         if self.kind in (NodeKind.DECISION, NodeKind.UTILITY) and not self.owner:
-            raise InvalidModel(f"{self.kind.value} node {self.id!r} needs an owner")
+            raise ValueError(f"{self.kind.value} node {self.id!r} needs an owner")
         if self.kind is NodeKind.UTILITY:
             if self.domain:
-                raise InvalidModel(f"utility node {self.id!r} must not declare a domain")
+                raise ValueError(f"utility node {self.id!r} must not declare a domain")
         else:
             if not self.domain:
-                raise InvalidModel(f"node {self.id!r} has an empty domain")
+                raise ValueError(f"node {self.id!r} has an empty domain")
             if len(set(self.domain)) != len(self.domain):
-                raise InvalidModel(f"node {self.id!r} has duplicate domain values")
+                raise ValueError(f"node {self.id!r} has duplicate domain values")
 
 
 Assignment = tuple[str, ...]
@@ -108,17 +99,17 @@ def _check_rows(
     if keys != expected_keys:
         missing = sorted(expected_keys - keys)
         extra = sorted(keys - expected_keys)
-        raise InvalidModel(
+        raise ValueError(
             f"table for {node_id!r} must cover exactly the parent product "
             f"(missing {missing[:3]}, extra {extra[:3]})"
         )
     for key, row in table.items():
         if len(row) != width:
-            raise InvalidModel(f"row {key} for {node_id!r} has width {len(row)}, expected {width}")
+            raise ValueError(f"row {key} for {node_id!r} has width {len(row)}, expected {width}")
         if any(p < -PROB_TOL or p > 1 + PROB_TOL for p in row):
-            raise InvalidModel(f"row {key} for {node_id!r} has entries outside [0, 1]")
+            raise ValueError(f"row {key} for {node_id!r} has entries outside [0, 1]")
         if abs(sum(row) - 1.0) > PROB_TOL:
-            raise InvalidModel(f"row {key} for {node_id!r} sums to {sum(row)}, not 1")
+            raise ValueError(f"row {key} for {node_id!r} sums to {sum(row)}, not 1")
 
 
 @dataclass(frozen=True)
@@ -185,20 +176,20 @@ class Macid:
     def __post_init__(self) -> None:
         node_map = {n.id: n for n in self.nodes}
         if len(node_map) != len(self.nodes):
-            raise InvalidModel("duplicate node ids")
+            raise ValueError("duplicate node ids")
         if len(set(self.agents)) != len(self.agents):
-            raise InvalidModel("duplicate agent ids")
+            raise ValueError("duplicate agent ids")
         for nid, parents in self.edges.items():
             if nid not in node_map:
-                raise InvalidModel(f"edge list references unknown node {nid!r}")
+                raise ValueError(f"edge list references unknown node {nid!r}")
             for p in parents:
                 if p not in node_map:
-                    raise InvalidModel(f"unknown parent {p!r} of {nid!r}")
+                    raise ValueError(f"unknown parent {p!r} of {nid!r}")
         for n in self.nodes:
             if n.id not in self.edges:
-                raise InvalidModel(f"node {n.id!r} missing from the edge map")
+                raise ValueError(f"node {n.id!r} missing from the edge map")
             if n.owner is not None and n.owner not in self.agents:
-                raise InvalidModel(f"node {n.id!r} owned by undeclared agent {n.owner!r}")
+                raise ValueError(f"node {n.id!r} owned by undeclared agent {n.owner!r}")
 
         children: dict[str, list[str]] = {n.id: [] for n in self.nodes}
         for nid, parents in self.edges.items():
@@ -206,21 +197,21 @@ class Macid:
                 children[p].append(nid)
         for n in self.nodes:
             if n.kind is NodeKind.UTILITY and children[n.id]:
-                raise InvalidModel(f"utility node {n.id!r} has children {children[n.id]}")
+                raise ValueError(f"utility node {n.id!r} has children {children[n.id]}")
 
         order = _topological_order(self.edges, children)
 
         for n in self.nodes:
             if n.kind is NodeKind.CHANCE:
                 if n.id not in self.cpds:
-                    raise InvalidModel(f"chance node {n.id!r} has no CPD")
+                    raise ValueError(f"chance node {n.id!r} has no CPD")
             elif n.id in self.cpds:
-                raise InvalidModel(f"non-chance node {n.id!r} has a CPD")
+                raise ValueError(f"non-chance node {n.id!r} has a CPD")
             if n.kind is NodeKind.UTILITY:
                 if n.id not in self.utilities:
-                    raise InvalidModel(f"utility node {n.id!r} has no utility table")
+                    raise ValueError(f"utility node {n.id!r} has no utility table")
             elif n.id in self.utilities:
-                raise InvalidModel(f"non-utility node {n.id!r} has a utility table")
+                raise ValueError(f"non-utility node {n.id!r} has a utility table")
 
         object.__setattr__(self, "node_map", node_map)
         object.__setattr__(
@@ -231,17 +222,17 @@ class Macid:
 
         for nid, cpd in self.cpds.items():
             if cpd.node != nid:
-                raise InvalidModel(f"CPD keyed {nid!r} but declares node {cpd.node!r}")
+                raise ValueError(f"CPD keyed {nid!r} but declares node {cpd.node!r}")
             _check_rows(
                 nid, cpd.table, set(self.parent_assignments(nid)), len(node_map[nid].domain)
             )
         for nid, table in self.utilities.items():
             expected = set(self.parent_assignments(nid))
             if set(table) != expected:
-                raise InvalidModel(f"utility table for {nid!r} does not cover the parent product")
+                raise ValueError(f"utility table for {nid!r} does not cover the parent product")
             for v in table.values():
                 if not math.isfinite(v):
-                    raise InvalidModel(f"utility table for {nid!r} has a non-finite entry")
+                    raise ValueError(f"utility table for {nid!r} has a non-finite entry")
 
         owned = {a: 0 for a in self.agents}
         for n in self.nodes:
@@ -249,7 +240,7 @@ class Macid:
                 owned[n.owner] += 1
         for agent, count in owned.items():
             if count == 0:
-                raise InvalidModel(f"agent {agent!r} owns no utility node")
+                raise ValueError(f"agent {agent!r} owns no utility node")
 
         cpd_factors = {nid: _factor(self, nid, cpd.table) for nid, cpd in self.cpds.items()}
         utility_arrays = {a: _utility_array(self, a) for a in self.agents}
@@ -262,7 +253,7 @@ class Macid:
 
     def parents(self, node_id: str) -> tuple[str, ...]:
         if node_id not in self.edges:
-            raise UnknownNode(f"unknown node {node_id!r}")
+            raise ValueError(f"unknown node {node_id!r}")
         return self.edges[node_id]
 
     def parent_assignments(self, node_id: str) -> Iterator[Assignment]:
@@ -277,7 +268,7 @@ class Macid:
 
     def utility_nodes_of(self, agent: str) -> tuple[str, ...]:
         if agent not in self.agents:
-            raise UnknownAgent(f"unknown agent {agent!r}")
+            raise ValueError(f"unknown agent {agent!r}")
         return tuple(
             sorted(n.id for n in self.nodes if n.kind is NodeKind.UTILITY and n.owner == agent)
         )
@@ -289,7 +280,7 @@ class Macid:
         any; for decision nodes (the only supported target) there is none.
         """
         if parent in self.edges[child]:
-            raise EdgeExists(f"{parent!r} is already a parent of {child!r}")
+            raise ValueError(f"{parent!r} is already a parent of {child!r}")
         edges = dict(self.edges)
         edges[child] = edges[child] + (parent,)
         return Macid(self.nodes, edges, self.cpds, self.utilities, self.agents)
@@ -304,7 +295,7 @@ class Macid:
         """
         for nid in targets:
             if nid not in self.node_map:
-                raise UnknownNode(f"unknown node {nid!r}")
+                raise ValueError(f"unknown node {nid!r}")
         kept: set[str] = set()
         stack = [*targets, *self.utilities]
         while stack:
@@ -331,7 +322,7 @@ class Macid:
         """
         node = self.node_map[node_id]
         if node.kind is not NodeKind.DECISION:
-            raise NodeKindMismatch(f"{node_id!r} is not a decision node")
+            raise ValueError(f"{node_id!r} is not a decision node")
         row = [0.0] * len(node.domain)
         row[node.domain.index(value)] = 1.0
         nodes = tuple(
@@ -362,7 +353,7 @@ def _topological_order(
                 newly.append(c)
         ready = sorted(ready + newly)
     if len(order) != len(children):
-        raise InvalidModel("edge structure contains a cycle")
+        raise ValueError("edge structure contains a cycle")
     return tuple(order)
 
 
@@ -372,10 +363,10 @@ def _topological_order(
 def _check_profile(model: Macid, profile: PolicyProfile) -> None:
     for nid in model.decision_nodes():
         if nid not in profile:
-            raise IncompleteProfile(f"no rule for decision node {nid!r}")
+            raise ValueError(f"no rule for decision node {nid!r}")
         rule = profile[nid]
         if rule.node != nid:
-            raise InvalidModel(f"rule keyed {nid!r} declares node {rule.node!r}")
+            raise ValueError(f"rule keyed {nid!r} declares node {rule.node!r}")
         _check_rows(
             nid,
             rule.table,
@@ -468,7 +459,7 @@ def marginal(
     positions = {nid: i for i, nid in enumerate(model.outcome_order)}
     for nid in node_ids:
         if nid not in positions:
-            raise UnknownNode(f"{nid!r} is not a chance or decision node of the model")
+            raise ValueError(f"{nid!r} is not a chance or decision node of the model")
     joint = _joint_array(model, profile)
     kept = sorted({positions[nid] for nid in node_ids})
     sums = _fold(joint, kept).ravel()
@@ -481,7 +472,7 @@ def expected_utility(model: Macid, profile: PolicyProfile, agent: str) -> float:
     """Sum over joint assignments of probability times the agent's utilities."""
     joint = _joint_array(model, profile)
     if agent not in model.agents:
-        raise UnknownAgent(f"unknown agent {agent!r}")
+        raise ValueError(f"unknown agent {agent!r}")
     return float(_fold(joint * model.utility_arrays[agent]))
 
 
@@ -501,7 +492,7 @@ def enumerate_deterministic_rules(model: Macid, node_id: str) -> Iterator[Decisi
     """All deterministic rules for ``node_id`` in lexicographic order."""
     node = model.node_map[node_id]
     if node.kind is not NodeKind.DECISION:
-        raise NodeKindMismatch(f"{node_id!r} is not a decision node")
+        raise ValueError(f"{node_id!r} is not a decision node")
     rows = _rule_rows(model, node_id)
     for idx in itertools.product(range(len(node.domain)), repeat=len(rows)):
         yield _rule_from_indices(model, node_id, rows, idx)
@@ -516,6 +507,11 @@ def best_response(
     Equivalent to an exhaustive search over all deterministic rules for the
     node (the rowwise argmax is exact because payoffs decompose by row).
     """
+    if node_id not in model.node_map:
+        raise ValueError(f"unknown node {node_id!r}")
+    if model.node_map[node_id].kind is not NodeKind.DECISION:
+        raise ValueError(f"{node_id!r} is not a decision node")
+    _check_profile(model, profile)
     return _best_response_detail(model, profile, node_id)[:2]
 
 
@@ -680,13 +676,13 @@ def value_of_information(model: Macid, decision: str, chance: str, max_rounds: i
     """
     for nid in (decision, chance):
         if nid not in model.node_map:
-            raise UnknownNode(f"unknown node {nid!r}")
+            raise ValueError(f"unknown node {nid!r}")
     if model.node_map[decision].kind is not NodeKind.DECISION:
-        raise NodeKindMismatch(f"{decision!r} is not a decision node")
+        raise ValueError(f"{decision!r} is not a decision node")
     if model.node_map[chance].kind is not NodeKind.CHANCE:
-        raise NodeKindMismatch(f"{chance!r} is not a chance node")
+        raise ValueError(f"{chance!r} is not a chance node")
     if chance in model.parents(decision):
-        raise EdgeExists(f"{chance!r} is already observed by {decision!r}")
+        raise ValueError(f"{chance!r} is already observed by {decision!r}")
 
     owner = model.node_map[decision].owner
     base = expected_utility(model, solve_equilibrium(model, max_rounds), owner)
@@ -705,9 +701,9 @@ def mutual_information(joint: Mapping[tuple[str, str], float]) -> float:
     """
     total = sum(joint.values())
     if abs(total - 1.0) > PROB_TOL:
-        raise InvalidDistribution(f"joint sums to {total}, not 1")
+        raise ValueError(f"joint sums to {total}, not 1")
     if any(p < -PROB_TOL for p in joint.values()):
-        raise InvalidDistribution("joint has negative entries")
+        raise ValueError("joint has negative entries")
     px: dict[str, float] = {}
     py: dict[str, float] = {}
     for (x, y), p in joint.items():

@@ -19,7 +19,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import InvalidDelays, InvalidDiscount, SingularSystem
 
 PROB_TOL = 1e-9
 MAX_ITERS_CAP = 100_000
@@ -94,13 +93,13 @@ class DiscountSpec:
     def __post_init__(self) -> None:
         if self.kind == "exponential":
             if self.beta is None:
-                raise InvalidDiscount("exponential discount needs 0 < beta < 1, got None")
+                raise ValueError("exponential discount needs 0 < beta < 1, got None")
             _check_beta(self.beta)
         elif self.kind == "hyperbolic":
             if self.k is None or self.k <= 0.0:
-                raise InvalidDiscount(f"hyperbolic discount needs k > 0, got {self.k}")
+                raise ValueError(f"hyperbolic discount needs k > 0, got {self.k}")
         else:
-            raise InvalidDiscount(f"unknown discount kind {self.kind!r}")
+            raise ValueError(f"unknown discount kind {self.kind!r}")
 
     @staticmethod
     def exponential(beta: float) -> "DiscountSpec":
@@ -149,7 +148,7 @@ def default_max_iters(beta: float, tol: float) -> int:
 
 def _check_beta(beta: float) -> None:
     if not 0.0 < beta < 1.0:
-        raise InvalidDiscount(f"beta must lie in (0, 1), got {beta}")
+        raise ValueError(f"beta must lie in (0, 1), got {beta}")
 
 
 def _package(mdp: Mdp, v: np.ndarray, q: np.ndarray, iterations: int, converged: bool, gaps: list[float]) -> ValueFunction:
@@ -199,13 +198,11 @@ def _evaluate(mdp: Mdp, action_idx: np.ndarray, beta: float) -> tuple[np.ndarray
     rows = np.arange(len(mdp.states))
     p_pi = mdp.transition[rows, action_idx]  # (S, S)
     r_pi = mdp.reward[rows, action_idx]
-    try:
-        v = np.linalg.solve(np.eye(len(rows)) - beta * p_pi, r_pi)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - beta<1 keeps it regular
-        raise SingularSystem(str(exc)) from exc
+    # beta < 1 keeps the system regular; numpy's LinAlgError is a ValueError
+    v = np.linalg.solve(np.eye(len(rows)) - beta * p_pi, r_pi)
     residual = float(np.max(np.abs(v - (r_pi + beta * p_pi @ v))))
     if residual > 1e-9:
-        raise SingularSystem(f"fixed-point residual {residual} exceeds 1e-9")
+        raise ValueError(f"fixed-point residual {residual} exceeds 1e-9")
     return v, mdp.reward + beta * (mdp.transition @ v)
 
 
@@ -213,7 +210,7 @@ def evaluate_policy(mdp: Mdp, policy: Policy, beta: float) -> ValueFunction:
     """Exact V of a stationary policy via the linear system (I - beta*P) V = r.
 
     The system is always non-singular for beta < 1; a numerical failure is
-    reported as SingularSystem rather than silently propagated.
+    reported as a ValueError rather than silently propagated.
     """
     _check_beta(beta)
     v, q = _evaluate(mdp, mdp.policy_index(policy), beta)
@@ -278,9 +275,7 @@ def detect_preference_reversal(
     (the comparison ratio is delay-shift invariant); hyperbolic can.
     """
     if early.delay < 0 or late.delay <= early.delay:
-        raise InvalidDelays(
-            f"need late.delay > early.delay >= 0, got {early.delay} and {late.delay}"
-        )
+        raise ValueError(f"need late.delay > early.delay >= 0, got {early.delay} and {late.delay}")
     if early.reward <= 0 or late.reward <= 0:
         raise ValueError("rewards must be positive")
     if horizon < 1:

@@ -40,7 +40,7 @@ import numpy as np
 from .aggregation import ApprovalBallot
 from .assessment import FeatureMap
 from .context import ContextSpec, Norm, PrincipalClassSpec, Role, validate_context
-from .errors import FidauditError, SchemaError
+from .errors import SchemaError
 from .macid import Cpd, DecisionRule, Macid, Node, NodeKind
 from .mdp import MAX_ITERS_CAP, DiscountSpec, Mdp, RewardOption
 
@@ -348,7 +348,7 @@ class _Reader:
             return None
         try:
             return Node(id=nid, kind=NodeKind(kind), owner=owner, domain=domain)
-        except FidauditError as exc:
+        except ValueError as exc:
             self.fail(path, str(exc))
 
     def node_tables(self, doc: Mapping[str, Any], key: str, path: str, assignments, read_row) -> dict:
@@ -395,7 +395,7 @@ class _Reader:
                 utilities=utilities,
                 agents=agents,
             )
-        except FidauditError as exc:
+        except ValueError as exc:
             self.fail(path, str(exc))
             return None
         if doc.get("profile") is None:
@@ -426,7 +426,7 @@ class _Reader:
         if discount is not None:
             try:
                 self.default_beta = DiscountSpec(**discount).beta
-            except FidauditError as exc:
+            except ValueError as exc:
                 self.fail(f"{path}.discount", str(exc))
                 return None
         return mdp

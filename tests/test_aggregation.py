@@ -16,12 +16,6 @@ from fidaudit.aggregation import (
     pareto_front,
     _winner,
 )
-from fidaudit.errors import (
-    EmptyClass,
-    NegativeWeight,
-    SearchSpaceTooLarge,
-    UnknownOption,
-)
 
 
 def matrix(principals, options, rows):
@@ -62,7 +56,7 @@ def test_simple_counting():
 
 
 def test_unknown_option_rejected():
-    with pytest.raises(UnknownOption):
+    with pytest.raises(ValueError, match="ballot from 'v' approves unknown option 'Z'"):
         approval_winners([ApprovalBallot("v", frozenset({"Z"}))], ["A"])
 
 
@@ -172,7 +166,7 @@ def test_affine_rescaling_invariance(rng):
 
 
 def test_empty_class_rejected():
-    with pytest.raises(EmptyClass):
+    with pytest.raises(ValueError, match="priority class 1 is empty"):
         PriorityClasses((("a",), ()))
 
 
@@ -313,9 +307,9 @@ def test_two_option_plurality_strategy_proof():
 
 
 def test_search_bounds_enforced():
-    with pytest.raises(SearchSpaceTooLarge):
+    with pytest.raises(ValueError, match="exhaustive search capped at 4 voters x 4 options"):
         find_manipulation(VotingRule("borda"), 5, 3)
-    with pytest.raises(SearchSpaceTooLarge):
+    with pytest.raises(ValueError, match="exhaustive search capped at 4 voters x 4 options"):
         find_manipulation(VotingRule("borda"), 3, 5)
 
 
@@ -347,5 +341,5 @@ def test_favoritism_cap():
 
 
 def test_negative_weight_rejected():
-    with pytest.raises(NegativeWeight):
+    with pytest.raises(ValueError, match="weight for 'p1' is negative"):
         impartiality_check({"p1": -0.1, "agent": 0.0}, agent="agent")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from fidaudit import audit
 from fidaudit.assessment import (
     FeatureMap,
     PairwiseComparison,
@@ -153,6 +154,25 @@ def test_bad_method_input_fails_step_but_pipeline_continues():
     # later steps still executed
     care = next(s for s in report.steps if s.step == "care")
     assert care.status == "pass"
+    assert report.overall == "fail"
+
+
+def test_step_that_raises_is_one_step_error_and_the_audit_continues(monkeypatch):
+    def broken(ballots, options):
+        raise RuntimeError("tally service down")
+
+    monkeypatch.setattr(audit, "approval_winners", broken)
+    report = run_audit(load_scenario(SCENARIOS / "engagement_prior_warn.json"))
+    aggregation = next(s for s in report.steps if s.step == "aggregation")
+    assert aggregation.status == "fail"
+    [finding] = aggregation.findings
+    assert finding.check == "step-error"
+    assert finding.detail == "step raised RuntimeError: tally service down"
+    assert finding.evidence == {"error_type": "RuntimeError", "error": "tally service down"}
+    # later steps still run: loyalty has no aggregate to read, care runs its check
+    loyalty, care = report.steps[4:]
+    assert (loyalty.step, loyalty.status) == ("loyalty", "skipped")
+    assert care.step == "care" and [f.check for f in care.findings] == ["engagement-proxy-bias"]
     assert report.overall == "fail"
 
 

@@ -12,7 +12,7 @@ from fidaudit.context import (
     identify_principals,
     validate_context,
 )
-from fidaudit.errors import InvalidSpec, UnknownContextLabel
+from fidaudit.errors import UnknownContextLabel
 
 
 def minimal_context(**overrides):
@@ -99,13 +99,13 @@ def test_non_contiguous_ranks_rejected():
         PrincipalClassSpec("a", "client", 1, "best_interests"),
         PrincipalClassSpec("b", "adviser", 3, "obedience"),
     ]
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(ValueError, match=r"ranks must be contiguous from 1, got \[1, 3\]"):
         identify_principals(classes)
 
 
 def test_all_obedience_rejected():
     classes = [PrincipalClassSpec("ops", "adviser", 1, "obedience")]
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(ValueError, match="at least one class must use the best-interests model"):
         identify_principals(classes)
 
 

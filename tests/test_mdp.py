@@ -3,7 +3,6 @@ import itertools
 import numpy as np
 import pytest
 
-from fidaudit.errors import InvalidDelays, InvalidDiscount
 from fidaudit.mdp import (
     DiscountSpec,
     Mdp,
@@ -69,9 +68,9 @@ def test_two_state_chain_matches_linear_solve():
 
 
 def test_invalid_discount_rejected():
-    with pytest.raises(InvalidDiscount):
+    with pytest.raises(ValueError, match=r"beta must lie in \(0, 1\), got 1\.0"):
         value_iteration(chain_mdp(), beta=1.0)
-    with pytest.raises(InvalidDiscount):
+    with pytest.raises(ValueError, match=r"beta must lie in \(0, 1\), got 0\.0"):
         value_iteration(chain_mdp(), beta=0.0)
 
 
@@ -224,7 +223,7 @@ def test_policy_iteration_round_cap_returns_unconverged(monkeypatch):
 
 def test_policy_iteration_rejects_invalid_discount():
     for beta in (0.0, 1.0, -0.5, 1.5):
-        with pytest.raises(InvalidDiscount):
+        with pytest.raises(ValueError, match=r"beta must lie in \(0, 1\)"):
             policy_iteration(chain_mdp(), beta=beta)
 
 
@@ -245,11 +244,11 @@ def test_discount_weights_monotone():
 
 
 def test_discount_spec_validation():
-    with pytest.raises(InvalidDiscount):
+    with pytest.raises(ValueError, match=r"beta must lie in \(0, 1\), got 1\.0"):
         DiscountSpec.exponential(1.0)
-    with pytest.raises(InvalidDiscount):
+    with pytest.raises(ValueError, match=r"hyperbolic discount needs k > 0, got 0\.0"):
         DiscountSpec.hyperbolic(0.0)
-    with pytest.raises(InvalidDiscount):
+    with pytest.raises(ValueError, match="unknown discount kind 'weird'"):
         DiscountSpec("weird")
 
 
@@ -297,9 +296,9 @@ def test_identical_options_never_reverse():
 
 def test_invalid_delays():
     spec = DiscountSpec.exponential(0.9)
-    with pytest.raises(InvalidDelays):
+    with pytest.raises(ValueError, match=r"need late\.delay > early\.delay >= 0, got 3 and 3"):
         detect_preference_reversal(spec, RewardOption(1.0, 3), RewardOption(1.0, 3), horizon=5)
-    with pytest.raises(InvalidDelays):
+    with pytest.raises(ValueError, match=r"need late\.delay > early\.delay >= 0, got -1 and 3"):
         detect_preference_reversal(spec, RewardOption(1.0, -1), RewardOption(1.0, 3), horizon=5)
 
 
