@@ -18,6 +18,11 @@ inputs (nothing here trains on-line):
 ``infer_discount`` and ``patient_recommendation`` treat the discount rate
 itself as the quantity of interest: a posterior over a candidate grid, and
 re-solved advice at a higher patience than the fitted one.
+
+Behavior data comes as indices and dense arrays in MDP order: a demo is a
+sequence of (state index, action index) steps, features are an (S, A, d)
+tensor (``one_hot_states`` gives the default), and a preference judgment
+names rows of a (rows, d) feature table.
 """
 
 from __future__ import annotations
@@ -31,57 +36,14 @@ import numpy as np
 from .mdp import Mdp, Policy, _check_beta, policy_iteration, value_iteration
 
 RIDGE_EPSILON = 1e-8
+DEFAULT_TEMPERATURE = 0.01  # infer_discount's softmax choice temperature
+Step = tuple[int, int]  # (state index, action index) in MDP order
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """An ordered sequence of (state, action) pairs."""
-
-    steps: tuple[tuple[str, str], ...]
-
-    def __post_init__(self) -> None:
-        if not self.steps:
-            raise ValueError("trajectory must be non-empty")
-
-
-@dataclass(frozen=True, eq=False)
-class FeatureMap:
-    """Fixed-dimension feature vectors phi(s, a)."""
-
-    dim: int
-    table: Mapping[tuple[str, str], np.ndarray]
-
-    def __post_init__(self) -> None:
-        for key, vec in self.table.items():
-            arr = np.asarray(vec, dtype=float)
-            if arr.shape != (self.dim,):
-                raise ValueError(f"feature for {key} has shape {arr.shape}, expected ({self.dim},)")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"feature for {key} has non-finite entries")
-
-    def vector(self, state: str, action: str) -> np.ndarray:
-        return np.asarray(self.table[(state, action)], dtype=float)
-
-    def counts(self, trajectory: Trajectory) -> np.ndarray:
-        total = np.zeros(self.dim)
-        for s, a in trajectory.steps:
-            total += self.vector(s, a)
-        return total
-
-    def dense(self, mdp: Mdp) -> np.ndarray:
-        """Feature tensor (S, A, d) aligned with the MDP's orderings."""
-        rows = [[self.table[(s, a)] for a in mdp.actions] for s in mdp.states]
-        return np.array(rows, dtype=float).reshape(len(mdp.states), len(mdp.actions), self.dim)
-
-    @staticmethod
-    def one_hot_states(mdp: Mdp) -> "FeatureMap":
-        table = {}
-        for i, s in enumerate(mdp.states):
-            vec = np.zeros(len(mdp.states))
-            vec[i] = 1.0
-            for a in mdp.actions:
-                table[(s, a)] = vec
-        return FeatureMap(len(mdp.states), table)
+def one_hot_states(mdp: Mdp) -> np.ndarray:
+    """One-hot state features: a contiguous (S, A, S) tensor, phi(s, a) = e_s."""
+    n_s, n_a = len(mdp.states), len(mdp.actions)
+    return np.repeat(np.eye(n_s)[:, None, :], n_a, axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,15 +59,18 @@ class RewardEstimate:
 
 @dataclass(frozen=True)
 class PairwiseComparison:
-    """A judgment that one trajectory is preferred over another."""
+    """A judgment that one trajectory is preferred over another; each side
+    is a trajectory given as the feature-table rows of its steps."""
 
-    left: Trajectory
-    right: Trajectory
+    left: tuple[int, ...]
+    right: tuple[int, ...]
     preferred: str  # "left" | "right"
 
     def __post_init__(self) -> None:
         if self.preferred not in ("left", "right"):
             raise ValueError("preferred must be 'left' or 'right'")
+        if not self.left or not self.right:
+            raise ValueError("trajectory must be non-empty")
         if self.left == self.right:
             raise ValueError("comparison sides must differ")
 
@@ -126,7 +91,7 @@ class FeasibleRewardSet:
     """
 
     mdp: Mdp
-    policy: dict[str, str]
+    chosen: np.ndarray  # the policy's action index in each state
     beta: float
     bound: float
     constraint_matrix: np.ndarray
@@ -147,12 +112,11 @@ class FeasibleRewardSet:
         homogeneous, so scaling preserves feasibility).
         """
         n_s, n_a = len(self.mdp.states), len(self.mdp.actions)
-        chosen = self.mdp.policy_index(self.policy)
         v = rng.uniform(-1.0, 1.0, size=n_s)
         q = np.empty((n_s, n_a))
         for i in range(n_s):
             for j in range(n_a):
-                gap = 0.0 if j == chosen[i] else float(rng.uniform(0.1, 1.0))
+                gap = 0.0 if j == self.chosen[i] else float(rng.uniform(0.1, 1.0))
                 q[i, j] = v[i] - gap
         reward = q - self.beta * (self.mdp.transition @ v)
         peak = float(np.max(np.abs(reward)))
@@ -196,7 +160,7 @@ def feasible_rewards_irl(
     matrix = np.array(rows) if rows else np.zeros((0, n_s * n_a))
     return FeasibleRewardSet(
         mdp=mdp,
-        policy={s: policy[s] for s in mdp.states},
+        chosen=chosen,
         beta=beta,
         bound=bound,
         constraint_matrix=matrix,
@@ -208,37 +172,54 @@ def feasible_rewards_irl(
 # --- maximum-entropy IRL -----------------------------------------------------
 
 
-def _visits(mdp: Mdp, demos: Sequence[Trajectory]):
+def _feature_tensor(mdp: Mdp, features: np.ndarray) -> np.ndarray:
+    """``features`` as a contiguous (S, A, d) float tensor; a wrong shape or
+    a non-finite entry is a ValueError."""
+    dense = np.ascontiguousarray(features, dtype=float)
+    n_s, n_a = len(mdp.states), len(mdp.actions)
+    if dense.ndim != 3 or dense.shape[:2] != (n_s, n_a):
+        raise ValueError(f"features have shape {dense.shape}, expected ({n_s}, {n_a}, d)")
+    if not np.all(np.isfinite(dense)):
+        raise ValueError("features have non-finite entries")
+    return dense
+
+
+def _visits(mdp: Mdp, demos: Sequence[Sequence[Step]]):
     """The demos' steps as (time, state, action) index arrays in demo order,
-    and their visit counts n_t(s, a) as a (T, S, A) array. A step outside
-    the MDP is a ValueError that names it."""
+    and their visit counts n_t(s, a) as a (T, S, A) array. An empty demo is
+    a ValueError, and so is a step outside the MDP, which the error names."""
+    n_s, n_a = len(mdp.states), len(mdp.actions)
     rows = []
     for d in demos:
-        for t, (s, a) in enumerate(d.steps):
-            if s not in mdp.states or a not in mdp.actions:
+        if not d:
+            raise ValueError("trajectory must be non-empty")
+        for t, (s, a) in enumerate(d):
+            if s not in range(n_s) or a not in range(n_a):
                 raise ValueError(f"trajectory step ({s!r}, {a!r}) not in the MDP")
-            rows.append((t, mdp.state_index(s), mdp.action_index(a)))
+            rows.append((t, s, a))
     steps = np.array(rows, dtype=int).reshape(-1, 3).T
-    counts = np.zeros((int(steps[0].max()) + 1, len(mdp.states), len(mdp.actions)))
+    counts = np.zeros((int(steps[0].max()) + 1, n_s, n_a))
     np.add.at(counts, tuple(steps), 1.0)
     return steps, counts
 
 
 def demo_log_likelihood(
     mdp: Mdp,
-    features: FeatureMap,
-    demos: Sequence[Trajectory],
+    features: np.ndarray,
+    demos: Sequence[Sequence[Step]],
     theta: np.ndarray,
     beta: float,
 ) -> tuple[float, np.ndarray]:
-    """Log-likelihood of the demos under the soft policy, with exact gradient."""
-    return _log_likelihood(mdp, features.dense(mdp), *_visits(mdp, demos), theta, beta)
+    """Log-likelihood of the demos under the soft policy, with exact gradient.
+    ``features`` is an (S, A, d) tensor in MDP order; each demo is a
+    sequence of (state index, action index) steps."""
+    return _log_likelihood(mdp, _feature_tensor(mdp, features), *_visits(mdp, demos), theta, beta)
 
 
 def _log_likelihood(
     mdp: Mdp, dense: np.ndarray, steps: np.ndarray, counts: np.ndarray, theta: np.ndarray, beta: float
 ) -> tuple[float, np.ndarray]:
-    """``demo_log_likelihood`` over a prebuilt (S, A, d) feature tensor and
+    """``demo_log_likelihood`` over a checked (S, A, d) feature tensor and
     the demos' ``_visits``. A backward soft pass gives the policies pi_t. A
     forward pass weighs each (t, s, a) by W_t = n_t - (n_t(s) - m_t(s)) pi_t,
     the demo visits less the soft policy's expected ones; m_t is the
@@ -272,16 +253,17 @@ def _log_likelihood(
 
 def maxent_irl(
     mdp: Mdp,
-    features: FeatureMap,
-    demos: Sequence[Trajectory],
+    features: np.ndarray,
+    demos: Sequence[Sequence[Step]],
     beta: float,
     learn_rate: float,
     iters: int,
 ) -> RewardEstimate:
     """Fit linear reward weights to demonstrations.
 
-    Plain gradient ascent from theta = 0 with a fixed step, deterministic
-    by construction. The reward table of ``mdp`` is ignored. The gradient
+    ``features`` and ``demos`` are as in ``demo_log_likelihood``. Plain
+    gradient ascent from theta = 0 with a fixed step, deterministic by
+    construction. The reward table of ``mdp`` is ignored. The gradient
     is the demo feature counts less the expected counts of a forward
     occupancy pass under the current soft policy (see ``_log_likelihood``);
     the demos' visits are indexed once per fit. Raises
@@ -292,8 +274,8 @@ def maxent_irl(
         raise ValueError("demos must be non-empty")
     _check_beta(beta)
     steps, counts = _visits(mdp, demos)
-    dense = features.dense(mdp)
-    theta = np.zeros(features.dim)
+    dense = _feature_tensor(mdp, features)
+    theta = np.zeros(dense.shape[2])
     log_likelihood, grad = _log_likelihood(mdp, dense, steps, counts, theta, beta)
     initial_norm = float(np.linalg.norm(grad))
     grad_norm = initial_norm
@@ -317,31 +299,47 @@ def maxent_irl(
 
 
 def fit_preference_reward(
-    features: FeatureMap,
+    features: np.ndarray,
     comparisons: Sequence[PairwiseComparison],
     learn_rate: float,
     iters: int,
 ) -> RewardEstimate:
     """Logistic pairwise-choice fit of linear reward weights.
 
-    P(left preferred) is the logistic of the return difference, where a
-    trajectory's return is the feature count dotted with theta. Data in
-    which every pair is feature-identical carries no gradient and is
-    surfaced as a ValueError rather than silently returning theta = 0.
+    ``features`` is a (rows, d) table, and each comparison side lists rows
+    of it; over an MDP, step (s, a) is row s * A + a. P(left preferred) is
+    the logistic of the return difference, where a trajectory's return is
+    the sum of its rows dotted with theta. Data in which every pair is
+    feature-identical carries no gradient and is surfaced as a ValueError
+    rather than silently returning theta = 0.
     """
+    table = np.asarray(features, dtype=float)
+    if table.ndim != 2:
+        raise ValueError(f"features have shape {table.shape}, expected (rows, d)")
+    if not np.all(np.isfinite(table)):
+        raise ValueError("features have non-finite entries")
     if not comparisons:
         raise ValueError("need at least one comparison")
+
+    def counts(rows: tuple[int, ...]) -> np.ndarray:
+        total = np.zeros(table.shape[1])
+        for r in rows:  # summed from 0.0 in step order
+            if r not in range(table.shape[0]):
+                raise ValueError(f"trajectory step {r!r} not in the feature table")
+            total += table[r]
+        return total
+
     diffs = []
     for comp in comparisons:
         winner, loser = (
             (comp.left, comp.right) if comp.preferred == "left" else (comp.right, comp.left)
         )
-        diffs.append(features.counts(winner) - features.counts(loser))
+        diffs.append(counts(winner) - counts(loser))
     diff_matrix = np.array(diffs)
     if float(np.max(np.abs(diff_matrix))) < 1e-12:
         raise ValueError("every comparison is feature-identical; gradient is zero")
 
-    theta = np.zeros(features.dim)
+    theta = np.zeros(table.shape[1])
     for _ in range(iters):
         margins = diff_matrix @ theta
         slack = _sigmoid(-margins)  # d/dtheta of sum log sigmoid(margins)
@@ -364,10 +362,6 @@ def _log_sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, -np.log1p(np.exp(-np.abs(x))), x - np.log1p(np.exp(-np.abs(x))))
 
 
-def trajectory_return(features: FeatureMap, theta: np.ndarray, trajectory: Trajectory) -> float:
-    return float(features.counts(trajectory) @ np.asarray(theta, float))
-
-
 # --- discount inference ---------------------------------------------------------
 
 
@@ -376,7 +370,7 @@ def infer_discount(
     behavior: Policy,
     beta_grid: Sequence[float],
     prior: Sequence[float],
-    temperature: float = 0.01,
+    temperature: float = DEFAULT_TEMPERATURE,
 ) -> dict[float, float]:
     """Posterior over candidate discount factors given observed behavior.
 

@@ -36,14 +36,13 @@ from .aggregation import (
     pareto_front,
 )
 from .assessment import (
-    FeatureMap,
     PairwiseComparison,
     PortfolioProblem,
-    Trajectory,
     feasible_rewards_irl,
     fit_preference_reward,
     infer_discount,
     maxent_irl,
+    one_hot_states,
     patient_recommendation,
     prudent_investor_weights,
 )
@@ -308,12 +307,11 @@ def _run_one_method(method: Variant, scenario: Scenario, state: _State) -> tuple
             {"posterior": posterior, "argmax": argmax},
         )
     if method.kind == "maxent_irl":
-        features = method.features or FeatureMap.one_hot_states(mdp)
-        demos = [Trajectory(steps) for steps in method.demos]
+        features = one_hot_states(mdp) if method.features is None else method.features.reshape(*mdp.reward.shape, -1)
         estimate = maxent_irl(
             mdp,
             features,
-            demos,
+            method.demos,
             beta=method.beta,
             learn_rate=method.learn_rate,
             iters=method.iters,
@@ -330,10 +328,11 @@ def _run_one_method(method: Variant, scenario: Scenario, state: _State) -> tuple
             },
         )
     if method.kind == "preference_fit":
-        features = method.features or FeatureMap.one_hot_states(mdp)
-        trajectories = [Trajectory(steps) for steps in method.trajectories]
+        features = method.features
+        if features is None:  # one-hot state features, row s * A + a
+            features = one_hot_states(mdp).reshape(-1, len(mdp.states))
         comparisons = [
-            PairwiseComparison(trajectories[left], trajectories[right], preferred)
+            PairwiseComparison(method.trajectories[left], method.trajectories[right], preferred)
             for left, right, preferred in method.comparisons
         ]
         estimate = fit_preference_reward(

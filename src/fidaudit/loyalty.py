@@ -203,7 +203,7 @@ def materiality_value(
     information; the most favorable constant is used.
     """
     best = 0.0
-    for value in model.node_map[report_node].domain:
+    for value in model.node(report_node).domain:
         silenced = model.replace_decision_with_constant_chance(report_node, value)
         best = max(best, value_of_information(silenced, principal_decision, material_node))
     return best

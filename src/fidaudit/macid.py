@@ -251,10 +251,15 @@ class Macid:
 
     # -- structure helpers -------------------------------------------------
 
-    def parents(self, node_id: str) -> tuple[str, ...]:
-        if node_id not in self.edges:
+    def node(self, node_id: str) -> Node:
+        """The node ``node_id``; an id the model does not declare is a ValueError."""
+        node = self.node_map.get(node_id)
+        if node is None:
             raise ValueError(f"unknown node {node_id!r}")
-        return self.edges[node_id]
+        return node
+
+    def parents(self, node_id: str) -> tuple[str, ...]:
+        return self.edges[self.node(node_id).id]
 
     def parent_assignments(self, node_id: str) -> Iterator[Assignment]:
         """Joint parent assignments in row-major declared-domain order."""
@@ -279,7 +284,7 @@ class Macid:
         Tables of ``child`` must be re-supplied by the caller if it carries
         any; for decision nodes (the only supported target) there is none.
         """
-        if parent in self.edges[child]:
+        if parent in self.parents(child):
             raise ValueError(f"{parent!r} is already a parent of {child!r}")
         edges = dict(self.edges)
         edges[child] = edges[child] + (parent,)
@@ -294,8 +299,7 @@ class Macid:
         no agent's utility or decision rule can see them (Shachter 1986).
         """
         for nid in targets:
-            if nid not in self.node_map:
-                raise ValueError(f"unknown node {nid!r}")
+            self.node(nid)
         kept: set[str] = set()
         stack = [*targets, *self.utilities]
         while stack:
@@ -320,7 +324,7 @@ class Macid:
         exists (so downstream tables keep their shape) but carries no
         information and offers no strategic choice.
         """
-        node = self.node_map[node_id]
+        node = self.node(node_id)
         if node.kind is not NodeKind.DECISION:
             raise ValueError(f"{node_id!r} is not a decision node")
         row = [0.0] * len(node.domain)
@@ -490,7 +494,7 @@ def _rule_from_indices(model: Macid, node_id: str, rows: list[Assignment], idx: 
 
 def enumerate_deterministic_rules(model: Macid, node_id: str) -> Iterator[DecisionRule]:
     """All deterministic rules for ``node_id`` in lexicographic order."""
-    node = model.node_map[node_id]
+    node = model.node(node_id)
     if node.kind is not NodeKind.DECISION:
         raise ValueError(f"{node_id!r} is not a decision node")
     rows = _rule_rows(model, node_id)
@@ -507,9 +511,7 @@ def best_response(
     Equivalent to an exhaustive search over all deterministic rules for the
     node (the rowwise argmax is exact because payoffs decompose by row).
     """
-    if node_id not in model.node_map:
-        raise ValueError(f"unknown node {node_id!r}")
-    if model.node_map[node_id].kind is not NodeKind.DECISION:
+    if model.node(node_id).kind is not NodeKind.DECISION:
         raise ValueError(f"{node_id!r} is not a decision node")
     _check_profile(model, profile)
     return _best_response_detail(model, profile, node_id)[:2]
@@ -674,12 +676,9 @@ def value_of_information(model: Macid, decision: str, chance: str, max_rounds: i
     optimum (in particular any model where this is the only decision) the
     value is non-negative.
     """
-    for nid in (decision, chance):
-        if nid not in model.node_map:
-            raise ValueError(f"unknown node {nid!r}")
-    if model.node_map[decision].kind is not NodeKind.DECISION:
+    if model.node(decision).kind is not NodeKind.DECISION:
         raise ValueError(f"{decision!r} is not a decision node")
-    if model.node_map[chance].kind is not NodeKind.CHANCE:
+    if model.node(chance).kind is not NodeKind.CHANCE:
         raise ValueError(f"{chance!r} is not a chance node")
     if chance in model.parents(decision):
         raise ValueError(f"{chance!r} is already observed by {decision!r}")

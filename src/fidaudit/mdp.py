@@ -57,9 +57,6 @@ class Mdp:
                 f"sums to {rows[tuple(bad)]}"
             )
 
-    def state_index(self, state: str) -> int:
-        return self.states.index(state)
-
     def action_index(self, action: str) -> int:
         return self.actions.index(action)
 

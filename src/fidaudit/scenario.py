@@ -38,7 +38,8 @@ from typing import Any, Mapping
 import numpy as np
 
 from .aggregation import ApprovalBallot
-from .assessment import FeatureMap
+from .assessment import DEFAULT_TEMPERATURE
+from .care import DOMINANCE_THRESHOLD
 from .context import ContextSpec, Norm, PrincipalClassSpec, Role, validate_context
 from .errors import SchemaError
 from .macid import Cpd, DecisionRule, Macid, Node, NodeKind
@@ -66,8 +67,11 @@ class Variant:
     """One entry of a kind-tagged list: an assessment method or a care check.
 
     Its typed fields, as the reader method named by ``kind`` builds them,
-    are read as attributes. Demos and trajectories are tuples of (state,
-    action) id pairs.
+    are read as attributes. Demos are tuples of (state index, action index)
+    steps. ``features`` is a (rows, d) array: a declared table, one row per
+    (state, action) in MDP order, so that step (s, a) is row s * A + a, or
+    the free-standing ``feature_rows``; None stands for one-hot state
+    features. A ``preference_fit`` trajectory is the tuple of its rows.
     """
 
     kind: str
@@ -510,16 +514,22 @@ class _Reader:
         elif kind is not None:
             return Variant(kind, getattr(self, kind)(doc, path))
 
-    def steps(self, value: Any, path: str) -> tuple[tuple[str, str], ...] | None:
-        """[[state_index, action_index], ...] as (state, action) ids."""
-        return self.list_(value, path, self.step)
+    def trajectories(self, value: Any, path: str, step) -> tuple[tuple, ...] | None:
+        """A list of trajectories, each a list of steps that ``step`` reads."""
+        return self.list_(value, path, partial(self.list_, item=step))
 
-    def step(self, value: Any, path: str) -> tuple[str, str] | None:
+    def step(self, value: Any, path: str) -> tuple[int, int] | None:
+        """[state_index, action_index] as an index pair."""
         pair = self.list_(value, path, length=2)
         if pair is None:
             return None
         s, a = self.index(pair[0], path, len(self.states)), self.index(pair[1], path, len(self.actions))
-        return None if s is None or a is None else (self.states[s], self.actions[a])
+        return None if s is None or a is None else (s, a)
+
+    def row(self, value: Any, path: str) -> int | None:
+        """[state_index, action_index] as its feature row s * A + a."""
+        step = self.step(value, path)
+        return None if step is None else step[0] * len(self.actions) + step[1]
 
     @_object
     def policy(self, doc: dict, path: str) -> dict:
@@ -532,23 +542,24 @@ class _Reader:
                 self.fail(f"{path}.{s}", "required")
         return dict(doc)
 
-    def features(self, value: Any, path: str) -> FeatureMap | None:
-        """A declared table in MDP order, or None for one-hot state features."""
+    def features(self, value: Any, path: str) -> np.ndarray | None:
+        """A declared table as (S * A, dim) rows in MDP order, or None for
+        one-hot state features."""
         if value == "one_hot_states":
             return None
         doc = self.obj(value, path)
         if doc is None:
             return None
         dim = self.field(doc, "dim", path, self.int_)
-        keys = list(itertools.product(self.states, self.actions))
-        rows = self.field(doc, "table", path, self.list_, length=len(keys), item=self.nums)
-        return None if rows is None else self.feature_map(dim, dict(zip(keys, rows)), path)
+        return self.field(doc, "table", path, self.table, length=len(self.states) * len(self.actions), width=dim)
 
-    def feature_map(self, dim: int, rows: Mapping[tuple[str, str], tuple[float, ...]], path: str) -> FeatureMap | None:
-        try:
-            return FeatureMap(dim, {key: np.asarray(row) for key, row in rows.items()})
-        except ValueError as exc:  # a row of the wrong length, or non-finite entries
-            self.fail(path, str(exc))
+    def table(self, value: Any, path: str, length=None, width=None) -> np.ndarray | None:
+        """Rows of numbers, all ``width`` long (by default as long as the
+        first), as a (rows, width) float array."""
+        if width is None and isinstance(value, list) and value and isinstance(value[0], list):
+            width = len(value[0])
+        rows = self.list_(value, path, partial(self.nums, length=width), length=length, nonempty=length is None)
+        return None if rows is None else np.array(rows, dtype=float).reshape(len(rows), width)
 
     def prudent_investor(self, doc: Mapping[str, Any], path: str) -> dict:
         mu = self.field(doc, "mu", path, self.nums)
@@ -561,30 +572,26 @@ class _Reader:
         prior = (1.0 / len(grid),) * len(grid) if grid else None
         if doc.get("prior") not in (None, "uniform"):
             prior = self.nums(doc["prior"], f"{path}.prior", length=len(grid))
-        fields = self.record(doc, path, behavior=self.policy, temperature=(self.num, 0.01))
+        fields = self.record(doc, path, behavior=self.policy, temperature=(self.num, DEFAULT_TEMPERATURE))
         return dict(fields, beta_grid=grid, prior=prior)
 
     def maxent_irl(self, doc: Mapping[str, Any], path: str) -> dict:
         return self.record(
             doc, path,
-            features=(self.features, None), demos=partial(self.list_, item=self.steps),
+            features=(self.features, None), demos=partial(self.trajectories, step=self.step),
             beta=(self.num, self.default_beta), learn_rate=self.num, iters=self.count,
         )
 
     def preference_fit(self, doc: Mapping[str, Any], path: str) -> dict:
         if self.has_mdp:
             fields = self.record(
-                doc, path, features=(self.features, None), trajectories=partial(self.list_, item=self.steps)
+                doc, path, features=(self.features, None), trajectories=partial(self.trajectories, step=self.row)
             )
         else:
             # a free-standing universe: trajectories index the feature rows
-            rows = self.field(doc, "feature_rows", path, self.list_, nonempty=True, item=self.nums) or ()
-            features = self.feature_map(
-                len(rows[0]) if rows else 0, {(str(i), "a"): row for i, row in enumerate(rows)}, f"{path}.feature_rows"
-            )
-            row_steps = partial(self.list_, item=lambda v, p: self.index(v, p, len(rows)))
-            trajectories = self.field(doc, "trajectories", path, self.list_, item=row_steps)
-            trajectories = trajectories and tuple(tuple((str(i), "a") for i in t) for t in trajectories)
+            features = self.field(doc, "feature_rows", path, self.table)
+            row = self.int_ if features is None else partial(self.index, n=len(features))
+            trajectories = self.field(doc, "trajectories", path, self.trajectories, step=row)
             fields = {"features": features, "trajectories": trajectories}
         n = None if fields["trajectories"] is None else len(fields["trajectories"])
         return dict(
@@ -727,7 +734,8 @@ class _Reader:
         if kind == "inductive_bias":
             fields.update(
                 self.record(
-                    doc, path, prior=self.num, likelihood1=self.num, likelihood0=self.num, dominance_threshold=(self.num, 0.1)
+                    doc, path, prior=self.num, likelihood1=self.num, likelihood0=self.num,
+                    dominance_threshold=(self.num, DOMINANCE_THRESHOLD),
                 )
             )
         elif kind == "distribution_shift":

@@ -19,17 +19,15 @@ from click.testing import CliRunner
 
 from fidaudit.aggregation import UtilityMatrix, VotingRule, find_manipulation, pareto_front, _winner
 from fidaudit.assessment import (
-    FeatureMap,
     PairwiseComparison,
     PortfolioProblem,
-    Trajectory,
     demo_log_likelihood,
     feasible_rewards_irl,
     fit_preference_reward,
     infer_discount,
     maxent_irl,
+    one_hot_states,
     prudent_investor_weights,
-    trajectory_return,
 )
 from fidaudit.audit import emit_report, run_audit
 from fidaudit.care import BinaryEvidence, inductive_bias_diagnostic
@@ -121,18 +119,16 @@ def test_criterion_03_maxent_gradient_finite_differences():
         transition = rng.uniform(0.05, 1.0, size=(4, 2, 4))
         transition /= transition.sum(axis=2, keepdims=True)
         mdp = Mdp.from_dynamics(["s0", "s1", "s2", "s3"], ["a0", "a1"], transition)
-        features = FeatureMap(
-            3, {(s, a): rng.normal(size=3) for s in mdp.states for a in mdp.actions}
-        )
+        features = rng.normal(size=(4, 2, 3))
         demos = []
         for _ in range(3):
             steps = []
-            s = mdp.states[int(rng.integers(0, 4))]
+            i = int(rng.integers(0, 4))
             for _ in range(4):
-                a = mdp.actions[int(rng.integers(0, 2))]
-                steps.append((s, a))
-                s = mdp.states[int(rng.choice(4, p=transition[mdp.state_index(s), mdp.action_index(a)]))]
-            demos.append(Trajectory(tuple(steps)))
+                j = int(rng.integers(0, 2))
+                steps.append((i, j))
+                i = int(rng.choice(4, p=transition[i, j]))
+            demos.append(steps)
         theta = rng.normal(size=3)
         _, grad = demo_log_likelihood(mdp, features, demos, theta, beta=0.9)
         step = 1e-5
@@ -150,18 +146,16 @@ def test_criterion_03_maxent_gradient_finite_differences():
 
 def test_criterion_04_irl_policy_equivalence_and_zero_feasibility():
     mdp = chain_walk_mdp()
-    features = FeatureMap.one_hot_states(mdp)
+    features = one_hot_states(mdp)
     demonstrated = value_iteration(mdp, beta=0.9).policy
     demos = []
-    for start in mdp.states:
+    for i in range(len(mdp.states)):
         steps = []
-        s = start
         for _ in range(6):
-            a = demonstrated[s]
-            steps.append((s, a))
-            i, j = mdp.state_index(s), mdp.action_index(a)
-            s = mdp.states[int(np.argmax(mdp.transition[i, j]))]
-        demos.append(Trajectory(tuple(steps)))
+            j = mdp.action_index(demonstrated[mdp.states[i]])
+            steps.append((i, j))
+            i = int(np.argmax(mdp.transition[i, j]))
+        demos.append(steps)
     estimate = maxent_irl(mdp, features, demos, beta=0.9, learn_rate=0.2, iters=150)
     learned_policy = value_iteration(mdp.with_reward(estimate.table), beta=0.9).policy
     assert learned_policy == demonstrated
@@ -183,26 +177,24 @@ def test_criterion_04_irl_policy_equivalence_and_zero_feasibility():
 
 def test_criterion_05_preference_fit_kendall_tau():
     rng = np.random.default_rng(505)
-    states = [f"s{i}" for i in range(6)]
-    actions = ["a", "b"]
-    features = FeatureMap(3, {(s, a): rng.normal(size=3) for s in states for a in actions})
+    features = rng.normal(size=(6 * 2, 3))  # six states, two actions: row s * 2 + a
     trajectories = []
     for _ in range(10):
         length = int(rng.integers(3, 7))
-        steps = tuple(
-            (states[int(rng.integers(0, 6))], actions[int(rng.integers(0, 2))])
-            for _ in range(length)
-        )
-        trajectories.append(Trajectory(steps))
+        trajectories.append(tuple(int(rng.integers(0, 6)) * 2 + int(rng.integers(0, 2)) for _ in range(length)))
+
+    def trajectory_return(theta, rows):
+        return float(sum((features[r] for r in rows), np.zeros(3)) @ theta)
+
     theta_true = rng.normal(size=3)
-    true_returns = [trajectory_return(features, theta_true, t) for t in trajectories]
+    true_returns = [trajectory_return(theta_true, t) for t in trajectories]
     comparisons = []
     for _ in range(200):
         i, j = rng.choice(10, size=2, replace=False)
         preferred = "left" if true_returns[i] > true_returns[j] else "right"
         comparisons.append(PairwiseComparison(trajectories[i], trajectories[j], preferred))
     estimate = fit_preference_reward(features, comparisons, learn_rate=0.1, iters=500)
-    fitted_returns = [trajectory_return(features, estimate.weights, t) for t in trajectories]
+    fitted_returns = [trajectory_return(estimate.weights, t) for t in trajectories]
     concordant = discordant = 0
     for i, j in itertools.combinations(range(10), 2):
         sign_true = np.sign(true_returns[i] - true_returns[j])

@@ -6,19 +6,17 @@ import numpy as np
 import pytest
 
 from fidaudit.assessment import (
-    FeatureMap,
     PairwiseComparison,
     PortfolioProblem,
-    Trajectory,
     _sigmoid,
     demo_log_likelihood,
     feasible_rewards_irl,
     fit_preference_reward,
     infer_discount,
     maxent_irl,
+    one_hot_states,
     patient_recommendation,
     prudent_investor_weights,
-    trajectory_return,
 )
 from fidaudit.mdp import Mdp, evaluate_policy, policy_iteration, value_iteration
 
@@ -121,8 +119,8 @@ def test_a_map_that_leaves_out_a_state_is_a_value_error():
 
 def test_maxent_zero_information_features_keep_theta_zero():
     mdp = chain_walk_mdp()
-    constant = FeatureMap(2, {(s, a): np.ones(2) for s in mdp.states for a in mdp.actions})
-    demos = [Trajectory((("s0", "right"), ("s1", "right")))]
+    constant = np.ones((4, 2, 2))
+    demos = [((0, 0), (1, 0))]  # s0 right, s1 right
     estimate = maxent_irl(mdp, constant, demos, beta=0.9, learn_rate=0.1, iters=50)
     assert np.allclose(estimate.weights, 0.0)
     assert estimate.diagnostics["grad_norm"] == pytest.approx(0.0, abs=1e-12)
@@ -130,19 +128,17 @@ def test_maxent_zero_information_features_keep_theta_zero():
 
 def test_maxent_recovers_demonstrated_policy():
     mdp = chain_walk_mdp()
-    features = FeatureMap.one_hot_states(mdp)
+    features = one_hot_states(mdp)
     demonstrated = value_iteration(mdp, beta=0.9).policy
     assert all(a == "right" for a in demonstrated.values())
     demos = []
-    for start in mdp.states:
+    for i in range(len(mdp.states)):
         steps = []
-        s = start
         for _ in range(6):
-            a = demonstrated[s]
-            steps.append((s, a))
-            i, j = mdp.state_index(s), mdp.action_index(a)
-            s = mdp.states[int(np.argmax(mdp.transition[i, j]))]
-        demos.append(Trajectory(tuple(steps)))
+            j = mdp.action_index(demonstrated[mdp.states[i]])
+            steps.append((i, j))
+            i = int(np.argmax(mdp.transition[i, j]))
+        demos.append(steps)
     estimate = maxent_irl(mdp, features, demos, beta=0.9, learn_rate=0.2, iters=150)
     # policy equivalence is the success criterion; reward equality is not
     learned_policy = value_iteration(mdp.with_reward(estimate.table), beta=0.9).policy
@@ -152,18 +148,16 @@ def test_maxent_recovers_demonstrated_policy():
 def test_maxent_gradient_matches_finite_differences(rng):
     for _ in range(3):
         mdp = random_dynamics(rng, 4, 2)
-        features = FeatureMap(
-            3, {(s, a): rng.normal(size=3) for s in mdp.states for a in mdp.actions}
-        )
+        features = rng.normal(size=(4, 2, 3))
         demos = []
         for _ in range(3):
             steps = []
-            s = mdp.states[int(rng.integers(0, 4))]
+            i = int(rng.integers(0, 4))
             for _ in range(4):
-                a = mdp.actions[int(rng.integers(0, 2))]
-                steps.append((s, a))
-                s = mdp.states[int(rng.choice(4, p=mdp.transition[mdp.state_index(s), mdp.action_index(a)]))]
-            demos.append(Trajectory(tuple(steps)))
+                j = int(rng.integers(0, 2))
+                steps.append((i, j))
+                i = int(rng.choice(4, p=mdp.transition[i, j]))
+            demos.append(steps)
         for _ in range(4):
             theta = rng.normal(size=3)
             _, grad = demo_log_likelihood(mdp, features, demos, theta, beta=0.9)
@@ -182,30 +176,22 @@ def test_maxent_log_likelihood_is_that_of_the_returned_theta(monkeypatch):
     import fidaudit.assessment as assessment
 
     mdp = chain_walk_mdp()
-    demos = [Trajectory((("s0", "right"), ("s1", "right"), ("s2", "left")))]
-    one_hot = FeatureMap.one_hot_states(mdp)
-    zero = FeatureMap(2, {(s, a): np.zeros(2) for s in mdp.states for a in mdp.actions})
+    demos = [((0, 0), (1, 0), (2, 1))]  # s0 right, s1 right, s2 left
+    one_hot = one_hot_states(mdp)
+    zero = np.zeros((4, 2, 2))
     calls = []
-    builds = []
-    kernel, dense = assessment._log_likelihood, FeatureMap.dense
+    kernel = assessment._log_likelihood
 
     def counted(*args):
         calls.append(1)
         return kernel(*args)
 
-    def counted_dense(self, mdp):
-        builds.append(1)
-        return dense(self, mdp)
-
     monkeypatch.setattr(assessment, "_log_likelihood", counted)
-    monkeypatch.setattr(FeatureMap, "dense", counted_dense)
-    # no steps, the grad_norm == 0 early stop, and a normal run; the feature
-    # tensor is built once per fit
+    # no steps, the grad_norm == 0 early stop, and a normal run
     for features, iters, evaluations in [(one_hot, 0, 1), (zero, 50, 1), (one_hot, 25, 26)]:
         calls.clear()
-        builds.clear()
         estimate = maxent_irl(mdp, features, demos, beta=0.9, learn_rate=0.1, iters=iters)
-        assert (len(calls), len(builds)) == (evaluations, 1)
+        assert len(calls) == evaluations
         expected, _ = demo_log_likelihood(mdp, features, demos, estimate.weights, 0.9)
         assert estimate.diagnostics["log_likelihood"] == expected
     assert estimate.diagnostics["grad_norm"] > 0.0
@@ -216,7 +202,7 @@ def _einsum_log_likelihood(mdp, dense, demos, theta, beta):
     # dQ_t/dtheta (S, A, d) and dV_t/dtheta (S, d) through every step, with
     # both contractions written as np.einsum; log pi_t(s, a) has gradient
     # dQ_t(s, a) - dV_t(s)
-    horizon = max(len(d.steps) for d in demos)
+    horizon = max(len(d) for d in demos)
     reward = dense @ theta
     v = np.zeros(len(mdp.states))
     grad_v = np.zeros((len(mdp.states), theta.shape[0]))
@@ -232,8 +218,7 @@ def _einsum_log_likelihood(mdp, dense, demos, theta, beta):
         grad_vs[t] = grad_v = np.einsum("ij,ijd->id", policies[t], grad_qs[t])
     total, grad = 0.0, np.zeros(theta.shape[0])
     for demo in demos:
-        for t, (s, a) in enumerate(demo.steps):
-            i, j = mdp.state_index(s), mdp.action_index(a)
+        for t, (i, j) in enumerate(demo):
             total += math.log(policies[t][i, j])
             grad += grad_qs[t][i, j] - grad_vs[t][i]
     return total, grad
@@ -248,23 +233,21 @@ def _random_demos(rng, mdp, lengths, choose=None):
         i, steps = int(rng.integers(0, n_s)), []
         for _ in range(length):
             j = int(rng.integers(0, n_a)) if choose is None else choose[i]
-            steps.append((mdp.states[i], mdp.actions[j]))
+            steps.append((i, j))
             i = int(rng.choice(n_s, p=mdp.transition[i, j]))
-        demos.append(Trajectory(tuple(steps)))
+        demos.append(steps)
     return demos
 
 
 def test_demo_log_likelihood_matches_einsum_reference(rng):
     for n_states, dim in [(3, 1), (5, 4), (8, 6), (12, 12)]:
         mdp = random_dynamics(rng, n_states, 3)
-        features = FeatureMap(
-            dim, {(s, a): rng.normal(size=dim) for s in mdp.states for a in mdp.actions}
-        )
+        features = rng.normal(size=(n_states, 3, dim))
         demos = _random_demos(rng, mdp, [1, 4, 7, 2])
         for beta in (0.5, 0.999):
             theta = rng.normal(size=dim)
             total, grad = demo_log_likelihood(mdp, features, demos, theta, beta)
-            want_total, want_grad = _einsum_log_likelihood(mdp, features.dense(mdp), demos, theta, beta)
+            want_total, want_grad = _einsum_log_likelihood(mdp, features, demos, theta, beta)
             assert total == want_total
             assert grad.shape == want_grad.shape
             assert float(np.max(np.abs(grad - want_grad))) <= 1e-12 * float(np.max(np.abs(want_grad)))
@@ -280,10 +263,9 @@ def test_maxent_fit_matches_the_einsum_gradient_fit():
         reward = rng.random((n_states, 2))
         mdp = Mdp(tuple(f"s{i}" for i in range(n_states)), ("a0", "a1"), transition, reward)
         demos = _random_demos(rng, mdp, [10] * 5, choose=reward.argmax(axis=1).tolist())
-        features = FeatureMap.one_hot_states(mdp)
-        estimate = maxent_irl(mdp, features, demos, beta=beta, learn_rate=0.01, iters=20)
+        dense = one_hot_states(mdp)
+        estimate = maxent_irl(mdp, dense, demos, beta=beta, learn_rate=0.01, iters=20)
 
-        dense = features.dense(mdp)
         theta = np.zeros(n_states)
         _, grad = _einsum_log_likelihood(mdp, dense, demos, theta, beta)
         for _ in range(20):
@@ -297,23 +279,30 @@ def test_maxent_fit_matches_the_einsum_gradient_fit():
         assert greedy == policy_iteration(mdp.with_reward(dense @ theta), beta).policy
 
 
-def test_dense_features_match_the_loop_on_a_shuffled_table(rng):
-    mdp = random_dynamics(rng, 5, 3)
-    keys = [(s, a) for s in mdp.states for a in mdp.actions]
-    features = FeatureMap(4, {keys[k]: rng.normal(size=4) for k in rng.permutation(len(keys))})
-    loop = np.zeros((5, 3, 4))
-    for i, s in enumerate(mdp.states):
-        for j, a in enumerate(mdp.actions):
-            loop[i, j] = features.vector(s, a)
-    assert np.array_equal(features.dense(mdp), loop)
-
-
-@pytest.mark.parametrize("bad", [("s9", "right"), ("s1", "jump")])
-def test_a_demo_step_outside_the_mdp_is_named(bad):
+def test_one_hot_states_is_a_contiguous_identity_per_action():
     mdp = chain_walk_mdp()
-    features = FeatureMap.one_hot_states(mdp)
-    demos = [Trajectory((("s0", "right"), bad))]
-    message = re.escape(f"trajectory step {bad!r} not in the MDP")
+    features = one_hot_states(mdp)
+    assert features.shape == (4, 2, 4) and features.flags.c_contiguous
+    for j in range(2):
+        assert np.array_equal(features[:, j], np.eye(4))
+
+
+@pytest.mark.parametrize(
+    "features, demos, message",
+    [
+        (np.zeros((4, 2, 4)), [((0, 0), (4, 0))], re.escape("trajectory step (4, 0) not in the MDP")),
+        (np.zeros((4, 2, 4)), [((0, 0), (1, 2))], re.escape("trajectory step (1, 2) not in the MDP")),
+        (np.zeros((4, 2, 4)), [((0, 0), (-1, 0))], re.escape("trajectory step (-1, 0) not in the MDP")),
+        (np.zeros((4, 2, 4)), [((0, 0), (1.5, 0))], re.escape("trajectory step (1.5, 0) not in the MDP")),
+        (np.zeros((4, 2, 4)), [((0, 0),), ()], "trajectory must be non-empty"),
+        (np.ones((8, 4)), [((0, 0),)], re.escape("features have shape (8, 4), expected (4, 2, d)")),
+        (np.ones((4, 3, 4)), [((0, 0),)], re.escape("features have shape (4, 3, 4), expected (4, 2, d)")),
+        (np.full((4, 2, 4), np.nan), [((0, 0),)], "features have non-finite entries"),
+    ],
+    ids=["state", "action", "negative", "float", "empty-demo", "flat-features", "wrong-actions", "nan-features"],
+)
+def test_a_demo_step_outside_the_mdp_is_named(features, demos, message):
+    mdp = chain_walk_mdp()
     with pytest.raises(ValueError, match=message):
         demo_log_likelihood(mdp, features, demos, np.zeros(4), 0.9)
     with pytest.raises(ValueError, match=message):
@@ -321,6 +310,11 @@ def test_a_demo_step_outside_the_mdp_is_named(bad):
 
 
 # --- fit_preference_reward --------------------------------------------------------
+
+
+def _return(features, theta, rows):
+    """A trajectory's return: its feature rows summed in step order, dotted with theta."""
+    return float(sum((features[r] for r in rows), np.zeros(features.shape[1])) @ theta)
 
 
 def _kendall_tau(order_a, order_b):
@@ -359,53 +353,59 @@ def test_sigmoid_matches_the_two_branch_reference_bit_for_bit():
 
 
 def test_single_separable_comparison():
-    features = FeatureMap(1, {("s", "a"): np.array([1.0]), ("s", "b"): np.array([0.0])})
-    left = Trajectory((("s", "a"), ("s", "a")))
-    right = Trajectory((("s", "b"),))
+    features = np.array([[1.0], [0.0]])  # rows a and b
+    left, right = (0, 0), (1,)
     estimate = fit_preference_reward(
         features, [PairwiseComparison(left, right, "left")], learn_rate=0.5, iters=100
     )
-    assert trajectory_return(features, estimate.weights, left) > trajectory_return(
-        features, estimate.weights, right
-    )
+    assert _return(features, estimate.weights, left) > _return(features, estimate.weights, right)
 
 
 def test_noiseless_comparisons_recover_full_ranking(rng):
-    states = [f"s{i}" for i in range(6)]
-    actions = ["a", "b"]
-    features = FeatureMap(
-        3, {(s, a): rng.normal(size=3) for s in states for a in actions}
-    )
+    features = rng.normal(size=(6 * 2, 3))  # six states, two actions: row s * 2 + a
     trajectories = []
     for _ in range(10):
         length = int(rng.integers(3, 7))
-        steps = tuple(
-            (states[int(rng.integers(0, 6))], actions[int(rng.integers(0, 2))])
-            for _ in range(length)
-        )
-        trajectories.append(Trajectory(steps))
+        trajectories.append(tuple(int(rng.integers(0, 6)) * 2 + int(rng.integers(0, 2)) for _ in range(length)))
     theta_true = rng.normal(size=3)
-    true_returns = [trajectory_return(features, theta_true, t) for t in trajectories]
+    true_returns = [_return(features, theta_true, t) for t in trajectories]
     comparisons = []
     for _ in range(200):
         i, j = rng.choice(10, size=2, replace=False)
         preferred = "left" if true_returns[i] > true_returns[j] else "right"
         comparisons.append(PairwiseComparison(trajectories[i], trajectories[j], preferred))
     estimate = fit_preference_reward(features, comparisons, learn_rate=0.1, iters=500)
-    fitted_returns = [trajectory_return(features, estimate.weights, t) for t in trajectories]
+    fitted_returns = [_return(features, estimate.weights, t) for t in trajectories]
     true_order = sorted(range(10), key=lambda k: true_returns[k])
     fitted_order = sorted(range(10), key=lambda k: fitted_returns[k])
     assert _kendall_tau(true_order, fitted_order) == 1.0
 
 
 def test_feature_identical_pair_is_degenerate():
-    features = FeatureMap(2, {("s", "a"): np.array([1.0, 2.0]), ("t", "b"): np.array([1.0, 2.0])})
-    left = Trajectory((("s", "a"),))
-    right = Trajectory((("t", "b"),))
+    features = np.array([[1.0, 2.0], [1.0, 2.0]])
+    left, right = (0,), (1,)
     with pytest.raises(ValueError, match="every comparison is feature-identical; gradient is zero"):
         fit_preference_reward(
             features, [PairwiseComparison(left, right, "left")], learn_rate=0.1, iters=10
         )
+
+
+@pytest.mark.parametrize(
+    "features, left, right, message",
+    [
+        (np.eye(2), (0, 2), (1,), "trajectory step 2 not in the feature table"),
+        (np.eye(2), (0,), (-1,), "trajectory step -1 not in the feature table"),
+        (np.eye(2), (0,), (0.5,), "trajectory step 0.5 not in the feature table"),
+        (np.ones(2), (0,), (1,), re.escape("features have shape (2,), expected (rows, d)")),
+        (np.array([[1.0], [np.inf]]), (0,), (1,), "features have non-finite entries"),
+        (np.eye(2), (), (1,), "trajectory must be non-empty"),
+        (np.eye(2), (0, 1), (0, 1), "comparison sides must differ"),
+    ],
+    ids=["past-end", "negative", "float", "one-axis", "infinite", "empty-side", "same-sides"],
+)
+def test_preference_fit_rejects_a_bad_table_or_comparison(features, left, right, message):
+    with pytest.raises(ValueError, match=message):
+        fit_preference_reward(features, [PairwiseComparison(left, right, "left")], learn_rate=0.1, iters=10)
 
 
 # --- infer_discount ------------------------------------------------------------

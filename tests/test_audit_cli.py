@@ -1,4 +1,3 @@
-import itertools
 import json
 import math
 from pathlib import Path
@@ -9,12 +8,11 @@ from click.testing import CliRunner
 
 from fidaudit import audit
 from fidaudit.assessment import (
-    FeatureMap,
     PairwiseComparison,
-    Trajectory,
     fit_preference_reward,
     infer_discount,
     maxent_irl,
+    one_hot_states,
 )
 from fidaudit.audit import emit_report, run_audit
 from fidaudit.care import PRIOR_DOMINANCE_RATIONALE
@@ -285,9 +283,8 @@ def test_world_discount_gives_the_default_beta_of_a_declared_feature_fit(discoun
     status, findings = step_findings(raw, "assessment")
     assert status == "pass"
     mdp = scenario.world.mdp
-    features = FeatureMap(2, {key: np.array(row) for key, row in zip(itertools.product(states, actions), table)})
-    trajectories = [Trajectory(tuple((states[i], actions[j]) for i, j in demo)) for demo in demos]
-    want = maxent_irl(mdp, features, trajectories, beta=beta, learn_rate=0.1, iters=20)
+    features = np.array(table).reshape(len(states), len(actions), 2)
+    want = maxent_irl(mdp, features, demos, beta=beta, learn_rate=0.1, iters=20)
     assert findings[5].check == "behavior-irl"
     assert np.array_equal(findings[5].evidence["weights"], want.weights)
     assert findings[5].evidence["grad_norm"] == want.diagnostics["grad_norm"]
@@ -307,9 +304,9 @@ def test_preference_fit_over_the_world_mdp_uses_one_hot_state_features():
         }
     )
     mdp = parse_scenario(raw).world.mdp
-    trajectories = [Trajectory(tuple((mdp.states[i], mdp.actions[j]) for i, j in t)) for t in steps]
-    comparisons = [PairwiseComparison(trajectories[left], trajectories[right], side) for left, right, side in judged]
-    want = fit_preference_reward(FeatureMap.one_hot_states(mdp), comparisons, 0.2, 50)
+    rows = [tuple(i * len(mdp.actions) + j for i, j in t) for t in steps]  # step (s, a) is row s * A + a
+    comparisons = [PairwiseComparison(rows[left], rows[right], side) for left, right, side in judged]
+    want = fit_preference_reward(one_hot_states(mdp).reshape(-1, len(mdp.states)), comparisons, 0.2, 50)
     _, findings = step_findings(raw, "assessment")
     assert findings[5].check == "preference-fit" and findings[5].status == "pass"
     assert np.array_equal(findings[5].evidence["weights"], want.weights)

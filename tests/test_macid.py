@@ -6,6 +6,7 @@ import pytest
 
 from fidaudit import macid
 from fidaudit.errors import NoConvergence
+from fidaudit.loyalty import materiality_value
 from fidaudit.macid import (
     Cpd,
     DecisionRule,
@@ -289,6 +290,21 @@ def test_best_response_rejects_an_incomplete_profile_and_a_bad_node():
         best_response(model, disclosure_profile(model), "ghost")
     with pytest.raises(ValueError, match="'C' is not a decision node"):
         best_response(model, disclosure_profile(model), "C")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda model: list(enumerate_deterministic_rules(model, "ghost")),
+        lambda model: model.with_edge("C", "ghost"),
+        lambda model: model.replace_decision_with_constant_chance("ghost", "0"),
+        lambda model: materiality_value(model, "ghost", "C", "B_b"),
+    ],
+    ids=["enumerate_deterministic_rules", "with_edge", "replace_decision_with_constant_chance", "materiality_value"],
+)
+def test_an_unknown_node_id_is_a_value_error(call):
+    with pytest.raises(ValueError, match="unknown node 'ghost'"):
+        call(disclosure_model())
 
 
 # --- value_of_information ---------------------------------------------------

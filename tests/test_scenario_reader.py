@@ -111,6 +111,36 @@ def hyperbolic_world_discount(raw):
     del raw["assessment"]["methods"][4]["beta"]
 
 
+def declared_feature_fit(raw):
+    """Append a maxent_irl method (methods[5]) with a declared 2-wide feature table."""
+    n_rows = len(raw["world"]["mdp"]["states"]) * len(raw["world"]["mdp"]["actions"])
+    table = [[1.0, i / n_rows] for i in range(n_rows)]
+    method = {"kind": "maxent_irl", "features": {"dim": 2, "table": table}, "demos": [[[0, 0], [1, 1]]],
+              "learn_rate": 0.1, "iters": 5}
+    raw["assessment"]["methods"].append(method)
+    return method
+
+
+def boolean_in_feature_table(raw):
+    declared_feature_fit(raw)["features"]["table"][1][0] = True
+
+
+def infinite_feature_entry(raw):
+    declared_feature_fit(raw)["features"]["table"][2][1] = 1e400  # inf once read back
+
+
+def narrow_feature_row(raw):
+    declared_feature_fit(raw)["features"]["table"][3] = [1.0]
+
+
+def unequal_feature_rows(raw):
+    raw["assessment"]["methods"][0]["feature_rows"][2] = [1.0, 1.0, 0.0]
+
+
+def demo_state_out_of_range(raw):
+    declared_feature_fit(raw)["demos"][0][1] = [len(raw["world"]["mdp"]["states"]), 0]
+
+
 def unknown_loyalty_role(raw):
     raw["loyalty"]["tables"]["regulator"] = [0.0, 1.0]
 
@@ -141,6 +171,11 @@ def empty_utilities(raw):
         ("engagement_prior_warn.json", huge_preference_iters, "assessment.methods[0].iters"),
         ("trust_portfolio.json", huge_reversal_horizon, "assessment.methods[3].horizon"),
         ("trust_portfolio.json", hyperbolic_world_discount, "world.mdp.discount.kind"),
+        ("trust_portfolio.json", boolean_in_feature_table, "assessment.methods[5].features.table[1][0]"),
+        ("trust_portfolio.json", infinite_feature_entry, "assessment.methods[5].features.table[2][1]"),
+        ("trust_portfolio.json", narrow_feature_row, "assessment.methods[5].features.table[3]"),
+        ("engagement_prior_warn.json", unequal_feature_rows, "assessment.methods[0].feature_rows[2]"),
+        ("trust_portfolio.json", demo_state_out_of_range, "assessment.methods[5].demos[0][1]"),
         ("disclosure_demo.json", unknown_loyalty_role, "loyalty.tables.regulator"),
         ("disclosure_demo.json", empty_utilities, "aggregation.utilities"),
     ],
