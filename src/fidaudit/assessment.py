@@ -173,12 +173,14 @@ def feasible_rewards_irl(
 
 
 def _feature_tensor(mdp: Mdp, features: np.ndarray) -> np.ndarray:
-    """``features`` as a contiguous (S, A, d) float tensor; a wrong shape or
-    a non-finite entry is a ValueError."""
+    """``features`` as a contiguous (S, A, d) float tensor; a wrong shape,
+    d = 0 or a non-finite entry is a ValueError."""
     dense = np.ascontiguousarray(features, dtype=float)
     n_s, n_a = len(mdp.states), len(mdp.actions)
     if dense.ndim != 3 or dense.shape[:2] != (n_s, n_a):
         raise ValueError(f"features have shape {dense.shape}, expected ({n_s}, {n_a}, d)")
+    if dense.shape[2] == 0:
+        raise ValueError("features have zero width: d >= 1 required")
     if not np.all(np.isfinite(dense)):
         raise ValueError("features have non-finite entries")
     return dense
@@ -316,6 +318,8 @@ def fit_preference_reward(
     table = np.asarray(features, dtype=float)
     if table.ndim != 2:
         raise ValueError(f"features have shape {table.shape}, expected (rows, d)")
+    if table.shape[1] == 0:
+        raise ValueError("features have zero width: d >= 1 required")
     if not np.all(np.isfinite(table)):
         raise ValueError("features have non-finite entries")
     if not comparisons:
@@ -397,17 +401,17 @@ def infer_discount(
     if temperature <= 0:
         raise ValueError("temperature must be positive")
     chosen = mdp.policy_index(behavior)
+    shape = (len(mdp.states), len(mdp.actions))
 
     log_posts = []
     for b, w in zip(grid, weights):
-        solution = value_iteration(mdp, b)
-        loglik = 0.0
-        for s, j in zip(mdp.states, chosen):
-            scaled = np.array([solution.q[(s, a)] for a in mdp.actions]) / temperature
-            peak = scaled.max()
-            loglik += scaled[j] - (
-                peak + math.log(np.sum(np.exp(scaled - peak)))
-            )
+        q = value_iteration(mdp, b).q  # keyed in state-major, action-minor order
+        scaled = np.fromiter(q.values(), float, count=len(q)).reshape(shape) / temperature
+        peak = scaled.max(axis=1)
+        norm = np.exp(scaled - peak[:, None]).sum(axis=1)
+        loglik = 0.0  # summed state by state, so the bits equal scoring each state alone
+        for x, p, z in zip(scaled[np.arange(shape[0]), chosen].tolist(), peak.tolist(), norm.tolist()):
+            loglik += x - (p + math.log(z))
         log_posts.append((b, (math.log(w) if w > 0 else -math.inf) + loglik))
     peak = max(lp for _, lp in log_posts)
     raw = {b: math.exp(lp - peak) for b, lp in log_posts}

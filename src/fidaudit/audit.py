@@ -63,6 +63,7 @@ from .context import (
     duty_entry,
     identify_principals,
 )
+from .errors import NoConvergence
 from .findings import FAIL, PASS, SKIPPED, WARN, Finding, worst
 from .loyalty import (
     INFO_TOL,
@@ -171,9 +172,12 @@ def _verdict(check: str, ok: bool, evidence: dict, passed: str, failed: str, bad
 
 def _attempt(check: str, evidence: dict, run) -> list[Finding]:
     """The findings ``run()`` returns; if a library call rejects a value on
-    the way, one FAIL for ``check`` with the error added to ``evidence``."""
+    the way, one FAIL for ``check`` with the error added to ``evidence``,
+    and for an equilibrium search that cycles, the cycle's period."""
     try:
         return run()
+    except NoConvergence as exc:
+        return [Finding(check, FAIL, str(exc), {**evidence, "error": str(exc), "cycle_period": len(exc.cycle)})]
     except ValueError as exc:
         return [Finding(check, FAIL, str(exc), {**evidence, "error": str(exc)})]
 

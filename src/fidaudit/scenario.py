@@ -19,8 +19,18 @@ exponential: its beta is the default of ``maxent_irl`` and
 ``feasibility_probe`` (0.9 without one). A method, table or check value
 that a library call rejects (an asymmetric covariance, a discount outside
 (0, 1)) is left to its audit step, which reports a Fail finding. A field
-given as null counts as absent. The scenario digest is computed over the
-canonical serialized form, so reordering keys in the file changes nothing.
+given as null counts as absent.
+
+The scenario digest (``canonical_digest``) names the document a report
+judged. It is ``sha256-v2:`` and the sha256 of the document's canonical
+JSON: sorted keys, no whitespace. Each dense table the reader converts to
+an array (``world.mdp.transition`` and ``world.mdp.reward``) stands in that
+JSON as ``{"dtype": "<f8", "shape": [...], "sha256": ...}``, the hex sha256
+of the table's little-endian float64 bytes, so a large world is hashed
+from the arrays the reader built rather than serialized again. Reordering
+keys or changing whitespace changes nothing; an entry written ``1`` or
+``1.0`` in one of those tables hashes alike, and one moved by a single ulp
+does not. A document with problems gets no digest.
 """
 
 from __future__ import annotations
@@ -142,9 +152,26 @@ class Scenario:
     care: Care | None
 
 
-def canonical_digest(raw: Mapping[str, Any]) -> str:
-    blob = json.dumps(raw, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    return "sha256:" + hashlib.sha256(blob).hexdigest()
+DIGEST_PREFIX = "sha256-v2:"
+
+
+def canonical_digest(raw: Mapping[str, Any], tables: Mapping[str, np.ndarray]) -> str:
+    """``DIGEST_PREFIX`` and the sha256 of ``raw``'s canonical JSON (sorted
+    keys, no whitespace), in which the value at each dotted path of
+    ``tables`` is replaced by ``{"dtype": "<f8", "shape": [...], "sha256":
+    hex}`` over that array's little-endian float64 bytes. ``tables`` holds
+    every dense table the reader built, by path; only the objects on those
+    paths are copied, and ``raw`` is left as it is."""
+    doc = dict(raw)
+    for path, table in tables.items():
+        *parents, leaf = path.split(".")
+        node = doc
+        for key in parents:
+            node[key] = node = dict(node[key])
+        data = np.ascontiguousarray(table, dtype="<f8")
+        node[leaf] = {"dtype": "<f8", "shape": list(data.shape), "sha256": hashlib.sha256(data).hexdigest()}
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return DIGEST_PREFIX + hashlib.sha256(blob).hexdigest()
 
 
 # --- the reader ------------------------------------------------------------------
@@ -184,6 +211,7 @@ class _Reader:
         self.actions: tuple[str, ...] = ()
         self.default_beta = 0.9
         self.options: tuple[str, ...] | None = None  # the aggregation's, once it declares a method
+        self.tables: dict[str, np.ndarray] = {}  # every dense table read, by path: the digest hashes these
 
     def fail(self, path: str, message: str) -> None:
         self.problems.append((path, message))
@@ -304,7 +332,8 @@ class _Reader:
         if bool in types:
             at = np.unravel_index(types.index(bool), shape)
             return self.fail(path + "".join(f"[{i}]" for i in at), "number required")
-        return arr.astype(float, copy=False)
+        self.tables[path] = arr = arr.astype(float, copy=False)
+        return arr
 
     # the document
 
@@ -323,7 +352,7 @@ class _Reader:
         sections = {key: self.field(raw, key, "", getattr(self, key), default=None) for key in SECTIONS}
         if self.problems:
             return None
-        return Scenario(**meta, digest=canonical_digest(raw), world=world, **sections)
+        return Scenario(**meta, digest=canonical_digest(raw, self.tables), world=world, **sections)
 
     @_object
     def metadata(self, doc: dict, path: str) -> dict:
@@ -551,13 +580,17 @@ class _Reader:
         if doc is None:
             return None
         dim = self.field(doc, "dim", path, self.int_)
+        if dim is not None and dim < 1:
+            self.fail(f"{path}.dim", "at least 1 required")
         return self.field(doc, "table", path, self.table, length=len(self.states) * len(self.actions), width=dim)
 
     def table(self, value: Any, path: str, length=None, width=None) -> np.ndarray | None:
         """Rows of numbers, all ``width`` long (by default as long as the
-        first), as a (rows, width) float array."""
+        first, which must hold a number), as a (rows, width) float array."""
         if width is None and isinstance(value, list) and value and isinstance(value[0], list):
             width = len(value[0])
+            if not width:
+                return self.fail(path, "rows of at least one number required")
         rows = self.list_(value, path, partial(self.nums, length=width), length=length, nonempty=length is None)
         return None if rows is None else np.array(rows, dtype=float).reshape(len(rows), width)
 

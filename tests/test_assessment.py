@@ -298,8 +298,12 @@ def test_one_hot_states_is_a_contiguous_identity_per_action():
         (np.ones((8, 4)), [((0, 0),)], re.escape("features have shape (8, 4), expected (4, 2, d)")),
         (np.ones((4, 3, 4)), [((0, 0),)], re.escape("features have shape (4, 3, 4), expected (4, 2, d)")),
         (np.full((4, 2, 4), np.nan), [((0, 0),)], "features have non-finite entries"),
+        (np.zeros((4, 2, 0)), [((0, 0),)], re.escape("features have zero width: d >= 1 required")),
     ],
-    ids=["state", "action", "negative", "float", "empty-demo", "flat-features", "wrong-actions", "nan-features"],
+    ids=[
+        "state", "action", "negative", "float", "empty-demo", "flat-features", "wrong-actions", "nan-features",
+        "zero-width",
+    ],
 )
 def test_a_demo_step_outside_the_mdp_is_named(features, demos, message):
     mdp = chain_walk_mdp()
@@ -398,10 +402,11 @@ def test_feature_identical_pair_is_degenerate():
         (np.eye(2), (0,), (0.5,), "trajectory step 0.5 not in the feature table"),
         (np.ones(2), (0,), (1,), re.escape("features have shape (2,), expected (rows, d)")),
         (np.array([[1.0], [np.inf]]), (0,), (1,), "features have non-finite entries"),
+        (np.zeros((2, 0)), (0,), (1,), re.escape("features have zero width: d >= 1 required")),
         (np.eye(2), (), (1,), "trajectory must be non-empty"),
         (np.eye(2), (0, 1), (0, 1), "comparison sides must differ"),
     ],
-    ids=["past-end", "negative", "float", "one-axis", "infinite", "empty-side", "same-sides"],
+    ids=["past-end", "negative", "float", "one-axis", "infinite", "zero-width", "empty-side", "same-sides"],
 )
 def test_preference_fit_rejects_a_bad_table_or_comparison(features, left, right, message):
     with pytest.raises(ValueError, match=message):
@@ -482,6 +487,37 @@ def test_single_point_grid_normalizes():
     behavior = value_iteration(mdp, beta=0.9).policy
     posterior = infer_discount(mdp, behavior, [0.9], [1.0])
     assert posterior == {0.9: 1.0}
+
+
+def _scalar_posterior(mdp, behavior, grid, prior, temperature):
+    """infer_discount's posterior with each state's softmax scored on its own."""
+    log_posts = []
+    for b, w in zip(grid, prior):
+        solution = value_iteration(mdp, b)
+        loglik = 0.0
+        for s in mdp.states:
+            scaled = np.array([solution.q[(s, a)] for a in mdp.actions]) / temperature
+            peak = scaled.max()
+            loglik += scaled[mdp.actions.index(behavior[s])] - (peak + math.log(np.sum(np.exp(scaled - peak))))
+        log_posts.append((b, math.log(w) + loglik))
+    peak = max(lp for _, lp in log_posts)
+    raw = {b: math.exp(lp - peak) for b, lp in log_posts}
+    total = sum(raw.values())
+    return {b: raw[b] / total for b in sorted(raw)}
+
+
+def test_posterior_matches_the_per_state_reference_bit_for_bit(rng):
+    for n_states, n_actions in [(1, 2), (3, 5), (7, 3), (20, 2), (40, 4), (100, 2)]:
+        mdp = random_dynamics(rng, n_states, n_actions).with_reward(rng.normal(size=(n_states, n_actions)))
+        grid = sorted(rng.uniform(0.3, 0.95, size=3).tolist())
+        prior = [0.2, 0.5, 0.3]
+        behavior = {s: mdp.actions[int(rng.integers(n_actions))] for s in mdp.states}
+        for temperature in (1.0, 0.1, 0.01):
+            got = infer_discount(mdp, behavior, grid, prior, temperature)
+            want = _scalar_posterior(mdp, behavior, grid, prior, temperature)
+            assert list(got) == list(want)
+            bits = [np.array(list(posterior.values())).view(np.uint64) for posterior in (got, want)]
+            assert np.array_equal(*bits)
 
 
 def test_discount_grid_validation():

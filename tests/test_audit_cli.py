@@ -186,6 +186,26 @@ def test_rejected_care_check_value_fails_that_check_only():
     assert checks["train-deploy-shift"].status == "pass"
 
 
+def test_cycling_equilibrium_fails_the_norm_with_its_cycle_period():
+    raw = raw_scenario("disclosure_demo.json")
+    macid = raw["world"]["macid"]
+    # a rival plays matching pennies against the client, so no pure equilibrium exists
+    macid["agents"].append("rival")
+    macid["nodes"] += [
+        {"id": "D_r", "kind": "decision", "owner": "rival", "domain": ["lo", "hi"]},
+        {"id": "U_r", "kind": "utility", "owner": "rival"},
+    ]
+    macid["edges"].update(D_r=[], U_b=["B_b", "D_r"], U_r=["B_b", "D_r"])
+    macid["utilities"].update(U_b=[1.0, 0.0, 0.0, 1.0], U_r=[0.0, 1.0, 1.0, 0.0])
+    macid["profile"]["D_r"] = [[1.0, 0.0]]
+    loyalty = next(s for s in run_audit(parse_scenario(raw)).steps if s.step == "loyalty")
+    [finding] = [f for f in loyalty.findings if f.check == "disclosure:market-state"]
+    assert finding.status == "fail"
+    assert finding.detail == "best-response iteration cycles with period 2"
+    assert finding.evidence["cycle_period"] == 2
+    assert finding.evidence["error"] == finding.detail
+
+
 @pytest.mark.parametrize("probe", [{"voters": 0}, {"rule": "dictator", "dictator_voter": 3}])
 def test_rejected_manipulation_probe_is_a_probe_failure(probe):
     raw = raw_scenario("engagement_prior_warn.json")

@@ -1,12 +1,15 @@
 """The scenario reader: one walk decides what both ``validate`` and ``check`` accept."""
 
 import copy
+import functools
+import hashlib
 import json
 import math
 import random
 from pathlib import Path
 
 import pytest
+import numpy as np
 from click.testing import CliRunner
 
 from fidaudit.audit import run_audit
@@ -141,6 +144,15 @@ def demo_state_out_of_range(raw):
     declared_feature_fit(raw)["demos"][0][1] = [len(raw["world"]["mdp"]["states"]), 0]
 
 
+def zero_width_feature_rows(raw):
+    raw["assessment"]["methods"][0]["feature_rows"] = [[], [], []]
+
+
+def zero_dim_feature_table(raw):
+    features = declared_feature_fit(raw)["features"]
+    features.update(dim=0, table=[[] for _ in features["table"]])
+
+
 def unknown_loyalty_role(raw):
     raw["loyalty"]["tables"]["regulator"] = [0.0, 1.0]
 
@@ -176,6 +188,8 @@ def empty_utilities(raw):
         ("trust_portfolio.json", narrow_feature_row, "assessment.methods[5].features.table[3]"),
         ("engagement_prior_warn.json", unequal_feature_rows, "assessment.methods[0].feature_rows[2]"),
         ("trust_portfolio.json", demo_state_out_of_range, "assessment.methods[5].demos[0][1]"),
+        ("engagement_prior_warn.json", zero_width_feature_rows, "assessment.methods[0].feature_rows"),
+        ("trust_portfolio.json", zero_dim_feature_table, "assessment.methods[5].features.dim"),
         ("disclosure_demo.json", unknown_loyalty_role, "loyalty.tables.regulator"),
         ("disclosure_demo.json", empty_utilities, "aggregation.utilities"),
     ],
@@ -252,6 +266,88 @@ def test_loyalty_outcomes_must_be_the_aggregation_options():
     raw = raw_scenario("disclosure_demo.json")
     raw["loyalty"]["tables"]["outcomes"] = ["balanced", "aggressive"]
     assert_rejected_at(raw, "loyalty.tables.outcomes")
+
+
+# --- the scenario digest ------------------------------------------------------------
+
+
+def digest(raw):
+    return parse_scenario(raw).digest
+
+
+def canonical_sha256(doc):
+    return hashlib.sha256(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")).hexdigest()
+
+
+def test_digest_of_a_document_without_tables_is_its_canonical_json():
+    raw = raw_scenario("disclosure_demo.json")
+    assert digest(raw) == "sha256-v2:" + canonical_sha256(raw)
+
+
+def test_digest_hashes_each_dense_table_as_its_float64_bytes():
+    raw = raw_scenario("trust_portfolio.json")
+    expected = copy.deepcopy(raw)
+    for key in ("transition", "reward"):
+        table = np.array(raw["world"]["mdp"][key], dtype="<f8")
+        expected["world"]["mdp"][key] = {
+            "dtype": "<f8", "shape": list(table.shape), "sha256": hashlib.sha256(table.tobytes()).hexdigest()
+        }
+    before = copy.deepcopy(raw)
+    assert digest(raw) == "sha256-v2:" + canonical_sha256(expected)
+    assert raw == before
+
+
+def _reversed_keys(doc):
+    if isinstance(doc, dict):
+        return {key: _reversed_keys(doc[key]) for key in reversed(list(doc))}
+    if isinstance(doc, list):
+        return [_reversed_keys(v) for v in doc]
+    return doc
+
+
+@pytest.mark.parametrize("scenario", ["disclosure_demo.json", "trust_portfolio.json"])
+def test_digest_ignores_key_order_and_whitespace(scenario):
+    raw = raw_scenario(scenario)
+    rewritten = json.loads(json.dumps(_reversed_keys(raw), indent=3))
+    assert list(rewritten) != list(raw)
+    assert digest(rewritten) == digest(raw)
+
+
+@pytest.mark.parametrize("key, at", [("transition", (0, 0, 1)), ("reward", (1, 0))])
+def test_digest_changes_when_a_table_entry_moves_one_ulp(key, at):
+    raw = raw_scenario("trust_portfolio.json")
+    moved = copy.deepcopy(raw)
+    *row, i = at
+    entries = functools.reduce(lambda table, j: table[j], row, moved["world"]["mdp"][key])
+    entries[i] = math.nextafter(entries[i], 0.0)
+    assert validate_scenario(moved) == []
+    assert digest(moved) != digest(raw)
+
+
+def test_integer_and_float_table_entries_hash_alike():
+    raw = raw_scenario("trust_portfolio.json")
+    mdp = raw["world"]["mdp"]
+    assert mdp["reward"][0][0] == 1.0 and isinstance(mdp["transition"][0][0][1], int)
+    retyped = copy.deepcopy(raw)
+    retyped["world"]["mdp"]["reward"][0][0] = 1
+    retyped["world"]["mdp"]["transition"] = [[[float(p) for p in row] for row in rows] for rows in mdp["transition"]]
+    assert digest(retyped) == digest(raw)
+
+
+def test_only_a_document_without_problems_gets_a_digest(tmp_path):
+    runner = CliRunner()
+    for path in sorted(SCENARIOS.glob("*.json")):
+        assert runner.invoke(main, ["validate", str(path)]).exit_code == 0
+        report = json.loads(runner.invoke(main, ["check", str(path), "--format", "machine"]).output)
+        assert report["scenario"]["digest"] == digest(raw_scenario(path.name))
+        assert report["scenario"]["digest"].startswith("sha256-v2:")
+    raw = raw_scenario("trust_portfolio.json")
+    string_in_mdp_reward(raw)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    assert runner.invoke(main, ["validate", str(bad)]).exit_code == 2
+    checked = runner.invoke(main, ["check", str(bad), "--format", "machine"])
+    assert checked.exit_code == 2 and checked.stdout == ""
 
 
 # --- the CLI never exits 1 on an error ------------------------------------------
