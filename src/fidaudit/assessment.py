@@ -19,10 +19,12 @@ inputs (nothing here trains on-line):
 itself as the quantity of interest: a posterior over a candidate grid, and
 re-solved advice at a higher patience than the fitted one.
 
-Behavior data comes as indices and dense arrays in MDP order: a demo is a
-sequence of (state index, action index) steps, features are an (S, A, d)
-tensor (``one_hot_states`` gives the default), and a preference judgment
-names rows of a (rows, d) feature table.
+Behavior data comes as indices and dense arrays in MDP order: a policy is
+an (S,) array of action indices, a demo is a sequence of (state index,
+action index) steps, features are an (S, A, d) tensor (``one_hot_states``
+gives the default), and a preference judgment names rows of a (rows, d)
+feature table. Results come back as arrays and indices too; only the
+report names states and actions.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .mdp import Mdp, Policy, _check_beta, policy_iteration, value_iteration
+from .mdp import Mdp, _check_beta, _check_policy, policy_iteration, value_iteration
 
 RIDGE_EPSILON = 1e-8
 DEFAULT_TEMPERATURE = 0.01  # infer_discount's softmax choice temperature
@@ -126,19 +128,19 @@ class FeasibleRewardSet:
 
 
 def feasible_rewards_irl(
-    mdp: Mdp, policy: Policy, beta: float, bound: float
+    mdp: Mdp, policy: np.ndarray, beta: float, bound: float
 ) -> FeasibleRewardSet:
     """Optimality inequalities Q_pi(s, pi(s)) >= Q_pi(s, a) as linear rows.
 
-    The reward table of ``mdp`` is ignored; only the dynamics matter.
-    Each constraint row is the reward-space functional of the Q gap, using
+    ``policy`` is the action index chosen in each state. The reward table
+    of ``mdp`` is ignored; only the dynamics matter. Each constraint row is the reward-space functional of the Q gap, using
     V_pi = (I - beta P_pi)^{-1} r_pi, solved for the selector of r_pi.
     """
     _check_beta(beta)
     if bound <= 0:
         raise ValueError("bound must be positive")
     n_s, n_a = len(mdp.states), len(mdp.actions)
-    chosen = mdp.policy_index(policy)
+    chosen = _check_policy(mdp, policy)
     states = np.arange(n_s)
     selector = np.zeros((n_s, n_s * n_a))  # r_pi = selector @ r_flat
     selector[states, states * n_a + chosen] = 1.0
@@ -371,16 +373,17 @@ def _log_sigmoid(x: np.ndarray) -> np.ndarray:
 
 def infer_discount(
     mdp: Mdp,
-    behavior: Policy,
+    behavior: np.ndarray,
     beta_grid: Sequence[float],
     prior: Sequence[float],
     temperature: float = DEFAULT_TEMPERATURE,
 ) -> dict[float, float]:
     """Posterior over candidate discount factors given observed behavior.
 
-    Likelihood of the behavior at each grid point is the product over
-    states of a softmax choice model over the optimal Q values at that
-    discount (temperature ``temperature``). Log-domain normalization keeps
+    ``behavior`` is the action index chosen in each state. Its likelihood
+    at each grid point is the product over states of a softmax choice
+    model over the optimal Q values at that discount (temperature
+    ``temperature``). Log-domain normalization keeps
     the small-temperature regime stable. The returned mapping sums to 1
     and does not depend on the order the grid was supplied in.
     """
@@ -400,17 +403,16 @@ def infer_discount(
         raise ValueError(f"prior sums to {sum(weights)}")
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    chosen = mdp.policy_index(behavior)
-    shape = (len(mdp.states), len(mdp.actions))
+    chosen = _check_policy(mdp, behavior)
+    states = np.arange(len(mdp.states))
 
     log_posts = []
     for b, w in zip(grid, weights):
-        q = value_iteration(mdp, b).q  # keyed in state-major, action-minor order
-        scaled = np.fromiter(q.values(), float, count=len(q)).reshape(shape) / temperature
+        scaled = value_iteration(mdp, b).q / temperature
         peak = scaled.max(axis=1)
         norm = np.exp(scaled - peak[:, None]).sum(axis=1)
         loglik = 0.0  # summed state by state, so the bits equal scoring each state alone
-        for x, p, z in zip(scaled[np.arange(shape[0]), chosen].tolist(), peak.tolist(), norm.tolist()):
+        for x, p, z in zip(scaled[states, chosen].tolist(), peak.tolist(), norm.tolist()):
             loglik += x - (p + math.log(z))
         log_posts.append((b, (math.log(w) if w > 0 else -math.inf) + loglik))
     peak = max(lp for _, lp in log_posts)
@@ -419,13 +421,14 @@ def infer_discount(
     return {b: raw[b] / total for b in sorted(raw)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PatienceAdvice:
-    """Greedy policy at the advice discount, with its myopic divergences."""
+    """Action indices of the greedy policies at the advice and the fitted
+    discount, and the indices of the states where they differ."""
 
-    policy: dict[str, str]
-    fitted_policy: dict[str, str]
-    divergent_states: tuple[str, ...]
+    policy: np.ndarray
+    fitted_policy: np.ndarray
+    divergent_states: np.ndarray
 
 
 def patient_recommendation(mdp: Mdp, beta_fit: float, beta_advice: float) -> PatienceAdvice:
@@ -443,8 +446,7 @@ def patient_recommendation(mdp: Mdp, beta_fit: float, beta_advice: float) -> Pat
         raise ValueError("beta_advice must be at least beta_fit")
     fitted = policy_iteration(mdp, beta_fit).policy
     advised = policy_iteration(mdp, beta_advice).policy
-    divergent = tuple(s for s in mdp.states if fitted[s] != advised[s])
-    return PatienceAdvice(policy=advised, fitted_policy=fitted, divergent_states=divergent)
+    return PatienceAdvice(policy=advised, fitted_policy=fitted, divergent_states=np.flatnonzero(fitted != advised))
 
 
 # --- legal standard: mean-variance template ----------------------------------

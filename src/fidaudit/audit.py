@@ -173,13 +173,15 @@ def _verdict(check: str, ok: bool, evidence: dict, passed: str, failed: str, bad
 def _attempt(check: str, evidence: dict, run) -> list[Finding]:
     """The findings ``run()`` returns; if a library call rejects a value on
     the way, one FAIL for ``check`` with the error added to ``evidence``,
-    and for an equilibrium search that cycles, the cycle's period."""
+    and for an equilibrium search that revisited a profile, the cycle's
+    period."""
     try:
         return run()
-    except NoConvergence as exc:
-        return [Finding(check, FAIL, str(exc), {**evidence, "error": str(exc), "cycle_period": len(exc.cycle)})]
     except ValueError as exc:
-        return [Finding(check, FAIL, str(exc), {**evidence, "error": str(exc)})]
+        evidence = {**evidence, "error": str(exc)}
+        if isinstance(exc, NoConvergence) and exc.cycle:
+            evidence["cycle_period"] = len(exc.cycle)
+        return [Finding(check, FAIL, str(exc), evidence)]
 
 
 # --- pipeline state threaded through the steps ---------------------------------
@@ -320,7 +322,7 @@ def _run_one_method(method: Variant, scenario: Scenario, state: _State) -> tuple
             learn_rate=method.learn_rate,
             iters=method.iters,
         )
-        greedy = policy_iteration(mdp.with_reward(estimate.table), method.beta).policy
+        greedy = policy_iteration(mdp.with_reward(estimate.table), method.beta).policy.tolist()
         return (
             "behavior-irl",
             "reward fitted to demonstrations (policy equivalence is the "
@@ -328,7 +330,7 @@ def _run_one_method(method: Variant, scenario: Scenario, state: _State) -> tuple
             {
                 "weights": estimate.weights,
                 "grad_norm": estimate.diagnostics["grad_norm"],
-                "greedy_policy": greedy,
+                "greedy_policy": {s: mdp.actions[a] for s, a in zip(mdp.states, greedy)},
             },
         )
     if method.kind == "preference_fit":
@@ -372,14 +374,15 @@ def _run_one_method(method: Variant, scenario: Scenario, state: _State) -> tuple
         )
     if method.kind == "patient_advice":
         advice = patient_recommendation(mdp, method.beta_fit, method.beta_advice)
+        divergent = advice.divergent_states.tolist()
         return (
             "patient-advice",
             f"advice at patience {method.beta_advice} diverges from the "
-            f"fitted discount in {len(advice.divergent_states)} state(s)",
+            f"fitted discount in {len(divergent)} state(s)",
             {
-                "divergent_states": list(advice.divergent_states),
-                "advised": {s: advice.policy[s] for s in advice.divergent_states},
-                "fitted": {s: advice.fitted_policy[s] for s in advice.divergent_states},
+                "divergent_states": [mdp.states[i] for i in divergent],
+                "advised": {mdp.states[i]: mdp.actions[advice.policy[i]] for i in divergent},
+                "fitted": {mdp.states[i]: mdp.actions[advice.fitted_policy[i]] for i in divergent},
             },
         )
     spec = DiscountSpec(**method.discount)  # preference reversal

@@ -15,10 +15,11 @@ class FidauditError(ValueError):
 
 
 class NoConvergence(FidauditError):
-    """Best-response iteration cycled without reaching an equilibrium.
+    """Best-response iteration found no equilibrium.
 
     ``cycle`` holds the repeating sequence of profiles, each rendered as a
-    mapping from decision node id to its rule table.
+    mapping from decision node id to its rule table; it is empty when the
+    round cap was hit before any profile came back.
     """
 
     def __init__(self, message: str, cycle=None):

@@ -622,8 +622,8 @@ def solve_equilibrium(model: Macid, max_rounds: int = 64) -> dict[str, DecisionR
     a Nash equilibrium (no unilateral deviation at any single decision node
     raises its owner's expected utility). Iteration starts from the welfare
     warm start (see ``_welfare_warm_start``). If the sweep revisits a
-    profile, or ``max_rounds`` passes without a fixed point, raises
-    ``NoConvergence`` carrying the observed cycle.
+    profile, raises ``NoConvergence`` carrying the observed cycle; if
+    ``max_rounds`` pass without a fixed point, raises it with no cycle.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be positive")
@@ -639,14 +639,11 @@ def solve_equilibrium(model: Macid, max_rounds: int = 64) -> dict[str, DecisionR
             return dict(profile)
         key = _profile_key(model, profile)
         if key in seen:
-            history = history[seen[key]:]
-            message = f"best-response iteration cycles with period {len(history)}"
-            break
+            cycle = [{nid: dict(p[nid].table) for nid in decisions} for p in history[seen[key]:]]
+            raise NoConvergence(f"best-response iteration cycles with period {len(cycle)}", cycle=cycle)
         seen[key] = len(history)
         history.append(dict(profile))
-    else:
-        message = f"no equilibrium after {max_rounds} rounds"
-    raise NoConvergence(message, cycle=[{nid: dict(p[nid].table) for nid in decisions} for p in history])
+    raise NoConvergence(f"no equilibrium after {max_rounds} rounds")
 
 
 def is_equilibrium(model: Macid, profile: PolicyProfile) -> bool:

@@ -6,16 +6,18 @@ inference reads its Q values from), exact policy evaluation by linear
 solve, exponential and hyperbolic discount curves, and detection of
 preference reversals between a smaller-sooner and a larger-later reward.
 
-Conventions: rewards are r(s, a); transition is a dense (S, A, S) tensor
-of P(s' | s, a); greedy argmax ties break to the lowest action index so
-identical inputs always give identical outputs.
+Conventions: everything is an array in MDP order. Rewards are an (S, A)
+table r(s, a); transition is a dense (S, A, S) tensor of P(s' | s, a); a
+policy is an (S,) integer array of action indices; a solve returns V as
+an (S,) array and Q as an (S, A) array. Greedy argmax ties break to the
+lowest action index so identical inputs always give identical outputs.
+The id tuples are kept only so that a report can name states and actions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -56,24 +58,6 @@ class Mdp:
                 f"transition row for (s={self.states[bad[0]]}, a={self.actions[bad[1]]}) "
                 f"sums to {rows[tuple(bad)]}"
             )
-
-    def action_index(self, action: str) -> int:
-        return self.actions.index(action)
-
-    def policy_index(self, policy: Policy) -> np.ndarray:
-        """The action index ``policy`` picks in each state, in state order."""
-        for s in self.states:
-            if s not in policy:
-                raise ValueError(f"policy missing state {s!r}")
-        return np.array([self.action_index(policy[s]) for s in self.states], dtype=int)
-
-    @staticmethod
-    def from_dynamics(
-        states: Sequence[str], actions: Sequence[str], transition: np.ndarray
-    ) -> "Mdp":
-        """MDP with a zero reward table, for reward-learning inputs."""
-        s, a = len(states), len(actions)
-        return Mdp(tuple(states), tuple(actions), np.asarray(transition, float), np.zeros((s, a)))
 
     def with_reward(self, reward: np.ndarray) -> "Mdp":
         return Mdp(self.states, self.actions, self.transition, np.asarray(reward, float))
@@ -116,12 +100,9 @@ def discount_weight(spec: DiscountSpec, t: int) -> float:
     return 1.0 / (1.0 + spec.k * t)
 
 
-Policy = Mapping[str, str]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ValueFunction:
-    """Solver output: V, the companion Q, and the greedy policy.
+    """Solver output: V as an (S,) array and the companion (S, A) Q array.
 
     ``gap_history`` records the sup-norm differences between successive
     value-iteration sweeps (used to verify the contraction bound);
@@ -129,12 +110,16 @@ class ValueFunction:
     the partial result is still returned.
     """
 
-    values: dict[str, float]
-    q: dict[tuple[str, str], float]
-    policy: dict[str, str]
+    values: np.ndarray
+    q: np.ndarray
     iterations: int
     converged: bool
     gap_history: tuple[float, ...] = field(default=(), repr=False)
+
+    @property
+    def policy(self) -> np.ndarray:
+        """The greedy policy: each state's lowest-index maximizer of Q."""
+        return np.argmax(self.q, axis=1)
 
 
 def default_max_iters(beta: float, tol: float) -> int:
@@ -148,16 +133,20 @@ def _check_beta(beta: float) -> None:
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
 
 
-def _package(mdp: Mdp, v: np.ndarray, q: np.ndarray, iterations: int, converged: bool, gaps: list[float]) -> ValueFunction:
-    greedy = np.argmax(q, axis=1)  # the first (lowest-index) maximizer
-    return ValueFunction(
-        values={s: float(v[i]) for i, s in enumerate(mdp.states)},
-        q={(s, a): float(q[i, j]) for i, s in enumerate(mdp.states) for j, a in enumerate(mdp.actions)},
-        policy={s: mdp.actions[int(greedy[i])] for i, s in enumerate(mdp.states)},
-        iterations=iterations,
-        converged=converged,
-        gap_history=tuple(gaps),
-    )
+def _check_policy(mdp: Mdp, policy: np.ndarray) -> np.ndarray:
+    """``policy`` as an (S,) array of action indices; a wrong length, a
+    non-integer dtype or an index outside 0..A-1 is a ValueError."""
+    chosen = np.asarray(policy)
+    n_s, n_a = len(mdp.states), len(mdp.actions)
+    if chosen.shape != (n_s,):
+        raise ValueError(f"policy has shape {chosen.shape}, expected ({n_s},)")
+    if not np.issubdtype(chosen.dtype, np.integer):
+        raise ValueError(f"policy has dtype {chosen.dtype}, expected integer action indices")
+    outside = np.flatnonzero((chosen < 0) | (chosen >= n_a))
+    if outside.size:
+        i = int(outside[0])
+        raise ValueError(f"policy picks action index {chosen[i]} in state {mdp.states[i]!r}, outside 0..{n_a - 1}")
+    return chosen
 
 
 def value_iteration(
@@ -185,9 +174,9 @@ def value_iteration(
         gaps.append(gap)
         v = v_next
         if gap <= tol:
-            return _package(mdp, v, q, it, True, gaps)
+            return ValueFunction(v, q, it, True, tuple(gaps))
     q = mdp.reward + beta * (mdp.transition @ v)
-    return _package(mdp, v, q, max_iters, False, gaps)
+    return ValueFunction(v, q, max_iters, False, tuple(gaps))
 
 
 def _evaluate(mdp: Mdp, action_idx: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -203,15 +192,16 @@ def _evaluate(mdp: Mdp, action_idx: np.ndarray, beta: float) -> tuple[np.ndarray
     return v, mdp.reward + beta * (mdp.transition @ v)
 
 
-def evaluate_policy(mdp: Mdp, policy: Policy, beta: float) -> ValueFunction:
+def evaluate_policy(mdp: Mdp, policy: np.ndarray, beta: float) -> ValueFunction:
     """Exact V of a stationary policy via the linear system (I - beta*P) V = r.
 
-    The system is always non-singular for beta < 1; a numerical failure is
-    reported as a ValueError rather than silently propagated.
+    ``policy`` is the action index chosen in each state. The system is
+    always non-singular for beta < 1; a numerical failure is reported as a
+    ValueError rather than silently propagated.
     """
     _check_beta(beta)
-    v, q = _evaluate(mdp, mdp.policy_index(policy), beta)
-    return _package(mdp, v, q, 1, True, [])
+    v, q = _evaluate(mdp, _check_policy(mdp, policy), beta)
+    return ValueFunction(v, q, 1, True)
 
 
 def policy_iteration(mdp: Mdp, beta: float) -> ValueFunction:
@@ -236,8 +226,8 @@ def policy_iteration(mdp: Mdp, beta: float) -> ValueFunction:
         visited.add(action_idx.tobytes())
         action_idx = np.where(q[rows, best] > q[rows, action_idx], best, action_idx)
         if action_idx.tobytes() in visited:  # no switch, or a cycle of ties
-            return _package(mdp, v, q, rounds, True, [])
-    return _package(mdp, v, q, MAX_ITERS_CAP, False, [])
+            return ValueFunction(v, q, rounds, True)
+    return ValueFunction(v, q, MAX_ITERS_CAP, False)
 
 
 @dataclass(frozen=True)

@@ -561,15 +561,19 @@ class _Reader:
         return None if step is None else step[0] * len(self.actions) + step[1]
 
     @_object
-    def policy(self, doc: dict, path: str) -> dict:
-        """A state id -> action id map naming every state."""
+    def policy(self, doc: dict, path: str) -> np.ndarray | None:
+        """A state id -> action id map naming every state, as the (S,)
+        array of the action index it picks in each state."""
+        start = len(self.problems)
         for s, a in doc.items():
             self.id_(s, f"{path}.{s}", self.states, "state")
             self.id_(a, f"{path}.{s}", self.actions, "action")
         for s in self.states:
             if s not in doc:
                 self.fail(f"{path}.{s}", "required")
-        return dict(doc)
+        if len(self.problems) > start:
+            return None
+        return np.array([self.actions.index(doc[s]) for s in self.states])
 
     def features(self, value: Any, path: str) -> np.ndarray | None:
         """A declared table as (S * A, dim) rows in MDP order, or None for

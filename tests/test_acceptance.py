@@ -87,10 +87,9 @@ def test_criterion_01_mdp_optimality_oracle():
         mdp = random_mdp(rng, 5, 3)
         greedy = value_iteration(mdp, beta).policy
         greedy_values = evaluate_policy(mdp, greedy, beta).values
-        for assignment in itertools.product(mdp.actions, repeat=5):
-            policy = dict(zip(mdp.states, assignment))
-            values = evaluate_policy(mdp, policy, beta).values
-            for s in mdp.states:
+        for assignment in itertools.product(range(len(mdp.actions)), repeat=5):
+            values = evaluate_policy(mdp, np.array(assignment), beta).values
+            for s in range(len(mdp.states)):
                 assert greedy_values[s] >= values[s] - 1e-6
     elapsed = time.monotonic() - started
     assert elapsed < 5.0
@@ -118,7 +117,7 @@ def test_criterion_03_maxent_gradient_finite_differences():
     while checked < 10:
         transition = rng.uniform(0.05, 1.0, size=(4, 2, 4))
         transition /= transition.sum(axis=2, keepdims=True)
-        mdp = Mdp.from_dynamics(["s0", "s1", "s2", "s3"], ["a0", "a1"], transition)
+        mdp = Mdp(("s0", "s1", "s2", "s3"), ("a0", "a1"), transition, np.zeros((4, 2)))
         features = rng.normal(size=(4, 2, 3))
         demos = []
         for _ in range(3):
@@ -152,13 +151,13 @@ def test_criterion_04_irl_policy_equivalence_and_zero_feasibility():
     for i in range(len(mdp.states)):
         steps = []
         for _ in range(6):
-            j = mdp.action_index(demonstrated[mdp.states[i]])
+            j = int(demonstrated[i])
             steps.append((i, j))
             i = int(np.argmax(mdp.transition[i, j]))
         demos.append(steps)
     estimate = maxent_irl(mdp, features, demos, beta=0.9, learn_rate=0.2, iters=150)
     learned_policy = value_iteration(mdp.with_reward(estimate.table), beta=0.9).policy
-    assert learned_policy == demonstrated
+    assert np.array_equal(learned_policy, demonstrated)
 
     chain_set = feasible_rewards_irl(mdp, demonstrated, beta=0.9, bound=1.0)
     assert chain_set.zero_reward_feasible
@@ -167,7 +166,7 @@ def test_criterion_04_irl_policy_equivalence_and_zero_feasibility():
     instances = 1
     for _ in range(10):
         dynamics = random_mdp(rng, 4, 2)
-        policy = {s: dynamics.actions[int(rng.integers(0, 2))] for s in dynamics.states}
+        policy = np.array([int(rng.integers(0, 2)) for _ in dynamics.states])
         feasible = feasible_rewards_irl(dynamics, policy, beta=0.9, bound=1.0)
         assert feasible.zero_reward_feasible
         assert feasible.contains(np.zeros((4, 2)))

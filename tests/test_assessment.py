@@ -48,8 +48,11 @@ def chain_walk_mdp():
 def random_dynamics(rng, n_states=4, n_actions=2):
     transition = rng.uniform(0.05, 1.0, size=(n_states, n_actions, n_states))
     transition /= transition.sum(axis=2, keepdims=True)
-    return Mdp.from_dynamics(
-        [f"s{i}" for i in range(n_states)], [f"a{j}" for j in range(n_actions)], transition
+    return Mdp(
+        tuple(f"s{i}" for i in range(n_states)),
+        tuple(f"a{j}" for j in range(n_actions)),
+        transition,
+        np.zeros((n_states, n_actions)),
     )
 
 
@@ -59,7 +62,7 @@ def random_dynamics(rng, n_states=4, n_actions=2):
 def test_zero_reward_always_feasible(rng):
     for _ in range(5):
         mdp = random_dynamics(rng)
-        policy = {s: mdp.actions[int(rng.integers(0, 2))] for s in mdp.states}
+        policy = np.array([int(rng.integers(0, 2)) for _ in mdp.states])
         feasible = feasible_rewards_irl(mdp, policy, beta=0.9, bound=1.0)
         assert feasible.zero_reward_feasible
         assert feasible.contains(np.zeros((4, 2)))
@@ -75,7 +78,7 @@ def test_sampled_rewards_make_policy_optimal(rng):
         ("s1", "move"): "s0",
     }
     mdp = deterministic_mdp(states, ["stay", "move"], moves)
-    policy = {"s0": "move", "s1": "stay"}  # always head to s1
+    policy = np.array([1, 0])  # always head to s1: move in s0, stay in s1
     feasible = feasible_rewards_irl(mdp, policy, beta=0.9, bound=2.0)
     for _ in range(10):
         reward = feasible.sample(rng)
@@ -83,7 +86,7 @@ def test_sampled_rewards_make_policy_optimal(rng):
         solved = value_iteration(mdp.with_reward(reward), beta=0.9, tol=1e-12)
         greedy_value = evaluate_policy(mdp.with_reward(reward), solved.policy, 0.9)
         stated_value = evaluate_policy(mdp.with_reward(reward), policy, 0.9)
-        for s in mdp.states:
+        for s in range(len(mdp.states)):
             assert stated_value.values[s] >= greedy_value.values[s] - 1e-8
 
 
@@ -96,22 +99,38 @@ def test_suboptimal_reward_violates_a_constraint():
         ("s1", "move"): "s0",
     }
     mdp = deterministic_mdp(states, ["stay", "move"], moves)
-    lazy = {"s0": "stay", "s1": "stay"}
+    lazy = np.array([0, 0])  # stay in both states
     feasible = feasible_rewards_irl(mdp, lazy, beta=0.9, bound=2.0)
     # reward that pays only for reaching s1 makes 'stay at s0' strictly suboptimal
     reward = np.array([[0.0, 1.0], [1.0, 0.0]])
     assert not feasible.contains(reward)
 
 
-def test_a_map_that_leaves_out_a_state_is_a_value_error():
-    mdp = chain_walk_mdp()
-    partial = {"s0": "right", "s1": "right", "s2": "left"}
-    with pytest.raises(ValueError, match="policy missing state 's3'"):
-        feasible_rewards_irl(mdp, partial, beta=0.9, bound=1.0)
-    with pytest.raises(ValueError, match="policy missing state 's3'"):
-        infer_discount(mdp, partial, [0.5, 0.9], [0.5, 0.5])
-    with pytest.raises(ValueError, match="policy missing state 's3'"):
-        evaluate_policy(mdp, partial, 0.9)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda mdp, policy: feasible_rewards_irl(mdp, policy, beta=0.9, bound=1.0),
+        lambda mdp, policy: infer_discount(mdp, policy, [0.5, 0.9], [0.5, 0.5]),
+        lambda mdp, policy: evaluate_policy(mdp, policy, 0.9),
+    ],
+    ids=["feasible_rewards_irl", "infer_discount", "evaluate_policy"],
+)
+@pytest.mark.parametrize(
+    "policy, message",
+    [
+        (np.array([0, 0, 1]), r"policy has shape \(3,\), expected \(4,\)"),
+        (np.zeros((4, 1), dtype=int), r"policy has shape \(4, 1\), expected \(4,\)"),
+        ({"s0": "right", "s1": "right", "s2": "left"}, r"policy has shape \(\), expected \(4,\)"),
+        (np.array([0.0, 0.0, 1.0, 1.0]), "policy has dtype float64, expected integer action indices"),
+        (np.array([True, False, True, False]), "policy has dtype bool, expected integer action indices"),
+        (np.array([0, -1, 0, 0]), r"policy picks action index -1 in state 's1', outside 0\.\.1"),
+        (np.array([0, 0, 0, 2]), r"policy picks action index 2 in state 's3', outside 0\.\.1"),
+    ],
+    ids=["short", "two-d", "map", "float", "bool", "negative", "too-large"],
+)
+def test_a_bad_policy_array_is_a_value_error(call, policy, message):
+    with pytest.raises(ValueError, match=message):
+        call(chain_walk_mdp(), policy)
 
 
 # --- maxent_irl -----------------------------------------------------------------
@@ -130,19 +149,19 @@ def test_maxent_recovers_demonstrated_policy():
     mdp = chain_walk_mdp()
     features = one_hot_states(mdp)
     demonstrated = value_iteration(mdp, beta=0.9).policy
-    assert all(a == "right" for a in demonstrated.values())
+    assert all(mdp.actions[a] == "right" for a in demonstrated)
     demos = []
     for i in range(len(mdp.states)):
         steps = []
         for _ in range(6):
-            j = mdp.action_index(demonstrated[mdp.states[i]])
+            j = int(demonstrated[i])
             steps.append((i, j))
             i = int(np.argmax(mdp.transition[i, j]))
         demos.append(steps)
     estimate = maxent_irl(mdp, features, demos, beta=0.9, learn_rate=0.2, iters=150)
     # policy equivalence is the success criterion; reward equality is not
     learned_policy = value_iteration(mdp.with_reward(estimate.table), beta=0.9).policy
-    assert learned_policy == demonstrated
+    assert np.array_equal(learned_policy, demonstrated)
 
 
 def test_maxent_gradient_matches_finite_differences(rng):
@@ -276,7 +295,7 @@ def test_maxent_fit_matches_the_einsum_gradient_fit():
         assert float(np.max(np.abs(estimate.weights - theta))) <= 1e-12 * float(np.max(np.abs(theta)))
         assert abs(estimate.diagnostics["grad_norm"] - grad_norm) <= 1e-12 * grad_norm
         greedy = policy_iteration(mdp.with_reward(estimate.table), beta).policy
-        assert greedy == policy_iteration(mdp.with_reward(dense @ theta), beta).policy
+        assert np.array_equal(greedy, policy_iteration(mdp.with_reward(dense @ theta), beta).policy)
 
 
 def test_one_hot_states_is_a_contiguous_identity_per_action():
@@ -452,7 +471,7 @@ def test_uninformative_likelihood_returns_prior():
         ["s"], ["a", "b"], {("s", "a"): "s", ("s", "b"): "s"}, {("s", "a"): 1.0, ("s", "b"): 1.0}
     )
     prior = [0.3, 0.7]
-    posterior = infer_discount(mdp, {"s": "a"}, [0.5, 0.9], prior)
+    posterior = infer_discount(mdp, np.array([0]), [0.5, 0.9], prior)
     assert posterior[0.5] == pytest.approx(0.3, abs=1e-9)
     assert posterior[0.9] == pytest.approx(0.7, abs=1e-9)
 
@@ -460,11 +479,13 @@ def test_uninformative_likelihood_returns_prior():
 def test_posterior_peaks_at_generating_beta():
     mdp = timing_choice_mdp()
     behavior = value_iteration(mdp, beta=0.95).policy
-    assert behavior["a0"] == "late" and behavior["b0"] == "early"
+    a0, b0 = mdp.states.index("a0"), mdp.states.index("b0")
+    early, late = mdp.actions.index("early"), mdp.actions.index("late")
+    assert behavior[a0] == late and behavior[b0] == early
     # oracle: compare Q* at each grid point directly
     for b in GRID:
         q = value_iteration(mdp, beta=b).q
-        assert (q[("a0", "late")] > q[("a0", "early")]) == (b > 0.9283)
+        assert (q[a0, late] > q[a0, early]) == (b > 0.9283)
     prior = [1.0 / len(GRID)] * len(GRID)
     posterior = infer_discount(mdp, behavior, GRID, prior, temperature=0.01)
     assert sum(posterior.values()) == pytest.approx(1.0, abs=1e-9)
@@ -495,10 +516,10 @@ def _scalar_posterior(mdp, behavior, grid, prior, temperature):
     for b, w in zip(grid, prior):
         solution = value_iteration(mdp, b)
         loglik = 0.0
-        for s in mdp.states:
-            scaled = np.array([solution.q[(s, a)] for a in mdp.actions]) / temperature
+        for s in range(len(mdp.states)):
+            scaled = np.array([solution.q[s, a] for a in range(len(mdp.actions))]) / temperature
             peak = scaled.max()
-            loglik += scaled[mdp.actions.index(behavior[s])] - (peak + math.log(np.sum(np.exp(scaled - peak))))
+            loglik += scaled[behavior[s]] - (peak + math.log(np.sum(np.exp(scaled - peak))))
         log_posts.append((b, math.log(w) + loglik))
     peak = max(lp for _, lp in log_posts)
     raw = {b: math.exp(lp - peak) for b, lp in log_posts}
@@ -511,7 +532,7 @@ def test_posterior_matches_the_per_state_reference_bit_for_bit(rng):
         mdp = random_dynamics(rng, n_states, n_actions).with_reward(rng.normal(size=(n_states, n_actions)))
         grid = sorted(rng.uniform(0.3, 0.95, size=3).tolist())
         prior = [0.2, 0.5, 0.3]
-        behavior = {s: mdp.actions[int(rng.integers(n_actions))] for s in mdp.states}
+        behavior = np.array([int(rng.integers(n_actions)) for _ in mdp.states])
         for temperature in (1.0, 0.1, 0.01):
             got = infer_discount(mdp, behavior, grid, prior, temperature)
             want = _scalar_posterior(mdp, behavior, grid, prior, temperature)
@@ -560,7 +581,7 @@ def patience_mdp():
 def test_equal_betas_no_divergence():
     mdp = patience_mdp()
     advice = patient_recommendation(mdp, 0.5, 0.5)
-    assert advice.divergent_states == ()
+    assert advice.divergent_states.tolist() == []
 
 
 def test_patience_flips_to_delayed_branch():
@@ -568,15 +589,16 @@ def test_patience_flips_to_delayed_branch():
     # at 0.95 waiting is worth 13.46 vs 6.7
     mdp = patience_mdp()
     advice = patient_recommendation(mdp, 0.5, 0.95)
-    assert advice.fitted_policy["c0"] == "now"
-    assert advice.policy["c0"] == "wait"
-    assert advice.divergent_states == ("c0",)
+    c0, now, wait = mdp.states.index("c0"), mdp.actions.index("now"), mdp.actions.index("wait")
+    assert advice.fitted_policy[c0] == now
+    assert advice.policy[c0] == wait
+    assert advice.divergent_states.tolist() == [c0]
 
 
 def test_zero_reward_no_divergence():
     mdp = patience_mdp()
     advice = patient_recommendation(mdp.with_reward(np.zeros((5, 2))), 0.5, 0.95)
-    assert advice.divergent_states == ()
+    assert advice.divergent_states.tolist() == []
 
 
 def test_patiences_validated():

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 from pathlib import Path
@@ -19,6 +20,7 @@ from fidaudit.care import PRIOR_DOMINANCE_RATIONALE
 from fidaudit.cli import main
 from fidaudit.context import duty_entry
 from fidaudit.errors import SchemaError
+from fidaudit.macid import value_of_information
 from fidaudit.scenario import load_scenario, parse_scenario, validate_scenario
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
@@ -186,10 +188,17 @@ def test_rejected_care_check_value_fails_that_check_only():
     assert checks["train-deploy-shift"].status == "pass"
 
 
-def test_cycling_equilibrium_fails_the_norm_with_its_cycle_period():
+def market_state_finding(raw):
+    steps = run_audit(parse_scenario(raw)).steps
+    [finding] = [f for f in next(s for s in steps if s.step == "loyalty").findings if f.check == "disclosure:market-state"]
+    return finding
+
+
+def matching_pennies_scenario():
+    """``disclosure_demo.json`` with a rival who plays matching pennies
+    against the client, so no pure equilibrium exists."""
     raw = raw_scenario("disclosure_demo.json")
     macid = raw["world"]["macid"]
-    # a rival plays matching pennies against the client, so no pure equilibrium exists
     macid["agents"].append("rival")
     macid["nodes"] += [
         {"id": "D_r", "kind": "decision", "owner": "rival", "domain": ["lo", "hi"]},
@@ -198,12 +207,25 @@ def test_cycling_equilibrium_fails_the_norm_with_its_cycle_period():
     macid["edges"].update(D_r=[], U_b=["B_b", "D_r"], U_r=["B_b", "D_r"])
     macid["utilities"].update(U_b=[1.0, 0.0, 0.0, 1.0], U_r=[0.0, 1.0, 1.0, 0.0])
     macid["profile"]["D_r"] = [[1.0, 0.0]]
-    loyalty = next(s for s in run_audit(parse_scenario(raw)).steps if s.step == "loyalty")
-    [finding] = [f for f in loyalty.findings if f.check == "disclosure:market-state"]
+    return raw
+
+
+def test_cycling_equilibrium_fails_the_norm_with_its_cycle_period():
+    finding = market_state_finding(matching_pennies_scenario())
     assert finding.status == "fail"
     assert finding.detail == "best-response iteration cycles with period 2"
     assert finding.evidence["cycle_period"] == 2
     assert finding.evidence["error"] == finding.detail
+
+
+def test_an_equilibrium_search_stopped_by_its_round_cap_reports_no_cycle_period(monkeypatch):
+    # one round ends the search before any profile comes back
+    monkeypatch.setattr("fidaudit.loyalty.value_of_information", functools.partial(value_of_information, max_rounds=1))
+    finding = market_state_finding(matching_pennies_scenario())
+    assert finding.status == "fail"
+    assert finding.detail == "no equilibrium after 1 rounds"
+    assert finding.evidence["error"] == finding.detail
+    assert "cycle_period" not in finding.evidence
 
 
 @pytest.mark.parametrize("probe", [{"voters": 0}, {"rule": "dictator", "dictator_voter": 3}])
@@ -338,7 +360,8 @@ def test_discount_inference_uses_a_declared_prior():
     method = raw["assessment"]["methods"][1]
     method["prior"] = [0.25, 0.75]
     mdp = parse_scenario(raw).world.mdp
-    want = infer_discount(mdp, method["behavior"], method["beta_grid"], [0.25, 0.75], temperature=0.01)
+    behavior = np.array([mdp.actions.index(method["behavior"][s]) for s in mdp.states])
+    want = infer_discount(mdp, behavior, method["beta_grid"], [0.25, 0.75], temperature=0.01)
     _, findings = step_findings(raw, "assessment")
     assert findings[1].check == "discount-inference"
     assert findings[1].evidence["posterior"] == want

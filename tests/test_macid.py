@@ -656,7 +656,7 @@ def _ref_solve(model, start, max_rounds):
             return ("cycle", f"best-response iteration cycles with period {len(cycle)}", cycle)
         seen[key()] = len(history)
         history.append(dict(profile))
-    return ("cycle", f"no equilibrium after {max_rounds} rounds", history)
+    return ("cycle", f"no equilibrium after {max_rounds} rounds", [])
 
 
 _DOMAINS = (("v0", "v1"), ("v10", "v2"), ("v0", "v1", "v2"), ("v2", "v10", "v1"))

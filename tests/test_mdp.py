@@ -48,23 +48,23 @@ def random_mdp(rng, n_states, n_actions):
 
 def test_geometric_series_value():
     result = value_iteration(single_state_mdp([1.0]), beta=0.5)
-    assert result.values["s"] == pytest.approx(2.0, abs=1e-8)
+    assert result.values[0] == pytest.approx(2.0, abs=1e-8)
     assert result.converged
 
 
 def test_dominant_action_and_tie_break():
     result = value_iteration(single_state_mdp([0.0, 1.0]), beta=0.5)
-    assert result.values["s"] == pytest.approx(2.0, abs=1e-8)
-    assert result.policy["s"] == "a1"
+    assert result.values[0] == pytest.approx(2.0, abs=1e-8)
+    assert result.policy[0] == 1
     tie = value_iteration(single_state_mdp([1.0, 1.0]), beta=0.5)
-    assert tie.policy["s"] == "a0"  # lowest action index on ties
+    assert tie.policy[0] == 0  # lowest action index on ties
 
 
 def test_two_state_chain_matches_linear_solve():
     # exact solution of the 2x2 system: V(s1) = 10, V(s0) = 9
     result = value_iteration(chain_mdp(), beta=0.9, tol=1e-10)
-    assert result.values["s1"] == pytest.approx(10.0, abs=1e-8)
-    assert result.values["s0"] == pytest.approx(9.0, abs=1e-8)
+    assert result.values[1] == pytest.approx(10.0, abs=1e-8)
+    assert result.values[0] == pytest.approx(9.0, abs=1e-8)
 
 
 def test_invalid_discount_rejected():
@@ -93,9 +93,9 @@ def test_contraction_bound_on_random_mdps(rng):
 def test_value_q_consistency(rng):
     mdp = random_mdp(rng, 5, 3)
     result = value_iteration(mdp, beta=0.9)
-    for s in mdp.states:
+    for s in range(len(mdp.states)):
         assert result.values[s] == pytest.approx(
-            max(result.q[(s, a)] for a in mdp.actions), abs=1e-9
+            max(result.q[s, a] for a in range(len(mdp.actions))), abs=1e-9
         )
 
 
@@ -104,23 +104,23 @@ def test_value_q_consistency(rng):
 
 def test_constant_reward_any_policy():
     mdp = single_state_mdp([1.0, 1.0])
-    for action in mdp.actions:
-        result = evaluate_policy(mdp, {"s": action}, beta=0.5)
-        assert result.values["s"] == pytest.approx(2.0)
+    for action in range(len(mdp.actions)):
+        result = evaluate_policy(mdp, np.array([action]), beta=0.5)
+        assert result.values[0] == pytest.approx(2.0)
 
 
 def test_policy_evaluation_matches_value_iteration():
     mdp = chain_mdp()
     vi = value_iteration(mdp, beta=0.9, tol=1e-10)
     pe = evaluate_policy(mdp, vi.policy, beta=0.9)
-    for s in mdp.states:
+    for s in range(len(mdp.states)):
         assert pe.values[s] == pytest.approx(vi.values[s], abs=1e-6)
 
 
 def test_policy_choosing_zero_reward_action():
     mdp = single_state_mdp([0.0, 1.0])
-    result = evaluate_policy(mdp, {"s": "a0"}, beta=0.5)
-    assert result.values["s"] == pytest.approx(0.0)
+    result = evaluate_policy(mdp, np.array([0]), beta=0.5)
+    assert result.values[0] == pytest.approx(0.0)
 
 
 def test_greedy_beats_all_deterministic_policies(rng):
@@ -128,10 +128,9 @@ def test_greedy_beats_all_deterministic_policies(rng):
     mdp = random_mdp(rng, 4, 2)
     beta = 0.9
     greedy_value = evaluate_policy(mdp, value_iteration(mdp, beta).policy, beta)
-    for assignment in itertools.product(mdp.actions, repeat=len(mdp.states)):
-        policy = dict(zip(mdp.states, assignment))
-        other = evaluate_policy(mdp, policy, beta)
-        for s in mdp.states:
+    for assignment in itertools.product(range(len(mdp.actions)), repeat=len(mdp.states)):
+        other = evaluate_policy(mdp, np.array(assignment), beta)
+        for s in range(len(mdp.states)):
             assert greedy_value.values[s] >= other.values[s] - 1e-6
 
 
@@ -144,9 +143,9 @@ def test_policy_iteration_beats_all_deterministic_policies(rng):
         result = policy_iteration(mdp, beta)
         assert result.converged
         best = evaluate_policy(mdp, result.policy, beta)
-        for assignment in itertools.product(mdp.actions, repeat=len(mdp.states)):
-            other = evaluate_policy(mdp, dict(zip(mdp.states, assignment)), beta)
-            for s in mdp.states:
+        for assignment in itertools.product(range(len(mdp.actions)), repeat=len(mdp.states)):
+            other = evaluate_policy(mdp, np.array(assignment), beta)
+            for s in range(len(mdp.states)):
                 assert best.values[s] >= other.values[s] - 1e-9 * (1.0 + abs(other.values[s]))
 
 
@@ -154,19 +153,19 @@ def test_policy_iteration_is_a_bellman_fixed_point_and_agrees_with_value_iterati
     for n_actions, beta in [(2, 0.9), (3, 0.99), (3, 0.999)]:
         mdp = random_mdp(rng, 6, n_actions)
         exact = policy_iteration(mdp, beta)
-        v = np.array([exact.values[s] for s in mdp.states])
+        v = exact.values
         q = mdp.reward + beta * (mdp.transition @ v)
         assert float(np.max(np.abs(q.max(axis=1) - v))) <= 1e-9
         oracle = value_iteration(mdp, beta, tol=1e-12)
         assert oracle.converged
-        for s in mdp.states:
-            ranked = sorted(exact.q[(s, a)] for a in mdp.actions)
+        for s in range(len(mdp.states)):
+            ranked = sorted(exact.q[s].tolist())
             if ranked[-1] - ranked[-2] > 1e-6:
                 assert exact.policy[s] == oracle.policy[s]
 
 
 def test_policy_iteration_tie_goes_to_lowest_index():
-    assert policy_iteration(single_state_mdp([1.0, 1.0]), beta=0.5).policy["s"] == "a0"
+    assert policy_iteration(single_state_mdp([1.0, 1.0]), beta=0.5).policy[0] == 0
     # the myopic start picks a1 in s0, whose exact Q then ties with a0's:
     # a0 pays 0 and leads to s1 (1 forever), a1 pays 0.5 and leads to s2 (0.5 forever)
     transition = np.zeros((3, 2, 3))
@@ -174,8 +173,8 @@ def test_policy_iteration_tie_goes_to_lowest_index():
     transition[1, :, 1] = transition[2, :, 2] = 1.0
     reward = np.array([[0.0, 0.5], [1.0, 1.0], [0.5, 0.5]])
     result = policy_iteration(Mdp(("s0", "s1", "s2"), ("a0", "a1"), transition, reward), beta=0.5)
-    assert result.q[("s0", "a0")] == result.q[("s0", "a1")] == 1.0
-    assert result.policy["s0"] == "a0"
+    assert result.q[0, 0] == result.q[0, 1] == 1.0
+    assert result.policy[0] == 0
 
 
 def test_policy_iteration_stops_on_ties_that_differ_by_rounding(monkeypatch):
@@ -202,8 +201,8 @@ def test_policy_iteration_stops_on_ties_that_differ_by_rounding(monkeypatch):
     result = policy_iteration(mdp, beta=0.95)
     assert result.converged
     assert result.iterations <= 4
-    assert result.q[("s5", "a1")] == pytest.approx(result.q[("s5", "a2")], abs=1e-12)
-    assert result.policy["s5"] in ("a1", "a2")
+    assert result.q[5, 1] == pytest.approx(result.q[5, 2], abs=1e-12)
+    assert result.policy[5] in (1, 2)
 
 
 def test_policy_iteration_round_cap_returns_unconverged(monkeypatch):
@@ -214,7 +213,7 @@ def test_policy_iteration_round_cap_returns_unconverged(monkeypatch):
     transition[1, :, 1] = 1.0
     mdp = Mdp(("s0", "s1"), ("stay", "go"), transition, np.array([[1.0, 0.0], [10.0, 10.0]]))
     solved = policy_iteration(mdp, beta=0.9)
-    assert solved.converged and solved.iterations == 2 and solved.policy["s0"] == "go"
+    assert solved.converged and solved.iterations == 2 and solved.policy[0] == mdp.actions.index("go")
     monkeypatch.setattr("fidaudit.mdp.MAX_ITERS_CAP", 1)
     capped = policy_iteration(mdp, beta=0.9)
     assert not capped.converged

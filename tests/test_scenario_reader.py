@@ -89,6 +89,14 @@ def partial_policy(raw):
     del raw["assessment"]["methods"][4]["policy"]["c0"]
 
 
+def unknown_behavior_action(raw):
+    raw["assessment"]["methods"][1]["behavior"]["l3"] = "later"
+
+
+def unknown_policy_action(raw):
+    raw["assessment"]["methods"][4]["policy"]["c0"] = 1
+
+
 def negative_probe_samples(raw):
     raw["assessment"]["methods"][4]["samples"] = -3
 
@@ -178,6 +186,8 @@ def empty_utilities(raw):
         ("disclosure_demo.json", huge_integer_weight, "aggregation.weights.clients"),
         ("trust_portfolio.json", partial_behavior, "assessment.methods[1].behavior.l3"),
         ("trust_portfolio.json", partial_policy, "assessment.methods[4].policy.c0"),
+        ("trust_portfolio.json", unknown_behavior_action, "assessment.methods[1].behavior.l3"),
+        ("trust_portfolio.json", unknown_policy_action, "assessment.methods[4].policy.c0"),
         ("trust_portfolio.json", negative_probe_samples, "assessment.methods[4].samples"),
         ("trust_portfolio.json", negative_maxent_iters, "assessment.methods[5].iters"),
         ("engagement_prior_warn.json", huge_preference_iters, "assessment.methods[0].iters"),
@@ -207,6 +217,22 @@ def test_validate_and_check_reject_the_same_documents(tmp_path, scenario, mutate
     checked = runner.invoke(main, ["check", str(bad)])
     assert checked.exit_code == 2
     assert checked.stderr.startswith(f"schema error: {path}: ")
+
+
+def test_policy_maps_reach_the_kernels_as_action_indices():
+    raw = raw_scenario("trust_portfolio.json")
+    shipped = parse_scenario(raw)
+    # a map in another key order than the states, with both actions used
+    raw["assessment"]["methods"][4]["policy"] = {"l3": "wait", "c0": "now", "l2": "wait", "e1": "now", "l1": "wait"}
+    mixed = parse_scenario(raw)
+    for scenario in (shipped, mixed):
+        mdp = scenario.world.mdp
+        for index, key in ((1, "behavior"), (4, "policy")):
+            got = getattr(scenario.assessment[index], key)
+            doc = raw_scenario("trust_portfolio.json") if scenario is shipped else raw
+            want = [mdp.actions.index(doc["assessment"]["methods"][index][key][s]) for s in mdp.states]
+            assert got.dtype.kind == "i" and got.tolist() == want
+    assert mixed.assessment[4].policy.tolist() == [0, 0, 1, 1, 1]
 
 
 # --- integers, booleans and paths ------------------------------------------------
