@@ -35,7 +35,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .mdp import Mdp, _check_beta, _check_policy, policy_iteration, value_iteration
+from .mdp import Mdp, _check_beta, _check_policy, solve_exact
 
 RIDGE_EPSILON = 1e-8
 DEFAULT_TEMPERATURE = 0.01  # infer_discount's softmax choice temperature
@@ -383,7 +383,8 @@ def infer_discount(
     ``behavior`` is the action index chosen in each state. Its likelihood
     at each grid point is the product over states of a softmax choice
     model over the optimal Q values at that discount (temperature
-    ``temperature``). Log-domain normalization keeps
+    ``temperature``), the exact Q of ``solve_exact``; a solve stopped at
+    its cap is a ValueError. Log-domain normalization keeps
     the small-temperature regime stable. The returned mapping sums to 1
     and does not depend on the order the grid was supplied in.
     """
@@ -408,7 +409,7 @@ def infer_discount(
 
     log_posts = []
     for b, w in zip(grid, weights):
-        scaled = value_iteration(mdp, b).q / temperature
+        scaled = solve_exact(mdp, b).q / temperature
         peak = scaled.max(axis=1)
         norm = np.exp(scaled - peak[:, None]).sum(axis=1)
         loglik = 0.0  # summed state by state, so the bits equal scoring each state alone
@@ -435,8 +436,8 @@ def patient_recommendation(mdp: Mdp, beta_fit: float, beta_advice: float) -> Pat
     """Re-solve under a higher patience and report where advice changes.
 
     Solves the MDP's own reward (for a fitted one, pass
-    ``mdp.with_reward(estimate.table)``) exactly by policy iteration at
-    both discounts. Divergent states are those where the advised action
+    ``mdp.with_reward(estimate.table)``) exactly by ``solve_exact`` at
+    both discounts; a solve stopped at its cap is a ValueError. Divergent states are those where the advised action
     differs from the one at the fitted discount; both solves break ties to
     the lowest action index of the exact Q, so a zero reward yields none.
     """
@@ -444,8 +445,8 @@ def patient_recommendation(mdp: Mdp, beta_fit: float, beta_advice: float) -> Pat
     _check_beta(beta_advice)
     if beta_advice < beta_fit:
         raise ValueError("beta_advice must be at least beta_fit")
-    fitted = policy_iteration(mdp, beta_fit).policy
-    advised = policy_iteration(mdp, beta_advice).policy
+    fitted = solve_exact(mdp, beta_fit).policy
+    advised = solve_exact(mdp, beta_advice).policy
     return PatienceAdvice(policy=advised, fitted_policy=fitted, divergent_states=np.flatnonzero(fitted != advised))
 
 

@@ -74,7 +74,7 @@ from .loyalty import (
     disgorgement_check,
     no_conflict_check,
 )
-from .mdp import DiscountSpec, detect_preference_reversal, policy_iteration
+from .mdp import DiscountSpec, detect_preference_reversal, solve_exact
 from .scenario import Aggregation, Care, Loyalty, ManipulationProbe, Scenario, Variant
 
 TOOL_NAME = "fidaudit"
@@ -322,7 +322,7 @@ def _run_one_method(method: Variant, scenario: Scenario, state: _State) -> tuple
             learn_rate=method.learn_rate,
             iters=method.iters,
         )
-        greedy = policy_iteration(mdp.with_reward(estimate.table), method.beta).policy.tolist()
+        greedy = solve_exact(mdp.with_reward(estimate.table), method.beta).policy.tolist()
         return (
             "behavior-irl",
             "reward fitted to demonstrations (policy equivalence is the "

@@ -1,10 +1,14 @@
 """Finite MDP solver and discounting models.
 
-Howard policy iteration for exact optimal policies, value iteration with
-recorded contraction gaps (the contraction oracle, and the solver discount
-inference reads its Q values from), exact policy evaluation by linear
-solve, exponential and hyperbolic discount curves, and detection of
-preference reversals between a smaller-sooner and a larger-later reward.
+One exact solver for optimal policies, ``policy_iteration``: blocks of
+Bellman sweeps find a candidate policy, and rounds of Howard improvement
+over exact evaluations certify it (modified policy iteration), with
+MAX_ITERS_CAP on the evaluations and on the sweeps; ``solve_exact`` turns
+a capped solve into a ValueError. Also value iteration with recorded
+contraction gaps (the contraction oracle, and the solver's sweeps), exact
+policy evaluation by linear solve, exponential and hyperbolic discount
+curves, and detection of preference reversals between a smaller-sooner
+and a larger-later reward.
 
 Conventions: everything is an array in MDP order. Rewards are an (S, A)
 table r(s, a); transition is a dense (S, A, S) tensor of P(s' | s, a); a
@@ -150,22 +154,27 @@ def _check_policy(mdp: Mdp, policy: np.ndarray) -> np.ndarray:
 
 
 def value_iteration(
-    mdp: Mdp, beta: float, tol: float = 1e-9, max_iters: int | None = None
+    mdp: Mdp,
+    beta: float,
+    tol: float = 1e-9,
+    max_iters: int | None = None,
+    start: np.ndarray | None = None,
 ) -> ValueFunction:
     """Optimal values by the Bellman backup V <- max_a r + beta * E[V].
 
-    Stops once successive sweeps differ by at most ``tol`` in sup norm,
-    which bounds the Bellman residual of the returned V by beta * tol.
-    Iterate gaps contract at rate beta; the recorded history lets callers
-    check that. If ``max_iters`` sweeps pass first, the partial result is
-    returned with ``converged=False``.
+    Sweeps from ``start`` (zeros by default) and stops once successive
+    sweeps differ by at most ``tol`` in sup norm, which bounds the Bellman
+    residual of the returned V by beta * tol. Iterate gaps contract at
+    rate beta; the recorded history lets callers check that. If
+    ``max_iters`` sweeps pass first, the partial result is returned with
+    ``converged=False``.
     """
     _check_beta(beta)
     if tol <= 0:
         raise ValueError("tol must be positive")
     if max_iters is None:
         max_iters = default_max_iters(beta, tol)
-    v = np.zeros(len(mdp.states))
+    v = np.zeros(len(mdp.states)) if start is None else np.asarray(start, dtype=float)
     gaps: list[float] = []
     for it in range(1, max_iters + 1):
         q = mdp.reward + beta * (mdp.transition @ v)
@@ -204,30 +213,61 @@ def evaluate_policy(mdp: Mdp, policy: np.ndarray, beta: float) -> ValueFunction:
     return ValueFunction(v, q, 1, True)
 
 
-def policy_iteration(mdp: Mdp, beta: float) -> ValueFunction:
-    """Optimal policy by Howard policy iteration (Puterman 1994, ch. 6).
+_FIRST_BLOCK = 8  # sweeps before the first exact round; each later block doubles
+_ROUNDS_PER_BLOCK = 2
 
-    Starts from the myopic policy, evaluates each policy exactly and
-    switches a state's action only on a strict Q gain, so it stops after
-    finitely many rounds; the reported policy is the lowest-index
-    maximizer of the exact Q. Each switch strictly raises the exact
-    values, so a policy met again means the gains were rounding noise
-    between tied actions, and the solve stops there too. Hitting
-    MAX_ITERS_CAP rounds returns the last evaluation with
-    ``converged=False``.
+
+def policy_iteration(mdp: Mdp, beta: float) -> ValueFunction:
+    """Optimal policy by modified policy iteration (Puterman & Shin 1978).
+
+    Bellman sweeps (``value_iteration``) run in blocks of 8, 16, 32 and so
+    on; the first starts from V = 0 and each later one from the exact V of
+    the last policy evaluated. After each block the greedy policy gets at
+    most two rounds of Howard improvement (Puterman 1994, ch. 6): evaluate
+    the policy exactly and switch a state's action only on a strict Q
+    gain. The solve stops when a switch leads to a policy evaluated
+    before: no switch at all, or a cycle of switches that were rounding
+    noise between tied actions, since every real switch raises the exact
+    values. The result is that last exact evaluation, so wherever the
+    solve ends at Howard's policy, V and Q are the same bits; the reported
+    policy is the lowest-index maximizer of the exact Q. ``iterations``
+    counts exact evaluations. MAX_ITERS_CAP caps the evaluations and,
+    separately, the sweeps; a solve that hits either cap returns its last
+    exact evaluation with ``converged=False``.
     """
     _check_beta(beta)
     rows = np.arange(len(mdp.states))
-    action_idx = np.argmax(mdp.reward, axis=1)
+    v = np.zeros(len(rows))
     visited: set[bytes] = set()
-    for rounds in range(1, MAX_ITERS_CAP + 1):
-        v, q = _evaluate(mdp, action_idx, beta)
-        best = np.argmax(q, axis=1)
-        visited.add(action_idx.tobytes())
-        action_idx = np.where(q[rows, best] > q[rows, action_idx], best, action_idx)
-        if action_idx.tobytes() in visited:  # no switch, or a cycle of ties
-            return ValueFunction(v, q, rounds, True)
-    return ValueFunction(v, q, MAX_ITERS_CAP, False)
+    rounds = sweeps = 0
+    block = _FIRST_BLOCK
+    while sweeps < MAX_ITERS_CAP:
+        swept = value_iteration(mdp, beta, max_iters=min(block, MAX_ITERS_CAP - sweeps), start=v)
+        sweeps += swept.iterations
+        action_idx = swept.policy
+        for _ in range(_ROUNDS_PER_BLOCK):
+            if rounds == MAX_ITERS_CAP:
+                return ValueFunction(v, q, rounds, False)
+            v, q = _evaluate(mdp, action_idx, beta)
+            rounds += 1
+            best = np.argmax(q, axis=1)
+            visited.add(action_idx.tobytes())
+            action_idx = np.where(q[rows, best] > q[rows, action_idx], best, action_idx)
+            if action_idx.tobytes() in visited:  # no switch, or a cycle of ties
+                return ValueFunction(v, q, rounds, True)
+        block *= 2
+    return ValueFunction(v, q, rounds, False)
+
+
+def solve_exact(mdp: Mdp, beta: float) -> ValueFunction:
+    """``policy_iteration``'s result, certified: a solve that hit a cap is
+    a ValueError naming beta and the cap, not an answer."""
+    solved = policy_iteration(mdp, beta)
+    if not solved.converged:
+        raise ValueError(
+            f"MDP solve at beta {beta} hit the cap of {MAX_ITERS_CAP} exact evaluations or sweeps before converging"
+        )
+    return solved
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from fidaudit.macid import Cpd, DecisionRule, Macid, Node, NodeKind
+from fidaudit.mdp import Mdp
 
 
 def match_table(domain=("0", "1")):
@@ -135,3 +138,20 @@ def xor_model():
         utilities={},
         agents=(),
     )
+
+
+def delayed_reward_chain(n_states):
+    """States s0..s{S-1}; ``wait`` moves one state right with probability 0.9
+    and stays with 0.1 (the last state keeps it), and pays 1 in the last
+    state; ``take`` pays 0.01 * (1 + s/S) in state s and returns to s0. The
+    myopic policy takes everywhere but the last state, and Howard iteration
+    from it switches about one state to ``wait`` per round."""
+    transition = np.zeros((n_states, 2, n_states))
+    reward = np.zeros((n_states, 2))
+    for s in range(n_states):
+        transition[s, 0, min(s + 1, n_states - 1)] += 0.9
+        transition[s, 0, s] += 0.1
+        transition[s, 1, 0] = 1.0
+        reward[s, 1] = 0.01 * (1 + s / n_states)
+    reward[n_states - 1, 0] = 1.0
+    return Mdp(tuple(f"s{i}" for i in range(n_states)), ("wait", "take"), transition, reward)

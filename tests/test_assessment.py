@@ -18,7 +18,7 @@ from fidaudit.assessment import (
     patient_recommendation,
     prudent_investor_weights,
 )
-from fidaudit.mdp import Mdp, evaluate_policy, policy_iteration, value_iteration
+from fidaudit.mdp import Mdp, evaluate_policy, policy_iteration, solve_exact, value_iteration
 
 
 def deterministic_mdp(states, actions, moves, rewards=None):
@@ -511,10 +511,11 @@ def test_single_point_grid_normalizes():
 
 
 def _scalar_posterior(mdp, behavior, grid, prior, temperature):
-    """infer_discount's posterior with each state's softmax scored on its own."""
+    """infer_discount's posterior with each state's softmax scored on its own,
+    over Q from the same exact solver."""
     log_posts = []
     for b, w in zip(grid, prior):
-        solution = value_iteration(mdp, b)
+        solution = solve_exact(mdp, b)
         loglik = 0.0
         for s in range(len(mdp.states)):
             scaled = np.array([solution.q[s, a] for a in range(len(mdp.actions))]) / temperature

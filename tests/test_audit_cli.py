@@ -22,6 +22,7 @@ from fidaudit.context import duty_entry
 from fidaudit.errors import SchemaError
 from fidaudit.macid import value_of_information
 from fidaudit.scenario import load_scenario, parse_scenario, validate_scenario
+from helpers import delayed_reward_chain
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 GOLDEN = Path(__file__).parent / "golden"
@@ -365,6 +366,41 @@ def test_discount_inference_uses_a_declared_prior():
     _, findings = step_findings(raw, "assessment")
     assert findings[1].check == "discount-inference"
     assert findings[1].evidence["posterior"] == want
+
+
+def test_an_mdp_solve_stopped_by_its_cap_fails_each_method_that_reads_it(monkeypatch):
+    chain = delayed_reward_chain(30)
+    raw = raw_scenario("trust_portfolio.json")
+    raw["world"]["mdp"].update(
+        states=list(chain.states),
+        actions=list(chain.actions),
+        transition=chain.transition.tolist(),
+        reward=chain.reward.tolist(),
+    )
+    last = len(chain.states) - 1
+    raw["assessment"]["methods"] = [
+        {"kind": "discount_inference", "beta_grid": [0.9, 0.99], "behavior": {s: "wait" for s in chain.states}},
+        {"kind": "patient_advice", "beta_fit": 0.9, "beta_advice": 0.99},
+        {
+            "kind": "maxent_irl",
+            "features": {"dim": 1, "table": chain.reward.reshape(-1, 1).tolist()},  # reward = theta * chain's
+            "demos": [[[last, 0], [last, 0]]],
+            "beta": 0.9,
+            "learn_rate": 0.1,
+            "iters": 5,
+        },
+    ]
+    checks = ["discount-inference", "patient-advice", "behavior-irl"]
+    status, findings = step_findings(raw, "assessment")
+    assert status == "pass" and [f.check for f in findings] == checks
+
+    monkeypatch.setattr("fidaudit.mdp.MAX_ITERS_CAP", 1)
+    status, findings = step_findings(raw, "assessment")
+    assert status == "fail"
+    message = "MDP solve at beta 0.9 hit the cap of 1 exact evaluations or sweeps before converging"
+    for i, (finding, kind) in enumerate(zip(findings, ["discount_inference", "patient_advice", "maxent_irl"])):
+        assert finding.check == f"method[{i}]" and finding.status == "fail"
+        assert finding.evidence == {"kind": kind, "error": message}
 
 
 def test_pareto_aggregation_reports_the_front():

@@ -11,9 +11,11 @@ from fidaudit.mdp import (
     detect_preference_reversal,
     discount_weight,
     evaluate_policy,
+    _evaluate,
     policy_iteration,
     value_iteration,
 )
+from helpers import delayed_reward_chain
 
 
 def single_state_mdp(rewards):
@@ -205,19 +207,104 @@ def test_policy_iteration_stops_on_ties_that_differ_by_rounding(monkeypatch):
     assert result.policy[5] in (1, 2)
 
 
-def test_policy_iteration_round_cap_returns_unconverged(monkeypatch):
+def test_policy_iteration_caps_return_the_last_exact_evaluation_unconverged(monkeypatch):
     # s0: "stay" pays 1 now, "go" pays 0 but leads to s1, which pays 10 forever;
-    # the myopic start stays, so one round cannot finish
+    # the first sweep block already sees s1's value and goes, so one round certifies it
     transition = np.zeros((2, 2, 2))
     transition[0, 0, 0] = transition[0, 1, 1] = 1.0
     transition[1, :, 1] = 1.0
     mdp = Mdp(("s0", "s1"), ("stay", "go"), transition, np.array([[1.0, 0.0], [10.0, 10.0]]))
     solved = policy_iteration(mdp, beta=0.9)
-    assert solved.converged and solved.iterations == 2 and solved.policy[0] == mdp.actions.index("go")
+    assert solved.converged and solved.iterations == 1 and solved.policy[0] == mdp.actions.index("go")
+
+    chain = delayed_reward_chain(50)
+    solved = policy_iteration(chain, beta=0.9)
+    assert solved.converged and solved.iterations == 5
+    # round cap: one sweep, then one exact round where two are needed
     monkeypatch.setattr("fidaudit.mdp.MAX_ITERS_CAP", 1)
-    capped = policy_iteration(mdp, beta=0.9)
-    assert not capped.converged
-    assert capped.iterations == 1
+    capped = policy_iteration(chain, beta=0.9)
+    assert not capped.converged and capped.iterations == 1
+    first = value_iteration(chain, beta=0.9, max_iters=1).policy
+    assert np.array_equal(capped.values, evaluate_policy(chain, first, 0.9).values)
+    assert not np.array_equal(capped.policy, solved.policy)
+    # sweep cap: a first block of 3 sweeps and its 2 exact rounds, then no sweeps left
+    monkeypatch.setattr("fidaudit.mdp.MAX_ITERS_CAP", 3)
+    capped = policy_iteration(chain, beta=0.9)
+    assert not capped.converged and capped.iterations == 2
+    assert not np.array_equal(capped.policy, solved.policy)
+
+
+def howard(mdp, beta):
+    """Reference: Howard iteration from the myopic policy with the solver's
+    switching rule (a strict Q gain) and stop (a revisited policy)."""
+    rows = np.arange(len(mdp.states))
+    action_idx = np.argmax(mdp.reward, axis=1)
+    visited = set()
+    for rounds in itertools.count(1):
+        v, q = _evaluate(mdp, action_idx, beta)
+        best = np.argmax(q, axis=1)
+        visited.add(action_idx.tobytes())
+        action_idx = np.where(q[rows, best] > q[rows, action_idx], best, action_idx)
+        if action_idx.tobytes() in visited:
+            return v, q, rounds
+
+
+def sparse_mdp(rng, n_states, n_actions):
+    """Each (s, a) row reaches at most three random states."""
+    transition = np.zeros((n_states, n_actions, n_states))
+    for s in range(n_states):
+        for a in range(n_actions):
+            support = rng.choice(n_states, size=min(3, n_states), replace=False)
+            transition[s, a, support] = rng.dirichlet(np.ones(len(support)))
+    reward = rng.uniform(-1.0, 1.0, size=(n_states, n_actions))
+    return Mdp(tuple(f"s{i}" for i in range(n_states)), tuple(f"a{j}" for j in range(n_actions)), transition, reward)
+
+
+def test_solver_matches_howard_bit_for_bit(rng):
+    worlds = []
+    for n_states in (2, 3, 5, 8, 13, 21, 34, 60):
+        for beta in (0.5, 0.9, 0.99, 0.999):
+            n_actions = int(rng.integers(2, 5))
+            worlds += [(random_mdp(rng, n_states, n_actions), beta), (sparse_mdp(rng, n_states, n_actions), beta)]
+    worlds += [(delayed_reward_chain(n), beta) for n in (50, 100, 200) for beta in (0.9, 0.99)]
+    for mdp, beta in worlds:
+        v, q, _ = howard(mdp, beta)
+        solved = policy_iteration(mdp, beta)
+        assert solved.converged
+        assert solved.values.tobytes() == v.tobytes() and solved.q.tobytes() == q.tobytes()
+
+
+def test_tied_worlds_end_at_an_optimal_policy(rng):
+    # deterministic moves and rewards from a small set, so exact ties are common
+    rewards = np.array([0.0, 0.1, 0.3, 1.0 / 3.0, 0.7])
+    for _ in range(150):
+        n_states, n_actions = int(rng.integers(2, 6)), int(rng.integers(2, 4))
+        beta = float(rng.choice([0.5, 0.9, 0.95, 0.99]))
+        transition = np.zeros((n_states, n_actions, n_states))
+        moves = rng.integers(0, n_states, size=(n_states, n_actions))
+        transition[np.arange(n_states)[:, None], np.arange(n_actions), moves] = 1.0
+        mdp = Mdp(
+            tuple(f"s{i}" for i in range(n_states)),
+            tuple(f"a{j}" for j in range(n_actions)),
+            transition,
+            rewards[rng.integers(0, len(rewards), size=(n_states, n_actions))],
+        )
+        solved = policy_iteration(mdp, beta)
+        assert solved.converged
+        optimum = np.full(n_states, -np.inf)
+        for assignment in itertools.product(range(n_actions), repeat=n_states):
+            optimum = np.maximum(optimum, evaluate_policy(mdp, np.array(assignment), beta).values)
+        reported = evaluate_policy(mdp, solved.policy, beta).values
+        assert np.max(np.abs(reported - optimum)) <= 1e-12
+
+
+def test_chain_needs_few_exact_evaluations():
+    mdp = delayed_reward_chain(200)
+    solved = policy_iteration(mdp, beta=0.99)
+    assert solved.converged and solved.iterations == 9
+    assert np.all(solved.policy == mdp.actions.index("wait"))
+    # Howard from the myopic start switches about one state per round
+    assert howard(mdp, 0.99)[2] == 200
 
 
 def test_policy_iteration_rejects_invalid_discount():
