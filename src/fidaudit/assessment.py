@@ -437,9 +437,10 @@ def patient_recommendation(mdp: Mdp, beta_fit: float, beta_advice: float) -> Pat
 
     Solves the MDP's own reward (for a fitted one, pass
     ``mdp.with_reward(estimate.table)``) exactly by ``solve_exact`` at
-    both discounts; a solve stopped at its cap is a ValueError. Divergent states are those where the advised action
-    differs from the one at the fitted discount; both solves break ties to
-    the lowest action index of the exact Q, so a zero reward yields none.
+    both discounts; a solve stopped at its cap is a ValueError. Divergent
+    states are those where the advised action differs from the one at the
+    fitted discount; both solves break ties to the lowest action index of
+    the exact Q, so a zero reward yields none.
     """
     _check_beta(beta_fit)
     _check_beta(beta_advice)

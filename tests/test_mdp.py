@@ -207,7 +207,7 @@ def test_policy_iteration_stops_on_ties_that_differ_by_rounding(monkeypatch):
     assert result.policy[5] in (1, 2)
 
 
-def test_policy_iteration_caps_return_the_last_exact_evaluation_unconverged(monkeypatch):
+def test_policy_iteration_round_cap_returns_unconverged(monkeypatch):
     # s0: "stay" pays 1 now, "go" pays 0 but leads to s1, which pays 10 forever;
     # the first sweep block already sees s1's value and goes, so one round certifies it
     transition = np.zeros((2, 2, 2))
@@ -220,7 +220,7 @@ def test_policy_iteration_caps_return_the_last_exact_evaluation_unconverged(monk
     chain = delayed_reward_chain(50)
     solved = policy_iteration(chain, beta=0.9)
     assert solved.converged and solved.iterations == 5
-    # round cap: one sweep, then one exact round where two are needed
+    # round cap: one sweep, then one exact round where more are needed
     monkeypatch.setattr("fidaudit.mdp.MAX_ITERS_CAP", 1)
     capped = policy_iteration(chain, beta=0.9)
     assert not capped.converged and capped.iterations == 1
