@@ -339,8 +339,8 @@ def impartiality_check(
     under scrutiny in the report).
     """
     for key, value in weights.items():
-        if value < 0:
-            raise ValueError(f"weight for {key!r} is negative")
+        if not value >= 0:
+            raise ValueError(f"weight for {key!r} is negative or NaN: {value}")
     violations: list[tuple[str, float, str]] = []
     agent_weight = weights.get(agent, 0.0)
     if agent_weight > 0:

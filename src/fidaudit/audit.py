@@ -9,8 +9,10 @@ owns the rules every step shares: a step whose section is omitted is
 Skipped, a section that declares nothing to run warns, and a step whose
 computation raises is recorded as one Fail finding while the pipeline
 continues. A value a library call rejects is a Fail finding for that check
-alone. A later step whose inputs became undefined is Skipped with the
-cause. Every Fail finding carries a concrete witness.
+alone, and so is a finding whose evidence holds a number that is not
+finite (NaN or an infinity), which no JSON report can carry. A later step
+whose inputs became undefined is Skipped with the cause. Every Fail
+finding carries a concrete witness.
 
 Reports are byte-deterministic for a given (scenario, seed, tool version):
 no timestamps, stable orderings, canonical key sorting in machine output.
@@ -19,6 +21,7 @@ no timestamps, stable orderings, canonical key sorting in machine output.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Collection
 
@@ -182,6 +185,28 @@ def _attempt(check: str, evidence: dict, run) -> list[Finding]:
         if isinstance(exc, NoConvergence) and exc.cycle:
             evidence["cycle_period"] = len(exc.cycle)
         return [Finding(check, FAIL, str(exc), evidence)]
+
+
+def _finite(value: Any) -> bool:
+    """Whether every number in an evidence value is finite."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return all(map(_finite, value))
+    return not isinstance(value, (float, np.floating)) or math.isfinite(value)
+
+
+def _finite_evidence(finding: Finding) -> Finding:
+    """``finding``, or, when its evidence holds a non-finite number, a FAIL
+    of its check that names those fields and keeps the others."""
+    bad = [key for key, value in finding.evidence.items() if not _finite(value)]
+    if not bad:
+        return finding
+    error = f"non-finite number in evidence field(s) {', '.join(map(repr, bad))}"
+    kept = {key: value for key, value in finding.evidence.items() if key not in bad}
+    return Finding(finding.check, FAIL, error, {**kept, "error": error})
 
 
 # --- pipeline state threaded through the steps ---------------------------------
@@ -838,8 +863,9 @@ _STEPS = {
 
 def _run_step(step: str, scenario: Scenario, state: _State) -> StepRecord:
     """One step's record: an omitted section skips the step, a section that
-    yields no finding warns, and a step that raises is one ``step-error``
-    Fail, not an abort."""
+    yields no finding warns, a step that raises is one ``step-error`` Fail,
+    not an abort, and a finding with non-finite evidence is a Fail of its
+    check (``_finite_evidence``)."""
     section, runner = _STEPS[step]
     doc = getattr(scenario, section)
     if doc is None:
@@ -858,6 +884,7 @@ def _run_step(step: str, scenario: Scenario, state: _State) -> StepRecord:
                     {"error_type": type(exc).__name__, "error": str(exc)},
                 )
             ]
+    findings = [_finite_evidence(f) for f in findings]
     return StepRecord(step, worst(f.status for f in findings), findings)
 
 
@@ -889,7 +916,7 @@ def emit_report(report: AuditReport, fmt: str = "text") -> str:
     one line per finding.
     """
     if fmt == "machine":
-        return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+        return json.dumps(report.to_dict(), sort_keys=True, indent=2, allow_nan=False) + "\n"
     if fmt != "text":
         raise ValueError(f"unknown format {fmt!r}")
     lines = [

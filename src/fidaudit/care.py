@@ -44,7 +44,7 @@ class BinaryEvidence:
         if not 0.0 <= self.prior <= 1.0:
             raise ValueError(f"prior must lie in [0, 1], got {self.prior}")
         for name, val in (("likelihood1", self.likelihood1), ("likelihood0", self.likelihood0)):
-            if val <= 0.0:
+            if not val > 0.0:
                 raise ValueError(f"{name} must be strictly positive, got {val}")
             if val > 1.0:
                 raise ValueError(f"{name} must be at most 1, got {val}")
@@ -102,10 +102,11 @@ class DiscreteDistributionPair:
         for name, dist in (("train", self.train), ("deploy", self.deploy)):
             if set(dist) != set(self.support):
                 raise ValueError(f"{name} distribution does not match the declared support")
-            if any(p < 0 for p in dist.values()):
-                raise ValueError(f"{name} distribution has negative mass")
+            for x, p in dist.items():
+                if not p >= 0:
+                    raise ValueError(f"{name} distribution has negative or NaN mass {p} at {x!r}")
             total = sum(dist.values())
-            if abs(total - 1.0) > 1e-9:
+            if not abs(total - 1.0) <= 1e-9:
                 raise ValueError(f"{name} distribution sums to {total}")
 
 

@@ -17,8 +17,8 @@ class FidauditError(ValueError):
 class NoConvergence(FidauditError):
     """Best-response iteration found no equilibrium.
 
-    ``cycle`` holds the repeating sequence of profiles, each rendered as a
-    mapping from decision node id to its rule table; it is empty when the
+    ``cycle`` holds the repeating sequence of profiles, each a mapping
+    from decision node id to its 0/1 rule array; it is empty when the
     round cap was hit before any profile came back.
     """
 

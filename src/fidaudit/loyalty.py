@@ -12,7 +12,8 @@ Two families of checks:
   the loyalty two-step). Only orderings are consulted, so verdicts are
   invariant under strictly increasing transformations of either table.
 
-* Information-flow duties over a model and an audited profile.
+* Information-flow duties over a model and an audited profile (decision
+  node id to rule array, as ``fidaudit.macid`` takes it).
   ``confidentiality_check`` requires zero mutual information between a
   report and a secret; ``disclosure_check`` requires that material
   information actually flows through the report and that communicating
@@ -32,12 +33,12 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .macid import (
-    DecisionRule,
     Macid,
     NodeKind,
     PolicyProfile,
     _check_profile,
     _improve,
+    deterministic_rule,
     expected_utility,
     marginal,
     mutual_information,
@@ -246,9 +247,9 @@ def disclosure_check(
     info = mutual_information(marginal(model, profile, (report_node, material_node)))
     utility = expected_utility(model, profile, principal)
     baseline = -float("inf")
-    for value in model.node_map[report_node].domain:
+    for action in range(len(model.node_map[report_node].domain)):
         muted = dict(profile)
-        muted[report_node] = DecisionRule.constant(model, report_node, value)
+        muted[report_node] = deterministic_rule(model, report_node, action)
         baseline = max(
             baseline, _principal_best_response_to_silence(model, muted, principal)
         )

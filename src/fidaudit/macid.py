@@ -6,16 +6,23 @@ decision rules, and utility nodes carry real-valued tables over their
 parents. Everything is finite and enumerated exactly, so every query below
 is an exact computation rather than an estimate.
 
-Every table becomes a float array with one axis per entry of
-``outcome_order``; the CPD factors and each agent's total utility are
-built once per model, read-only. The joint is the factors' broadcast
-product, taken in outcome order (``_chain``); best-response payoffs are
-that product less the node's own factor, times the owner's utility
-array. Every sum is a left-to-right fold from 0.0 (``_fold``), so each
-result has the bits a per-cell Python loop gives. The equilibrium warm
-start scores profiles in blocks, a deterministic profile's joint being the
-chance factors' product times a 0/1 mask of its rules; best-response
-sweeps (``_improve``) go on from there.
+Every table is a float array on its node's scope (``Macid.scope``): one
+axis per parent in declared order, then, for a CPD or a decision rule, one
+axis for the node's own values. A policy profile maps each decision node
+to such a rule array; a deterministic rule is a 0/1 array
+(``deterministic_rule``). Each table is moved onto the axes of
+``outcome_order`` (``_place``); the CPD factors and each agent's total
+utility are built so once per model, read-only. The joint is the factors'
+broadcast product, taken in outcome order (``_chain``); best-response
+payoffs are that product less the node's own factor, times the owner's
+utility array. Every sum is a left-to-right fold from 0.0 (``_fold``), so
+each result has the bits a per-cell Python loop gives. A rule's rows are
+ranked by their parent assignments sorted as value tuples
+(``_row_order``): deterministic rules are enumerated, and sums over rows
+taken, in that order. The equilibrium warm start scores profiles in
+blocks, a deterministic profile's joint being the chance factors' product
+times its rules' 0/1 arrays; best-response sweeps (``_improve``) go on
+from there.
 
 Every query is exact on the model it is given, barren nodes included.
 ``Macid.ancestral(targets)`` restricts a model to the targets, every
@@ -86,92 +93,33 @@ class Node:
 
 
 Assignment = tuple[str, ...]
-Row = tuple[float, ...]
+# decision node id -> rule array on the node's scope
+PolicyProfile = Mapping[str, np.ndarray]
 
 
-def _check_rows(
-    node_id: str,
-    table: Mapping[Assignment, Row],
-    expected_keys: set[Assignment],
-    width: int,
-) -> None:
-    keys = set(table)
-    if keys != expected_keys:
-        missing = sorted(expected_keys - keys)
-        extra = sorted(keys - expected_keys)
-        raise ValueError(
-            f"table for {node_id!r} must cover exactly the parent product "
-            f"(missing {missing[:3]}, extra {extra[:3]})"
-        )
-    for key, row in table.items():
-        if len(row) != width:
-            raise ValueError(f"row {key} for {node_id!r} has width {len(row)}, expected {width}")
-        if any(p < -PROB_TOL or p > 1 + PROB_TOL for p in row):
-            raise ValueError(f"row {key} for {node_id!r} has entries outside [0, 1]")
-        if abs(sum(row) - 1.0) > PROB_TOL:
-            raise ValueError(f"row {key} for {node_id!r} sums to {sum(row)}, not 1")
-
-
-@dataclass(frozen=True)
-class Cpd:
-    """Conditional probability table for one chance node.
-
-    ``table`` maps each joint parent assignment (values ordered by the
-    node's declared parent list) to a distribution over the node's domain.
-    """
-
-    node: str
-    table: Mapping[Assignment, Row]
-
-
-@dataclass(frozen=True)
-class DecisionRule:
-    """A decision rule: parent assignment -> distribution over actions."""
-
-    node: str
-    table: Mapping[Assignment, Row]
-
-    @staticmethod
-    def deterministic(model: "Macid", node: str, choose: Mapping[Assignment, str]) -> "DecisionRule":
-        """Build a deterministic rule from a parent-assignment -> value map."""
-        dom = model.node_map[node].domain
-        rows = list(model.parent_assignments(node))
-        return _rule_from_indices(model, node, rows, tuple(dom.index(choose[pa]) for pa in rows))
-
-    @staticmethod
-    def constant(model: "Macid", node: str, value: str) -> "DecisionRule":
-        """Rule that plays ``value`` regardless of what it observes."""
-        return DecisionRule.deterministic(
-            model, node, {pa: value for pa in model.parent_assignments(node)}
-        )
-
-
-PolicyProfile = Mapping[str, DecisionRule]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Macid:
     """A validated multi-agent causal influence model.
 
-    ``edges`` lists each node's parents (order matters: it fixes the row
-    keying of every table). ``utilities`` maps each utility node to a table
-    over its parents' joint assignments. Construction validates the full
-    set of structural invariants and precomputes deterministic orderings so
-    repeated queries are bit-identical.
+    ``edges`` lists each node's parents (order matters: it fixes the axes
+    of every table). ``cpds`` and ``utilities`` map each chance and utility
+    node to its table on the node's scope (``scope``); construction checks
+    them, keeps read-only float copies, and precomputes deterministic
+    orderings so repeated queries are bit-identical.
     """
 
     nodes: tuple[Node, ...]
     edges: Mapping[str, tuple[str, ...]]
-    cpds: Mapping[str, Cpd]
-    utilities: Mapping[str, Mapping[Assignment, float]]
+    cpds: Mapping[str, np.ndarray]
+    utilities: Mapping[str, np.ndarray]
     agents: tuple[str, ...]
     # derived, filled in __post_init__
-    node_map: Mapping[str, Node] = field(default=None, repr=False, compare=False)
-    outcome_order: tuple[str, ...] = field(default=None, repr=False, compare=False)
+    node_map: Mapping[str, Node] = field(default=None, repr=False)
+    outcome_order: tuple[str, ...] = field(default=None, repr=False)
     # read-only arrays on the outcome axes: each chance node's CPD factor
-    # and each agent's total utility (see ``_factor``, ``_utility_array``)
-    cpd_factors: Mapping[str, np.ndarray] = field(default=None, init=False, repr=False, compare=False)
-    utility_arrays: Mapping[str, np.ndarray] = field(default=None, init=False, repr=False, compare=False)
+    # and each agent's total utility (see ``_place``, ``_utility_array``)
+    cpd_factors: Mapping[str, np.ndarray] = field(default=None, init=False, repr=False)
+    utility_arrays: Mapping[str, np.ndarray] = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         node_map = {n.id: n for n in self.nodes}
@@ -220,19 +168,12 @@ class Macid:
             tuple(nid for nid in order if node_map[nid].kind is not NodeKind.UTILITY),
         )
 
-        for nid, cpd in self.cpds.items():
-            if cpd.node != nid:
-                raise ValueError(f"CPD keyed {nid!r} but declares node {cpd.node!r}")
-            _check_rows(
-                nid, cpd.table, set(self.parent_assignments(nid)), len(node_map[nid].domain)
-            )
-        for nid, table in self.utilities.items():
-            expected = set(self.parent_assignments(nid))
-            if set(table) != expected:
-                raise ValueError(f"utility table for {nid!r} does not cover the parent product")
-            for v in table.values():
-                if not math.isfinite(v):
-                    raise ValueError(f"utility table for {nid!r} has a non-finite entry")
+        for name in ("cpds", "utilities"):
+            tables = {nid: np.array(table, dtype=float) for nid, table in getattr(self, name).items()}
+            for nid, table in tables.items():
+                _check_table(self, nid, table)
+                table.flags.writeable = False
+            object.__setattr__(self, name, tables)
 
         owned = {a: 0 for a in self.agents}
         for n in self.nodes:
@@ -242,7 +183,7 @@ class Macid:
             if count == 0:
                 raise ValueError(f"agent {agent!r} owns no utility node")
 
-        cpd_factors = {nid: _factor(self, nid, cpd.table) for nid, cpd in self.cpds.items()}
+        cpd_factors = {nid: _place(self, self.scope(nid), cpd) for nid, cpd in self.cpds.items()}
         utility_arrays = {a: _utility_array(self, a) for a in self.agents}
         for arr in (*cpd_factors.values(), *utility_arrays.values()):
             arr.flags.writeable = False
@@ -261,8 +202,14 @@ class Macid:
     def parents(self, node_id: str) -> tuple[str, ...]:
         return self.edges[self.node(node_id).id]
 
+    def scope(self, node_id: str) -> tuple[str, ...]:
+        """The nodes a table of ``node_id`` has one axis for: its parents in
+        declared order, then the node itself unless it is a utility node."""
+        return self.parents(node_id) + ((node_id,) if self.node_map[node_id].domain else ())
+
     def parent_assignments(self, node_id: str) -> Iterator[Assignment]:
-        """Joint parent assignments in row-major declared-domain order."""
+        """Joint parent assignments in row-major declared-domain order: the
+        rows of the node's table."""
         domains = [self.node_map[p].domain for p in self.parents(node_id)]
         return itertools.product(*domains)
 
@@ -327,8 +274,6 @@ class Macid:
         node = self.node(node_id)
         if node.kind is not NodeKind.DECISION:
             raise ValueError(f"{node_id!r} is not a decision node")
-        row = [0.0] * len(node.domain)
-        row[node.domain.index(value)] = 1.0
         nodes = tuple(
             Node(n.id, NodeKind.CHANCE, None, n.domain) if n.id == node_id else n
             for n in self.nodes
@@ -336,7 +281,7 @@ class Macid:
         edges = dict(self.edges)
         edges[node_id] = ()
         cpds = dict(self.cpds)
-        cpds[node_id] = Cpd(node_id, {(): tuple(row)})
+        cpds[node_id] = np.eye(len(node.domain))[node.domain.index(value)]
         return Macid(nodes, edges, cpds, self.utilities, self.agents)
 
 
@@ -361,22 +306,36 @@ def _topological_order(
     return tuple(order)
 
 
-# -- profile validation ------------------------------------------------------
+# -- table validation ----------------------------------------------------------
+
+
+def _check_table(model: Macid, nid: str, table) -> None:
+    """Raise unless ``table`` is a valid table of ``nid``: an array on the
+    node's scope whose entries are finite for a utility node, and whose
+    rows each lie in [-PROB_TOL, 1 + PROB_TOL] and sum to 1 within
+    PROB_TOL for a CPD or rule. Every bound is written so that NaN fails it."""
+    table = np.asarray(table, dtype=float)
+    shape = tuple(len(model.node_map[n].domain) for n in model.scope(nid))
+    if table.shape != shape:
+        raise ValueError(f"table for {nid!r} has shape {table.shape}, expected {shape}")
+    if not model.node_map[nid].domain:
+        if not np.isfinite(table).all():
+            raise ValueError(f"utility table for {nid!r} has a non-finite entry")
+        return
+    for i, row in enumerate(table.reshape(-1, shape[-1]).tolist()):
+        outside = [p for p in row if not -PROB_TOL <= p <= 1 + PROB_TOL]
+        total = sum(row)
+        if outside or not abs(total - 1.0) <= PROB_TOL:
+            key = next(itertools.islice(model.parent_assignments(nid), i, None))
+            problem = f"has entry {outside[0]} outside [0, 1]" if outside else f"sums to {total}, not 1"
+            raise ValueError(f"row {key} for {nid!r} {problem}")
 
 
 def _check_profile(model: Macid, profile: PolicyProfile) -> None:
     for nid in model.decision_nodes():
         if nid not in profile:
             raise ValueError(f"no rule for decision node {nid!r}")
-        rule = profile[nid]
-        if rule.node != nid:
-            raise ValueError(f"rule keyed {nid!r} declares node {rule.node!r}")
-        _check_rows(
-            nid,
-            rule.table,
-            set(model.parent_assignments(nid)),
-            len(model.node_map[nid].domain),
-        )
+        _check_table(model, nid, profile[nid])
 
 
 # -- core queries -------------------------------------------------------------
@@ -396,6 +355,7 @@ def _place(model: Macid, scope: tuple[str, ...], local: np.ndarray) -> np.ndarra
     """``local``'s trailing axes, one per node of ``scope``, moved onto the
     axes of ``model.outcome_order`` (size 1 off the scope); leading axes
     stay in front."""
+    local = np.asarray(local, dtype=float)
     pos = [model.outcome_order.index(nid) for nid in scope]
     lead = local.ndim - len(pos)
     shape = [local.shape[lead + pos.index(i)] if i in pos else 1 for i in range(len(model.outcome_order))]
@@ -403,19 +363,12 @@ def _place(model: Macid, scope: tuple[str, ...], local: np.ndarray) -> np.ndarra
     return local.transpose([*range(lead), *order]).reshape([*local.shape[:lead], *shape])
 
 
-def _factor(model: Macid, nid: str, table: Mapping) -> np.ndarray:
-    """A CPD, rule or utility table of ``nid``, keyed by its parent
-    assignments, as an array on the outcome axes."""
-    scope = model.parents(nid) + ((nid,) if model.node_map[nid].domain else ())
-    rows = [table[pa] for pa in model.parent_assignments(nid)]
-    local = np.array(rows, dtype=float).reshape([len(model.node_map[n].domain) for n in scope])
-    return _place(model, scope, local)
-
-
 def _utility_array(model: Macid, agent: str) -> np.ndarray:
     """The agent's total utility of every outcome cell, summed over its
     utility nodes in sorted order."""
-    return np.asarray(sum(_factor(model, u, model.utilities[u]) for u in model.utility_nodes_of(agent)))
+    return np.asarray(
+        sum(_place(model, model.scope(u), model.utilities[u]) for u in model.utility_nodes_of(agent))
+    )
 
 
 def _shape(model: Macid) -> tuple[int, ...]:
@@ -430,7 +383,7 @@ def _chain(model: Macid, profile: PolicyProfile, skip=()) -> np.ndarray:
     prod = np.ones((1,) * len(model.outcome_order))
     for nid in model.outcome_order:
         if nid not in skip:
-            factor = model.cpd_factors[nid] if nid in model.cpds else _factor(model, nid, profile[nid].table)
+            factor = model.cpd_factors[nid] if nid in model.cpds else _place(model, model.scope(nid), profile[nid])
             prod = np.where(prod == 0.0, prod, prod * factor)
     return np.broadcast_to(prod, _shape(model))
 
@@ -483,28 +436,39 @@ def expected_utility(model: Macid, profile: PolicyProfile, agent: str) -> float:
 # -- deterministic rules and equilibrium --------------------------------------
 
 
-def _rule_rows(model: Macid, node_id: str) -> list[Assignment]:
-    return sorted(model.parent_assignments(node_id))
+def deterministic_rule(model: Macid, node_id: str, actions) -> np.ndarray:
+    """The 0/1 rule array of ``node_id`` that plays action index
+    ``actions[r]`` at the node's r-th parent assignment (declared order).
+    A scalar plays one action everywhere; leading axes of ``actions`` give
+    a stack of rules, one per entry."""
+    sizes = [len(model.node_map[n].domain) for n in model.scope(node_id)]
+    actions = np.asarray(actions)
+    if actions.ndim == 0:
+        actions = np.full(math.prod(sizes[:-1]), actions)
+    return np.eye(sizes[-1])[actions].reshape(*actions.shape[:-1], *sizes)
 
 
-def _rule_from_indices(model: Macid, node_id: str, rows: list[Assignment], idx: tuple[int, ...]) -> DecisionRule:
-    actions = range(len(model.node_map[node_id].domain))
-    return DecisionRule(node_id, {pa: tuple(float(a == k) for a in actions) for pa, k in zip(rows, idx)})
+def _row_order(model: Macid, node_id: str) -> np.ndarray:
+    """The rows of ``node_id``'s tables (declared order) sorted by their
+    parent assignments as value tuples."""
+    rows = list(model.parent_assignments(node_id))
+    return np.array(sorted(range(len(rows)), key=rows.__getitem__))
 
 
-def enumerate_deterministic_rules(model: Macid, node_id: str) -> Iterator[DecisionRule]:
-    """All deterministic rules for ``node_id`` in lexicographic order."""
+def enumerate_deterministic_rules(model: Macid, node_id: str) -> Iterator[np.ndarray]:
+    """All deterministic rules for ``node_id``, in lexicographic order of
+    the actions they play at the rows in ``_row_order``."""
     node = model.node(node_id)
     if node.kind is not NodeKind.DECISION:
         raise ValueError(f"{node_id!r} is not a decision node")
-    rows = _rule_rows(model, node_id)
-    for idx in itertools.product(range(len(node.domain)), repeat=len(rows)):
-        yield _rule_from_indices(model, node_id, rows, idx)
+    rank = np.argsort(_row_order(model, node_id))
+    for idx in itertools.product(range(len(node.domain)), repeat=len(rank)):
+        yield deterministic_rule(model, node_id, np.array(idx)[rank])
 
 
 def best_response(
     model: Macid, profile: PolicyProfile, node_id: str
-) -> tuple[DecisionRule, float]:
+) -> tuple[np.ndarray, float]:
     """Lexicographically smallest deterministic best response at one node.
 
     Returns the rule together with the owner's expected utility under it.
@@ -519,28 +483,26 @@ def best_response(
 
 def _best_response_detail(
     model: Macid, profile: PolicyProfile, node_id: str
-) -> tuple[DecisionRule, float, float]:
+) -> tuple[np.ndarray, float, float]:
     """Best response plus the owner's value of the node's current rule.
 
-    Row payoffs W[pa][a] are the owner's expected utility mass routed
-    through parent assignment ``pa`` when the node plays action ``a``
-    there, all other factors held at ``profile``. Because the joint
-    factorizes, the owner's expected utility of any rule is the sum over
-    rows of W[pa][rule(pa)], so best responses decompose row by row; ties
-    go to the lowest action index.
+    Row payoffs W[r][a] are the owner's expected utility mass routed
+    through parent assignment r when the node plays action ``a`` there,
+    all other factors held at ``profile``. Because the joint factorizes,
+    the owner's expected utility of any rule is the sum over rows of
+    W[r][rule(r)], so best responses decompose row by row; ties go to the
+    lowest action index, and the sums run over rows in ``_row_order``.
     """
     mass = _chain(model, profile, skip=(node_id,)) * model.utility_arrays[model.node_map[node_id].owner]
-    scope = [model.outcome_order.index(n) for n in model.parents(node_id) + (node_id,)]
-    declared = {pa: i for i, pa in enumerate(model.parent_assignments(node_id))}
-    rows = _rule_rows(model, node_id)
-    w = _fold(mass, scope).reshape(len(declared), -1)[[declared[pa] for pa in rows]]
-    current = np.array([profile[node_id].table[pa] for pa in rows], dtype=float)
-    best_value = float(_fold(w.max(axis=1)))
-    current_value = float(_fold(_fold(current * w, (0,))))
-    return _rule_from_indices(model, node_id, rows, w.argmax(axis=1)), best_value, current_value
+    scope = [model.outcome_order.index(n) for n in model.scope(node_id)]
+    order = _row_order(model, node_id)
+    w = _fold(mass, scope).reshape(len(order), -1)
+    best_value = float(_fold(w[order].max(axis=1)))
+    current_value = float(_fold(_fold((np.reshape(profile[node_id], w.shape) * w)[order], (0,))))
+    return deterministic_rule(model, node_id, w.argmax(axis=1)), best_value, current_value
 
 
-def _improve(model: Macid, profile: dict[str, DecisionRule], nodes) -> bool:
+def _improve(model: Macid, profile: dict[str, np.ndarray], nodes) -> bool:
     """One best-response sweep over ``nodes``: a node that is not already
     playing a best response switches, in ``profile``, to the
     lexicographically smallest one. Returns whether any rule changed."""
@@ -553,25 +515,7 @@ def _improve(model: Macid, profile: dict[str, DecisionRule], nodes) -> bool:
     return changed
 
 
-def _profile_key(model: Macid, profile: PolicyProfile) -> tuple:
-    return tuple(
-        tuple(profile[nid].table[pa] for pa in _rule_rows(model, nid))
-        for nid in model.decision_nodes()
-    )
-
-
-def _rule_masks(model: Macid, node_id: str, rows: list[Assignment], digits: np.ndarray) -> np.ndarray:
-    """0/1 arrays, on the outcome axes behind a rule axis, of the rules of
-    ``node_id`` whose action indices at ``rows`` (sorted) are the rows of
-    ``digits``; the arrays take the parent axes in declared order."""
-    sorted_row = {pa: j for j, pa in enumerate(rows)}
-    actions = digits[:, [sorted_row[pa] for pa in model.parent_assignments(node_id)]]
-    scope = model.parents(node_id) + (node_id,)
-    onehot = actions[..., None] == np.arange(len(model.node_map[node_id].domain))
-    return _place(model, scope, onehot.reshape(len(digits), *(len(model.node_map[n].domain) for n in scope)))
-
-
-def _welfare_warm_start(model: Macid) -> dict[str, DecisionRule]:
+def _welfare_warm_start(model: Macid) -> dict[str, np.ndarray]:
     """Deterministic starting profile for best-response iteration.
 
     When the profile space is small enough to enumerate, start from the
@@ -585,11 +529,11 @@ def _welfare_warm_start(model: Macid) -> dict[str, DecisionRule]:
     back to the lexicographically smallest profile.
     """
     decisions = model.decision_nodes()
-    rows = {nid: _rule_rows(model, nid) for nid in decisions}
+    ranks = {nid: np.argsort(_row_order(model, nid)) for nid in decisions}
     # A profile's number in that order has one mixed-radix digit per
-    # decision and sorted row: the action index played there.
-    radix = [len(model.node_map[nid].domain) for nid in decisions for _ in rows[nid]]
-    cuts = list(itertools.accumulate(len(rows[nid]) for nid in decisions))[:-1]
+    # decision and row in ``_row_order``: the action index played there.
+    radix = [len(model.node_map[nid].domain) for nid in decisions for _ in ranks[nid]]
+    cuts = list(itertools.accumulate(len(ranks[nid]) for nid in decisions))[:-1]
     n_profiles = math.prod(radix)
     n_outcomes = math.prod(_shape(model))
     picked = np.zeros(len(radix), dtype=int)
@@ -603,7 +547,7 @@ def _welfare_warm_start(model: Macid) -> dict[str, DecisionRule]:
             digits = np.arange(start, min(start + block, n_profiles))[:, None] // strides % radix
             joint = chance
             for nid, part in zip(decisions, np.split(digits, cuts, axis=1)):
-                joint = joint * _rule_masks(model, nid, rows[nid], part)
+                joint = joint * _place(model, model.scope(nid), deterministic_rule(model, nid, part[:, ranks[nid]]))
             welfare = sum(_fold(joint * u, (0,)) for u in utilities)
             # Only a profile that beats the block's starting best can switch.
             values = welfare.tolist()
@@ -611,10 +555,10 @@ def _welfare_warm_start(model: Macid) -> dict[str, DecisionRule]:
                 if values[i] > best_welfare + 1e-12:
                     picked, best_welfare = digits[i], values[i]
     parts = zip(decisions, np.split(picked, cuts))
-    return {nid: _rule_from_indices(model, nid, rows[nid], part) for nid, part in parts}
+    return {nid: deterministic_rule(model, nid, part[ranks[nid]]) for nid, part in parts}
 
 
-def solve_equilibrium(model: Macid, max_rounds: int = 64) -> dict[str, DecisionRule]:
+def solve_equilibrium(model: Macid, max_rounds: int = 64) -> dict[str, np.ndarray]:
     """Pure-strategy Nash equilibrium in deterministic rules.
 
     Best-response iteration: sweep the decision nodes in sorted-id order
@@ -632,16 +576,18 @@ def solve_equilibrium(model: Macid, max_rounds: int = 64) -> dict[str, DecisionR
     if not decisions:
         return profile
 
-    seen: dict[tuple, int] = {_profile_key(model, profile): 0}
+    def key() -> bytes:  # every rule met here is a 0/1 array, so equal bytes mean equal rules
+        return b"".join(profile[nid].tobytes() for nid in decisions)
+
+    seen = {key(): 0}
     history = [dict(profile)]
     for _ in range(max_rounds):
         if not _improve(model, profile, decisions):
             return dict(profile)
-        key = _profile_key(model, profile)
-        if key in seen:
-            cycle = [{nid: dict(p[nid].table) for nid in decisions} for p in history[seen[key]:]]
+        if key() in seen:
+            cycle = history[seen[key()]:]
             raise NoConvergence(f"best-response iteration cycles with period {len(cycle)}", cycle=cycle)
-        seen[key] = len(history)
+        seen[key()] = len(history)
         history.append(dict(profile))
     raise NoConvergence(f"no equilibrium after {max_rounds} rounds")
 
@@ -696,7 +642,7 @@ def mutual_information(joint: Mapping[tuple[str, str], float]) -> float:
     tolerance admits, may leave a residue of order -PROB_TOL.
     """
     total = sum(joint.values())
-    if abs(total - 1.0) > PROB_TOL:
+    if not abs(total - 1.0) <= PROB_TOL:
         raise ValueError(f"joint sums to {total}, not 1")
     if any(p < -PROB_TOL for p in joint.values()):
         raise ValueError("joint has negative entries")

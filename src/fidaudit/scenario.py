@@ -5,6 +5,10 @@ A scenario is a single JSON document with top-level sections ``context``,
 ``care`` and ``metadata``; ``schema_version`` is mandatory. All tables are
 nested arrays ordered by the declared id lists (states, actions, domains,
 outcomes), and demos/comparisons reference states and actions by index.
+A ``world.macid`` CPD, utility table or profile rule lists one row per
+parent assignment in declared order and becomes one float array on the
+node's scope (``Macid.scope``), the rows reshaped onto it; a CPD or rule
+row must hold one entry per value of its node.
 
 One reader walks a document once: it checks each field and builds its
 typed, frozen value in the same pass, recording every problem with its
@@ -39,6 +43,7 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 import sys
 from dataclasses import dataclass
 from functools import partial
@@ -52,7 +57,7 @@ from .assessment import DEFAULT_TEMPERATURE
 from .care import DOMINANCE_THRESHOLD
 from .context import ContextSpec, Norm, PrincipalClassSpec, Role, validate_context
 from .errors import SchemaError
-from .macid import Cpd, DecisionRule, Macid, Node, NodeKind
+from .macid import Macid, Node, NodeKind
 from .mdp import MAX_ITERS_CAP, DiscountSpec, Mdp, RewardOption
 
 SUPPORTED_SCHEMA_VERSIONS = (1,)
@@ -68,7 +73,7 @@ _NEEDS_MDP = ("discount_inference", "maxent_irl", "feasibility_probe", "patient_
 @dataclass(frozen=True)
 class World:
     macid: Macid | None = None
-    profile: Mapping[str, DecisionRule] | None = None
+    profile: Mapping[str, np.ndarray] | None = None  # decision node id -> rule array
     mdp: Mdp | None = None
 
 
@@ -384,17 +389,22 @@ class _Reader:
         except ValueError as exc:
             self.fail(path, str(exc))
 
-    def node_tables(self, doc: Mapping[str, Any], key: str, path: str, assignments, read_row) -> dict:
-        """``{node id: {parent assignment: row}}`` for one per-node table field."""
+    def node_tables(self, doc: Mapping[str, Any], key: str, path: str, shape, rows: bool) -> dict:
+        """``{node id: array}`` for one per-node table field: the document's
+        rows, one per parent assignment in declared order, reshaped onto
+        ``shape(nid)``; a CPD or rule row (``rows``) is a list with one
+        entry per value of the node, a utility row a number."""
         out = {}
-        for nid, rows in (self.field(doc, key, path, self.obj, default={}) or {}).items():
+        for nid, table in (self.field(doc, key, path, self.obj, default={}) or {}).items():
             tpath = f"{path}.{key}.{nid}"
             if self.id_(nid, tpath, self.node_ids, "node") is None:
                 continue
-            keys = assignments(nid)
-            rows = self.list_(rows, tpath, read_row, length=None if keys is None else len(keys))
-            if rows is not None and keys is not None:
-                out[nid] = dict(zip(keys, rows))
+            dims = shape(nid, rows)
+            known = dims is not None
+            read_row = partial(self.nums, length=dims[-1] if known else None) if rows else self.num
+            table = self.list_(table, tpath, read_row, length=math.prod(dims[:-1] if rows else dims) if known else None)
+            if table is not None and known:
+                out[nid] = np.array(table, dtype=float).reshape(dims)
         return out
 
     @_object
@@ -406,17 +416,18 @@ class _Reader:
             epath = f"{path}.edges.{nid}"
             self.id_(nid, epath, self.node_ids, "node")
             edges[nid] = self.list_(parents, epath, partial(self.id_, ids=self.node_ids, what="parent"))
-        domains = {n.id: n.domain for n in nodes}
+        sizes = {n.id: len(n.domain) for n in nodes}
 
-        def assignments(nid: str) -> list[tuple[str, ...]] | None:
+        def shape(nid: str, rows: bool) -> tuple[int, ...] | None:
+            """The sizes of ``Macid.scope(nid)``, when every node in it is known."""
             parents = edges.get(nid, ())
-            if parents is None or any(p not in domains for p in parents):
+            if parents is None or any(n not in sizes for n in (*parents, nid)):
                 return None
-            return list(itertools.product(*(domains[p] for p in parents)))
+            return tuple(sizes[p] for p in parents) + ((sizes[nid],) if rows else ())
 
-        cpds = self.node_tables(doc, "cpds", path, assignments, self.nums)
-        utilities = self.node_tables(doc, "utilities", path, assignments, self.num)
-        profile = self.node_tables(doc, "profile", path, assignments, self.nums)
+        cpds = self.node_tables(doc, "cpds", path, shape, rows=True)
+        utilities = self.node_tables(doc, "utilities", path, shape, rows=False)
+        profile = self.node_tables(doc, "profile", path, shape, rows=True)
         agents = self.field(doc, "agents", path, self.strs)
         if len(self.problems) > start:
             return None
@@ -424,16 +435,14 @@ class _Reader:
             model = Macid(
                 nodes=nodes,
                 edges={n.id: edges.get(n.id, ()) for n in nodes},
-                cpds={nid: Cpd(nid, table) for nid, table in cpds.items()},
+                cpds=cpds,
                 utilities=utilities,
                 agents=agents,
             )
         except ValueError as exc:
             self.fail(path, str(exc))
             return None
-        if doc.get("profile") is None:
-            return model, None
-        return model, {nid: DecisionRule(nid, table) for nid, table in profile.items()}
+        return model, None if doc.get("profile") is None else profile
 
     @_object
     def mdp(self, doc: dict, path: str) -> Mdp | None:

@@ -4,17 +4,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from fidaudit.macid import Cpd, DecisionRule, Macid, Node, NodeKind
+from fidaudit.macid import Macid, Node, NodeKind, deterministic_rule
 from fidaudit.mdp import Mdp
 
 
 def match_table(domain=("0", "1")):
     """Utility table over (X, Y) parents: 1.0 when values match."""
-    return {(x, y): (1.0 if x == y else 0.0) for x in domain for y in domain}
+    return np.eye(len(domain))
 
 
 def mismatch_table(domain=("0", "1")):
-    return {(x, y): (0.0 if x == y else 1.0) for x in domain for y in domain}
+    return 1.0 - np.eye(len(domain))
 
 
 def coin_model():
@@ -22,7 +22,7 @@ def coin_model():
     return Macid(
         nodes=(Node("coin", NodeKind.CHANCE, domain=("H", "T")),),
         edges={"coin": ()},
-        cpds={"coin": Cpd("coin", {(): (0.5, 0.5)})},
+        cpds={"coin": [0.5, 0.5]},
         utilities={},
         agents=(),
     )
@@ -37,8 +37,8 @@ def copy_chain_model():
         ),
         edges={"C": (), "R": ("C",)},
         cpds={
-            "C": Cpd("C", {(): (0.5, 0.5)}),
-            "R": Cpd("R", {("0",): (1.0, 0.0), ("1",): (0.0, 1.0)}),
+            "C": [0.5, 0.5],
+            "R": [[1.0, 0.0], [0.0, 1.0]],
         },
         utilities={},
         agents=(),
@@ -54,7 +54,7 @@ def guess_model():
             Node("U", NodeKind.UTILITY, owner="bob"),
         ),
         edges={"C": (), "B": (), "U": ("C", "B")},
-        cpds={"C": Cpd("C", {(): (0.5, 0.5)})},
+        cpds={"C": [0.5, 0.5]},
         utilities={"U": match_table()},
         agents=("bob",),
     )
@@ -67,7 +67,7 @@ def disclosure_model(aligned=True):
     (order-preserving alignment of the utility tables); otherwise the
     adviser is paid a constant and has no incentive to communicate.
     """
-    u_a = match_table() if aligned else {k: 1.0 for k in match_table()}
+    u_a = match_table() if aligned else np.ones((2, 2))
     return Macid(
         nodes=(
             Node("C", NodeKind.CHANCE, domain=("0", "1")),
@@ -83,7 +83,7 @@ def disclosure_model(aligned=True):
             "U_a": ("C", "B_b"),
             "U_b": ("C", "B_b"),
         },
-        cpds={"C": Cpd("C", {(): (0.5, 0.5)})},
+        cpds={"C": [0.5, 0.5]},
         utilities={"U_a": u_a, "U_b": match_table()},
         agents=("alice", "bob"),
     )
@@ -91,12 +91,8 @@ def disclosure_model(aligned=True):
 
 def disclosure_profile(model, copying=True):
     """Copying report plus report-following principal; or a muted report."""
-    if copying:
-        r = DecisionRule.deterministic(model, "R_a", {("0",): "0", ("1",): "1"})
-    else:
-        r = DecisionRule.constant(model, "R_a", "0")
-    b = DecisionRule.deterministic(model, "B_b", {("0",): "0", ("1",): "1"})
-    return {"R_a": r, "B_b": b}
+    r = deterministic_rule(model, "R_a", [0, 1] if copying else 0)
+    return {"R_a": r, "B_b": deterministic_rule(model, "B_b", [0, 1])}
 
 
 def matching_pennies_model():
@@ -117,12 +113,8 @@ def matching_pennies_model():
 
 def xor_model():
     """Chance S, C independent uniform bits; chance R = S xor C."""
-    xor_rows = {
-        ("0", "0"): (1.0, 0.0),
-        ("0", "1"): (0.0, 1.0),
-        ("1", "0"): (0.0, 1.0),
-        ("1", "1"): (1.0, 0.0),
-    }
+    # rows (S, C) = 00, 01, 10, 11
+    xor_rows = [[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]]
     return Macid(
         nodes=(
             Node("C", NodeKind.CHANCE, domain=("0", "1")),
@@ -131,9 +123,9 @@ def xor_model():
         ),
         edges={"S": (), "C": (), "R": ("S", "C")},
         cpds={
-            "S": Cpd("S", {(): (0.5, 0.5)}),
-            "C": Cpd("C", {(): (0.5, 0.5)}),
-            "R": Cpd("R", xor_rows),
+            "S": [0.5, 0.5],
+            "C": [0.5, 0.5],
+            "R": xor_rows,
         },
         utilities={},
         agents=(),

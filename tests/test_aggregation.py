@@ -1,4 +1,5 @@
 import itertools
+import math
 from collections import Counter
 
 import pytest
@@ -343,3 +344,5 @@ def test_favoritism_cap():
 def test_negative_weight_rejected():
     with pytest.raises(ValueError, match="weight for 'p1' is negative"):
         impartiality_check({"p1": -0.1, "agent": 0.0}, agent="agent")
+    with pytest.raises(ValueError, match="weight for 'x' is negative or NaN: nan"):
+        impartiality_check({"x": math.nan}, agent="x")

@@ -690,3 +690,57 @@ def test_cli_check_overflowing_aggregate_fails_no_conflict(tmp_path):
     # exit 2 here is the audit's FAIL verdict, not an internal error
     assert report["overall"] == "fail"
     assert result.exit_code == 2
+
+
+def _strict_json(text):
+    """The report parsed with NaN and the infinities refused."""
+    def refuse(token):
+        raise ValueError(f"non-JSON number {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize(
+    "scenario, mutate, step, check, fields",
+    [
+        (
+            "trust_portfolio.json",
+            lambda raw: raw["assessment"]["methods"][0].update(mu=[1e308, 1e308], risk_aversion=1e-300),
+            "assessment",
+            "prudent-investor",
+            "'weights', 'objective'",
+        ),
+        (
+            "disclosure_demo.json",
+            lambda raw: raw["care"]["checks"][0].update(likelihood0=5e-324),
+            "care",
+            "prior-informativeness",
+            "'ratio'",
+        ),
+    ],
+    ids=["prudent-investor-overflow", "inductive-bias-infinite-ratio"],
+)
+def test_cli_check_non_finite_evidence_is_a_fail_of_its_check(tmp_path, scenario, mutate, step, check, fields):
+    # finite documents whose computed evidence is NaN or infinite
+    raw = raw_scenario(scenario)
+    mutate(raw)
+    path = tmp_path / "non_finite.json"
+    path.write_text(json.dumps(raw))
+    runner = CliRunner()
+    assert runner.invoke(main, ["validate", str(path)]).exit_code == 0
+    result = runner.invoke(main, ["check", str(path), "--format", "machine"])
+    report = _strict_json(result.output)
+    record = next(s for s in report["steps"] if s["step"] == step)
+    finding = next(f for f in record["findings"] if f["check"] == check)
+    assert finding["status"] == "fail"
+    assert finding["detail"] == f"non-finite number in evidence field(s) {fields}"
+    assert finding["evidence"]["error"] == finding["detail"]
+    assert record["status"] == "fail" and report["overall"] == "fail"
+    assert result.exit_code == 2
+
+
+def test_machine_report_refuses_non_finite_numbers():
+    report = run_audit(load_scenario(SCENARIOS / "disclosure_demo.json"))
+    report.tolerance = math.nan
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        emit_report(report, "machine")

@@ -41,6 +41,10 @@ def test_degenerate_prior_flagged():
 def test_zero_likelihood_rejected():
     with pytest.raises(ValueError, match=r"likelihood1 must be strictly positive, got 0\.0"):
         BinaryEvidence(0.5, 0.0, 0.5)
+    with pytest.raises(ValueError, match=r"likelihood1 must be strictly positive, got nan"):
+        BinaryEvidence(0.5, math.nan, 0.5)
+    with pytest.raises(ValueError, match=r"prior must lie in \[0, 1\], got nan"):
+        BinaryEvidence(math.nan, 0.5, 0.5)
 
 
 def test_posterior_matches_brute_force_bayes(rng):
@@ -90,6 +94,10 @@ def test_absolute_continuity_violation_reported():
 def test_support_mismatch_rejected():
     with pytest.raises(ValueError, match="train distribution does not match the declared support"):
         DiscreteDistributionPair(("a", "b"), {"a": 1.0}, {"a": 0.5, "b": 0.5})
+    with pytest.raises(ValueError, match="deploy distribution has negative or NaN mass nan at 'b'"):
+        DiscreteDistributionPair(("a", "b"), {"a": 0.5, "b": 0.5}, {"a": 1.0, "b": math.nan})
+    with pytest.raises(ValueError, match="train distribution has negative or NaN mass -0.5 at 'b'"):
+        DiscreteDistributionPair(("a", "b"), {"a": 1.5, "b": -0.5}, {"a": 0.5, "b": 0.5})
 
 
 def test_kl_nonnegative_and_asymmetric(rng):

@@ -14,7 +14,7 @@ from fidaudit.loyalty import (
     materiality_value,
     no_conflict_check,
 )
-from fidaudit.macid import Cpd, DecisionRule, Macid, Node, NodeKind, marginal, mutual_information
+from fidaudit.macid import Macid, Node, NodeKind, deterministic_rule, marginal, mutual_information
 
 from helpers import disclosure_model, disclosure_profile, match_table, xor_model
 from test_macid import _random_influence_model
@@ -200,11 +200,11 @@ def test_confidentiality_tolerates_admitted_negative_probability():
             Node("U", NodeKind.UTILITY, owner="a"),
         ),
         edges={"S": (), "R": ("S",), "U": ("R",)},
-        cpds={"S": Cpd("S", {(): (1 - 1e-12, 1e-12)})},
-        utilities={"U": {("0",): 0.0, ("1",): 1.0}},
+        cpds={"S": [1 - 1e-12, 1e-12]},
+        utilities={"U": [0.0, 1.0]},
         agents=("a",),
     )
-    rule = DecisionRule("R", {("0",): (1 + 5e-10, -5e-10), ("1",): (0.5, 0.5)})
+    rule = np.array([[1 + 5e-10, -5e-10], [0.5, 0.5]])
     verdict = confidentiality_check(model, {"R": rule}, "R", "S")
     assert verdict.passed
     assert abs(verdict.mutual_information_bits) < 1e-9
@@ -216,7 +216,7 @@ def test_confidentiality_verdict_invariant_to_relabeling():
     base = confidentiality_check(model, profile, "R_a", "C")
     # swap the roles of the two domain values in the report rule
     flipped = dict(profile)
-    flipped["R_a"] = DecisionRule.deterministic(model, "R_a", {("0",): "1", ("1",): "0"})
+    flipped["R_a"] = deterministic_rule(model, "R_a", [1, 0])
     relabeled = confidentiality_check(model, flipped, "R_a", "C")
     assert relabeled.passed == base.passed
     assert relabeled.mutual_information_bits == pytest.approx(base.mutual_information_bits)
@@ -277,7 +277,7 @@ def test_muted_report_fails_disclosure():
 def test_immaterial_node_passes_vacuously():
     # principal's utility ignores C entirely
     model = disclosure_model()
-    flat = {k: 1.0 for k in model.utilities["U_b"]}
+    flat = np.ones((2, 2))
     from fidaudit.macid import Macid
 
     indifferent = Macid(
@@ -307,7 +307,7 @@ def with_extra(model, chance=(), decision=None):
     for nid, parents, table in chance:
         nodes.append(Node(nid, NodeKind.CHANCE, domain=("0", "1")))
         edges[nid] = parents
-        cpds[nid] = Cpd(nid, table)
+        cpds[nid] = table
     if decision is not None:
         nid, owner, parents = decision
         nodes.append(Node(nid, NodeKind.DECISION, owner=owner, domain=("0", "1")))
@@ -317,7 +317,7 @@ def with_extra(model, chance=(), decision=None):
 
 def isolated(k):
     """k parentless binary chance nodes with distinct, uneven CPDs."""
-    return [(f"X{i}", (), {(): (p, 1.0 - p)}) for i, p in enumerate(np.linspace(0.15, 0.85, k).tolist())]
+    return [(f"X{i}", (), [p, 1.0 - p]) for i, p in enumerate(np.linspace(0.15, 0.85, k).tolist())]
 
 
 def secret_report_model():
@@ -329,7 +329,7 @@ def secret_report_model():
             Node("U", NodeKind.UTILITY, owner="a"),
         ),
         edges={"S": (), "R": ("S",), "U": ("S", "R")},
-        cpds={"S": Cpd("S", {(): (0.3, 0.7)})},
+        cpds={"S": [0.3, 0.7]},
         utilities={"U": match_table()},
         agents=("a",),
     )
@@ -338,7 +338,7 @@ def secret_report_model():
 def test_ancestral_keeps_targets_utilities_and_their_ancestors():
     model = disclosure_model()
     assert model.ancestral(("R_a", "C", "B_b")) is model
-    noisy = {pa: (0.25, 0.75) for pa in itertools.product(("0", "1"), repeat=2)}
+    noisy = np.tile([0.25, 0.75], (2, 2, 1))
     wide = with_extra(model, isolated(2) + [("Y", ("C", "X0"), noisy)], ("D", "bob", ("Y",)))
     assert set(wide.ancestral(("R_a", "C", "B_b")).node_map) == set(model.node_map)
     assert set(wide.ancestral(("Y",)).node_map) == set(model.node_map) | {"Y", "X0"}
@@ -364,11 +364,11 @@ def test_barren_nodes_add_no_joint_work(monkeypatch):
         assert cells and max(cells) <= 8
         assert repr(verdict) == repr(disclosure_check(small, disclosure_profile(small, copying), "R_a", "C", "B_b"))
     small, wide = secret_report_model(), with_extra(secret_report_model(), isolated(12))
-    for choose in ({("0",): "0", ("1",): "1"}, {("0",): "0", ("1",): "0"}):
+    for choose in ([0, 1], [0, 0]):
         cells.clear()
-        verdict = confidentiality_check(wide, {"R": DecisionRule.deterministic(wide, "R", choose)}, "R", "S")
+        verdict = confidentiality_check(wide, {"R": deterministic_rule(wide, "R", choose)}, "R", "S")
         assert cells and max(cells) <= 4
-        expected = confidentiality_check(small, {"R": DecisionRule.deterministic(small, "R", choose)}, "R", "S")
+        expected = confidentiality_check(small, {"R": deterministic_rule(small, "R", choose)}, "R", "S")
         assert repr(verdict) == repr(expected)
 
 
@@ -396,11 +396,12 @@ def test_barren_nodes_leave_verdicts_bit_for_bit(rng):
         chance = []
         for j in range(int(rng.integers(1, 3))):
             ps = parents()
-            rows = {pa: tuple(rng.dirichlet([1.0, 1.0]).tolist()) for pa in itertools.product(*(domains[p] for p in ps))}
+            rows = [rng.dirichlet([1.0, 1.0]).tolist() for _ in itertools.product(*(domains[p] for p in ps))]
+            rows = np.array(rows).reshape(*(len(domains[p]) for p in ps), 2)
             chance.append((f"x{j}", ps, rows))
             domains[f"x{j}"] = ("0", "1")
         wide = with_extra(model, chance, ("y0", model.agents[0], parents()))
-        wide_profile = dict(profile, y0=DecisionRule.constant(wide, "y0", "1"))
+        wide_profile = dict(profile, y0=deterministic_rule(wide, "y0", 1))
 
         if len(shown) >= 2:
             report, secret = (str(n) for n in rng.permutation(shown)[:2])
@@ -449,9 +450,9 @@ def test_barren_nodes_no_longer_push_the_warm_start_over_budget(monkeypatch):
     assert materiality_value(small, "R_a", "C", "B_b") == 0.0
     assert materiality_value(wide, "R_a", "C", "B_b") == 0.5
     profile = {
-        "R_a": DecisionRule.deterministic(small, "R_a", {("0",): "0", ("1",): "1"}),
-        "R2": DecisionRule.deterministic(small, "R2", {("0",): "0", ("1",): "1"}),
-        "B_b": DecisionRule.deterministic(small, "B_b", {pa: pa[0] for pa in small.parent_assignments("B_b")}),
+        "R_a": deterministic_rule(small, "R_a", [0, 1]),
+        "R2": deterministic_rule(small, "R2", [0, 1]),
+        "B_b": deterministic_rule(small, "B_b", [0, 0, 1, 1]),  # follows R_a
     }
     verdict = disclosure_check(wide, profile, "R_a", "C", "B_b")
     assert not verdict.material and verdict.value_of_information == 0.0

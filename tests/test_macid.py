@@ -8,12 +8,11 @@ from fidaudit import macid
 from fidaudit.errors import NoConvergence
 from fidaudit.loyalty import materiality_value
 from fidaudit.macid import (
-    Cpd,
-    DecisionRule,
     Macid,
     Node,
     NodeKind,
     best_response,
+    deterministic_rule,
     enumerate_deterministic_rules,
     expected_utility,
     is_equilibrium,
@@ -70,19 +69,26 @@ def test_joint_requires_complete_profile():
         joint_distribution(model, profile)
 
 
-def test_joint_rejects_malformed_rule():
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ([0.7, 0.7], r"row \(\) for 'B' sums to 1\.4, not 1"),
+        ([[1.0, 0.0]], r"table for 'B' has shape \(1, 2\), expected \(2,\)"),
+        ([1.0, 0.0, 0.0], r"table for 'B' has shape \(3,\), expected \(2,\)"),
+        ([math.nan, 1.0], r"row \(\) for 'B' has entry nan outside \[0, 1\]"),
+        ([1.0 + 1e-12, math.nan], r"row \(\) for 'B' has entry nan outside \[0, 1\]"),
+    ],
+    ids=["sum", "extra-axis", "wide", "nan", "nan-after-tolerated"],
+)
+def test_joint_rejects_malformed_rule(bad, message):
     model = guess_model()
-    bad = DecisionRule("B", {(): (0.7, 0.7)})
-    with pytest.raises(ValueError, match=r"row \(\) for 'B' sums to 1\.4, not 1"):
-        joint_distribution(model, {"B": bad})
+    with pytest.raises(ValueError, match=message):
+        joint_distribution(model, {"B": np.array(bad)})
 
 
 def test_joint_sums_to_one_under_stochastic_rules():
     model = disclosure_model()
-    profile = {
-        "R_a": DecisionRule("R_a", {("0",): (0.3, 0.7), ("1",): (0.9, 0.1)}),
-        "B_b": DecisionRule("B_b", {("0",): (0.5, 0.5), ("1",): (0.2, 0.8)}),
-    }
+    profile = {"R_a": np.array([[0.3, 0.7], [0.9, 0.1]]), "B_b": np.array([[0.5, 0.5], [0.2, 0.8]])}
     joint = joint_distribution(model, profile)
     assert sum(joint.values()) == pytest.approx(1.0, abs=1e-9)
 
@@ -96,10 +102,10 @@ def test_eu_constant_utility():
         nodes=model.nodes,
         edges=model.edges,
         cpds=model.cpds,
-        utilities={"U": {k: 3.0 for k in model.utilities["U"]}},
+        utilities={"U": np.full((2, 2), 3.0)},
         agents=model.agents,
     )
-    rule = DecisionRule.constant(constant, "B", "0")
+    rule = deterministic_rule(constant, "B", 0)
     assert expected_utility(constant, {"B": rule}, "bob") == pytest.approx(3.0)
 
 
@@ -117,7 +123,7 @@ def test_eu_muted_report_halves_payoff():
 def test_eu_unknown_agent():
     model = guess_model()
     with pytest.raises(ValueError, match="unknown agent 'eve'"):
-        expected_utility(model, {"B": DecisionRule.constant(model, "B", "0")}, "eve")
+        expected_utility(model, {"B": deterministic_rule(model, "B", 0)}, "eve")
 
 
 # --- solve_equilibrium ----------------------------------------------------
@@ -131,11 +137,11 @@ def test_equilibrium_dominant_action():
         ),
         edges={"D": (), "U": ("D",)},
         cpds={},
-        utilities={"U": {("x",): 0.0, ("y",): 1.0}},
+        utilities={"U": [0.0, 1.0]},
         agents=("a",),
     )
     profile = solve_equilibrium(model)
-    assert profile["D"].table[()] == (0.0, 1.0)
+    assert profile["D"].tolist() == [0.0, 1.0]
 
 
 def test_equilibrium_disclosure_reaches_informative_profile():
@@ -183,7 +189,7 @@ def test_equilibrium_deviation_check_on_random_common_interest_models(rng):
         nodes = [Node("c0", NodeKind.CHANCE, domain=("0", "1"))]
         p = float(rng.uniform(0.2, 0.8))
         edges = {"c0": ()}
-        cpds = {"c0": Cpd("c0", {(): (p, 1.0 - p)})}
+        cpds = {"c0": [p, 1.0 - p]}
         previous = "c0"
         for i in range(n_decisions):
             did = f"d{i}"
@@ -194,10 +200,8 @@ def test_equilibrium_deviation_check_on_random_common_interest_models(rng):
             previous = did
         parents = ("c0", previous)
         parent_domains = [("0", "1"), domain if n_decisions else ("0", "1")]
-        table = {
-            pa: float(rng.uniform(-1, 1))
-            for pa in itertools.product(*parent_domains)
-        }
+        table = np.array([float(rng.uniform(-1, 1)) for _ in itertools.product(*parent_domains)])
+        table = table.reshape([len(d) for d in parent_domains])
         nodes.append(Node("u_a", NodeKind.UTILITY, owner="a"))
         nodes.append(Node("u_b", NodeKind.UTILITY, owner="b"))
         edges["u_a"] = parents
@@ -206,7 +210,7 @@ def test_equilibrium_deviation_check_on_random_common_interest_models(rng):
             nodes=tuple(nodes),
             edges=edges,
             cpds=cpds,
-            utilities={"u_a": table, "u_b": dict(table)},
+            utilities={"u_a": table, "u_b": table.copy()},
             agents=("a", "b"),
         )
         profile = solve_equilibrium(model)
@@ -217,26 +221,26 @@ def test_equilibrium_is_deterministic():
     model = disclosure_model()
     first = solve_equilibrium(model)
     second = solve_equilibrium(model)
-    assert {k: dict(v.table) for k, v in first.items()} == {
-        k: dict(v.table) for k, v in second.items()
-    }
+    assert _tables(first) == _tables(second)
 
 
 # --- best_response ----------------------------------------------------------
 
 
-def _random_rows(rng, assignments, width, zero_share=0.0):
-    """A stochastic table; with probability ``zero_share`` a row is a point mass."""
-    table = {}
-    for pa in assignments:
+def _random_rows(rng, shape, zero_share=0.0):
+    """A stochastic table of ``shape`` (parent sizes, then width); with
+    probability ``zero_share`` a row is a point mass."""
+    width = shape[-1]
+    rows = []
+    for _ in range(math.prod(shape[:-1])):
         if rng.uniform() < zero_share:
             row = [0.0] * width
             row[int(rng.integers(width))] = 1.0
         else:
             weights = rng.uniform(0.05, 1.0, size=width)
             row = list(weights / weights.sum())
-        table[pa] = tuple(float(x) for x in row)
-    return table
+        rows.append([float(x) for x in row])
+    return np.array(rows).reshape(shape)
 
 
 def _random_game(rng):
@@ -258,11 +262,14 @@ def _random_game(rng):
         Node("u_a", NodeKind.UTILITY, owner="a"),
         Node("u_b", NodeKind.UTILITY, owner="b"),
     ]
-    product = lambda nid: list(itertools.product(*(doms[p] for p in edges[nid])))  # noqa: E731
-    cpds = {c: Cpd(c, _random_rows(rng, product(c), len(doms[c]), zero_share=0.3)) for c in ("c0", "c1")}
-    utilities = {u: {pa: float(rng.uniform(-1, 1)) for pa in product(u)} for u in ("u_a", "u_b")}
+
+    def shape(nid):
+        return tuple(len(doms[n]) for n in edges[nid]) + ((len(doms[nid]),) if nid in doms else ())
+
+    cpds = {c: _random_rows(rng, shape(c), zero_share=0.3) for c in ("c0", "c1")}
+    utilities = {u: rng.uniform(-1, 1, size=shape(u)) for u in ("u_a", "u_b")}
     model = Macid(tuple(nodes), edges, cpds, utilities, agents=("a", "b"))
-    profile = {d: DecisionRule(d, _random_rows(rng, product(d), len(doms[d]))) for d in ("d0", "d1", "d2")}
+    profile = {d: _random_rows(rng, shape(d)) for d in ("d0", "d1", "d2")}
     return model, profile
 
 
@@ -279,7 +286,7 @@ def test_best_response_matches_exhaustive_search_under_stochastic_rules(rng):
             best = max(v for v, _ in scored)
             smallest = next(r for v, r in scored if v >= best - 1e-12)
             assert abs(value - best) <= 1e-12
-            assert dict(rule.table) == dict(smallest.table)
+            assert rule.tolist() == smallest.tolist()
 
 
 def test_best_response_rejects_an_incomplete_profile_and_a_bad_node():
@@ -315,7 +322,7 @@ def test_voi_irrelevant_chance_node_is_zero():
     extra = Macid(
         nodes=model.nodes + (Node("N", NodeKind.CHANCE, domain=("0", "1")),),
         edges={**model.edges, "N": ()},
-        cpds={**model.cpds, "N": Cpd("N", {(): (0.5, 0.5)})},
+        cpds={**model.cpds, "N": [0.5, 0.5]},
         utilities=model.utilities,
         agents=model.agents,
     )
@@ -347,11 +354,8 @@ def test_voi_zero_when_determined_by_observed_parent():
             Node("U", NodeKind.UTILITY, owner="bob"),
         ),
         edges={"Z": (), "C": ("Z",), "D": ("Z",), "U": ("C", "D")},
-        cpds={
-            "Z": Cpd("Z", {(): (0.5, 0.5)}),
-            "C": Cpd("C", {("0",): (1.0, 0.0), ("1",): (0.0, 1.0)}),
-        },
-        utilities={"U": {(c, d): (1.0 if c == d else 0.0) for c in "01" for d in "01"}},
+        cpds={"Z": [0.5, 0.5], "C": [[1.0, 0.0], [0.0, 1.0]]},
+        utilities={"U": np.eye(2)},
         agents=("bob",),
     )
     assert value_of_information(model, "D", "C") == pytest.approx(0.0, abs=1e-12)
@@ -369,15 +373,8 @@ def test_voi_guards():
 def test_voi_nonnegative_on_random_single_decision_models(rng):
     for _ in range(25):
         p0 = float(rng.uniform(0.1, 0.9))
-        rows = {
-            ("0",): tuple(_rand_dist(rng)),
-            ("1",): tuple(_rand_dist(rng)),
-        }
-        utable = {
-            (c1, d): float(rng.uniform(-2, 2))
-            for c1 in "01"
-            for d in "01"
-        }
+        rows = [_rand_dist(rng), _rand_dist(rng)]
+        utable = [[float(rng.uniform(-2, 2)) for d in "01"] for c1 in "01"]
         model = Macid(
             nodes=(
                 Node("c0", NodeKind.CHANCE, domain=("0", "1")),
@@ -386,7 +383,7 @@ def test_voi_nonnegative_on_random_single_decision_models(rng):
                 Node("u", NodeKind.UTILITY, owner="a"),
             ),
             edges={"c0": (), "c1": ("c0",), "d": ("c0",), "u": ("c1", "d")},
-            cpds={"c0": Cpd("c0", {(): (p0, 1.0 - p0)}), "c1": Cpd("c1", rows)},
+            cpds={"c0": [p0, 1.0 - p0], "c1": rows},
             utilities={"u": utable},
             agents=("a",),
         )
@@ -441,6 +438,8 @@ def test_mi_invalid_distribution():
         mutual_information({("0", "0"): 0.7})
     with pytest.raises(ValueError, match="joint has negative entries"):
         mutual_information({("0", "0"): 1.5, ("0", "1"): -0.5})
+    with pytest.raises(ValueError, match="joint sums to nan, not 1"):
+        mutual_information({("a", "b"): math.nan, ("a", "c"): 1.0})
 
 
 def test_mi_counts_admitted_negative_cells_as_zero_mass():
@@ -481,10 +480,7 @@ def test_model_rejects_cycle():
                 Node("B", NodeKind.CHANCE, domain=("0",)),
             ),
             edges={"A": ("B",), "B": ("A",)},
-            cpds={
-                "A": Cpd("A", {("0",): (1.0,)}),
-                "B": Cpd("B", {("0",): (1.0,)}),
-            },
+            cpds={"A": [[1.0]], "B": [[1.0]]},
             utilities={},
             agents=(),
         )
@@ -498,8 +494,8 @@ def test_model_rejects_utility_with_children():
                 Node("C", NodeKind.CHANCE, domain=("0",)),
             ),
             edges={"U": (), "C": ("U",)},
-            cpds={"C": Cpd("C", {("0",): (1.0,)})},
-            utilities={"U": {(): 1.0}},
+            cpds={"C": [[1.0]]},
+            utilities={"U": 1.0},
             agents=("a",),
         )
 
@@ -515,12 +511,22 @@ def test_model_rejects_agent_without_utility():
         )
 
 
-def test_model_rejects_non_stochastic_cpd():
-    with pytest.raises(ValueError, match=r"row \(\) for 'C' sums to 1\.2, not 1"):
+@pytest.mark.parametrize(
+    "cpd, message",
+    [
+        ([0.6, 0.6], r"row \(\) for 'C' sums to 1\.2, not 1"),
+        ([[0.5, 0.5]], r"table for 'C' has shape \(1, 2\), expected \(2,\)"),
+        ([math.nan, 1.0], r"row \(\) for 'C' has entry nan outside \[0, 1\]"),
+        ([1.5, -0.5], r"row \(\) for 'C' has entry 1\.5 outside \[0, 1\]"),
+    ],
+    ids=["sum", "extra-axis", "nan", "outside"],
+)
+def test_model_rejects_non_stochastic_cpd(cpd, message):
+    with pytest.raises(ValueError, match=message):
         Macid(
             nodes=(Node("C", NodeKind.CHANCE, domain=("0", "1")),),
             edges={"C": ()},
-            cpds={"C": Cpd("C", {(): (0.6, 0.6)})},
+            cpds={"C": cpd},
             utilities={},
             agents=(),
         )
@@ -536,7 +542,14 @@ def test_joint_reruns_bit_identical(rng):
 #
 # The per-cell Python loops below are the reference the array kernel must
 # match bit for bit: the same products in outcome order, and every sum a
-# left-to-right fold from 0.0 in the joint's cell order.
+# left-to-right fold from 0.0 in the joint's cell order. They read each
+# table one cell at a time, by the value indices of its scope.
+
+
+def _cell(table, model, nid, assignment, positions):
+    """The entry of ``nid``'s table at the values ``assignment`` gives its scope."""
+    index = tuple(model.node_map[n].domain.index(assignment[positions[n]]) for n in model.scope(nid))
+    return float(table[index])
 
 
 def _ref_chain_products(model, profile, skip=None):
@@ -544,17 +557,13 @@ def _ref_chain_products(model, profile, skip=None):
     positions = {nid: i for i, nid in enumerate(order)}
     domains = [model.node_map[nid].domain for nid in order]
     factors = []
-    for i, nid in enumerate(order):
-        if nid == skip:
-            continue
-        node = model.node_map[nid]
-        table = model.cpds[nid].table if node.kind is NodeKind.CHANCE else profile[nid].table
-        vindex = {v: k for k, v in enumerate(domains[i])}
-        factors.append((i, tuple(positions[p] for p in model.parents(nid)), table, vindex))
+    for nid in order:
+        if nid != skip:
+            factors.append((nid, model.cpds[nid] if model.node_map[nid].kind is NodeKind.CHANCE else profile[nid]))
     for assignment in itertools.product(*domains):
         p = 1.0
-        for i, parent_pos, table, vindex in factors:
-            p *= table[tuple(assignment[j] for j in parent_pos)][vindex[assignment[i]]]
+        for nid, table in factors:
+            p *= _cell(table, model, nid, assignment, positions)
             if p == 0.0:
                 break
         yield assignment, p
@@ -562,11 +571,8 @@ def _ref_chain_products(model, profile, skip=None):
 
 def _ref_payoff(model, agent):
     positions = {nid: i for i, nid in enumerate(model.outcome_order)}
-    utail = [
-        (tuple(positions[p] for p in model.parents(u)), model.utilities[u])
-        for u in model.utility_nodes_of(agent)
-    ]
-    return lambda cell: sum(table[tuple(cell[j] for j in pos)] for pos, table in utail)
+    units = model.utility_nodes_of(agent)
+    return lambda cell: sum(_cell(model.utilities[u], model, u, cell, positions) for u in units)
 
 
 def _ref_utility_under(model, joint, agent):
@@ -602,18 +608,21 @@ def _ref_row_values(model, profile, node_id, agent):
 
 
 def _ref_best_response(model, profile, node_id):
-    """(rule table, best value, value of the current rule)."""
+    """(rule array, best value, value of the current rule); the sums run
+    over the parent assignments sorted as value tuples."""
     w = _ref_row_values(model, profile, node_id, model.node_map[node_id].owner)
-    rows = sorted(model.parent_assignments(node_id))
+    declared = list(model.parent_assignments(node_id))
     width = len(model.node_map[node_id].domain)
-    table, best_value, current_value = {}, 0.0, 0.0
-    for pa in rows:
+    current = np.reshape(profile[node_id], (len(declared), width)).tolist()
+    rows, best_value, current_value = {}, 0.0, 0.0
+    for pa in sorted(declared):
         scores = w[pa]
         best = max(scores)
-        table[pa] = tuple(1.0 if a == scores.index(best) else 0.0 for a in range(width))
+        rows[pa] = [1.0 if a == scores.index(best) else 0.0 for a in range(width)]
         best_value += best
-        current_value += sum(p * s for p, s in zip(profile[node_id].table[pa], scores))
-    return table, best_value, current_value
+        current_value += sum(p * s for p, s in zip(current[declared.index(pa)], scores))
+    rule = np.array([rows[pa] for pa in declared]).reshape(np.shape(profile[node_id]))
+    return rule, best_value, current_value
 
 
 def _ref_warm_start(model, budget=macid._WARM_START_BUDGET):
@@ -637,22 +646,21 @@ def _ref_warm_start(model, budget=macid._WARM_START_BUDGET):
 
 def _ref_solve(model, start, max_rounds):
     """Best-response iteration from the profile ``start``; returns the
-    equilibrium's tables or ("cycle", message, cycle)."""
+    equilibrium's rules as lists or ("cycle", message, cycle)."""
     decisions = model.decision_nodes()
-    profile = {nid: dict(rule.table) for nid, rule in start.items()}
-    rules = lambda: {nid: DecisionRule(nid, t) for nid, t in profile.items()}  # noqa: E731
-    key = lambda: tuple(tuple(profile[n][pa] for pa in sorted(profile[n])) for n in decisions)  # noqa: E731
+    profile = dict(start)
+    key = lambda: tuple(tuple(profile[n].ravel().tolist()) for n in decisions)  # noqa: E731
     seen, history = {key(): 0}, [dict(profile)]
     for _ in range(max_rounds):
         changed = False
         for nid in decisions:
-            table, best_value, current_value = _ref_best_response(model, rules(), nid)
+            rule, best_value, current_value = _ref_best_response(model, profile, nid)
             if best_value > current_value + 1e-12:
-                profile[nid], changed = table, True
+                profile[nid], changed = rule, True
         if not changed:
-            return profile
+            return _tables(profile)
         if key() in seen:
-            cycle = history[seen[key()]:]
+            cycle = [_tables(p) for p in history[seen[key()]:]]
             return ("cycle", f"best-response iteration cycles with period {len(cycle)}", cycle)
         seen[key()] = len(history)
         history.append(dict(profile))
@@ -662,18 +670,20 @@ def _ref_solve(model, start, max_rounds):
 _DOMAINS = (("v0", "v1"), ("v10", "v2"), ("v0", "v1", "v2"), ("v2", "v10", "v1"))
 
 
-def _random_tables(rng, assignments, width):
-    """Stochastic rows: point masses, rows with an exact zero, and dense rows."""
-    table = {}
-    for pa in assignments:
+def _random_tables(rng, shape):
+    """Stochastic rows of a table of ``shape`` (parent sizes, then width):
+    point masses, rows with an exact zero, and dense rows."""
+    width = shape[-1]
+    rows = []
+    for _ in range(math.prod(shape[:-1])):
         kind = rng.uniform()
         weights = rng.uniform(0.05, 1.0, size=width)
         if kind < 0.25:
             weights = np.eye(width)[int(rng.integers(width))]
         elif kind < 0.5:
             weights[int(rng.integers(width))] = 0.0
-        table[pa] = tuple(float(x) for x in weights / weights.sum())
-    return table
+        rows.append([float(x) for x in weights / weights.sum()])
+    return np.array(rows).reshape(shape)
 
 
 def _random_influence_model(rng, max_cells=1500):
@@ -693,32 +703,37 @@ def _random_influence_model(rng, max_cells=1500):
                 nodes.append(Node(nid, NodeKind.CHANCE, domain=doms[nid]))
             else:
                 nodes.append(Node(nid, NodeKind.DECISION, owner=agents[i % len(agents)], domain=doms[nid]))
-        product = lambda nid: list(itertools.product(*(doms[p] for p in edges[nid])))  # noqa: E731
+        parent_sizes = lambda nid: tuple(len(doms[p]) for p in edges[nid])  # noqa: E731
         utilities = {}
         for j in range(int(rng.integers(1, 3))):
             uid = f"u_a{j}"
             edges[uid] = tuple(str(p) for p in rng.permutation(names)[: int(rng.integers(0, 4))])
-            utilities[uid] = {pa: float(rng.choice([0.0, -0.0, 1.0, rng.uniform(-2, 2)])) for pa in product(uid)}
+            n_cells = math.prod(parent_sizes(uid))
+            cells = [float(rng.choice([0.0, -0.0, 1.0, rng.uniform(-2, 2)])) for _ in range(n_cells)]
+            utilities[uid] = np.array(cells).reshape(parent_sizes(uid))
             if len(agents) == 2:
                 # a zero-sum half of the games makes best-response cycles common
                 edges[f"u_b{j}"] = edges[uid] if rng.uniform() < 0.5 else tuple(rng.permutation(names)[:2])
-                zero_sum = edges[f"u_b{j}"] == edges[uid]
-                utilities[f"u_b{j}"] = {
-                    pa: -utilities[uid][pa] if zero_sum else float(rng.uniform(-2, 2)) for pa in product(f"u_b{j}")
-                }
+                if edges[f"u_b{j}"] == edges[uid]:
+                    utilities[f"u_b{j}"] = -utilities[uid]
+                else:
+                    cells = [float(rng.uniform(-2, 2)) for _ in range(math.prod(parent_sizes(f"u_b{j}")))]
+                    utilities[f"u_b{j}"] = np.array(cells).reshape(parent_sizes(f"u_b{j}"))
         nodes += [Node(uid, NodeKind.UTILITY, owner=uid[2]) for uid in utilities]
         decisions = [n for n in names if n[0] == "d"]
-        n_profiles = math.prod(len(doms[d]) ** len(product(d)) for d in decisions)
+        n_profiles = math.prod(len(doms[d]) ** math.prod(parent_sizes(d)) for d in decisions)
         if n_profiles * math.prod(len(doms[n]) for n in names) > max_cells:
             continue
-        cpds = {c: Cpd(c, _random_tables(rng, product(c), len(doms[c]))) for c in names if c[0] == "c"}
+        cpds = {c: _random_tables(rng, parent_sizes(c) + (len(doms[c]),)) for c in names if c[0] == "c"}
         model = Macid(tuple(nodes), edges, cpds, utilities, agents)
-        profile = {d: DecisionRule(d, _random_tables(rng, product(d), len(doms[d]))) for d in decisions}
+        profile = {d: _random_tables(rng, parent_sizes(d) + (len(doms[d]),)) for d in decisions}
         return model, profile
 
 
 def _tables(profile):
-    return {nid: dict(rule.table) for nid, rule in profile.items()}
+    """The profile's rules as nested lists: their repr shows every bit of
+    every entry, where an array's rounds."""
+    return {nid: rule.tolist() for nid, rule in profile.items()}
 
 
 def _same(new, ref):
@@ -741,8 +756,8 @@ def test_kernel_matches_scalar_reference_bit_for_bit(monkeypatch):
             _same(expected_utility(model, profile, agent), _ref_utility_under(model, joint, agent))
         for nid in model.decision_nodes():
             rule, value = best_response(model, profile, nid)
-            table, best_value, _current = _ref_best_response(model, profile, nid)
-            _same((dict(rule.table), value), (table, best_value))
+            ref_rule, best_value, _current = _ref_best_response(model, profile, nid)
+            _same((rule.tolist(), value), (ref_rule.tolist(), best_value))
         # small blocks put block boundaries inside most profile spaces
         with monkeypatch.context() as patch:
             patch.setattr(macid, "_BLOCK_CELLS", 64)
@@ -751,7 +766,7 @@ def test_kernel_matches_scalar_reference_bit_for_bit(monkeypatch):
         try:
             solved = _tables(solve_equilibrium(model, max_rounds=8))
         except NoConvergence as exc:
-            solved = ("cycle", str(exc), exc.cycle)
+            solved = ("cycle", str(exc), [_tables(p) for p in exc.cycle])
             cycles += 1
         _same(solved, _ref_solve(model, start, max_rounds=8))
     assert unsorted > 0 and cycles > 0
@@ -767,7 +782,7 @@ def _single_decision_model(payoffs):
         nodes=(Node("D", NodeKind.DECISION, owner="a", domain=domain), Node("U", NodeKind.UTILITY, owner="a")),
         edges={"D": (), "U": ("D",)},
         cpds={},
-        utilities={"U": {(x,): u for x, u in zip(domain, payoffs)}},
+        utilities={"U": payoffs},
         agents=("a",),
     )
 
@@ -775,18 +790,18 @@ def _single_decision_model(payoffs):
 def test_warm_start_keeps_the_earlier_profile_within_tolerance():
     # argmax would take the later, higher profile
     start = macid._welfare_warm_start(_single_decision_model([1.0, 1.0 + 5e-13]))
-    assert start["D"].table[()] == (1.0, 0.0)
+    assert start["D"].tolist() == [1.0, 0.0]
     # a gain counts against the best kept so far, not against the last seen
     start = macid._welfare_warm_start(_single_decision_model([1.0, 1.0 + 6e-13, 1.0 + 1.2e-12]))
-    assert start["D"].table[()] == (0.0, 0.0, 1.0)
+    assert start["D"].tolist() == [0.0, 0.0, 1.0]
 
 
 def test_warm_start_budget_is_inclusive(monkeypatch):
     model = _single_decision_model([0.0, 1.0])  # 2 profiles x 2 outcomes
     monkeypatch.setattr(macid, "_WARM_START_BUDGET", 4)
-    assert macid._welfare_warm_start(model)["D"].table[()] == (0.0, 1.0)
+    assert macid._welfare_warm_start(model)["D"].tolist() == [0.0, 1.0]
     monkeypatch.setattr(macid, "_WARM_START_BUDGET", 3)
-    assert macid._welfare_warm_start(model)["D"].table[()] == (1.0, 0.0)
+    assert macid._welfare_warm_start(model)["D"].tolist() == [1.0, 0.0]
 
 
 def test_warm_start_across_blocks_matches_reference():
@@ -803,10 +818,10 @@ def test_warm_start_across_blocks_matches_reference():
             Node("U_b", NodeKind.UTILITY, owner="b"),
         ),
         edges={"C": (), "R": ("C",), "B": ("R",), "U_a": ("C", "B"), "U_b": ("B", "C")},
-        cpds={"C": Cpd("C", {(): (0.2, 0.3, 0.5)})},
+        cpds={"C": [0.2, 0.3, 0.5]},
         utilities={
-            "U_a": {(c, b): float(c == b) for c in values for b in values},
-            "U_b": {(b, c): 2.0 * (c == b) - 0.5 for c in values for b in values},
+            "U_a": [[float(c == b) for b in values] for c in values],
+            "U_b": [[2.0 * (c == b) - 0.5 for c in values] for b in values],
         },
         agents=("a", "b"),
     )
@@ -814,22 +829,45 @@ def test_warm_start_across_blocks_matches_reference():
     _same(_tables(macid._welfare_warm_start(model)), _tables(_ref_warm_start(model)))
 
 
+def test_rules_follow_the_sorted_parent_assignments():
+    # C's domain is declared as ("v2", "v10"), the reverse of its sorted
+    # order, so the second rule enumerated changes R's first declared row
+    model = Macid(
+        nodes=(
+            Node("C", NodeKind.CHANCE, domain=("v2", "v10")),
+            Node("R", NodeKind.DECISION, owner="a", domain=("x", "y")),
+            Node("U", NodeKind.UTILITY, owner="a"),
+        ),
+        edges={"C": (), "R": ("C",), "U": ("C", "R")},
+        cpds={"C": [0.5, 0.5]},
+        utilities={"U": [[0.0, 1.0], [1.0, 0.0]]},
+        agents=("a",),
+    )
+    rules = [rule.tolist() for rule in enumerate_deterministic_rules(model, "R")]
+    assert rules[:2] == [[[1.0, 0.0], [1.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]]]
+    assert deterministic_rule(model, "R", [1, 0]).tolist() == [[0.0, 1.0], [1.0, 0.0]]
+    assert deterministic_rule(model, "R", 1).tolist() == [[0.0, 1.0], [0.0, 1.0]]
+    assert solve_equilibrium(model)["R"].tolist() == [[0.0, 1.0], [1.0, 0.0]]
+
+
 def test_cpd_and_utility_arrays_are_built_once_per_model(monkeypatch):
     model = disclosure_model()
-    for arr in (*model.cpd_factors.values(), *model.utility_arrays.values()):
+    tables = (model.cpds, model.utilities, model.cpd_factors, model.utility_arrays)
+    for arr in (arr for table in tables for arr in table.values()):
         with pytest.raises(ValueError):
             arr[...] = 0.0
-    built = []
-    factor = macid._factor
-    monkeypatch.setattr(macid, "_factor", lambda m, nid, table: built.append(nid) or factor(m, nid, table))
+    assert model.cpds["C"].shape == (2,) and model.utilities["U_b"].shape == (2, 2)
+    placed = []
+    place = macid._place
+    monkeypatch.setattr(macid, "_place", lambda m, scope, local: placed.append(scope) or place(m, scope, local))
     profile = solve_equilibrium(model)
     for agent in model.agents:
         expected_utility(model, profile, agent)
-    # only the decision rules are turned into factors during the queries
-    assert built and set(built) <= set(model.decision_nodes())
-    built.clear()
+    # only the decision rules are placed on the outcome axes during the queries
+    assert placed and {scope[-1] for scope in placed} <= set(model.decision_nodes())
+    placed.clear()
     decision = model.decision_nodes()[0]
     chance = next(n.id for n in model.nodes if n.kind is NodeKind.CHANCE and n.id not in model.parents(decision))
     extended = model.with_edge(chance, decision)
     assert extended.cpd_factors is not model.cpd_factors
-    assert set(built) == set(model.cpds) | {n.id for n in model.nodes if n.kind is NodeKind.UTILITY}
+    assert set(placed) == {model.scope(n) for n in (*model.cpds, *model.utilities)}

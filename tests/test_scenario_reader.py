@@ -12,7 +12,7 @@ import pytest
 import numpy as np
 from click.testing import CliRunner
 
-from fidaudit.audit import run_audit
+from fidaudit.audit import emit_report, run_audit
 from fidaudit.cli import main
 from fidaudit.errors import SchemaError
 from fidaudit.mdp import MAX_ITERS_CAP
@@ -54,6 +54,14 @@ def string_in_mdp_reward(raw):
 
 def string_cpd_entry(raw):
     raw["world"]["macid"]["cpds"]["C"] = [["half", 0.5]]
+
+
+def wide_cpd_row(raw):
+    raw["world"]["macid"]["cpds"]["C"] = [[0.5, 0.25, 0.25]]
+
+
+def narrow_profile_row(raw):
+    raw["world"]["macid"]["profile"]["R_a"][1] = [1.0]
 
 
 def duplicate_option(raw):
@@ -177,6 +185,8 @@ def empty_utilities(raw):
         ("trust_portfolio.json", mdp_row_sum_two, "world.mdp"),
         ("trust_portfolio.json", string_in_mdp_reward, "world.mdp.reward"),
         ("disclosure_demo.json", string_cpd_entry, "world.macid.cpds.C[0][0]"),
+        ("disclosure_demo.json", wide_cpd_row, "world.macid.cpds.C[0]"),
+        ("disclosure_demo.json", narrow_profile_row, "world.macid.profile.R_a[1]"),
         ("disclosure_demo.json", duplicate_option, "aggregation.options"),
         ("care_skipped.json", duplicate_option, "aggregation.options"),
         ("trust_portfolio.json", boolean_in_mdp_transition, "world.mdp.transition[0][0][1]"),
@@ -233,6 +243,26 @@ def test_policy_maps_reach_the_kernels_as_action_indices():
             want = [mdp.actions.index(doc["assessment"]["methods"][index][key][s]) for s in mdp.states]
             assert got.dtype.kind == "i" and got.tolist() == want
     assert mixed.assessment[4].policy.tolist() == [0, 0, 1, 1, 1]
+
+
+def test_macid_tables_reach_the_kernels_as_arrays():
+    raw = raw_scenario("disclosure_demo.json")
+    # rows that tell the parent assignments apart, in declared order
+    raw["world"]["macid"]["utilities"]["U_b"] = [1.0, -0.5, 0.25, 2.0]
+    raw["world"]["macid"]["profile"]["R_a"] = [[0.75, 0.25], [0.0, 1.0]]
+    world = parse_scenario(raw).world
+    doc = raw["world"]["macid"]
+    model = world.macid
+    tables = [(model.cpds, "cpds"), (model.utilities, "utilities"), (world.profile, "profile")]
+    assert [sorted(got) for got, _ in tables] == [sorted(doc[key]) for _, key in tables]
+    for got, key in tables:
+        for nid, rows in doc[key].items():
+            shape = tuple(len(model.node(n).domain) for n in model.scope(nid))
+            assert isinstance(got[nid], np.ndarray) and got[nid].dtype == float and got[nid].shape == shape
+            width = shape[-1] if key != "utilities" else 1
+            assert got[nid].reshape(-1, width).tolist() == np.reshape(rows, (-1, width)).tolist()
+    assert model.cpds["C"].shape == (2,) and model.utilities["U_b"].tolist() == [[1.0, -0.5], [0.25, 2.0]]
+    assert world.profile["R_a"].tolist() == [[0.75, 0.25], [0.0, 1.0]]
 
 
 # --- integers, booleans and paths ------------------------------------------------
@@ -480,3 +510,8 @@ def test_mutated_scenarios_end_in_a_schema_error_or_a_clean_report():
             report = run_audit(parse_scenario(doc))
             errors = [f for step in report.steps for f in step.findings if f.check == "step-error"]
             assert not errors, (label, errors)
+            json.loads(emit_report(report, "machine"), parse_constant=functools.partial(_non_json_number, label))
+
+
+def _non_json_number(label, token):
+    raise AssertionError(f"{label}: the machine report holds {token}")
