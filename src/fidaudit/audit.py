@@ -145,13 +145,17 @@ class AuditReport:
 
 
 def _jsonable(value: Any) -> Any:
+    """``value`` in report form, built of JSON types only. A number that is
+    not finite is a ValueError: no JSON report can carry it."""
     if isinstance(value, dict):
         return {_key(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, np.ndarray):
         return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.floating,)):
+    if isinstance(value, (float, np.floating)):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
         return float(value)
     if isinstance(value, (np.integer,)):
         return int(value)
@@ -188,14 +192,13 @@ def _attempt(check: str, evidence: dict, run) -> list[Finding]:
 
 
 def _finite(value: Any) -> bool:
-    """Whether every number in an evidence value is finite."""
-    if isinstance(value, np.ndarray):
-        value = value.tolist()
-    if isinstance(value, dict):
-        value = list(value.values())
-    if isinstance(value, (list, tuple)):
-        return all(map(_finite, value))
-    return not isinstance(value, (float, np.floating)) or math.isfinite(value)
+    """Whether an evidence value has a report form (``_jsonable``), that is,
+    holds only finite numbers."""
+    try:
+        _jsonable(value)
+    except ValueError:
+        return False
+    return True
 
 
 def _finite_evidence(finding: Finding) -> Finding:

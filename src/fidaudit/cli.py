@@ -8,12 +8,14 @@
 
 Exit codes from ``check``: 0 pass, 1 warn, 2 fail. A schema error, or any
 other error, also exits 2 with one line on stderr: exit 1 means "warn", so
-no error may end with it. All configuration is flags and the scenario file;
+no error may end with it. A usage error, such as a ``--tol`` that is not a
+finite non-negative number, exits 2 with click's usage message. All configuration is flags and the scenario file;
 no environment variables are consulted.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -41,6 +43,14 @@ def _errors_exit_2():
         sys.exit(2)
 
 
+def _tolerance(ctx: click.Context, param: click.Parameter, value: float) -> float:
+    """``value`` when it is a finite non-negative number; NaN, an infinity
+    or a negative threshold is a usage error."""
+    if not 0.0 <= value < math.inf:
+        raise click.BadParameter(f"must be a finite non-negative number, got {value!r}")
+    return value
+
+
 @click.group()
 @click.version_option(version=__version__, prog_name="fidaudit")
 def main() -> None:
@@ -51,7 +61,7 @@ def main() -> None:
 @click.argument("scenario_file", type=click.Path(exists=True, dir_okay=False, path_type=Path))
 @click.option("--report", "report_path", type=click.Path(dir_okay=False, path_type=Path), default=None, help="Also write the rendered report to this path.")
 @click.option("--format", "fmt", type=click.Choice(["text", "machine"]), default="text", show_default=True)
-@click.option("--tol", type=float, default=INFO_TOL, show_default=True, help="Information-flow zero threshold.")
+@click.option("--tol", type=float, default=INFO_TOL, show_default=True, callback=_tolerance, help="Information-flow zero threshold.")
 @click.option("--seed", type=int, default=0, show_default=True, help="Seed for sampled evidence; recorded in the report.")
 def check(scenario_file: Path, report_path: Path | None, fmt: str, tol: float, seed: int) -> None:
     """Run the six-step audit over SCENARIO_FILE."""

@@ -589,6 +589,21 @@ def test_cli_check_schema_error_exits_2(tmp_path):
     assert "schema error" in result.stderr
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_cli_check_rejects_a_tolerance_that_is_not_finite_and_non_negative(tol):
+    result = CliRunner().invoke(
+        main, ["check", str(SCENARIOS / "disclosure_demo.json"), "--format", "machine", "--tol", tol]
+    )
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "Invalid value for '--tol': must be a finite non-negative number" in result.stderr
+
+
+def test_cli_check_accepts_a_zero_tolerance():
+    result = CliRunner().invoke(main, ["check", str(SCENARIOS / "disclosure_demo.json"), "--tol", "0"])
+    assert result.exit_code == 0, result.output
+
+
 def test_cli_validate():
     runner = CliRunner()
     ok = runner.invoke(main, ["validate", str(SCENARIOS / "disclosure_demo.json")])

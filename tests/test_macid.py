@@ -859,15 +859,24 @@ def test_cpd_and_utility_arrays_are_built_once_per_model(monkeypatch):
     assert model.cpds["C"].shape == (2,) and model.utilities["U_b"].shape == (2, 2)
     placed = []
     place = macid._place
-    monkeypatch.setattr(macid, "_place", lambda m, scope, local: placed.append(scope) or place(m, scope, local))
+    monkeypatch.setattr(macid, "_place", lambda m, scope, local: placed.append((scope, local)) or place(m, scope, local))
+
+    def placed_tables(m):
+        # the CPD and utility tables of ``m`` that were placed, by identity
+        tables = {**m.cpds, **m.utilities}
+        return sorted(nid for _, local in placed for nid, table in tables.items() if table is local)
+
     profile = solve_equilibrium(model)
     for agent in model.agents:
         expected_utility(model, profile, agent)
     # only the decision rules are placed on the outcome axes during the queries
-    assert placed and {scope[-1] for scope in placed} <= set(model.decision_nodes())
+    assert placed and placed_tables(model) == []
+    assert {scope for scope, _ in placed} <= {model.scope(d) for d in model.decision_nodes()}
     placed.clear()
     decision = model.decision_nodes()[0]
     chance = next(n.id for n in model.nodes if n.kind is NodeKind.CHANCE and n.id not in model.parents(decision))
     extended = model.with_edge(chance, decision)
     assert extended.cpd_factors is not model.cpd_factors
-    assert set(placed) == {model.scope(n) for n in (*model.cpds, *model.utilities)}
+    # the new model places each of its CPD and utility tables exactly once
+    assert placed_tables(extended) == sorted((*model.cpds, *model.utilities))
+    assert len(placed) == len(model.cpds) + len(model.utilities)
