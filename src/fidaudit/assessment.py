@@ -38,6 +38,7 @@ import numpy as np
 from .mdp import Mdp, _check_beta, _check_policy, solve_exact
 
 RIDGE_EPSILON = 1e-8
+FEASIBLE_TOL = 1e-9  # slack FeasibleRewardSet.contains allows on each bound
 DEFAULT_TEMPERATURE = 0.01  # infer_discount's softmax choice temperature
 Step = tuple[int, int]  # (state index, action index) in MDP order
 
@@ -99,11 +100,11 @@ class FeasibleRewardSet:
     constraint_matrix: np.ndarray
     zero_reward_feasible: bool
 
-    def contains(self, reward: np.ndarray, tol: float = 1e-9) -> bool:
+    def contains(self, reward: np.ndarray) -> bool:
         r = np.asarray(reward, dtype=float).reshape(-1)
-        if np.any(np.abs(r) > self.bound + tol):
+        if np.any(np.abs(r) > self.bound + FEASIBLE_TOL):
             return False
-        return bool(np.all(self.constraint_matrix @ r >= -tol))
+        return bool(np.all(self.constraint_matrix @ r >= -FEASIBLE_TOL))
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         """A feasible reward with the policy strictly greedy.
@@ -174,6 +175,15 @@ def feasible_rewards_irl(
 # --- maximum-entropy IRL -----------------------------------------------------
 
 
+def _check_feature_entries(table: np.ndarray) -> np.ndarray:
+    """``table`` (d features on its last axis); d = 0 or a non-finite entry is a ValueError."""
+    if table.shape[-1] == 0:
+        raise ValueError("features have zero width: d >= 1 required")
+    if not np.all(np.isfinite(table)):
+        raise ValueError("features have non-finite entries")
+    return table
+
+
 def _feature_tensor(mdp: Mdp, features: np.ndarray) -> np.ndarray:
     """``features`` as a contiguous (S, A, d) float tensor; a wrong shape,
     d = 0 or a non-finite entry is a ValueError."""
@@ -181,11 +191,7 @@ def _feature_tensor(mdp: Mdp, features: np.ndarray) -> np.ndarray:
     n_s, n_a = len(mdp.states), len(mdp.actions)
     if dense.ndim != 3 or dense.shape[:2] != (n_s, n_a):
         raise ValueError(f"features have shape {dense.shape}, expected ({n_s}, {n_a}, d)")
-    if dense.shape[2] == 0:
-        raise ValueError("features have zero width: d >= 1 required")
-    if not np.all(np.isfinite(dense)):
-        raise ValueError("features have non-finite entries")
-    return dense
+    return _check_feature_entries(dense)
 
 
 def _visits(mdp: Mdp, demos: Sequence[Sequence[Step]]):
@@ -320,10 +326,7 @@ def fit_preference_reward(
     table = np.asarray(features, dtype=float)
     if table.ndim != 2:
         raise ValueError(f"features have shape {table.shape}, expected (rows, d)")
-    if table.shape[1] == 0:
-        raise ValueError("features have zero width: d >= 1 required")
-    if not np.all(np.isfinite(table)):
-        raise ValueError("features have non-finite entries")
+    _check_feature_entries(table)
     if not comparisons:
         raise ValueError("need at least one comparison")
 

@@ -9,8 +9,9 @@
 Exit codes from ``check``: 0 pass, 1 warn, 2 fail. A schema error, or any
 other error, also exits 2 with one line on stderr: exit 1 means "warn", so
 no error may end with it. A usage error, such as a ``--tol`` that is not a
-finite non-negative number, exits 2 with click's usage message. All configuration is flags and the scenario file;
-no environment variables are consulted.
+finite non-negative number or a negative ``--seed``, exits 2 with click's
+usage message. All configuration is flags and the scenario file; no
+environment variables are consulted.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ def main() -> None:
 @click.option("--report", "report_path", type=click.Path(dir_okay=False, path_type=Path), default=None, help="Also write the rendered report to this path.")
 @click.option("--format", "fmt", type=click.Choice(["text", "machine"]), default="text", show_default=True)
 @click.option("--tol", type=float, default=INFO_TOL, show_default=True, callback=_tolerance, help="Information-flow zero threshold.")
-@click.option("--seed", type=int, default=0, show_default=True, help="Seed for sampled evidence; recorded in the report.")
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True, help="Seed for sampled evidence; recorded in the report.")
 def check(scenario_file: Path, report_path: Path | None, fmt: str, tol: float, seed: int) -> None:
     """Run the six-step audit over SCENARIO_FILE."""
     with _errors_exit_2():

@@ -37,7 +37,7 @@ from .macid import (
     NodeKind,
     PolicyProfile,
     _check_profile,
-    _improve,
+    _iterate,
     deterministic_rule,
     expected_utility,
     marginal,
@@ -181,18 +181,6 @@ class DisclosureVerdict:
     note: str = ""
 
 
-def _principal_best_response_to_silence(
-    model: Macid, profile: PolicyProfile, principal: str, max_rounds: int = 64
-) -> float:
-    """Principal's utility when re-optimizing their own decisions only."""
-    working = dict(profile)
-    own = [n for n in model.decision_nodes() if model.node_map[n].owner == principal]
-    for _ in range(max_rounds):
-        if not _improve(model, working, own):
-            break
-    return expected_utility(model, working, principal)
-
-
 def materiality_value(
     model: Macid, report_node: str, material_node: str, principal_decision: str
 ) -> float:
@@ -225,7 +213,9 @@ def disclosure_check(
     positive mutual information between report and material node and (b)
     give the principal at least the silent baseline, i.e. their utility
     when the report is a constant and they best-respond to it (most
-    favorable constant). Immaterial nodes pass vacuously with a note.
+    favorable constant), re-optimizing only their own decisions from the
+    audited rules in the equilibrium search's loop (``macid._iterate``), so
+    under its round cap. Immaterial nodes pass vacuously with a note.
     """
     model, profile = _restrict(model, profile, (report_node, material_node, principal_decision))
     if model.node_map[report_node].kind is not NodeKind.DECISION:
@@ -246,13 +236,11 @@ def disclosure_check(
     principal = model.node_map[principal_decision].owner
     info = mutual_information(marginal(model, profile, (report_node, material_node)))
     utility = expected_utility(model, profile, principal)
+    own = [n for n in model.decision_nodes() if model.node_map[n].owner == principal]
     baseline = -float("inf")
     for action in range(len(model.node_map[report_node].domain)):
-        muted = dict(profile)
-        muted[report_node] = deterministic_rule(model, report_node, action)
-        baseline = max(
-            baseline, _principal_best_response_to_silence(model, muted, principal)
-        )
+        muted = {**profile, report_node: deterministic_rule(model, report_node, action)}
+        baseline = max(baseline, expected_utility(model, _iterate(model, muted, own), principal))
     flows = info > tol
     no_harm = utility >= baseline - tol
     return DisclosureVerdict(

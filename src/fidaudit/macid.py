@@ -16,13 +16,13 @@ utility are built so once per model, read-only. The joint is the factors'
 broadcast product, taken in outcome order (``_chain``); best-response
 payoffs are that product less the node's own factor, times the owner's
 utility array. Every sum is a left-to-right fold from 0.0 (``_fold``), so
-each result has the bits a per-cell Python loop gives. A rule's rows are
-ranked by their parent assignments sorted as value tuples
-(``_row_order``): deterministic rules are enumerated, and sums over rows
-taken, in that order. The equilibrium warm start scores profiles in
-blocks, a deterministic profile's joint being the chance factors' product
-times its rules' 0/1 arrays; best-response sweeps (``_improve``) go on
-from there.
+each result has the bits a per-cell Python loop gives. Deterministic
+rules are enumerated, and sums over a rule's rows taken, in the rows'
+declared order (``parent_assignments``); ties go to the lowest index. The
+equilibrium warm start scores profiles in blocks, a deterministic
+profile's joint being the chance factors' product times its rules' 0/1
+arrays. Every best-response search runs one loop of sweeps (``_iterate``
+over ``_improve``), from the warm start or from any other profile.
 
 Every query is exact on the model it is given, barren nodes included.
 ``Macid.ancestral(targets)`` restricts a model to the targets, every
@@ -48,6 +48,10 @@ import numpy as np
 from .errors import NoConvergence
 
 PROB_TOL = 1e-9
+# Best-response sweeps a search runs before it gives up (``_iterate``).
+MAX_ROUNDS = 64
+# A rule or warm-start profile is replaced only by one that gains more.
+_GAIN_MARGIN = 1e-12
 
 # Enumerating candidate profiles for the equilibrium warm start costs
 # (number of profiles) * (number of joint outcomes); skip it beyond this.
@@ -448,22 +452,14 @@ def deterministic_rule(model: Macid, node_id: str, actions) -> np.ndarray:
     return np.eye(sizes[-1])[actions].reshape(*actions.shape[:-1], *sizes)
 
 
-def _row_order(model: Macid, node_id: str) -> np.ndarray:
-    """The rows of ``node_id``'s tables (declared order) sorted by their
-    parent assignments as value tuples."""
-    rows = list(model.parent_assignments(node_id))
-    return np.array(sorted(range(len(rows)), key=rows.__getitem__))
-
-
 def enumerate_deterministic_rules(model: Macid, node_id: str) -> Iterator[np.ndarray]:
     """All deterministic rules for ``node_id``, in lexicographic order of
-    the actions they play at the rows in ``_row_order``."""
+    the actions they play at the rows in declared order."""
     node = model.node(node_id)
     if node.kind is not NodeKind.DECISION:
         raise ValueError(f"{node_id!r} is not a decision node")
-    rank = np.argsort(_row_order(model, node_id))
-    for idx in itertools.product(range(len(node.domain)), repeat=len(rank)):
-        yield deterministic_rule(model, node_id, np.array(idx)[rank])
+    for idx in itertools.product(range(len(node.domain)), repeat=len(list(model.parent_assignments(node_id)))):
+        yield deterministic_rule(model, node_id, np.array(idx))
 
 
 def best_response(
@@ -491,14 +487,14 @@ def _best_response_detail(
     all other factors held at ``profile``. Because the joint factorizes,
     the owner's expected utility of any rule is the sum over rows of
     W[r][rule(r)], so best responses decompose row by row; ties go to the
-    lowest action index, and the sums run over rows in ``_row_order``.
+    lowest action index, and the sums run over rows in declared order.
     """
-    mass = _chain(model, profile, skip=(node_id,)) * model.utility_arrays[model.node_map[node_id].owner]
+    node = model.node_map[node_id]
+    mass = _chain(model, profile, skip=(node_id,)) * model.utility_arrays[node.owner]
     scope = [model.outcome_order.index(n) for n in model.scope(node_id)]
-    order = _row_order(model, node_id)
-    w = _fold(mass, scope).reshape(len(order), -1)
-    best_value = float(_fold(w[order].max(axis=1)))
-    current_value = float(_fold(_fold((np.reshape(profile[node_id], w.shape) * w)[order], (0,))))
+    w = _fold(mass, scope).reshape(-1, len(node.domain))
+    best_value = float(_fold(w.max(axis=1)))
+    current_value = float(_fold(_fold(np.reshape(profile[node_id], w.shape) * w, (0,))))
     return deterministic_rule(model, node_id, w.argmax(axis=1)), best_value, current_value
 
 
@@ -509,10 +505,33 @@ def _improve(model: Macid, profile: dict[str, np.ndarray], nodes) -> bool:
     changed = False
     for nid in nodes:
         rule, best_value, current_value = _best_response_detail(model, profile, nid)
-        if best_value > current_value + 1e-12:
+        if best_value > current_value + _GAIN_MARGIN:
             profile[nid] = rule
             changed = True
     return changed
+
+
+def _iterate(model: Macid, start: PolicyProfile, nodes) -> dict[str, np.ndarray]:
+    """The fixed point that best-response sweeps over ``nodes`` (``_improve``)
+    reach from the profile ``start``. Raises ``NoConvergence`` carrying the
+    observed cycle if a sweep revisits a profile, and with no cycle if
+    ``MAX_ROUNDS`` sweeps pass without a fixed point."""
+    profile = dict(start)
+
+    def key() -> bytes:  # rules hold no NaN, so equal bytes mean equal rules, stochastic ones too
+        return b"".join(profile[nid].tobytes() for nid in nodes)
+
+    seen = {key(): 0}
+    history = [dict(profile)]
+    for _ in range(MAX_ROUNDS):
+        if not _improve(model, profile, nodes):
+            return profile
+        if key() in seen:
+            cycle = history[seen[key()]:]
+            raise NoConvergence(f"best-response iteration cycles with period {len(cycle)}", cycle=cycle)
+        seen[key()] = len(history)
+        history.append(dict(profile))
+    raise NoConvergence(f"no equilibrium after {MAX_ROUNDS} rounds")
 
 
 def _welfare_warm_start(model: Macid) -> dict[str, np.ndarray]:
@@ -525,15 +544,15 @@ def _welfare_warm_start(model: Macid) -> dict[str, np.ndarray]:
     where a babbling equilibrium also satisfies the deviation check.
     Profiles are scored in blocks of about ``_BLOCK_CELLS`` cells and
     scanned in ``itertools.product`` order; one wins only by beating the
-    best so far by more than 1e-12. Beyond the enumeration budget, fall
-    back to the lexicographically smallest profile.
+    best so far by more than ``_GAIN_MARGIN``. Beyond the enumeration
+    budget, fall back to the lexicographically smallest profile.
     """
     decisions = model.decision_nodes()
-    ranks = {nid: np.argsort(_row_order(model, nid)) for nid in decisions}
+    rows = [len(list(model.parent_assignments(nid))) for nid in decisions]
     # A profile's number in that order has one mixed-radix digit per
-    # decision and row in ``_row_order``: the action index played there.
-    radix = [len(model.node_map[nid].domain) for nid in decisions for _ in ranks[nid]]
-    cuts = list(itertools.accumulate(len(ranks[nid]) for nid in decisions))[:-1]
+    # decision and row in declared order: the action index played there.
+    radix = [len(model.node_map[nid].domain) for nid, n in zip(decisions, rows) for _ in range(n)]
+    cuts = list(itertools.accumulate(rows))[:-1]
     n_profiles = math.prod(radix)
     n_outcomes = math.prod(_shape(model))
     picked = np.zeros(len(radix), dtype=int)
@@ -547,49 +566,28 @@ def _welfare_warm_start(model: Macid) -> dict[str, np.ndarray]:
             digits = np.arange(start, min(start + block, n_profiles))[:, None] // strides % radix
             joint = chance
             for nid, part in zip(decisions, np.split(digits, cuts, axis=1)):
-                joint = joint * _place(model, model.scope(nid), deterministic_rule(model, nid, part[:, ranks[nid]]))
+                joint = joint * _place(model, model.scope(nid), deterministic_rule(model, nid, part))
             welfare = sum(_fold(joint * u, (0,)) for u in utilities)
             # Only a profile that beats the block's starting best can switch.
             values = welfare.tolist()
-            for i in np.flatnonzero(welfare > best_welfare + 1e-12).tolist():
-                if values[i] > best_welfare + 1e-12:
+            for i in np.flatnonzero(welfare > best_welfare + _GAIN_MARGIN).tolist():
+                if values[i] > best_welfare + _GAIN_MARGIN:
                     picked, best_welfare = digits[i], values[i]
     parts = zip(decisions, np.split(picked, cuts))
-    return {nid: deterministic_rule(model, nid, part[ranks[nid]]) for nid, part in parts}
+    return {nid: deterministic_rule(model, nid, part) for nid, part in parts}
 
 
-def solve_equilibrium(model: Macid, max_rounds: int = 64) -> dict[str, np.ndarray]:
+def solve_equilibrium(model: Macid) -> dict[str, np.ndarray]:
     """Pure-strategy Nash equilibrium in deterministic rules.
 
-    Best-response iteration: sweep the decision nodes in sorted-id order
-    (``_improve``). A full sweep with no change is a fixed point and hence
-    a Nash equilibrium (no unilateral deviation at any single decision node
-    raises its owner's expected utility). Iteration starts from the welfare
-    warm start (see ``_welfare_warm_start``). If the sweep revisits a
-    profile, raises ``NoConvergence`` carrying the observed cycle; if
-    ``max_rounds`` pass without a fixed point, raises it with no cycle.
+    Best-response iteration (``_iterate``) over the decision nodes in
+    sorted-id order, from the welfare warm start (``_welfare_warm_start``).
+    A full sweep with no change is a fixed point and hence a Nash
+    equilibrium (no unilateral deviation at any single decision node raises
+    its owner's expected utility); a revisited profile or ``MAX_ROUNDS``
+    sweeps without one raise ``NoConvergence``.
     """
-    if max_rounds < 1:
-        raise ValueError("max_rounds must be positive")
-    decisions = model.decision_nodes()
-    profile = _welfare_warm_start(model)
-    if not decisions:
-        return profile
-
-    def key() -> bytes:  # every rule met here is a 0/1 array, so equal bytes mean equal rules
-        return b"".join(profile[nid].tobytes() for nid in decisions)
-
-    seen = {key(): 0}
-    history = [dict(profile)]
-    for _ in range(max_rounds):
-        if not _improve(model, profile, decisions):
-            return dict(profile)
-        if key() in seen:
-            cycle = history[seen[key()]:]
-            raise NoConvergence(f"best-response iteration cycles with period {len(cycle)}", cycle=cycle)
-        seen[key()] = len(history)
-        history.append(dict(profile))
-    raise NoConvergence(f"no equilibrium after {max_rounds} rounds")
+    return _iterate(model, _welfare_warm_start(model), model.decision_nodes())
 
 
 def is_equilibrium(model: Macid, profile: PolicyProfile) -> bool:
@@ -609,7 +607,7 @@ def is_equilibrium(model: Macid, profile: PolicyProfile) -> bool:
 # -- information queries -------------------------------------------------------
 
 
-def value_of_information(model: Macid, decision: str, chance: str, max_rounds: int = 64) -> float:
+def value_of_information(model: Macid, decision: str, chance: str) -> float:
     """Equilibrium gain to the decision's owner from observing ``chance``.
 
     Difference between the owner's equilibrium expected utility with the
@@ -627,9 +625,9 @@ def value_of_information(model: Macid, decision: str, chance: str, max_rounds: i
         raise ValueError(f"{chance!r} is already observed by {decision!r}")
 
     owner = model.node_map[decision].owner
-    base = expected_utility(model, solve_equilibrium(model, max_rounds), owner)
+    base = expected_utility(model, solve_equilibrium(model), owner)
     extended = model.with_edge(chance, decision)
-    informed = expected_utility(extended, solve_equilibrium(extended, max_rounds), owner)
+    informed = expected_utility(extended, solve_equilibrium(extended), owner)
     return informed - base
 
 

@@ -310,8 +310,12 @@ class _Reader:
         out = tuple(item(v, f"{path}[{i}]") for i, v in enumerate(value))
         return None if any(v is None for v in out) else out
 
-    def strs(self, value: Any, path: str, nonempty=False) -> tuple[str, ...] | None:
-        return self.list_(value, path, self.str_, nonempty=nonempty)
+    def strs(self, value: Any, path: str, nonempty=False, distinct=None) -> tuple[str, ...] | None:
+        """Strings; with ``distinct`` (what they name), a repeat is a problem."""
+        out = self.list_(value, path, self.str_, nonempty=nonempty)
+        if distinct and out is not None and len(set(out)) != len(out):
+            self.fail(path, f"duplicate {distinct} ids")
+        return out
 
     def nums(self, value: Any, path: str, length=None, nonempty=False) -> tuple[float, ...] | None:
         return self.list_(value, path, self.num, length=length, nonempty=nonempty)
@@ -685,9 +689,7 @@ class _Reader:
         options = ballots = None
         utilities, class_score = {}, "sum"
         if doc.get("method") is not None:
-            options = self.options = self.field(doc, "options", path, self.strs, nonempty=True)
-            if options is not None and len(set(options)) != len(options):
-                self.fail(f"{path}.options", "duplicate option ids")
+            options = self.options = self.field(doc, "options", path, self.strs, nonempty=True, distinct="option")
         if method == "approval":
             ballots = self.field(doc, "ballots", path, self.list_, item=partial(self.ballot, options=options or ()))
         elif method is not None:
@@ -738,7 +740,9 @@ class _Reader:
         tables = self.field(doc, "tables", path, self.obj, default={}) or {}
         from_aggregation = tables.get("aggregated_principal") == "from_aggregation"
         declared = [key for key in tables if key != "outcomes" and not (key == "aggregated_principal" and from_aggregation)]
-        outcomes = self.field(tables, "outcomes", tpath, self.strs, default=_REQUIRED if declared else (), nonempty=True)
+        outcomes = self.field(
+            tables, "outcomes", tpath, self.strs, default=_REQUIRED if declared else (), nonempty=True, distinct="outcome"
+        )
         values = {}
         for key in declared:
             if key not in LOYALTY_TABLES + ("aggregated_principal",):

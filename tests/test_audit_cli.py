@@ -1,4 +1,3 @@
-import functools
 import json
 import math
 from pathlib import Path
@@ -20,7 +19,6 @@ from fidaudit.care import PRIOR_DOMINANCE_RATIONALE
 from fidaudit.cli import main
 from fidaudit.context import duty_entry
 from fidaudit.errors import SchemaError
-from fidaudit.macid import value_of_information
 from fidaudit.scenario import load_scenario, parse_scenario, validate_scenario
 from helpers import delayed_reward_chain
 
@@ -221,11 +219,25 @@ def test_cycling_equilibrium_fails_the_norm_with_its_cycle_period():
 
 def test_an_equilibrium_search_stopped_by_its_round_cap_reports_no_cycle_period(monkeypatch):
     # one round ends the search before any profile comes back
-    monkeypatch.setattr("fidaudit.loyalty.value_of_information", functools.partial(value_of_information, max_rounds=1))
+    monkeypatch.setattr("fidaudit.macid.MAX_ROUNDS", 1)
     finding = market_state_finding(matching_pennies_scenario())
     assert finding.status == "fail"
     assert finding.detail == "no equilibrium after 1 rounds"
     assert finding.evidence["error"] == finding.detail
+    assert "cycle_period" not in finding.evidence
+
+
+def test_a_silence_baseline_stopped_by_the_round_cap_fails_the_norm(monkeypatch):
+    # C is "lo" with 0.7, so against a report muted to "hi" the client's
+    # audited copying rule is not a best response and the baseline needs a
+    # second round; the equilibrium searches start at a fixed point
+    raw = raw_scenario("disclosure_demo.json")
+    raw["world"]["macid"]["cpds"]["C"] = [[0.7, 0.3]]
+    assert market_state_finding(raw).status == "pass"
+    monkeypatch.setattr("fidaudit.macid.MAX_ROUNDS", 1)
+    finding = market_state_finding(raw)
+    assert finding.status == "fail"
+    assert finding.detail == "no equilibrium after 1 rounds"
     assert "cycle_period" not in finding.evidence
 
 
@@ -602,6 +614,14 @@ def test_cli_check_rejects_a_tolerance_that_is_not_finite_and_non_negative(tol):
 def test_cli_check_accepts_a_zero_tolerance():
     result = CliRunner().invoke(main, ["check", str(SCENARIOS / "disclosure_demo.json"), "--tol", "0"])
     assert result.exit_code == 0, result.output
+
+
+def test_cli_check_rejects_a_negative_seed():
+    result = CliRunner().invoke(main, ["check", str(SCENARIOS / "care_skipped.json"), "--seed", "-1"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "Invalid value for '--seed'" in result.stderr
+    assert "internal error" not in result.stderr
 
 
 def test_cli_validate():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fidaudit import macid
+from fidaudit.errors import NoConvergence
 from fidaudit.loyalty import (
     UtilityTable,
     alignment_check,
@@ -272,6 +273,18 @@ def test_muted_report_fails_disclosure():
     assert not verdict.passed
     assert verdict.material
     assert verdict.information_bits == pytest.approx(0.0, abs=1e-12)
+
+
+def test_silence_baseline_shares_the_equilibrium_round_cap(monkeypatch):
+    # with C "0" at 0.7, copying a report muted to "1" is no best response,
+    # so the baseline takes two rounds; materiality's searches take one
+    model = disclosure_model()
+    model = Macid(model.nodes, model.edges, {"C": [0.7, 0.3]}, model.utilities, model.agents)
+    assert disclosure_check(model, disclosure_profile(model), "R_a", "C", "B_b").passed
+    monkeypatch.setattr(macid, "MAX_ROUNDS", 1)
+    assert materiality_value(model, "R_a", "C", "B_b") == pytest.approx(0.3)
+    with pytest.raises(NoConvergence, match="no equilibrium after 1 rounds"):
+        disclosure_check(model, disclosure_profile(model), "R_a", "C", "B_b")
 
 
 def test_immaterial_node_passes_vacuously():

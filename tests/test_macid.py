@@ -168,15 +168,28 @@ def test_equilibrium_disclosure_matches_exhaustive_search():
     assert expected_utility(model, solved, "bob") == pytest.approx(best_nash_eu)
 
 
-def test_equilibrium_matching_pennies_reports_cycle():
+def test_equilibrium_matching_pennies_reports_cycle(monkeypatch):
     model = matching_pennies_model()
     # oracle: no deterministic profile survives the deviation check
     for a_rule in enumerate_deterministic_rules(model, "A"):
         for b_rule in enumerate_deterministic_rules(model, "B"):
             assert not is_equilibrium(model, {"A": a_rule, "B": b_rule})
+    monkeypatch.setattr(macid, "MAX_ROUNDS", 20)
     with pytest.raises(NoConvergence) as exc:
-        solve_equilibrium(model, max_rounds=20)
+        solve_equilibrium(model)
     assert len(exc.value.cycle) >= 2
+
+
+def test_best_response_loop_from_a_stochastic_start():
+    model = matching_pennies_model()
+    half = np.array([0.5, 0.5])
+    # the mixed equilibrium is a fixed point: no deterministic rule gains
+    fixed = macid._iterate(model, {"A": half, "B": half}, ("A", "B"))
+    assert fixed["A"] is half and fixed["B"] is half
+    # off it, the cycle the sweeps enter holds only 0/1 rules
+    with pytest.raises(NoConvergence, match="period 2") as exc:
+        macid._iterate(model, {"A": np.array([0.7, 0.3]), "B": half}, ("A", "B"))
+    assert [sorted(p["A"].tolist() + p["B"].tolist()) for p in exc.value.cycle] == [[0.0, 0.0, 1.0, 1.0]] * 2
 
 
 def test_equilibrium_deviation_check_on_random_common_interest_models(rng):
@@ -609,19 +622,17 @@ def _ref_row_values(model, profile, node_id, agent):
 
 def _ref_best_response(model, profile, node_id):
     """(rule array, best value, value of the current rule); the sums run
-    over the parent assignments sorted as value tuples."""
+    over the parent assignments in declared order."""
     w = _ref_row_values(model, profile, node_id, model.node_map[node_id].owner)
-    declared = list(model.parent_assignments(node_id))
     width = len(model.node_map[node_id].domain)
-    current = np.reshape(profile[node_id], (len(declared), width)).tolist()
-    rows, best_value, current_value = {}, 0.0, 0.0
-    for pa in sorted(declared):
-        scores = w[pa]
+    current = np.reshape(profile[node_id], (len(w), width)).tolist()
+    rows, best_value, current_value = [], 0.0, 0.0
+    for scores, played in zip(w.values(), current):
         best = max(scores)
-        rows[pa] = [1.0 if a == scores.index(best) else 0.0 for a in range(width)]
+        rows.append([1.0 if a == scores.index(best) else 0.0 for a in range(width)])
         best_value += best
-        current_value += sum(p * s for p, s in zip(current[declared.index(pa)], scores))
-    rule = np.array([rows[pa] for pa in declared]).reshape(np.shape(profile[node_id]))
+        current_value += sum(p * s for p, s in zip(played, scores))
+    rule = np.array(rows).reshape(np.shape(profile[node_id]))
     return rule, best_value, current_value
 
 
@@ -644,14 +655,15 @@ def _ref_warm_start(model, budget=macid._WARM_START_BUDGET):
     return best_profile
 
 
-def _ref_solve(model, start, max_rounds):
-    """Best-response iteration from the profile ``start``; returns the
-    equilibrium's rules as lists or ("cycle", message, cycle)."""
+def _ref_solve(model, start):
+    """Best-response iteration from the profile ``start``, at most
+    ``macid.MAX_ROUNDS`` sweeps; returns the equilibrium's rules as lists
+    or ("cycle", message, cycle)."""
     decisions = model.decision_nodes()
     profile = dict(start)
     key = lambda: tuple(tuple(profile[n].ravel().tolist()) for n in decisions)  # noqa: E731
     seen, history = {key(): 0}, [dict(profile)]
-    for _ in range(max_rounds):
+    for _ in range(macid.MAX_ROUNDS):
         changed = False
         for nid in decisions:
             rule, best_value, current_value = _ref_best_response(model, profile, nid)
@@ -664,7 +676,7 @@ def _ref_solve(model, start, max_rounds):
             return ("cycle", f"best-response iteration cycles with period {len(cycle)}", cycle)
         seen[key()] = len(history)
         history.append(dict(profile))
-    return ("cycle", f"no equilibrium after {max_rounds} rounds", [])
+    return ("cycle", f"no equilibrium after {macid.MAX_ROUNDS} rounds", [])
 
 
 _DOMAINS = (("v0", "v1"), ("v10", "v2"), ("v0", "v1", "v2"), ("v2", "v10", "v1"))
@@ -743,6 +755,7 @@ def _same(new, ref):
 
 def test_kernel_matches_scalar_reference_bit_for_bit(monkeypatch):
     rng = np.random.default_rng(6)
+    monkeypatch.setattr(macid, "MAX_ROUNDS", 8)
     unsorted = cycles = 0
     for _ in range(300):
         model, profile = _random_influence_model(rng)
@@ -764,11 +777,11 @@ def test_kernel_matches_scalar_reference_bit_for_bit(monkeypatch):
             start = _ref_warm_start(model)
             _same(_tables(macid._welfare_warm_start(model)), _tables(start))
         try:
-            solved = _tables(solve_equilibrium(model, max_rounds=8))
+            solved = _tables(solve_equilibrium(model))
         except NoConvergence as exc:
             solved = ("cycle", str(exc), [_tables(p) for p in exc.cycle])
             cycles += 1
-        _same(solved, _ref_solve(model, start, max_rounds=8))
+        _same(solved, _ref_solve(model, start))
     assert unsorted > 0 and cycles > 0
 
 
@@ -829,25 +842,38 @@ def test_warm_start_across_blocks_matches_reference():
     _same(_tables(macid._welfare_warm_start(model)), _tables(_ref_warm_start(model)))
 
 
-def test_rules_follow_the_sorted_parent_assignments():
-    # C's domain is declared as ("v2", "v10"), the reverse of its sorted
-    # order, so the second rule enumerated changes R's first declared row
+def test_rules_follow_the_declared_parent_assignments():
+    # Every domain is declared as ("v2", "v10"), the reverse of its sorted
+    # order. R reports C and B guesses C from R; both are paid for a right
+    # guess, so the truthful profile and the swapped one tie on welfare.
+    domain = ("v2", "v10")
     model = Macid(
         nodes=(
-            Node("C", NodeKind.CHANCE, domain=("v2", "v10")),
-            Node("R", NodeKind.DECISION, owner="a", domain=("x", "y")),
-            Node("U", NodeKind.UTILITY, owner="a"),
+            Node("C", NodeKind.CHANCE, domain=domain),
+            Node("R", NodeKind.DECISION, owner="a", domain=domain),
+            Node("B", NodeKind.DECISION, owner="b", domain=domain),
+            Node("U_a", NodeKind.UTILITY, owner="a"),
+            Node("U_b", NodeKind.UTILITY, owner="b"),
         ),
-        edges={"C": (), "R": ("C",), "U": ("C", "R")},
+        edges={"C": (), "R": ("C",), "B": ("R",), "U_a": ("C", "B"), "U_b": ("C", "B")},
         cpds={"C": [0.5, 0.5]},
-        utilities={"U": [[0.0, 1.0], [1.0, 0.0]]},
-        agents=("a",),
+        utilities={"U_a": np.eye(2), "U_b": np.eye(2)},
+        agents=("a", "b"),
     )
+    # the last declared row changes fastest
     rules = [rule.tolist() for rule in enumerate_deterministic_rules(model, "R")]
-    assert rules[:2] == [[[1.0, 0.0], [1.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]]]
+    assert rules == [
+        [[1.0, 0.0], [1.0, 0.0]],
+        [[1.0, 0.0], [0.0, 1.0]],
+        [[0.0, 1.0], [1.0, 0.0]],
+        [[0.0, 1.0], [0.0, 1.0]],
+    ]
     assert deterministic_rule(model, "R", [1, 0]).tolist() == [[0.0, 1.0], [1.0, 0.0]]
     assert deterministic_rule(model, "R", 1).tolist() == [[0.0, 1.0], [0.0, 1.0]]
-    assert solve_equilibrium(model)["R"].tolist() == [[0.0, 1.0], [1.0, 0.0]]
+    # the tie goes to the lowest declared indices: truthful, not swapped
+    solved = solve_equilibrium(model)
+    assert _tables(solved) == {"B": [[1.0, 0.0], [0.0, 1.0]], "R": [[1.0, 0.0], [0.0, 1.0]]}
+    assert expected_utility(model, solved, "b") == 1.0
 
 
 def test_cpd_and_utility_arrays_are_built_once_per_model(monkeypatch):

@@ -69,6 +69,16 @@ def duplicate_option(raw):
     options[1] = options[0]
 
 
+def duplicate_loyalty_outcome(raw):
+    # without the aggregation's options to match, "x" twice would collapse
+    # into one outcome and drop the first x's values
+    tables = raw["loyalty"]["tables"]
+    del tables["aggregated_principal"]
+    tables.update(outcomes=["x", "y", "x"], principal_true=[5.0, 2.0, 1.0])
+    for role in ("system_objective", "agent_fiduciary", "agent_nonfiduciary"):
+        tables[role] = [1.0, 2.0, 3.0]
+
+
 def boolean_in_mdp_transition(raw):
     raw["world"]["mdp"]["transition"][0][0][1] = True  # was 1
 
@@ -189,6 +199,7 @@ def empty_utilities(raw):
         ("disclosure_demo.json", narrow_profile_row, "world.macid.profile.R_a[1]"),
         ("disclosure_demo.json", duplicate_option, "aggregation.options"),
         ("care_skipped.json", duplicate_option, "aggregation.options"),
+        ("disclosure_demo.json", duplicate_loyalty_outcome, "loyalty.tables.outcomes"),
         ("trust_portfolio.json", boolean_in_mdp_transition, "world.mdp.transition[0][0][1]"),
         ("trust_portfolio.json", boolean_in_mdp_reward, "world.mdp.reward[0][0]"),
         ("disclosure_demo.json", nan_in_loyalty_table, "loyalty.tables.system_objective[0]"),
