@@ -1,11 +1,15 @@
 """Aggregation of per-principal interests.
 
 Approval counting, Pareto filtering over partially ordered utilities,
-lexicographic selection across priority classes, exhaustive manipulation
-search for small ordinal rules, and the impartiality test. Outputs never
-hide discretion points: winner ties are returned as sets and index
-tie-breaks are flagged, so an audit can see exactly where a choice was
-made rather than forced.
+lexicographic selection in priority order, exhaustive manipulation search
+for small ordinal rules, and the impartiality test. Outputs never hide
+discretion points: winner ties are returned as sets and index tie-breaks
+are flagged, so an audit can see exactly where a choice was made rather
+than forced.
+
+Pareto filtering and lexicographic selection read utilities as rows, one
+per principal, each with one entry per option in declared option order:
+the scenario reader's rows as they are.
 
 The ordinal rules (Borda, plurality, dictator) are positional scoring
 rules, each written once as a ``points`` table over the ballots; the
@@ -19,7 +23,9 @@ contain the first witness of the full scan.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from operator import ge, gt
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -62,73 +68,36 @@ def approval_winners(ballots: Sequence[ApprovalBallot], options: Sequence[str]) 
     return ApprovalResult(winners=winners, counts=counts, tied=len(winners) > 1)
 
 
-@dataclass(frozen=True, eq=False)
-class UtilityMatrix:
-    """Per-principal, per-option utilities; total and finite."""
-
-    principals: tuple[str, ...]
-    options: tuple[str, ...]
-    values: Mapping[str, Mapping[str, float]]  # principal -> option -> utility
-
-    def __post_init__(self) -> None:
-        if len(set(self.principals)) != len(self.principals):
-            raise ValueError("duplicate principal ids")
-        if len(set(self.options)) != len(self.options):
-            raise ValueError("duplicate option ids")
-        for p in self.principals:
-            if p not in self.values:
-                raise ValueError(f"missing utilities for principal {p!r}")
-            for o in self.options:
-                if o not in self.values[p]:
-                    raise ValueError(f"missing utility for ({p!r}, {o!r})")
-                v = self.values[p][o]
-                if v != v or v in (float("inf"), float("-inf")):
-                    raise ValueError(f"utility for ({p!r}, {o!r}) is not finite")
-
-    def vector(self, option: str) -> tuple[float, ...]:
-        return tuple(self.values[p][option] for p in self.principals)
+def _check_rows(options: Sequence[str], utilities: Sequence[Sequence[float]]) -> None:
+    """Raise unless ``options`` are distinct and not empty, and each row of
+    ``utilities`` holds one finite entry per option."""
+    if not options:
+        raise ValueError("need at least one option")
+    if len(set(options)) != len(options):
+        raise ValueError("duplicate option ids")
+    for i, row in enumerate(utilities):
+        if len(row) != len(options):
+            raise ValueError(f"utility row {i} has {len(row)} entries, expected one per option ({len(options)})")
+        for option, v in zip(options, row):
+            if not math.isfinite(v):
+                raise ValueError(f"utility of row {i} for option {option!r} is not finite")
 
 
-def pareto_front(matrix: UtilityMatrix) -> frozenset[str]:
+def pareto_front(options: Sequence[str], utilities: Sequence[Sequence[float]]) -> frozenset[str]:
     """Options not dominated in every principal's utility simultaneously.
 
-    o is dominated iff some o' is at least as good for every principal and
+    ``utilities`` holds one row per principal, in ``options`` order. o is
+    dominated iff some o' is at least as good for every principal and
     strictly better for one; equal utility vectors never dominate each
     other, so duplicates survive together.
     """
-    if not matrix.options:
-        raise ValueError("need at least one option")
-    survivors = []
-    for o in matrix.options:
-        vec = matrix.vector(o)
-        dominated = False
-        for other in matrix.options:
-            if other == o:
-                continue
-            ovec = matrix.vector(other)
-            if all(x >= y for x, y in zip(ovec, vec)) and any(x > y for x, y in zip(ovec, vec)):
-                dominated = True
-                break
-        if not dominated:
-            survivors.append(o)
-    return frozenset(survivors)
-
-
-@dataclass(frozen=True)
-class PriorityClasses:
-    """Disjoint principal classes, highest priority first."""
-
-    classes: tuple[tuple[str, ...], ...]
-
-    def __post_init__(self) -> None:
-        seen: set[str] = set()
-        for i, cls in enumerate(self.classes):
-            if not cls:
-                raise ValueError(f"priority class {i} is empty")
-            for p in cls:
-                if p in seen:
-                    raise ValueError(f"principal {p!r} appears in more than one class")
-                seen.add(p)
+    _check_rows(options, utilities)
+    vectors = [tuple(row[j] for row in utilities) for j in range(len(options))]
+    return frozenset(
+        option
+        for option, vec in zip(options, vectors)
+        if not any(all(map(ge, other, vec)) and any(map(gt, other, vec)) for other in vectors)
+    )
 
 
 @dataclass(frozen=True)
@@ -138,39 +107,27 @@ class LexicographicChoice:
     tied_options: tuple[str, ...]
 
 
-def lexicographic_select(
-    matrix: UtilityMatrix, classes: PriorityClasses, class_score: str = "sum"
-) -> LexicographicChoice:
-    """Maximize class scores in priority order; flag any final index tie-break.
+def lexicographic_select(options: Sequence[str], utilities: Sequence[Sequence[float]]) -> LexicographicChoice:
+    """Maximize each principal's utility in priority order; flag any final
+    index tie-break.
 
-    ``class_score`` is "sum" or "min" over the class members' utilities.
-    The argmax is invariant to a positive affine rescaling applied
-    uniformly within one class, since such maps are monotone on scores.
+    ``utilities`` holds one row per principal, highest priority first, in
+    ``options`` order. Each row only narrows the options the rows before
+    it left tied, so the choice is invariant to a strictly increasing
+    transform of any one row.
     """
-    if class_score not in ("sum", "min"):
-        raise ValueError("class_score must be 'sum' or 'min'")
-    covered = {p for cls in classes.classes for p in cls}
-    if covered != set(matrix.principals):
-        raise ValueError("priority classes must cover exactly the matrix principals")
-
-    def score(cls: tuple[str, ...], option: str) -> float:
-        utilities = [matrix.values[p][option] for p in cls]
-        return sum(utilities) if class_score == "sum" else min(utilities)
-
-    surviving = list(matrix.options)
-    for cls in classes.classes:
-        scores = [score(cls, o) for o in surviving]
-        best = max(scores)
-        surviving = [o for o, sc in zip(surviving, scores) if sc == best]
+    _check_rows(options, utilities)
+    surviving = list(range(len(options)))
+    for row in utilities:
+        best = max(row[j] for j in surviving)
+        surviving = [j for j in surviving if row[j] == best]
         if len(surviving) == 1:
             break
-    tied = len(surviving) > 1
     # final ties resolved by lowest option index, and flagged
-    chosen = min(surviving, key=matrix.options.index)
     return LexicographicChoice(
-        option=chosen,
-        tie_break_applied=tied,
-        tied_options=tuple(surviving),
+        option=options[surviving[0]],
+        tie_break_applied=len(surviving) > 1,
+        tied_options=tuple(options[j] for j in surviving),
     )
 
 
@@ -341,6 +298,8 @@ def impartiality_check(
     for key, value in weights.items():
         if not value >= 0:
             raise ValueError(f"weight for {key!r} is negative or NaN: {value}")
+    if cap is not None and not cap >= 0:
+        raise ValueError(f"favoritism cap is negative or NaN: {cap}")
     violations: list[tuple[str, float, str]] = []
     agent_weight = weights.get(agent, 0.0)
     if agent_weight > 0:

@@ -138,7 +138,7 @@ def feasible_rewards_irl(
     V_pi = (I - beta P_pi)^{-1} r_pi, solved for the selector of r_pi.
     """
     _check_beta(beta)
-    if bound <= 0:
+    if not bound > 0:
         raise ValueError("bound must be positive")
     n_s, n_a = len(mdp.states), len(mdp.actions)
     chosen = _check_policy(mdp, policy)
@@ -401,11 +401,11 @@ def infer_discount(
     weights = [float(p) for p in prior]
     if len(weights) != len(grid):
         raise ValueError(f"prior length {len(weights)} != grid length {len(grid)}")
-    if any(w < 0 for w in weights):
-        raise ValueError("prior has negative mass")
-    if abs(sum(weights) - 1.0) > 1e-9:
+    if any(not w >= 0 for w in weights):
+        raise ValueError("prior has negative or NaN mass")
+    if not abs(sum(weights) - 1.0) <= 1e-9:
         raise ValueError(f"prior sums to {sum(weights)}")
-    if temperature <= 0:
+    if not temperature > 0:
         raise ValueError("temperature must be positive")
     chosen = _check_policy(mdp, behavior)
     states = np.arange(len(mdp.states))
@@ -477,7 +477,7 @@ class PortfolioProblem:
             raise ValueError("sigma must be symmetric")
         if float(np.linalg.eigvalsh(sigma).min()) < -1e-9:
             raise ValueError("sigma must be positive semi-definite")
-        if self.risk_aversion <= 0:
+        if not self.risk_aversion > 0:
             raise ValueError("risk_aversion must be positive")
 
     def objective(self, w: np.ndarray) -> float:

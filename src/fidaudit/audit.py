@@ -29,8 +29,6 @@ import numpy as np
 
 from . import __version__
 from .aggregation import (
-    PriorityClasses,
-    UtilityMatrix,
     VotingRule,
     approval_winners,
     find_manipulation,
@@ -70,7 +68,6 @@ from .errors import NoConvergence
 from .findings import FAIL, PASS, SKIPPED, WARN, Finding, worst
 from .loyalty import (
     INFO_TOL,
-    UtilityTable,
     alignment_check,
     confidentiality_check,
     disclosure_check,
@@ -483,17 +480,13 @@ def _run_aggregation(doc: Aggregation, scenario: Scenario, state: _State) -> lis
                 )
             )
         else:
-            matrix = UtilityMatrix(
-                principals=tuple(class_ids),
-                options=doc.options,
-                values={c: doc.utilities[c] for c in class_ids},
-            )
-            weight = dict.fromkeys(class_ids, 1.0) | dict(doc.weights or {})
+            rows = [doc.utilities[c] for c in class_ids]  # highest priority first
+            weights = [(doc.weights or {}).get(c, 1.0) for c in class_ids]
             state.aggregate_utility = {
-                o: sum(weight[c] * matrix.values[c][o] for c in class_ids) for o in doc.options
+                o: sum(w * row[j] for w, row in zip(weights, rows)) for j, o in enumerate(doc.options)
             }
             if doc.method == "pareto":
-                front = pareto_front(matrix)
+                front = pareto_front(doc.options, rows)
                 findings.append(
                     Finding(
                         "pareto-front",
@@ -503,8 +496,7 @@ def _run_aggregation(doc: Aggregation, scenario: Scenario, state: _State) -> lis
                     )
                 )
             else:
-                classes = PriorityClasses(tuple((c,) for c in class_ids))
-                choice = lexicographic_select(matrix, classes, doc.class_score)
+                choice = lexicographic_select(doc.options, rows)
                 findings.append(
                     Finding(
                         "lexicographic",
@@ -581,43 +573,42 @@ def _run_loyalty(doc: Loyalty, scenario: Scenario, state: _State) -> list[Findin
         ]
 
     findings: list[Finding] = []
-    tables = {name: UtilityTable(values) for name, values in doc.tables.items()}
+    tables = dict(doc.tables)  # role -> row in doc.outcomes order
     if doc.from_aggregation:  # loading checks the outcomes are the aggregation options
+        tables["aggregated_principal"] = tuple(state.aggregate_utility[o] for o in doc.outcomes)
 
-        def aggregated() -> list[Finding]:
-            tables["aggregated_principal"] = UtilityTable({o: state.aggregate_utility[o] for o in doc.outcomes})
-            return []
-
-        # an aggregate that overflows is the no-conflict check's FAIL
-        findings += _attempt("no-conflict", {"outcomes": doc.outcomes}, aggregated)
-
-    def order_check(check: str, run, first: str, second: str, passed: str, failed: str, evidence=None) -> bool:
-        """Append ``run``'s verdict on two declared tables as ``check``, with
-        ``evidence`` if it holds (default: the witnesses); False if undeclared."""
+    def order_check(check: str, run, first: str, second: str, passed: str, failed: str, evidence=None) -> list[Finding]:
+        """``run``'s verdict on two declared tables as ``check``, with
+        ``evidence`` if it holds (default: the witnesses); none if undeclared."""
         if first not in tables or second not in tables:
-            return False
-        verdict = run(tables[first], tables[second])
+            return []
+        verdict = run(doc.outcomes, tables[first], tables[second])
         if not verdict.aligned or evidence is None:
             evidence = {"witnesses": [list(w) for w in verdict.witnesses]}
-        findings.append(_verdict(check, verdict.aligned, evidence, passed, failed))
-        return True
+        return [_verdict(check, verdict.aligned, evidence, passed, failed)]
 
     # 5a. no-conflict rule: system objective vs aggregated principal interests
-    if order_check(
-        "no-conflict", no_conflict_check, "system_objective", "aggregated_principal",
-        "system objective preserves the aggregated preference order",
-        "system objective reverses aggregated principal preferences",
-        {"outcomes": doc.outcomes},
-    ):
-        state.ran.add("no_conflict_check")
+    def no_conflict() -> list[Finding]:
+        verdict = order_check(
+            "no-conflict", no_conflict_check, "system_objective", "aggregated_principal",
+            "system objective preserves the aggregated preference order",
+            "system objective reverses aggregated principal preferences",
+            {"outcomes": doc.outcomes},
+        )
+        if verdict:
+            state.ran.add("no_conflict_check")
+        return verdict
+
+    # an aggregate that overflows is the no-conflict check's FAIL
+    findings += _attempt("no-conflict", {"outcomes": doc.outcomes}, no_conflict)
     # 5b. alignment and disgorgement over declared role tables
-    order_check(
+    findings += order_check(
         "alignment", alignment_check, "principal_true", "agent_fiduciary",
         "fiduciary-conditioned utility preserves principal preferences "
         "(a sufficient condition, not a necessary one)",
         "fiduciary-conditioned utility reverses principal preferences",
     )
-    order_check(
+    findings += order_check(
         "disgorgement", disgorgement_check, "agent_nonfiduciary", "agent_fiduciary",
         "no profit direction of the unconditioned utility survives",
         "the agent still profits where it would have absent the duty",

@@ -69,7 +69,7 @@ def inductive_bias_diagnostic(
     0 or 1 pins the posterior regardless of evidence and is flagged as
     degenerate.
     """
-    if dominance_threshold <= 0:
+    if not dominance_threshold > 0:
         raise ValueError("dominance_threshold must be positive")
     ratio = evidence.likelihood1 / evidence.likelihood0
     if ratio == 1.0:

@@ -2,7 +2,9 @@
 
 Two families of checks:
 
-* Order conditions between utility tables over a shared outcome space.
+* Order conditions between two utility tables over one outcome space.
+  Each check takes the outcome ids and the two tables as rows in their
+  declared order, and lists witness pairs in that order.
   ``alignment_check`` demands that whenever the principal strictly prefers
   one outcome to another, the fiduciary-conditioned agent utility agrees;
   ``disgorgement_check`` demands that the fiduciary-conditioned utility
@@ -29,8 +31,9 @@ Two families of checks:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Sequence
 
 from .macid import (
     Macid,
@@ -49,59 +52,47 @@ INFO_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class UtilityTable:
-    """Outcome-indexed utilities; a check reads only their order, and its
-    arguments say which role each table plays."""
-
-    values: Mapping[str, float]
-
-    def __post_init__(self) -> None:
-        if not self.values:
-            raise ValueError("utility table is empty")
-        for outcome, v in self.values.items():
-            if v != v or v in (float("inf"), float("-inf")):
-                raise ValueError(f"utility for outcome {outcome!r} is not finite")
-
-    def outcomes(self) -> tuple[str, ...]:
-        return tuple(sorted(self.values))
-
-
-@dataclass(frozen=True)
 class AlignmentVerdict:
     aligned: bool
     witnesses: tuple[tuple[str, str], ...]
 
 
-def _shared_outcomes(a: UtilityTable, b: UtilityTable) -> tuple[str, ...]:
-    if a.outcomes() != b.outcomes():
-        raise ValueError(f"outcome spaces differ: {a.outcomes()} vs {b.outcomes()}")
-    return a.outcomes()
-
-
 def _ordered_pair_check(
-    premise: UtilityTable, conclusion: UtilityTable, holds
+    outcomes: Sequence[str], premise: Sequence[float], conclusion: Sequence[float], holds
 ) -> AlignmentVerdict:
-    outcomes = _shared_outcomes(premise, conclusion)
-    witnesses = [
-        (c1, c2)
-        for c1, c2 in itertools.permutations(outcomes, 2)
-        if premise.values[c1] > premise.values[c2]
-        and not holds(conclusion.values[c1], conclusion.values[c2])
-    ]
-    return AlignmentVerdict(aligned=not witnesses, witnesses=tuple(witnesses))
+    """Pairs (c1, c2), in declared order, where ``premise`` strictly prefers
+    c1 and ``conclusion`` fails ``holds``; both rows in ``outcomes`` order."""
+    if not outcomes:
+        raise ValueError("utility table is empty")
+    if len(set(outcomes)) != len(outcomes):
+        raise ValueError("duplicate outcome ids")
+    for row in (premise, conclusion):
+        if len(row) != len(outcomes):
+            raise ValueError(f"utility table has {len(row)} entries, expected one per outcome ({len(outcomes)})")
+        for outcome, v in zip(outcomes, row):
+            if not math.isfinite(v):
+                raise ValueError(f"utility for outcome {outcome!r} is not finite")
+    witnesses = tuple(
+        (outcomes[i], outcomes[j])
+        for i, j in itertools.permutations(range(len(outcomes)), 2)
+        if premise[i] > premise[j] and not holds(conclusion[i], conclusion[j])
+    )
+    return AlignmentVerdict(aligned=not witnesses, witnesses=witnesses)
 
 
-def alignment_check(principal: UtilityTable, agent_fiduciary: UtilityTable) -> AlignmentVerdict:
+def alignment_check(
+    outcomes: Sequence[str], principal: Sequence[float], agent_fiduciary: Sequence[float]
+) -> AlignmentVerdict:
     """Strict principal preferences must be strictly preserved by the agent.
 
     Pairs the principal is indifferent between impose no constraint, so a
     constant principal table is vacuously aligned with anything.
     """
-    return _ordered_pair_check(principal, agent_fiduciary, lambda x, y: x > y)
+    return _ordered_pair_check(outcomes, principal, agent_fiduciary, lambda x, y: x > y)
 
 
 def disgorgement_check(
-    agent_nonfiduciary: UtilityTable, agent_fiduciary: UtilityTable
+    outcomes: Sequence[str], agent_nonfiduciary: Sequence[float], agent_fiduciary: Sequence[float]
 ) -> AlignmentVerdict:
     """The fiduciary-conditioned utility may not profit where the raw one would.
 
@@ -109,18 +100,18 @@ def disgorgement_check(
     one must not (weak decrease required); witnesses list the profiting
     outcome pairs.
     """
-    return _ordered_pair_check(agent_nonfiduciary, agent_fiduciary, lambda x, y: x <= y)
+    return _ordered_pair_check(outcomes, agent_nonfiduciary, agent_fiduciary, lambda x, y: x <= y)
 
 
 def no_conflict_check(
-    system_objective: UtilityTable, aggregated_principal: UtilityTable
+    outcomes: Sequence[str], system_objective: Sequence[float], aggregated_principal: Sequence[float]
 ) -> AlignmentVerdict:
     """First step of the loyalty two-step: objective vs aggregated interests.
 
     Same order logic as ``alignment_check`` with the aggregated principal
     interests in the premise role.
     """
-    return _ordered_pair_check(aggregated_principal, system_objective, lambda x, y: x > y)
+    return _ordered_pair_check(outcomes, aggregated_principal, system_objective, lambda x, y: x > y)
 
 
 # --- information-flow duties -------------------------------------------------

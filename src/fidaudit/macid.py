@@ -336,6 +336,11 @@ def _check_table(model: Macid, nid: str, table) -> None:
 
 
 def _check_profile(model: Macid, profile: PolicyProfile) -> None:
+    """Raise unless ``profile`` gives a valid rule to each decision node of
+    ``model`` and to no other node."""
+    for nid in profile:
+        if model.node(nid).kind is not NodeKind.DECISION:
+            raise ValueError(f"rule for non-decision node {nid!r}")
     for nid in model.decision_nodes():
         if nid not in profile:
             raise ValueError(f"no rule for decision node {nid!r}")

@@ -81,7 +81,7 @@ class DiscountSpec:
                 raise ValueError("exponential discount needs 0 < beta < 1, got None")
             _check_beta(self.beta)
         elif self.kind == "hyperbolic":
-            if self.k is None or self.k <= 0.0:
+            if self.k is None or not self.k > 0.0:
                 raise ValueError(f"hyperbolic discount needs k > 0, got {self.k}")
         else:
             raise ValueError(f"unknown discount kind {self.kind!r}")
@@ -170,7 +170,7 @@ def value_iteration(
     ``converged=False``.
     """
     _check_beta(beta)
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     if max_iters is None:
         max_iters = default_max_iters(beta, tol)
@@ -303,7 +303,7 @@ def detect_preference_reversal(
     """
     if early.delay < 0 or late.delay <= early.delay:
         raise ValueError(f"need late.delay > early.delay >= 0, got {early.delay} and {late.delay}")
-    if early.reward <= 0 or late.reward <= 0:
+    if not (early.reward > 0 and late.reward > 0):
         raise ValueError("rewards must be positive")
     if horizon < 1:
         raise ValueError("horizon must be positive")

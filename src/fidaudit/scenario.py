@@ -8,7 +8,13 @@ outcomes), and demos/comparisons reference states and actions by index.
 A ``world.macid`` CPD, utility table or profile rule lists one row per
 parent assignment in declared order and becomes one float array on the
 node's scope (``Macid.scope``), the rows reshaped onto it; a CPD or rule
-row must hold one entry per value of its node.
+row must hold one entry per value of its node, and a declared profile must
+give a valid rule to each decision node and to no other node. Each
+``aggregation.utilities`` class and each ``loyalty.tables`` role is one
+row of floats in declared ``options`` or ``outcomes`` order, and reaches
+the kernels as it was read. ``aggregation.class_score`` is not read: every
+priority class holds one principal class, so a sum and a min agree. Care
+check names and attestation duties must be distinct.
 
 One reader walks a document once: it checks each field and builds its
 typed, frozen value in the same pass, recording every problem with its
@@ -57,7 +63,7 @@ from .assessment import DEFAULT_TEMPERATURE
 from .care import DOMINANCE_THRESHOLD
 from .context import ContextSpec, Norm, PrincipalClassSpec, Role, validate_context
 from .errors import SchemaError
-from .macid import Macid, Node, NodeKind
+from .macid import Macid, Node, NodeKind, _check_profile
 from .mdp import MAX_ITERS_CAP, DiscountSpec, Mdp, RewardOption
 
 SUPPORTED_SCHEMA_VERSIONS = (1,)
@@ -112,8 +118,7 @@ class Aggregation:
     method: str | None
     options: tuple[str, ...]
     ballots: tuple[ApprovalBallot, ...]
-    utilities: Mapping[str, Mapping[str, float]]  # class id -> option -> utility
-    class_score: str
+    utilities: Mapping[str, tuple[float, ...]]  # class id -> utilities in options order
     weights: Mapping[str, float] | None
     agent_id: str | None
     favored: str | None
@@ -131,9 +136,9 @@ class Attestation:
 @dataclass(frozen=True)
 class Loyalty:
     outcomes: tuple[str, ...]
-    tables: Mapping[str, Mapping[str, float]]  # role or "aggregated_principal" -> outcome -> utility
+    tables: Mapping[str, tuple[float, ...]]  # role or "aggregated_principal" -> utilities in outcomes order
     from_aggregation: bool
-    attestations: Mapping[str, Attestation]  # by duty key; a repeated key keeps the last
+    attestations: Mapping[str, Attestation]  # by duty key, each declared once
 
 
 @dataclass(frozen=True)
@@ -317,6 +322,16 @@ class _Reader:
             self.fail(path, f"duplicate {distinct} ids")
         return out
 
+    def unique(self, items: tuple | None, path: str, key: str) -> None:
+        """A problem at each item of the list at ``path`` whose ``key`` field
+        repeats an earlier item's."""
+        seen = set()
+        for i, item in enumerate(items or ()):
+            value = getattr(item, key)
+            if value is not None and value in seen:
+                self.fail(f"{path}[{i}].{key}", f"duplicate {key} {value!r}")
+            seen.add(value)
+
     def nums(self, value: Any, path: str, length=None, nonempty=False) -> tuple[float, ...] | None:
         return self.list_(value, path, self.num, length=length, nonempty=nonempty)
 
@@ -446,7 +461,14 @@ class _Reader:
         except ValueError as exc:
             self.fail(path, str(exc))
             return None
-        return model, None if doc.get("profile") is None else profile
+        if doc.get("profile") is None:
+            return model, None
+        try:
+            _check_profile(model, profile)
+        except ValueError as exc:
+            self.fail(f"{path}.profile", str(exc))
+            return None
+        return model, profile
 
     @_object
     def mdp(self, doc: dict, path: str) -> Mdp | None:
@@ -687,7 +709,7 @@ class _Reader:
     def aggregation(self, doc: dict, path: str) -> Aggregation:
         method = self.field(doc, "method", path, self.choice, default=None, options=AGGREGATION_METHODS)
         options = ballots = None
-        utilities, class_score = {}, "sum"
+        utilities = {}
         if doc.get("method") is not None:
             options = self.options = self.field(doc, "options", path, self.strs, nonempty=True, distinct="option")
         if method == "approval":
@@ -697,9 +719,6 @@ class _Reader:
             utilities = self.field(doc, "utilities", path, self.mapping, item=values)
             if utilities is not None and not utilities:
                 self.fail(f"{path}.utilities", "class->values map required")
-            utilities = {c: dict(zip(options or (), vals)) for c, vals in (utilities or {}).items()}
-            if method == "lexicographic":
-                class_score = self.field(doc, "class_score", path, self.choice, default="sum", options=("sum", "min"))
         weights = self.field(doc, "weights", path, self.mapping, default=None, item=self.num)
         agent_id = favored = cap = None
         if doc.get("weights") is not None:
@@ -711,7 +730,6 @@ class _Reader:
             options=options or (),
             ballots=ballots or (),
             utilities=utilities,
-            class_score=class_score,
             weights=weights,
             agent_id=agent_id,
             favored=favored,
@@ -748,13 +766,13 @@ class _Reader:
             if key not in LOYALTY_TABLES + ("aggregated_principal",):
                 self.fail(f"{tpath}.{key}", "unknown table role")
                 continue
-            row = self.nums(tables[key], f"{tpath}.{key}", length=None if outcomes is None else len(outcomes))
-            values[key] = dict(zip(outcomes or (), row or ()))
+            values[key] = self.nums(tables[key], f"{tpath}.{key}", length=None if outcomes is None else len(outcomes))
         if from_aggregation and self.options and outcomes is not None:
             options = sorted(set(self.options))
             if sorted(outcomes) != options:
                 self.fail(f"{tpath}.outcomes", f"the aggregation options {options} required")
         attestations = self.field(doc, "attestations", path, self.list_, default=(), item=self.attestation)
+        self.unique(attestations, f"{path}.attestations", "duty")
         return Loyalty(
             outcomes=outcomes or (),
             tables=values,
@@ -768,13 +786,12 @@ class _Reader:
 
     @_object
     def care(self, doc: dict, path: str) -> Care:
-        return Care(
-            **self.record(
-                doc, path,
-                standard=self.str_, declared_checks=(self.strs, ()),
-                checks=(partial(self.list_, item=self.care_check), ()),
-            )
+        fields = self.record(
+            doc, path,
+            standard=self.str_, declared_checks=(self.strs, ()), checks=(partial(self.list_, item=self.care_check), ()),
         )
+        self.unique(fields["checks"], f"{path}.checks", "name")
+        return Care(**fields)
 
     @_object
     def care_check(self, doc: dict, path: str) -> Variant | None:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 from click.testing import CliRunner
 
-from fidaudit.aggregation import UtilityMatrix, VotingRule, find_manipulation, pareto_front, _winner
+from fidaudit.aggregation import VotingRule, find_manipulation, pareto_front, _winner
 from fidaudit.assessment import (
     PairwiseComparison,
     PortfolioProblem,
@@ -32,11 +32,7 @@ from fidaudit.assessment import (
 from fidaudit.audit import emit_report, run_audit
 from fidaudit.care import BinaryEvidence, inductive_bias_diagnostic
 from fidaudit.cli import main
-from fidaudit.loyalty import (
-    UtilityTable,
-    alignment_check,
-    disgorgement_check,
-)
+from fidaudit.loyalty import alignment_check, disgorgement_check
 from fidaudit.macid import (
     enumerate_deterministic_rules,
     expected_utility,
@@ -253,23 +249,17 @@ def test_criterion_07_time_consistency():
 def test_criterion_08_pareto_front_oracle():
     rng = np.random.default_rng(808)
     options = tuple(f"o{i}" for i in range(20))
-    principals = ("p1", "p2", "p3")
     for _ in range(1000):
-        rows = rng.integers(0, 6, size=(3, 20))
-        matrix = UtilityMatrix(
-            principals,
-            options,
-            {p: {o: float(rows[i][j]) for j, o in enumerate(options)} for i, p in enumerate(principals)},
-        )
-        fast = pareto_front(matrix)
+        rows = rng.integers(0, 6, size=(3, 20)).astype(float).tolist()
+        fast = pareto_front(options, rows)
         oracle = set()
-        for o in options:
-            vec = matrix.vector(o)
+        for j, o in enumerate(options):
+            vec = [row[j] for row in rows]
             dominated = False
-            for other in options:
-                if other == o:
+            for k in range(len(options)):
+                if k == j:
                     continue
-                ovec = matrix.vector(other)
+                ovec = [row[k] for row in rows]
                 if all(a >= b for a, b in zip(ovec, vec)) and any(a > b for a, b in zip(ovec, vec)):
                     dominated = True
                     break
@@ -303,41 +293,30 @@ def test_criterion_10_loyalty_condition_oracles():
     for _ in range(1000):
         size = int(rng.integers(2, 7))
         outcomes = [f"c{i}" for i in range(size)]
-        a = {c: float(rng.integers(-3, 4)) for c in outcomes}
-        b = {c: float(rng.integers(-3, 4)) for c in outcomes}
-        align = alignment_check(
-            UtilityTable(a), UtilityTable(b)
-        )
+        a = [float(rng.integers(-3, 4)) for _ in outcomes]
+        b = [float(rng.integers(-3, 4)) for _ in outcomes]
+        align = alignment_check(outcomes, a, b)
+        pairs = list(itertools.permutations(range(size), 2))  # in declared order
         expected_align = tuple(
-            (c1, c2)
-            for c1, c2 in itertools.permutations(sorted(outcomes), 2)
-            if a[c1] > a[c2] and not b[c1] > b[c2]
+            (outcomes[i], outcomes[j]) for i, j in pairs if a[i] > a[j] and not b[i] > b[j]
         )
         assert align.witnesses == expected_align
         assert align.aligned == (not expected_align)
-        dis = disgorgement_check(
-            UtilityTable(a), UtilityTable(b)
-        )
+        dis = disgorgement_check(outcomes, a, b)
         expected_dis = tuple(
-            (c1, c2)
-            for c1, c2 in itertools.permutations(sorted(outcomes), 2)
-            if a[c1] > a[c2] and not b[c1] <= b[c2]
+            (outcomes[i], outcomes[j]) for i, j in pairs if a[i] > a[j] and not b[i] <= b[j]
         )
         assert dis.witnesses == expected_dis
     # invariance under strictly increasing transformations of either table
     rng = np.random.default_rng(1011)
     for _ in range(200):
         outcomes = [f"c{i}" for i in range(4)]
-        a = {c: float(rng.uniform(-2, 2)) for c in outcomes}
-        b = {c: float(rng.uniform(-2, 2)) for c in outcomes}
-        base = alignment_check(
-            UtilityTable(a), UtilityTable(b)
-        )
-        a_t = {c: math.exp(v) for c, v in a.items()}
-        b_t = {c: v**3 + 0.5 * v for c, v in b.items()}
-        transformed = alignment_check(
-            UtilityTable(a_t), UtilityTable(b_t)
-        )
+        a = [float(rng.uniform(-2, 2)) for _ in outcomes]
+        b = [float(rng.uniform(-2, 2)) for _ in outcomes]
+        base = alignment_check(outcomes, a, b)
+        a_t = [math.exp(v) for v in a]
+        b_t = [v**3 + 0.5 * v for v in b]
+        transformed = alignment_check(outcomes, a_t, b_t)
         assert transformed.aligned == base.aligned
         assert transformed.witnesses == base.witnesses
     report_line(10, "loyalty-condition-oracles", "1000 pairs exact; 200 transform invariances")

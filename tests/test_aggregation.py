@@ -7,8 +7,6 @@ import pytest
 from fidaudit.aggregation import (
     ApprovalBallot,
     ManipulationInstance,
-    PriorityClasses,
-    UtilityMatrix,
     VotingRule,
     approval_winners,
     find_manipulation,
@@ -17,11 +15,6 @@ from fidaudit.aggregation import (
     pareto_front,
     _winner,
 )
-
-
-def matrix(principals, options, rows):
-    values = {p: {o: float(rows[i][j]) for j, o in enumerate(options)} for i, p in enumerate(principals)}
-    return UtilityMatrix(tuple(principals), tuple(options), values)
 
 
 # --- approval_winners -------------------------------------------------------
@@ -88,29 +81,29 @@ def test_approval_anonymous_and_monotone(rng):
 
 
 def test_front_by_inspection():
-    m = matrix(["p", "q"], ["x", "y", "z"], [[1, 2, 0], [2, 1, 0]])
-    assert pareto_front(m) == frozenset({"x", "y"})
+    assert pareto_front(["x", "y", "z"], [[1, 2, 0], [2, 1, 0]]) == frozenset({"x", "y"})
 
 
 def test_single_option_front():
-    m = matrix(["p"], ["only"], [[5]])
-    assert pareto_front(m) == frozenset({"only"})
+    assert pareto_front(["only"], [[5.0]]) == frozenset({"only"})
 
 
 def test_equal_vectors_both_survive():
-    m = matrix(["p", "q"], ["x", "y"], [[1, 1], [1, 1]])
-    assert pareto_front(m) == frozenset({"x", "y"})
+    assert pareto_front(["x", "y"], [[1, 1], [1, 1]]) == frozenset({"x", "y"})
 
 
-def brute_force_front(m):
+def brute_force_front(options, rows):
+    def vector(j):
+        return [row[j] for row in rows]
+
     out = set()
-    for o in m.options:
-        vec = m.vector(o)
+    for j, o in enumerate(options):
+        vec = vector(j)
         if not any(
-            all(a >= b for a, b in zip(m.vector(other), vec))
-            and any(a > b for a, b in zip(m.vector(other), vec))
-            for other in m.options
-            if other != o
+            all(a >= b for a, b in zip(vector(k), vec))
+            and any(a > b for a, b in zip(vector(k), vec))
+            for k in range(len(options))
+            if k != j
         ):
             out.add(o)
     return frozenset(out)
@@ -119,56 +112,55 @@ def brute_force_front(m):
 def test_front_matches_quadratic_oracle(rng):
     for _ in range(200):
         options = [f"o{i}" for i in range(8)]
-        rows = rng.integers(0, 5, size=(3, 8)).tolist()
-        m = matrix(["p1", "p2", "p3"], options, rows)
-        assert pareto_front(m) == brute_force_front(m)
+        rows = rng.integers(0, 5, size=(3, 8)).astype(float).tolist()
+        assert pareto_front(options, rows) == brute_force_front(options, rows)
+
+
+@pytest.mark.parametrize("select", [pareto_front, lexicographic_select])
+def test_row_checks(select):
+    with pytest.raises(ValueError, match="need at least one option"):
+        select([], [[]])
+    with pytest.raises(ValueError, match="duplicate option ids"):
+        select(["x", "x"], [[1.0, 2.0]])
+    with pytest.raises(ValueError, match=r"utility row 1 has 1 entries, expected one per option \(2\)"):
+        select(["x", "y"], [[1.0, 2.0], [3.0]])
+    with pytest.raises(ValueError, match="utility of row 0 for option 'y' is not finite"):
+        select(["x", "y"], [[1.0, math.nan]])
 
 
 # --- lexicographic_select ---------------------------------------------------------
 
 
 def test_priority_dominance():
-    m = matrix(["a", "b"], ["X", "Y"], [[3, 1], [0, 9]])
-    choice = lexicographic_select(m, PriorityClasses((("a",), ("b",))))
+    choice = lexicographic_select(["X", "Y"], [[3, 1], [0, 9]])
     assert choice.option == "X"
     assert not choice.tie_break_applied
 
 
 def test_second_class_breaks_first_class_tie():
-    m = matrix(["a", "b"], ["X", "Y"], [[2, 2], [1, 5]])
-    choice = lexicographic_select(m, PriorityClasses((("a",), ("b",))))
+    choice = lexicographic_select(["X", "Y"], [[2, 2], [1, 5]])
     assert choice.option == "Y"
 
 
 def test_full_tie_flags_index_break():
-    m = matrix(["a", "b"], ["X", "Y"], [[1, 1], [1, 1]])
-    choice = lexicographic_select(m, PriorityClasses((("a",), ("b",))))
+    choice = lexicographic_select(["X", "Y"], [[1, 1], [1, 1]])
     assert choice.option == "X"
     assert choice.tie_break_applied
     assert choice.tied_options == ("X", "Y")
 
 
-def test_min_class_score():
-    m = matrix(["a", "b"], ["X", "Y"], [[0, 2], [10, 3]])
-    choice = lexicographic_select(m, PriorityClasses((("a", "b"),)), class_score="min")
-    assert choice.option == "Y"  # min(0,10)=0 < min(2,3)=2
-
-
 def test_affine_rescaling_invariance(rng):
+    options = [f"o{i}" for i in range(5)]
+    # a positive affine rescaling and two other strictly increasing maps
+    transforms = [lambda v: 2.5 * v - 1.0, lambda v: v**3, math.exp]
     for _ in range(30):
-        rows = rng.uniform(-3, 3, size=(3, 5)).tolist()
-        m = matrix(["a", "b", "c"], [f"o{i}" for i in range(5)], rows)
-        classes = PriorityClasses((("a",), ("b", "c")))
-        base = lexicographic_select(m, classes)
-        scale, shift = float(rng.uniform(0.5, 4.0)), float(rng.uniform(-2, 2))
-        rescaled_rows = [[scale * v + shift for v in rows[0]], rows[1], rows[2]]
-        m2 = matrix(["a", "b", "c"], [f"o{i}" for i in range(5)], rescaled_rows)
-        assert lexicographic_select(m2, classes).option == base.option
-
-
-def test_empty_class_rejected():
-    with pytest.raises(ValueError, match="priority class 1 is empty"):
-        PriorityClasses((("a",), ()))
+        # integer draws, so that rows tie and later rows decide
+        rows = rng.integers(-2, 3, size=(3, 5)).astype(float).tolist()
+        base = lexicographic_select(options, rows)
+        for i in range(3):
+            for transform in transforms:
+                moved = [[transform(v) for v in row] if k == i else row for k, row in enumerate(rows)]
+                assert lexicographic_select(options, moved) == base
 
 
 # --- find_manipulation --------------------------------------------------------------

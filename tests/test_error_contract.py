@@ -4,15 +4,24 @@ A value that a library function rejects raises ``ValueError``; only the
 errors that carry data have a class of their own, and each is a
 ``ValueError``. ``Variant.__getattr__`` raises ``AttributeError``, as the
 attribute protocol requires, and the CLI's ``--tol`` callback raises
-``click.BadParameter``, as click's option protocol requires.
+``click.BadParameter``, as click's option protocol requires. A bound on a
+library argument is written so that NaN fails it.
 """
 
 import ast
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fidaudit
+from fidaudit.aggregation import impartiality_check
+from fidaudit.assessment import PortfolioProblem, feasible_rewards_irl, infer_discount
+from fidaudit.care import BinaryEvidence, inductive_bias_diagnostic
+from fidaudit.mdp import DiscountSpec, RewardOption, detect_preference_reversal, value_iteration
+
+from test_assessment import chain_walk_mdp
 
 PACKAGE = Path(fidaudit.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -67,3 +76,34 @@ def test_errors_defines_only_the_errors_that_carry_data():
         "UnknownContextLabel": ["FidauditError"],
     }
 
+
+
+NAN = math.nan
+BEHAVIOR = np.zeros(4, dtype=int)  # "right" in each state of the chain walk
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: infer_discount(chain_walk_mdp(), BEHAVIOR, [0.5, 0.9], [NAN, 1.0]), "prior has negative or NaN"),
+        (lambda: infer_discount(chain_walk_mdp(), BEHAVIOR, [0.5], [1.0], temperature=NAN), "temperature must be"),
+        (lambda: PortfolioProblem([1.0], [[1.0]], NAN), "risk_aversion must be positive"),
+        (lambda: feasible_rewards_irl(chain_walk_mdp(), BEHAVIOR, 0.9, NAN), "bound must be positive"),
+        (lambda: DiscountSpec.hyperbolic(NAN), "hyperbolic discount needs k > 0, got nan"),
+        (lambda: inductive_bias_diagnostic(BinaryEvidence(0.5, 0.5, 0.5), NAN), "dominance_threshold must be"),
+        (lambda: value_iteration(chain_walk_mdp(), 0.9, tol=NAN), "tol must be positive"),
+        (lambda: impartiality_check({"p": 0.9, "agent": 0.0}, "agent", cap=NAN), "favoritism cap is negative or"),
+        (
+            lambda: detect_preference_reversal(
+                DiscountSpec.hyperbolic(1.0), RewardOption(NAN, 1), RewardOption(2.0, 3), horizon=5
+            ),
+            "rewards must be positive",
+        ),
+    ],
+    ids=[
+        "prior", "temperature", "risk-aversion", "bound", "hyperbolic-k", "dominance-threshold", "tol", "cap", "reward",
+    ],
+)
+def test_library_bounds_reject_nan(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

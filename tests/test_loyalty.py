@@ -7,7 +7,6 @@ import pytest
 from fidaudit import macid
 from fidaudit.errors import NoConvergence
 from fidaudit.loyalty import (
-    UtilityTable,
     alignment_check,
     confidentiality_check,
     disclosure_check,
@@ -21,84 +20,92 @@ from helpers import disclosure_model, disclosure_profile, match_table, xor_model
 from test_macid import _random_influence_model
 
 
-def principal(values):
-    return UtilityTable(values)
-
-
-def fiduciary(values):
-    return UtilityTable(values)
-
-
-def nonfiduciary(values):
-    return UtilityTable(values)
-
-
-def objective(values):
-    return UtilityTable(values)
+OUTCOMES = ("c1", "c2")
 
 
 # --- alignment_check -----------------------------------------------------
 
 
 def test_order_preserving_tables_align():
-    verdict = alignment_check(principal({"c1": 1, "c2": 0}), fiduciary({"c1": 2, "c2": 1}))
-    assert verdict.aligned
+    assert alignment_check(OUTCOMES, [1, 0], [2, 1]).aligned
 
 
 def test_order_reversal_witnessed():
-    verdict = alignment_check(principal({"c1": 1, "c2": 0}), fiduciary({"c1": 0, "c2": 1}))
+    verdict = alignment_check(OUTCOMES, [1, 0], [0, 1])
     assert not verdict.aligned
     assert verdict.witnesses == (("c1", "c2"),)
 
 
 def test_constant_principal_vacuously_aligned():
-    verdict = alignment_check(principal({"c1": 5, "c2": 5}), fiduciary({"c1": -3, "c2": 9}))
-    assert verdict.aligned
+    assert alignment_check(OUTCOMES, [5, 5], [-3, 9]).aligned
 
 
 def test_outcome_space_mismatch():
-    with pytest.raises(ValueError, match=r"outcome spaces differ: \('c1',\) vs \('c2',\)"):
-        alignment_check(principal({"c1": 1}), fiduciary({"c2": 1}))
+    # each row holds one entry per declared outcome
+    with pytest.raises(ValueError, match=r"utility table has 1 entries, expected one per outcome \(2\)"):
+        alignment_check(OUTCOMES, [1, 0], [1])
+    with pytest.raises(ValueError, match=r"utility table has 3 entries, expected one per outcome \(2\)"):
+        no_conflict_check(OUTCOMES, [1, 0, 2], [1, 0])
+
+
+@pytest.mark.parametrize("check", [alignment_check, disgorgement_check, no_conflict_check])
+def test_table_checks(check):
+    with pytest.raises(ValueError, match="utility table is empty"):
+        check((), (), ())
+    with pytest.raises(ValueError, match="duplicate outcome ids"):
+        check(("c1", "c1"), [1, 0], [0, 1])
+    with pytest.raises(ValueError, match="utility for outcome 'c2' is not finite"):
+        check(OUTCOMES, [1, math.inf], [0, 1])
+    with pytest.raises(ValueError, match="utility for outcome 'c1' is not finite"):
+        check(OUTCOMES, [1, 0], [math.nan, 1])
+
+
+def test_witnesses_follow_the_declared_outcome_order():
+    # outcomes declared unsorted: pairs come in declared position order
+    outcomes = ("zeta", "alpha", "mid")
+    premise, reversed_rows = [3.0, 2.0, 1.0], [1.0, 2.0, 3.0]
+    want = (("zeta", "alpha"), ("zeta", "mid"), ("alpha", "mid"))
+    assert alignment_check(outcomes, premise, reversed_rows).witnesses == want
+    assert disgorgement_check(outcomes, premise, premise).witnesses == want
+    # no_conflict_check puts the aggregated interests (its last row) in the premise role
+    assert no_conflict_check(outcomes, reversed_rows, premise).witnesses == want
+    # the same tables declared in reverse: the same pairs, listed in the new order
+    reordered = alignment_check(outcomes[::-1], premise[::-1], reversed_rows[::-1]).witnesses
+    assert reordered == (("alpha", "mid"), ("zeta", "mid"), ("zeta", "alpha"))
 
 
 # --- disgorgement_check -----------------------------------------------------
 
 
 def test_flat_fiduciary_passes_disgorgement():
-    verdict = disgorgement_check(nonfiduciary({"c1": 1, "c2": 0}), fiduciary({"c1": 0, "c2": 0}))
-    assert verdict.aligned
+    assert disgorgement_check(OUTCOMES, [1, 0], [0, 0]).aligned
 
 
 def test_persistent_profit_fails_disgorgement():
-    verdict = disgorgement_check(nonfiduciary({"c1": 1, "c2": 0}), fiduciary({"c1": 5, "c2": 1}))
+    verdict = disgorgement_check(OUTCOMES, [1, 0], [5, 1])
     assert not verdict.aligned
     assert ("c1", "c2") in verdict.witnesses
 
 
 def test_constant_nonfiduciary_vacuous():
-    verdict = disgorgement_check(nonfiduciary({"c1": 2, "c2": 2}), fiduciary({"c1": 9, "c2": 0}))
-    assert verdict.aligned
+    assert disgorgement_check(OUTCOMES, [2, 2], [9, 0]).aligned
 
 
 # --- no_conflict_check ----------------------------------------------------------
 
 
 def test_identical_objective_aligned():
-    agg = {"c1": 1.0, "c2": 3.0}
-    verdict = no_conflict_check(objective(dict(agg)), principal(agg))
-    assert verdict.aligned
+    agg = [1.0, 3.0]
+    assert no_conflict_check(OUTCOMES, list(agg), agg).aligned
 
 
 def test_constant_shift_aligned():
-    agg = {"c1": 1.0, "c2": 3.0}
-    shifted = {k: v + 10.0 for k, v in agg.items()}
-    assert no_conflict_check(objective(shifted), principal(agg)).aligned
+    agg = [1.0, 3.0]
+    assert no_conflict_check(OUTCOMES, [v + 10.0 for v in agg], agg).aligned
 
 
 def test_reversed_top_pair_witnessed():
-    agg = {"c1": 1.0, "c2": 3.0}
-    reversed_obj = {"c1": 3.0, "c2": 1.0}
-    verdict = no_conflict_check(objective(reversed_obj), principal(agg))
+    verdict = no_conflict_check(OUTCOMES, [3.0, 1.0], [1.0, 3.0])
     assert not verdict.aligned
     assert ("c2", "c1") in verdict.witnesses
 
@@ -106,12 +113,11 @@ def test_reversed_top_pair_witnessed():
 # --- brute-force oracle and invariances -------------------------------------------
 
 
-def brute_force_pairs(premise, conclusion, holds):
-    outcomes = sorted(premise)
+def brute_force_pairs(outcomes, premise, conclusion, holds):
     out = []
-    for c1 in outcomes:
-        for c2 in outcomes:
-            if c1 != c2 and premise[c1] > premise[c2] and not holds(conclusion[c1], conclusion[c2]):
+    for i, c1 in enumerate(outcomes):
+        for j, c2 in enumerate(outcomes):
+            if i != j and premise[i] > premise[j] and not holds(conclusion[i], conclusion[j]):
                 out.append((c1, c2))
     return tuple(out)
 
@@ -119,27 +125,27 @@ def brute_force_pairs(premise, conclusion, holds):
 def test_checks_match_pair_enumerator_on_random_tables(rng):
     for _ in range(300):
         size = int(rng.integers(2, 7))
-        outcomes = [f"c{i}" for i in range(size)]
-        a = {c: float(rng.integers(-3, 4)) for c in outcomes}
-        b = {c: float(rng.integers(-3, 4)) for c in outcomes}
-        align = alignment_check(principal(a), fiduciary(b))
-        expected = brute_force_pairs(a, b, lambda x, y: x > y)
+        outcomes = [f"c{i}" for i in rng.permutation(size)]
+        a = rng.integers(-3, 4, size).astype(float).tolist()
+        b = rng.integers(-3, 4, size).astype(float).tolist()
+        align = alignment_check(outcomes, a, b)
+        expected = brute_force_pairs(outcomes, a, b, lambda x, y: x > y)
         assert align.witnesses == expected
         assert align.aligned == (not expected)
-        dis = disgorgement_check(nonfiduciary(a), fiduciary(b))
-        expected_d = brute_force_pairs(a, b, lambda x, y: x <= y)
+        dis = disgorgement_check(outcomes, a, b)
+        expected_d = brute_force_pairs(outcomes, a, b, lambda x, y: x <= y)
         assert dis.witnesses == expected_d
 
 
 def test_alignment_invariant_under_increasing_transform(rng):
+    outcomes = [f"c{i}" for i in range(4)]
     for _ in range(50):
-        outcomes = [f"c{i}" for i in range(4)]
-        a = {c: float(rng.uniform(-2, 2)) for c in outcomes}
-        b = {c: float(rng.uniform(-2, 2)) for c in outcomes}
-        base = alignment_check(principal(a), fiduciary(b))
-        a_t = {c: 3.0 * v**3 + 2.0 for c, v in a.items()}  # strictly increasing
-        b_t = {c: float(2.0 ** v) for c, v in b.items()}
-        transformed = alignment_check(principal(a_t), fiduciary(b_t))
+        a = rng.uniform(-2, 2, 4).tolist()
+        b = rng.uniform(-2, 2, 4).tolist()
+        base = alignment_check(outcomes, a, b)
+        a_t = [3.0 * v**3 + 2.0 for v in a]  # strictly increasing
+        b_t = [float(2.0**v) for v in b]
+        transformed = alignment_check(outcomes, a_t, b_t)
         assert transformed.aligned == base.aligned
         assert transformed.witnesses == base.witnesses
 
@@ -147,21 +153,19 @@ def test_alignment_invariant_under_increasing_transform(rng):
 def test_joint_alignment_and_disgorgement_imply_principal_order(rng):
     # where both premises are strict, the fiduciary table must follow the
     # principal and never follow a strict raw-profit direction
+    outcomes = [f"c{i}" for i in range(4)]
     for _ in range(200):
-        outcomes = [f"c{i}" for i in range(4)]
-        u_b = {c: float(rng.integers(-2, 3)) for c in outcomes}
-        u_f = {c: float(rng.integers(-2, 3)) for c in outcomes}
-        u_n = {c: float(rng.integers(-2, 3)) for c in outcomes}
-        if not alignment_check(principal(u_b), fiduciary(u_f)).aligned:
+        u_b, u_f, u_n = rng.integers(-2, 3, size=(3, 4)).astype(float).tolist()
+        if not alignment_check(outcomes, u_b, u_f).aligned:
             continue
-        if not disgorgement_check(nonfiduciary(u_n), fiduciary(u_f)).aligned:
+        if not disgorgement_check(outcomes, u_n, u_f).aligned:
             continue
-        for c1, c2 in itertools.permutations(outcomes, 2):
-            if u_b[c1] > u_b[c2]:
-                assert u_f[c1] > u_f[c2]
+        for i, j in itertools.permutations(range(4), 2):
+            if u_b[i] > u_b[j]:
+                assert u_f[i] > u_f[j]
                 # a strict raw-profit direction on the same pair would make
                 # the two passed checks contradict each other
-                assert not u_n[c1] > u_n[c2]
+                assert not u_n[i] > u_n[j]
 
 
 # --- confidentiality_check ---------------------------------------------------------

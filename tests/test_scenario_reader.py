@@ -187,6 +187,29 @@ def empty_utilities(raw):
     raw["aggregation"]["utilities"] = {}
 
 
+def short_profile_row(raw):
+    raw["world"]["macid"]["profile"]["R_a"][0] = [0.25, 0.25]  # sums to 0.5
+
+
+def profile_without_receiver(raw):
+    del raw["world"]["macid"]["profile"]["B_b"]
+
+
+def rule_for_chance_node(raw):
+    raw["world"]["macid"]["profile"]["C"] = [[0.5, 0.5]]
+
+
+def check_name_repeated(raw):
+    # a refused attestation ahead of the distribution-shift check of its name
+    refused = {"name": "shift-review", "kind": "attestation", "attested": False, "note": "not reviewed"}
+    raw["care"]["checks"].insert(0, refused)
+
+
+def attestation_duty_repeated(raw):
+    attestations = raw["loyalty"]["attestations"]
+    attestations.insert(0, dict(attestations[0], attested=False, note="refused"))
+
+
 @pytest.mark.parametrize(
     "scenario, mutate, path",
     [
@@ -223,6 +246,11 @@ def empty_utilities(raw):
         ("trust_portfolio.json", zero_dim_feature_table, "assessment.methods[5].features.dim"),
         ("disclosure_demo.json", unknown_loyalty_role, "loyalty.tables.regulator"),
         ("disclosure_demo.json", empty_utilities, "aggregation.utilities"),
+        ("disclosure_demo.json", short_profile_row, "world.macid.profile"),
+        ("disclosure_demo.json", profile_without_receiver, "world.macid.profile"),
+        ("disclosure_demo.json", rule_for_chance_node, "world.macid.profile"),
+        ("trust_portfolio.json", check_name_repeated, "care.checks[1].name"),
+        ("engagement_prior_warn.json", attestation_duty_repeated, "loyalty.attestations[1].duty"),
     ],
 )
 def test_validate_and_check_reject_the_same_documents(tmp_path, scenario, mutate, path):
