@@ -68,19 +68,20 @@ def approval_winners(ballots: Sequence[ApprovalBallot], options: Sequence[str]) 
     return ApprovalResult(winners=winners, counts=counts, tied=len(winners) > 1)
 
 
-def _check_rows(options: Sequence[str], utilities: Sequence[Sequence[float]]) -> None:
-    """Raise unless ``options`` are distinct and not empty, and each row of
-    ``utilities`` holds one finite entry per option."""
-    if not options:
-        raise ValueError("need at least one option")
-    if len(set(options)) != len(options):
-        raise ValueError("duplicate option ids")
+def _check_rows(ids: Sequence[str], utilities: Sequence[Sequence[float]], what: str) -> None:
+    """Raise unless ``ids`` (what they name: "option" or "outcome") are
+    distinct and not empty, and each row of ``utilities`` holds one finite
+    entry per id."""
+    if not ids:
+        raise ValueError(f"need at least one {what}")
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"duplicate {what} ids")
     for i, row in enumerate(utilities):
-        if len(row) != len(options):
-            raise ValueError(f"utility row {i} has {len(row)} entries, expected one per option ({len(options)})")
-        for option, v in zip(options, row):
+        if len(row) != len(ids):
+            raise ValueError(f"utility row {i} has {len(row)} entries, expected one per {what} ({len(ids)})")
+        for key, v in zip(ids, row):
             if not math.isfinite(v):
-                raise ValueError(f"utility of row {i} for option {option!r} is not finite")
+                raise ValueError(f"utility of row {i} for {what} {key!r} is not finite")
 
 
 def pareto_front(options: Sequence[str], utilities: Sequence[Sequence[float]]) -> frozenset[str]:
@@ -91,7 +92,7 @@ def pareto_front(options: Sequence[str], utilities: Sequence[Sequence[float]]) -
     strictly better for one; equal utility vectors never dominate each
     other, so duplicates survive together.
     """
-    _check_rows(options, utilities)
+    _check_rows(options, utilities, "option")
     vectors = [tuple(row[j] for row in utilities) for j in range(len(options))]
     return frozenset(
         option
@@ -116,7 +117,7 @@ def lexicographic_select(options: Sequence[str], utilities: Sequence[Sequence[fl
     it left tied, so the choice is invariant to a strictly increasing
     transform of any one row.
     """
-    _check_rows(options, utilities)
+    _check_rows(options, utilities, "option")
     surviving = list(range(len(options)))
     for row in utilities:
         best = max(row[j] for j in surviving)

@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Any, Collection
+from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
+from typing import Any, Collection, Sequence
 
 import numpy as np
 
@@ -75,7 +76,7 @@ from .loyalty import (
     no_conflict_check,
 )
 from .mdp import DiscountSpec, detect_preference_reversal, solve_exact
-from .scenario import Aggregation, Care, Loyalty, ManipulationProbe, Scenario, Variant
+from .scenario import Aggregation, Care, Loyalty, ManipulationProbe, Scenario
 
 TOOL_NAME = "fidaudit"
 
@@ -116,36 +117,37 @@ class AuditReport:
     overall: str
 
     def to_dict(self) -> dict:
-        return _jsonable(
-            {
-                "tool": {"name": TOOL_NAME, "version": __version__},
-                "scenario": {
-                    "id": self.scenario_id,
-                    "version": self.scenario_version,
-                    "digest": self.digest,
-                    "seed": self.seed,
-                    "tolerance": self.tolerance,
-                },
-                "disclaimer": DISCLAIMER,
-                "steps": [
-                    {
-                        "step": record.step,
-                        "status": record.status,
-                        "rubric": RUBRIC[record.step],
-                        "findings": [vars(f) for f in record.findings],
-                    }
-                    for record in self.steps
-                ],
-                "overall": self.overall,
-            }
-        )
+        """The report as plain data: ``run_audit`` puts every finding's
+        evidence in report form (``_report_form``)."""
+        return {
+            "tool": {"name": TOOL_NAME, "version": __version__},
+            "scenario": {
+                "id": self.scenario_id,
+                "version": self.scenario_version,
+                "digest": self.digest,
+                "seed": self.seed,
+                "tolerance": self.tolerance,
+            },
+            "disclaimer": DISCLAIMER,
+            "steps": [
+                {
+                    "step": record.step,
+                    "status": record.status,
+                    "rubric": RUBRIC[record.step],
+                    "findings": [vars(f) for f in record.findings],
+                }
+                for record in self.steps
+            ],
+            "overall": self.overall,
+        }
 
 
 def _jsonable(value: Any) -> Any:
-    """``value`` in report form, built of JSON types only. A number that is
-    not finite is a ValueError: no JSON report can carry it."""
+    """``value`` in report form, built of JSON types only: lists, string
+    keys and sorted sets. A number that is not finite is a ValueError: no
+    JSON report can carry it."""
     if isinstance(value, dict):
-        return {_key(k): _jsonable(v) for k, v in value.items()}
+        return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, np.ndarray):
@@ -161,52 +163,39 @@ def _jsonable(value: Any) -> Any:
     return value
 
 
-def _key(k: Any) -> str:
-    if isinstance(k, str):
-        return k
-    if isinstance(k, float):
-        return repr(k)
-    return str(k)
-
-
 def _verdict(check: str, ok: bool, evidence: dict, passed: str, failed: str, bad: str = FAIL) -> Finding:
     """PASS with detail ``passed`` when ``ok``, else ``bad`` with detail ``failed``."""
     return Finding(check, PASS if ok else bad, passed if ok else failed, evidence)
 
 
-def _attempt(check: str, evidence: dict, run) -> list[Finding]:
+def _attempt(check: str, evidence: dict, run, kept: Sequence[Finding] = ()) -> list[Finding]:
     """The findings ``run()`` returns; if a library call rejects a value on
     the way, one FAIL for ``check`` with the error added to ``evidence``,
     and for an equilibrium search that revisited a profile, the cycle's
-    period."""
+    period, followed by the findings ``kept``."""
     try:
         return run()
     except ValueError as exc:
         evidence = {**evidence, "error": str(exc)}
         if isinstance(exc, NoConvergence) and exc.cycle:
             evidence["cycle_period"] = len(exc.cycle)
-        return [Finding(check, FAIL, str(exc), evidence)]
+        return [Finding(check, FAIL, str(exc), evidence), *kept]
 
 
-def _finite(value: Any) -> bool:
-    """Whether an evidence value has a report form (``_jsonable``), that is,
-    holds only finite numbers."""
-    try:
-        _jsonable(value)
-    except ValueError:
-        return False
-    return True
-
-
-def _finite_evidence(finding: Finding) -> Finding:
-    """``finding``, or, when its evidence holds a non-finite number, a FAIL
-    of its check that names those fields and keeps the others."""
-    bad = [key for key, value in finding.evidence.items() if not _finite(value)]
+def _report_form(finding: Finding) -> Finding:
+    """``finding`` with each evidence field in report form (``_jsonable``),
+    or, when a field holds a non-finite number, a FAIL of its check that
+    names those fields and keeps the others."""
+    evidence, bad = {}, []
+    for key, value in finding.evidence.items():
+        try:
+            evidence[key] = _jsonable(value)
+        except ValueError:
+            bad.append(key)
     if not bad:
-        return finding
+        return replace(finding, evidence=evidence)
     error = f"non-finite number in evidence field(s) {', '.join(map(repr, bad))}"
-    kept = {key: value for key, value in finding.evidence.items() if key not in bad}
-    return Finding(finding.check, FAIL, error, {**kept, "error": error})
+    return Finding(finding.check, FAIL, error, {**evidence, "error": error})
 
 
 # --- pipeline state threaded through the steps ---------------------------------
@@ -310,7 +299,7 @@ def _principal_classes(ordered: tuple[PrincipalClassSpec, ...], state: _State) -
 # --- step 3: assessment ----------------------------------------------------------------
 
 
-def _run_one_method(method: Variant, scenario: Scenario, state: _State) -> tuple[str, str, dict]:
+def _run_one_method(method: SimpleNamespace, scenario: Scenario, state: _State) -> tuple[str, str, dict]:
     """One assessment method's (check, detail, evidence); every method that runs passes."""
     mdp = scenario.world.mdp
     if method.kind == "prudent_investor":
@@ -427,8 +416,8 @@ def _run_one_method(method: Variant, scenario: Scenario, state: _State) -> tuple
     )
 
 
-def _run_assessment(methods: tuple[Variant, ...], scenario: Scenario, state: _State) -> list[Finding]:
-    def passed(method: Variant) -> list[Finding]:
+def _run_assessment(methods: tuple[SimpleNamespace, ...], scenario: Scenario, state: _State) -> list[Finding]:
+    def passed(method: SimpleNamespace) -> list[Finding]:
         check, detail, evidence = _run_one_method(method, scenario, state)
         return [Finding(check, PASS, detail, evidence)]
 
@@ -785,16 +774,18 @@ def _run_care(doc: Care, scenario: Scenario, state: _State) -> list[Finding]:
             )
         )
 
+    # an unknown standard fails that check alone: the computed findings stay
     return _attempt(
         "standard",
         {"standard": doc.standard},
         lambda: prudence_report(
             doc.standard, list(doc.declared_checks), computed, known_standards=frozenset(known)
         ),
+        kept=computed,
     )
 
 
-def _care_check(entry: Variant) -> Finding:
+def _care_check(entry: SimpleNamespace) -> Finding:
     if entry.kind == "inductive_bias":
         diagnostic = inductive_bias_diagnostic(
             BinaryEvidence(
@@ -858,8 +849,9 @@ _STEPS = {
 def _run_step(step: str, scenario: Scenario, state: _State) -> StepRecord:
     """One step's record: an omitted section skips the step, a section that
     yields no finding warns, a step that raises is one ``step-error`` Fail,
-    not an abort, and a finding with non-finite evidence is a Fail of its
-    check (``_finite_evidence``)."""
+    not an abort, and each finding's evidence is put in report form, a
+    field with a non-finite number making it a Fail of its check
+    (``_report_form``)."""
     section, runner = _STEPS[step]
     doc = getattr(scenario, section)
     if doc is None:
@@ -878,7 +870,7 @@ def _run_step(step: str, scenario: Scenario, state: _State) -> StepRecord:
                     {"error_type": type(exc).__name__, "error": str(exc)},
                 )
             ]
-    findings = [_finite_evidence(f) for f in findings]
+    findings = [_report_form(f) for f in findings]
     return StepRecord(step, worst(f.status for f in findings), findings)
 
 

@@ -4,16 +4,19 @@
 driven by data versus prior: a likelihood ratio near one means the
 evidence barely discriminates, so the posterior is inherited from the
 prior rather than learned. ``distribution_shift_score`` measures how far
-deployment conditions wander from training conditions. ``prudence_report``
-assembles the declared checks into the step's findings, where missing
-evidence is itself a failure: a care standard is not met by silence.
+deployment conditions wander from training conditions, given as two rows
+of probabilities over one declared support, in support order.
+``prudence_report`` assembles the declared checks into the step's
+findings, where missing evidence is itself a failure: a care standard is
+not met by silence. It keeps every finding, two of one name included, so
+a failing one can never be hidden behind a passing one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .findings import FAIL, Finding
 
@@ -90,22 +93,25 @@ def inductive_bias_diagnostic(
 
 @dataclass(frozen=True)
 class DiscreteDistributionPair:
-    """Train and deploy distributions over one declared finite support."""
+    """Train and deploy distributions over one declared finite support,
+    each a row of probabilities in ``support`` order."""
 
     support: tuple[str, ...]
-    train: Mapping[str, float]
-    deploy: Mapping[str, float]
+    train: Sequence[float]
+    deploy: Sequence[float]
 
     def __post_init__(self) -> None:
         if len(set(self.support)) != len(self.support):
             raise ValueError("support has duplicate points")
         for name, dist in (("train", self.train), ("deploy", self.deploy)):
-            if set(dist) != set(self.support):
-                raise ValueError(f"{name} distribution does not match the declared support")
-            for x, p in dist.items():
+            if len(dist) != len(self.support):
+                raise ValueError(
+                    f"{name} distribution has {len(dist)} entries, expected one per support point ({len(self.support)})"
+                )
+            for x, p in zip(self.support, dist):
                 if not p >= 0:
                     raise ValueError(f"{name} distribution has negative or NaN mass {p} at {x!r}")
-            total = sum(dist.values())
+            total = sum(dist)
             if not abs(total - 1.0) <= 1e-9:
                 raise ValueError(f"{name} distribution sums to {total}")
 
@@ -125,18 +131,13 @@ def distribution_shift_score(pair: DiscreteDistributionPair) -> ShiftScore:
     divergence is infinite and is reported as a violation of absolute
     continuity rather than as a number.
     """
-    violating = tuple(
-        x for x in pair.support if pair.deploy[x] > 0.0 and pair.train[x] == 0.0
-    )
+    violating = tuple(x for x, p, q in zip(pair.support, pair.train, pair.deploy) if q > 0.0 and p == 0.0)
     if violating:
-        return ShiftScore(
-            kl_nats=None, absolute_continuity_violation=True, violating_points=violating
-        )
+        return ShiftScore(kl_nats=None, absolute_continuity_violation=True, violating_points=violating)
     kl = 0.0
-    for x in pair.support:
-        q = pair.deploy[x]
+    for p, q in zip(pair.train, pair.deploy):
         if q > 0.0:
-            kl += q * math.log(q / pair.train[x])
+            kl += q * math.log(q / p)
     # mathematically non-negative; clamp float residue from near-equal inputs
     return ShiftScore(kl_nats=max(kl, 0.0), absolute_continuity_violation=False)
 
@@ -149,16 +150,25 @@ def prudence_report(
 ) -> list[Finding]:
     """Assemble the care step: every declared check must be present.
 
-    A declared check with no finding fails the step outright (care means
-    being highly informed before acting; absent evidence is negligence,
-    not neutrality). The step's status is the ``worst`` of the findings',
-    so adding a failing finding can never upgrade it.
+    Each declared check brings every finding of its name, in declared
+    order, and the other findings follow. A declared check with no finding
+    fails the step outright (care means being highly informed before
+    acting; absent evidence is negligence, not neutrality), with the
+    declared name and the checks that did run as its witness. The step's
+    status is the ``worst`` of the findings', so adding a failing finding
+    can never upgrade it.
     """
     if standard not in known_standards:
         raise ValueError(f"care standard {standard!r} is not declared for this context")
-    by_check = {f.check: f for f in findings}
-    assembled = [
-        by_check.get(name) or Finding(name, FAIL, "declared check missing: no evidence was provided")
-        for name in declared_checks
-    ]
+    ran = [f.check for f in findings]
+    assembled = []
+    for name in declared_checks:
+        assembled += [f for f in findings if f.check == name] or [
+            Finding(
+                name,
+                FAIL,
+                "declared check missing: no evidence was provided",
+                {"declared_check": name, "checks_run": ran},
+            )
+        ]
     return assembled + [f for f in findings if f.check not in declared_checks]

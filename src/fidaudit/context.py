@@ -79,28 +79,17 @@ class ContextSpec:
     subsidiary_duties: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class Violation:
-    path: str
-    message: str
-
-
-def validate_context(spec: ContextSpec) -> list[Violation]:
-    """All invariant violations with paths; an empty list means valid."""
-    out: list[Violation] = []
+def validate_context(spec: ContextSpec) -> list[tuple[str, str]]:
+    """Every invariant violation as (path, message); an empty list means valid."""
+    out: list[tuple[str, str]] = []
     if not spec.name:
-        out.append(Violation("name", "context name is empty"))
+        out.append(("name", "context name is empty"))
     if not spec.purposes:
-        out.append(Violation("purposes", "at least one purpose is required"))
+        out.append(("purposes", "at least one purpose is required"))
     seen_roles: dict[str, int] = {}
     for i, role in enumerate(spec.roles):
         if role.id in seen_roles:
-            out.append(
-                Violation(
-                    f"roles[{i}].id",
-                    f"duplicate role id {role.id!r} (first declared at roles[{seen_roles[role.id]}])",
-                )
-            )
+            out.append((f"roles[{i}].id", f"duplicate role id {role.id!r} (first declared at roles[{seen_roles[role.id]}])"))
         else:
             seen_roles[role.id] = i
     declared = set(seen_roles)
@@ -108,32 +97,18 @@ def validate_context(spec: ContextSpec) -> list[Violation]:
         for field_name in ("sender", "receiver", "subject"):
             value = getattr(norm, field_name)
             if value not in declared:
-                out.append(
-                    Violation(f"norms[{i}].{field_name}", f"undeclared role {value!r}")
-                )
+                out.append((f"norms[{i}].{field_name}", f"undeclared role {value!r}"))
         kind = norm.principle_kind()
         if kind == "unknown":
-            out.append(
-                Violation(
-                    f"norms[{i}].transmission_principle",
-                    f"unknown principle {norm.transmission_principle!r}",
-                )
-            )
+            out.append((f"norms[{i}].transmission_principle", f"unknown principle {norm.transmission_principle!r}"))
         elif kind in (CONFIDENTIALITY, DISCLOSURE) and not norm.machine_checkable():
             missing = [k for k in norm.required_binding_keys() if k not in norm.binding]
-            out.append(
-                Violation(
-                    f"norms[{i}].binding",
-                    f"{kind} norms must bind node ids to be checkable; missing {missing}",
-                )
-            )
+            out.append((f"norms[{i}].binding", f"{kind} norms must bind node ids to be checkable; missing {missing}"))
     if not spec.care_standard:
-        out.append(Violation("care_standard", "care standard id is empty"))
+        out.append(("care_standard", "care standard id is empty"))
     for i, key in enumerate(spec.subsidiary_duties):
         if key not in _index():
-            out.append(
-                Violation(f"subsidiary_duties[{i}]", f"unknown catalog key {key!r}")
-            )
+            out.append((f"subsidiary_duties[{i}]", f"unknown catalog key {key!r}"))
     return out
 
 

@@ -4,7 +4,9 @@ Two families of checks:
 
 * Order conditions between two utility tables over one outcome space.
   Each check takes the outcome ids and the two tables as rows in their
-  declared order, and lists witness pairs in that order.
+  declared order, and lists witness pairs in that order. The outcomes and
+  rows are checked as the aggregation rules check theirs
+  (``aggregation._check_rows``), the rows numbered in argument order.
   ``alignment_check`` demands that whenever the principal strictly prefers
   one outcome to another, the fiduciary-conditioned agent utility agrees;
   ``disgorgement_check`` demands that the fiduciary-conditioned utility
@@ -31,10 +33,11 @@ Two families of checks:
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
+from operator import gt, le
 from typing import Sequence
 
+from .aggregation import _check_rows
 from .macid import (
     Macid,
     NodeKind,
@@ -58,24 +61,18 @@ class AlignmentVerdict:
 
 
 def _ordered_pair_check(
-    outcomes: Sequence[str], premise: Sequence[float], conclusion: Sequence[float], holds
+    outcomes: Sequence[str], rows: tuple[Sequence[float], Sequence[float]], premise: int, holds
 ) -> AlignmentVerdict:
-    """Pairs (c1, c2), in declared order, where ``premise`` strictly prefers
-    c1 and ``conclusion`` fails ``holds``; both rows in ``outcomes`` order."""
-    if not outcomes:
-        raise ValueError("utility table is empty")
-    if len(set(outcomes)) != len(outcomes):
-        raise ValueError("duplicate outcome ids")
-    for row in (premise, conclusion):
-        if len(row) != len(outcomes):
-            raise ValueError(f"utility table has {len(row)} entries, expected one per outcome ({len(outcomes)})")
-        for outcome, v in zip(outcomes, row):
-            if not math.isfinite(v):
-                raise ValueError(f"utility for outcome {outcome!r} is not finite")
+    """Pairs (c1, c2), in declared order, where ``rows[premise]`` strictly
+    prefers c1 and the other row fails ``holds``. ``rows`` are the public
+    check's two tables in argument order, each in ``outcomes`` order, and
+    ``aggregation._check_rows`` checks them under those row numbers."""
+    _check_rows(outcomes, rows, "outcome")
+    prefers, conclusion = rows[premise], rows[1 - premise]
     witnesses = tuple(
         (outcomes[i], outcomes[j])
         for i, j in itertools.permutations(range(len(outcomes)), 2)
-        if premise[i] > premise[j] and not holds(conclusion[i], conclusion[j])
+        if prefers[i] > prefers[j] and not holds(conclusion[i], conclusion[j])
     )
     return AlignmentVerdict(aligned=not witnesses, witnesses=witnesses)
 
@@ -88,7 +85,7 @@ def alignment_check(
     Pairs the principal is indifferent between impose no constraint, so a
     constant principal table is vacuously aligned with anything.
     """
-    return _ordered_pair_check(outcomes, principal, agent_fiduciary, lambda x, y: x > y)
+    return _ordered_pair_check(outcomes, (principal, agent_fiduciary), 0, gt)
 
 
 def disgorgement_check(
@@ -100,7 +97,7 @@ def disgorgement_check(
     one must not (weak decrease required); witnesses list the profiting
     outcome pairs.
     """
-    return _ordered_pair_check(outcomes, agent_nonfiduciary, agent_fiduciary, lambda x, y: x <= y)
+    return _ordered_pair_check(outcomes, (agent_nonfiduciary, agent_fiduciary), 0, le)
 
 
 def no_conflict_check(
@@ -111,7 +108,7 @@ def no_conflict_check(
     Same order logic as ``alignment_check`` with the aggregated principal
     interests in the premise role.
     """
-    return _ordered_pair_check(outcomes, aggregated_principal, system_objective, lambda x, y: x > y)
+    return _ordered_pair_check(outcomes, (system_objective, aggregated_principal), 1, gt)
 
 
 # --- information-flow duties -------------------------------------------------

@@ -14,7 +14,19 @@ give a valid rule to each decision node and to no other node. Each
 row of floats in declared ``options`` or ``outcomes`` order, and reaches
 the kernels as it was read. ``aggregation.class_score`` is not read: every
 priority class holds one principal class, so a sum and a min agree. Care
-check names and attestation duties must be distinct.
+check names and attestation duties must be distinct, and a care check may
+not take a name the audit gives its own care findings: ``standard``,
+``section``, ``step-error`` or one that starts with ``duty:``.
+
+Each entry of a kind-tagged list, an assessment method or a care check,
+is a ``types.SimpleNamespace``: its ``kind`` and the typed fields that the
+reader method named by ``kind`` builds. Demos are tuples of (state index,
+action index) steps. ``features`` is a (rows, d) array: a declared table,
+one row per (state, action) in MDP order, so that step (s, a) is row
+s * A + a, or the free-standing ``feature_rows``; None stands for one-hot
+state features. A ``preference_fit`` trajectory is the tuple of its rows.
+A ``distribution_shift`` check's ``train`` and ``deploy`` are rows of
+floats in ``support`` order.
 
 One reader walks a document once: it checks each field and builds its
 typed, frozen value in the same pass, recording every problem with its
@@ -54,6 +66,7 @@ import sys
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Any, Mapping
 
 import numpy as np
@@ -74,6 +87,9 @@ KNOWN_SECTIONS = set(SECTIONS) | {"schema_version", "metadata", "world"}
 AGGREGATION_METHODS = ("approval", "pareto", "lexicographic")
 LOYALTY_TABLES = ("principal_true", "agent_fiduciary", "agent_nonfiduciary", "system_objective")
 _NEEDS_MDP = ("discount_inference", "maxent_irl", "feasibility_probe", "patient_advice")
+# care step findings the audit names itself, besides ``duty:<key>``: a care
+# check may not carry one of these names
+RESERVED_CHECK_NAMES = ("standard", "section", "step-error")
 
 
 @dataclass(frozen=True)
@@ -81,28 +97,6 @@ class World:
     macid: Macid | None = None
     profile: Mapping[str, np.ndarray] | None = None  # decision node id -> rule array
     mdp: Mdp | None = None
-
-
-@dataclass(frozen=True)
-class Variant:
-    """One entry of a kind-tagged list: an assessment method or a care check.
-
-    Its typed fields, as the reader method named by ``kind`` builds them,
-    are read as attributes. Demos are tuples of (state index, action index)
-    steps. ``features`` is a (rows, d) array: a declared table, one row per
-    (state, action) in MDP order, so that step (s, a) is row s * A + a, or
-    the free-standing ``feature_rows``; None stands for one-hot state
-    features. A ``preference_fit`` trajectory is the tuple of its rows.
-    """
-
-    kind: str
-    fields: Mapping[str, Any]
-
-    def __getattr__(self, name: str) -> Any:
-        fields = self.__dict__.get("fields", {})
-        if name in fields:
-            return fields[name]
-        raise AttributeError(name)
 
 
 @dataclass(frozen=True)
@@ -145,7 +139,7 @@ class Loyalty:
 class Care:
     standard: str
     declared_checks: tuple[str, ...]
-    checks: tuple[Variant, ...]
+    checks: tuple[SimpleNamespace, ...]
 
 
 @dataclass(frozen=True)
@@ -156,7 +150,7 @@ class Scenario:
     context: ContextSpec | None
     principals: tuple[PrincipalClassSpec, ...] | None
     world: World
-    assessment: tuple[Variant, ...] | None
+    assessment: tuple[SimpleNamespace, ...] | None
     aggregation: Aggregation | None
     loyalty: Loyalty | None
     care: Care | None
@@ -527,8 +521,8 @@ class _Reader:
         )
         if len(self.problems) > start:
             return None
-        for violation in validate_context(spec):
-            self.fail(f"{path}.{violation.path}", violation.message)
+        for vpath, message in validate_context(spec):
+            self.fail(f"{path}.{vpath}", message)
         # bound node ids must exist in the declared influence model
         for i, norm in enumerate(spec.norms):
             for key in norm.required_binding_keys():
@@ -566,17 +560,17 @@ class _Reader:
     # assessment
 
     @_object
-    def assessment(self, doc: dict, path: str) -> tuple[Variant, ...] | None:
+    def assessment(self, doc: dict, path: str) -> tuple[SimpleNamespace, ...] | None:
         return self.field(doc, "methods", path, self.list_, item=self.method, nonempty=True)
 
     @_object
-    def method(self, doc: dict, path: str) -> Variant | None:
+    def method(self, doc: dict, path: str) -> SimpleNamespace | None:
         options = ("prudent_investor", "preference_fit", "preference_reversal") + _NEEDS_MDP
         kind = self.field(doc, "kind", path, self.choice, options=options)
         if kind in _NEEDS_MDP and not self.has_mdp:
             self.fail(path, f"{kind} requires world.mdp")
         elif kind is not None:
-            return Variant(kind, getattr(self, kind)(doc, path))
+            return SimpleNamespace(kind=kind, **getattr(self, kind)(doc, path))
 
     def trajectories(self, value: Any, path: str, step) -> tuple[tuple, ...] | None:
         """A list of trajectories, each a list of steps that ``step`` reads."""
@@ -794,10 +788,13 @@ class _Reader:
         return Care(**fields)
 
     @_object
-    def care_check(self, doc: dict, path: str) -> Variant | None:
+    def care_check(self, doc: dict, path: str) -> SimpleNamespace | None:
         kinds = ("inductive_bias", "distribution_shift", "attestation")
         kind = self.field(doc, "kind", path, self.choice, options=kinds)
         fields = self.record(doc, path, name=self.str_)
+        name = fields["name"]
+        if name is not None and (name.startswith("duty:") or name in RESERVED_CHECK_NAMES):
+            self.fail(f"{path}.name", f"name {name!r} is reserved for the audit's own findings")
         if kind == "inductive_bias":
             fields.update(
                 self.record(
@@ -807,11 +804,11 @@ class _Reader:
             )
         elif kind == "distribution_shift":
             support = fields["support"] = self.field(doc, "support", path, self.strs, nonempty=True) or ()
-            for key in ("train", "deploy"):  # support point -> probability
-                fields[key] = dict(zip(support, self.field(doc, key, path, self.nums, length=len(support)) or ()))
+            for key in ("train", "deploy"):
+                fields[key] = self.field(doc, key, path, self.nums, length=len(support))
         elif kind == "attestation":
             fields.update(self.record(doc, path, attested=self.bool_, note=(self.str_, "")))
-        return None if kind is None else Variant(kind, fields)
+        return None if kind is None else SimpleNamespace(kind=kind, **fields)
 
 
 def validate_scenario(raw: Any) -> list[tuple[str, str]]:

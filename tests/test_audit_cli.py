@@ -377,7 +377,8 @@ def test_discount_inference_uses_a_declared_prior():
     want = infer_discount(mdp, behavior, method["beta_grid"], [0.25, 0.75], temperature=0.01)
     _, findings = step_findings(raw, "assessment")
     assert findings[1].check == "discount-inference"
-    assert findings[1].evidence["posterior"] == want
+    # report form: a posterior keyed by each beta as a string
+    assert findings[1].evidence["posterior"] == {str(beta): p for beta, p in want.items()}
 
 
 def test_an_mdp_solve_stopped_by_its_cap_fails_each_method_that_reads_it(monkeypatch):
@@ -420,7 +421,7 @@ def test_pareto_aggregation_reports_the_front():
     raw["aggregation"]["method"] = "pareto"
     status, findings = step_findings(raw, "aggregation")
     assert status == "pass"
-    assert (findings[0].check, findings[0].evidence) == ("pareto-front", {"front": frozenset({"balanced"})})
+    assert (findings[0].check, findings[0].evidence) == ("pareto-front", {"front": ["balanced"]})
 
 
 def test_missing_class_utilities_fail_principal_selection():
@@ -526,13 +527,64 @@ def test_care_section_that_declares_nothing_warns():
     assert report.overall == "warn"
 
 
+def refused_care_attestation(raw):
+    raw["care"]["checks"].append({"name": "investor-review", "kind": "attestation", "attested": False})
+
+
+def declared_refused_attestation(raw):
+    refused_care_attestation(raw)
+    raw["care"]["declared_checks"].append("investor-review")
+
+
+def unknown_standard_with_a_refusal(raw):
+    refused_care_attestation(raw)
+    raw["care"]["standard"] = "no-such-standard"
+
+
+def missing_declared_check(raw):
+    raw["care"]["declared_checks"].append("nonexistent")
+
+
+def test_an_unknown_care_standard_fails_that_check_alone():
+    raw = raw_scenario("trust_portfolio.json")
+    unknown_standard_with_a_refusal(raw)
+    status, findings = step_findings(raw, "care")
+    assert status == "fail"
+    assert [(f.check, f.status) for f in findings] == [
+        ("standard", "fail"),
+        ("shift-review", "pass"),
+        ("trusts/record-keeping", "pass"),
+        ("investor-review", "fail"),
+        ("duty:trusts/prudent-investor-rule", "pass"),
+        ("duty:trusts/record-keeping", "pass"),
+    ]
+    error = "care standard 'no-such-standard' is not declared for this context"
+    assert findings[0].evidence == {"standard": "no-such-standard", "error": error}
+
+
 def test_every_fail_finding_has_evidence():
-    for path in sorted(SCENARIOS.glob("*.json")):
-        report = run_audit(load_scenario(path))
+    documents = [(path.name, raw_scenario(path.name)) for path in sorted(SCENARIOS.glob("*.json"))]
+    for mutate in (declared_refused_attestation, unknown_standard_with_a_refusal, missing_declared_check):
+        raw = raw_scenario("trust_portfolio.json")
+        mutate(raw)
+        documents.append((mutate.__name__, raw))
+    for name, raw in documents:
+        report = run_audit(parse_scenario(raw))
+        if not name.endswith(".json"):  # each changed document fails its care step
+            assert report.steps[-1].status == "fail", name
         for step in report.steps:
             for finding in step.findings:
                 if finding.status == "fail":
-                    assert finding.evidence, f"{path.name}:{step.step}:{finding.check}"
+                    assert finding.evidence, f"{name}:{step.step}:{finding.check}"
+
+
+def test_finding_evidence_is_in_report_form():
+    # lists, string keys and sorted sets: a JSON round trip changes nothing
+    for path in sorted(SCENARIOS.glob("*.json")):
+        for step in run_audit(load_scenario(path)).steps:
+            for finding in step.findings:
+                evidence = finding.evidence
+                assert json.loads(json.dumps(evidence, allow_nan=False)) == evidence, f"{path.name}:{finding.check}"
 
 
 def test_section_key_order_in_file_is_irrelevant():

@@ -69,14 +69,14 @@ def test_dominance_threshold_is_log_symmetric():
 
 
 def test_identical_distributions_zero():
-    pair = DiscreteDistributionPair(("a", "b"), {"a": 0.4, "b": 0.6}, {"a": 0.4, "b": 0.6})
+    pair = DiscreteDistributionPair(("a", "b"), (0.4, 0.6), (0.4, 0.6))
     score = distribution_shift_score(pair)
     assert score.kl_nats == 0.0
     assert not score.absolute_continuity_violation
 
 
 def test_uniform_vs_skewed_formula():
-    pair = DiscreteDistributionPair(("a", "b"), {"a": 0.9, "b": 0.1}, {"a": 0.5, "b": 0.5})
+    pair = DiscreteDistributionPair(("a", "b"), (0.9, 0.1), (0.5, 0.5))
     score = distribution_shift_score(pair)
     expected = 0.5 * math.log(0.5 / 0.9) + 0.5 * math.log(0.5 / 0.1)
     assert score.kl_nats == pytest.approx(expected)
@@ -84,7 +84,7 @@ def test_uniform_vs_skewed_formula():
 
 
 def test_absolute_continuity_violation_reported():
-    pair = DiscreteDistributionPair(("a", "b"), {"a": 1.0, "b": 0.0}, {"a": 0.5, "b": 0.5})
+    pair = DiscreteDistributionPair(("a", "b"), (1.0, 0.0), (0.5, 0.5))
     score = distribution_shift_score(pair)
     assert score.absolute_continuity_violation
     assert score.kl_nats is None
@@ -92,12 +92,15 @@ def test_absolute_continuity_violation_reported():
 
 
 def test_support_mismatch_rejected():
-    with pytest.raises(ValueError, match="train distribution does not match the declared support"):
-        DiscreteDistributionPair(("a", "b"), {"a": 1.0}, {"a": 0.5, "b": 0.5})
+    # each distribution is a row with one entry per support point, in support order
+    with pytest.raises(ValueError, match=r"train distribution has 1 entries, expected one per support point \(2\)"):
+        DiscreteDistributionPair(("a", "b"), (1.0,), (0.5, 0.5))
+    with pytest.raises(ValueError, match=r"deploy distribution has 3 entries, expected one per support point \(2\)"):
+        DiscreteDistributionPair(("a", "b"), (0.5, 0.5), (0.5, 0.25, 0.25))
     with pytest.raises(ValueError, match="deploy distribution has negative or NaN mass nan at 'b'"):
-        DiscreteDistributionPair(("a", "b"), {"a": 0.5, "b": 0.5}, {"a": 1.0, "b": math.nan})
+        DiscreteDistributionPair(("a", "b"), (0.5, 0.5), (1.0, math.nan))
     with pytest.raises(ValueError, match="train distribution has negative or NaN mass -0.5 at 'b'"):
-        DiscreteDistributionPair(("a", "b"), {"a": 1.5, "b": -0.5}, {"a": 0.5, "b": 0.5})
+        DiscreteDistributionPair(("a", "b"), (1.5, -0.5), (0.5, 0.5))
 
 
 def test_kl_nonnegative_and_asymmetric(rng):
@@ -106,8 +109,7 @@ def test_kl_nonnegative_and_asymmetric(rng):
         raw = rng.uniform(0.05, 1.0, size=(2, 3))
         raw /= raw.sum(axis=1, keepdims=True)
         support = ("x", "y", "z")
-        train = dict(zip(support, map(float, raw[0])))
-        deploy = dict(zip(support, map(float, raw[1])))
+        train, deploy = raw.tolist()
         forward = distribution_shift_score(DiscreteDistributionPair(support, train, deploy))
         backward = distribution_shift_score(DiscreteDistributionPair(support, deploy, train))
         assert forward.kl_nats >= 0.0
@@ -137,13 +139,15 @@ def test_missing_declared_check_fails():
     findings = prudence_report(
         "prudent-adviser",
         ["bias-review", "shift-review"],
-        [Finding("bias-review", "pass", "check passed")],
+        [Finding("bias-review", "pass", "check passed"), Finding("duty:x", "pass", "covered")],
         known_standards=_known(),
     )
     assert worst(f.status for f in findings) == "fail"
     missing = [f for f in findings if f.check == "shift-review"]
     assert missing and missing[0].status == "fail"
     assert "missing" in missing[0].detail
+    # its witness: the declared name and the checks that did run
+    assert missing[0].evidence == {"declared_check": "shift-review", "checks_run": ["bias-review", "duty:x"]}
 
 
 def test_prior_dominated_warns():
@@ -176,3 +180,12 @@ def test_report_monotone_in_findings():
     )
     order = {"pass": 0, "warn": 1, "fail": 2}
     assert order[worst(f.status for f in worse)] >= order[worst(f.status for f in base)]
+
+
+def test_two_findings_of_one_declared_name_are_both_kept():
+    passing, refused = Finding("review", "pass", "covered"), Finding("review", "fail", "attestation refused")
+    for findings in ([passing, refused], [refused, passing]):
+        report = prudence_report("prudent-adviser", ["review"], findings, known_standards=_known())
+        assert report == findings
+        assert worst(f.status for f in report) == "fail"
+

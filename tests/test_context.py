@@ -38,19 +38,19 @@ def test_minimal_spec_valid():
 def test_norm_with_undeclared_role():
     norm = Norm("adviser", "stranger", "client", "status", "attestation:notice")
     violations = validate_context(minimal_context(norms=(norm,)))
-    assert any(v.path == "norms[0].receiver" for v in violations)
+    assert any(path == "norms[0].receiver" for path, _ in violations)
 
 
 def test_duplicate_role_ids_reported_with_positions():
     spec = minimal_context(roles=(Role("adviser"), Role("adviser")))
     violations = validate_context(spec)
-    assert any(v.path == "roles[1].id" and "roles[0]" in v.message for v in violations)
+    assert any(path == "roles[1].id" and "roles[0]" in message for path, message in violations)
 
 
 def test_unbound_confidentiality_norm_flagged():
     norm = Norm("adviser", "client", "client", "secret", "confidentiality")
     violations = validate_context(minimal_context(norms=(norm,)))
-    assert any(v.path == "norms[0].binding" for v in violations)
+    assert any(path == "norms[0].binding" for path, _ in violations)
 
 
 def test_bound_disclosure_norm_passes():
@@ -68,7 +68,7 @@ def test_bound_disclosure_norm_passes():
 
 def test_unknown_duty_key_flagged():
     violations = validate_context(minimal_context(subsidiary_duties=("astrology/stars",)))
-    assert any(v.path == "subsidiary_duties[0]" for v in violations)
+    assert any(path == "subsidiary_duties[0]" for path, _ in violations)
 
 
 def test_validate_is_pure():

@@ -41,22 +41,23 @@ def test_constant_principal_vacuously_aligned():
 
 
 def test_outcome_space_mismatch():
-    # each row holds one entry per declared outcome
-    with pytest.raises(ValueError, match=r"utility table has 1 entries, expected one per outcome \(2\)"):
+    # each row holds one entry per declared outcome; rows are numbered in argument order
+    with pytest.raises(ValueError, match=r"utility row 1 has 1 entries, expected one per outcome \(2\)"):
         alignment_check(OUTCOMES, [1, 0], [1])
-    with pytest.raises(ValueError, match=r"utility table has 3 entries, expected one per outcome \(2\)"):
+    with pytest.raises(ValueError, match=r"utility row 0 has 3 entries, expected one per outcome \(2\)"):
         no_conflict_check(OUTCOMES, [1, 0, 2], [1, 0])
 
 
 @pytest.mark.parametrize("check", [alignment_check, disgorgement_check, no_conflict_check])
 def test_table_checks(check):
-    with pytest.raises(ValueError, match="utility table is empty"):
+    # the shared rows check of the aggregation rules, rows numbered in argument order
+    with pytest.raises(ValueError, match="need at least one outcome"):
         check((), (), ())
     with pytest.raises(ValueError, match="duplicate outcome ids"):
         check(("c1", "c1"), [1, 0], [0, 1])
-    with pytest.raises(ValueError, match="utility for outcome 'c2' is not finite"):
+    with pytest.raises(ValueError, match="utility of row 0 for outcome 'c2' is not finite"):
         check(OUTCOMES, [1, math.inf], [0, 1])
-    with pytest.raises(ValueError, match="utility for outcome 'c1' is not finite"):
+    with pytest.raises(ValueError, match="utility of row 1 for outcome 'c1' is not finite"):
         check(OUTCOMES, [1, 0], [math.nan, 1])
 
 

@@ -205,6 +205,17 @@ def check_name_repeated(raw):
     raw["care"]["checks"].insert(0, refused)
 
 
+def check_named_after_a_duty(raw):
+    # a refused attestation under the name the care step gives a declared duty's finding
+    name = "duty:trusts/prudent-investor-rule"
+    raw["care"]["checks"].append({"name": name, "kind": "attestation", "attested": False, "note": "refused"})
+    raw["care"]["declared_checks"].append(name)
+
+
+def check_named_standard(raw):
+    raw["care"]["checks"][0]["name"] = "standard"
+
+
 def attestation_duty_repeated(raw):
     attestations = raw["loyalty"]["attestations"]
     attestations.insert(0, dict(attestations[0], attested=False, note="refused"))
@@ -250,6 +261,8 @@ def attestation_duty_repeated(raw):
         ("disclosure_demo.json", profile_without_receiver, "world.macid.profile"),
         ("disclosure_demo.json", rule_for_chance_node, "world.macid.profile"),
         ("trust_portfolio.json", check_name_repeated, "care.checks[1].name"),
+        ("trust_portfolio.json", check_named_after_a_duty, "care.checks[2].name"),
+        ("trust_portfolio.json", check_named_standard, "care.checks[0].name"),
         ("engagement_prior_warn.json", attestation_duty_repeated, "loyalty.attestations[1].duty"),
     ],
 )
