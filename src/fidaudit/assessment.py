@@ -11,7 +11,10 @@ inputs (nothing here trains on-line):
   feature counts less the expected counts of a forward occupancy pass, in
   O(T S^2 A)), so it can be validated against finite differences.
 * ``fit_preference_reward`` fits a linear reward to pairwise trajectory
-  judgments under a logistic choice model.
+  judgments under a logistic choice model (Bradley & Terry 1952). Its
+  fixed steps are one loop on Python floats over the comparisons' nonzero
+  feature differences, O(iters x nonzero differences), each sum in a
+  fixed order; numpy products would agree to the last bits only.
 * ``prudent_investor_weights`` is the legal-standard template: the
   unconstrained mean-variance optimum.
 
@@ -223,19 +226,23 @@ def demo_log_likelihood(
     """Log-likelihood of the demos under the soft policy, with exact gradient.
     ``features`` is an (S, A, d) tensor in MDP order; each demo is a
     sequence of (state index, action index) steps."""
-    return _log_likelihood(mdp, _feature_tensor(mdp, features), *_visits(mdp, demos), theta, beta)
+    steps, counts = _visits(mdp, demos)
+    policies, grad = _log_likelihood(mdp, _feature_tensor(mdp, features), steps, counts, theta, beta)
+    return _demo_log_prob(policies, steps), grad
 
 
 def _log_likelihood(
     mdp: Mdp, dense: np.ndarray, steps: np.ndarray, counts: np.ndarray, theta: np.ndarray, beta: float
-) -> tuple[float, np.ndarray]:
-    """``demo_log_likelihood`` over a checked (S, A, d) feature tensor and
-    the demos' ``_visits``. A backward soft pass gives the policies pi_t. A
-    forward pass weighs each (t, s, a) by W_t = n_t - (n_t(s) - m_t(s)) pi_t,
-    the demo visits less the soft policy's expected ones; m_t is the
-    discounted occupancy the demo actions before t lead to, less that of
-    the policy's actions (m_0 = 0, m_{t+1} = beta W_t P). The gradient is
-    sum_t W_t phi: one (S A) x S product per step, one feature product."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The soft policies pi_t as a (T, S, A) array, from which
+    ``_demo_log_prob`` sums the demo log-likelihood, and its exact gradient,
+    over a checked (S, A, d) feature tensor and the demos' ``_visits``. A
+    backward soft pass gives the policies. A forward pass weighs each
+    (t, s, a) by W_t = n_t - (n_t(s) - m_t(s)) pi_t, the demo visits less
+    the soft policy's expected ones; m_t is the discounted occupancy the
+    demo actions before t lead to, less that of the policy's actions
+    (m_0 = 0, m_{t+1} = beta W_t P). The gradient is sum_t W_t phi: one
+    (S A) x S product per step, one feature product."""
     horizon, n_s, n_a = counts.shape
     reward = dense @ np.asarray(theta, float)  # (S, A)
     policies = np.empty(counts.shape)
@@ -247,9 +254,6 @@ def _log_likelihood(
         norm = exp_q.sum(axis=1, keepdims=True)
         policies[t] = exp_q / norm
         v = (peak + np.log(norm)).ravel()
-    total = 0.0
-    for p in policies[tuple(steps)].tolist():
-        total += math.log(p)
     flat_transition = mdp.transition.reshape(n_s * n_a, n_s)
     state_counts = counts.sum(axis=2)
     occupancy = np.zeros(n_s)
@@ -258,7 +262,15 @@ def _log_likelihood(
         w = counts[t] - (state_counts[t] - occupancy)[:, None] * policies[t]
         weight += w
         occupancy = beta * (w.reshape(-1) @ flat_transition)
-    return total, weight.reshape(-1) @ dense.reshape(n_s * n_a, -1)
+    return policies, weight.reshape(-1) @ dense.reshape(n_s * n_a, -1)
+
+
+def _demo_log_prob(policies: np.ndarray, steps: np.ndarray) -> float:
+    """The sum of log pi_t(a | s) over the demos' steps, in demo order."""
+    total = 0.0
+    for p in policies[tuple(steps)].tolist():
+        total += math.log(p)
+    return total
 
 
 def maxent_irl(
@@ -276,7 +288,8 @@ def maxent_irl(
     construction. The reward table of ``mdp`` is ignored. The gradient
     is the demo feature counts less the expected counts of a forward
     occupancy pass under the current soft policy (see ``_log_likelihood``);
-    the demos' visits are indexed once per fit. Raises
+    the demos' visits are indexed once per fit, and their log-likelihood
+    is summed once, under the returned theta's policies. Raises
     ValueError when the gradient norm grows tenfold over its
     initial value (a sign the step size is too large for the instance).
     """
@@ -286,14 +299,14 @@ def maxent_irl(
     steps, counts = _visits(mdp, demos)
     dense = _feature_tensor(mdp, features)
     theta = np.zeros(dense.shape[2])
-    log_likelihood, grad = _log_likelihood(mdp, dense, steps, counts, theta, beta)
+    policies, grad = _log_likelihood(mdp, dense, steps, counts, theta, beta)
     initial_norm = float(np.linalg.norm(grad))
     grad_norm = initial_norm
     for _ in range(iters):
         if grad_norm == 0.0:
             break
         theta = theta + learn_rate * grad
-        log_likelihood, grad = _log_likelihood(mdp, dense, steps, counts, theta, beta)
+        policies, grad = _log_likelihood(mdp, dense, steps, counts, theta, beta)
         grad_norm = float(np.linalg.norm(grad))
         if initial_norm > 0 and grad_norm > 10.0 * initial_norm:
             raise ValueError(f"gradient norm {grad_norm:.3g} exceeds 10x initial {initial_norm:.3g}")
@@ -301,7 +314,7 @@ def maxent_irl(
     return RewardEstimate(
         weights=theta,
         table=table,
-        diagnostics={"grad_norm": grad_norm, "log_likelihood": log_likelihood},
+        diagnostics={"grad_norm": grad_norm, "log_likelihood": _demo_log_prob(policies, steps)},
     )
 
 
@@ -322,6 +335,18 @@ def fit_preference_reward(
     the sum of its rows dotted with theta. Data in which every pair is
     feature-identical carries no gradient and is surfaced as a ValueError
     rather than silently returning theta = 0.
+
+    Each comparison's difference (the winner's rows summed from 0.0 in
+    step order, less the loser's) is kept as its nonzero (feature, value)
+    pairs, and the ``iters`` fixed steps from theta = 0 run on Python
+    floats, in O(iters x nonzero differences): each margin is summed in
+    ascending feature order, each feature's gradient in comparison order,
+    and only features with a nonzero difference are stepped. So while
+    theta is finite the weights equal a dense sequential loop's bit for
+    bit, and those of BLAS products and numpy's ``exp`` to the last bits.
+    The log-likelihood is one numpy pass over the final margins; a theta
+    that overflowed gives non-finite weights and log-likelihood, and no
+    warning.
     """
     table = np.asarray(features, dtype=float)
     if table.ndim != 2:
@@ -348,23 +373,33 @@ def fit_preference_reward(
     if float(np.max(np.abs(diff_matrix))) < 1e-12:
         raise ValueError("every comparison is feature-identical; gradient is zero")
 
-    theta = np.zeros(table.shape[1])
+    pairs = [[(j, v) for j, v in enumerate(row) if v != 0.0] for row in diff_matrix.tolist()]
+    stepped = {j for row in pairs for j, _ in row}
+    theta = [0.0] * table.shape[1]
     for _ in range(iters):
-        margins = diff_matrix @ theta
-        slack = _sigmoid(-margins)  # d/dtheta of sum log sigmoid(margins)
-        grad = diff_matrix.T @ slack
-        theta = theta + learn_rate * grad
-    margins = diff_matrix @ theta
-    log_likelihood = float(np.sum(_log_sigmoid(margins)))
+        grad = dict.fromkeys(stepped, 0.0)
+        for row in pairs:
+            margin = 0.0
+            for j, v in row:
+                margin += v * theta[j]
+            slack = _slack(margin)  # d/dmargin of log sigmoid(margin)
+            for j, v in row:
+                grad[j] += v * slack
+        for j, g in grad.items():
+            theta[j] += learn_rate * g
+    weights = np.array(theta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_likelihood = float(np.sum(_log_sigmoid(diff_matrix @ weights)))
     return RewardEstimate(
-        weights=theta,
+        weights=weights,
         diagnostics={"log_likelihood": log_likelihood},
     )
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    ex = np.exp(-np.abs(x))  # at most 1: no overflow on either side
-    return np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
+def _slack(margin: float) -> float:
+    """sigmoid(-margin), from exp(-|margin|): at most 1, so it never overflows."""
+    ex = math.exp(-abs(margin))
+    return 1.0 / (1.0 + ex) if margin <= 0 else ex / (1.0 + ex)
 
 
 def _log_sigmoid(x: np.ndarray) -> np.ndarray:

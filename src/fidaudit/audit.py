@@ -24,7 +24,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
-from typing import Any, Collection, Sequence
+from typing import Any, Collection
 
 import numpy as np
 
@@ -168,18 +168,18 @@ def _verdict(check: str, ok: bool, evidence: dict, passed: str, failed: str, bad
     return Finding(check, PASS if ok else bad, passed if ok else failed, evidence)
 
 
-def _attempt(check: str, evidence: dict, run, kept: Sequence[Finding] = ()) -> list[Finding]:
+def _attempt(check: str, evidence: dict, run) -> list[Finding]:
     """The findings ``run()`` returns; if a library call rejects a value on
     the way, one FAIL for ``check`` with the error added to ``evidence``,
     and for an equilibrium search that revisited a profile, the cycle's
-    period, followed by the findings ``kept``."""
+    period."""
     try:
         return run()
     except ValueError as exc:
         evidence = {**evidence, "error": str(exc)}
         if isinstance(exc, NoConvergence) and exc.cycle:
             evidence["cycle_period"] = len(exc.cycle)
-        return [Finding(check, FAIL, str(exc), evidence), *kept]
+        return [Finding(check, FAIL, str(exc), evidence)]
 
 
 def _report_form(finding: Finding) -> Finding:
@@ -774,15 +774,7 @@ def _run_care(doc: Care, scenario: Scenario, state: _State) -> list[Finding]:
             )
         )
 
-    # an unknown standard fails that check alone: the computed findings stay
-    return _attempt(
-        "standard",
-        {"standard": doc.standard},
-        lambda: prudence_report(
-            doc.standard, list(doc.declared_checks), computed, known_standards=frozenset(known)
-        ),
-        kept=computed,
-    )
+    return prudence_report(doc.standard, list(doc.declared_checks), computed, known_standards=frozenset(known))
 
 
 def _care_check(entry: SimpleNamespace) -> Finding:

@@ -154,14 +154,17 @@ def prudence_report(
     order, and the other findings follow. A declared check with no finding
     fails the step outright (care means being highly informed before
     acting; absent evidence is negligence, not neutrality), with the
-    declared name and the checks that did run as its witness. The step's
-    status is the ``worst`` of the findings', so adding a failing finding
-    can never upgrade it.
+    declared name and the checks that did run as its witness. A standard
+    not in ``known_standards`` is one ``standard`` FAIL ahead of the
+    assembled findings, which it hides none of. The step's status is the
+    ``worst`` of the findings', so adding a failing finding can never
+    upgrade it.
     """
-    if standard not in known_standards:
-        raise ValueError(f"care standard {standard!r} is not declared for this context")
-    ran = [f.check for f in findings]
     assembled = []
+    if standard not in known_standards:
+        error = f"care standard {standard!r} is not declared for this context"
+        assembled.append(Finding("standard", FAIL, error, {"standard": standard, "error": error}))
+    ran = [f.check for f in findings]
     for name in declared_checks:
         assembled += [f for f in findings if f.check == name] or [
             Finding(

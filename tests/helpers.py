@@ -147,3 +147,38 @@ def delayed_reward_chain(n_states):
         reward[s, 1] = 0.01 * (1 + s / n_states)
     reward[n_states - 1, 0] = 1.0
     return Mdp(tuple(f"s{i}" for i in range(n_states)), ("wait", "take"), transition, reward)
+
+
+def numpy_preference_fit(features, comparisons, learn_rate, iters):
+    """The preference fit as numpy products over the dense (comparisons, d)
+    difference matrix, each step a BLAS margin and gradient pass: an oracle
+    for ``assessment.fit_preference_reward``, which sums in a fixed order
+    and so agrees with it to rounding. Returns (weights, log-likelihood)."""
+    table = np.asarray(features, dtype=float)
+
+    def counts(rows):
+        total = np.zeros(table.shape[1])
+        for r in rows:
+            total += table[r]
+        return total
+
+    diff_matrix = np.array(
+        [
+            counts(c.left) - counts(c.right) if c.preferred == "left" else counts(c.right) - counts(c.left)
+            for c in comparisons
+        ]
+    )
+    theta = np.zeros(table.shape[1])
+    for _ in range(iters):
+        slack = _sigmoid(-(diff_matrix @ theta))
+        theta = theta + learn_rate * (diff_matrix.T @ slack)
+    return theta, float(np.sum(_log_sigmoid(diff_matrix @ theta)))
+
+
+def _sigmoid(x):
+    ex = np.exp(-np.abs(x))  # at most 1: no overflow on either side
+    return np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
+
+
+def _log_sigmoid(x):
+    return np.where(x >= 0, -np.log1p(np.exp(-np.abs(x))), x - np.log1p(np.exp(-np.abs(x))))

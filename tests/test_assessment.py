@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from fidaudit.assessment import (
     PairwiseComparison,
     PortfolioProblem,
-    _sigmoid,
+    _slack,
     demo_log_likelihood,
     feasible_rewards_irl,
     fit_preference_reward,
@@ -19,6 +20,7 @@ from fidaudit.assessment import (
     prudent_investor_weights,
 )
 from fidaudit.mdp import Mdp, evaluate_policy, policy_iteration, solve_exact, value_iteration
+from helpers import _sigmoid, numpy_preference_fit
 
 
 def deterministic_mdp(states, actions, moves, rewards=None):
@@ -356,23 +358,99 @@ def _kendall_tau(order_a, order_b):
     return (concordant - discordant) / (concordant + discordant)
 
 
-def _two_branch_sigmoid(x):
-    """The logistic function as two separately computed halves."""
-    out = np.empty_like(x, dtype=float)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def _two_branch_slack(margin):
+    """sigmoid(-margin) as two separately computed halves."""
+    x = -margin
+    if x >= 0:
+        return 1.0 / (1.0 + math.exp(-x))
+    ex = math.exp(x)
+    return ex / (1.0 + ex)
 
 
-def test_sigmoid_matches_the_two_branch_reference_bit_for_bit():
+def test_slack_matches_the_two_branch_logistic_at_the_edges():
     edges = [0.0, 1e-300, 36.0, 745.0, 1e308, math.inf]
-    x = np.concatenate([edges, [-e for e in edges], [math.nan], np.random.default_rng(5).normal(size=10_000)])
-    got, want = _sigmoid(x), _two_branch_sigmoid(x)
-    nan = np.isnan(want)
-    assert nan.sum() == 1 and np.array_equal(np.isnan(got), nan)
-    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+    margins = edges + [-e for e in edges] + np.random.default_rng(5).normal(size=1_000).tolist()
+    for m in margins:
+        got, want = _slack(m), _two_branch_slack(m)
+        assert struct.pack("<d", got) == struct.pack("<d", want), m
+        assert 0.0 <= got <= 1.0
+        oracle = float(_sigmoid(np.array(-m)))  # numpy's exp: equal up to its last bits
+        assert abs(got - oracle) <= 1e-15 * oracle, m
+    assert [_slack(m) for m in (0.0, -0.0, 1e-300, -1e-300)] == [0.5] * 4
+    assert [_slack(m) for m in (1e308, math.inf, -1e308, -math.inf)] == [0.0, 0.0, 1.0, 1.0]
+    assert _slack(745.0) == 5e-324 and _slack(-745.0) == 1.0
+    assert math.isnan(_slack(math.nan))
+
+
+def _random_comparisons(rng, rows):
+    comparisons = []
+    for _ in range(int(rng.integers(1, 8))):
+        left = tuple(int(r) for r in rng.integers(0, rows, size=int(rng.integers(1, 4))))
+        right = tuple(int(r) for r in rng.integers(0, rows, size=int(rng.integers(1, 4))))
+        if left != right:
+            comparisons.append(PairwiseComparison(left, right, "left" if rng.random() < 0.5 else "right"))
+    return comparisons
+
+
+def test_preference_fit_is_within_rounding_of_the_numpy_fit():
+    rng = np.random.default_rng(22)
+    fits = 0
+    while fits < 60:
+        rows = int(rng.integers(2, 10))
+        features = rng.normal(size=(rows, int(rng.integers(1, 6))))
+        comparisons = _random_comparisons(rng, rows)
+        if not comparisons:
+            continue
+        # a step small enough for a stable ascent, so rounding is not amplified
+        estimate = fit_preference_reward(features, comparisons, learn_rate=0.01, iters=100)
+        weights, log_likelihood = numpy_preference_fit(features, comparisons, 0.01, 100)
+        assert np.max(np.abs(estimate.weights - weights)) <= 1e-12 * np.max(np.abs(weights))
+        assert abs(estimate.diagnostics["log_likelihood"] - log_likelihood) <= 1e-12 * abs(log_likelihood)
+        fits += 1
+
+
+def _dense_sequential_fit(features, comparisons, learn_rate, iters):
+    """Every (comparison, feature) term, zeros included, summed from 0.0 in
+    ascending feature order for a margin and in comparison order for a
+    gradient, and every feature stepped."""
+    diffs = []
+    for c in comparisons:
+        winner, loser = (c.left, c.right) if c.preferred == "left" else (c.right, c.left)
+        diffs.append((sum((features[r] for r in winner), np.zeros(features.shape[1]))
+                      - sum((features[r] for r in loser), np.zeros(features.shape[1]))).tolist())
+    theta = [0.0] * features.shape[1]
+    for _ in range(iters):
+        slack = []
+        for row in diffs:
+            margin = 0.0
+            for v, t in zip(row, theta):
+                margin += v * t
+            slack.append(_two_branch_slack(margin))
+        grad = [0.0] * len(theta)
+        for row, s in zip(diffs, slack):
+            for j, v in enumerate(row):
+                grad[j] += v * s
+        theta = [t + learn_rate * g for t, g in zip(theta, grad)]
+    return np.array(theta), diffs
+
+
+def test_preference_fit_equals_a_dense_sequential_loop_bit_for_bit():
+    rng = np.random.default_rng(40)
+    zero_differences = fits = 0
+    while fits < 60:
+        rows = int(rng.integers(2, 10))
+        features = rng.normal(size=(rows, int(rng.integers(2, 7))))
+        features[rng.random(features.shape) < 0.4] = 0.0
+        comparisons = _random_comparisons(rng, rows)
+        try:
+            estimate = fit_preference_reward(features, comparisons, learn_rate=0.05, iters=40)
+        except ValueError:  # no comparison, or every one feature-identical
+            continue
+        weights, diffs = _dense_sequential_fit(features, comparisons, 0.05, 40)
+        assert estimate.weights.view(np.uint64).tolist() == weights.view(np.uint64).tolist()
+        zero_differences += sum(v == 0.0 for row in diffs for v in row)
+        fits += 1
+    assert zero_differences > 60  # the kernel skipped many terms the loop summed
 
 
 def test_single_separable_comparison():

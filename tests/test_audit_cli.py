@@ -368,6 +368,19 @@ def test_preference_fit_over_the_world_mdp_uses_one_hot_state_features():
     assert findings[5].evidence["log_likelihood"] == want.diagnostics["log_likelihood"]
 
 
+def test_an_overflowing_preference_fit_fails_on_non_finite_evidence():
+    raw = raw_scenario("engagement_prior_warn.json")
+    method = next(m for m in raw["assessment"]["methods"] if m["kind"] == "preference_fit")
+    method["feature_rows"] = [[10.0, 0.0], [0.0, 10.0], [10.0, 10.0]]
+    method["learn_rate"] = 1e308  # the first step already overflows theta
+    _, findings = step_findings(raw, "assessment")
+    fit = next(f for f in findings if f.check == "preference-fit")
+    error = "non-finite number in evidence field(s) 'weights', 'log_likelihood'"
+    assert (fit.status, fit.detail) == ("fail", error)
+    assert fit.evidence == {"error": error}
+    assert "step-error" not in {f.check for f in findings}
+
+
 def test_discount_inference_uses_a_declared_prior():
     raw = raw_scenario("trust_portfolio.json")
     method = raw["assessment"]["methods"][1]
@@ -560,6 +573,24 @@ def test_an_unknown_care_standard_fails_that_check_alone():
     ]
     error = "care standard 'no-such-standard' is not declared for this context"
     assert findings[0].evidence == {"standard": "no-such-standard", "error": error}
+
+
+def test_an_unknown_care_standard_hides_no_missing_declared_check():
+    raw = raw_scenario("trust_portfolio.json")
+    raw["care"]["standard"] = "no-such-standard"
+    missing_declared_check(raw)
+    status, findings = step_findings(raw, "care")
+    assert status == "fail"
+    assert [(f.check, f.status) for f in findings] == [
+        ("standard", "fail"),
+        ("shift-review", "pass"),
+        ("nonexistent", "fail"),
+        ("trusts/record-keeping", "pass"),
+        ("duty:trusts/prudent-investor-rule", "pass"),
+        ("duty:trusts/record-keeping", "pass"),
+    ]
+    ran = ["shift-review", "trusts/record-keeping", "duty:trusts/prudent-investor-rule", "duty:trusts/record-keeping"]
+    assert findings[2].evidence == {"declared_check": "nonexistent", "checks_run": ran}
 
 
 def test_every_fail_finding_has_evidence():

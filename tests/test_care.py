@@ -161,8 +161,16 @@ def test_prior_dominated_warns():
 
 
 def test_unknown_standard_rejected():
-    with pytest.raises(ValueError, match="care standard 'astrology-grade' is not declared for this context"):
-        prudence_report("astrology-grade", [], [], known_standards=_known())
+    error = "care standard 'astrology-grade' is not declared for this context"
+    findings = prudence_report("astrology-grade", [], [], known_standards=_known())
+    assert findings == [Finding("standard", "fail", error, {"standard": "astrology-grade", "error": error})]
+
+
+def test_an_unknown_standard_still_assembles_the_declared_checks():
+    review = Finding("review", "pass", "check passed")
+    findings = prudence_report("astrology-grade", ["review", "shift-review"], [review], known_standards=_known())
+    assert [(f.check, f.status) for f in findings] == [("standard", "fail"), ("review", "pass"), ("shift-review", "fail")]
+    assert findings[2].evidence == {"declared_check": "shift-review", "checks_run": ["review"]}
 
 
 def test_report_monotone_in_findings():
