@@ -119,12 +119,11 @@ class FeasibleRewardSet:
         """
         n_s, n_a = len(self.mdp.states), len(self.mdp.actions)
         v = rng.uniform(-1.0, 1.0, size=n_s)
-        q = np.empty((n_s, n_a))
-        for i in range(n_s):
-            for j in range(n_a):
-                gap = 0.0 if j == self.chosen[i] else float(rng.uniform(0.1, 1.0))
-                q[i, j] = v[i] - gap
-        reward = q - self.beta * (self.mdp.transition @ v)
+        others = np.ones((n_s, n_a), dtype=bool)
+        others[np.arange(n_s), self.chosen] = False
+        gaps = np.zeros((n_s, n_a))
+        gaps[others] = rng.uniform(0.1, 1.0, size=int(others.sum()))  # drawn in row-major order
+        reward = (v[:, None] - gaps) - self.beta * (self.mdp.transition @ v)
         peak = float(np.max(np.abs(reward)))
         if peak > self.bound:
             reward *= self.bound / peak
@@ -344,9 +343,9 @@ def fit_preference_reward(
     and only features with a nonzero difference are stepped. So while
     theta is finite the weights equal a dense sequential loop's bit for
     bit, and those of BLAS products and numpy's ``exp`` to the last bits.
-    The log-likelihood is one numpy pass over the final margins; a theta
-    that overflowed gives non-finite weights and log-likelihood, and no
-    warning.
+    The log-likelihood is one numpy pass over the final margins; feature
+    sums or a theta that overflowed give non-finite weights and
+    log-likelihood, and no warning.
     """
     table = np.asarray(features, dtype=float)
     if table.ndim != 2:
@@ -364,11 +363,12 @@ def fit_preference_reward(
         return total
 
     diffs = []
-    for comp in comparisons:
-        winner, loser = (
-            (comp.left, comp.right) if comp.preferred == "left" else (comp.right, comp.left)
-        )
-        diffs.append(counts(winner) - counts(loser))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for comp in comparisons:
+            winner, loser = (
+                (comp.left, comp.right) if comp.preferred == "left" else (comp.right, comp.left)
+            )
+            diffs.append(counts(winner) - counts(loser))
     diff_matrix = np.array(diffs)
     if float(np.max(np.abs(diff_matrix))) < 1e-12:
         raise ValueError("every comparison is feature-identical; gradient is zero")

@@ -19,10 +19,12 @@ utility array. Every sum is a left-to-right fold from 0.0 (``_fold``), so
 each result has the bits a per-cell Python loop gives. Deterministic
 rules are enumerated, and sums over a rule's rows taken, in the rows'
 declared order (``parent_assignments``); ties go to the lowest index. The
-equilibrium warm start scores profiles in blocks, a deterministic
-profile's joint being the chance factors' product times its rules' 0/1
-arrays. Every best-response search runs one loop of sweeps (``_iterate``
-over ``_improve``), from the warm start or from any other profile.
+equilibrium warm start enumerates, in blocks, the deterministic profiles
+of every decision but the last, a profile's joint being the chance
+factors' product times its rules' 0/1 arrays, and picks the last
+decision's rule row by row against each. Every best-response search runs
+one loop of sweeps (``_iterate`` over ``_improve``), from the warm start
+or from any other profile.
 
 Every query is exact on the model it is given, barren nodes included.
 ``Macid.ancestral(targets)`` restricts a model to the targets, every
@@ -53,11 +55,12 @@ MAX_ROUNDS = 64
 # A rule or warm-start profile is replaced only by one that gains more.
 _GAIN_MARGIN = 1e-12
 
-# Enumerating candidate profiles for the equilibrium warm start costs
-# (number of profiles) * (number of joint outcomes); skip it beyond this.
+# The equilibrium warm start runs only while (number of deterministic
+# profiles) * (number of joint outcomes) is at most this.
 _WARM_START_BUDGET = 2_000_000
-# Profiles times outcomes scored together in one warm-start block; it
-# bounds the block's temporaries, so peak memory stays flat.
+# Profiles of every decision but the last, times outcomes, scored together
+# in one warm-start block; it bounds the block's temporaries, so peak
+# memory stays flat.
 _BLOCK_CELLS = 4096
 
 
@@ -547,10 +550,22 @@ def _welfare_warm_start(model: Macid) -> dict[str, np.ndarray]:
     by lexicographic rule order. This favors payoff-efficient equilibria
     when several exist, e.g. the informative one in communication models
     where a babbling equilibrium also satisfies the deviation check.
-    Profiles are scored in blocks of about ``_BLOCK_CELLS`` cells and
-    scanned in ``itertools.product`` order; one wins only by beating the
-    best so far by more than ``_GAIN_MARGIN``. Beyond the enumeration
-    budget, fall back to the lexicographically smallest profile.
+    Beyond the enumeration budget (all profiles times all outcomes), fall
+    back to the lexicographically smallest profile.
+
+    Welfare is linear in the last decision's rule, row by row, so only the
+    other decisions' profiles are enumerated (single policy updating,
+    Lauritzen & Nilsson 2001): for each, the last decision's row payoffs
+    ``w[r][a]`` are the agents' utility mass routed through parent
+    assignment r and action a, as in ``_best_response_detail``, and its
+    rule takes in each row the first action, unless a later one beats the
+    row's leader so far by more than ``_GAIN_MARGIN``. A profile's welfare
+    is the fold of its chosen row payoffs in row order. Profiles are scored
+    in blocks of about ``_BLOCK_CELLS`` cells and scanned in
+    ``itertools.product`` order; one wins only by beating the best so far
+    by more than ``_GAIN_MARGIN``. The margin thus applies per row: a rule
+    whose rows each gain less than it is not taken, however much the rows
+    gain together.
     """
     decisions = model.decision_nodes()
     rows = [len(list(model.parent_assignments(nid))) for nid in decisions]
@@ -558,26 +573,40 @@ def _welfare_warm_start(model: Macid) -> dict[str, np.ndarray]:
     # decision and row in declared order: the action index played there.
     radix = [len(model.node_map[nid].domain) for nid, n in zip(decisions, rows) for _ in range(n)]
     cuts = list(itertools.accumulate(rows))[:-1]
-    n_profiles = math.prod(radix)
     n_outcomes = math.prod(_shape(model))
     picked = np.zeros(len(radix), dtype=int)
-    if decisions and n_profiles * n_outcomes <= _WARM_START_BUDGET:
-        strides = np.array([math.prod(radix[j + 1:]) for j in range(len(radix))])
-        chance = _chain(model, {}, skip=decisions)
+    if decisions and math.prod(radix) * n_outcomes <= _WARM_START_BUDGET:
+        *outer, last = decisions
+        outer_radix = radix[: len(radix) - rows[-1]]
+        n_outer = math.prod(outer_radix)
+        # integer arrays, so that a lone decision's empty digits are integers too
+        strides = np.array([math.prod(outer_radix[j + 1:]) for j in range(len(outer_radix))], dtype=int)
+        outer_radix = np.array(outer_radix, dtype=int)
+        chance = _chain(model, {}, skip=decisions)[None]
         utilities = list(model.utility_arrays.values())
+        # the last decision's scope, after the block's leading axis
+        scope = [1 + model.outcome_order.index(n) for n in model.scope(last)]
+        width = len(model.node_map[last].domain)
         block = max(1, _BLOCK_CELLS // n_outcomes)
         best_welfare = -math.inf
-        for start in range(0, n_profiles, block):
-            digits = np.arange(start, min(start + block, n_profiles))[:, None] // strides % radix
+        for start in range(0, n_outer, block):
+            digits = np.arange(start, min(start + block, n_outer))[:, None] // strides % outer_radix
             joint = chance
-            for nid, part in zip(decisions, np.split(digits, cuts, axis=1)):
+            for nid, part in zip(outer, np.split(digits, cuts[:-1], axis=1)):
                 joint = joint * _place(model, model.scope(nid), deterministic_rule(model, nid, part))
-            welfare = sum(_fold(joint * u, (0,)) for u in utilities)
+            w = sum(_fold(joint * u, (0, *scope)) for u in utilities).reshape(len(digits), -1, width)
+            choice = np.zeros(w.shape[:2], dtype=int)
+            lead = w[..., 0]
+            for a in range(1, width):
+                gains = w[..., a] > lead + _GAIN_MARGIN
+                choice[gains] = a
+                lead = np.where(gains, w[..., a], lead)
+            welfare = _fold(lead, (0,))
             # Only a profile that beats the block's starting best can switch.
             values = welfare.tolist()
             for i in np.flatnonzero(welfare > best_welfare + _GAIN_MARGIN).tolist():
                 if values[i] > best_welfare + _GAIN_MARGIN:
-                    picked, best_welfare = digits[i], values[i]
+                    picked, best_welfare = np.concatenate((digits[i], choice[i])), values[i]
     parts = zip(decisions, np.split(picked, cuts))
     return {nid: deterministic_rule(model, nid, part) for nid, part in parts}
 

@@ -89,6 +89,34 @@ def disclosure_model(aligned=True):
     )
 
 
+def relay_chain_model(hops, arity, rng):
+    """C -> R1 -> ... -> R<hops> -> B_b over ``arity`` values: the adviser's
+    report relayed by ``hops`` decisions, then the client's guess of C. Both
+    agents are paid 1 when the guess matches C; C's law is drawn from
+    ``rng``. The shapes of the benchmark's chain-disclosure scenarios."""
+    values = tuple(f"v{i}" for i in range(arity))
+    links = [f"R{i}" for i in range(1, hops + 1)]
+    nodes = [Node("C", NodeKind.CHANCE, domain=values)]
+    edges = {"C": ()}
+    for parent, nid in zip(["C", *links], links):
+        nodes.append(Node(nid, NodeKind.DECISION, owner="advisory_system", domain=values))
+        edges[nid] = (parent,)
+    nodes += [
+        Node("B_b", NodeKind.DECISION, owner="client", domain=values),
+        Node("U_a", NodeKind.UTILITY, owner="advisory_system"),
+        Node("U_b", NodeKind.UTILITY, owner="client"),
+    ]
+    edges.update({"B_b": (links[-1],), "U_a": ("C", "B_b"), "U_b": ("C", "B_b")})
+    weights = rng.uniform(0.5, 1.5, size=arity)
+    return Macid(
+        nodes=tuple(nodes),
+        edges=edges,
+        cpds={"C": weights / weights.sum()},
+        utilities={"U_a": np.eye(arity), "U_b": np.eye(arity)},
+        agents=("advisory_system", "client"),
+    )
+
+
 def disclosure_profile(model, copying=True):
     """Copying report plus report-following principal; or a muted report."""
     r = deterministic_rule(model, "R_a", [0, 1] if copying else 0)
@@ -147,6 +175,25 @@ def delayed_reward_chain(n_states):
         reward[s, 1] = 0.01 * (1 + s / n_states)
     reward[n_states - 1, 0] = 1.0
     return Mdp(tuple(f"s{i}" for i in range(n_states)), ("wait", "take"), transition, reward)
+
+
+def looped_feasible_sample(feasible, rng):
+    """``FeasibleRewardSet.sample`` as a double loop over (state, action),
+    one scalar gap draw per non-chosen cell: an oracle for the vectorized
+    draw, which must give the same rewards and leave ``rng`` in the same
+    state, bit for bit."""
+    n_s, n_a = len(feasible.mdp.states), len(feasible.mdp.actions)
+    v = rng.uniform(-1.0, 1.0, size=n_s)
+    q = np.empty((n_s, n_a))
+    for i in range(n_s):
+        for j in range(n_a):
+            gap = 0.0 if j == feasible.chosen[i] else float(rng.uniform(0.1, 1.0))
+            q[i, j] = v[i] - gap
+    reward = q - feasible.beta * (feasible.mdp.transition @ v)
+    peak = float(np.max(np.abs(reward)))
+    if peak > feasible.bound:
+        reward *= feasible.bound / peak
+    return reward
 
 
 def numpy_preference_fit(features, comparisons, learn_rate, iters):

@@ -20,7 +20,7 @@ from fidaudit.assessment import (
     prudent_investor_weights,
 )
 from fidaudit.mdp import Mdp, evaluate_policy, policy_iteration, solve_exact, value_iteration
-from helpers import _sigmoid, numpy_preference_fit
+from helpers import _sigmoid, looped_feasible_sample, numpy_preference_fit
 
 
 def deterministic_mdp(states, actions, moves, rewards=None):
@@ -90,6 +90,19 @@ def test_sampled_rewards_make_policy_optimal(rng):
         stated_value = evaluate_policy(mdp.with_reward(reward), policy, 0.9)
         for s in range(len(mdp.states)):
             assert stated_value.values[s] >= greedy_value.values[s] - 1e-8
+
+
+def test_sample_matches_the_per_cell_draws_bit_for_bit():
+    for seed, (n_states, n_actions) in enumerate([(1, 1), (3, 1), (4, 2), (7, 3), (20, 4)]):
+        draw = np.random.default_rng(seed)
+        mdp = random_dynamics(draw, n_states, n_actions)
+        policy = draw.integers(0, n_actions, size=n_states)
+        for bound in (0.05, 100.0):  # rescaled into the bound, and not
+            feasible = feasible_rewards_irl(mdp, policy, beta=0.9, bound=bound)
+            fast, slow = np.random.default_rng(seed + 100), np.random.default_rng(seed + 100)
+            reward = feasible.sample(fast)
+            assert reward.tobytes() == looped_feasible_sample(feasible, slow).tobytes()
+            assert fast.bit_generator.state == slow.bit_generator.state
 
 
 def test_suboptimal_reward_violates_a_constraint():

@@ -381,6 +381,19 @@ def test_an_overflowing_preference_fit_fails_on_non_finite_evidence():
     assert "step-error" not in {f.check for f in findings}
 
 
+def test_feature_sums_that_overflow_fail_the_fit_without_a_warning():
+    # finite rows whose trajectory sum overflows; the suite turns warnings into errors
+    raw = raw_scenario("engagement_prior_warn.json")
+    method = next(m for m in raw["assessment"]["methods"] if m["kind"] == "preference_fit")
+    method["feature_rows"] = [[1e308, 0.0], [0.0, 1.0], [1.0, 1.0]]
+    method["trajectories"][0] = [0, 0]
+    _, findings = step_findings(raw, "assessment")
+    fit = next(f for f in findings if f.check == "preference-fit")
+    error = "non-finite number in evidence field(s) 'weights', 'log_likelihood'"
+    assert (fit.status, fit.detail) == ("fail", error)
+    assert "step-error" not in {f.check for f in findings}
+
+
 def test_discount_inference_uses_a_declared_prior():
     raw = raw_scenario("trust_portfolio.json")
     method = raw["assessment"]["methods"][1]

@@ -30,6 +30,7 @@ from helpers import (
     disclosure_profile,
     guess_model,
     matching_pennies_model,
+    relay_chain_model,
     xor_model,
 )
 
@@ -840,6 +841,93 @@ def test_warm_start_across_blocks_matches_reference():
     )
     assert 27 * 27 * 27 > 2 * macid._BLOCK_CELLS
     _same(_tables(macid._welfare_warm_start(model)), _tables(_ref_warm_start(model)))
+
+
+def _relay_variants(hops, arity, rng):
+    """A relay chain as the disclosure audit solves it: whole, with the
+    first link silenced, and silenced with C shown to the client."""
+    model = relay_chain_model(hops, arity, rng)
+    silenced = model.replace_decision_with_constant_chance("R1", "v0")
+    return model, silenced, silenced.with_edge("C", "B_b")
+
+
+def test_warm_start_on_relay_chains_matches_reference(monkeypatch):
+    monkeypatch.setattr(macid, "_BLOCK_CELLS", 64)
+    rng = np.random.default_rng(23)
+    compared = 0
+    for hops, arity in itertools.product((1, 2, 3), (2, 3, 4)):
+        for model in _relay_variants(hops, arity, rng):
+            decisions = model.decision_nodes()
+            n_profiles = math.prod(
+                len(model.node_map[d].domain) ** len(list(model.parent_assignments(d))) for d in decisions
+            )
+            cells = n_profiles * math.prod(len(model.node_map[n].domain) for n in model.outcome_order)
+            start = _tables(macid._welfare_warm_start(model))
+            if cells > macid._WARM_START_BUDGET:
+                # the reference's fallback, without listing its rules
+                _same(start, {d: deterministic_rule(model, d, 0).tolist() for d in decisions})
+            elif cells <= 60_000:  # beyond this the per-cell reference takes seconds per model
+                _same(start, _tables(_ref_warm_start(model)))
+                compared += 1
+    assert compared == 13
+
+
+def test_warm_start_enumerates_only_the_other_decisions_rules(monkeypatch):
+    # the silenced (2,3) chain: B_b and R2 have 27 rules each, 729 profiles
+    model = relay_chain_model(2, 3, np.random.default_rng(1)).replace_decision_with_constant_chance("R1", "v0")
+    assert model.decision_nodes() == ("B_b", "R2")
+    stacked = {}
+    rule = macid.deterministic_rule
+
+    def counting(m, nid, actions):
+        if np.ndim(actions) == 2:
+            stacked[nid] = stacked.get(nid, 0) + len(actions)
+        return rule(m, nid, actions)
+
+    monkeypatch.setattr(macid, "deterministic_rule", counting)
+    start = macid._welfare_warm_start(model)
+    # B_b's rules are enumerated once; R2, the last decision, is chosen row by row
+    assert stacked == {"B_b": 27}
+    _same(_tables(start), _tables(_ref_warm_start(model)))
+
+
+def test_warm_start_keeps_the_earlier_outer_profile_within_tolerance():
+    # A's rules are enumerated and B's, the last decision's, chosen row by
+    # row; only A is paid for
+    for gain, played in ((5e-13, [1.0, 0.0]), (1.2e-12, [0.0, 1.0])):
+        model = Macid(
+            nodes=(
+                Node("A", NodeKind.DECISION, owner="a", domain=("x0", "x1")),
+                Node("B", NodeKind.DECISION, owner="a", domain=("x0", "x1")),
+                Node("U", NodeKind.UTILITY, owner="a"),
+            ),
+            edges={"A": (), "B": (), "U": ("A",)},
+            cpds={},
+            utilities={"U": [1.0, 1.0 + gain]},
+            agents=("a",),
+        )
+        start = _tables(macid._welfare_warm_start(model))
+        assert start == {"A": played, "B": [1.0, 0.0]}
+        _same(start, _tables(_ref_warm_start(model)))
+
+
+def test_warm_start_margin_applies_per_row():
+    # in each row x1 pays 1.2e-12 more: 0.6e-12 of welfare per row, under
+    # the margin, and 1.2e-12 over both rows, above it
+    model = Macid(
+        nodes=(
+            Node("C", NodeKind.CHANCE, domain=("0", "1")),
+            Node("D", NodeKind.DECISION, owner="a", domain=("x0", "x1")),
+            Node("U", NodeKind.UTILITY, owner="a"),
+        ),
+        edges={"C": (), "D": ("C",), "U": ("C", "D")},
+        cpds={"C": [0.5, 0.5]},
+        utilities={"U": [[2.0, 2.0 + 1.2e-12], [2.0, 2.0 + 1.2e-12]]},
+        agents=("a",),
+    )
+    assert _tables(macid._welfare_warm_start(model)) == {"D": [[1.0, 0.0], [1.0, 0.0]]}
+    # whole profiles under one margin would take x1 in both rows
+    assert _tables(_ref_warm_start(model)) == {"D": [[0.0, 1.0], [0.0, 1.0]]}
 
 
 def test_rules_follow_the_declared_parent_assignments():
