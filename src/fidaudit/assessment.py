@@ -38,7 +38,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .mdp import Mdp, _check_beta, _check_policy, solve_exact
+from .mdp import Mdp, _check_beta, _check_policy, _fold_actions, solve_exact
 
 RIDGE_EPSILON = 1e-8
 FEASIBLE_TOL = 1e-9  # slack FeasibleRewardSet.contains allows on each bound
@@ -136,8 +136,12 @@ def feasible_rewards_irl(
     """Optimality inequalities Q_pi(s, pi(s)) >= Q_pi(s, a) as linear rows.
 
     ``policy`` is the action index chosen in each state. The reward table
-    of ``mdp`` is ignored; only the dynamics matter. Each constraint row is the reward-space functional of the Q gap, using
-    V_pi = (I - beta P_pi)^{-1} r_pi, solved for the selector of r_pi.
+    of ``mdp`` is ignored; only the dynamics matter. Each constraint row
+    is the reward-space functional of the Q gap, using V_pi = (I - beta
+    P_pi)^{-1} r_pi: one solve with S right-hand sides gives the inverse,
+    and one (S(A-1), S) x (S, S) product of the rows' transition gaps with
+    it fills every row's chosen-action columns, to which the +1 and -1 of
+    the row's own state are added.
     """
     _check_beta(beta)
     if not bound > 0:
@@ -145,24 +149,21 @@ def feasible_rewards_irl(
     n_s, n_a = len(mdp.states), len(mdp.actions)
     chosen = _check_policy(mdp, policy)
     states = np.arange(n_s)
-    selector = np.zeros((n_s, n_s * n_a))  # r_pi = selector @ r_flat
-    selector[states, states * n_a + chosen] = 1.0
-    try:  # V_pi = value_of_reward @ r_flat
-        value_of_reward = np.linalg.solve(np.eye(n_s) - beta * mdp.transition[states, chosen], selector)
+    try:  # V_pi = value_of_reward @ r_pi
+        value_of_reward = np.linalg.solve(np.eye(n_s) - beta * mdp.transition[states, chosen], np.eye(n_s))
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"could not assemble constraints: {exc}") from exc
 
-    rows = []
-    for i in range(n_s):
-        for j in range(n_a):
-            if j == chosen[i]:
-                continue
-            row = np.zeros(n_s * n_a)
-            row[i * n_a + chosen[i]] += 1.0
-            row[i * n_a + j] -= 1.0
-            row += beta * (mdp.transition[i, chosen[i]] - mdp.transition[i, j]) @ value_of_reward
-            rows.append(row)
-    matrix = np.array(rows) if rows else np.zeros((0, n_s * n_a))
+    # one row per (state i, action j != chosen[i]), in row-major order
+    others = np.ones((n_s, n_a), dtype=bool)
+    others[states, chosen] = False
+    row_state, row_action = np.nonzero(others)
+    rows = np.arange(row_state.size)
+    gaps = mdp.transition[row_state, chosen[row_state]] - mdp.transition[row_state, row_action]
+    matrix = np.zeros((rows.size, n_s * n_a))
+    matrix[:, states * n_a + chosen] = (beta * gaps) @ value_of_reward
+    matrix[rows, row_state * n_a + chosen[row_state]] += 1.0
+    matrix[rows, row_state * n_a + row_action] -= 1.0
     return FeasibleRewardSet(
         mdp=mdp,
         chosen=chosen,
@@ -247,20 +248,25 @@ def _log_likelihood(
     policies = np.empty(counts.shape)
     v = np.zeros(n_s)
     for t in range(horizon - 1, -1, -1):
-        q = reward + beta * (mdp.transition @ v)  # (S, A)
-        peak = q.max(axis=1, keepdims=True)
-        exp_q = np.exp(q - peak)
-        norm = exp_q.sum(axis=1, keepdims=True)
-        policies[t] = exp_q / norm
-        v = (peak + np.log(norm)).ravel()
+        q = beta * (mdp.transition @ v)  # (S, A)
+        q += reward
+        peak = _fold_actions(np.maximum, q)
+        q -= peak[:, None]
+        np.exp(q, out=q)
+        norm = _fold_actions(np.add, q)
+        np.divide(q, norm[:, None], out=policies[t])
+        v = peak + np.log(norm)
     flat_transition = mdp.transition.reshape(n_s * n_a, n_s)
-    state_counts = counts.sum(axis=2)
+    state_counts = _fold_actions(np.add, counts)
     occupancy = np.zeros(n_s)
     weight = np.zeros((n_s, n_a))
+    w = np.empty((n_s, n_a))
+    flat_w = w.reshape(-1)
     for t in range(horizon):
-        w = counts[t] - (state_counts[t] - occupancy)[:, None] * policies[t]
+        np.multiply((state_counts[t] - occupancy)[:, None], policies[t], out=w)
+        np.subtract(counts[t], w, out=w)
         weight += w
-        occupancy = beta * (w.reshape(-1) @ flat_transition)
+        occupancy = beta * (flat_w @ flat_transition)
     return policies, weight.reshape(-1) @ dense.reshape(n_s * n_a, -1)
 
 
@@ -448,8 +454,8 @@ def infer_discount(
     log_posts = []
     for b, w in zip(grid, weights):
         scaled = solve_exact(mdp, b).q / temperature
-        peak = scaled.max(axis=1)
-        norm = np.exp(scaled - peak[:, None]).sum(axis=1)
+        peak = _fold_actions(np.maximum, scaled)
+        norm = _fold_actions(np.add, np.exp(scaled - peak[:, None]))
         loglik = 0.0  # summed state by state, so the bits equal scoring each state alone
         for x, p, z in zip(scaled[states, chosen].tolist(), peak.tolist(), norm.tolist()):
             loglik += x - (p + math.log(z))

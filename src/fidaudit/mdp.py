@@ -4,17 +4,18 @@ One exact solver for optimal policies, ``policy_iteration``: blocks of
 Bellman sweeps find a candidate policy, and rounds of Howard improvement
 over exact evaluations certify it (modified policy iteration), with
 MAX_ITERS_CAP on the evaluations and on the sweeps; ``solve_exact`` turns
-a capped solve into a ValueError. Also value iteration with recorded
-contraction gaps (the contraction oracle, and the solver's sweeps), exact
-policy evaluation by linear solve, exponential and hyperbolic discount
-curves, and detection of preference reversals between a smaller-sooner
-and a larger-later reward.
+a capped solve into a ValueError and solves each model and beta once.
+Also value iteration with recorded contraction gaps (the contraction
+oracle, and the solver's sweeps), exact policy evaluation by linear
+solve, exponential and hyperbolic discount curves, and detection of
+preference reversals between a smaller-sooner and a larger-later reward.
 
 Conventions: everything is an array in MDP order. Rewards are an (S, A)
 table r(s, a); transition is a dense (S, A, S) tensor of P(s' | s, a); a
 policy is an (S,) integer array of action indices; a solve returns V as
 an (S,) array and Q as an (S, A) array. Greedy argmax ties break to the
 lowest action index so identical inputs always give identical outputs.
+Reductions over the short action axis fold its columns (``_fold_actions``).
 The id tuples are kept only so that a report can name states and actions.
 """
 
@@ -32,17 +33,23 @@ MAX_ITERS_CAP = 100_000
 
 @dataclass(frozen=True, eq=False)
 class Mdp:
-    """Finite MDP with ordered state/action id lists and dense tables."""
+    """Finite MDP with ordered state/action id lists and dense tables.
+
+    The tables are read-only float copies of the caller's arrays, so a
+    validated model cannot change under its memoized solves (see
+    ``solve_exact``); ``with_reward`` shares the transition tensor.
+    """
 
     states: tuple[str, ...]
     actions: tuple[str, ...]
     transition: np.ndarray  # (S, A, S)
     reward: np.ndarray  # (S, A)
+    _solves: dict = field(default_factory=dict, init=False, repr=False)  # beta -> policy_iteration's result
 
     def __post_init__(self) -> None:
         s, a = len(self.states), len(self.actions)
-        transition = np.asarray(self.transition, dtype=float)
-        reward = np.asarray(self.reward, dtype=float)
+        transition = _read_only(self.transition)
+        reward = _read_only(self.reward)
         object.__setattr__(self, "transition", transition)
         object.__setattr__(self, "reward", reward)
         if len(set(self.states)) != s or len(set(self.actions)) != a:
@@ -64,7 +71,33 @@ class Mdp:
             )
 
     def with_reward(self, reward: np.ndarray) -> "Mdp":
-        return Mdp(self.states, self.actions, self.transition, np.asarray(reward, float))
+        return Mdp(self.states, self.actions, self.transition, reward)
+
+
+def _read_only(table) -> np.ndarray:
+    """``table`` as a read-only float array: a copy, unless it already is a
+    read-only float array that owns its data, such as another Mdp's table."""
+    if isinstance(table, np.ndarray) and table.dtype == float and table.flags.owndata and not table.flags.writeable:
+        return table
+    frozen = np.array(table, dtype=float)
+    frozen.flags.writeable = False
+    return frozen
+
+
+def _fold_actions(ufunc: np.ufunc, table: np.ndarray) -> np.ndarray:
+    """``ufunc`` folded over the action axis (the last) of ``table``, in
+    action order, into a new array: A - 1 elementwise calls on the
+    columns, several times faster than a ``max`` or ``sum`` over a short
+    last axis. ``np.maximum`` gives ``max(axis=-1)`` exactly; ``np.add``
+    gives ``sum(axis=-1)`` bit for bit while A < 8, where numpy also adds
+    a row in order (from 8 on numpy sums pairwise, and the bits can differ)."""
+    n_a = table.shape[-1]
+    if n_a == 1:
+        return table[..., 0].copy()
+    out = ufunc(table[..., 0], table[..., 1])
+    for j in range(2, n_a):
+        ufunc(out, table[..., j], out=out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -178,7 +211,7 @@ def value_iteration(
     gaps: list[float] = []
     for it in range(1, max_iters + 1):
         q = mdp.reward + beta * (mdp.transition @ v)
-        v_next = q.max(axis=1)
+        v_next = _fold_actions(np.maximum, q)
         gap = float(np.max(np.abs(v_next - v)))
         gaps.append(gap)
         v = v_next
@@ -261,8 +294,15 @@ def policy_iteration(mdp: Mdp, beta: float) -> ValueFunction:
 
 def solve_exact(mdp: Mdp, beta: float) -> ValueFunction:
     """``policy_iteration``'s result, certified: a solve that hit a cap is
-    a ValueError naming beta and the cap, not an answer."""
-    solved = policy_iteration(mdp, beta)
+    a ValueError naming beta and the cap, not an answer. Each (mdp, beta)
+    is solved once: the result is kept on the instance, with read-only
+    arrays, and a later call returns it (or raises again)."""
+    solved = mdp._solves.get(beta)
+    if solved is None:
+        solved = policy_iteration(mdp, beta)
+        solved.values.flags.writeable = False
+        solved.q.flags.writeable = False
+        mdp._solves[beta] = solved
     if not solved.converged:
         raise ValueError(
             f"MDP solve at beta {beta} hit the cap of {MAX_ITERS_CAP} exact evaluations or sweeps before converging"

@@ -213,6 +213,8 @@ class _Reader:
         self.has_mdp = False
         self.states: tuple[str, ...] = ()
         self.actions: tuple[str, ...] = ()
+        self.state_index: dict[str, int] = {}  # id -> index, so a policy map reads in O(S)
+        self.action_index: dict[str, int] = {}
         self.default_beta = 0.9
         self.options: tuple[str, ...] | None = None  # the aggregation's, once it declares a method
         self.tables: dict[str, np.ndarray] = {}  # every dense table read, by path: the digest hashes these
@@ -472,6 +474,8 @@ class _Reader:
         if states is None or actions is None:
             return None
         self.states, self.actions = states, actions
+        self.state_index = {s: i for i, s in enumerate(states)}
+        self.action_index = {a: i for i, a in enumerate(actions)}
         n_s, n_a = len(states), len(actions)
         transition = self.field(doc, "transition", path, self.array, shape=(n_s, n_a, n_s))
         reward = self.field(doc, "reward", path, self.array, shape=(n_s, n_a))
@@ -595,14 +599,14 @@ class _Reader:
         array of the action index it picks in each state."""
         start = len(self.problems)
         for s, a in doc.items():
-            self.id_(s, f"{path}.{s}", self.states, "state")
-            self.id_(a, f"{path}.{s}", self.actions, "action")
+            self.id_(s, f"{path}.{s}", self.state_index, "state")
+            self.id_(a, f"{path}.{s}", self.action_index, "action")
         for s in self.states:
             if s not in doc:
                 self.fail(f"{path}.{s}", "required")
         if len(self.problems) > start:
             return None
-        return np.array([self.actions.index(doc[s]) for s in self.states])
+        return np.array([self.action_index[doc[s]] for s in self.states])
 
     def features(self, value: Any, path: str) -> np.ndarray | None:
         """A declared table as (S * A, dim) rows in MDP order, or None for

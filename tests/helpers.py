@@ -196,6 +196,58 @@ def looped_feasible_sample(feasible, rng):
     return reward
 
 
+def numpy_log_likelihood(mdp, dense, counts, theta, beta):
+    """``assessment._log_likelihood`` with numpy's reductions over the
+    action axis and a fresh array per step: the backward soft pass, then
+    the forward occupancy pass. An oracle that the column folds and
+    in-place steps must equal bit for bit while A < 8. Returns the (T, S,
+    A) policies and the gradient."""
+    horizon, n_s, n_a = counts.shape
+    reward = dense @ np.asarray(theta, float)
+    policies = np.empty(counts.shape)
+    v = np.zeros(n_s)
+    for t in range(horizon - 1, -1, -1):
+        q = reward + beta * (mdp.transition @ v)
+        peak = q.max(axis=1, keepdims=True)
+        exp_q = np.exp(q - peak)
+        norm = exp_q.sum(axis=1, keepdims=True)
+        policies[t] = exp_q / norm
+        v = (peak + np.log(norm)).ravel()
+    flat_transition = mdp.transition.reshape(n_s * n_a, n_s)
+    state_counts = counts.sum(axis=2)
+    occupancy = np.zeros(n_s)
+    weight = np.zeros((n_s, n_a))
+    for t in range(horizon):
+        w = counts[t] - (state_counts[t] - occupancy)[:, None] * policies[t]
+        weight += w
+        occupancy = beta * (w.reshape(-1) @ flat_transition)
+    return policies, weight.reshape(-1) @ dense.reshape(n_s * n_a, -1)
+
+
+def looped_feasible_constraints(mdp, chosen, beta):
+    """``feasible_rewards_irl``'s constraint matrix one row at a time: a
+    solve with S * A right-hand sides for the selector of r_pi, then one
+    vector-matrix product per (state, non-chosen action) row. An oracle for
+    the one-product construction, which sums in another order and so
+    agrees with it to rounding."""
+    n_s, n_a = len(mdp.states), len(mdp.actions)
+    states = np.arange(n_s)
+    selector = np.zeros((n_s, n_s * n_a))
+    selector[states, states * n_a + chosen] = 1.0
+    value_of_reward = np.linalg.solve(np.eye(n_s) - beta * mdp.transition[states, chosen], selector)
+    rows = []
+    for i in range(n_s):
+        for j in range(n_a):
+            if j == chosen[i]:
+                continue
+            row = np.zeros(n_s * n_a)
+            row[i * n_a + chosen[i]] += 1.0
+            row[i * n_a + j] -= 1.0
+            row += beta * (mdp.transition[i, chosen[i]] - mdp.transition[i, j]) @ value_of_reward
+            rows.append(row)
+    return np.array(rows) if rows else np.zeros((0, n_s * n_a))
+
+
 def numpy_preference_fit(features, comparisons, learn_rate, iters):
     """The preference fit as numpy products over the dense (comparisons, d)
     difference matrix, each step a BLAS margin and gradient pass: an oracle

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import re
@@ -6,6 +7,7 @@ import struct
 import numpy as np
 import pytest
 
+from fidaudit import assessment
 from fidaudit.assessment import (
     PairwiseComparison,
     PortfolioProblem,
@@ -20,7 +22,13 @@ from fidaudit.assessment import (
     prudent_investor_weights,
 )
 from fidaudit.mdp import Mdp, evaluate_policy, policy_iteration, solve_exact, value_iteration
-from helpers import _sigmoid, looped_feasible_sample, numpy_preference_fit
+from helpers import (
+    _sigmoid,
+    looped_feasible_constraints,
+    looped_feasible_sample,
+    numpy_log_likelihood,
+    numpy_preference_fit,
+)
 
 
 def deterministic_mdp(states, actions, moves, rewards=None):
@@ -103,6 +111,23 @@ def test_sample_matches_the_per_cell_draws_bit_for_bit():
             reward = feasible.sample(fast)
             assert reward.tobytes() == looped_feasible_sample(feasible, slow).tobytes()
             assert fast.bit_generator.state == slow.bit_generator.state
+
+
+def test_constraint_matrix_is_within_rounding_of_the_row_loop():
+    for seed, (n_states, n_actions) in enumerate([(1, 1), (3, 1), (4, 2), (7, 3), (20, 4), (100, 2)]):
+        draw = np.random.default_rng(seed)
+        mdp = random_dynamics(draw, n_states, n_actions)
+        policy = draw.integers(0, n_actions, size=n_states)
+        for beta in (0.5, 0.99):
+            feasible = feasible_rewards_irl(mdp, policy, beta=beta, bound=1.0)
+            want = looped_feasible_constraints(mdp, policy, beta)
+            assert feasible.constraint_matrix.shape == want.shape == (n_states * (n_actions - 1), n_states * n_actions)
+            assert float(np.max(np.abs(feasible.constraint_matrix - want), initial=0.0)) <= 1e-12
+            looped = dataclasses.replace(feasible, constraint_matrix=want)
+            rewards = [feasible.sample(draw) for _ in range(5)]
+            rewards += [draw.uniform(-1.0, 1.0, size=(n_states, n_actions)) for _ in range(5)]
+            assert all(feasible.contains(r) for r in rewards[:5])
+            assert [feasible.contains(r) for r in rewards] == [looped.contains(r) for r in rewards]
 
 
 def test_suboptimal_reward_violates_a_constraint():
@@ -285,6 +310,22 @@ def test_demo_log_likelihood_matches_einsum_reference(rng):
             assert total == want_total
             assert grad.shape == want_grad.shape
             assert float(np.max(np.abs(grad - want_grad))) <= 1e-12 * float(np.max(np.abs(want_grad)))
+
+
+def test_log_likelihood_equals_the_numpy_reduction_oracle_bit_for_bit():
+    # the mdp benchmark's shapes (A = 2, one-hot state features, five
+    # 10-step demos), then dense features at A = 1, 3 and 7
+    rng = np.random.default_rng(11)
+    for n_states, n_actions, dim in [(20, 2, None), (50, 2, None), (100, 2, None), (6, 1, 2), (12, 3, 5), (9, 7, 3)]:
+        mdp = random_dynamics(rng, n_states, n_actions)
+        dense = one_hot_states(mdp) if dim is None else rng.normal(size=(n_states, n_actions, dim))
+        steps, counts = assessment._visits(mdp, _random_demos(rng, mdp, [10] * 5))
+        for beta in (0.9, 0.99, 0.999):
+            theta = rng.normal(size=dense.shape[2])
+            policies, grad = assessment._log_likelihood(mdp, dense, steps, counts, theta, beta)
+            want_policies, want_grad = numpy_log_likelihood(mdp, dense, counts, theta, beta)
+            assert policies.tobytes() == want_policies.tobytes()
+            assert grad.tobytes() == want_grad.tobytes()
 
 
 def test_maxent_fit_matches_the_einsum_gradient_fit():

@@ -7,6 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from fidaudit import audit
+from fidaudit import mdp as mdp_module
 from fidaudit.assessment import (
     PairwiseComparison,
     fit_preference_reward,
@@ -440,6 +441,32 @@ def test_an_mdp_solve_stopped_by_its_cap_fails_each_method_that_reads_it(monkeyp
     for i, (finding, kind) in enumerate(zip(findings, ["discount_inference", "patient_advice", "maxent_irl"])):
         assert finding.check == f"method[{i}]" and finding.status == "fail"
         assert finding.evidence == {"kind": kind, "error": message}
+
+
+def test_an_audit_solves_each_world_and_discount_once(monkeypatch):
+    # trust_portfolio infers the discount on the grid [0.5, 0.9] and advises
+    # at (0.5, 0.95); an added maxent fit at 0.95 solves its own world, the
+    # dynamics with the fitted reward
+    raw = raw_scenario("trust_portfolio.json")
+    raw["assessment"]["methods"].append(
+        {"kind": "maxent_irl", "demos": [[[0, 0], [1, 1]]], "beta": 0.95, "learn_rate": 0.1, "iters": 3}
+    )
+    calls = []
+    solver = mdp_module.policy_iteration
+
+    def counted(world, beta):
+        calls.append((world, beta))
+        return solver(world, beta)
+
+    monkeypatch.setattr(mdp_module, "policy_iteration", counted)
+    status, findings = step_findings(raw, "assessment")
+    assert status == "pass" and findings[-1].check == "behavior-irl"
+    world = calls[0][0]
+    assert [(w is world, beta) for w, beta in calls] == [(True, 0.5), (True, 0.9), (True, 0.95), (False, 0.95)]
+    for w, beta in calls:
+        solved = mdp_module.solve_exact(w, beta)
+        assert not solved.values.flags.writeable and not solved.q.flags.writeable
+    assert len(calls) == 4  # the memo answered every call after the audit
 
 
 def test_pareto_aggregation_reports_the_front():

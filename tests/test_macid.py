@@ -818,10 +818,13 @@ def test_warm_start_budget_is_inclusive(monkeypatch):
     assert macid._welfare_warm_start(model)["D"].tolist() == [1.0, 0.0]
 
 
-def test_warm_start_across_blocks_matches_reference():
-    # C -> R -> B over three values: 27 x 27 profiles of 27 outcomes each,
-    # several 4096-cell blocks, and six tied best profiles (R a bijection,
-    # B its inverse), of which the first in product order must win
+def test_warm_start_across_blocks_matches_reference(monkeypatch):
+    # C -> R -> B over three values: the warm start enumerates the 27 rules
+    # of B and picks R, the last decision, row by row, over 27 outcomes
+    # each; 64-cell blocks hold 2 of those profiles, so the scan crosses
+    # block boundaries. Six best profiles tie (R a bijection, B its
+    # inverse), and the first in product order must win.
+    monkeypatch.setattr(macid, "_BLOCK_CELLS", 64)
     values = ("v2", "v0", "v1")
     model = Macid(
         nodes=(
@@ -839,7 +842,11 @@ def test_warm_start_across_blocks_matches_reference():
         },
         agents=("a", "b"),
     )
-    assert 27 * 27 * 27 > 2 * macid._BLOCK_CELLS
+    *outer, last = model.decision_nodes()
+    n_outer = math.prod(len(model.node_map[n].domain) ** len(list(model.parent_assignments(n))) for n in outer)
+    n_outcomes = math.prod(len(model.node_map[n].domain) for n in model.outcome_order)
+    assert (outer, last, n_outer, n_outcomes) == (["B"], "R", 27, 27)
+    assert n_outer > 2 * (macid._BLOCK_CELLS // n_outcomes)  # three blocks or more
     _same(_tables(macid._welfare_warm_start(model)), _tables(_ref_warm_start(model)))
 
 

@@ -3,16 +3,20 @@ import itertools
 import numpy as np
 import pytest
 
+from fidaudit import mdp as mdp_module
 from fidaudit.mdp import (
     DiscountSpec,
     Mdp,
     RewardOption,
+    ValueFunction,
     default_max_iters,
     detect_preference_reversal,
     discount_weight,
     evaluate_policy,
     _evaluate,
+    _fold_actions,
     policy_iteration,
+    solve_exact,
     value_iteration,
 )
 from helpers import delayed_reward_chain
@@ -232,6 +236,71 @@ def test_policy_iteration_round_cap_returns_unconverged(monkeypatch):
     capped = policy_iteration(chain, beta=0.9)
     assert not capped.converged and capped.iterations == 2
     assert not np.array_equal(capped.policy, solved.policy)
+
+
+def test_solve_exact_solves_each_instance_and_beta_once(monkeypatch):
+    chain = delayed_reward_chain(12)
+    calls = []
+    solver = mdp_module.policy_iteration
+
+    def counted(mdp, beta):
+        calls.append((mdp, beta))
+        if beta == 0.7:  # a solve stopped at its cap
+            solved = solver(mdp, beta)
+            return ValueFunction(solved.values, solved.q, solved.iterations, False)
+        return solver(mdp, beta)
+
+    monkeypatch.setattr(mdp_module, "policy_iteration", counted)
+    first = solve_exact(chain, 0.9)
+    assert solve_exact(chain, 0.9) is first and len(calls) == 1
+    fresh = solver(chain, 0.9)
+    assert first.values.tobytes() == fresh.values.tobytes() and first.q.tobytes() == fresh.q.tobytes()
+    assert solve_exact(chain, 0.5) is not first and len(calls) == 2
+    twin = Mdp(chain.states, chain.actions, chain.transition, chain.reward)  # same tables, own solves
+    assert solve_exact(twin, 0.9) is not first and len(calls) == 3
+    for _ in range(2):  # the capped solve raises on every call and runs once
+        with pytest.raises(ValueError, match="MDP solve at beta 0.7 hit the cap"):
+            solve_exact(chain, 0.7)
+    assert len(calls) == 4
+    assert not first.values.flags.writeable and not first.q.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        first.q[0, 0] = 0.0
+
+
+def test_mdp_keeps_read_only_copies_of_its_tables():
+    transition = np.full((2, 2, 2), 0.5)
+    reward = np.array([[1.0, 0.0], [0.0, 2.0]])
+    mdp = Mdp(("s0", "s1"), ("a0", "a1"), transition, reward)
+    solved = solve_exact(mdp, 0.9)
+    values = solved.values.tolist()
+    transition[:, :, 0], transition[:, :, 1] = 1.0, 0.0
+    reward[:] = 5.0
+    assert mdp.transition.tolist() == np.full((2, 2, 2), 0.5).tolist()
+    assert mdp.reward.tolist() == [[1.0, 0.0], [0.0, 2.0]]
+    assert solve_exact(mdp, 0.9) is solved and solved.values.tolist() == values
+    assert policy_iteration(mdp, 0.9).values.tolist() == values
+    with pytest.raises(ValueError, match="read-only"):
+        mdp.transition[0, 0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        mdp.reward[0, 0] = 1.0
+    twin = mdp.with_reward(reward)
+    assert twin.transition is mdp.transition and not twin.reward.flags.writeable
+    assert twin.reward is not reward and twin.reward.tolist() == reward.tolist()
+
+
+def test_fold_actions_equals_numpy_reductions_bit_for_bit(rng):
+    for n_actions in range(1, 8):
+        tables = (
+            rng.normal(scale=3.0, size=(40, n_actions)),
+            np.exp(rng.normal(scale=5.0, size=(40, n_actions))),  # softmax terms over many magnitudes
+            rng.integers(-2, 3, size=(40, n_actions)).astype(float),  # ties in most rows
+            rng.normal(size=(3, 40, n_actions)),  # (T, S, A), as the demo visit counts
+        )
+        for table in tables:
+            for ufunc, reduce in ((np.maximum, np.max), (np.add, np.sum)):
+                folded = _fold_actions(ufunc, table)
+                assert folded.tobytes() == reduce(table, axis=-1).tobytes()
+                assert not np.shares_memory(folded, table)
 
 
 def howard(mdp, beta):

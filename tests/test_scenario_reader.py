@@ -297,6 +297,19 @@ def test_policy_maps_reach_the_kernels_as_action_indices():
     assert mixed.assessment[4].policy.tolist() == [0, 0, 1, 1, 1]
 
 
+def test_a_policy_map_names_each_unknown_or_missing_id():
+    raw = raw_scenario("trust_portfolio.json")
+    # l1 missing; an unknown state, an unknown action and a non-string action
+    raw["assessment"]["methods"][4]["policy"] = {"c0": "now", "zz": "now", "e1": "later", "l2": 1, "l3": "wait"}
+    path = "assessment.methods[4].policy"
+    assert validate_scenario(raw) == [
+        (f"{path}.zz", "unknown state 'zz'"),
+        (f"{path}.e1", "unknown action 'later'"),
+        (f"{path}.l2", "unknown action 1"),
+        (f"{path}.l1", "required"),
+    ]
+
+
 def test_macid_tables_reach_the_kernels_as_arrays():
     raw = raw_scenario("disclosure_demo.json")
     # rows that tell the parent assignments apart, in declared order
