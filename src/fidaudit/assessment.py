@@ -38,7 +38,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .mdp import Mdp, _check_beta, _check_policy, _fold_actions, solve_exact
+from .mdp import Mdp, _check_beta, _check_policy, _expected_next, _fold_actions, solve_exact
 
 RIDGE_EPSILON = 1e-8
 FEASIBLE_TOL = 1e-9  # slack FeasibleRewardSet.contains allows on each bound
@@ -123,7 +123,7 @@ class FeasibleRewardSet:
         others[np.arange(n_s), self.chosen] = False
         gaps = np.zeros((n_s, n_a))
         gaps[others] = rng.uniform(0.1, 1.0, size=int(others.sum()))  # drawn in row-major order
-        reward = (v[:, None] - gaps) - self.beta * (self.mdp.transition @ v)
+        reward = (v[:, None] - gaps) - self.beta * _expected_next(self.mdp, v)
         peak = float(np.max(np.abs(reward)))
         if peak > self.bound:
             reward *= self.bound / peak
@@ -197,6 +197,13 @@ def _feature_tensor(mdp: Mdp, features: np.ndarray) -> np.ndarray:
     return _check_feature_entries(dense)
 
 
+def _linear_reward(dense: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """The (S, A) reward table phi(s, a) . theta of an (S, A, d) feature
+    tensor: one flat (S·A, d) product."""
+    n_s, n_a, d = dense.shape
+    return (dense.reshape(n_s * n_a, d) @ theta).reshape(n_s, n_a)
+
+
 def _visits(mdp: Mdp, demos: Sequence[Sequence[Step]]):
     """The demos' steps as (time, state, action) index arrays in demo order,
     and their visit counts n_t(s, a) as a (T, S, A) array. An empty demo is
@@ -241,14 +248,17 @@ def _log_likelihood(
     (t, s, a) by W_t = n_t - (n_t(s) - m_t(s)) pi_t, the demo visits less
     the soft policy's expected ones; m_t is the discounted occupancy the
     demo actions before t lead to, less that of the policy's actions
-    (m_0 = 0, m_{t+1} = beta W_t P). The gradient is sum_t W_t phi: one
-    (S A) x S product per step, one feature product."""
+    (m_0 = 0, m_{t+1} = beta W_t P). The gradient is sum_t W_t phi. Each
+    step of either pass is one flat (S A) x S product, and each feature
+    product one flat (S A) x d product."""
     horizon, n_s, n_a = counts.shape
-    reward = dense @ np.asarray(theta, float)  # (S, A)
+    reward = _linear_reward(dense, np.asarray(theta, float))
     policies = np.empty(counts.shape)
     v = np.zeros(n_s)
+    q = np.empty((n_s, n_a))
     for t in range(horizon - 1, -1, -1):
-        q = beta * (mdp.transition @ v)  # (S, A)
+        _expected_next(mdp, v, out=q)
+        q *= beta
         q += reward
         peak = _fold_actions(np.maximum, q)
         q -= peak[:, None]
@@ -315,7 +325,7 @@ def maxent_irl(
         grad_norm = float(np.linalg.norm(grad))
         if initial_norm > 0 and grad_norm > 10.0 * initial_norm:
             raise ValueError(f"gradient norm {grad_norm:.3g} exceeds 10x initial {initial_norm:.3g}")
-    table = dense @ theta
+    table = _linear_reward(dense, theta)
     return RewardEstimate(
         weights=theta,
         table=table,

@@ -177,11 +177,29 @@ def delayed_reward_chain(n_states):
     return Mdp(tuple(f"s{i}" for i in range(n_states)), ("wait", "take"), transition, reward)
 
 
+def stacked_expected_next(mdp, v, out=None):
+    """E[V](s, a) as the stacked (S, A, S) @ (S,) product, which numpy runs
+    as S small (A, S) products: the reference that ``mdp._expected_next``'s
+    flat (S * A, S) product agrees with to rounding. Same signature."""
+    expected = mdp.transition @ v
+    if out is None:
+        return expected
+    out[...] = expected
+    return out
+
+
+def stacked_linear_reward(dense, theta):
+    """phi(s, a) . theta as the stacked (S, A, d) @ (d,) product: the
+    reference for ``assessment._linear_reward``'s flat (S * A, d) one."""
+    return dense @ theta
+
+
 def looped_feasible_sample(feasible, rng):
     """``FeasibleRewardSet.sample`` as a double loop over (state, action),
     one scalar gap draw per non-chosen cell: an oracle for the vectorized
     draw, which must give the same rewards and leave ``rng`` in the same
-    state, bit for bit."""
+    state, bit for bit. E[V] is the flat (S * A, S) product, written out
+    here rather than taken from the library."""
     n_s, n_a = len(feasible.mdp.states), len(feasible.mdp.actions)
     v = rng.uniform(-1.0, 1.0, size=n_s)
     q = np.empty((n_s, n_a))
@@ -189,7 +207,8 @@ def looped_feasible_sample(feasible, rng):
         for j in range(n_a):
             gap = 0.0 if j == feasible.chosen[i] else float(rng.uniform(0.1, 1.0))
             q[i, j] = v[i] - gap
-    reward = q - feasible.beta * (feasible.mdp.transition @ v)
+    expected = (feasible.mdp.transition.reshape(n_s * n_a, n_s) @ v).reshape(n_s, n_a)
+    reward = q - feasible.beta * expected
     peak = float(np.max(np.abs(reward)))
     if peak > feasible.bound:
         reward *= feasible.bound / peak
@@ -200,20 +219,22 @@ def numpy_log_likelihood(mdp, dense, counts, theta, beta):
     """``assessment._log_likelihood`` with numpy's reductions over the
     action axis and a fresh array per step: the backward soft pass, then
     the forward occupancy pass. An oracle that the column folds and
-    in-place steps must equal bit for bit while A < 8. Returns the (T, S,
-    A) policies and the gradient."""
+    in-place steps must equal bit for bit while A < 8. The transition and
+    feature products are the flat (S * A, ·) ones, written out here rather
+    than taken from the library. Returns the (T, S, A) policies and the
+    gradient."""
     horizon, n_s, n_a = counts.shape
-    reward = dense @ np.asarray(theta, float)
+    flat_transition = mdp.transition.reshape(n_s * n_a, n_s)
+    reward = (dense.reshape(n_s * n_a, -1) @ np.asarray(theta, float)).reshape(n_s, n_a)
     policies = np.empty(counts.shape)
     v = np.zeros(n_s)
     for t in range(horizon - 1, -1, -1):
-        q = reward + beta * (mdp.transition @ v)
+        q = reward + beta * (flat_transition @ v).reshape(n_s, n_a)
         peak = q.max(axis=1, keepdims=True)
         exp_q = np.exp(q - peak)
         norm = exp_q.sum(axis=1, keepdims=True)
         policies[t] = exp_q / norm
         v = (peak + np.log(norm)).ravel()
-    flat_transition = mdp.transition.reshape(n_s * n_a, n_s)
     state_counts = counts.sum(axis=2)
     occupancy = np.zeros(n_s)
     weight = np.zeros((n_s, n_a))

@@ -14,12 +14,13 @@ from fidaudit.mdp import (
     discount_weight,
     evaluate_policy,
     _evaluate,
+    _expected_next,
     _fold_actions,
     policy_iteration,
     solve_exact,
     value_iteration,
 )
-from helpers import delayed_reward_chain
+from helpers import delayed_reward_chain, stacked_expected_next
 
 
 def single_state_mdp(rewards):
@@ -303,6 +304,20 @@ def test_fold_actions_equals_numpy_reductions_bit_for_bit(rng):
                 assert not np.shares_memory(folded, table)
 
 
+def test_expected_next_is_one_flat_product(rng):
+    for n_states, n_actions in [(1, 1), (5, 2), (20, 2), (100, 2), (9, 7)]:
+        mdp = random_mdp(rng, n_states, n_actions)
+        v = rng.normal(scale=10.0, size=n_states)
+        flat = (mdp.transition.reshape(n_states * n_actions, n_states) @ v).reshape(n_states, n_actions)
+        got = _expected_next(mdp, v)
+        assert got.shape == (n_states, n_actions) and got.tobytes() == flat.tobytes()
+        out = np.full((n_states, n_actions), np.nan)
+        assert _expected_next(mdp, v, out=out) is out and out.tobytes() == flat.tobytes()
+        # each product of S probabilities with v is within S * eps / 2 * max |v| of the exact sum
+        stacked = stacked_expected_next(mdp, v)
+        assert float(np.max(np.abs(got - stacked))) <= n_states * np.finfo(float).eps * float(np.max(np.abs(v)))
+
+
 def howard(mdp, beta):
     """Reference: Howard iteration from the myopic policy with the solver's
     switching rule (a strict Q gain) and stop (a revisited policy)."""
@@ -488,6 +503,19 @@ def test_mdp_rejects_nan_transition_row():
     transition = np.full((1, 1, 1), np.nan)
     with pytest.raises(ValueError, match="sums to nan"):
         Mdp(("s",), ("a",), transition, np.zeros((1, 1)))
+
+
+def test_mdp_names_the_first_transition_row_off_one():
+    transition = np.full((2, 2, 2), 0.5)
+    transition[0, 1, 0] += 0.5e-9  # within PROB_TOL
+    Mdp(("s0", "s1"), ("a0", "a1"), transition, np.zeros((2, 2)))
+    transition[1, 0, 0] += 3e-9
+    with pytest.raises(ValueError, match=r"row for \(s=s1, a=a0\) sums to 1\.000000003"):
+        Mdp(("s0", "s1"), ("a0", "a1"), transition, np.zeros((2, 2)))
+    transition[1, 1] = np.nan
+    transition[0, 1, 1] = -0.0  # now (s0, a1), (s1, a0) and (s1, a1) are off: the first is named
+    with pytest.raises(ValueError, match=r"row for \(s=s0, a=a1\) sums to 0\.5"):
+        Mdp(("s0", "s1"), ("a0", "a1"), transition, np.zeros((2, 2)))
 
 
 def test_mdp_rejects_nonfinite_reward():
