@@ -26,6 +26,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from operator import ge, gt
+from types import SimpleNamespace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -45,15 +46,12 @@ class ApprovalBallot:
     approved: frozenset[str]
 
 
-@dataclass(frozen=True)
-class ApprovalResult:
-    winners: frozenset[str]
-    counts: Mapping[str, int]
-    tied: bool
+def approval_winners(ballots: Sequence[ApprovalBallot], options: Sequence[str]) -> SimpleNamespace:
+    """Options with maximal approval count; ties returned, never broken.
 
-
-def approval_winners(ballots: Sequence[ApprovalBallot], options: Sequence[str]) -> ApprovalResult:
-    """Options with maximal approval count; ties returned, never broken."""
+    The result's attributes are ``winners`` (a frozenset), ``counts``
+    (option -> approvals, in ``options`` order) and ``tied``.
+    """
     if not options:
         raise ValueError("option universe is empty")
     universe = set(options)
@@ -65,7 +63,7 @@ def approval_winners(ballots: Sequence[ApprovalBallot], options: Sequence[str]) 
             counts[o] += 1
     top = max(counts.values())
     winners = frozenset(o for o, c in counts.items() if c == top)
-    return ApprovalResult(winners=winners, counts=counts, tied=len(winners) > 1)
+    return SimpleNamespace(winners=winners, counts=counts, tied=len(winners) > 1)
 
 
 def _check_rows(ids: Sequence[str], utilities: Sequence[Sequence[float]], what: str) -> None:
@@ -101,21 +99,16 @@ def pareto_front(options: Sequence[str], utilities: Sequence[Sequence[float]]) -
     )
 
 
-@dataclass(frozen=True)
-class LexicographicChoice:
-    option: str
-    tie_break_applied: bool
-    tied_options: tuple[str, ...]
-
-
-def lexicographic_select(options: Sequence[str], utilities: Sequence[Sequence[float]]) -> LexicographicChoice:
+def lexicographic_select(options: Sequence[str], utilities: Sequence[Sequence[float]]) -> SimpleNamespace:
     """Maximize each principal's utility in priority order; flag any final
     index tie-break.
 
     ``utilities`` holds one row per principal, highest priority first, in
     ``options`` order. Each row only narrows the options the rows before
     it left tied, so the choice is invariant to a strictly increasing
-    transform of any one row.
+    transform of any one row. The choice's attributes are ``option``,
+    ``tie_break_applied`` and ``tied_options``, the options the rows left
+    (the choice alone when no tie-break applied), in ``options`` order.
     """
     _check_rows(options, utilities, "option")
     surviving = list(range(len(options)))
@@ -125,7 +118,7 @@ def lexicographic_select(options: Sequence[str], utilities: Sequence[Sequence[fl
         if len(surviving) == 1:
             break
     # final ties resolved by lowest option index, and flagged
-    return LexicographicChoice(
+    return SimpleNamespace(
         option=options[surviving[0]],
         tie_break_applied=len(surviving) > 1,
         tied_options=tuple(options[j] for j in surviving),
@@ -277,24 +270,19 @@ def find_manipulation(
 # --- impartiality -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ImpartialityVerdict:
-    passed: bool
-    violations: tuple[tuple[str, float, str], ...]  # (id, weight, reason)
-
-
 def impartiality_check(
     weights: Mapping[str, float],
     agent: str,
     favored: str | None = None,
     cap: float | None = None,
-) -> ImpartialityVerdict:
+) -> SimpleNamespace:
     """Self-interest must carry zero weight; favoritism only up to any cap.
 
     Unequal principal weights are permitted by design: the check fails
     only on agent self-weight, or on weights above the declared cap (all
     principals when a cap is given, with ``favored`` merely naming the one
-    under scrutiny in the report).
+    under scrutiny in the report). The verdict's attributes are
+    ``passed`` and ``violations``, a tuple of (id, weight, reason).
     """
     for key, value in weights.items():
         if not value >= 0:
@@ -314,4 +302,4 @@ def impartiality_check(
                 if favored is not None and key == favored:
                     reason += f" (declared favored id {favored!r})"
                 violations.append((key, weights[key], reason))
-    return ImpartialityVerdict(passed=not violations, violations=tuple(violations))
+    return SimpleNamespace(passed=not violations, violations=tuple(violations))

@@ -33,8 +33,9 @@ report names states and actions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from types import SimpleNamespace
+from typing import Sequence
 
 import numpy as np
 
@@ -50,17 +51,6 @@ def one_hot_states(mdp: Mdp) -> np.ndarray:
     """One-hot state features: a contiguous (S, A, S) tensor, phi(s, a) = e_s."""
     n_s, n_a = len(mdp.states), len(mdp.actions)
     return np.repeat(np.eye(n_s)[:, None, :], n_a, axis=1)
-
-
-@dataclass(frozen=True, eq=False)
-class RewardEstimate:
-    """A fitted linear reward: the ``weights`` vector, the dense r(s, a)
-    ``table`` they give where the fit has an MDP (``maxent_irl``; None for
-    ``fit_preference_reward``), and the fit's ``diagnostics``."""
-
-    weights: np.ndarray
-    table: np.ndarray | None = None
-    diagnostics: Mapping[str, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -295,8 +285,10 @@ def maxent_irl(
     beta: float,
     learn_rate: float,
     iters: int,
-) -> RewardEstimate:
-    """Fit linear reward weights to demonstrations.
+) -> SimpleNamespace:
+    """Fit linear reward weights to demonstrations: the estimate's
+    ``weights``, the dense r(s, a) ``table`` they give, and its
+    ``diagnostics``, the final ``grad_norm`` and demo ``log_likelihood``.
 
     ``features`` and ``demos`` are as in ``demo_log_likelihood``. Plain
     gradient ascent from theta = 0 with a fixed step, deterministic by
@@ -326,7 +318,7 @@ def maxent_irl(
         if initial_norm > 0 and grad_norm > 10.0 * initial_norm:
             raise ValueError(f"gradient norm {grad_norm:.3g} exceeds 10x initial {initial_norm:.3g}")
     table = _linear_reward(dense, theta)
-    return RewardEstimate(
+    return SimpleNamespace(
         weights=theta,
         table=table,
         diagnostics={"grad_norm": grad_norm, "log_likelihood": _demo_log_prob(policies, steps)},
@@ -341,8 +333,10 @@ def fit_preference_reward(
     comparisons: Sequence[PairwiseComparison],
     learn_rate: float,
     iters: int,
-) -> RewardEstimate:
-    """Logistic pairwise-choice fit of linear reward weights.
+) -> SimpleNamespace:
+    """Logistic pairwise-choice fit of linear reward weights: the
+    estimate's ``weights``, ``table`` None (the fit has no MDP) and
+    ``diagnostics``, the final ``log_likelihood``.
 
     ``features`` is a (rows, d) table, and each comparison side lists rows
     of it; over an MDP, step (s, a) is row s * A + a. P(left preferred) is
@@ -406,10 +400,7 @@ def fit_preference_reward(
     weights = np.array(theta)
     with np.errstate(over="ignore", invalid="ignore"):
         log_likelihood = float(np.sum(_log_sigmoid(diff_matrix @ weights)))
-    return RewardEstimate(
-        weights=weights,
-        diagnostics={"log_likelihood": log_likelihood},
-    )
+    return SimpleNamespace(weights=weights, table=None, diagnostics={"log_likelihood": log_likelihood})
 
 
 def _slack(margin: float) -> float:
@@ -476,17 +467,7 @@ def infer_discount(
     return {b: raw[b] / total for b in sorted(raw)}
 
 
-@dataclass(frozen=True, eq=False)
-class PatienceAdvice:
-    """Action indices of the greedy policies at the advice and the fitted
-    discount, and the indices of the states where they differ."""
-
-    policy: np.ndarray
-    fitted_policy: np.ndarray
-    divergent_states: np.ndarray
-
-
-def patient_recommendation(mdp: Mdp, beta_fit: float, beta_advice: float) -> PatienceAdvice:
+def patient_recommendation(mdp: Mdp, beta_fit: float, beta_advice: float) -> SimpleNamespace:
     """Re-solve under a higher patience and report where advice changes.
 
     Solves the MDP's own reward (for a fitted one, pass
@@ -494,7 +475,10 @@ def patient_recommendation(mdp: Mdp, beta_fit: float, beta_advice: float) -> Pat
     both discounts; a solve stopped at its cap is a ValueError. Divergent
     states are those where the advised action differs from the one at the
     fitted discount; both solves break ties to the lowest action index of
-    the exact Q, so a zero reward yields none.
+    the exact Q, so a zero reward yields none. The advice's attributes
+    are ``policy`` and ``fitted_policy``, the action indices of the greedy
+    policies at ``beta_advice`` and ``beta_fit``, and
+    ``divergent_states``, the indices of the states where they differ.
     """
     _check_beta(beta_fit)
     _check_beta(beta_advice)
@@ -502,7 +486,7 @@ def patient_recommendation(mdp: Mdp, beta_fit: float, beta_advice: float) -> Pat
         raise ValueError("beta_advice must be at least beta_fit")
     fitted = solve_exact(mdp, beta_fit).policy
     advised = solve_exact(mdp, beta_advice).policy
-    return PatienceAdvice(policy=advised, fitted_policy=fitted, divergent_states=np.flatnonzero(fitted != advised))
+    return SimpleNamespace(policy=advised, fitted_policy=fitted, divergent_states=np.flatnonzero(fitted != advised))
 
 
 # --- legal standard: mean-variance template ----------------------------------

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from types import SimpleNamespace
 from typing import Any, Collection
 
@@ -76,7 +76,6 @@ from .loyalty import (
     no_conflict_check,
 )
 from .mdp import DiscountSpec, detect_preference_reversal, solve_exact
-from .scenario import Aggregation, Care, Loyalty, ManipulationProbe, Scenario
 
 TOOL_NAME = "fidaudit"
 
@@ -97,49 +96,6 @@ RUBRIC = {
 }
 
 EXIT_CODES = {PASS: 0, WARN: 1, FAIL: 2}
-
-
-@dataclass
-class StepRecord:
-    step: str
-    status: str
-    findings: list[Finding]
-
-
-@dataclass
-class AuditReport:
-    scenario_id: str
-    scenario_version: str
-    digest: str
-    seed: int
-    tolerance: float
-    steps: list[StepRecord]
-    overall: str
-
-    def to_dict(self) -> dict:
-        """The report as plain data: ``run_audit`` puts every finding's
-        evidence in report form (``_report_form``)."""
-        return {
-            "tool": {"name": TOOL_NAME, "version": __version__},
-            "scenario": {
-                "id": self.scenario_id,
-                "version": self.scenario_version,
-                "digest": self.digest,
-                "seed": self.seed,
-                "tolerance": self.tolerance,
-            },
-            "disclaimer": DISCLAIMER,
-            "steps": [
-                {
-                    "step": record.step,
-                    "status": record.status,
-                    "rubric": RUBRIC[record.step],
-                    "findings": [vars(f) for f in record.findings],
-                }
-                for record in self.steps
-            ],
-            "overall": self.overall,
-        }
 
 
 def _jsonable(value: Any) -> Any:
@@ -198,22 +154,10 @@ def _report_form(finding: Finding) -> Finding:
     return Finding(finding.check, FAIL, error, {**evidence, "error": error})
 
 
-# --- pipeline state threaded through the steps ---------------------------------
-
-
-@dataclass
-class _State:
-    tol: float  # the information-flow zero threshold
-    rng: np.random.Generator  # the reward-feasibility probe's samples
-    best_classes: tuple = ()
-    aggregate_utility: dict[str, float] | None = None  # set once aggregation has run
-    ran: set[str] = field(default_factory=set)  # automated operations that ran, read by _duty_covered
-
-
 # --- step 1: context -------------------------------------------------------------
 
 
-def _run_context(context: ContextSpec, scenario: Scenario, state: _State) -> list[Finding]:
+def _run_context(context: ContextSpec, scenario: SimpleNamespace, state: SimpleNamespace) -> list[Finding]:
     findings = [
         Finding(
             "schema",
@@ -259,7 +203,7 @@ def _run_context(context: ContextSpec, scenario: Scenario, state: _State) -> lis
 
 
 def _run_identification(
-    principals: tuple[PrincipalClassSpec, ...], scenario: Scenario, state: _State
+    principals: tuple[PrincipalClassSpec, ...], scenario: SimpleNamespace, state: SimpleNamespace
 ) -> list[Finding]:
     declared = {"declared": [c.class_id for c in principals]}
     return _attempt(
@@ -267,7 +211,7 @@ def _run_identification(
     )
 
 
-def _principal_classes(ordered: tuple[PrincipalClassSpec, ...], state: _State) -> list[Finding]:
+def _principal_classes(ordered: tuple[PrincipalClassSpec, ...], state: SimpleNamespace) -> list[Finding]:
     state.best_classes = tuple(c for c in ordered if c.relationship == BEST_INTERESTS)
     obedience = [c.class_id for c in ordered if c.relationship != BEST_INTERESTS]
     findings = [
@@ -299,7 +243,9 @@ def _principal_classes(ordered: tuple[PrincipalClassSpec, ...], state: _State) -
 # --- step 3: assessment ----------------------------------------------------------------
 
 
-def _run_one_method(method: SimpleNamespace, scenario: Scenario, state: _State) -> tuple[str, str, dict]:
+def _run_one_method(
+    method: SimpleNamespace, scenario: SimpleNamespace, state: SimpleNamespace
+) -> tuple[str, str, dict]:
     """One assessment method's (check, detail, evidence); every method that runs passes."""
     mdp = scenario.world.mdp
     if method.kind == "prudent_investor":
@@ -416,7 +362,9 @@ def _run_one_method(method: SimpleNamespace, scenario: Scenario, state: _State) 
     )
 
 
-def _run_assessment(methods: tuple[SimpleNamespace, ...], scenario: Scenario, state: _State) -> list[Finding]:
+def _run_assessment(
+    methods: tuple[SimpleNamespace, ...], scenario: SimpleNamespace, state: SimpleNamespace
+) -> list[Finding]:
     def passed(method: SimpleNamespace) -> list[Finding]:
         check, detail, evidence = _run_one_method(method, scenario, state)
         return [Finding(check, PASS, detail, evidence)]
@@ -430,7 +378,7 @@ def _run_assessment(methods: tuple[SimpleNamespace, ...], scenario: Scenario, st
 # --- step 4: aggregation -----------------------------------------------------------------
 
 
-def _run_aggregation(doc: Aggregation, scenario: Scenario, state: _State) -> list[Finding]:
+def _run_aggregation(doc: SimpleNamespace, scenario: SimpleNamespace, state: SimpleNamespace) -> list[Finding]:
     findings: list[Finding] = []
 
     if doc.method == "approval":
@@ -507,7 +455,7 @@ def _run_aggregation(doc: Aggregation, scenario: Scenario, state: _State) -> lis
     return findings
 
 
-def _impartiality(doc: Aggregation) -> Finding:
+def _impartiality(doc: SimpleNamespace) -> Finding:
     verdict = impartiality_check(
         doc.weights,
         agent=doc.agent_id,
@@ -525,7 +473,7 @@ def _impartiality(doc: Aggregation) -> Finding:
     )
 
 
-def _manipulation_probe(probe: ManipulationProbe) -> Finding:
+def _manipulation_probe(probe: SimpleNamespace) -> Finding:
     rule = VotingRule(probe.rule, dictator_voter=probe.dictator_voter)
     instance = find_manipulation(rule, probe.voters, probe.options)
     return _verdict(
@@ -550,7 +498,7 @@ def _manipulation_probe(probe: ManipulationProbe) -> Finding:
 # --- step 5: loyalty ---------------------------------------------------------------------
 
 
-def _run_loyalty(doc: Loyalty, scenario: Scenario, state: _State) -> list[Finding]:
+def _run_loyalty(doc: SimpleNamespace, scenario: SimpleNamespace, state: SimpleNamespace) -> list[Finding]:
     if doc.from_aggregation and state.aggregate_utility is None:
         return [
             Finding(
@@ -676,7 +624,7 @@ def _run_loyalty(doc: Loyalty, scenario: Scenario, state: _State) -> list[Findin
     return findings
 
 
-def _information_flow(norm, label: str, scenario: Scenario, state: _State) -> Finding:
+def _information_flow(norm, label: str, scenario: SimpleNamespace, state: SimpleNamespace) -> Finding:
     """The verdict on one bound confidentiality or disclosure norm."""
     model, profile, binding = scenario.world.macid, scenario.world.profile, norm.binding
     if norm.transmission_principle == CONFIDENTIALITY:
@@ -731,7 +679,7 @@ _OPERATION_EVIDENCE = {
 
 
 def _duty_covered(
-    entry, state: _State, evidence: Collection[str], expected: str
+    entry, state: SimpleNamespace, evidence: Collection[str], expected: str
 ) -> tuple[bool, str]:
     """Whether the audit evidenced a declared catalog duty, and the evidence it
     expects: the automated check the duty binds to, else ``expected``, an
@@ -745,7 +693,7 @@ def _duty_covered(
 # --- step 6: care ------------------------------------------------------------------------
 
 
-def _run_care(doc: Care, scenario: Scenario, state: _State) -> list[Finding]:
+def _run_care(doc: SimpleNamespace, scenario: SimpleNamespace, state: SimpleNamespace) -> list[Finding]:
     known = set(BUILTIN_STANDARDS)
     if scenario.context is not None and scenario.context.care_standard:
         known.add(scenario.context.care_standard)
@@ -838,12 +786,12 @@ _STEPS = {
 }
 
 
-def _run_step(step: str, scenario: Scenario, state: _State) -> StepRecord:
-    """One step's record: an omitted section skips the step, a section that
-    yields no finding warns, a step that raises is one ``step-error`` Fail,
-    not an abort, and each finding's evidence is put in report form, a
-    field with a non-finite number making it a Fail of its check
-    (``_report_form``)."""
+def _run_step(step: str, scenario: SimpleNamespace, state: SimpleNamespace) -> SimpleNamespace:
+    """One step's record (``step``, ``status``, ``findings``): an omitted
+    section skips the step, a section that yields no finding warns, a step
+    that raises is one ``step-error`` Fail, not an abort, and each
+    finding's evidence is put in report form, a field with a non-finite
+    number making it a Fail of its check (``_report_form``)."""
     section, runner = _STEPS[step]
     doc = getattr(scenario, section)
     if doc is None:
@@ -863,19 +811,29 @@ def _run_step(step: str, scenario: Scenario, state: _State) -> StepRecord:
                 )
             ]
     findings = [_report_form(f) for f in findings]
-    return StepRecord(step, worst(f.status for f in findings), findings)
+    return SimpleNamespace(step=step, status=worst(f.status for f in findings), findings=findings)
 
 
-def run_audit(scenario: Scenario, tol: float = INFO_TOL, seed: int = 0) -> AuditReport:
+def run_audit(scenario: SimpleNamespace, tol: float = INFO_TOL, seed: int = 0) -> SimpleNamespace:
     """Execute all six steps in order and assemble the report.
 
     ``tol`` is the information-flow zero threshold; ``seed`` feeds the only
     sampled computation (the reward-feasibility probe) and is recorded in
-    the report, keeping output byte-deterministic for fixed inputs.
+    the report, keeping output byte-deterministic for fixed inputs. The
+    report's attributes are ``scenario_id``, ``scenario_version``,
+    ``digest``, ``seed``, ``tolerance``, ``steps`` (one record per step, in
+    order, with its ``step``, ``status`` and ``findings``) and ``overall``.
     """
-    state = _State(tol, np.random.default_rng(seed))
+    # the state the steps thread through: later steps read what earlier ones set
+    state = SimpleNamespace(
+        tol=tol,
+        rng=np.random.default_rng(seed),  # the reward-feasibility probe's samples
+        best_classes=(),  # set by identification
+        aggregate_utility=None,  # option -> utility, set once aggregation has run
+        ran=set(),  # automated operations that ran, read by _duty_covered
+    )
     steps = [_run_step(step, scenario, state) for step in _STEPS]
-    return AuditReport(
+    return SimpleNamespace(
         scenario_id=scenario.scenario_id,
         scenario_version=scenario.version,
         digest=scenario.digest,
@@ -886,15 +844,37 @@ def run_audit(scenario: Scenario, tol: float = INFO_TOL, seed: int = 0) -> Audit
     )
 
 
-def emit_report(report: AuditReport, fmt: str = "text") -> str:
+def emit_report(report: SimpleNamespace, fmt: str = "text") -> str:
     """Render the report; identical reports render byte-identically.
 
     ``machine`` is canonical JSON (sorted keys, two-space indent) suitable
-    for golden-file comparison; ``text`` is a six-line human summary plus
-    one line per finding.
+    for golden-file comparison, of plain data: ``run_audit`` puts every
+    finding's evidence in report form (``_report_form``). ``text`` is a
+    six-line human summary plus one line per finding.
     """
     if fmt == "machine":
-        return json.dumps(report.to_dict(), sort_keys=True, indent=2, allow_nan=False) + "\n"
+        doc = {
+            "tool": {"name": TOOL_NAME, "version": __version__},
+            "scenario": {
+                "id": report.scenario_id,
+                "version": report.scenario_version,
+                "digest": report.digest,
+                "seed": report.seed,
+                "tolerance": report.tolerance,
+            },
+            "disclaimer": DISCLAIMER,
+            "steps": [
+                {
+                    "step": record.step,
+                    "status": record.status,
+                    "rubric": RUBRIC[record.step],
+                    "findings": [vars(f) for f in record.findings],
+                }
+                for record in report.steps
+            ],
+            "overall": report.overall,
+        }
+        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if fmt != "text":
         raise ValueError(f"unknown format {fmt!r}")
     lines = [

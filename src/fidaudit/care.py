@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Sequence
 
 from .findings import FAIL, Finding
@@ -53,24 +54,17 @@ class BinaryEvidence:
                 raise ValueError(f"{name} must be at most 1, got {val}")
 
 
-@dataclass(frozen=True)
-class BiasDiagnostic:
-    ratio: float
-    posterior: float
-    prior_dominated: bool
-    degenerate_prior: bool
-    rationale: str
-
-
 def inductive_bias_diagnostic(
     evidence: BinaryEvidence, dominance_threshold: float = DOMINANCE_THRESHOLD
-) -> BiasDiagnostic:
+) -> SimpleNamespace:
     """Likelihood ratio, Bayes posterior, and a prior-dominance flag.
 
     The flag trips when |ln ratio| falls under ``dominance_threshold``; a
     log-scale band treats ratio r and 1/r symmetrically. A prior of exactly
     0 or 1 pins the posterior regardless of evidence and is flagged as
-    degenerate.
+    degenerate. The diagnostic's attributes are ``ratio``, ``posterior``,
+    ``prior_dominated``, ``degenerate_prior`` and ``rationale``, empty
+    unless the prior dominates.
     """
     if not dominance_threshold > 0:
         raise ValueError("dominance_threshold must be positive")
@@ -82,7 +76,7 @@ def inductive_bias_diagnostic(
         numerator = evidence.prior * evidence.likelihood1
         posterior = numerator / (numerator + (1.0 - evidence.prior) * evidence.likelihood0)
     dominated = abs(math.log(ratio)) < dominance_threshold
-    return BiasDiagnostic(
+    return SimpleNamespace(
         ratio=ratio,
         posterior=posterior,
         prior_dominated=dominated,
@@ -116,30 +110,26 @@ class DiscreteDistributionPair:
                 raise ValueError(f"{name} distribution sums to {total}")
 
 
-@dataclass(frozen=True)
-class ShiftScore:
-    kl_nats: float | None
-    absolute_continuity_violation: bool
-    violating_points: tuple[str, ...] = ()
-
-
-def distribution_shift_score(pair: DiscreteDistributionPair) -> ShiftScore:
+def distribution_shift_score(pair: DiscreteDistributionPair) -> SimpleNamespace:
     """KL(deploy || train) in nats; non-negative, zero only on equal inputs.
 
     This direction penalizes deployment mass in regions the training
     distribution never covered; when that mass sits on a training zero the
     divergence is infinite and is reported as a violation of absolute
-    continuity rather than as a number.
+    continuity rather than as a number. The score's attributes are
+    ``kl_nats`` (None on a violation), ``absolute_continuity_violation``
+    and ``violating_points``, the support points of that mass (empty
+    without a violation).
     """
     violating = tuple(x for x, p, q in zip(pair.support, pair.train, pair.deploy) if q > 0.0 and p == 0.0)
     if violating:
-        return ShiftScore(kl_nats=None, absolute_continuity_violation=True, violating_points=violating)
+        return SimpleNamespace(kl_nats=None, absolute_continuity_violation=True, violating_points=violating)
     kl = 0.0
     for p, q in zip(pair.train, pair.deploy):
         if q > 0.0:
             kl += q * math.log(q / p)
     # mathematically non-negative; clamp float residue from near-equal inputs
-    return ShiftScore(kl_nats=max(kl, 0.0), absolute_continuity_violation=False)
+    return SimpleNamespace(kl_nats=max(kl, 0.0), absolute_continuity_violation=False, violating_points=())
 
 
 def prudence_report(

@@ -98,8 +98,7 @@ def catalog(context_label: str) -> None:
     except UnknownContextLabel as exc:
         click.echo(str(exc), err=True)
         sys.exit(2)
-    speculative = entries[0].speculative if entries else False
-    header = context_label + ("  [proposed context, not yet determined by law]" if speculative else "")
+    header = context_label + ("  [proposed context, not yet determined by law]" if entries[0].speculative else "")
     click.echo(header)
     for entry in entries:
         flags = []

@@ -33,8 +33,8 @@ Two families of checks:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import gt, le
+from types import SimpleNamespace
 from typing import Sequence
 
 from .aggregation import _check_rows
@@ -54,19 +54,15 @@ from .macid import (
 INFO_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class AlignmentVerdict:
-    aligned: bool
-    witnesses: tuple[tuple[str, str], ...]
-
-
 def _ordered_pair_check(
     outcomes: Sequence[str], rows: tuple[Sequence[float], Sequence[float]], premise: int, holds
-) -> AlignmentVerdict:
-    """Pairs (c1, c2), in declared order, where ``rows[premise]`` strictly
-    prefers c1 and the other row fails ``holds``. ``rows`` are the public
-    check's two tables in argument order, each in ``outcomes`` order, and
-    ``aggregation._check_rows`` checks them under those row numbers."""
+) -> SimpleNamespace:
+    """The verdict of an order check: ``witnesses``, the pairs (c1, c2),
+    in declared order, where ``rows[premise]`` strictly prefers c1 and the
+    other row fails ``holds``, and ``aligned``, whether there are none.
+    ``rows`` are the public check's two tables in argument order, each in
+    ``outcomes`` order, and ``aggregation._check_rows`` checks them under
+    those row numbers."""
     _check_rows(outcomes, rows, "outcome")
     prefers, conclusion = rows[premise], rows[1 - premise]
     witnesses = tuple(
@@ -74,13 +70,14 @@ def _ordered_pair_check(
         for i, j in itertools.permutations(range(len(outcomes)), 2)
         if prefers[i] > prefers[j] and not holds(conclusion[i], conclusion[j])
     )
-    return AlignmentVerdict(aligned=not witnesses, witnesses=witnesses)
+    return SimpleNamespace(aligned=not witnesses, witnesses=witnesses)
 
 
 def alignment_check(
     outcomes: Sequence[str], principal: Sequence[float], agent_fiduciary: Sequence[float]
-) -> AlignmentVerdict:
-    """Strict principal preferences must be strictly preserved by the agent.
+) -> SimpleNamespace:
+    """Strict principal preferences must be strictly preserved by the agent
+    (``aligned``, with the violating pairs as ``witnesses``).
 
     Pairs the principal is indifferent between impose no constraint, so a
     constant principal table is vacuously aligned with anything.
@@ -90,7 +87,7 @@ def alignment_check(
 
 def disgorgement_check(
     outcomes: Sequence[str], agent_nonfiduciary: Sequence[float], agent_fiduciary: Sequence[float]
-) -> AlignmentVerdict:
+) -> SimpleNamespace:
     """The fiduciary-conditioned utility may not profit where the raw one would.
 
     Wherever the unconditioned utility strictly increases, the conditioned
@@ -102,7 +99,7 @@ def disgorgement_check(
 
 def no_conflict_check(
     outcomes: Sequence[str], system_objective: Sequence[float], aggregated_principal: Sequence[float]
-) -> AlignmentVerdict:
+) -> SimpleNamespace:
     """First step of the loyalty two-step: objective vs aggregated interests.
 
     Same order logic as ``alignment_check`` with the aggregated principal
@@ -126,47 +123,30 @@ def _restrict(
     return model, {nid: profile[nid] for nid in model.decision_nodes()}
 
 
-@dataclass(frozen=True)
-class ConfidentialityVerdict:
-    passed: bool
-    mutual_information_bits: float
-    report_node: str
-    secret_node: str
-
-
 def confidentiality_check(
     model: Macid,
     profile: PolicyProfile,
     report_node: str,
     secret_node: str,
     tol: float = INFO_TOL,
-) -> ConfidentialityVerdict:
+) -> SimpleNamespace:
     """Pass iff the report carries no information about the secret.
 
     Computes I(report; secret) in bits under the audited profile's joint
     distribution; anything above ``tol`` fails. The verdict depends only
-    on the joint law, so relabeling domain values cannot change it.
+    on the joint law, so relabeling domain values cannot change it. Its
+    attributes are ``passed``, ``mutual_information_bits``,
+    ``report_node`` and ``secret_node``.
     """
     model, profile = _restrict(model, profile, (report_node, secret_node))
     joint = marginal(model, profile, (report_node, secret_node))
     info = mutual_information(joint)
-    return ConfidentialityVerdict(
+    return SimpleNamespace(
         passed=info <= tol,
         mutual_information_bits=info,
         report_node=report_node,
         secret_node=secret_node,
     )
-
-
-@dataclass(frozen=True)
-class DisclosureVerdict:
-    passed: bool
-    material: bool
-    value_of_information: float
-    information_bits: float | None
-    principal_utility: float | None
-    silent_baseline: float | None
-    note: str = ""
 
 
 def materiality_value(
@@ -193,7 +173,7 @@ def disclosure_check(
     material_node: str,
     principal_decision: str,
     tol: float = INFO_TOL,
-) -> DisclosureVerdict:
+) -> SimpleNamespace:
     """Material information must flow, and communicating must not hurt.
 
     If the material node has positive value for the principal's decision
@@ -204,6 +184,12 @@ def disclosure_check(
     favorable constant), re-optimizing only their own decisions from the
     audited rules in the equilibrium search's loop (``macid._iterate``), so
     under its round cap. Immaterial nodes pass vacuously with a note.
+
+    The verdict's attributes are ``passed``, ``material``,
+    ``value_of_information``, ``information_bits``, ``principal_utility``
+    and ``silent_baseline`` (the last three None when not material), and
+    ``note``: why the node is not material or why no information flows,
+    else empty.
     """
     model, profile = _restrict(model, profile, (report_node, material_node, principal_decision))
     if model.node_map[report_node].kind is not NodeKind.DECISION:
@@ -211,7 +197,7 @@ def disclosure_check(
 
     voi = materiality_value(model, report_node, material_node, principal_decision)
     if voi <= tol:
-        return DisclosureVerdict(
+        return SimpleNamespace(
             passed=True,
             material=False,
             value_of_information=voi,
@@ -231,7 +217,7 @@ def disclosure_check(
         baseline = max(baseline, expected_utility(model, _iterate(model, muted, own), principal))
     flows = info > tol
     no_harm = utility >= baseline - tol
-    return DisclosureVerdict(
+    return SimpleNamespace(
         passed=flows and no_harm,
         material=True,
         value_of_information=voi,

@@ -29,9 +29,13 @@ A ``distribution_shift`` check's ``train`` and ``deploy`` are rows of
 floats in ``support`` order.
 
 One reader walks a document once: it checks each field and builds its
-typed, frozen value in the same pass, recording every problem with its
-path. ``validate_scenario`` returns those problems and ``parse_scenario``
-raises SchemaError at the first, so both accept exactly the same
+value in the same pass, recording every problem with its path. The
+scenario, its world and its aggregation, loyalty and care sections are
+namespaces the reader builds and the audit only reads
+(``parse_scenario`` lists their attributes); the context, principals and
+world models are their library types. ``validate_scenario`` returns
+those problems and ``parse_scenario`` raises SchemaError at the first,
+so both accept exactly the same
 documents. A wrong JSON type, shape, length or id is a problem, and so are
 a number that is not finite or not in float range, an ``iters``,
 ``samples`` or ``horizon`` count outside 1..``MAX_ITERS_CAP``, a
@@ -63,7 +67,6 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
@@ -90,70 +93,6 @@ _NEEDS_MDP = ("discount_inference", "maxent_irl", "feasibility_probe", "patient_
 # care step findings the audit names itself, besides ``duty:<key>``: a care
 # check may not carry one of these names
 RESERVED_CHECK_NAMES = ("standard", "section", "step-error")
-
-
-@dataclass(frozen=True)
-class World:
-    macid: Macid | None = None
-    profile: Mapping[str, np.ndarray] | None = None  # decision node id -> rule array
-    mdp: Mdp | None = None
-
-
-@dataclass(frozen=True)
-class ManipulationProbe:
-    rule: str
-    voters: int
-    options: int
-    dictator_voter: int
-
-
-@dataclass(frozen=True)
-class Aggregation:
-    method: str | None
-    options: tuple[str, ...]
-    ballots: tuple[ApprovalBallot, ...]
-    utilities: Mapping[str, tuple[float, ...]]  # class id -> utilities in options order
-    weights: Mapping[str, float] | None
-    agent_id: str | None
-    favored: str | None
-    favoritism_cap: float | None
-    probe: ManipulationProbe | None
-
-
-@dataclass(frozen=True)
-class Attestation:
-    duty: str
-    attested: bool
-    note: str
-
-
-@dataclass(frozen=True)
-class Loyalty:
-    outcomes: tuple[str, ...]
-    tables: Mapping[str, tuple[float, ...]]  # role or "aggregated_principal" -> utilities in outcomes order
-    from_aggregation: bool
-    attestations: Mapping[str, Attestation]  # by duty key, each declared once
-
-
-@dataclass(frozen=True)
-class Care:
-    standard: str
-    declared_checks: tuple[str, ...]
-    checks: tuple[SimpleNamespace, ...]
-
-
-@dataclass(frozen=True)
-class Scenario:
-    scenario_id: str
-    version: str
-    digest: str
-    context: ContextSpec | None
-    principals: tuple[PrincipalClassSpec, ...] | None
-    world: World
-    assessment: tuple[SimpleNamespace, ...] | None
-    aggregation: Aggregation | None
-    loyalty: Loyalty | None
-    care: Care | None
 
 
 DIGEST_PREFIX = "sha256-v2:"
@@ -357,7 +296,7 @@ class _Reader:
 
     # the document
 
-    def scenario(self, raw: Any) -> Scenario | None:
+    def scenario(self, raw: Any) -> SimpleNamespace | None:
         if not isinstance(raw, dict):
             self.fail("", "scenario document must be a JSON object")
             return None
@@ -367,12 +306,14 @@ class _Reader:
         for key in raw:
             if key not in KNOWN_SECTIONS:
                 self.fail(key, "unknown top-level section")
-        meta = self.field(raw, "metadata", "", self.metadata, default={"scenario_id": "unnamed", "version": "0"})
-        world = self.field(raw, "world", "", self.world, default=World())
+        # an absent or null metadata or world reads as an empty object, so
+        # their defaults are coded once, in their read methods
+        meta = self.metadata({} if raw.get("metadata") is None else raw["metadata"], "metadata")
+        world = self.world({} if raw.get("world") is None else raw["world"], "world")
         sections = {key: self.field(raw, key, "", getattr(self, key), default=None) for key in SECTIONS}
         if self.problems:
             return None
-        return Scenario(**meta, digest=canonical_digest(raw, self.tables), world=world, **sections)
+        return SimpleNamespace(**meta, digest=canonical_digest(raw, self.tables), world=world, **sections)
 
     @_object
     def metadata(self, doc: dict, path: str) -> dict:
@@ -383,11 +324,11 @@ class _Reader:
     # world models
 
     @_object
-    def world(self, doc: dict, path: str) -> World:
+    def world(self, doc: dict, path: str) -> SimpleNamespace:
         macid, profile = self.field(doc, "macid", path, self.macid, default=None) or (None, None)
         self.has_mdp = doc.get("mdp") is not None
         mdp = self.field(doc, "mdp", path, self.mdp, default=None)
-        return World(macid=macid, profile=profile, mdp=mdp)
+        return SimpleNamespace(macid=macid, profile=profile, mdp=mdp)
 
     @_object
     def node(self, doc: dict, path: str) -> Node | None:
@@ -704,7 +645,7 @@ class _Reader:
     # aggregation
 
     @_object
-    def aggregation(self, doc: dict, path: str) -> Aggregation:
+    def aggregation(self, doc: dict, path: str) -> SimpleNamespace:
         method = self.field(doc, "method", path, self.choice, default=None, options=AGGREGATION_METHODS)
         options = ballots = None
         utilities = {}
@@ -723,7 +664,7 @@ class _Reader:
             agent_id = self.field(doc, "agent_id", path, self.str_)
             favored = self.field(doc, "favored", path, self.str_, default=None)
             cap = self.field(doc, "favoritism_cap", path, self.num, default=None)
-        return Aggregation(
+        return SimpleNamespace(
             method=method,
             options=options or (),
             ballots=ballots or (),
@@ -742,16 +683,16 @@ class _Reader:
         return ApprovalBallot(fields["voter"], frozenset(fields["approved"] or ()))
 
     @_object
-    def probe(self, doc: dict, path: str) -> ManipulationProbe:
+    def probe(self, doc: dict, path: str) -> SimpleNamespace:
         rule = partial(self.choice, options=("borda", "plurality", "dictator"))
-        return ManipulationProbe(
+        return SimpleNamespace(
             **self.record(doc, path, rule=rule, voters=self.int_, options=self.int_, dictator_voter=(self.int_, 0))
         )
 
     # loyalty and care
 
     @_object
-    def loyalty(self, doc: dict, path: str) -> Loyalty:
+    def loyalty(self, doc: dict, path: str) -> SimpleNamespace:
         tpath = f"{path}.tables"
         tables = self.field(doc, "tables", path, self.obj, default={}) or {}
         from_aggregation = tables.get("aggregated_principal") == "from_aggregation"
@@ -771,7 +712,7 @@ class _Reader:
                 self.fail(f"{tpath}.outcomes", f"the aggregation options {options} required")
         attestations = self.field(doc, "attestations", path, self.list_, default=(), item=self.attestation)
         self.unique(attestations, f"{path}.attestations", "duty")
-        return Loyalty(
+        return SimpleNamespace(
             outcomes=outcomes or (),
             tables=values,
             from_aggregation=from_aggregation,
@@ -779,17 +720,17 @@ class _Reader:
         )
 
     @_object
-    def attestation(self, doc: dict, path: str) -> Attestation:
-        return Attestation(**self.record(doc, path, duty=self.str_, attested=self.bool_, note=(self.str_, "")))
+    def attestation(self, doc: dict, path: str) -> SimpleNamespace:
+        return SimpleNamespace(**self.record(doc, path, duty=self.str_, attested=self.bool_, note=(self.str_, "")))
 
     @_object
-    def care(self, doc: dict, path: str) -> Care:
+    def care(self, doc: dict, path: str) -> SimpleNamespace:
         fields = self.record(
             doc, path,
             standard=self.str_, declared_checks=(self.strs, ()), checks=(partial(self.list_, item=self.care_check), ()),
         )
         self.unique(fields["checks"], f"{path}.checks", "name")
-        return Care(**fields)
+        return SimpleNamespace(**fields)
 
     @_object
     def care_check(self, doc: dict, path: str) -> SimpleNamespace | None:
@@ -822,8 +763,27 @@ def validate_scenario(raw: Any) -> list[tuple[str, str]]:
     return reader.problems
 
 
-def parse_scenario(raw: Any) -> Scenario:
-    """Typed scenario from a document; raises SchemaError at the first problem."""
+def parse_scenario(raw: Any) -> SimpleNamespace:
+    """The scenario in a document; raises SchemaError at the first problem.
+
+    Its attributes are ``scenario_id`` and ``version`` (from ``metadata``;
+    "unnamed" and "0" by default), ``digest``, ``world`` and one per entry
+    of ``SECTIONS``, None for an omitted section:
+
+    - ``world``: ``macid``, ``profile`` (decision node id -> rule array)
+      and ``mdp``, each None when not declared;
+    - ``context``, a ContextSpec; ``principals``, a tuple of
+      PrincipalClassSpec; ``assessment``, a tuple of methods;
+    - ``aggregation``: ``method``, ``options``, ``ballots`` (a tuple of
+      ApprovalBallot), ``utilities`` (class id -> row in ``options``
+      order), ``weights``, ``agent_id``, ``favored``, ``favoritism_cap``
+      and ``probe`` (``rule``, ``voters``, ``options``, ``dictator_voter``);
+    - ``loyalty``: ``outcomes``, ``tables`` (role or
+      "aggregated_principal" -> row in ``outcomes`` order),
+      ``from_aggregation`` and ``attestations`` (duty key -> its
+      ``duty``, ``attested`` and ``note``);
+    - ``care``: ``standard``, ``declared_checks`` and ``checks``.
+    """
     reader = _Reader()
     scenario = reader.scenario(raw)
     if scenario is None:
@@ -841,5 +801,5 @@ def read_document(path: str | Path) -> Any:
         raise SchemaError(f"not valid UTF-8 JSON: {exc}", path=str(path)) from exc
 
 
-def load_scenario(path: str | Path) -> Scenario:
+def load_scenario(path: str | Path) -> SimpleNamespace:
     return parse_scenario(read_document(path))

@@ -1,5 +1,6 @@
 import json
 import math
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -673,6 +674,30 @@ def test_reports_reproducible_and_match_goldens():
         assert first == second
         golden = (GOLDEN / f"{path.stem}.report.json").read_text()
         assert first == golden, f"golden drift for {path.name}"
+
+
+def _snapshot(value):
+    """``value`` as nested plain data: an array by its dtype, shape and
+    bytes, a dict by its items in order, an object by its public
+    attributes. Private ones hold memos (``Mdp._solves``) that fill by design."""
+    if isinstance(value, np.ndarray):
+        return ("array", value.dtype.str, value.shape, value.tobytes())
+    if isinstance(value, dict):
+        return ("dict", [(k, _snapshot(v)) for k, v in value.items()])
+    if isinstance(value, (list, tuple)):
+        return (type(value).__name__, [_snapshot(v) for v in value])
+    if hasattr(value, "__dict__") and not isinstance(value, Enum):
+        return (type(value).__name__, {k: _snapshot(v) for k, v in vars(value).items() if not k.startswith("_")})
+    return value
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.stem)
+def test_auditing_one_parsed_scenario_again_changes_neither_it_nor_the_report(path):
+    scenario = load_scenario(path)
+    before = _snapshot(scenario)
+    reports = [emit_report(run_audit(scenario, seed=seed), "machine") for seed in (0, 1, 0)]
+    assert reports[0] == reports[2]
+    assert _snapshot(scenario) == before
 
 
 def test_text_report_has_six_status_lines():

@@ -352,6 +352,24 @@ def test_metadata_seed_must_be_an_integer(seed):
     assert_rejected_at(raw, "metadata.seed")
 
 
+@pytest.mark.parametrize("null", [False, True], ids=["absent", "null"])
+def test_an_absent_or_null_metadata_gives_the_default_id_and_version(null):
+    raw = raw_scenario("disclosure_demo.json")
+    if null:
+        raw["metadata"] = None
+    else:
+        del raw["metadata"]
+    scenario = parse_scenario(raw)
+    assert (scenario.scenario_id, scenario.version) == ("unnamed", "0")
+
+
+@pytest.mark.parametrize("metadata", [[], 0, False, ""], ids=repr)
+def test_a_falsy_metadata_that_is_not_an_object_is_a_problem(metadata):
+    raw = raw_scenario("disclosure_demo.json")
+    raw["metadata"] = metadata
+    assert_rejected_at(raw, "metadata")
+
+
 @pytest.mark.parametrize(
     "scenario, method, key",
     [
