@@ -20,9 +20,8 @@ no timestamps, stable orderings, canonical key sorting in machine output.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import replace
+from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 from typing import Any, Collection
 
@@ -98,10 +97,18 @@ RUBRIC = {
 EXIT_CODES = {PASS: 0, WARN: 1, FAIL: 2}
 
 
+def _finite(value: float) -> float:
+    if math.isfinite(value):
+        return float(value)
+    raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+
+
 def _jsonable(value: Any) -> Any:
     """``value`` in report form, built of JSON types only: lists, string
     keys and sorted sets. A number that is not finite is a ValueError: no
     JSON report can carry it."""
+    if value is None or type(value) in (str, int, bool) or (type(value) is float and math.isfinite(value)):
+        return value
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -109,9 +116,7 @@ def _jsonable(value: Any) -> Any:
     if isinstance(value, np.ndarray):
         return [_jsonable(v) for v in value.tolist()]
     if isinstance(value, (float, np.floating)):
-        if not math.isfinite(value):
-            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-        return float(value)
+        return _finite(value)
     if isinstance(value, (np.integer,)):
         return int(value)
     if isinstance(value, frozenset):
@@ -149,7 +154,7 @@ def _report_form(finding: Finding) -> Finding:
         except ValueError:
             bad.append(key)
     if not bad:
-        return replace(finding, evidence=evidence)
+        return Finding(finding.check, finding.status, finding.detail, evidence)
     error = f"non-finite number in evidence field(s) {', '.join(map(repr, bad))}"
     return Finding(finding.check, FAIL, error, {**evidence, "error": error})
 
@@ -844,13 +849,58 @@ def run_audit(scenario: SimpleNamespace, tol: float = INFO_TOL, seed: int = 0) -
     )
 
 
+# JSON text by exact type; a subclass takes its base's, tried in the stdlib encoder's order (no bool subclass exists)
+_SCALAR_TEXT = {str: encode_basestring_ascii, int: int.__repr__, bool: ("false", "true").__getitem__}
+_SCALAR_TEXT[type(None)] = lambda _: "null"
+_SCALAR_TEXT[float] = lambda v: float.__repr__(v) if math.isfinite(v) else _finite(v)  # _finite raises
+
+
+def _write(value: Any, indent: str, out: list[str]) -> list[str]:
+    """``out`` with the text of ``json.dumps(value, sort_keys=True, indent=2, allow_nan=False)`` appended,
+    ``indent`` being the newline and indentation of ``value``'s level; what JSON cannot carry is a ValueError."""
+    is_list = type(value) is list or type(value) is tuple
+    if not is_list and type(value) is not dict:
+        text = _SCALAR_TEXT.get(type(value)) or next((t for b, t in _SCALAR_TEXT.items() if isinstance(value, b)), None)
+        if text is not None:
+            out.append(text(value))
+            return out
+        is_list = isinstance(value, (list, tuple))
+        if not is_list and not isinstance(value, dict):
+            raise ValueError(f"Object of type {type(value).__name__} is not JSON compliant")
+    inner = indent + "  "
+    lead, sep = ("[" if is_list else "{") + inner, "," + inner  # before the first member, before each later one
+    if is_list:
+        for item in value:
+            text = _SCALAR_TEXT.get(type(item))
+            out.append(lead if text is None else lead + text(item))
+            if text is None:
+                _write(item, inner, out)
+            lead = sep
+        out.append((indent if value else "[") + "]")  # an empty list is []
+        return out
+    try:
+        keys = sorted(value)
+    except TypeError:  # keys of unlike types, so not all of them strings
+        raise ValueError("dict keys other than str are not JSON compliant") from None
+    for key in keys:
+        if not isinstance(key, str):
+            raise ValueError(f"dict keys other than str are not JSON compliant: {key!r}")
+        text = _SCALAR_TEXT.get(type(value[key]))
+        out.append(f"{lead}{encode_basestring_ascii(key)}: {'' if text is None else text(value[key])}")
+        if text is None:
+            _write(value[key], inner, out)
+        lead = sep
+    out.append((indent if value else "{") + "}")
+    return out
+
+
 def emit_report(report: SimpleNamespace, fmt: str = "text") -> str:
     """Render the report; identical reports render byte-identically.
 
-    ``machine`` is canonical JSON (sorted keys, two-space indent) suitable
-    for golden-file comparison, of plain data: ``run_audit`` puts every
-    finding's evidence in report form (``_report_form``). ``text`` is a
-    six-line human summary plus one line per finding.
+    ``machine`` is canonical JSON for golden-file comparison, the bytes of ``json.dumps(...,
+    sort_keys=True, indent=2, allow_nan=False)`` written in one pass: sorted keys, a two-space
+    indent, ``": "`` and ``","`` separators, ASCII with ``\\uXXXX`` escapes, a trailing newline.
+    Evidence is in report form (``_report_form``). ``text`` is a six-line summary plus one line per finding.
     """
     if fmt == "machine":
         doc = {
@@ -874,7 +924,7 @@ def emit_report(report: SimpleNamespace, fmt: str = "text") -> str:
             ],
             "overall": report.overall,
         }
-        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        return "".join(_write(doc, "\n", [])) + "\n"
     if fmt != "text":
         raise ValueError(f"unknown format {fmt!r}")
     lines = [

@@ -1,9 +1,13 @@
-"""Model builders shared across test modules."""
+"""Model builders and reference implementations shared across test modules."""
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
+from fidaudit import __version__
+from fidaudit.audit import DISCLAIMER, RUBRIC, TOOL_NAME
 from fidaudit.macid import Macid, Node, NodeKind, deterministic_rule
 from fidaudit.mdp import Mdp
 
@@ -302,3 +306,31 @@ def _sigmoid(x):
 
 def _log_sigmoid(x):
     return np.where(x >= 0, -np.log1p(np.exp(-np.abs(x))), x - np.log1p(np.exp(-np.abs(x))))
+
+
+def reference_machine_report(report):
+    """``emit_report(report, "machine")`` through the standard library's
+    encoder: the oracle for the one-pass writer, which must give the same
+    bytes."""
+    doc = {
+        "tool": {"name": TOOL_NAME, "version": __version__},
+        "scenario": {
+            "id": report.scenario_id,
+            "version": report.scenario_version,
+            "digest": report.digest,
+            "seed": report.seed,
+            "tolerance": report.tolerance,
+        },
+        "disclaimer": DISCLAIMER,
+        "steps": [
+            {
+                "step": record.step,
+                "status": record.status,
+                "rubric": RUBRIC[record.step],
+                "findings": [vars(f) for f in record.findings],
+            }
+            for record in report.steps
+        ],
+        "overall": report.overall,
+    }
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"

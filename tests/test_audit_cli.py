@@ -1,6 +1,7 @@
 import json
 import math
-from enum import Enum
+from collections import OrderedDict
+from enum import Enum, IntEnum
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from fidaudit.care import PRIOR_DOMINANCE_RATIONALE
 from fidaudit.cli import main
 from fidaudit.context import duty_entry
 from fidaudit.errors import SchemaError
+from fidaudit.findings import Finding
 from fidaudit.scenario import load_scenario, parse_scenario, validate_scenario
 from helpers import delayed_reward_chain
 
@@ -927,3 +929,88 @@ def test_machine_report_refuses_non_finite_numbers():
     report.tolerance = math.nan
     with pytest.raises(ValueError, match="not JSON compliant"):
         emit_report(report, "machine")
+
+
+class _Color(str, Enum):
+    RED = "red"
+
+
+class _Rank(IntEnum):
+    FIRST = 1
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        'quote " backslash \\ newline \n nul \x00 del \x7f tab \t',
+        "caf\u00e9, no-break\u00a0space, line\u2028separator, astral \U0001d11e \U0001f600",
+        {},
+        [],
+        {"a": {}, "b": [], "c": [{}, []]},
+        (),
+        (1, "a", (2.5, ())),
+        {"outer": {"inner": {"deep": [[]]}}},
+        -0.0,
+        5e-324,
+        1e16,
+        1.7976931348623157e308,
+        2**70,
+        -(2**70),
+        [True, False, None, 0, 1],
+        {"z": None, "a": True, "m": False, "A": 0, "é": 1},
+        _Color.RED,
+        _Rank.FIRST,
+        np.float64(0.1),
+        [_Color.RED, _Rank.FIRST, np.float64(-0.0), {"k": (_Rank.FIRST,)}],
+        OrderedDict([("b", 1), ("a", 2)]),
+        {_Color.RED: 1, "blue": 2},
+    ],
+    ids=lambda v: type(v).__name__,
+)
+def test_write_gives_the_bytes_of_the_standard_encoder(value):
+    assert "".join(audit._write(value, "\n", [])) == json.dumps(value, sort_keys=True, indent=2, allow_nan=False)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        math.nan,
+        math.inf,
+        -math.inf,
+        [1.0, {"a": (np.float64(math.nan),)}],
+        {1, 2},
+        np.bool_(True),
+        object(),
+        {1: "one"},
+        {"a": 1, 2: "two"},
+        {(1, 2): 3},
+    ],
+    ids=["nan", "inf", "-inf", "nested-nan", "set", "np.bool_", "object", "int-key", "mixed-keys", "tuple-key"],
+)
+def test_write_refuses_what_json_cannot_carry(value):
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        audit._write(value, "\n", [])
+
+
+def test_report_form_types_are_pinned():
+    cases = [
+        (np.float32(0.1), float(np.float32(0.1)), float),
+        (np.int64(7), 7, int),
+        (True, True, bool),
+        ("text", "text", str),
+        (None, None, type(None)),
+    ]
+    for value, expected, kind in cases:
+        got = audit._jsonable(value)
+        assert got == expected and type(got) is kind, value
+    table = audit._jsonable(np.array([[1.5, 2.0], [3.0, -4.0]]))
+    assert table == [[1.5, 2.0], [3.0, -4.0]] and all(type(x) is float for row in table for x in row)
+    assert audit._jsonable(frozenset({"b", "c", "a"})) == ["a", "b", "c"]
+    assert audit._jsonable({(1, "x"): (1, 2)}) == {"(1, 'x')": [1, 2]}
+    assert audit._jsonable([True, 1]) == [True, 1] and type(audit._jsonable([True])[0]) is bool
+    zero = audit._jsonable(-0.0)
+    assert zero == 0.0 and math.copysign(1.0, zero) == -1.0
+    finding = audit._report_form(Finding("probe", "pass", "ok", {"fine": 1.0, "bad": (1.0, (2.0, math.nan))}))
+    assert finding.status == "fail"
+    assert finding.detail == "non-finite number in evidence field(s) 'bad'"
+    assert finding.evidence == {"fine": 1.0, "error": finding.detail}

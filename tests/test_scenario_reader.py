@@ -17,6 +17,7 @@ from fidaudit.cli import main
 from fidaudit.errors import SchemaError
 from fidaudit.mdp import MAX_ITERS_CAP
 from fidaudit.scenario import parse_scenario, validate_scenario
+from helpers import reference_machine_report
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
@@ -594,6 +595,16 @@ def test_mutated_scenarios_end_in_a_schema_error_or_a_clean_report():
             errors = [f for step in report.steps for f in step.findings if f.check == "step-error"]
             assert not errors, (label, errors)
             json.loads(emit_report(report, "machine"), parse_constant=functools.partial(_non_json_number, label))
+
+
+def test_machine_reports_of_clean_mutants_match_the_standard_encoder():
+    # evidence shapes the goldens do not hold: reports of mutated scenarios
+    reports = [run_audit(parse_scenario(json.loads(path.read_text()))) for path in sorted(SCENARIOS.glob("*.json"))]
+    reports += [
+        run_audit(parse_scenario(doc)) for _, doc in mutants(per_operation=15) if not validate_scenario(doc)
+    ]
+    for report in reports:
+        assert emit_report(report, "machine") == reference_machine_report(report), report.scenario_id
 
 
 def _non_json_number(label, token):
