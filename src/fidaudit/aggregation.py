@@ -24,10 +24,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from operator import ge, gt
 from types import SimpleNamespace
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,8 +39,7 @@ _FIRST_BLOCK = 16
 _MAX_BLOCK = 256
 
 
-@dataclass(frozen=True)
-class ApprovalBallot:
+class ApprovalBallot(NamedTuple):
     voter: str
     approved: frozenset[str]
 
@@ -128,14 +126,15 @@ def lexicographic_select(options: Sequence[str], utilities: Sequence[Sequence[fl
 # --- manipulation search ----------------------------------------------------
 
 
-@dataclass(frozen=True)
 class VotingRule:
-    kind: str  # "borda" | "plurality" | "dictator"
-    dictator_voter: int = 0
+    """An ordinal rule: ``kind`` is "borda", "plurality" or "dictator"."""
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("borda", "plurality", "dictator"):
-            raise ValueError(f"unknown rule {self.kind!r}")
+    __slots__ = ("kind", "dictator_voter")
+
+    def __init__(self, kind: str, dictator_voter: int = 0) -> None:
+        if kind not in ("borda", "plurality", "dictator"):
+            raise ValueError(f"unknown rule {kind!r}")
+        self.kind, self.dictator_voter = kind, dictator_voter
 
 
 def _scoring_tables(
@@ -175,8 +174,7 @@ def _winner(rule: VotingRule, profile: tuple[tuple[int, ...], ...], n_options: i
     return int(points[rows].sum(axis=0).argmax())
 
 
-@dataclass(frozen=True)
-class ManipulationInstance:
+class ManipulationInstance(NamedTuple):
     """A witnessed profitable misreport under the rule."""
 
     profile: tuple[tuple[int, ...], ...]

@@ -33,7 +33,6 @@ report names states and actions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Sequence
 
@@ -53,28 +52,26 @@ def one_hot_states(mdp: Mdp) -> np.ndarray:
     return np.repeat(np.eye(n_s)[:, None, :], n_a, axis=1)
 
 
-@dataclass(frozen=True)
 class PairwiseComparison:
     """A judgment that one trajectory is preferred over another; each side
-    is a trajectory given as the feature-table rows of its steps."""
+    is a trajectory given as the feature-table rows of its steps, and
+    ``preferred`` is "left" or "right"."""
 
-    left: tuple[int, ...]
-    right: tuple[int, ...]
-    preferred: str  # "left" | "right"
+    __slots__ = ("left", "right", "preferred")
 
-    def __post_init__(self) -> None:
-        if self.preferred not in ("left", "right"):
+    def __init__(self, left: tuple[int, ...], right: tuple[int, ...], preferred: str) -> None:
+        if preferred not in ("left", "right"):
             raise ValueError("preferred must be 'left' or 'right'")
-        if not self.left or not self.right:
+        if not left or not right:
             raise ValueError("trajectory must be non-empty")
-        if self.left == self.right:
+        if left == right:
             raise ValueError("comparison sides must differ")
+        self.left, self.right, self.preferred = left, right, preferred
 
 
 # --- feasible reward set (degeneracy made explicit) -----------------------
 
 
-@dataclass(frozen=True, eq=False)
 class FeasibleRewardSet:
     """Linear description of all rewards for which the policy is optimal.
 
@@ -83,15 +80,18 @@ class FeasibleRewardSet:
     the optimality cone iff constraint_matrix @ r >= 0. Magnitudes are
     capped entrywise by ``bound``. The zero reward always satisfies the
     cone, which is the degeneracy witness: observed behavior alone cannot
-    pin the reward down.
+    pin the reward down. ``chosen`` holds the policy's action index in
+    each state.
     """
 
-    mdp: Mdp
-    chosen: np.ndarray  # the policy's action index in each state
-    beta: float
-    bound: float
-    constraint_matrix: np.ndarray
-    zero_reward_feasible: bool
+    __slots__ = ("mdp", "chosen", "beta", "bound", "constraint_matrix", "zero_reward_feasible")
+
+    def __init__(
+        self, mdp: Mdp, chosen: np.ndarray, beta: float, bound: float, constraint_matrix: np.ndarray,
+        zero_reward_feasible: bool,
+    ) -> None:
+        self.mdp, self.chosen, self.beta, self.bound = mdp, chosen, beta, bound
+        self.constraint_matrix, self.zero_reward_feasible = constraint_matrix, zero_reward_feasible
 
     def contains(self, reward: np.ndarray) -> bool:
         r = np.asarray(reward, dtype=float).reshape(-1)
@@ -492,19 +492,14 @@ def patient_recommendation(mdp: Mdp, beta_fit: float, beta_advice: float) -> Sim
 # --- legal standard: mean-variance template ----------------------------------
 
 
-@dataclass(frozen=True, eq=False)
 class PortfolioProblem:
     """Inputs for the unconstrained mean-variance objective."""
 
-    mu: np.ndarray
-    sigma: np.ndarray
-    risk_aversion: float
+    __slots__ = ("mu", "sigma", "risk_aversion")
 
-    def __post_init__(self) -> None:
-        mu = np.asarray(self.mu, dtype=float)
-        sigma = np.asarray(self.sigma, dtype=float)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "sigma", sigma)
+    def __init__(self, mu: np.ndarray, sigma: np.ndarray, risk_aversion: float) -> None:
+        mu, sigma = np.asarray(mu, dtype=float), np.asarray(sigma, dtype=float)
+        self.mu, self.sigma, self.risk_aversion = mu, sigma, risk_aversion
         n = mu.shape[0]
         if sigma.shape != (n, n):
             raise ValueError(f"sigma shape {sigma.shape}, expected {(n, n)}")
@@ -512,7 +507,7 @@ class PortfolioProblem:
             raise ValueError("sigma must be symmetric")
         if float(np.linalg.eigvalsh(sigma).min()) < -1e-9:
             raise ValueError("sigma must be positive semi-definite")
-        if not self.risk_aversion > 0:
+        if not risk_aversion > 0:
             raise ValueError("risk_aversion must be positive")
 
     def objective(self, w: np.ndarray) -> float:

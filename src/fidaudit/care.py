@@ -15,7 +15,6 @@ a failing one can never be hidden behind a passing one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Sequence
 
@@ -36,22 +35,21 @@ PRIOR_DOMINANCE_RATIONALE = (
 )
 
 
-@dataclass(frozen=True)
 class BinaryEvidence:
-    """Prior and likelihoods for a binary decision."""
+    """Prior and likelihoods for a binary decision: ``likelihood1`` is
+    P(data | h = 1) and ``likelihood0`` is P(data | h = 0)."""
 
-    prior: float
-    likelihood1: float  # P(data | h = 1)
-    likelihood0: float  # P(data | h = 0)
+    __slots__ = ("prior", "likelihood1", "likelihood0")
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.prior <= 1.0:
-            raise ValueError(f"prior must lie in [0, 1], got {self.prior}")
-        for name, val in (("likelihood1", self.likelihood1), ("likelihood0", self.likelihood0)):
+    def __init__(self, prior: float, likelihood1: float, likelihood0: float) -> None:
+        if not 0.0 <= prior <= 1.0:
+            raise ValueError(f"prior must lie in [0, 1], got {prior}")
+        for name, val in (("likelihood1", likelihood1), ("likelihood0", likelihood0)):
             if not val > 0.0:
                 raise ValueError(f"{name} must be strictly positive, got {val}")
             if val > 1.0:
                 raise ValueError(f"{name} must be at most 1, got {val}")
+        self.prior, self.likelihood1, self.likelihood0 = prior, likelihood1, likelihood0
 
 
 def inductive_bias_diagnostic(
@@ -85,29 +83,27 @@ def inductive_bias_diagnostic(
     )
 
 
-@dataclass(frozen=True)
 class DiscreteDistributionPair:
     """Train and deploy distributions over one declared finite support,
     each a row of probabilities in ``support`` order."""
 
-    support: tuple[str, ...]
-    train: Sequence[float]
-    deploy: Sequence[float]
+    __slots__ = ("support", "train", "deploy")
 
-    def __post_init__(self) -> None:
-        if len(set(self.support)) != len(self.support):
+    def __init__(self, support: tuple[str, ...], train: Sequence[float], deploy: Sequence[float]) -> None:
+        if len(set(support)) != len(support):
             raise ValueError("support has duplicate points")
-        for name, dist in (("train", self.train), ("deploy", self.deploy)):
-            if len(dist) != len(self.support):
+        for name, dist in (("train", train), ("deploy", deploy)):
+            if len(dist) != len(support):
                 raise ValueError(
-                    f"{name} distribution has {len(dist)} entries, expected one per support point ({len(self.support)})"
+                    f"{name} distribution has {len(dist)} entries, expected one per support point ({len(support)})"
                 )
-            for x, p in zip(self.support, dist):
+            for x, p in zip(support, dist):
                 if not p >= 0:
                     raise ValueError(f"{name} distribution has negative or NaN mass {p} at {x!r}")
             total = sum(dist)
             if not abs(total - 1.0) <= 1e-9:
                 raise ValueError(f"{name} distribution sums to {total}")
+        self.support, self.train, self.deploy = support, train, deploy
 
 
 def distribution_shift_score(pair: DiscreteDistributionPair) -> SimpleNamespace:

@@ -11,12 +11,10 @@ information flows and which contexts are proposals not yet settled law.
 
 from __future__ import annotations
 
-import difflib
 import functools
 import json
-from dataclasses import dataclass, field
 from importlib import resources
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import UnknownContextLabel
 
@@ -27,28 +25,31 @@ CONFIDENTIALITY = "confidentiality"
 DISCLOSURE = "disclosure"
 
 
-@dataclass(frozen=True)
-class Role:
+class Role(NamedTuple):
     id: str
     description: str = ""
 
 
-@dataclass(frozen=True)
 class Norm:
     """A transmission-principle norm between roles about one attribute.
 
-    ``binding`` supplies the node ids a checker needs:
+    ``transmission_principle`` is "confidentiality", "disclosure" or
+    "attestation:<name>". ``binding`` (a new dict by default) supplies the
+    node ids a checker needs:
     confidentiality -> report_node, secret_node;
     disclosure -> report_node, material_node, principal_decision.
     Attestation norms need no binding.
     """
 
-    sender: str
-    receiver: str
-    subject: str
-    attribute: str
-    transmission_principle: str  # "confidentiality" | "disclosure" | "attestation:<name>"
-    binding: Mapping[str, str] = field(default_factory=dict)
+    __slots__ = ("sender", "receiver", "subject", "attribute", "transmission_principle", "binding")
+
+    def __init__(
+        self, sender: str, receiver: str, subject: str, attribute: str, transmission_principle: str,
+        binding: Mapping[str, str] | None = None,
+    ) -> None:
+        self.sender, self.receiver, self.subject, self.attribute = sender, receiver, subject, attribute
+        self.transmission_principle = transmission_principle
+        self.binding = {} if binding is None else binding
 
     def principle_kind(self) -> str:
         if self.transmission_principle in (CONFIDENTIALITY, DISCLOSURE):
@@ -69,8 +70,7 @@ class Norm:
         return bool(required) and all(k in self.binding for k in required)
 
 
-@dataclass(frozen=True)
-class ContextSpec:
+class ContextSpec(NamedTuple):
     name: str
     purposes: tuple[str, ...]
     roles: tuple[Role, ...]
@@ -112,16 +112,16 @@ def validate_context(spec: ContextSpec) -> list[tuple[str, str]]:
     return out
 
 
-@dataclass(frozen=True)
 class PrincipalClassSpec:
-    class_id: str
-    role: str
-    rank: int  # 1 = highest priority
-    relationship: str  # "best_interests" | "obedience"
+    """A class of principals: rank 1 is the highest priority, and the
+    relationship is "best_interests" or "obedience"."""
 
-    def __post_init__(self) -> None:
-        if self.relationship not in (BEST_INTERESTS, OBEDIENCE):
-            raise ValueError(f"unknown relationship model {self.relationship!r}")
+    __slots__ = ("class_id", "role", "rank", "relationship")
+
+    def __init__(self, class_id: str, role: str, rank: int, relationship: str) -> None:
+        if relationship not in (BEST_INTERESTS, OBEDIENCE):
+            raise ValueError(f"unknown relationship model {relationship!r}")
+        self.class_id, self.role, self.rank, self.relationship = class_id, role, rank, relationship
 
 
 def identify_principals(
@@ -157,8 +157,7 @@ def best_interest_classes(
 # --- subsidiary-duty catalog ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class SubsidiaryDutyEntry:
+class SubsidiaryDutyEntry(NamedTuple):
     key: str
     context_label: str
     duty: str
@@ -208,6 +207,8 @@ def catalog_lookup(context_label: str) -> tuple[SubsidiaryDutyEntry, ...]:
     entries = tuple(e for e in _index().values() if e.context_label == context_label)
     if entries:
         return entries
+    import difflib  # only an unknown label needs it, so a `check` call never loads it
+
     close = difflib.get_close_matches(context_label, catalog_labels(), n=1)
     suggestion = close[0] if close else None
     hint = f"; did you mean {suggestion!r}?" if suggestion else ""

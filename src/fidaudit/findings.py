@@ -7,19 +7,24 @@ worst status among its parts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable
 
 PASS, WARN, FAIL, SKIPPED = "pass", "warn", "fail", "skipped"
 _SEVERITY = {PASS: 0, WARN: 1, SKIPPED: 1, FAIL: 2}
 
 
-@dataclass
 class Finding:
-    check: str
-    status: str
-    detail: str
-    evidence: dict = field(default_factory=dict)
+    """Equal to a finding with equal fields; ``evidence`` defaults to a new dict."""
+
+    def __init__(self, check: str, status: str, detail: str, evidence: dict | None = None) -> None:
+        self.check, self.status, self.detail = check, status, detail
+        self.evidence = {} if evidence is None else evidence
+
+    def __eq__(self, other: object) -> bool:
+        return vars(self) == vars(other) if type(other) is Finding else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Finding({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
 
 def worst(statuses: Iterable[str]) -> str:

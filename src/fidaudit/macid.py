@@ -41,13 +41,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Mapping
 
 import numpy as np
 
 from .errors import NoConvergence
+from .readonly import ReadOnly
 
 PROB_TOL = 1e-9
 # Best-response sweeps a search runs before it gives up (``_iterate``).
@@ -70,8 +70,7 @@ class NodeKind(Enum):
     UTILITY = "utility"
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(ReadOnly):
     """A single model variable.
 
     Chance and decision nodes have a finite ordered ``domain``; utility
@@ -79,24 +78,22 @@ class Node:
     utility nodes belong to exactly one agent; chance nodes to none.
     """
 
-    id: str
-    kind: NodeKind
-    owner: str | None = None
-    domain: tuple[str, ...] = ()
+    __slots__ = ("id", "kind", "owner", "domain")
 
-    def __post_init__(self) -> None:
-        if self.kind is NodeKind.CHANCE and self.owner is not None:
-            raise ValueError(f"chance node {self.id!r} must not have an owner")
-        if self.kind in (NodeKind.DECISION, NodeKind.UTILITY) and not self.owner:
-            raise ValueError(f"{self.kind.value} node {self.id!r} needs an owner")
-        if self.kind is NodeKind.UTILITY:
-            if self.domain:
-                raise ValueError(f"utility node {self.id!r} must not declare a domain")
+    def __init__(self, id: str, kind: NodeKind, owner: str | None = None, domain: tuple[str, ...] = ()) -> None:
+        if kind is NodeKind.CHANCE and owner is not None:
+            raise ValueError(f"chance node {id!r} must not have an owner")
+        if kind in (NodeKind.DECISION, NodeKind.UTILITY) and not owner:
+            raise ValueError(f"{kind.value} node {id!r} needs an owner")
+        if kind is NodeKind.UTILITY:
+            if domain:
+                raise ValueError(f"utility node {id!r} must not declare a domain")
         else:
-            if not self.domain:
-                raise ValueError(f"node {self.id!r} has an empty domain")
-            if len(set(self.domain)) != len(self.domain):
-                raise ValueError(f"node {self.id!r} has duplicate domain values")
+            if not domain:
+                raise ValueError(f"node {id!r} has an empty domain")
+            if len(set(domain)) != len(domain):
+                raise ValueError(f"node {id!r} has duplicate domain values")
+        self._set(id=id, kind=kind, owner=owner, domain=domain)
 
 
 Assignment = tuple[str, ...]
@@ -104,86 +101,80 @@ Assignment = tuple[str, ...]
 PolicyProfile = Mapping[str, np.ndarray]
 
 
-@dataclass(frozen=True, eq=False)
-class Macid:
+class Macid(ReadOnly):
     """A validated multi-agent causal influence model.
 
     ``edges`` lists each node's parents (order matters: it fixes the axes
     of every table). ``cpds`` and ``utilities`` map each chance and utility
     node to its table on the node's scope (``scope``); construction checks
     them, keeps read-only float copies, and precomputes deterministic
-    orderings so repeated queries are bit-identical.
+    orderings so repeated queries are bit-identical. Derived at
+    construction: ``node_map`` (id -> node), ``outcome_order``, and, as
+    read-only arrays on the outcome axes, ``cpd_factors`` (each chance
+    node's CPD factor) and ``utility_arrays`` (each agent's total utility;
+    see ``_place``, ``_utility_array``).
     """
 
-    nodes: tuple[Node, ...]
-    edges: Mapping[str, tuple[str, ...]]
-    cpds: Mapping[str, np.ndarray]
-    utilities: Mapping[str, np.ndarray]
-    agents: tuple[str, ...]
-    # derived, filled in __post_init__
-    node_map: Mapping[str, Node] = field(default=None, repr=False)
-    outcome_order: tuple[str, ...] = field(default=None, repr=False)
-    # read-only arrays on the outcome axes: each chance node's CPD factor
-    # and each agent's total utility (see ``_place``, ``_utility_array``)
-    cpd_factors: Mapping[str, np.ndarray] = field(default=None, init=False, repr=False)
-    utility_arrays: Mapping[str, np.ndarray] = field(default=None, init=False, repr=False)
+    __slots__ = (
+        "nodes", "edges", "cpds", "utilities", "agents", "node_map", "outcome_order", "cpd_factors", "utility_arrays"
+    )
 
-    def __post_init__(self) -> None:
-        node_map = {n.id: n for n in self.nodes}
-        if len(node_map) != len(self.nodes):
+    def __init__(
+        self, nodes: tuple[Node, ...], edges: Mapping[str, tuple[str, ...]], cpds: Mapping[str, np.ndarray],
+        utilities: Mapping[str, np.ndarray], agents: tuple[str, ...],
+    ) -> None:
+        node_map = {n.id: n for n in nodes}
+        if len(node_map) != len(nodes):
             raise ValueError("duplicate node ids")
-        if len(set(self.agents)) != len(self.agents):
+        if len(set(agents)) != len(agents):
             raise ValueError("duplicate agent ids")
-        for nid, parents in self.edges.items():
+        for nid, parents in edges.items():
             if nid not in node_map:
                 raise ValueError(f"edge list references unknown node {nid!r}")
             for p in parents:
                 if p not in node_map:
                     raise ValueError(f"unknown parent {p!r} of {nid!r}")
-        for n in self.nodes:
-            if n.id not in self.edges:
+        for n in nodes:
+            if n.id not in edges:
                 raise ValueError(f"node {n.id!r} missing from the edge map")
-            if n.owner is not None and n.owner not in self.agents:
+            if n.owner is not None and n.owner not in agents:
                 raise ValueError(f"node {n.id!r} owned by undeclared agent {n.owner!r}")
 
-        children: dict[str, list[str]] = {n.id: [] for n in self.nodes}
-        for nid, parents in self.edges.items():
+        children: dict[str, list[str]] = {n.id: [] for n in nodes}
+        for nid, parents in edges.items():
             for p in parents:
                 children[p].append(nid)
-        for n in self.nodes:
+        for n in nodes:
             if n.kind is NodeKind.UTILITY and children[n.id]:
                 raise ValueError(f"utility node {n.id!r} has children {children[n.id]}")
 
-        order = _topological_order(self.edges, children)
+        order = _topological_order(edges, children)
 
-        for n in self.nodes:
+        for n in nodes:
             if n.kind is NodeKind.CHANCE:
-                if n.id not in self.cpds:
+                if n.id not in cpds:
                     raise ValueError(f"chance node {n.id!r} has no CPD")
-            elif n.id in self.cpds:
+            elif n.id in cpds:
                 raise ValueError(f"non-chance node {n.id!r} has a CPD")
             if n.kind is NodeKind.UTILITY:
-                if n.id not in self.utilities:
+                if n.id not in utilities:
                     raise ValueError(f"utility node {n.id!r} has no utility table")
-            elif n.id in self.utilities:
+            elif n.id in utilities:
                 raise ValueError(f"non-utility node {n.id!r} has a utility table")
 
-        object.__setattr__(self, "node_map", node_map)
-        object.__setattr__(
-            self,
-            "outcome_order",
-            tuple(nid for nid in order if node_map[nid].kind is not NodeKind.UTILITY),
+        self._set(
+            nodes=nodes, edges=edges, agents=agents, node_map=node_map,
+            outcome_order=tuple(nid for nid in order if node_map[nid].kind is not NodeKind.UTILITY),
         )
-
-        for name in ("cpds", "utilities"):
-            tables = {nid: np.array(table, dtype=float) for nid, table in getattr(self, name).items()}
+        for name, given in (("cpds", cpds), ("utilities", utilities)):
+            tables = {nid: np.array(table, dtype=float) for nid, table in given.items()}
             for nid, table in tables.items():
                 _check_table(self, nid, table)
                 table.flags.writeable = False
-            object.__setattr__(self, name, tables)
+            self._set(**{name: tables})
 
-        owned = {a: 0 for a in self.agents}
-        for n in self.nodes:
+        owned = {a: 0 for a in agents}
+        for n in nodes:
             if n.kind is NodeKind.UTILITY:
                 owned[n.owner] += 1
         for agent, count in owned.items():
@@ -191,11 +182,10 @@ class Macid:
                 raise ValueError(f"agent {agent!r} owns no utility node")
 
         cpd_factors = {nid: _place(self, self.scope(nid), cpd) for nid, cpd in self.cpds.items()}
-        utility_arrays = {a: _utility_array(self, a) for a in self.agents}
+        utility_arrays = {a: _utility_array(self, a) for a in agents}
         for arr in (*cpd_factors.values(), *utility_arrays.values()):
             arr.flags.writeable = False
-        object.__setattr__(self, "cpd_factors", cpd_factors)
-        object.__setattr__(self, "utility_arrays", utility_arrays)
+        self._set(cpd_factors=cpd_factors, utility_arrays=utility_arrays)
 
     # -- structure helpers -------------------------------------------------
 

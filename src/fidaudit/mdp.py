@@ -29,37 +29,36 @@ The id tuples are kept only so that a report can name states and actions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
+
+from .readonly import ReadOnly
 
 
 PROB_TOL = 1e-9
 MAX_ITERS_CAP = 100_000
 
 
-@dataclass(frozen=True, eq=False)
-class Mdp:
-    """Finite MDP with ordered state/action id lists and dense tables.
+class Mdp(ReadOnly):
+    """Finite MDP with ordered state/action id lists and dense tables: an
+    (S, A, S) ``transition`` and an (S, A) ``reward``.
 
     The tables are read-only float copies of the caller's arrays, so a
     validated model cannot change under its memoized solves (see
     ``solve_exact``); ``with_reward`` shares the transition tensor.
     """
 
-    states: tuple[str, ...]
-    actions: tuple[str, ...]
-    transition: np.ndarray  # (S, A, S)
-    reward: np.ndarray  # (S, A)
-    _solves: dict = field(default_factory=dict, init=False, repr=False)  # beta -> policy_iteration's result
+    __slots__ = ("states", "actions", "transition", "reward", "_solves")  # _solves: beta -> policy_iteration's result
 
-    def __post_init__(self) -> None:
-        s, a = len(self.states), len(self.actions)
-        transition = _read_only(self.transition)
-        reward = _read_only(self.reward)
-        object.__setattr__(self, "transition", transition)
-        object.__setattr__(self, "reward", reward)
-        if len(set(self.states)) != s or len(set(self.actions)) != a:
+    def __init__(
+        self, states: tuple[str, ...], actions: tuple[str, ...], transition: np.ndarray, reward: np.ndarray
+    ) -> None:
+        s, a = len(states), len(actions)
+        transition = _read_only(transition)
+        reward = _read_only(reward)
+        self._set(states=states, actions=actions, transition=transition, reward=reward, _solves={})
+        if len(set(states)) != s or len(set(actions)) != a:
             raise ValueError("state/action ids must be unique")
         if transition.shape != (s, a, s):
             raise ValueError(f"transition shape {transition.shape}, expected {(s, a, s)}")
@@ -122,24 +121,23 @@ def _fold_actions(ufunc: np.ufunc, table: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
 class DiscountSpec:
-    """Either exponential weights beta**t or hyperbolic weights 1/(1 + k*t)."""
+    """Either exponential weights beta**t or hyperbolic weights 1/(1 + k*t);
+    ``kind`` is "exponential" or "hyperbolic"."""
 
-    kind: str  # "exponential" | "hyperbolic"
-    beta: float | None = None
-    k: float | None = None
+    __slots__ = ("kind", "beta", "k")
 
-    def __post_init__(self) -> None:
-        if self.kind == "exponential":
-            if self.beta is None:
+    def __init__(self, kind: str, beta: float | None = None, k: float | None = None) -> None:
+        if kind == "exponential":
+            if beta is None:
                 raise ValueError("exponential discount needs 0 < beta < 1, got None")
-            _check_beta(self.beta)
-        elif self.kind == "hyperbolic":
-            if self.k is None or not self.k > 0.0:
-                raise ValueError(f"hyperbolic discount needs k > 0, got {self.k}")
+            _check_beta(beta)
+        elif kind == "hyperbolic":
+            if k is None or not k > 0.0:
+                raise ValueError(f"hyperbolic discount needs k > 0, got {k}")
         else:
-            raise ValueError(f"unknown discount kind {self.kind!r}")
+            raise ValueError(f"unknown discount kind {kind!r}")
+        self.kind, self.beta, self.k = kind, beta, k
 
     @staticmethod
     def exponential(beta: float) -> "DiscountSpec":
@@ -159,8 +157,7 @@ def discount_weight(spec: DiscountSpec, t: int) -> float:
     return 1.0 / (1.0 + spec.k * t)
 
 
-@dataclass(frozen=True, eq=False)
-class ValueFunction:
+class ValueFunction(NamedTuple):
     """Solver output: V as an (S,) array and the companion (S, A) Q array.
 
     ``gap_history`` records the sup-norm differences between successive
@@ -173,7 +170,7 @@ class ValueFunction:
     q: np.ndarray
     iterations: int
     converged: bool
-    gap_history: tuple[float, ...] = field(default=(), repr=False)
+    gap_history: tuple[float, ...] = ()
 
     @property
     def policy(self) -> np.ndarray:
@@ -332,16 +329,14 @@ def solve_exact(mdp: Mdp, beta: float) -> ValueFunction:
     return solved
 
 
-@dataclass(frozen=True)
-class RewardOption:
+class RewardOption(NamedTuple):
     """A reward of fixed size arriving after a fixed delay."""
 
     reward: float
     delay: int
 
 
-@dataclass(frozen=True)
-class ReversalReport:
+class ReversalReport(NamedTuple):
     """First evaluation epoch at which the preferred option flips, if any."""
 
     reversal_epoch: int | None

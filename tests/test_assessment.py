@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import re
@@ -9,6 +8,7 @@ import pytest
 
 from fidaudit import assessment
 from fidaudit.assessment import (
+    FeasibleRewardSet,
     PairwiseComparison,
     PortfolioProblem,
     _slack,
@@ -126,7 +126,9 @@ def test_constraint_matrix_is_within_rounding_of_the_row_loop():
             want = looped_feasible_constraints(mdp, policy, beta)
             assert feasible.constraint_matrix.shape == want.shape == (n_states * (n_actions - 1), n_states * n_actions)
             assert float(np.max(np.abs(feasible.constraint_matrix - want), initial=0.0)) <= 1e-12
-            looped = dataclasses.replace(feasible, constraint_matrix=want)
+            looped = FeasibleRewardSet(
+                feasible.mdp, feasible.chosen, feasible.beta, feasible.bound, want, feasible.zero_reward_feasible
+            )
             rewards = [feasible.sample(draw) for _ in range(5)]
             rewards += [draw.uniform(-1.0, 1.0, size=(n_states, n_actions)) for _ in range(5)]
             assert all(feasible.contains(r) for r in rewards[:5])

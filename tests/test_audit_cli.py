@@ -681,15 +681,19 @@ def test_reports_reproducible_and_match_goldens():
 def _snapshot(value):
     """``value`` as nested plain data: an array by its dtype, shape and
     bytes, a dict by its items in order, an object by its public
-    attributes. Private ones hold memos (``Mdp._solves``) that fill by design."""
+    attributes, in its ``__dict__`` or its ``__slots__``. Private ones hold
+    memos (``Mdp._solves``) that fill by design."""
     if isinstance(value, np.ndarray):
         return ("array", value.dtype.str, value.shape, value.tobytes())
     if isinstance(value, dict):
         return ("dict", [(k, _snapshot(v)) for k, v in value.items()])
     if isinstance(value, (list, tuple)):
         return (type(value).__name__, [_snapshot(v) for v in value])
-    if hasattr(value, "__dict__") and not isinstance(value, Enum):
-        return (type(value).__name__, {k: _snapshot(v) for k, v in vars(value).items() if not k.startswith("_")})
+    if isinstance(value, Enum):
+        return value
+    if hasattr(value, "__dict__") or hasattr(value, "__slots__"):
+        names = vars(value) if hasattr(value, "__dict__") else value.__slots__
+        return (type(value).__name__, {k: _snapshot(getattr(value, k)) for k in names if not k.startswith("_")})
     return value
 
 

@@ -3,8 +3,9 @@
 A value that a library function rejects raises ``ValueError``; only the
 errors that carry data have a class of their own, and each is a
 ``ValueError``. The CLI's ``--tol`` callback raises ``click.BadParameter``,
-as click's option protocol requires; each such exemption must name a
-``raise`` that is there. A bound on a library argument is written so that
+as click's option protocol requires, and a read-only instance refuses an
+assignment with ``AttributeError``, as Python's attribute protocol does;
+each such exemption must name a ``raise`` that is there. A bound on a library argument is written so that
 NaN fails it.
 """
 
@@ -28,6 +29,7 @@ MODULES = sorted(PACKAGE.glob("*.py"))
 RAISED = {"ValueError", "NoConvergence", "SchemaError", "UnknownContextLabel"}
 EXCEPTIONS = {
     ("cli.py", "_tolerance"): {"click.BadParameter"},
+    ("readonly.py", "ReadOnly.__setattr__"): {"AttributeError"},
 }
 
 
