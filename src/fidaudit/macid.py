@@ -10,18 +10,25 @@ Every table is a float array on its node's scope (``Macid.scope``): one
 axis per parent in declared order, then, for a CPD or a decision rule, one
 axis for the node's own values. A policy profile maps each decision node
 to such a rule array; a deterministic rule is a 0/1 array
-(``deterministic_rule``). Each table is moved onto the axes of
-``outcome_order`` (``_place``); the CPD factors and each agent's total
-utility are built so once per model, read-only. The joint is the factors'
-broadcast product, taken in outcome order (``_chain``); best-response
-payoffs are that product less the node's own factor, times the owner's
-utility array. Every sum is a left-to-right fold from 0.0 (``_fold``), so
-each result has the bits a per-cell Python loop gives. Deterministic
-rules are enumerated, and sums over a rule's rows taken, in the rows'
-declared order (``parent_assignments``); ties go to the lowest index. The
-equilibrium warm start enumerates, in blocks, the deterministic profiles
-of every decision but the last, a profile's joint being the chance
-factors' product times its rules' 0/1 arrays, and picks the last
+(``deterministic_rule``). A model works out at construction, once, what
+its queries read: the outcome shape, each node's plan (``_Plan``: how
+``_place`` moves a table on its scope onto the axes of ``outcome_order``),
+the CPD factors and each agent's total utility so placed, and the product
+of the chance factors that lead the outcome order, all read-only. A
+derived model (``ancestral``, ``with_edge``,
+``replace_decision_with_constant_chance``) takes its parent's checked
+read-only tables as they are and checks only those it adds; if its outcome
+order is the parent's, it shares the parent's plans and placed factors and
+places only its new table. The joint is the factors' broadcast product,
+taken in outcome order from the leading chance product (``_chain``);
+best-response payoffs are that product less the node's own factor, times
+the owner's utility array. Every sum is a left-to-right fold from 0.0
+(``_fold``), so each result has the bits a per-cell Python loop gives.
+Deterministic rules are enumerated, and sums over a rule's rows taken, in
+the rows' declared order (``parent_assignments``); ties go to the lowest
+index. The equilibrium warm start enumerates, in blocks, the deterministic
+profiles of every decision but the last, a profile's joint being the
+chance factors' product times its rules' 0/1 arrays, and picks the last
 decision's rule row by row against each. Every best-response search runs
 one loop of sweeps (``_iterate`` over ``_improve``), from the warm start
 or from any other profile.
@@ -42,7 +49,7 @@ from __future__ import annotations
 import itertools
 import math
 from enum import Enum
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -101,28 +108,46 @@ Assignment = tuple[str, ...]
 PolicyProfile = Mapping[str, np.ndarray]
 
 
+class _Plan(NamedTuple):
+    """Where a node's tables go on the outcome axes: ``sizes``, a table's
+    shape; ``pos``, each scope node's outcome axis; ``axes``, the transpose
+    that puts them in outcome order; ``placed``, the shape then, 1 elsewhere."""
+
+    sizes: tuple[int, ...]
+    pos: tuple[int, ...]
+    axes: tuple[int, ...]
+    placed: tuple[int, ...]
+
+
 class Macid(ReadOnly):
     """A validated multi-agent causal influence model.
 
     ``edges`` lists each node's parents (order matters: it fixes the axes
     of every table). ``cpds`` and ``utilities`` map each chance and utility
     node to its table on the node's scope (``scope``); construction checks
-    them, keeps read-only float copies, and precomputes deterministic
-    orderings so repeated queries are bit-identical. Derived at
-    construction: ``node_map`` (id -> node), ``outcome_order``, and, as
-    read-only arrays on the outcome axes, ``cpd_factors`` (each chance
-    node's CPD factor) and ``utility_arrays`` (each agent's total utility;
-    see ``_place``, ``_utility_array``).
+    them and keeps read-only float copies. Derived at construction:
+    ``node_map`` (id -> node), ``outcome_order`` and ``outcome_shape``,
+    each node's ``_Plan``, and, read-only on the outcome axes,
+    ``cpd_factors`` (each chance node's CPD factor), ``utility_arrays``
+    (each agent's total utility) and ``_lead``, the count and product of
+    the chance factors that lead the outcome order.
     """
 
     __slots__ = (
-        "nodes", "edges", "cpds", "utilities", "agents", "node_map", "outcome_order", "cpd_factors", "utility_arrays"
+        "nodes", "edges", "cpds", "utilities", "agents", "node_map", "outcome_order", "outcome_shape", "cpd_factors",
+        "utility_arrays", "_plans", "_lead",
     )
 
     def __init__(
         self, nodes: tuple[Node, ...], edges: Mapping[str, tuple[str, ...]], cpds: Mapping[str, np.ndarray],
         utilities: Mapping[str, np.ndarray], agents: tuple[str, ...],
     ) -> None:
+        self._build(nodes, edges, cpds, utilities, agents, None, ())
+
+    def _build(self, nodes, edges, cpds, utilities, agents, base: "Macid | None", checked: tuple[str, ...]) -> None:
+        """Check the model and work out what its queries read. Without
+        ``base`` every table is copied and checked; else only those of
+        ``checked``, the nodes with a new table or scope (``_derive``)."""
         node_map = {n.id: n for n in nodes}
         if len(node_map) != len(nodes):
             raise ValueError("duplicate node ids")
@@ -162,30 +187,58 @@ class Macid(ReadOnly):
             elif n.id in utilities:
                 raise ValueError(f"non-utility node {n.id!r} has a utility table")
 
+        outcome_order = tuple(nid for nid in order if node_map[nid].kind is not NodeKind.UTILITY)
+        same = base is not None and base.outcome_order == outcome_order
+        shape = tuple(len(node_map[nid].domain) for nid in outcome_order)
+        plans = {nid: base._plans[nid] for nid in node_map if nid not in checked} if same else {}
+        positions = {nid: i for i, nid in enumerate(outcome_order)}
+        for n in nodes:
+            if n.id not in plans:
+                pos = tuple(map(positions.__getitem__, edges[n.id] + ((n.id,) if n.domain else ())))
+                placed = [1] * len(shape)
+                for p in pos:
+                    placed[p] = shape[p]
+                axes = tuple(sorted(range(len(pos)), key=pos.__getitem__))
+                plans[n.id] = _Plan(tuple(map(shape.__getitem__, pos)), pos, axes, tuple(placed))
         self._set(
-            nodes=nodes, edges=edges, agents=agents, node_map=node_map,
-            outcome_order=tuple(nid for nid in order if node_map[nid].kind is not NodeKind.UTILITY),
+            nodes=nodes, edges=edges, agents=agents, node_map=node_map, outcome_order=outcome_order,
+            outcome_shape=shape, _plans=plans,
         )
-        for name, given in (("cpds", cpds), ("utilities", utilities)):
-            tables = {nid: np.array(table, dtype=float) for nid, table in given.items()}
-            for nid, table in tables.items():
-                _check_table(self, nid, table)
-                table.flags.writeable = False
+        for name, tables in (("cpds", cpds), ("utilities", utilities)):
+            if base is None:
+                tables = {nid: np.array(table, dtype=float) for nid, table in tables.items()}
+            for nid in checked if base is not None else tables:
+                if nid in tables:
+                    _check_table(self, nid, tables[nid])
+                    tables[nid].flags.writeable = False
             self._set(**{name: tables})
 
-        owned = {a: 0 for a in agents}
-        for n in nodes:
-            if n.kind is NodeKind.UTILITY:
-                owned[n.owner] += 1
-        for agent, count in owned.items():
-            if count == 0:
+        owners = {n.owner for n in nodes if n.kind is NodeKind.UTILITY}
+        for agent in agents:
+            if agent not in owners:
                 raise ValueError(f"agent {agent!r} owns no utility node")
 
-        cpd_factors = {nid: _place(self, self.scope(nid), cpd) for nid, cpd in self.cpds.items()}
-        utility_arrays = {a: _utility_array(self, a) for a in agents}
-        for arr in (*cpd_factors.values(), *utility_arrays.values()):
+        # a parent's table on a new scope has failed its check above
+        shared = base.cpd_factors if same else {}
+        cpd_factors = {nid: shared[nid] if nid in shared else _place(self, nid, cpd) for nid, cpd in self.cpds.items()}
+        # each agent's utility nodes, in sorted order, summed on the outcome axes
+        utility_arrays = base.utility_arrays if same else {
+            a: np.asarray(sum(_place(self, u, self.utilities[u]) for u in self.utility_nodes_of(a))) for a in agents
+        }
+        k, lead = base._lead if same else (0, np.ones((1,) * len(shape)))
+        while k < len(outcome_order) and outcome_order[k] in cpd_factors:
+            lead = np.where(lead == 0.0, lead, lead * cpd_factors[outcome_order[k]])
+            k += 1
+        for arr in (*cpd_factors.values(), *utility_arrays.values(), lead):
             arr.flags.writeable = False
-        self._set(cpd_factors=cpd_factors, utility_arrays=utility_arrays)
+        self._set(cpd_factors=cpd_factors, utility_arrays=utility_arrays, _lead=(k, lead))
+
+    def _derive(self, nodes, edges, cpds, checked: tuple[str, ...]) -> "Macid":
+        """``Macid(nodes, edges, cpds, self.utilities, self.agents)``, taking
+        this model's tables as they are but those of ``checked``."""
+        model = object.__new__(Macid)
+        model._build(nodes, edges, cpds, self.utilities, self.agents, self, checked)
+        return model
 
     # -- structure helpers -------------------------------------------------
 
@@ -225,14 +278,14 @@ class Macid(ReadOnly):
     def with_edge(self, parent: str, child: str) -> "Macid":
         """Copy of the model with ``parent`` appended to ``child``'s parents.
 
-        Tables of ``child`` must be re-supplied by the caller if it carries
-        any; for decision nodes (the only supported target) there is none.
+        ``child`` must be a decision node (the only supported target): the
+        table of a chance or utility node has no axis for ``parent``.
         """
         if parent in self.parents(child):
             raise ValueError(f"{parent!r} is already a parent of {child!r}")
         edges = dict(self.edges)
         edges[child] = edges[child] + (parent,)
-        return Macid(self.nodes, edges, self.cpds, self.utilities, self.agents)
+        return self._derive(self.nodes, edges, self.cpds, (child,))
 
     def ancestral(self, targets) -> "Macid":
         """The model restricted to ``targets``, every utility node and all of
@@ -253,12 +306,11 @@ class Macid(ReadOnly):
                 stack.extend(self.edges[nid])
         if len(kept) == len(self.nodes):
             return self
-        return Macid(
+        return self._derive(
             tuple(n for n in self.nodes if n.id in kept),
             {nid: ps for nid, ps in self.edges.items() if nid in kept},
             {nid: cpd for nid, cpd in self.cpds.items() if nid in kept},
-            self.utilities,
-            self.agents,
+            (),
         )
 
     def replace_decision_with_constant_chance(self, node_id: str, value: str) -> "Macid":
@@ -279,7 +331,7 @@ class Macid(ReadOnly):
         edges[node_id] = ()
         cpds = dict(self.cpds)
         cpds[node_id] = np.eye(len(node.domain))[node.domain.index(value)]
-        return Macid(nodes, edges, cpds, self.utilities, self.agents)
+        return self._derive(nodes, edges, cpds, (node_id,))
 
 
 def _topological_order(
@@ -312,7 +364,7 @@ def _check_table(model: Macid, nid: str, table) -> None:
     rows each lie in [-PROB_TOL, 1 + PROB_TOL] and sum to 1 within
     PROB_TOL for a CPD or rule. Every bound is written so that NaN fails it."""
     table = np.asarray(table, dtype=float)
-    shape = tuple(len(model.node_map[n].domain) for n in model.scope(nid))
+    shape = model._plans[nid].sizes
     if table.shape != shape:
         raise ValueError(f"table for {nid!r} has shape {table.shape}, expected {shape}")
     if not model.node_map[nid].domain:
@@ -353,41 +405,29 @@ def _fold(values: np.ndarray, keep: tuple[int, ...] | list[int] = ()) -> np.ndar
     return np.cumsum(flat, axis=-1)[..., -1] + 0.0
 
 
-def _place(model: Macid, scope: tuple[str, ...], local: np.ndarray) -> np.ndarray:
-    """``local``'s trailing axes, one per node of ``scope``, moved onto the
-    axes of ``model.outcome_order`` (size 1 off the scope); leading axes
-    stay in front."""
+def _place(model: Macid, nid: str, local: np.ndarray) -> np.ndarray:
+    """``local``'s trailing axes, one per node of ``nid``'s scope, moved
+    onto the axes of ``model.outcome_order`` (size 1 off the scope) by the
+    node's plan; leading axes stay in front."""
+    plan = model._plans[nid]
     local = np.asarray(local, dtype=float)
-    pos = [model.outcome_order.index(nid) for nid in scope]
-    lead = local.ndim - len(pos)
-    shape = [local.shape[lead + pos.index(i)] if i in pos else 1 for i in range(len(model.outcome_order))]
-    order = sorted(range(lead, local.ndim), key=lambda axis: pos[axis - lead])
-    return local.transpose([*range(lead), *order]).reshape([*local.shape[:lead], *shape])
-
-
-def _utility_array(model: Macid, agent: str) -> np.ndarray:
-    """The agent's total utility of every outcome cell, summed over its
-    utility nodes in sorted order."""
-    return np.asarray(
-        sum(_place(model, model.scope(u), model.utilities[u]) for u in model.utility_nodes_of(agent))
-    )
-
-
-def _shape(model: Macid) -> tuple[int, ...]:
-    return tuple(len(model.node_map[nid].domain) for nid in model.outcome_order)
+    lead = local.ndim - len(plan.axes)
+    axes = [*range(lead), *(lead + axis for axis in plan.axes)]
+    return local.transpose(axes).reshape([*local.shape[:lead], *plan.placed])
 
 
 def _chain(model: Macid, profile: PolicyProfile, skip=()) -> np.ndarray:
     """Chain-rule product of the factors of every node not in ``skip``, one
     axis per entry of ``model.outcome_order``, multiplied in that order. A
     cell keeps the first zero its product reaches, sign included, like a
-    per-cell loop that stops there."""
-    prod = np.ones((1,) * len(model.outcome_order))
-    for nid in model.outcome_order:
+    per-cell loop that stops there. ``skip`` holds decisions only, so the
+    product continues from the model's leading chance factors (``_lead``)."""
+    k, prod = model._lead
+    for nid in model.outcome_order[k:]:
         if nid not in skip:
-            factor = model.cpd_factors[nid] if nid in model.cpds else _place(model, model.scope(nid), profile[nid])
+            factor = model.cpd_factors[nid] if nid in model.cpds else _place(model, nid, profile[nid])
             prod = np.where(prod == 0.0, prod, prod * factor)
-    return np.broadcast_to(prod, _shape(model))
+    return np.broadcast_to(prod, model.outcome_shape)
 
 
 def joint_distribution(model: Macid, profile: PolicyProfile) -> dict[Assignment, float]:
@@ -404,7 +444,7 @@ def joint_distribution(model: Macid, profile: PolicyProfile) -> dict[Assignment,
 
 def _joint_array(model: Macid, profile: PolicyProfile) -> np.ndarray:
     joint = joint_distribution(model, profile)
-    return np.fromiter(joint.values(), float, len(joint)).reshape(_shape(model))
+    return np.fromiter(joint.values(), float, len(joint)).reshape(model.outcome_shape)
 
 
 def marginal(
@@ -443,7 +483,7 @@ def deterministic_rule(model: Macid, node_id: str, actions) -> np.ndarray:
     ``actions[r]`` at the node's r-th parent assignment (declared order).
     A scalar plays one action everywhere; leading axes of ``actions`` give
     a stack of rules, one per entry."""
-    sizes = [len(model.node_map[n].domain) for n in model.scope(node_id)]
+    sizes = model._plans[model.node(node_id).id].sizes
     actions = np.asarray(actions)
     if actions.ndim == 0:
         actions = np.full(math.prod(sizes[:-1]), actions)
@@ -489,8 +529,7 @@ def _best_response_detail(
     """
     node = model.node_map[node_id]
     mass = _chain(model, profile, skip=(node_id,)) * model.utility_arrays[node.owner]
-    scope = [model.outcome_order.index(n) for n in model.scope(node_id)]
-    w = _fold(mass, scope).reshape(-1, len(node.domain))
+    w = _fold(mass, model._plans[node_id].pos).reshape(-1, len(node.domain))
     best_value = float(_fold(w.max(axis=1)))
     current_value = float(_fold(_fold(np.reshape(profile[node_id], w.shape) * w, (0,))))
     return deterministic_rule(model, node_id, w.argmax(axis=1)), best_value, current_value
@@ -563,7 +602,7 @@ def _welfare_warm_start(model: Macid) -> dict[str, np.ndarray]:
     # decision and row in declared order: the action index played there.
     radix = [len(model.node_map[nid].domain) for nid, n in zip(decisions, rows) for _ in range(n)]
     cuts = list(itertools.accumulate(rows))[:-1]
-    n_outcomes = math.prod(_shape(model))
+    n_outcomes = math.prod(model.outcome_shape)
     picked = np.zeros(len(radix), dtype=int)
     if decisions and math.prod(radix) * n_outcomes <= _WARM_START_BUDGET:
         *outer, last = decisions
@@ -575,7 +614,7 @@ def _welfare_warm_start(model: Macid) -> dict[str, np.ndarray]:
         chance = _chain(model, {}, skip=decisions)[None]
         utilities = list(model.utility_arrays.values())
         # the last decision's scope, after the block's leading axis
-        scope = [1 + model.outcome_order.index(n) for n in model.scope(last)]
+        scope = [1 + p for p in model._plans[last].pos]
         width = len(model.node_map[last].domain)
         block = max(1, _BLOCK_CELLS // n_outcomes)
         best_welfare = -math.inf
@@ -583,7 +622,7 @@ def _welfare_warm_start(model: Macid) -> dict[str, np.ndarray]:
             digits = np.arange(start, min(start + block, n_outer))[:, None] // strides % outer_radix
             joint = chance
             for nid, part in zip(outer, np.split(digits, cuts[:-1], axis=1)):
-                joint = joint * _place(model, model.scope(nid), deterministic_rule(model, nid, part))
+                joint = joint * _place(model, nid, deterministic_rule(model, nid, part))
             w = sum(_fold(joint * u, (0, *scope)) for u in utilities).reshape(len(digits), -1, width)
             choice = np.zeros(w.shape[:2], dtype=int)
             lead = w[..., 0]

@@ -317,15 +317,46 @@ def test_best_response_rejects_an_incomplete_profile_and_a_bad_node():
     "call",
     [
         lambda model: list(enumerate_deterministic_rules(model, "ghost")),
+        lambda model: deterministic_rule(model, "ghost", 0),
         lambda model: model.with_edge("C", "ghost"),
         lambda model: model.replace_decision_with_constant_chance("ghost", "0"),
         lambda model: materiality_value(model, "ghost", "C", "B_b"),
     ],
-    ids=["enumerate_deterministic_rules", "with_edge", "replace_decision_with_constant_chance", "materiality_value"],
+    ids=[
+        "enumerate_deterministic_rules", "deterministic_rule", "with_edge", "replace_decision_with_constant_chance",
+        "materiality_value",
+    ],
 )
 def test_an_unknown_node_id_is_a_value_error(call):
     with pytest.raises(ValueError, match="unknown node 'ghost'"):
         call(disclosure_model())
+
+
+def test_with_edge_keeps_the_structural_and_table_checks():
+    # D -> C: C descends from the decision, so showing C to D is a cycle
+    model = Macid(
+        nodes=(
+            Node("D", NodeKind.DECISION, owner="a", domain=("0", "1")),
+            Node("C", NodeKind.CHANCE, domain=("0", "1")),
+            Node("E", NodeKind.CHANCE, domain=("0", "1")),
+            Node("U", NodeKind.UTILITY, owner="a"),
+        ),
+        edges={"D": (), "C": ("D",), "E": (), "U": ("C",)},
+        cpds={"C": np.eye(2), "E": [0.5, 0.5]},
+        utilities={"U": [0.0, 1.0]},
+        agents=("a",),
+    )
+    with pytest.raises(ValueError, match="edge structure contains a cycle"):
+        model.with_edge("C", "D")
+    # the tables of a chance or utility child do not gain the new axis
+    with pytest.raises(ValueError, match=r"table for 'C' has shape \(2, 2\), expected \(2, 2, 2\)"):
+        model.with_edge("E", "C")
+    with pytest.raises(ValueError, match=r"table for 'U' has shape \(2,\), expected \(2, 2\)"):
+        model.with_edge("E", "U")
+    with pytest.raises(ValueError, match="utility node 'U' has children"):
+        model.with_edge("U", "D")
+    with pytest.raises(ValueError, match="unknown parent 'ghost' of 'D'"):
+        model.with_edge("ghost", "D")
 
 
 # --- value_of_information ---------------------------------------------------
@@ -754,36 +785,95 @@ def _same(new, ref):
     assert repr(new) == repr(ref)
 
 
+def _matches_reference(model, profile, monkeypatch):
+    """Check the kernel's joint, marginals, expected utilities, best
+    responses, warm start and equilibrium search on ``model`` under
+    ``profile`` against the scalar reference; True if the search cycled."""
+    joint = dict(_ref_chain_products(model, profile))
+    _same(list(joint_distribution(model, profile).items()), list(joint.items()))
+    order = model.outcome_order
+    for ids in (order[-2:], order[-2:][::-1], order[:1], ()):
+        _same(list(marginal(model, profile, ids).items()), list(_ref_marginal(model, joint, ids).items()))
+    for agent in model.agents:
+        _same(expected_utility(model, profile, agent), _ref_utility_under(model, joint, agent))
+    for nid in model.decision_nodes():
+        rule, value = best_response(model, profile, nid)
+        ref_rule, best_value, _current = _ref_best_response(model, profile, nid)
+        _same((rule.tolist(), value), (ref_rule.tolist(), best_value))
+    # small blocks put block boundaries inside most profile spaces
+    with monkeypatch.context() as patch:
+        patch.setattr(macid, "_BLOCK_CELLS", 64)
+        start = _ref_warm_start(model)
+        _same(_tables(macid._welfare_warm_start(model)), _tables(start))
+    try:
+        solved = _tables(solve_equilibrium(model))
+    except NoConvergence as exc:
+        solved = ("cycle", str(exc), [_tables(p) for p in exc.cycle])
+    _same(solved, _ref_solve(model, start))
+    return isinstance(solved, tuple)
+
+
+def _same_bytes(tables, ref):
+    """Two dicts of arrays with the same keys in the same order, and arrays
+    of the same dtype, shape and bytes."""
+    assert list(tables) == list(ref)
+    for key, arr in tables.items():
+        assert (arr.dtype, arr.shape, arr.tobytes()) == (ref[key].dtype, ref[key].shape, ref[key].tobytes())
+
+
+def _derived_models(model, profile, rng, max_cells=1500):
+    """(kind, derived model, its profile) for the model restricted to a
+    random target (``ancestral``), each decision made a constant
+    (``replace_decision_with_constant_chance``) and each decision shown
+    one more node where that stays acyclic (``with_edge``, with a random
+    rule on the new scope); each also within ``max_cells`` warm-start cells."""
+    derived = []
+    if model.outcome_order:
+        kept = model.ancestral((str(rng.choice(model.outcome_order)),))
+        derived.append(("ancestral", kept, {d: profile[d] for d in kept.decision_nodes()}))
+    for d in model.decision_nodes():
+        value = model.node_map[d].domain[int(rng.integers(len(model.node_map[d].domain)))]
+        silenced = model.replace_decision_with_constant_chance(d, value)
+        derived.append(("constant", silenced, {n: rule for n, rule in profile.items() if n != d}))
+        shown = [n for n in model.outcome_order if n != d and n not in model.parents(d)]
+        if shown:
+            try:
+                extended = model.with_edge(shown[int(rng.integers(len(shown)))], d)
+            except ValueError as exc:
+                assert str(exc) == "edge structure contains a cycle"
+                continue
+            scope = tuple(len(extended.node_map[n].domain) for n in extended.scope(d))
+            derived.append(("with_edge", extended, {**profile, d: _random_tables(rng, scope)}))
+    return [
+        (kind, m, p) for kind, m, p in derived
+        if math.prod(len(m.node_map[n].domain) ** len(list(m.parent_assignments(n))) for n in m.decision_nodes())
+        * math.prod(m.outcome_shape) <= max_cells
+    ]
+
+
 def test_kernel_matches_scalar_reference_bit_for_bit(monkeypatch):
     rng = np.random.default_rng(6)
     monkeypatch.setattr(macid, "MAX_ROUNDS", 8)
     unsorted = cycles = 0
+    kinds = set()
     for _ in range(300):
         model, profile = _random_influence_model(rng)
         unsorted += any(list(n.domain) != sorted(n.domain) for n in model.nodes)
-        joint = dict(_ref_chain_products(model, profile))
-        _same(list(joint_distribution(model, profile).items()), list(joint.items()))
-        order = model.outcome_order
-        for ids in (order[-2:], order[-2:][::-1], order[:1], ()):
-            _same(list(marginal(model, profile, ids).items()), list(_ref_marginal(model, joint, ids).items()))
-        for agent in model.agents:
-            _same(expected_utility(model, profile, agent), _ref_utility_under(model, joint, agent))
-        for nid in model.decision_nodes():
-            rule, value = best_response(model, profile, nid)
-            ref_rule, best_value, _current = _ref_best_response(model, profile, nid)
-            _same((rule.tolist(), value), (ref_rule.tolist(), best_value))
-        # small blocks put block boundaries inside most profile spaces
-        with monkeypatch.context() as patch:
-            patch.setattr(macid, "_BLOCK_CELLS", 64)
-            start = _ref_warm_start(model)
-            _same(_tables(macid._welfare_warm_start(model)), _tables(start))
-        try:
-            solved = _tables(solve_equilibrium(model))
-        except NoConvergence as exc:
-            solved = ("cycle", str(exc), [_tables(p) for p in exc.cycle])
-            cycles += 1
-        _same(solved, _ref_solve(model, start))
+        cycles += _matches_reference(model, profile, monkeypatch)
+        for kind, derived, derived_profile in _derived_models(model, profile, rng):
+            # the shortcuts of a derived model build what the constructor builds
+            built = Macid(derived.nodes, derived.edges, derived.cpds, derived.utilities, derived.agents)
+            assert derived.outcome_order == built.outcome_order and derived._plans == built._plans
+            _same_bytes(derived.cpd_factors, built.cpd_factors)
+            _same_bytes(derived.utility_arrays, built.utility_arrays)
+            assert derived._lead[0] == built._lead[0]
+            _same_bytes({"lead": derived._lead[1]}, {"lead": built._lead[1]})
+            cycles += _matches_reference(derived, derived_profile, monkeypatch)
+            kinds.add((kind, derived.outcome_order == model.outcome_order))
     assert unsorted > 0 and cycles > 0
+    # both with the parent's outcome order, whose plans and factors are
+    # shared, and with a new one
+    assert kinds == {(kind, kept) for kind in ("ancestral", "constant", "with_edge") for kept in (True, False)}
 
 
 # --- warm-start edges ------------------------------------------------------------
@@ -978,26 +1068,49 @@ def test_cpd_and_utility_arrays_are_built_once_per_model(monkeypatch):
         with pytest.raises(ValueError):
             arr[...] = 0.0
     assert model.cpds["C"].shape == (2,) and model.utilities["U_b"].shape == (2, 2)
-    placed = []
-    place = macid._place
-    monkeypatch.setattr(macid, "_place", lambda m, scope, local: placed.append((scope, local)) or place(m, scope, local))
-
-    def placed_tables(m):
-        # the CPD and utility tables of ``m`` that were placed, by identity
-        tables = {**m.cpds, **m.utilities}
-        return sorted(nid for _, local in placed for nid, table in tables.items() if table is local)
+    placed, checked = [], []
+    place, check = macid._place, macid._check_table
+    monkeypatch.setattr(macid, "_place", lambda m, nid, local: placed.append((nid, local)) or place(m, nid, local))
+    monkeypatch.setattr(macid, "_check_table", lambda m, nid, table: checked.append((nid, table)) or check(m, nid, table))
 
     profile = solve_equilibrium(model)
     for agent in model.agents:
         expected_utility(model, profile, agent)
     # only the decision rules are placed on the outcome axes during the queries
-    assert placed and placed_tables(model) == []
-    assert {scope for scope, _ in placed} <= {model.scope(d) for d in model.decision_nodes()}
+    assert placed and {nid for nid, _ in placed} <= set(model.decision_nodes())
     placed.clear()
-    decision = model.decision_nodes()[0]
-    chance = next(n.id for n in model.nodes if n.kind is NodeKind.CHANCE and n.id not in model.parents(decision))
-    extended = model.with_edge(chance, decision)
-    assert extended.cpd_factors is not model.cpd_factors
-    # the new model places each of its CPD and utility tables exactly once
-    assert placed_tables(extended) == sorted((*model.cpds, *model.utilities))
-    assert len(placed) == len(model.cpds) + len(model.utilities)
+    checked.clear()
+
+    # a derived model that keeps the outcome order shares the parent's
+    # tables, plans and placed factors, and places and checks only the
+    # table it adds
+    extended = model.with_edge("C", "B_b")
+    assert extended.outcome_order == model.outcome_order
+    assert (placed, checked) == ([], [])
+    assert extended.cpds is model.cpds and extended.utilities is model.utilities
+    assert extended.cpd_factors == model.cpd_factors and extended.utility_arrays is model.utility_arrays
+    assert extended._plans["C"] is model._plans["C"] and extended._plans["B_b"] != model._plans["B_b"]
+    silenced = model.replace_decision_with_constant_chance("R_a", "1")
+    assert silenced.outcome_order == model.outcome_order
+    point_mass = silenced.cpds["R_a"]
+    assert point_mass.tolist() == [0.0, 1.0] and not point_mass.flags.writeable
+    assert [(nid, table is point_mass) for nid, table in placed + checked] == [("R_a", True), ("R_a", True)]
+    assert silenced.cpds["C"] is model.cpds["C"] and silenced.cpd_factors["C"] is model.cpd_factors["C"]
+    assert silenced.utility_arrays is model.utility_arrays
+    placed.clear()
+    checked.clear()
+
+    # one that drops nodes places every table again, and checks none
+    wide = Macid(
+        nodes=model.nodes + (Node("X", NodeKind.CHANCE, domain=("0", "1")),),
+        edges={**model.edges, "X": ("C",)},
+        cpds={**model.cpds, "X": [[0.5, 0.5], [0.25, 0.75]]},
+        utilities=model.utilities,
+        agents=model.agents,
+    )
+    placed.clear()
+    checked.clear()
+    kept = wide.ancestral(("B_b",))
+    assert kept.outcome_order == model.outcome_order and checked == []
+    assert sorted(nid for nid, _ in placed) == sorted((*model.cpds, *model.utilities))
+    assert all(kept.cpds[nid] is wide.cpds[nid] for nid in kept.cpds)
