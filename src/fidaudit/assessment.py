@@ -187,13 +187,6 @@ def _feature_tensor(mdp: Mdp, features: np.ndarray) -> np.ndarray:
     return _check_feature_entries(dense)
 
 
-def _linear_reward(dense: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """The (S, A) reward table phi(s, a) . theta of an (S, A, d) feature
-    tensor: one flat (S·A, d) product."""
-    n_s, n_a, d = dense.shape
-    return (dense.reshape(n_s * n_a, d) @ theta).reshape(n_s, n_a)
-
-
 def _visits(mdp: Mdp, demos: Sequence[Sequence[Step]]):
     """The demos' steps as (time, state, action) index arrays in demo order,
     and their visit counts n_t(s, a) as a (T, S, A) array. An empty demo is
@@ -222,60 +215,118 @@ def demo_log_likelihood(
 ) -> tuple[float, np.ndarray]:
     """Log-likelihood of the demos under the soft policy, with exact gradient.
     ``features`` is an (S, A, d) tensor in MDP order; each demo is a
-    sequence of (state index, action index) steps."""
-    steps, counts = _visits(mdp, demos)
-    policies, grad = _log_likelihood(mdp, _feature_tensor(mdp, features), steps, counts, theta, beta)
-    return _demo_log_prob(policies, steps), grad
+    sequence of (state index, action index) steps. The inputs are checked
+    as in ``maxent_irl``, and ``theta`` must have shape (d,)."""
+    work = _Workspace(mdp, features, demos, beta)
+    grad = work.evaluate(theta)
+    return work.demo_log_prob(), grad
 
 
-def _log_likelihood(
-    mdp: Mdp, dense: np.ndarray, steps: np.ndarray, counts: np.ndarray, theta: np.ndarray, beta: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """The soft policies pi_t as a (T, S, A) array, from which
-    ``_demo_log_prob`` sums the demo log-likelihood, and its exact gradient,
-    over a checked (S, A, d) feature tensor and the demos' ``_visits``. A
-    backward soft pass gives the policies. A forward pass weighs each
-    (t, s, a) by W_t = n_t - (n_t(s) - m_t(s)) pi_t, the demo visits less
-    the soft policy's expected ones; m_t is the discounted occupancy the
-    demo actions before t lead to, less that of the policy's actions
-    (m_0 = 0, m_{t+1} = beta W_t P). The gradient is sum_t W_t phi. Each
-    step of either pass is one flat (S A) x S product, and each feature
-    product one flat (S A) x d product."""
-    horizon, n_s, n_a = counts.shape
-    reward = _linear_reward(dense, np.asarray(theta, float))
-    policies = np.empty(counts.shape)
-    v = np.zeros(n_s)
-    q = np.empty((n_s, n_a))
-    for t in range(horizon - 1, -1, -1):
-        _expected_next(mdp, v, out=q)
-        q *= beta
-        q += reward
-        peak = _fold_actions(np.maximum, q)
-        q -= peak[:, None]
-        np.exp(q, out=q)
-        norm = _fold_actions(np.add, q)
-        np.divide(q, norm[:, None], out=policies[t])
-        v = peak + np.log(norm)
-    flat_transition = mdp.transition.reshape(n_s * n_a, n_s)
-    state_counts = _fold_actions(np.add, counts)
-    occupancy = np.zeros(n_s)
-    weight = np.zeros((n_s, n_a))
-    w = np.empty((n_s, n_a))
-    flat_w = w.reshape(-1)
-    for t in range(horizon):
-        np.multiply((state_counts[t] - occupancy)[:, None], policies[t], out=w)
-        np.subtract(counts[t], w, out=w)
-        weight += w
-        occupancy = beta * (flat_w @ flat_transition)
-    return policies, weight.reshape(-1) @ dense.reshape(n_s * n_a, -1)
+class _Workspace:
+    """The buffers of the max-entropy likelihood passes of one fit.
 
+    Built once from the MDP, the features, the demos and ``beta``, whose
+    checks it runs: non-empty demos, ``_check_beta``, ``_visits`` and
+    ``_feature_tensor``. It holds the flat (S·A, S) transition and (S·A, d)
+    feature views, the demos' visit counts n_t(s, a) and state counts n_t(s)
+    as per-step views, the (T, S, A) ``policies`` buffer and its per-step
+    views, and one step's (S, A) and (S,) buffers, with the Q buffer's
+    action columns; the (S,) buffers that broadcast over the actions are
+    kept as (S, 1) columns: O(T·S·A) floats. ``evaluate`` then makes only the ufunc
+    and matmul calls of a pass, each writing through ``out=``.
+    """
 
-def _demo_log_prob(policies: np.ndarray, steps: np.ndarray) -> float:
-    """The sum of log pi_t(a | s) over the demos' steps, in demo order."""
-    total = 0.0
-    for p in policies[tuple(steps)].tolist():
-        total += math.log(p)
-    return total
+    __slots__ = (
+        "steps", "beta", "transition", "features", "counts", "state_counts", "policies", "step_policies",
+        "reward", "q", "flat_q", "columns", "w", "flat_w", "weight", "value", "occupancy", "peak", "norm", "gap",
+    )
+
+    def __init__(self, mdp: Mdp, features: np.ndarray, demos: Sequence[Sequence[Step]], beta: float) -> None:
+        if not demos:
+            raise ValueError("demos must be non-empty")
+        _check_beta(beta)
+        steps, counts = _visits(mdp, demos)
+        dense = _feature_tensor(mdp, features)
+        n_s, n_a = counts.shape[1:]
+        self.steps, self.beta = tuple(steps), beta
+        self.transition = mdp.transition.reshape(n_s * n_a, n_s)
+        self.features = dense.reshape(n_s * n_a, -1)
+        self.counts, self.state_counts = tuple(counts), tuple(_fold_actions(np.add, counts))
+        self.policies = np.empty(counts.shape)
+        self.step_policies = tuple(self.policies)
+        self.reward, self.q, self.w, self.weight = (np.empty((n_s, n_a)) for _ in range(4))
+        self.flat_q, self.flat_w = self.q.reshape(-1), self.w.reshape(-1)
+        # _fold_actions' calls on the Q columns: the first two, then each
+        # further one in order. At A = 1 the second is the fold's identity
+        # (-inf for maximum, -0.0 for add), which gives the first back bit
+        # for bit, as _fold_actions' copy does.
+        columns = [self.q[:, j] for j in range(n_a)]
+        if n_a > 1:
+            self.columns = (columns[0], columns[1], columns[1], tuple(columns[2:]))
+        else:
+            self.columns = (columns[0], np.full(n_s, -np.inf), np.full(n_s, -0.0), ())
+        self.value, self.occupancy = np.empty(n_s), np.empty(n_s)
+        # broadcast over the actions as they are; a pass takes their (S,) views
+        self.peak, self.norm, self.gap = (np.empty((n_s, 1)) for _ in range(3))
+
+    def evaluate(self, theta: np.ndarray) -> np.ndarray:
+        """One likelihood pass at ``theta``: the soft policies pi_t go to
+        ``policies``, from which ``demo_log_prob`` sums the demo
+        log-likelihood, and their exact gradient is returned, a fresh array.
+        A backward soft pass gives the policies. A forward pass weighs each
+        (t, s, a) by W_t = n_t - (n_t(s) - m_t(s)) pi_t, the demo visits
+        less the soft policy's expected ones; m_t is the discounted
+        occupancy the demo actions before t lead to, less that of the
+        policy's actions (m_0 = 0, m_{t+1} = beta W_t P). The gradient is
+        sum_t W_t phi. Each step of either pass is one flat (S A) x S
+        product, each feature product one flat (S A) x d product, and each
+        action-axis reduction the column fold of ``_fold_actions``. The
+        next call overwrites ``policies``."""
+        theta = np.asarray(theta, dtype=float)
+        if theta.shape != self.features.shape[1:]:
+            raise ValueError(f"theta has shape {theta.shape}, expected (d,) = ({self.features.shape[1]},)")
+        beta, transition, reward, policies = self.beta, self.transition, self.reward, self.step_policies
+        q, flat_q, value, peak, norm = self.q, self.flat_q, self.value, self.peak, self.norm
+        first, max_second, add_second, rest = self.columns
+        peak_flat, norm_flat = peak[:, 0], norm[:, 0]
+        np.matmul(self.features, theta, out=reward.reshape(-1))
+        value.fill(0.0)
+        for policy in reversed(policies):
+            np.matmul(transition, value, out=flat_q)
+            np.multiply(q, beta, out=q)
+            np.add(q, reward, out=q)
+            np.maximum(first, max_second, out=peak_flat)
+            for column in rest:
+                np.maximum(peak_flat, column, out=peak_flat)
+            np.subtract(q, peak, out=q)
+            np.exp(q, out=q)
+            np.add(first, add_second, out=norm_flat)
+            for column in rest:
+                np.add(norm_flat, column, out=norm_flat)
+            np.divide(q, norm, out=policy)
+            np.log(norm_flat, out=value)
+            np.add(peak_flat, value, out=value)
+        w, flat_w, weight, occupancy, gap = self.w, self.flat_w, self.weight, self.occupancy, self.gap
+        gap_flat = gap[:, 0]
+        weight.fill(0.0)
+        occupancy.fill(0.0)
+        for t, (policy, counts, state_counts) in enumerate(zip(policies, self.counts, self.state_counts)):
+            if t:  # m_t from W_{t-1}; the last W leads nowhere
+                np.matmul(flat_w, transition, out=occupancy)
+                np.multiply(occupancy, beta, out=occupancy)
+            np.subtract(state_counts, occupancy, out=gap_flat)
+            np.multiply(gap, policy, out=w)
+            np.subtract(counts, w, out=w)
+            np.add(weight, w, out=weight)
+        return weight.reshape(-1) @ self.features
+
+    def demo_log_prob(self) -> float:
+        """The sum of log pi_t(a | s) over the demos' steps, in demo order,
+        under the policies of the last ``evaluate``."""
+        total = 0.0
+        for p in self.policies[self.steps].tolist():
+            total += math.log(p)
+        return total
 
 
 def maxent_irl(
@@ -294,34 +345,32 @@ def maxent_irl(
     gradient ascent from theta = 0 with a fixed step, deterministic by
     construction. The reward table of ``mdp`` is ignored. The gradient
     is the demo feature counts less the expected counts of a forward
-    occupancy pass under the current soft policy (see ``_log_likelihood``);
-    the demos' visits are indexed once per fit, and their log-likelihood
-    is summed once, under the returned theta's policies. Raises
-    ValueError when the gradient norm grows tenfold over its
-    initial value (a sign the step size is too large for the instance).
+    occupancy pass under the current soft policy (``_Workspace.evaluate``).
+    The fit builds one ``_Workspace``, so the demos' visits are indexed
+    once and every pass runs in the same buffers; the table is a copy of
+    the last pass's reward, and the weights, the table and each gradient
+    are fresh arrays. The demos' log-likelihood is summed once, under the
+    returned theta's policies. Raises ValueError when the gradient norm
+    grows tenfold over its initial value (a sign the step size is too
+    large for the instance).
     """
-    if not demos:
-        raise ValueError("demos must be non-empty")
-    _check_beta(beta)
-    steps, counts = _visits(mdp, demos)
-    dense = _feature_tensor(mdp, features)
-    theta = np.zeros(dense.shape[2])
-    policies, grad = _log_likelihood(mdp, dense, steps, counts, theta, beta)
-    initial_norm = float(np.linalg.norm(grad))
+    work = _Workspace(mdp, features, demos, beta)
+    theta = np.zeros(work.features.shape[1])
+    grad = work.evaluate(theta)
+    initial_norm = math.sqrt(grad @ grad)  # np.linalg.norm's sum for a 1-D array
     grad_norm = initial_norm
     for _ in range(iters):
         if grad_norm == 0.0:
             break
         theta = theta + learn_rate * grad
-        policies, grad = _log_likelihood(mdp, dense, steps, counts, theta, beta)
-        grad_norm = float(np.linalg.norm(grad))
+        grad = work.evaluate(theta)
+        grad_norm = math.sqrt(grad @ grad)
         if initial_norm > 0 and grad_norm > 10.0 * initial_norm:
             raise ValueError(f"gradient norm {grad_norm:.3g} exceeds 10x initial {initial_norm:.3g}")
-    table = _linear_reward(dense, theta)
     return SimpleNamespace(
         weights=theta,
-        table=table,
-        diagnostics={"grad_norm": grad_norm, "log_likelihood": _demo_log_prob(policies, steps)},
+        table=work.reward.copy(),
+        diagnostics={"grad_norm": grad_norm, "log_likelihood": work.demo_log_prob()},
     )
 
 

@@ -156,9 +156,11 @@ class Macid(ReadOnly):
         for nid, parents in edges.items():
             if nid not in node_map:
                 raise ValueError(f"edge list references unknown node {nid!r}")
-            for p in parents:
+            for i, p in enumerate(parents):
                 if p not in node_map:
                     raise ValueError(f"unknown parent {p!r} of {nid!r}")
+                if p in parents[:i]:
+                    raise ValueError(f"duplicate parent {p!r} of {nid!r}")
         for n in nodes:
             if n.id not in edges:
                 raise ValueError(f"node {n.id!r} missing from the edge map")

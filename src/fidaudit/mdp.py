@@ -16,13 +16,15 @@ policy is an (S,) integer array of action indices; a solve returns V as
 an (S,) array and Q as an (S, A) array. Greedy argmax ties break to the
 lowest action index so identical inputs always give identical outputs.
 E[V] per (s, a) is one flat (S·A, S) product (``_expected_next``), shared
-by every solver, fit and sampler. Results agree with those of the
+by every solver and sampler; a max-entropy fit runs the same product on
+the flat view its workspace holds. Results agree with those of the
 stacked (S, A, S) @ (S,) product within 1e-12 relative for one solve,
 evaluation or sample, 1e-11 for a 20-step max-entropy fit and 1e-9 for
 a temperature-0.01 discount posterior; a greedy policy can change only
 between actions whose Q values tie to rounding.
-Reductions over the short action axis fold its columns (``_fold_actions``);
-over that product they equal numpy's reductions bit for bit while A < 8.
+Reductions over the short action axis fold its columns (``_fold_actions``,
+whose calls the fit's workspace makes on its held columns); over that
+product they equal numpy's reductions bit for bit while A < 8.
 The id tuples are kept only so that a report can name states and actions.
 """
 

@@ -194,7 +194,7 @@ def stacked_expected_next(mdp, v, out=None):
 
 def stacked_linear_reward(dense, theta):
     """phi(s, a) . theta as the stacked (S, A, d) @ (d,) product: the
-    reference for ``assessment._linear_reward``'s flat (S * A, d) one."""
+    reference for the flat (S * A, d) one of ``assessment._Workspace``."""
     return dense @ theta
 
 
@@ -219,21 +219,28 @@ def looped_feasible_sample(feasible, rng):
     return reward
 
 
-def numpy_log_likelihood(mdp, dense, counts, theta, beta):
-    """``assessment._log_likelihood`` with numpy's reductions over the
+def numpy_log_likelihood(mdp, dense, counts, theta, beta, stacked=False):
+    """``assessment._Workspace.evaluate`` with numpy's reductions over the
     action axis and a fresh array per step: the backward soft pass, then
     the forward occupancy pass. An oracle that the column folds and
     in-place steps must equal bit for bit while A < 8. The transition and
     feature products are the flat (S * A, ·) ones, written out here rather
-    than taken from the library. Returns the (T, S, A) policies and the
-    gradient."""
+    than taken from the library; with ``stacked`` the reward and E[V] are
+    the stacked products of ``stacked_linear_reward`` and
+    ``stacked_expected_next`` instead. Returns the (T, S, A) policies and
+    the gradient."""
     horizon, n_s, n_a = counts.shape
     flat_transition = mdp.transition.reshape(n_s * n_a, n_s)
-    reward = (dense.reshape(n_s * n_a, -1) @ np.asarray(theta, float)).reshape(n_s, n_a)
+    theta = np.asarray(theta, float)
+    if stacked:
+        reward = stacked_linear_reward(dense, theta)
+    else:
+        reward = (dense.reshape(n_s * n_a, -1) @ theta).reshape(n_s, n_a)
     policies = np.empty(counts.shape)
     v = np.zeros(n_s)
     for t in range(horizon - 1, -1, -1):
-        q = reward + beta * (flat_transition @ v).reshape(n_s, n_a)
+        expected = stacked_expected_next(mdp, v) if stacked else (flat_transition @ v).reshape(n_s, n_a)
+        q = reward + beta * expected
         peak = q.max(axis=1, keepdims=True)
         exp_q = np.exp(q - peak)
         norm = exp_q.sum(axis=1, keepdims=True)

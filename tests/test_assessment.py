@@ -237,20 +237,18 @@ def test_maxent_gradient_matches_finite_differences(rng):
 
 
 def test_maxent_log_likelihood_is_that_of_the_returned_theta(monkeypatch):
-    import fidaudit.assessment as assessment
-
     mdp = chain_walk_mdp()
     demos = [((0, 0), (1, 0), (2, 1))]  # s0 right, s1 right, s2 left
     one_hot = one_hot_states(mdp)
     zero = np.zeros((4, 2, 2))
     calls = []
-    kernel = assessment._log_likelihood
+    kernel = assessment._Workspace.evaluate
 
-    def counted(*args):
+    def counted(self, theta):
         calls.append(1)
-        return kernel(*args)
+        return kernel(self, theta)
 
-    monkeypatch.setattr(assessment, "_log_likelihood", counted)
+    monkeypatch.setattr(assessment._Workspace, "evaluate", counted)
     # no steps, the grad_norm == 0 early stop, and a normal run
     for features, iters, evaluations in [(one_hot, 0, 1), (zero, 50, 1), (one_hot, 25, 26)]:
         calls.clear()
@@ -319,18 +317,122 @@ def test_demo_log_likelihood_matches_einsum_reference(rng):
 
 def test_log_likelihood_equals_the_numpy_reduction_oracle_bit_for_bit():
     # the mdp benchmark's shapes (A = 2, one-hot state features, five
-    # 10-step demos), then dense features at A = 1, 3 and 7
+    # 10-step demos), then dense features at A = 1, 3 and 7; each also
+    # with single-step demos (horizon 1)
     rng = np.random.default_rng(11)
     for n_states, n_actions, dim in [(20, 2, None), (50, 2, None), (100, 2, None), (6, 1, 2), (12, 3, 5), (9, 7, 3)]:
         mdp = random_dynamics(rng, n_states, n_actions)
         dense = one_hot_states(mdp) if dim is None else rng.normal(size=(n_states, n_actions, dim))
-        steps, counts = assessment._visits(mdp, _random_demos(rng, mdp, [10] * 5))
-        for beta in (0.9, 0.99, 0.999):
-            theta = rng.normal(size=dense.shape[2])
-            policies, grad = assessment._log_likelihood(mdp, dense, steps, counts, theta, beta)
-            want_policies, want_grad = numpy_log_likelihood(mdp, dense, counts, theta, beta)
-            assert policies.tobytes() == want_policies.tobytes()
-            assert grad.tobytes() == want_grad.tobytes()
+        for lengths in ([10] * 5, [1] * 3):
+            demos = _random_demos(rng, mdp, lengths)
+            _, counts = assessment._visits(mdp, demos)
+            assert counts.shape[0] == lengths[0]
+            for beta in (0.9, 0.99, 0.999):
+                theta = rng.normal(size=dense.shape[2])
+                work = assessment._Workspace(mdp, dense, demos, beta)
+                grad = work.evaluate(theta)
+                want_policies, want_grad = numpy_log_likelihood(mdp, dense, counts, theta, beta)
+                assert work.policies.tobytes() == want_policies.tobytes()
+                assert grad.tobytes() == want_grad.tobytes()
+
+
+def _oracle_fit(mdp, dense, demos, beta, learn_rate, iters):
+    """``maxent_irl``'s steps over ``numpy_log_likelihood``: the weights, the
+    final gradient and each step's (policies, gradient)."""
+    _, counts = assessment._visits(mdp, demos)
+    theta = np.zeros(dense.shape[2])
+    passes = [numpy_log_likelihood(mdp, dense, counts, theta, beta)]
+    for _ in range(iters):
+        theta = theta + learn_rate * passes[-1][1]
+        passes.append(numpy_log_likelihood(mdp, dense, counts, theta, beta))
+    return theta, passes
+
+
+def test_one_workspace_runs_a_sequence_of_thetas_bit_for_bit():
+    # each pass overwrites the buffers of the last, so the results of a
+    # sequence, of two fits interleaved on different MDPs and of separate
+    # fits must agree byte for byte
+    rng = np.random.default_rng(13)
+    worlds = []
+    for n_states, n_actions, dim in [(20, 2, None), (9, 3, 4), (6, 1, 2)]:
+        mdp = random_dynamics(rng, n_states, n_actions)
+        dense = one_hot_states(mdp) if dim is None else rng.normal(size=(n_states, n_actions, dim))
+        worlds.append((mdp, dense, _random_demos(rng, mdp, [10, 3, 7])))
+    for mdp, dense, demos in worlds:
+        _, counts = assessment._visits(mdp, demos)
+        work = assessment._Workspace(mdp, dense, demos, 0.95)
+        grads = []
+        for theta in [rng.normal(size=dense.shape[2]) for _ in range(4)] + [np.zeros(dense.shape[2])]:
+            grads.append(work.evaluate(theta))
+            want_policies, want_grad = numpy_log_likelihood(mdp, dense, counts, theta, 0.95)
+            assert work.policies.tobytes() == want_policies.tobytes()
+            assert grads[-1].tobytes() == want_grad.tobytes()
+            assert work.demo_log_prob() == demo_log_likelihood(mdp, dense, demos, theta, 0.95)[0]
+            grads[-1] = (grads[-1], want_grad)
+        # each gradient is a fresh array, which later passes leave alone
+        assert all(grad.tobytes() == want.tobytes() for grad, want in grads)
+
+    # two fits' steps interleaved, one workspace each
+    fits = [(worlds[0], 0.99), (worlds[1], 0.9)]
+    works = [assessment._Workspace(mdp, dense, demos, beta) for (mdp, dense, demos), beta in fits]
+    thetas = [np.zeros(work.features.shape[1]) for work in works]
+    grads = [None, None]
+    oracles = [_oracle_fit(mdp, dense, demos, beta, 0.05, 6) for (mdp, dense, demos), beta in fits]
+    for step in range(7):
+        for k, work in enumerate(works):
+            if step:
+                thetas[k] = thetas[k] + 0.05 * grads[k]
+            grads[k] = work.evaluate(thetas[k])
+            want_policies, want_grad = oracles[k][1][step]
+            assert work.policies.tobytes() == want_policies.tobytes()
+            assert grads[k].tobytes() == want_grad.tobytes()
+    for ((mdp, dense, demos), beta), work, theta, grad, (want_theta, _) in zip(fits, works, thetas, grads, oracles):
+        fit = maxent_irl(mdp, dense, demos, beta, learn_rate=0.05, iters=6)
+        assert theta.tobytes() == fit.weights.tobytes() == want_theta.tobytes()
+        assert math.sqrt(grad @ grad) == fit.diagnostics["grad_norm"] == float(np.linalg.norm(grad))
+        assert work.demo_log_prob() == fit.diagnostics["log_likelihood"]
+
+
+def test_mutating_returned_arrays_leaves_later_passes_unchanged():
+    rng = np.random.default_rng(17)
+    mdp = random_dynamics(rng, 8, 2)
+    dense = rng.normal(size=(8, 2, 3))
+    demos = _random_demos(rng, mdp, [5, 5])
+    first, second = rng.normal(size=3), rng.normal(size=3)
+    want = demo_log_likelihood(mdp, dense, demos, second, 0.9)
+    work = assessment._Workspace(mdp, dense, demos, 0.9)
+    theta = first.copy()
+    grad = work.evaluate(theta)
+    grad[:] = np.nan
+    theta[:] = np.nan
+    got = work.evaluate(second)
+    assert got.tobytes() == want[1].tobytes()
+    assert work.demo_log_prob() == want[0]
+
+    # the fit's own workspace, after its weights, table and last gradient are spoilt
+    seen = []
+    kernel = assessment._Workspace.evaluate
+
+    def recorded(self, theta):
+        grad = kernel(self, theta)
+        seen.append((self, grad))
+        return grad
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(assessment._Workspace, "evaluate", recorded)
+        fit = maxent_irl(mdp, dense, demos, 0.9, learn_rate=0.05, iters=5)
+    work, grad = seen[-1]
+    assert all(w is work for w, _ in seen)
+    again = maxent_irl(mdp, dense, demos, 0.9, learn_rate=0.05, iters=5)
+    for spoilt in (fit.weights, fit.table, grad):
+        spoilt[...] = np.nan
+    got = work.evaluate(second)
+    assert got.tobytes() == want[1].tobytes()
+    assert work.demo_log_prob() == want[0]
+    later = maxent_irl(mdp, dense, demos, 0.9, learn_rate=0.05, iters=5)
+    assert later.weights.tobytes() == again.weights.tobytes()
+    assert later.table.tobytes() == again.table.tobytes()
+    assert later.diagnostics == again.diagnostics
 
 
 # Bounds on max |flat - stacked| / max |stacked|, where "stacked" is the
@@ -359,7 +461,7 @@ def test_flat_products_agree_with_the_stacked_products(monkeypatch):
         dense = one_hot_states(world) if dim is None else rng.normal(size=(n_states, n_actions, dim))
         myopic = world.reward.argmax(axis=1)
         demos = _random_demos(rng, world, [10] * 5, choose=myopic.tolist())
-        steps, counts = assessment._visits(world, demos)
+        _, counts = assessment._visits(world, demos)
         for beta in (0.9, 0.99, 0.999):
             theta = rng.normal(size=dense.shape[2])
             feasible = feasible_rewards_irl(world, rng.integers(0, n_actions, size=n_states), beta, bound=1.0)
@@ -368,8 +470,10 @@ def test_flat_products_agree_with_the_stacked_products(monkeypatch):
             def run():
                 fresh = world.with_reward(world.reward)  # solve_exact keeps its solves per instance
                 fit = maxent_irl(fresh, dense, demos, beta, learn_rate=0.01, iters=20)
+                work = assessment._Workspace(fresh, dense, demos, beta)
+                grad = work.evaluate(theta)
                 return (
-                    assessment._log_likelihood(fresh, dense, steps, counts, theta, beta),
+                    (work.policies, grad),
                     policy_iteration(fresh, beta),
                     feasible.sample(np.random.default_rng(seed)),
                     fit,
@@ -377,11 +481,18 @@ def test_flat_products_agree_with_the_stacked_products(monkeypatch):
                     infer_discount(fresh, myopic, [0.5, 0.75, beta], [0.25, 0.25, 0.5]),
                 )
 
+            def stacked_evaluate(work, theta):
+                # the same pass over the stacked reward and E[V] products
+                policies, grad = numpy_log_likelihood(world, dense, counts, theta, beta, stacked=True)
+                work.reward[...] = stacked_linear_reward(dense, theta)
+                work.policies[...] = policies
+                return grad
+
             (policies, grad), solved, sample, fit, greedy, posterior = run()
             with monkeypatch.context() as stacked:
                 stacked.setattr(mdp_module, "_expected_next", stacked_expected_next)
                 stacked.setattr(assessment, "_expected_next", stacked_expected_next)
-                stacked.setattr(assessment, "_linear_reward", stacked_linear_reward)
+                stacked.setattr(assessment._Workspace, "evaluate", stacked_evaluate)
                 (want_policies, want_grad), want_solved, want_sample, want_fit, want_greedy, want_posterior = run()
             assert _within(policies, want_policies, EVALUATION_BOUND)
             assert _within(grad, want_grad, EVALUATION_BOUND)
@@ -438,14 +549,15 @@ def test_one_hot_states_is_a_contiguous_identity_per_action():
         (np.zeros((4, 2, 4)), [((0, 0), (-1, 0))], re.escape("trajectory step (-1, 0) not in the MDP")),
         (np.zeros((4, 2, 4)), [((0, 0), (1.5, 0))], re.escape("trajectory step (1.5, 0) not in the MDP")),
         (np.zeros((4, 2, 4)), [((0, 0),), ()], "trajectory must be non-empty"),
+        (np.zeros((4, 2, 4)), [], "demos must be non-empty"),
         (np.ones((8, 4)), [((0, 0),)], re.escape("features have shape (8, 4), expected (4, 2, d)")),
         (np.ones((4, 3, 4)), [((0, 0),)], re.escape("features have shape (4, 3, 4), expected (4, 2, d)")),
         (np.full((4, 2, 4), np.nan), [((0, 0),)], "features have non-finite entries"),
         (np.zeros((4, 2, 0)), [((0, 0),)], re.escape("features have zero width: d >= 1 required")),
     ],
     ids=[
-        "state", "action", "negative", "float", "empty-demo", "flat-features", "wrong-actions", "nan-features",
-        "zero-width",
+        "state", "action", "negative", "float", "empty-demo", "no-demos", "flat-features", "wrong-actions",
+        "nan-features", "zero-width",
     ],
 )
 def test_a_demo_step_outside_the_mdp_is_named(features, demos, message):
@@ -454,6 +566,23 @@ def test_a_demo_step_outside_the_mdp_is_named(features, demos, message):
         demo_log_likelihood(mdp, features, demos, np.zeros(4), 0.9)
     with pytest.raises(ValueError, match=message):
         maxent_irl(mdp, features, demos, beta=0.9, learn_rate=0.1, iters=5)
+
+
+def test_demo_log_likelihood_checks_beta_as_maxent_irl_does():
+    mdp = chain_walk_mdp()
+    for call in (
+        lambda: demo_log_likelihood(mdp, np.zeros((4, 2, 4)), [((0, 0),)], np.zeros(4), 1.5),
+        lambda: maxent_irl(mdp, np.zeros((4, 2, 4)), [((0, 0),)], beta=1.5, learn_rate=0.1, iters=5),
+    ):
+        with pytest.raises(ValueError, match=re.escape("beta must lie in (0, 1), got 1.5")):
+            call()
+
+
+@pytest.mark.parametrize("theta", [np.zeros(3), np.zeros(5), np.zeros((4, 1)), 0.5])
+def test_demo_log_likelihood_names_d_for_a_theta_of_the_wrong_shape(theta):
+    shape = np.shape(theta)
+    with pytest.raises(ValueError, match=re.escape(f"theta has shape {shape}, expected (d,) = (4,)")):
+        demo_log_likelihood(chain_walk_mdp(), np.zeros((4, 2, 4)), [((0, 0),)], theta, 0.9)
 
 
 # --- fit_preference_reward --------------------------------------------------------

@@ -531,6 +531,18 @@ def test_model_rejects_cycle():
         )
 
 
+def test_model_rejects_a_parent_listed_twice():
+    # not a cycle: the parent is named once the repeat is seen
+    for edges, message in [
+        ({"C": (), "R_a": ("C", "C"), "B_b": ("R_a",), "U_a": ("C", "B_b"), "U_b": ("C", "B_b")}, "'C' of 'R_a'"),
+        ({"C": (), "R_a": ("C",), "B_b": ("R_a", "R_a"), "U_a": ("C", "B_b"), "U_b": ("C", "B_b")}, "'R_a' of 'B_b'"),
+        ({"C": (), "R_a": ("C",), "B_b": ("R_a",), "U_a": ("C", "B_b", "C"), "U_b": ("C", "B_b")}, "'C' of 'U_a'"),
+    ]:
+        model = disclosure_model()
+        with pytest.raises(ValueError, match=f"^duplicate parent {message}$"):
+            Macid(nodes=model.nodes, edges=edges, cpds=model.cpds, utilities=model.utilities, agents=model.agents)
+
+
 def test_model_rejects_utility_with_children():
     with pytest.raises(ValueError, match=r"utility node 'U' has children \['C'\]"):
         Macid(

@@ -282,6 +282,24 @@ def test_validate_and_check_reject_the_same_documents(tmp_path, scenario, mutate
     assert checked.stderr.startswith(f"schema error: {path}: ")
 
 
+def test_validate_and_check_name_a_parent_listed_twice(tmp_path):
+    raw = raw_scenario("disclosure_demo.json")
+    macid = raw["world"]["macid"]
+    macid["edges"]["R_a"] = ["C", "C"]
+    macid["profile"]["R_a"] = [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [1.0, 0.0]]  # the rows of scope (C, C, R_a)
+    message = "world.macid: duplicate parent 'C' of 'R_a'"
+    assert [f"{path}: {text}" for path, text in validate_scenario(raw)] == [message]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    runner = CliRunner()
+    validated = runner.invoke(main, ["validate", str(bad)])
+    assert validated.exit_code == 2
+    assert validated.output == message + "\n"
+    checked = runner.invoke(main, ["check", str(bad)])
+    assert checked.exit_code == 2
+    assert checked.stderr == f"schema error: {message}\n"
+
+
 def test_policy_maps_reach_the_kernels_as_action_indices():
     raw = raw_scenario("trust_portfolio.json")
     shipped = parse_scenario(raw)
