@@ -561,7 +561,8 @@ class PortfolioProblem:
 
     def objective(self, w: np.ndarray) -> float:
         w = np.asarray(w, dtype=float)
-        return float(self.mu @ w - self.risk_aversion * w @ self.sigma @ w)
+        with np.errstate(over="ignore", invalid="ignore"):  # infinite weights: NaN, a FAIL in the report
+            return float(self.mu @ w - self.risk_aversion * w @ self.sigma @ w)
 
 
 def prudent_investor_weights(problem: PortfolioProblem) -> np.ndarray:

@@ -8,20 +8,21 @@
 
 Exit codes from ``check``: 0 pass, 1 warn, 2 fail. A schema error, or any
 other error, also exits 2 with one line on stderr: exit 1 means "warn", so
-no error may end with it. A usage error, such as a ``--tol`` that is not a
-finite non-negative number or a negative ``--seed``, exits 2 with click's
-usage message. All configuration is flags and the scenario file; no
-environment variables are consulted.
+no error may end with it. A usage error, such as a missing scenario file,
+a ``--tol`` that is not a finite non-negative number or a negative
+``--seed``, exits 2 with argparse's usage message before any audit runs.
+All configuration is flags and the scenario file; no environment
+variables are consulted.
 """
 
 from __future__ import annotations
 
+import argparse
 import math
+import os
 import sys
-from contextlib import contextmanager
+from contextlib import suppress
 from pathlib import Path
-
-import click
 
 from . import __version__
 from .audit import EXIT_CODES, emit_report, run_audit
@@ -31,75 +32,55 @@ from .loyalty import INFO_TOL
 from .scenario import load_scenario, read_document, validate_scenario
 
 
-@contextmanager
-def _errors_exit_2():
-    try:
-        yield
-    except SchemaError as exc:
-        where = f"{exc.path}: " if exc.path else ""
-        click.echo(f"schema error: {where}{exc}", err=True)
-        sys.exit(2)
-    except Exception as exc:  # noqa: BLE001 - a traceback would exit 1, which reads as "warn"
-        click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
-        sys.exit(2)
+# os.path's tests read any OSError (a name too long, a parent that cannot be searched) as False; Path's re-raise it
+def _scenario_file(value: str) -> Path:
+    problem = ("does not exist" if not os.path.exists(value) else "is not a file" if not os.path.isfile(value)
+               else "is not readable" if not os.access(value, os.R_OK) else "")
+    if problem:
+        raise argparse.ArgumentTypeError(f"{value!r} {problem}")
+    return Path(value)
 
 
-def _tolerance(ctx: click.Context, param: click.Parameter, value: float) -> float:
-    """``value`` when it is a finite non-negative number; NaN, an infinity
-    or a negative threshold is a usage error."""
-    if not 0.0 <= value < math.inf:
-        raise click.BadParameter(f"must be a finite non-negative number, got {value!r}")
-    return value
+def _report_path(value: str) -> Path:
+    if os.path.isdir(value):
+        raise argparse.ArgumentTypeError(f"{value!r} is a directory")
+    return Path(value)
 
 
-@click.group()
-@click.version_option(version=__version__, prog_name="fidaudit")
-def main() -> None:
-    """Audit scenarios for fiduciary-duty compliance signals."""
+def _non_negative(convert, wanted: str):
+    """The argument type of a finite non-negative ``convert(value)``; NaN,
+    an infinity, a negative number or no number at all is a usage error."""
+
+    def parse(value: str):
+        with suppress(ValueError):
+            if 0 <= convert(value) < math.inf:
+                return convert(value)
+        raise argparse.ArgumentTypeError(f"must be a {wanted}, got {value!r}")
+
+    return parse
 
 
-@main.command()
-@click.argument("scenario_file", type=click.Path(exists=True, dir_okay=False, path_type=Path))
-@click.option("--report", "report_path", type=click.Path(dir_okay=False, path_type=Path), default=None, help="Also write the rendered report to this path.")
-@click.option("--format", "fmt", type=click.Choice(["text", "machine"]), default="text", show_default=True)
-@click.option("--tol", type=float, default=INFO_TOL, show_default=True, callback=_tolerance, help="Information-flow zero threshold.")
-@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True, help="Seed for sampled evidence; recorded in the report.")
-def check(scenario_file: Path, report_path: Path | None, fmt: str, tol: float, seed: int) -> None:
-    """Run the six-step audit over SCENARIO_FILE."""
-    with _errors_exit_2():
-        report = run_audit(load_scenario(scenario_file), tol=tol, seed=seed)
-        rendered = emit_report(report, fmt)
-        click.echo(rendered, nl=False)
-        if report_path is not None:
-            report_path.write_text(rendered, encoding="utf-8")
-    sys.exit(EXIT_CODES[report.overall])
+def _check(args: argparse.Namespace) -> int:
+    report = run_audit(load_scenario(args.scenario_file), tol=args.tol, seed=args.seed)
+    rendered = emit_report(report, args.format)
+    sys.stdout.write(rendered)
+    if args.report is not None:
+        args.report.write_text(rendered, encoding="utf-8")
+    return EXIT_CODES[report.overall]
 
 
-@main.command()
-@click.argument("scenario_file", type=click.Path(exists=True, dir_okay=False, path_type=Path))
-def validate(scenario_file: Path) -> None:
-    """List every schema violation in SCENARIO_FILE."""
-    with _errors_exit_2():
-        problems = validate_scenario(read_document(scenario_file))
-    if not problems:
-        click.echo(f"{scenario_file}: valid")
-        return
+def _validate(args: argparse.Namespace) -> int:
+    problems = validate_scenario(read_document(args.scenario_file))
     for path, message in problems:
-        click.echo(f"{path or '<root>'}: {message}")
-    sys.exit(2)
+        print(f"{path or '<root>'}: {message}")
+    if not problems:
+        print(f"{args.scenario_file}: valid")
+    return 2 if problems else 0
 
 
-@main.command()
-@click.argument("context_label")
-def catalog(context_label: str) -> None:
-    """Print the subsidiary-duty catalog entries for CONTEXT_LABEL."""
-    try:
-        entries = catalog_lookup(context_label)
-    except UnknownContextLabel as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(2)
-    header = context_label + ("  [proposed context, not yet determined by law]" if entries[0].speculative else "")
-    click.echo(header)
+def _catalog(args: argparse.Namespace) -> int:
+    entries = catalog_lookup(args.context_label)
+    print(args.context_label + ("  [proposed context, not yet determined by law]" if entries[0].speculative else ""))
     for entry in entries:
         flags = []
         if entry.information_flow:
@@ -107,9 +88,51 @@ def catalog(context_label: str) -> None:
         if entry.area:
             flags.append(f"area: {entry.area}")
         suffix = f"  ({', '.join(flags)})" if flags else ""
-        click.echo(f"  [{entry.kind:^7}] {entry.duty}{suffix}")
-        click.echo(f"            key: {entry.key}  binding: {entry.binding}")
+        print(f"  [{entry.kind:^7}] {entry.duty}{suffix}")
+        print(f"            key: {entry.key}  binding: {entry.binding}")
+    return 0
+
+
+def _parser() -> argparse.ArgumentParser:
+    def command(name: str, run, text: str, positional: str, **kwargs) -> argparse.ArgumentParser:
+        sub = commands.add_parser(name, help=text, description=text, add_help=False, allow_abbrev=False)
+        sub.add_argument("--help", action="help", help="Show this message and exit.")
+        sub.add_argument(positional.lower(), metavar=positional, **kwargs)
+        sub.set_defaults(run=run)
+        return sub
+
+    # `--help` but no `-h`, and no abbreviated options: `-h` and `--form` are usage errors (exit 2)
+    parser = argparse.ArgumentParser("fidaudit", description="Audit scenarios for fiduciary-duty compliance signals.",
+                                     add_help=False, allow_abbrev=False)
+    parser.add_argument("--version", action="version", version=f"fidaudit, version {__version__}")
+    parser.add_argument("--help", action="help", help="Show this message and exit.")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+    check = command("check", _check, "Run the six-step audit over SCENARIO_FILE.", "SCENARIO_FILE", type=_scenario_file)
+    check.add_argument("--report", type=_report_path, metavar="PATH", help="Also write the rendered report to this path.")
+    check.add_argument("--format", choices=("text", "machine"), default="text", help="Report format (default: %(default)s).")
+    check.add_argument("--tol", type=_non_negative(float, "finite non-negative number"), default=INFO_TOL,
+                       metavar="FLOAT", help="Information-flow zero threshold (default: %(default)s).")
+    check.add_argument("--seed", type=_non_negative(int, "non-negative integer"), default=0, metavar="INT",
+                       help="Seed for sampled evidence; recorded in the report (default: %(default)s).")
+    command("validate", _validate, "List every schema violation in SCENARIO_FILE.", "SCENARIO_FILE", type=_scenario_file)
+    command("catalog", _catalog, "Print the subsidiary-duty catalog entries for CONTEXT_LABEL.", "CONTEXT_LABEL")
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    """The exit code of ``argv`` (default ``sys.argv[1:]``); a usage error, ``--help`` or ``--version`` exits."""
+    try:
+        args = _parser().parse_args(argv)
+        return args.run(args)
+    except SchemaError as exc:
+        where = f"{exc.path}: " if exc.path else ""
+        print(f"schema error: {where}{exc}", file=sys.stderr)
+    except UnknownContextLabel as exc:  # from `catalog`
+        print(exc, file=sys.stderr)
+    except Exception as exc:  # noqa: BLE001 - a traceback would exit 1, which reads as "warn"
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -51,13 +51,6 @@ class Norm:
         self.transmission_principle = transmission_principle
         self.binding = {} if binding is None else binding
 
-    def principle_kind(self) -> str:
-        if self.transmission_principle in (CONFIDENTIALITY, DISCLOSURE):
-            return self.transmission_principle
-        if self.transmission_principle.startswith("attestation:"):
-            return "attestation"
-        return "unknown"
-
     def required_binding_keys(self) -> tuple[str, ...]:
         if self.transmission_principle == CONFIDENTIALITY:
             return ("report_node", "secret_node")
@@ -98,12 +91,12 @@ def validate_context(spec: ContextSpec) -> list[tuple[str, str]]:
             value = getattr(norm, field_name)
             if value not in declared:
                 out.append((f"norms[{i}].{field_name}", f"undeclared role {value!r}"))
-        kind = norm.principle_kind()
-        if kind == "unknown":
-            out.append((f"norms[{i}].transmission_principle", f"unknown principle {norm.transmission_principle!r}"))
-        elif kind in (CONFIDENTIALITY, DISCLOSURE) and not norm.machine_checkable():
-            missing = [k for k in norm.required_binding_keys() if k not in norm.binding]
-            out.append((f"norms[{i}].binding", f"{kind} norms must bind node ids to be checkable; missing {missing}"))
+        principle = norm.transmission_principle
+        missing = [k for k in norm.required_binding_keys() if k not in norm.binding]
+        if principle not in (CONFIDENTIALITY, DISCLOSURE) and not principle.startswith("attestation:"):
+            out.append((f"norms[{i}].transmission_principle", f"unknown principle {principle!r}"))
+        elif missing:  # only confidentiality and disclosure norms require keys
+            out.append((f"norms[{i}].binding", f"{principle} norms must bind node ids to be checkable; missing {missing}"))
     if not spec.care_standard:
         out.append(("care_standard", "care standard id is empty"))
     for i, key in enumerate(spec.subsidiary_duties):

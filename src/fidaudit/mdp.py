@@ -93,18 +93,13 @@ def _read_only(table) -> np.ndarray:
     return frozen
 
 
-def _expected_next(mdp: Mdp, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """E[V](s, a), the expectation of ``v`` over the next state, as an
-    (S, A) array (written into ``out`` when given): one flat (S·A, S)
-    product of the transition table with ``v``. numpy runs the stacked
-    ``transition @ v`` as S small (A, S) products, about twice as slow;
-    the two round differently in the last bits."""
+def _expected_next(mdp: Mdp, v: np.ndarray) -> np.ndarray:
+    """E[V](s, a), the expectation of ``v`` over the next state, as an (S, A)
+    array: one flat (S·A, S) product of the transition table with ``v``.
+    numpy runs the stacked ``transition @ v`` as S small (A, S) products,
+    about twice as slow; the two round differently in the last bits."""
     n_s, n_a = mdp.reward.shape
-    flat = mdp.transition.reshape(n_s * n_a, n_s)
-    if out is None:
-        return (flat @ v).reshape(n_s, n_a)
-    np.matmul(flat, v, out=out.reshape(-1))
-    return out
+    return (mdp.transition.reshape(n_s * n_a, n_s) @ v).reshape(n_s, n_a)
 
 
 def _fold_actions(ufunc: np.ufunc, table: np.ndarray) -> np.ndarray:
@@ -140,14 +135,6 @@ class DiscountSpec:
         else:
             raise ValueError(f"unknown discount kind {kind!r}")
         self.kind, self.beta, self.k = kind, beta, k
-
-    @staticmethod
-    def exponential(beta: float) -> "DiscountSpec":
-        return DiscountSpec("exponential", beta=beta)
-
-    @staticmethod
-    def hyperbolic(k: float) -> "DiscountSpec":
-        return DiscountSpec("hyperbolic", k=k)
 
 
 def discount_weight(spec: DiscountSpec, t: int) -> float:

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
+from typing import NamedTuple
 
 import numpy as np
 
 from fidaudit import __version__
 from fidaudit.audit import DISCLAIMER, RUBRIC, TOOL_NAME
+from fidaudit.cli import main
 from fidaudit.macid import Macid, Node, NodeKind, deterministic_rule
 from fidaudit.mdp import Mdp
 
@@ -181,15 +185,11 @@ def delayed_reward_chain(n_states):
     return Mdp(tuple(f"s{i}" for i in range(n_states)), ("wait", "take"), transition, reward)
 
 
-def stacked_expected_next(mdp, v, out=None):
+def stacked_expected_next(mdp, v):
     """E[V](s, a) as the stacked (S, A, S) @ (S,) product, which numpy runs
     as S small (A, S) products: the reference that ``mdp._expected_next``'s
     flat (S * A, S) product agrees with to rounding. Same signature."""
-    expected = mdp.transition @ v
-    if out is None:
-        return expected
-    out[...] = expected
-    return out
+    return mdp.transition @ v
 
 
 def stacked_linear_reward(dense, theta):
@@ -341,3 +341,36 @@ def reference_machine_report(report):
         "overall": report.overall,
     }
     return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+class CliResult(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
+    output: str  # stdout and stderr interleaved, in the order written
+
+
+class _Tee(io.StringIO):
+    """One stream's text, also copied into the interleaved ``output``."""
+
+    def __init__(self, output):
+        super().__init__()
+        self.output = output
+
+    def write(self, text):
+        self.output.write(text)
+        return super().write(text)
+
+
+def run_cli(args):
+    """``fidaudit ARGS`` run in this process: its exit code and what it
+    wrote. A usage error or ``--version`` ends the parser with
+    ``SystemExit``, which is caught and read as the exit code."""
+    output = io.StringIO()
+    out, err = _Tee(output), _Tee(output)
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main([str(arg) for arg in args])
+        except SystemExit as exc:
+            code = exc.code
+    return CliResult(0 if code is None else code, out.getvalue(), err.getvalue(), output.getvalue())

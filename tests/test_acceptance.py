@@ -15,7 +15,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-from click.testing import CliRunner
 
 from fidaudit.aggregation import VotingRule, find_manipulation, pareto_front, _winner
 from fidaudit.assessment import (
@@ -31,7 +30,6 @@ from fidaudit.assessment import (
 )
 from fidaudit.audit import emit_report, run_audit
 from fidaudit.care import BinaryEvidence, inductive_bias_diagnostic
-from fidaudit.cli import main
 from fidaudit.loyalty import alignment_check, disgorgement_check
 from fidaudit.macid import (
     enumerate_deterministic_rules,
@@ -51,7 +49,7 @@ from fidaudit.mdp import (
 )
 from fidaudit.scenario import load_scenario
 
-from helpers import guess_model, xor_model
+from helpers import guess_model, run_cli, xor_model
 from test_assessment import chain_walk_mdp, timing_choice_mdp
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
@@ -217,7 +215,7 @@ def test_criterion_07_time_consistency():
     rewards = [1.0, 2.0, 4.0, 8.0, 16.0]
     sweeps = 0
     for beta10 in range(1, 10):
-        spec = DiscountSpec.exponential(beta10 / 10.0)
+        spec = DiscountSpec("exponential", beta=beta10 / 10.0)
         for d_early in range(0, 10):
             for d_late in range(d_early + 1, 11):
                 for r_early in rewards:
@@ -230,7 +228,7 @@ def test_criterion_07_time_consistency():
                         )
                         assert not report.reversed
                         sweeps += 1
-    spec = DiscountSpec.hyperbolic(1.0)
+    spec = DiscountSpec("hyperbolic", k=1.0)
     early, late = RewardOption(8.0, 9), RewardOption(10.0, 10)
     found = detect_preference_reversal(spec, early, late, horizon=10)
     assert found.reversed
@@ -399,8 +397,7 @@ def test_criterion_14_end_to_end_determinism():
         assert first == golden, f"{path.name} drifted from its golden file"
         statuses.add(json.loads(first)["overall"])
     assert statuses == {"pass", "warn", "fail"}
-    runner = CliRunner()
     for name, code in expected_exit.items():
-        result = runner.invoke(main, ["check", str(SCENARIOS / name)])
+        result = run_cli(["check", str(SCENARIOS / name)])
         assert result.exit_code == code, f"{name}: expected exit {code}"
     report_line(14, "end-to-end-determinism", f"{len(expected_exit)} scenarios byte-identical, exit codes honored")

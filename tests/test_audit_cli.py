@@ -1,12 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from collections import OrderedDict
 from enum import Enum, IntEnum
 from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from fidaudit import audit
 from fidaudit import mdp as mdp_module
@@ -19,14 +21,14 @@ from fidaudit.assessment import (
 )
 from fidaudit.audit import emit_report, run_audit
 from fidaudit.care import PRIOR_DOMINANCE_RATIONALE
-from fidaudit.cli import main
 from fidaudit.context import duty_entry
 from fidaudit.errors import SchemaError
 from fidaudit.findings import Finding
 from fidaudit.scenario import load_scenario, parse_scenario, validate_scenario
-from helpers import delayed_reward_chain
+from helpers import delayed_reward_chain, run_cli
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
+SRC = Path(__file__).parent.parent / "src"
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -304,7 +306,7 @@ def test_validate_reads_the_beta_rule_for_an_out_of_range_world_discount(tmp_pat
     raw["world"]["mdp"]["discount"] = {"kind": "exponential", "beta": 1.5}
     path = tmp_path / "impatient.json"
     path.write_text(json.dumps(raw))
-    result = CliRunner().invoke(main, ["validate", str(path)])
+    result = run_cli(["validate", str(path)])
     assert result.output == "world.mdp.discount: beta must lie in (0, 1), got 1.5\n"
     assert result.exit_code == 2
 
@@ -314,9 +316,8 @@ def test_check_reads_the_beta_rule_for_an_out_of_range_reversal_discount(tmp_pat
     raw["assessment"]["methods"][3]["discount"] = {"kind": "exponential", "beta": 1.5}
     path = tmp_path / "impatient.json"
     path.write_text(json.dumps(raw))
-    runner = CliRunner()
-    assert runner.invoke(main, ["validate", str(path)]).exit_code == 0
-    result = runner.invoke(main, ["check", str(path), "--format", "machine"])
+    assert run_cli(["validate", str(path)]).exit_code == 0
+    result = run_cli(["check", str(path), "--format", "machine"])
     assessment = next(s for s in json.loads(result.output)["steps"] if s["step"] == "assessment")
     reversal = next(f for f in assessment["findings"] if f["check"] == "method[3]")
     assert reversal["status"] == "fail"
@@ -719,7 +720,6 @@ def test_text_report_has_six_status_lines():
 
 
 def test_cli_check_exit_codes():
-    runner = CliRunner()
     expected = {
         "disclosure_demo.json": 0,
         "trust_portfolio.json": 0,
@@ -728,17 +728,13 @@ def test_cli_check_exit_codes():
         "disclosure_demo_muted.json": 2,
     }
     for name, code in expected.items():
-        result = runner.invoke(main, ["check", str(SCENARIOS / name)])
+        result = run_cli(["check", str(SCENARIOS / name)])
         assert result.exit_code == code, f"{name}: {result.output}"
 
 
 def test_cli_check_machine_format_and_report_path(tmp_path):
-    runner = CliRunner()
     out = tmp_path / "report.json"
-    result = runner.invoke(
-        main,
-        ["check", str(SCENARIOS / "disclosure_demo.json"), "--format", "machine", "--report", str(out)],
-    )
+    result = run_cli(["check", SCENARIOS / "disclosure_demo.json", "--format", "machine", "--report", out])
     assert result.exit_code == 0
     assert out.read_text() == result.output
     payload = json.loads(out.read_text())
@@ -749,38 +745,101 @@ def test_cli_check_machine_format_and_report_path(tmp_path):
 def test_cli_check_schema_error_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"schema_version": 99}')
-    runner = CliRunner()
-    result = runner.invoke(main, ["check", str(bad)])
+    result = run_cli(["check", str(bad)])
     assert result.exit_code == 2
     assert "schema error" in result.stderr
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
 def test_cli_check_rejects_a_tolerance_that_is_not_finite_and_non_negative(tol):
-    result = CliRunner().invoke(
-        main, ["check", str(SCENARIOS / "disclosure_demo.json"), "--format", "machine", "--tol", tol]
-    )
+    result = run_cli(["check", SCENARIOS / "disclosure_demo.json", "--format", "machine", "--tol", tol])
     assert result.exit_code == 2
     assert result.stdout == ""
-    assert "Invalid value for '--tol': must be a finite non-negative number" in result.stderr
+    assert result.stderr.endswith(f"error: argument --tol: must be a finite non-negative number, got '{tol}'\n")
 
 
 def test_cli_check_accepts_a_zero_tolerance():
-    result = CliRunner().invoke(main, ["check", str(SCENARIOS / "disclosure_demo.json"), "--tol", "0"])
+    result = run_cli(["check", str(SCENARIOS / "disclosure_demo.json"), "--tol", "0"])
     assert result.exit_code == 0, result.output
 
 
 def test_cli_check_rejects_a_negative_seed():
-    result = CliRunner().invoke(main, ["check", str(SCENARIOS / "care_skipped.json"), "--seed", "-1"])
+    result = run_cli(["check", str(SCENARIOS / "care_skipped.json"), "--seed", "-1"])
     assert result.exit_code == 2
     assert result.stdout == ""
-    assert "Invalid value for '--seed'" in result.stderr
+    assert result.stderr.endswith("error: argument --seed: must be a non-negative integer, got '-1'\n")
     assert "internal error" not in result.stderr
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        lambda tmp: ["check", tmp / "missing.json"],
+        lambda tmp: ["validate", tmp / "missing.json"],
+        lambda tmp: ["check", tmp],
+        lambda tmp: ["validate", tmp],
+        lambda tmp: ["check", SCENARIOS / "disclosure_demo.json", "--report", tmp],
+        lambda tmp: ["check", SCENARIOS / "disclosure_demo.json", "--form", "machine"],
+        lambda tmp: ["check", SCENARIOS / "disclosure_demo.json", "-h"],
+        lambda tmp: ["check", tmp / f"{'x' * 300}.json"],
+        lambda tmp: ["validate", tmp / f"{'x' * 300}.json"],
+    ],
+    ids=[
+        "check-missing", "validate-missing", "check-directory", "validate-directory", "report-directory", "abbreviated",
+        "short-help", "check-name-too-long", "validate-name-too-long",
+    ],
+)
+def test_cli_usage_errors_exit_2_before_any_audit(tmp_path, args):
+    result = run_cli(args(tmp_path))
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "usage:" in result.stderr.lower()
+    assert "internal error" not in result.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_an_unreadable_scenario_file_is_a_usage_error(monkeypatch):
+    # os.access is patched, not the file's mode: a superuser may read a file of mode 000
+    scenario = str(SCENARIOS / "disclosure_demo.json")
+    monkeypatch.setattr(os, "access", lambda path, mode: path != scenario)
+    result = run_cli(["check", scenario])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.endswith(f"error: argument SCENARIO_FILE: {scenario!r} is not readable\n")
+
+
+def test_cli_a_report_path_too_long_to_open_exits_2(tmp_path):
+    # not a usage error (only a directory is), but the failed write still exits 2, never 1
+    result = run_cli(["check", SCENARIOS / "disclosure_demo.json", "--report", tmp_path / ("x" * 300)])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("internal error: OSError: [Errno ")
+    assert "File name too long" in result.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def _fresh_interpreter(*args, env=None):
+    env = {**os.environ, "PYTHONPATH": str(SRC), **(env or {})}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=60, env=env, cwd=SRC.parent)
+
+
+def test_the_module_entry_point_exits_with_the_returned_code():
+    result = _fresh_interpreter("-m", "fidaudit.cli", "check", "scenarios/care_skipped.json")
+    assert result.returncode == 1, result.stderr
+    assert result.stdout.startswith("fidaudit")
+
+
+def test_importing_the_cli_loads_no_third_party_module_but_numpy():
+    probe = (
+        "import sys; before = set(sys.modules); import fidaudit.cli; "
+        "new = {m.partition('.')[0] for m in set(sys.modules) - before}; "
+        "print(sorted(new - set(sys.stdlib_module_names)))"
+    )
+    result = _fresh_interpreter("-c", probe)
+    assert result.stdout.strip() == "['fidaudit', 'numpy']", result.stderr
+
+
 def test_cli_validate():
-    runner = CliRunner()
-    ok = runner.invoke(main, ["validate", str(SCENARIOS / "disclosure_demo.json")])
+    ok = run_cli(["validate", str(SCENARIOS / "disclosure_demo.json")])
     assert ok.exit_code == 0
     assert "valid" in ok.output
 
@@ -791,26 +850,23 @@ def test_cli_validate_lists_all_problems(tmp_path):
     del raw["schema_version"]
     raw["context"]["roles"].append({"id": "adviser"})
     bad.write_text(json.dumps(raw))
-    runner = CliRunner()
-    result = runner.invoke(main, ["validate", str(bad)])
+    result = run_cli(["validate", str(bad)])
     assert result.exit_code == 2
     assert "schema_version" in result.output
     assert "roles[2].id" in result.output
 
 
 def test_cli_catalog():
-    runner = CliRunner()
-    result = runner.invoke(main, ["catalog", "Health care"])
+    result = run_cli(["catalog", "Health care"])
     assert result.exit_code == 0
     assert "Confidentiality" in result.output
     assert "Informed consent" in result.output
-    missing = runner.invoke(main, ["catalog", "Astrology"])
+    missing = run_cli(["catalog", "Astrology"])
     assert missing.exit_code == 2
 
 
 def test_cli_version():
-    runner = CliRunner()
-    result = runner.invoke(main, ["--version"])
+    result = run_cli(["--version"])
     assert result.exit_code == 0
     assert "0.1.0" in result.output
 
@@ -826,9 +882,8 @@ def test_cli_check_tolerated_negative_probability_is_a_finding(tmp_path):
     raw["world"]["macid"]["profile"]["R_a"] = [[1 + 5e-10, -5e-10], [0.5, 0.5]]
     path = tmp_path / "negative.json"
     path.write_text(json.dumps(raw))
-    runner = CliRunner()
-    assert runner.invoke(main, ["validate", str(path)]).exit_code == 0
-    result = runner.invoke(main, ["check", str(path), "--format", "machine"])
+    assert run_cli(["validate", str(path)]).exit_code == 0
+    result = run_cli(["check", str(path), "--format", "machine"])
     loyalty = next(s for s in json.loads(result.output)["steps"] if s["step"] == "loyalty")
     checks = {f["check"]: f["status"] for f in loyalty["findings"]}
     assert checks["confidentiality:market-state"] == "pass"
@@ -846,9 +901,8 @@ def test_cli_check_secret_with_underflowing_marginals_is_a_finding(tmp_path):
     raw["world"]["macid"]["cpds"]["C"] = [[1e-170, 1 - 1e-170]]
     path = tmp_path / "tiny.json"
     path.write_text(json.dumps(raw))
-    runner = CliRunner()
-    assert runner.invoke(main, ["validate", str(path)]).exit_code == 0
-    result = runner.invoke(main, ["check", str(path), "--format", "machine"])
+    assert run_cli(["validate", str(path)]).exit_code == 0
+    result = run_cli(["check", str(path), "--format", "machine"])
     loyalty = next(s for s in json.loads(result.output)["steps"] if s["step"] == "loyalty")
     checks = {f["check"]: f for f in loyalty["findings"]}
     assert "step-error" not in checks
@@ -865,9 +919,8 @@ def test_cli_check_overflowing_aggregate_fails_no_conflict(tmp_path):
     raw["aggregation"]["utilities"]["clients"] = [10.0, 20.0]
     path = tmp_path / "overflow.json"
     path.write_text(json.dumps(raw))
-    runner = CliRunner()
-    assert runner.invoke(main, ["validate", str(path)]).exit_code == 0
-    result = runner.invoke(main, ["check", str(path), "--format", "machine"])
+    assert run_cli(["validate", str(path)]).exit_code == 0
+    result = run_cli(["check", str(path), "--format", "machine"])
     report = json.loads(result.output)
     loyalty = next(s for s in report["steps"] if s["step"] == "loyalty")
     checks = {f["check"]: f for f in loyalty["findings"]}
@@ -879,6 +932,10 @@ def test_cli_check_overflowing_aggregate_fails_no_conflict(tmp_path):
     # exit 2 here is the audit's FAIL verdict, not an internal error
     assert report["overall"] == "fail"
     assert result.exit_code == 2
+
+
+def _overflowing_portfolio(raw):
+    raw["assessment"]["methods"][0].update(mu=[1e308, 1e308], risk_aversion=1e-300)
 
 
 def _strict_json(text):
@@ -894,7 +951,7 @@ def _strict_json(text):
     [
         (
             "trust_portfolio.json",
-            lambda raw: raw["assessment"]["methods"][0].update(mu=[1e308, 1e308], risk_aversion=1e-300),
+            _overflowing_portfolio,
             "assessment",
             "prudent-investor",
             "'weights', 'objective'",
@@ -915,9 +972,8 @@ def test_cli_check_non_finite_evidence_is_a_fail_of_its_check(tmp_path, scenario
     mutate(raw)
     path = tmp_path / "non_finite.json"
     path.write_text(json.dumps(raw))
-    runner = CliRunner()
-    assert runner.invoke(main, ["validate", str(path)]).exit_code == 0
-    result = runner.invoke(main, ["check", str(path), "--format", "machine"])
+    assert run_cli(["validate", str(path)]).exit_code == 0
+    result = run_cli(["check", str(path), "--format", "machine"])
     report = _strict_json(result.output)
     record = next(s for s in report["steps"] if s["step"] == step)
     finding = next(f for f in record["findings"] if f["check"] == check)
@@ -926,6 +982,39 @@ def test_cli_check_non_finite_evidence_is_a_fail_of_its_check(tmp_path, scenario
     assert finding["evidence"]["error"] == finding["detail"]
     assert record["status"] == "fail" and report["overall"] == "fail"
     assert result.exit_code == 2
+
+
+# Audits the given scenario files with warnings as errors; prints their
+# machine reports as one JSON object keyed by path.
+_AUDIT_CHILD = (
+    "import json, sys; from fidaudit.audit import emit_report, run_audit; "
+    "from fidaudit.scenario import load_scenario; "
+    "print(json.dumps({p: emit_report(run_audit(load_scenario(p)), 'machine') for p in sys.argv[1:]}))"
+)
+
+
+@pytest.mark.parametrize(
+    "blas", [{"OPENBLAS_CORETYPE": "Haswell"}, {"OPENBLAS_CORETYPE": "Nehalem"}, {"OPENBLAS_NUM_THREADS": "1"}],
+    ids=["haswell", "nehalem", "one-thread"],
+)
+def test_reports_hold_under_other_blas_kernels(tmp_path, blas):
+    # The variables choose the kernel or the thread count of an OpenBLAS
+    # build with DYNAMIC_ARCH (see numpy.show_config()). On any other build
+    # they do nothing, and this checks only the build's own kernel: that no
+    # numpy warning escapes an audit and that the goldens hold.
+    raw = raw_scenario("trust_portfolio.json")
+    _overflowing_portfolio(raw)
+    overflow = tmp_path / "overflow.json"
+    overflow.write_text(json.dumps(raw))
+    shipped = sorted(SCENARIOS.glob("*.json"))
+    result = _fresh_interpreter("-W", "error", "-c", _AUDIT_CHILD, *map(str, shipped), str(overflow), env=blas)
+    assert result.returncode == 0, result.stderr
+    reports = json.loads(result.stdout)
+    for path in shipped:
+        assert reports[str(path)] == (GOLDEN / f"{path.stem}.report.json").read_text(), path.name
+    assessment = next(s for s in _strict_json(reports[str(overflow)])["steps"] if s["step"] == "assessment")
+    finding = next(f for f in assessment["findings"] if f["check"] == "prudent-investor")
+    assert (finding["status"], finding["detail"]) == ("fail", "non-finite number in evidence field(s) 'weights', 'objective'")
 
 
 def test_machine_report_refuses_non_finite_numbers():

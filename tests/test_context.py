@@ -53,6 +53,20 @@ def test_unbound_confidentiality_norm_flagged():
     assert any(path == "norms[0].binding" for path, _ in violations)
 
 
+def test_each_norm_principle_gets_its_own_message():
+    norms = (
+        Norm("adviser", "client", "client", "a", "gossip"),
+        Norm("adviser", "client", "client", "b", "disclosure", {"report_node": "R", "principal_decision": "B"}),
+        Norm("adviser", "client", "client", "c", "attestation:notice"),
+        Norm("adviser", "client", "client", "d", "attestation"),
+    )
+    assert validate_context(minimal_context(norms=norms)) == [
+        ("norms[0].transmission_principle", "unknown principle 'gossip'"),
+        ("norms[1].binding", "disclosure norms must bind node ids to be checkable; missing ['material_node']"),
+        ("norms[3].transmission_principle", "unknown principle 'attestation'"),
+    ]
+
+
 def test_bound_disclosure_norm_passes():
     norm = Norm(
         "adviser",

@@ -10,14 +10,12 @@ from pathlib import Path
 
 import pytest
 import numpy as np
-from click.testing import CliRunner
 
 from fidaudit.audit import emit_report, run_audit
-from fidaudit.cli import main
 from fidaudit.errors import SchemaError
 from fidaudit.mdp import MAX_ITERS_CAP
 from fidaudit.scenario import parse_scenario, validate_scenario
-from helpers import reference_machine_report
+from helpers import reference_machine_report, run_cli
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
@@ -273,11 +271,10 @@ def test_validate_and_check_reject_the_same_documents(tmp_path, scenario, mutate
     assert_rejected_at(raw, path)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(raw))
-    runner = CliRunner()
-    validated = runner.invoke(main, ["validate", str(bad)])
+    validated = run_cli(["validate", str(bad)])
     assert validated.exit_code == 2
     assert validated.output.startswith(f"{path}: ")
-    checked = runner.invoke(main, ["check", str(bad)])
+    checked = run_cli(["check", str(bad)])
     assert checked.exit_code == 2
     assert checked.stderr.startswith(f"schema error: {path}: ")
 
@@ -291,11 +288,10 @@ def test_validate_and_check_name_a_parent_listed_twice(tmp_path):
     assert [f"{path}: {text}" for path, text in validate_scenario(raw)] == [message]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(raw))
-    runner = CliRunner()
-    validated = runner.invoke(main, ["validate", str(bad)])
+    validated = run_cli(["validate", str(bad)])
     assert validated.exit_code == 2
     assert validated.output == message + "\n"
-    checked = runner.invoke(main, ["check", str(bad)])
+    checked = run_cli(["check", str(bad)])
     assert checked.exit_code == 2
     assert checked.stderr == f"schema error: {message}\n"
 
@@ -412,9 +408,8 @@ def test_schema_error_path_printed_once(tmp_path):
     raw["context"]["roles"] = [{"description": "no id"}]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(raw))
-    runner = CliRunner()
-    validated = runner.invoke(main, ["validate", str(bad)])
-    checked = runner.invoke(main, ["check", str(bad)])
+    validated = run_cli(["validate", str(bad)])
+    checked = run_cli(["check", str(bad)])
     for text in (validated.output, checked.stderr):
         assert "context.roles[0].id: required" in text
         assert text.count("context.roles[0].id") == 1
@@ -493,18 +488,17 @@ def test_integer_and_float_table_entries_hash_alike():
 
 
 def test_only_a_document_without_problems_gets_a_digest(tmp_path):
-    runner = CliRunner()
     for path in sorted(SCENARIOS.glob("*.json")):
-        assert runner.invoke(main, ["validate", str(path)]).exit_code == 0
-        report = json.loads(runner.invoke(main, ["check", str(path), "--format", "machine"]).output)
+        assert run_cli(["validate", str(path)]).exit_code == 0
+        report = json.loads(run_cli(["check", str(path), "--format", "machine"]).output)
         assert report["scenario"]["digest"] == digest(raw_scenario(path.name))
         assert report["scenario"]["digest"].startswith("sha256-v2:")
     raw = raw_scenario("trust_portfolio.json")
     string_in_mdp_reward(raw)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(raw))
-    assert runner.invoke(main, ["validate", str(bad)]).exit_code == 2
-    checked = runner.invoke(main, ["check", str(bad), "--format", "machine"])
+    assert run_cli(["validate", str(bad)]).exit_code == 2
+    checked = run_cli(["check", str(bad), "--format", "machine"])
     assert checked.exit_code == 2 and checked.stdout == ""
 
 
@@ -515,7 +509,7 @@ def test_only_a_document_without_problems_gets_a_digest(tmp_path):
 def test_latin1_file_is_a_schema_error(tmp_path, command):
     bad = tmp_path / "latin1.json"
     bad.write_bytes('{"schema_version": 1, "metadata": {"scenario_id": "café"}}'.encode("latin-1"))
-    result = CliRunner().invoke(main, [command, str(bad)])
+    result = run_cli([command, str(bad)])
     assert result.exit_code == 2
     assert result.stderr.startswith(f"schema error: {bad}: not valid UTF-8 JSON")
 
@@ -525,7 +519,7 @@ def test_unexpected_exception_is_an_internal_error(monkeypatch):
         raise RuntimeError("boom")
 
     monkeypatch.setattr("fidaudit.cli.run_audit", explode)
-    result = CliRunner().invoke(main, ["check", str(SCENARIOS / "disclosure_demo.json")])
+    result = run_cli(["check", str(SCENARIOS / "disclosure_demo.json")])
     assert result.exit_code == 2
     assert result.stderr == "internal error: RuntimeError: boom\n"
 
