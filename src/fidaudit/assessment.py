@@ -338,8 +338,8 @@ def maxent_irl(
     iters: int,
 ) -> SimpleNamespace:
     """Fit linear reward weights to demonstrations: the estimate's
-    ``weights``, the dense r(s, a) ``table`` they give, and its
-    ``diagnostics``, the final ``grad_norm`` and demo ``log_likelihood``.
+    ``weights``, the dense r(s, a) ``table`` they give, the final
+    ``grad_norm`` and the demos' ``log_likelihood``.
 
     ``features`` and ``demos`` are as in ``demo_log_likelihood``. Plain
     gradient ascent from theta = 0 with a fixed step, deterministic by
@@ -368,9 +368,7 @@ def maxent_irl(
         if initial_norm > 0 and grad_norm > 10.0 * initial_norm:
             raise ValueError(f"gradient norm {grad_norm:.3g} exceeds 10x initial {initial_norm:.3g}")
     return SimpleNamespace(
-        weights=theta,
-        table=work.reward.copy(),
-        diagnostics={"grad_norm": grad_norm, "log_likelihood": work.demo_log_prob()},
+        weights=theta, table=work.reward.copy(), grad_norm=grad_norm, log_likelihood=work.demo_log_prob()
     )
 
 
@@ -384,8 +382,7 @@ def fit_preference_reward(
     iters: int,
 ) -> SimpleNamespace:
     """Logistic pairwise-choice fit of linear reward weights: the
-    estimate's ``weights``, ``table`` None (the fit has no MDP) and
-    ``diagnostics``, the final ``log_likelihood``.
+    estimate's ``weights`` and the final ``log_likelihood``.
 
     ``features`` is a (rows, d) table, and each comparison side lists rows
     of it; over an MDP, step (s, a) is row s * A + a. P(left preferred) is
@@ -449,7 +446,7 @@ def fit_preference_reward(
     weights = np.array(theta)
     with np.errstate(over="ignore", invalid="ignore"):
         log_likelihood = float(np.sum(_log_sigmoid(diff_matrix @ weights)))
-    return SimpleNamespace(weights=weights, table=None, diagnostics={"log_likelihood": log_likelihood})
+    return SimpleNamespace(weights=weights, log_likelihood=log_likelihood)
 
 
 def _slack(margin: float) -> float:

@@ -14,8 +14,10 @@ finite (NaN or an infinity), which no JSON report can carry. A later step
 whose inputs became undefined is Skipped with the cause. Every Fail
 finding carries a concrete witness.
 
-Reports are byte-deterministic for a given (scenario, seed, tool version):
-no timestamps, stable orderings, canonical key sorting in machine output.
+Reports are byte-deterministic for a given (scenario, seed, tool version,
+numpy build): no timestamps, stable orderings, canonical key sorting in
+machine output. The floats of MDP evidence also depend on the BLAS kernel
+and its thread count.
 """
 
 from __future__ import annotations
@@ -124,6 +126,12 @@ def _jsonable(value: Any) -> Any:
     return value
 
 
+def _fields(result, *omit: str) -> dict:
+    """The fields of a kernel's result, a NamedTuple or a namespace, less those named in ``omit``."""
+    fields = result._asdict() if isinstance(result, tuple) else vars(result)
+    return {k: v for k, v in fields.items() if k not in omit}
+
+
 def _verdict(check: str, ok: bool, evidence: dict, passed: str, failed: str, bad: str = FAIL) -> Finding:
     """PASS with detail ``passed`` when ``ok``, else ``bad`` with detail ``failed``."""
     return Finding(check, PASS if ok else bad, passed if ok else failed, evidence)
@@ -172,7 +180,7 @@ def _run_context(context: ContextSpec, scenario: SimpleNamespace, state: SimpleN
             f"{len(context.roles)} role(s), "
             f"{len(context.norms)} norm(s)",
             {
-                "purposes": list(context.purposes),
+                "purposes": context.purposes,
                 "roles": [r.id for r in context.roles],
                 "care_standard": context.care_standard,
             },
@@ -198,7 +206,7 @@ def _run_context(context: ContextSpec, scenario: SimpleNamespace, state: SimpleN
                 "subsidiary-duties",
                 PASS,
                 f"{len(context.subsidiary_duties)} catalog dut(ies) declared",
-                {"keys": list(context.subsidiary_duties)},
+                {"keys": context.subsidiary_duties},
             )
         )
     return findings
@@ -293,8 +301,7 @@ def _run_one_method(
             "reward fitted to demonstrations (policy equivalence is the "
             "criterion; the reward itself is underdetermined)",
             {
-                "weights": estimate.weights,
-                "grad_norm": estimate.diagnostics["grad_norm"],
+                **_fields(estimate, "table", "log_likelihood"),
                 "greedy_policy": {s: mdp.actions[a] for s, a in zip(mdp.states, greedy)},
             },
         )
@@ -312,10 +319,7 @@ def _run_one_method(
         return (
             "preference-fit",
             f"pairwise-choice model fitted to {len(comparisons)} judgment(s)",
-            {
-                "weights": estimate.weights,
-                "log_likelihood": estimate.diagnostics["log_likelihood"],
-            },
+            _fields(estimate),
         )
     if method.kind == "feasibility_probe":
         feasible = feasible_rewards_irl(
@@ -324,17 +328,14 @@ def _run_one_method(
             beta=method.beta,
             bound=method.bound,
         )
-        all_contained = all(
-            feasible.contains(feasible.sample(state.rng)) for _ in range(method.samples)
-        )
         return (
             "reward-feasibility",
             "observed behavior is consistent with infinitely many rewards, "
             "including the zero reward; behavior alone cannot pin interests down",
             {
                 "zero_reward_feasible": feasible.zero_reward_feasible,
-                "constraints": int(feasible.constraint_matrix.shape[0]),
-                "samples_verified": bool(all_contained),
+                "constraints": feasible.constraint_matrix.shape[0],
+                "samples_verified": all(feasible.contains(feasible.sample(state.rng)) for _ in range(method.samples)),
             },
         )
     if method.kind == "patient_advice":
@@ -357,14 +358,7 @@ def _run_one_method(
         if report.reversed
         else "no preference reversal over the horizon"
     )
-    return (
-        "time-consistency",
-        detail,
-        {
-            "reversal_epoch": report.reversal_epoch,
-            "initial_preference": report.initial_preference,
-        },
-    )
+    return "time-consistency", detail, _fields(report)
 
 
 def _run_assessment(
@@ -396,7 +390,7 @@ def _run_aggregation(doc: SimpleNamespace, scenario: SimpleNamespace, state: Sim
                 PASS,
                 f"{len(result.winners)} co-winner(s) by approval count"
                 + (" (tie surfaced, not broken)" if result.tied else ""),
-                {"winners": result.winners, "counts": result.counts, "tied": result.tied},
+                _fields(result),
             )
         )
     elif doc.method is not None:
@@ -445,11 +439,7 @@ def _run_aggregation(doc: SimpleNamespace, scenario: SimpleNamespace, state: Sim
                         PASS,
                         f"selected {choice.option!r} by priority order"
                         + (" (index tie-break applied and flagged)" if choice.tie_break_applied else ""),
-                        {
-                            "option": choice.option,
-                            "tie_break_applied": choice.tie_break_applied,
-                            "tied_options": list(choice.tied_options),
-                        },
+                        _fields(choice),
                     )
                 )
 
@@ -470,9 +460,7 @@ def _impartiality(doc: SimpleNamespace) -> Finding:
     return _verdict(
         "impartiality",
         verdict.passed,
-        {"weights": dict(doc.weights)}
-        if verdict.passed
-        else {"violations": [list(v) for v in verdict.violations]},
+        {"weights": doc.weights} if verdict.passed else _fields(verdict, "passed"),
         "no self-interest weight; unequal principal weights are permitted",
         "aggregation weights violate impartiality",
     )
@@ -486,13 +474,7 @@ def _manipulation_probe(probe: SimpleNamespace) -> Finding:
         instance is None,
         {"rule": probe.rule, "voters": probe.voters, "options": probe.options}
         if instance is None
-        else {
-            "profile": [list(b) for b in instance.profile],
-            "voter": instance.voter,
-            "insincere_ballot": list(instance.insincere_ballot),
-            "sincere_winner": instance.sincere_winner,
-            "manipulated_winner": instance.manipulated_winner,
-        },
+        else _fields(instance),
         f"no profitable misreport exists for {probe.rule} at this size",
         f"rule {probe.rule!r} admits insincere-ballot manipulation; "
         "prefer approval or partial-order aggregation",
@@ -526,7 +508,7 @@ def _run_loyalty(doc: SimpleNamespace, scenario: SimpleNamespace, state: SimpleN
             return []
         verdict = run(doc.outcomes, tables[first], tables[second])
         if not verdict.aligned or evidence is None:
-            evidence = {"witnesses": [list(w) for w in verdict.witnesses]}
+            evidence = _fields(verdict, "aligned")
         return [_verdict(check, verdict.aligned, evidence, passed, failed)]
 
     # 5a. no-conflict rule: system objective vs aggregated principal interests
@@ -590,12 +572,12 @@ def _run_loyalty(doc: SimpleNamespace, scenario: SimpleNamespace, state: SimpleN
                     FAIL,
                     "bound norm cannot be audited: scenario declares no decision "
                     "profile for the influence model",
-                    {"binding": dict(norm.binding)},
+                    {"binding": norm.binding},
                 )
             )
             continue
         findings += _attempt(
-            label, {"binding": dict(norm.binding)}, lambda: [_information_flow(norm, label, scenario, state)]
+            label, {"binding": norm.binding}, lambda: [_information_flow(norm, label, scenario, state)]
         )
 
     # 5d. attestations and loyalty-duty coverage
@@ -640,11 +622,7 @@ def _information_flow(norm, label: str, scenario: SimpleNamespace, state: Simple
         return _verdict(
             label,
             verdict.passed,
-            {
-                "mutual_information_bits": verdict.mutual_information_bits,
-                "report_node": verdict.report_node,
-                "secret_node": verdict.secret_node,
-            },
+            _fields(verdict, "passed"),
             "report carries no information about the secret",
             "report leaks information about the secret",
         )
@@ -660,13 +638,7 @@ def _information_flow(norm, label: str, scenario: SimpleNamespace, state: Simple
     return _verdict(
         label,
         verdict.passed,
-        {
-            "material": verdict.material,
-            "value_of_information": verdict.value_of_information,
-            "information_bits": verdict.information_bits,
-            "principal_utility": verdict.principal_utility,
-            "silent_baseline": verdict.silent_baseline,
-        },
+        _fields(verdict, "passed", "note"),
         "material information flows and communicating does not hurt "
         "the principal (sufficient conditions only)"
         if verdict.material
@@ -746,12 +718,7 @@ def _care_check(entry: SimpleNamespace) -> Finding:
         return _verdict(
             entry.name,
             not (diagnostic.prior_dominated or diagnostic.degenerate_prior),
-            {
-                "ratio": diagnostic.ratio,
-                "posterior": diagnostic.posterior,
-                "prior_dominated": diagnostic.prior_dominated,
-                "degenerate_prior": diagnostic.degenerate_prior,
-            },
+            _fields(diagnostic, "rationale"),
             "check passed",
             note,
             bad=WARN,
@@ -762,7 +729,7 @@ def _care_check(entry: SimpleNamespace) -> Finding:
         return _verdict(
             entry.name,
             not score.absolute_continuity_violation,
-            {"violating_points": list(score.violating_points)}
+            {"violating_points": score.violating_points}
             if score.absolute_continuity_violation
             else {"kl_nats": score.kl_nats},
             "check passed",

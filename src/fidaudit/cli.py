@@ -9,8 +9,10 @@
 Exit codes from ``check``: 0 pass, 1 warn, 2 fail. A schema error, or any
 other error, also exits 2 with one line on stderr: exit 1 means "warn", so
 no error may end with it. A usage error, such as a missing scenario file,
-a ``--tol`` that is not a finite non-negative number or a negative
-``--seed``, exits 2 with argparse's usage message before any audit runs.
+a ``--report`` path outside an existing directory, a ``--tol`` that is
+not a finite non-negative number or a negative ``--seed``, exits 2 with
+argparse's usage message before any audit runs. ``check`` writes the
+report to ``--report`` first, then to stdout as the same UTF-8 bytes.
 All configuration is flags and the scenario file; no environment
 variables are consulted.
 """
@@ -42,8 +44,10 @@ def _scenario_file(value: str) -> Path:
 
 
 def _report_path(value: str) -> Path:
-    if os.path.isdir(value):
-        raise argparse.ArgumentTypeError(f"{value!r} is a directory")
+    problem = ("is a directory" if os.path.isdir(value)
+               else "is not in an existing directory" if not os.path.isdir(os.path.dirname(value) or os.curdir) else "")
+    if problem:
+        raise argparse.ArgumentTypeError(f"{value!r} {problem}")
     return Path(value)
 
 
@@ -62,10 +66,15 @@ def _non_negative(convert, wanted: str):
 
 def _check(args: argparse.Namespace) -> int:
     report = run_audit(load_scenario(args.scenario_file), tol=args.tol, seed=args.seed)
-    rendered = emit_report(report, args.format)
-    sys.stdout.write(rendered)
-    if args.report is not None:
-        args.report.write_text(rendered, encoding="utf-8")
+    data = emit_report(report, args.format).encode("utf-8")
+    if args.report is not None:  # first, so a failed write prints nothing
+        args.report.write_bytes(data)
+    # stdout gets the same bytes whatever its encoding; a text-only stream (io.StringIO) gets their text
+    sys.stdout.flush()
+    if hasattr(sys.stdout, "buffer"):
+        sys.stdout.buffer.write(data)
+    else:
+        sys.stdout.write(data.decode("utf-8"))
     return EXIT_CODES[report.overall]
 
 

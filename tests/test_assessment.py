@@ -187,7 +187,7 @@ def test_maxent_zero_information_features_keep_theta_zero():
     demos = [((0, 0), (1, 0))]  # s0 right, s1 right
     estimate = maxent_irl(mdp, constant, demos, beta=0.9, learn_rate=0.1, iters=50)
     assert np.allclose(estimate.weights, 0.0)
-    assert estimate.diagnostics["grad_norm"] == pytest.approx(0.0, abs=1e-12)
+    assert estimate.grad_norm == pytest.approx(0.0, abs=1e-12)
 
 
 def test_maxent_recovers_demonstrated_policy():
@@ -255,8 +255,8 @@ def test_maxent_log_likelihood_is_that_of_the_returned_theta(monkeypatch):
         estimate = maxent_irl(mdp, features, demos, beta=0.9, learn_rate=0.1, iters=iters)
         assert len(calls) == evaluations
         expected, _ = demo_log_likelihood(mdp, features, demos, estimate.weights, 0.9)
-        assert estimate.diagnostics["log_likelihood"] == expected
-    assert estimate.diagnostics["grad_norm"] > 0.0
+        assert estimate.log_likelihood == expected
+    assert estimate.grad_norm > 0.0
 
 
 def _einsum_log_likelihood(mdp, dense, demos, theta, beta):
@@ -389,8 +389,8 @@ def test_one_workspace_runs_a_sequence_of_thetas_bit_for_bit():
     for ((mdp, dense, demos), beta), work, theta, grad, (want_theta, _) in zip(fits, works, thetas, grads, oracles):
         fit = maxent_irl(mdp, dense, demos, beta, learn_rate=0.05, iters=6)
         assert theta.tobytes() == fit.weights.tobytes() == want_theta.tobytes()
-        assert math.sqrt(grad @ grad) == fit.diagnostics["grad_norm"] == float(np.linalg.norm(grad))
-        assert work.demo_log_prob() == fit.diagnostics["log_likelihood"]
+        assert math.sqrt(grad @ grad) == fit.grad_norm == float(np.linalg.norm(grad))
+        assert work.demo_log_prob() == fit.log_likelihood
 
 
 def test_mutating_returned_arrays_leaves_later_passes_unchanged():
@@ -432,7 +432,7 @@ def test_mutating_returned_arrays_leaves_later_passes_unchanged():
     later = maxent_irl(mdp, dense, demos, 0.9, learn_rate=0.05, iters=5)
     assert later.weights.tobytes() == again.weights.tobytes()
     assert later.table.tobytes() == again.table.tobytes()
-    assert later.diagnostics == again.diagnostics
+    assert (later.grad_norm, later.log_likelihood) == (again.grad_norm, again.log_likelihood)
 
 
 # Bounds on max |flat - stacked| / max |stacked|, where "stacked" is the
@@ -501,7 +501,7 @@ def test_flat_products_agree_with_the_stacked_products(monkeypatch):
             assert np.array_equal(solved.policy, want_solved.policy)
             assert _within(sample, want_sample, EVALUATION_BOUND)
             assert _within(fit.weights, want_fit.weights, FIT_BOUND)
-            assert _within(fit.diagnostics["grad_norm"], want_fit.diagnostics["grad_norm"], FIT_BOUND)
+            assert _within(fit.grad_norm, want_fit.grad_norm, FIT_BOUND)
             assert np.array_equal(greedy, want_greedy)
             assert list(posterior) == list(want_posterior)
             assert _within(list(posterior.values()), list(want_posterior.values()), POSTERIOR_BOUND)
@@ -528,7 +528,7 @@ def test_maxent_fit_matches_the_einsum_gradient_fit():
         grad_norm = float(np.linalg.norm(grad))
 
         assert float(np.max(np.abs(estimate.weights - theta))) <= 1e-12 * float(np.max(np.abs(theta)))
-        assert abs(estimate.diagnostics["grad_norm"] - grad_norm) <= 1e-12 * grad_norm
+        assert abs(estimate.grad_norm - grad_norm) <= 1e-12 * grad_norm
         greedy = policy_iteration(mdp.with_reward(estimate.table), beta).policy
         assert np.array_equal(greedy, policy_iteration(mdp.with_reward(dense @ theta), beta).policy)
 
@@ -656,7 +656,7 @@ def test_preference_fit_is_within_rounding_of_the_numpy_fit():
         estimate = fit_preference_reward(features, comparisons, learn_rate=0.01, iters=100)
         weights, log_likelihood = numpy_preference_fit(features, comparisons, 0.01, 100)
         assert np.max(np.abs(estimate.weights - weights)) <= 1e-12 * np.max(np.abs(weights))
-        assert abs(estimate.diagnostics["log_likelihood"] - log_likelihood) <= 1e-12 * abs(log_likelihood)
+        assert abs(estimate.log_likelihood - log_likelihood) <= 1e-12 * abs(log_likelihood)
         fits += 1
 
 
