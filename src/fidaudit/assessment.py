@@ -16,7 +16,7 @@ inputs (nothing here trains on-line):
   feature differences, O(iters x nonzero differences), each sum in a
   fixed order; numpy products would agree to the last bits only.
 * ``prudent_investor_weights`` is the legal-standard template: the
-  unconstrained mean-variance optimum.
+  unconstrained mean-variance optimum and its objective.
 
 ``infer_discount`` and ``patient_recommendation`` treat the discount rate
 itself as the quantity of interest: a posterior over a candidate grid, and
@@ -25,9 +25,10 @@ re-solved advice at a higher patience than the fitted one.
 Behavior data comes as indices and dense arrays in MDP order: a policy is
 an (S,) array of action indices, a demo is a sequence of (state index,
 action index) steps, features are an (S, A, d) tensor (``one_hot_states``
-gives the default), and a preference judgment names rows of a (rows, d)
-feature table. Results come back as arrays and indices too; only the
-report names states and actions.
+gives the default), and a preference judgment is a (left, right,
+preferred) triple whose sides name rows of a (rows, d) feature table.
+Results come back as arrays and indices too; only the report names
+states and actions.
 """
 
 from __future__ import annotations
@@ -52,23 +53,6 @@ def one_hot_states(mdp: Mdp) -> np.ndarray:
     return np.repeat(np.eye(n_s)[:, None, :], n_a, axis=1)
 
 
-class PairwiseComparison:
-    """A judgment that one trajectory is preferred over another; each side
-    is a trajectory given as the feature-table rows of its steps, and
-    ``preferred`` is "left" or "right"."""
-
-    __slots__ = ("left", "right", "preferred")
-
-    def __init__(self, left: tuple[int, ...], right: tuple[int, ...], preferred: str) -> None:
-        if preferred not in ("left", "right"):
-            raise ValueError("preferred must be 'left' or 'right'")
-        if not left or not right:
-            raise ValueError("trajectory must be non-empty")
-        if left == right:
-            raise ValueError("comparison sides must differ")
-        self.left, self.right, self.preferred = left, right, preferred
-
-
 # --- feasible reward set (degeneracy made explicit) -----------------------
 
 
@@ -84,14 +68,16 @@ class FeasibleRewardSet:
     each state.
     """
 
-    __slots__ = ("mdp", "chosen", "beta", "bound", "constraint_matrix", "zero_reward_feasible")
+    __slots__ = ("mdp", "chosen", "beta", "bound", "constraint_matrix")
+
+    # R = 0 meets every constraint with equality: the degenerate solution (Ng & Russell 2000)
+    zero_reward_feasible = True
 
     def __init__(
-        self, mdp: Mdp, chosen: np.ndarray, beta: float, bound: float, constraint_matrix: np.ndarray,
-        zero_reward_feasible: bool,
+        self, mdp: Mdp, chosen: np.ndarray, beta: float, bound: float, constraint_matrix: np.ndarray
     ) -> None:
         self.mdp, self.chosen, self.beta, self.bound = mdp, chosen, beta, bound
-        self.constraint_matrix, self.zero_reward_feasible = constraint_matrix, zero_reward_feasible
+        self.constraint_matrix = constraint_matrix
 
     def contains(self, reward: np.ndarray) -> bool:
         r = np.asarray(reward, dtype=float).reshape(-1)
@@ -154,15 +140,7 @@ def feasible_rewards_irl(
     matrix[:, states * n_a + chosen] = (beta * gaps) @ value_of_reward
     matrix[rows, row_state * n_a + chosen[row_state]] += 1.0
     matrix[rows, row_state * n_a + row_action] -= 1.0
-    return FeasibleRewardSet(
-        mdp=mdp,
-        chosen=chosen,
-        beta=beta,
-        bound=bound,
-        constraint_matrix=matrix,
-        # R = 0 meets every constraint with equality: the degenerate solution (Ng & Russell 2000)
-        zero_reward_feasible=True,
-    )
+    return FeasibleRewardSet(mdp=mdp, chosen=chosen, beta=beta, bound=bound, constraint_matrix=matrix)
 
 
 # --- maximum-entropy IRL -----------------------------------------------------
@@ -377,19 +355,21 @@ def maxent_irl(
 
 def fit_preference_reward(
     features: np.ndarray,
-    comparisons: Sequence[PairwiseComparison],
+    comparisons: Sequence[tuple[tuple[int, ...], tuple[int, ...], str]],
     learn_rate: float,
     iters: int,
 ) -> SimpleNamespace:
     """Logistic pairwise-choice fit of linear reward weights: the
     estimate's ``weights`` and the final ``log_likelihood``.
 
-    ``features`` is a (rows, d) table, and each comparison side lists rows
-    of it; over an MDP, step (s, a) is row s * A + a. P(left preferred) is
-    the logistic of the return difference, where a trajectory's return is
-    the sum of its rows dotted with theta. Data in which every pair is
-    feature-identical carries no gradient and is surfaced as a ValueError
-    rather than silently returning theta = 0.
+    ``features`` is a (rows, d) table, and each comparison is a judgment
+    ``(left, right, preferred)``: each side is a non-empty trajectory given
+    as the rows of its steps (over an MDP, step (s, a) is row s * A + a),
+    the two sides differ, and ``preferred`` is "left" or "right". P(left
+    preferred) is the logistic of the return difference, where a
+    trajectory's return is the sum of its rows dotted with theta. Data in
+    which every pair is feature-identical carries no gradient and is
+    surfaced as a ValueError rather than silently returning theta = 0.
 
     Each comparison's difference (the winner's rows summed from 0.0 in
     step order, less the loser's) is kept as its nonzero (feature, value)
@@ -420,10 +400,14 @@ def fit_preference_reward(
 
     diffs = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for comp in comparisons:
-            winner, loser = (
-                (comp.left, comp.right) if comp.preferred == "left" else (comp.right, comp.left)
-            )
+        for left, right, preferred in comparisons:
+            if preferred not in ("left", "right"):
+                raise ValueError("preferred must be 'left' or 'right'")
+            if not left or not right:
+                raise ValueError("trajectory must be non-empty")
+            if left == right:
+                raise ValueError("comparison sides must differ")
+            winner, loser = (left, right) if preferred == "left" else (right, left)
             diffs.append(counts(winner) - counts(loser))
     diff_matrix = np.array(diffs)
     if float(np.max(np.abs(diff_matrix))) < 1e-12:
@@ -538,41 +522,33 @@ def patient_recommendation(mdp: Mdp, beta_fit: float, beta_advice: float) -> Sim
 # --- legal standard: mean-variance template ----------------------------------
 
 
-class PortfolioProblem:
-    """Inputs for the unconstrained mean-variance objective."""
-
-    __slots__ = ("mu", "sigma", "risk_aversion")
-
-    def __init__(self, mu: np.ndarray, sigma: np.ndarray, risk_aversion: float) -> None:
-        mu, sigma = np.asarray(mu, dtype=float), np.asarray(sigma, dtype=float)
-        self.mu, self.sigma, self.risk_aversion = mu, sigma, risk_aversion
-        n = mu.shape[0]
-        if sigma.shape != (n, n):
-            raise ValueError(f"sigma shape {sigma.shape}, expected {(n, n)}")
-        if not np.allclose(sigma, sigma.T, atol=1e-9, rtol=0.0):
-            raise ValueError("sigma must be symmetric")
-        if float(np.linalg.eigvalsh(sigma).min()) < -1e-9:
-            raise ValueError("sigma must be positive semi-definite")
-        if not risk_aversion > 0:
-            raise ValueError("risk_aversion must be positive")
-
-    def objective(self, w: np.ndarray) -> float:
-        w = np.asarray(w, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):  # infinite weights: NaN, a FAIL in the report
-            return float(self.mu @ w - self.risk_aversion * w @ self.sigma @ w)
-
-
-def prudent_investor_weights(problem: PortfolioProblem) -> np.ndarray:
+def prudent_investor_weights(mu: np.ndarray, sigma: np.ndarray, risk_aversion: float) -> SimpleNamespace:
     """Closed-form maximizer of mu'w - lambda w'Sigma w: Sigma^-1 mu / (2 lambda).
 
+    ``sigma`` must be a symmetric positive semi-definite (n, n) matrix for
+    the n entries of ``mu``, and ``risk_aversion`` (lambda) positive.
     Near-singular covariances get a documented ridge (RIDGE_EPSILON on the
     diagonal) before the solve; no normalization or short-selling
-    constraints are applied.
+    constraints are applied. The result's attributes are ``weights`` and
+    ``objective``, the objective at them under the given ``sigma``;
+    infinite weights give a NaN objective, and no warning.
     """
-    sigma = problem.sigma
-    if float(np.linalg.eigvalsh(sigma).min()) <= 1e-9:
-        sigma = sigma + RIDGE_EPSILON * np.eye(sigma.shape[0])
+    mu, sigma = np.asarray(mu, dtype=float), np.asarray(sigma, dtype=float)
+    n = mu.shape[0]
+    if sigma.shape != (n, n):
+        raise ValueError(f"sigma shape {sigma.shape}, expected {(n, n)}")
+    if not np.allclose(sigma, sigma.T, atol=1e-9, rtol=0.0):
+        raise ValueError("sigma must be symmetric")
+    smallest = float(np.linalg.eigvalsh(sigma).min())
+    if smallest < -1e-9:
+        raise ValueError("sigma must be positive semi-definite")
+    if not risk_aversion > 0:
+        raise ValueError("risk_aversion must be positive")
+    ridged = sigma + RIDGE_EPSILON * np.eye(n) if smallest <= 1e-9 else sigma
     try:
-        return np.linalg.solve(sigma, problem.mu) / (2.0 * problem.risk_aversion)
+        weights = np.linalg.solve(ridged, mu) / (2.0 * risk_aversion)
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"covariance not invertible after ridge: {exc}") from exc
+    with np.errstate(over="ignore", invalid="ignore"):
+        objective = float(mu @ weights - risk_aversion * weights @ sigma @ weights)
+    return SimpleNamespace(weights=weights, objective=objective)

@@ -39,8 +39,6 @@ from .aggregation import (
     pareto_front,
 )
 from .assessment import (
-    PairwiseComparison,
-    PortfolioProblem,
     feasible_rewards_irl,
     fit_preference_reward,
     infer_discount,
@@ -51,8 +49,6 @@ from .assessment import (
 )
 from .care import (
     BUILTIN_STANDARDS,
-    BinaryEvidence,
-    DiscreteDistributionPair,
     distribution_shift_score,
     inductive_bias_diagnostic,
     prudence_report,
@@ -262,14 +258,9 @@ def _run_one_method(
     """One assessment method's (check, detail, evidence); every method that runs passes."""
     mdp = scenario.world.mdp
     if method.kind == "prudent_investor":
-        problem = PortfolioProblem(method.mu, method.sigma, method.risk_aversion)
-        weights = prudent_investor_weights(problem)
+        portfolio = prudent_investor_weights(method.mu, method.sigma, method.risk_aversion)
         state.ran.add("prudent_investor_weights")
-        return (
-            "prudent-investor",
-            "mean-variance template solved in closed form",
-            {"weights": weights, "objective": problem.objective(weights)},
-        )
+        return ("prudent-investor", "mean-variance template solved in closed form", _fields(portfolio))
     if method.kind == "discount_inference":
         grid = method.beta_grid
         posterior = infer_discount(
@@ -310,12 +301,10 @@ def _run_one_method(
         if features is None:  # one-hot state features, row s * A + a
             features = one_hot_states(mdp).reshape(-1, len(mdp.states))
         comparisons = [
-            PairwiseComparison(method.trajectories[left], method.trajectories[right], preferred)
+            (method.trajectories[left], method.trajectories[right], preferred)
             for left, right, preferred in method.comparisons
         ]
-        estimate = fit_preference_reward(
-            features, comparisons, method.learn_rate, method.iters
-        )
+        estimate = fit_preference_reward(features, comparisons, method.learn_rate, method.iters)
         return (
             "preference-fit",
             f"pairwise-choice model fitted to {len(comparisons)} judgment(s)",
@@ -705,12 +694,7 @@ def _run_care(doc: SimpleNamespace, scenario: SimpleNamespace, state: SimpleName
 def _care_check(entry: SimpleNamespace) -> Finding:
     if entry.kind == "inductive_bias":
         diagnostic = inductive_bias_diagnostic(
-            BinaryEvidence(
-                entry.prior,
-                entry.likelihood1,
-                entry.likelihood0,
-            ),
-            dominance_threshold=entry.dominance_threshold,
+            entry.prior, entry.likelihood1, entry.likelihood0, dominance_threshold=entry.dominance_threshold
         )
         note = diagnostic.rationale
         if diagnostic.degenerate_prior:
@@ -724,8 +708,7 @@ def _care_check(entry: SimpleNamespace) -> Finding:
             bad=WARN,
         )
     if entry.kind == "distribution_shift":
-        pair = DiscreteDistributionPair(entry.support, entry.train, entry.deploy)
-        score = distribution_shift_score(pair)
+        score = distribution_shift_score(entry.support, entry.train, entry.deploy)
         return _verdict(
             entry.name,
             not score.absolute_continuity_violation,

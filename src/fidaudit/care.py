@@ -35,27 +35,13 @@ PRIOR_DOMINANCE_RATIONALE = (
 )
 
 
-class BinaryEvidence:
-    """Prior and likelihoods for a binary decision: ``likelihood1`` is
-    P(data | h = 1) and ``likelihood0`` is P(data | h = 0)."""
-
-    __slots__ = ("prior", "likelihood1", "likelihood0")
-
-    def __init__(self, prior: float, likelihood1: float, likelihood0: float) -> None:
-        if not 0.0 <= prior <= 1.0:
-            raise ValueError(f"prior must lie in [0, 1], got {prior}")
-        for name, val in (("likelihood1", likelihood1), ("likelihood0", likelihood0)):
-            if not val > 0.0:
-                raise ValueError(f"{name} must be strictly positive, got {val}")
-            if val > 1.0:
-                raise ValueError(f"{name} must be at most 1, got {val}")
-        self.prior, self.likelihood1, self.likelihood0 = prior, likelihood1, likelihood0
-
-
 def inductive_bias_diagnostic(
-    evidence: BinaryEvidence, dominance_threshold: float = DOMINANCE_THRESHOLD
+    prior: float, likelihood1: float, likelihood0: float, dominance_threshold: float = DOMINANCE_THRESHOLD
 ) -> SimpleNamespace:
     """Likelihood ratio, Bayes posterior, and a prior-dominance flag.
+
+    ``prior`` is P(h = 1), in [0, 1]; ``likelihood1`` is P(data | h = 1)
+    and ``likelihood0`` is P(data | h = 0), each in (0, 1].
 
     The flag trips when |ln ratio| falls under ``dominance_threshold``; a
     log-scale band treats ratio r and 1/r symmetrically. A prior of exactly
@@ -64,50 +50,39 @@ def inductive_bias_diagnostic(
     ``prior_dominated``, ``degenerate_prior`` and ``rationale``, empty
     unless the prior dominates.
     """
+    if not 0.0 <= prior <= 1.0:
+        raise ValueError(f"prior must lie in [0, 1], got {prior}")
+    for name, val in (("likelihood1", likelihood1), ("likelihood0", likelihood0)):
+        if not val > 0.0:
+            raise ValueError(f"{name} must be strictly positive, got {val}")
+        if val > 1.0:
+            raise ValueError(f"{name} must be at most 1, got {val}")
     if not dominance_threshold > 0:
         raise ValueError("dominance_threshold must be positive")
-    ratio = evidence.likelihood1 / evidence.likelihood0
+    ratio = likelihood1 / likelihood0
     if ratio == 1.0:
         # equal likelihoods cancel algebraically; keep the prior bit-exact
-        posterior = evidence.prior
+        posterior = prior
     else:
-        numerator = evidence.prior * evidence.likelihood1
-        posterior = numerator / (numerator + (1.0 - evidence.prior) * evidence.likelihood0)
+        numerator = prior * likelihood1
+        posterior = numerator / (numerator + (1.0 - prior) * likelihood0)
     dominated = abs(math.log(ratio)) < dominance_threshold
     return SimpleNamespace(
         ratio=ratio,
         posterior=posterior,
         prior_dominated=dominated,
-        degenerate_prior=evidence.prior in (0.0, 1.0),
+        degenerate_prior=prior in (0.0, 1.0),
         rationale=PRIOR_DOMINANCE_RATIONALE if dominated else "",
     )
 
 
-class DiscreteDistributionPair:
-    """Train and deploy distributions over one declared finite support,
-    each a row of probabilities in ``support`` order."""
-
-    __slots__ = ("support", "train", "deploy")
-
-    def __init__(self, support: tuple[str, ...], train: Sequence[float], deploy: Sequence[float]) -> None:
-        if len(set(support)) != len(support):
-            raise ValueError("support has duplicate points")
-        for name, dist in (("train", train), ("deploy", deploy)):
-            if len(dist) != len(support):
-                raise ValueError(
-                    f"{name} distribution has {len(dist)} entries, expected one per support point ({len(support)})"
-                )
-            for x, p in zip(support, dist):
-                if not p >= 0:
-                    raise ValueError(f"{name} distribution has negative or NaN mass {p} at {x!r}")
-            total = sum(dist)
-            if not abs(total - 1.0) <= 1e-9:
-                raise ValueError(f"{name} distribution sums to {total}")
-        self.support, self.train, self.deploy = support, train, deploy
-
-
-def distribution_shift_score(pair: DiscreteDistributionPair) -> SimpleNamespace:
+def distribution_shift_score(
+    support: Sequence[str], train: Sequence[float], deploy: Sequence[float]
+) -> SimpleNamespace:
     """KL(deploy || train) in nats; non-negative, zero only on equal inputs.
+
+    ``train`` and ``deploy`` are rows of probabilities over ``support``,
+    in its order: one non-negative entry per support point, summing to 1.
 
     This direction penalizes deployment mass in regions the training
     distribution never covered; when that mass sits on a training zero the
@@ -117,11 +92,24 @@ def distribution_shift_score(pair: DiscreteDistributionPair) -> SimpleNamespace:
     and ``violating_points``, the support points of that mass (empty
     without a violation).
     """
-    violating = tuple(x for x, p, q in zip(pair.support, pair.train, pair.deploy) if q > 0.0 and p == 0.0)
+    if len(set(support)) != len(support):
+        raise ValueError("support has duplicate points")
+    for name, dist in (("train", train), ("deploy", deploy)):
+        if len(dist) != len(support):
+            raise ValueError(
+                f"{name} distribution has {len(dist)} entries, expected one per support point ({len(support)})"
+            )
+        for x, p in zip(support, dist):
+            if not p >= 0:
+                raise ValueError(f"{name} distribution has negative or NaN mass {p} at {x!r}")
+        total = sum(dist)
+        if not abs(total - 1.0) <= 1e-9:
+            raise ValueError(f"{name} distribution sums to {total}")
+    violating = tuple(x for x, p, q in zip(support, train, deploy) if q > 0.0 and p == 0.0)
     if violating:
         return SimpleNamespace(kl_nats=None, absolute_continuity_violation=True, violating_points=violating)
     kl = 0.0
-    for p, q in zip(pair.train, pair.deploy):
+    for p, q in zip(train, deploy):
         if q > 0.0:
             kl += q * math.log(q / p)
     # mathematically non-negative; clamp float residue from near-equal inputs

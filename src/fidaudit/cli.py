@@ -13,6 +13,7 @@ a ``--report`` path outside an existing directory, a ``--tol`` that is
 not a finite non-negative number or a negative ``--seed``, exits 2 with
 argparse's usage message before any audit runs. ``check`` writes the
 report to ``--report`` first, then to stdout as the same UTF-8 bytes.
+Every command writes stdout as UTF-8 bytes, whatever its encoding.
 All configuration is flags and the scenario file; no environment
 variables are consulted.
 """
@@ -64,32 +65,35 @@ def _non_negative(convert, wanted: str):
     return parse
 
 
-def _check(args: argparse.Namespace) -> int:
-    report = run_audit(load_scenario(args.scenario_file), tol=args.tol, seed=args.seed)
-    data = emit_report(report, args.format).encode("utf-8")
-    if args.report is not None:  # first, so a failed write prints nothing
-        args.report.write_bytes(data)
-    # stdout gets the same bytes whatever its encoding; a text-only stream (io.StringIO) gets their text
+def _write(text: str) -> None:
+    """``text`` to stdout as its UTF-8 bytes, whatever the stream's
+    encoding; a text-only stream (io.StringIO) gets the text."""
     sys.stdout.flush()
     if hasattr(sys.stdout, "buffer"):
-        sys.stdout.buffer.write(data)
+        sys.stdout.buffer.write(text.encode("utf-8"))
     else:
-        sys.stdout.write(data.decode("utf-8"))
+        sys.stdout.write(text)
+
+
+def _check(args: argparse.Namespace) -> int:
+    report = run_audit(load_scenario(args.scenario_file), tol=args.tol, seed=args.seed)
+    text = emit_report(report, args.format)
+    if args.report is not None:  # first, so a failed write prints nothing
+        args.report.write_bytes(text.encode("utf-8"))
+    _write(text)
     return EXIT_CODES[report.overall]
 
 
 def _validate(args: argparse.Namespace) -> int:
     problems = validate_scenario(read_document(args.scenario_file))
-    for path, message in problems:
-        print(f"{path or '<root>'}: {message}")
-    if not problems:
-        print(f"{args.scenario_file}: valid")
+    lines = [f"{path or '<root>'}: {message}" for path, message in problems] or [f"{args.scenario_file}: valid"]
+    _write("\n".join(lines) + "\n")
     return 2 if problems else 0
 
 
 def _catalog(args: argparse.Namespace) -> int:
     entries = catalog_lookup(args.context_label)
-    print(args.context_label + ("  [proposed context, not yet determined by law]" if entries[0].speculative else ""))
+    lines = [args.context_label + ("  [proposed context, not yet determined by law]" if entries[0].speculative else "")]
     for entry in entries:
         flags = []
         if entry.information_flow:
@@ -97,8 +101,9 @@ def _catalog(args: argparse.Namespace) -> int:
         if entry.area:
             flags.append(f"area: {entry.area}")
         suffix = f"  ({', '.join(flags)})" if flags else ""
-        print(f"  [{entry.kind:^7}] {entry.duty}{suffix}")
-        print(f"            key: {entry.key}  binding: {entry.binding}")
+        lines.append(f"  [{entry.kind:^7}] {entry.duty}{suffix}")
+        lines.append(f"            key: {entry.key}  binding: {entry.binding}")
+    _write("\n".join(lines) + "\n")
     return 0
 
 

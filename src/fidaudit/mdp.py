@@ -5,9 +5,8 @@ Bellman sweeps find a candidate policy, and rounds of Howard improvement
 over exact evaluations certify it (modified policy iteration), with
 MAX_ITERS_CAP on the evaluations and on the sweeps; ``solve_exact`` turns
 a capped solve into a ValueError and solves each model and beta once.
-Also value iteration with recorded contraction gaps (the contraction
-oracle, and the solver's sweeps), exact policy evaluation by linear
-solve, exponential and hyperbolic discount curves, and detection of
+Also value iteration (the solver's sweeps), exact policy evaluation by
+linear solve, exponential and hyperbolic discount curves, and detection of
 preference reversals between a smaller-sooner and a larger-later reward.
 
 Conventions: everything is an array in MDP order. Rewards are an (S, A)
@@ -149,8 +148,6 @@ def discount_weight(spec: DiscountSpec, t: int) -> float:
 class ValueFunction(NamedTuple):
     """Solver output: V as an (S,) array and the companion (S, A) Q array.
 
-    ``gap_history`` records the sup-norm differences between successive
-    value-iteration sweeps (used to verify the contraction bound);
     ``converged`` is False when the iteration cap was hit, in which case
     the partial result is still returned.
     """
@@ -159,7 +156,6 @@ class ValueFunction(NamedTuple):
     q: np.ndarray
     iterations: int
     converged: bool
-    gap_history: tuple[float, ...] = ()
 
     @property
     def policy(self) -> np.ndarray:
@@ -206,9 +202,8 @@ def value_iteration(
     Sweeps from ``start`` (zeros by default) and stops once successive
     sweeps differ by at most ``tol`` in sup norm, which bounds the Bellman
     residual of the returned V by beta * tol. Iterate gaps contract at
-    rate beta; the recorded history lets callers check that. If
-    ``max_iters`` sweeps pass first, the partial result is returned with
-    ``converged=False``.
+    rate beta. If ``max_iters`` sweeps pass first, the partial result is
+    returned with ``converged=False``.
     """
     _check_beta(beta)
     if not tol > 0:
@@ -216,17 +211,15 @@ def value_iteration(
     if max_iters is None:
         max_iters = default_max_iters(beta, tol)
     v = np.zeros(len(mdp.states)) if start is None else np.asarray(start, dtype=float)
-    gaps: list[float] = []
     for it in range(1, max_iters + 1):
         q = mdp.reward + beta * _expected_next(mdp, v)
         v_next = _fold_actions(np.maximum, q)
         gap = float(np.max(np.abs(v_next - v)))
-        gaps.append(gap)
         v = v_next
         if gap <= tol:
-            return ValueFunction(v, q, it, True, tuple(gaps))
+            return ValueFunction(v, q, it, True)
     q = mdp.reward + beta * _expected_next(mdp, v)
-    return ValueFunction(v, q, max_iters, False, tuple(gaps))
+    return ValueFunction(v, q, max_iters, False)
 
 
 def _evaluate(mdp: Mdp, action_idx: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:

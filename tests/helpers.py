@@ -13,7 +13,7 @@ from fidaudit import __version__
 from fidaudit.audit import DISCLAIMER, RUBRIC, TOOL_NAME
 from fidaudit.cli import main
 from fidaudit.macid import Macid, Node, NodeKind, deterministic_rule
-from fidaudit.mdp import Mdp
+from fidaudit.mdp import Mdp, default_max_iters, value_iteration
 
 
 def match_table(domain=("0", "1")):
@@ -185,6 +185,23 @@ def delayed_reward_chain(n_states):
     return Mdp(tuple(f"s{i}" for i in range(n_states)), ("wait", "take"), transition, reward)
 
 
+def contraction_gaps(mdp, beta, tol=1e-9):
+    """Value iteration from zeros one sweep at a time, each sweep a call
+    of ``value_iteration(mdp, beta, tol, max_iters=1, start=v)``: the
+    sup-norm gaps between successive sweeps, for checking the contraction
+    bound, and the last sweep's values. It stops where ``value_iteration``
+    does, at a gap of at most ``tol`` or after its default budget."""
+    v = np.zeros(len(mdp.states))
+    gaps = []
+    for _ in range(default_max_iters(beta, tol)):
+        sweep = value_iteration(mdp, beta, tol, max_iters=1, start=v)
+        gaps.append(float(np.max(np.abs(sweep.values - v))))
+        v = sweep.values
+        if sweep.converged:
+            break
+    return gaps, v
+
+
 def stacked_expected_next(mdp, v):
     """E[V](s, a) as the stacked (S, A, S) @ (S,) product, which numpy runs
     as S small (A, S) products: the reference that ``mdp._expected_next``'s
@@ -295,8 +312,8 @@ def numpy_preference_fit(features, comparisons, learn_rate, iters):
 
     diff_matrix = np.array(
         [
-            counts(c.left) - counts(c.right) if c.preferred == "left" else counts(c.right) - counts(c.left)
-            for c in comparisons
+            counts(left) - counts(right) if preferred == "left" else counts(right) - counts(left)
+            for left, right, preferred in comparisons
         ]
     )
     theta = np.zeros(table.shape[1])
@@ -304,6 +321,12 @@ def numpy_preference_fit(features, comparisons, learn_rate, iters):
         slack = _sigmoid(-(diff_matrix @ theta))
         theta = theta + learn_rate * (diff_matrix.T @ slack)
     return theta, float(np.sum(_log_sigmoid(diff_matrix @ theta)))
+
+
+def mean_variance_objective(mu, sigma, risk_aversion, w):
+    """mu'w - lambda w'Sigma w, the objective ``prudent_investor_weights``
+    maximizes, evaluated at ``w``."""
+    return float(mu @ w - risk_aversion * w @ sigma @ w)
 
 
 def _sigmoid(x):

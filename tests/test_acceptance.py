@@ -18,8 +18,6 @@ import numpy as np
 
 from fidaudit.aggregation import VotingRule, find_manipulation, pareto_front, _winner
 from fidaudit.assessment import (
-    PairwiseComparison,
-    PortfolioProblem,
     demo_log_likelihood,
     feasible_rewards_irl,
     fit_preference_reward,
@@ -29,7 +27,7 @@ from fidaudit.assessment import (
     prudent_investor_weights,
 )
 from fidaudit.audit import emit_report, run_audit
-from fidaudit.care import BinaryEvidence, inductive_bias_diagnostic
+from fidaudit.care import inductive_bias_diagnostic
 from fidaudit.loyalty import alignment_check, disgorgement_check
 from fidaudit.macid import (
     enumerate_deterministic_rules,
@@ -49,7 +47,7 @@ from fidaudit.mdp import (
 )
 from fidaudit.scenario import load_scenario
 
-from helpers import guess_model, run_cli, xor_model
+from helpers import contraction_gaps, guess_model, mean_variance_objective, run_cli, xor_model
 from test_assessment import chain_walk_mdp, timing_choice_mdp
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
@@ -98,7 +96,9 @@ def test_criterion_02_bellman_contraction():
         n_actions = int(rng.integers(2, 4))
         beta = float(rng.uniform(0.2, 0.97))
         mdp = random_mdp(rng, n_states, n_actions)
-        gaps = value_iteration(mdp, beta).gap_history
+        result = value_iteration(mdp, beta)
+        gaps, values = contraction_gaps(mdp, beta)
+        assert (len(gaps), values.tobytes()) == (result.iterations, result.values.tobytes())
         for previous, current in zip(gaps, gaps[1:]):
             assert current <= beta * previous + 1e-12
         runs += 1
@@ -155,6 +155,7 @@ def test_criterion_04_irl_policy_equivalence_and_zero_feasibility():
 
     chain_set = feasible_rewards_irl(mdp, demonstrated, beta=0.9, bound=1.0)
     assert chain_set.zero_reward_feasible
+    assert chain_set.contains(np.zeros(len(mdp.states) * len(mdp.actions)))
 
     rng = np.random.default_rng(404)
     instances = 1
@@ -185,7 +186,7 @@ def test_criterion_05_preference_fit_kendall_tau():
     for _ in range(200):
         i, j = rng.choice(10, size=2, replace=False)
         preferred = "left" if true_returns[i] > true_returns[j] else "right"
-        comparisons.append(PairwiseComparison(trajectories[i], trajectories[j], preferred))
+        comparisons.append((trajectories[i], trajectories[j], preferred))
     estimate = fit_preference_reward(features, comparisons, learn_rate=0.1, iters=500)
     fitted_returns = [trajectory_return(estimate.weights, t) for t in trajectories]
     concordant = discordant = 0
@@ -354,19 +355,20 @@ def test_criterion_11_information_flow_oracles():
 
 
 def test_criterion_12_prudent_investor_closed_form():
-    problem = PortfolioProblem(np.array([0.1, 0.2]), np.diag([0.04, 0.04]), 1.0)
-    weights = prudent_investor_weights(problem)
-    assert np.all(np.abs(weights - np.array([1.25, 2.5])) <= 1e-6)
+    mu, sigma = np.array([0.1, 0.2]), np.diag([0.04, 0.04])
+    portfolio = prudent_investor_weights(mu, sigma, 1.0)
+    assert np.all(np.abs(portfolio.weights - np.array([1.25, 2.5])) <= 1e-6)
     grid = np.linspace(-5.0, 5.0, 201)
-    best_grid = max(problem.objective(np.array([x, y])) for x in grid for y in grid)
-    closed = problem.objective(weights)
+    best_grid = max(mean_variance_objective(mu, sigma, 1.0, np.array([x, y])) for x in grid for y in grid)
+    closed = portfolio.objective
+    assert closed == mean_variance_objective(mu, sigma, 1.0, portfolio.weights)
     assert closed >= best_grid - 1e-12
     assert closed - best_grid <= 1e-3
     report_line(12, "prudent-investor-closed-form", f"objective gap {closed - best_grid:.2e}")
 
 
 def test_criterion_13_inductive_bias_diagnostic():
-    unit = inductive_bias_diagnostic(BinaryEvidence(0.31, 0.6, 0.6))
+    unit = inductive_bias_diagnostic(0.31, 0.6, 0.6)
     assert unit.posterior == 0.31  # exact
     assert unit.prior_dominated
     rng = np.random.default_rng(1313)
@@ -374,7 +376,7 @@ def test_criterion_13_inductive_bias_diagnostic():
         prior = float(rng.uniform(0.0, 1.0))
         l1 = float(rng.uniform(0.01, 1.0))
         l0 = float(rng.uniform(0.01, 1.0))
-        got = inductive_bias_diagnostic(BinaryEvidence(prior, l1, l0)).posterior
+        got = inductive_bias_diagnostic(prior, l1, l0).posterior
         brute = (prior * l1) / (prior * l1 + (1 - prior) * l0)
         assert abs(got - brute) <= 1e-12
     report_line(13, "inductive-bias-diagnostic", "unit ratio exact; 500 Bayes checks within 1e-12")

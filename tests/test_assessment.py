@@ -9,8 +9,6 @@ import pytest
 from fidaudit import assessment
 from fidaudit.assessment import (
     FeasibleRewardSet,
-    PairwiseComparison,
-    PortfolioProblem,
     _slack,
     demo_log_likelihood,
     feasible_rewards_irl,
@@ -27,6 +25,7 @@ from helpers import (
     _sigmoid,
     looped_feasible_constraints,
     looped_feasible_sample,
+    mean_variance_objective,
     numpy_log_likelihood,
     numpy_preference_fit,
     stacked_expected_next,
@@ -126,9 +125,7 @@ def test_constraint_matrix_is_within_rounding_of_the_row_loop():
             want = looped_feasible_constraints(mdp, policy, beta)
             assert feasible.constraint_matrix.shape == want.shape == (n_states * (n_actions - 1), n_states * n_actions)
             assert float(np.max(np.abs(feasible.constraint_matrix - want), initial=0.0)) <= 1e-12
-            looped = FeasibleRewardSet(
-                feasible.mdp, feasible.chosen, feasible.beta, feasible.bound, want, feasible.zero_reward_feasible
-            )
+            looped = FeasibleRewardSet(feasible.mdp, feasible.chosen, feasible.beta, feasible.bound, want)
             rewards = [feasible.sample(draw) for _ in range(5)]
             rewards += [draw.uniform(-1.0, 1.0, size=(n_states, n_actions)) for _ in range(5)]
             assert all(feasible.contains(r) for r in rewards[:5])
@@ -639,7 +636,7 @@ def _random_comparisons(rng, rows):
         left = tuple(int(r) for r in rng.integers(0, rows, size=int(rng.integers(1, 4))))
         right = tuple(int(r) for r in rng.integers(0, rows, size=int(rng.integers(1, 4))))
         if left != right:
-            comparisons.append(PairwiseComparison(left, right, "left" if rng.random() < 0.5 else "right"))
+            comparisons.append((left, right, "left" if rng.random() < 0.5 else "right"))
     return comparisons
 
 
@@ -665,8 +662,8 @@ def _dense_sequential_fit(features, comparisons, learn_rate, iters):
     ascending feature order for a margin and in comparison order for a
     gradient, and every feature stepped."""
     diffs = []
-    for c in comparisons:
-        winner, loser = (c.left, c.right) if c.preferred == "left" else (c.right, c.left)
+    for left, right, preferred in comparisons:
+        winner, loser = (left, right) if preferred == "left" else (right, left)
         diffs.append((sum((features[r] for r in winner), np.zeros(features.shape[1]))
                       - sum((features[r] for r in loser), np.zeros(features.shape[1]))).tolist())
     theta = [0.0] * features.shape[1]
@@ -707,9 +704,7 @@ def test_preference_fit_equals_a_dense_sequential_loop_bit_for_bit():
 def test_single_separable_comparison():
     features = np.array([[1.0], [0.0]])  # rows a and b
     left, right = (0, 0), (1,)
-    estimate = fit_preference_reward(
-        features, [PairwiseComparison(left, right, "left")], learn_rate=0.5, iters=100
-    )
+    estimate = fit_preference_reward(features, [(left, right, "left")], learn_rate=0.5, iters=100)
     assert _return(features, estimate.weights, left) > _return(features, estimate.weights, right)
 
 
@@ -725,7 +720,7 @@ def test_noiseless_comparisons_recover_full_ranking(rng):
     for _ in range(200):
         i, j = rng.choice(10, size=2, replace=False)
         preferred = "left" if true_returns[i] > true_returns[j] else "right"
-        comparisons.append(PairwiseComparison(trajectories[i], trajectories[j], preferred))
+        comparisons.append((trajectories[i], trajectories[j], preferred))
     estimate = fit_preference_reward(features, comparisons, learn_rate=0.1, iters=500)
     fitted_returns = [_return(features, estimate.weights, t) for t in trajectories]
     true_order = sorted(range(10), key=lambda k: true_returns[k])
@@ -737,9 +732,7 @@ def test_feature_identical_pair_is_degenerate():
     features = np.array([[1.0, 2.0], [1.0, 2.0]])
     left, right = (0,), (1,)
     with pytest.raises(ValueError, match="every comparison is feature-identical; gradient is zero"):
-        fit_preference_reward(
-            features, [PairwiseComparison(left, right, "left")], learn_rate=0.1, iters=10
-        )
+        fit_preference_reward(features, [(left, right, "left")], learn_rate=0.1, iters=10)
 
 
 @pytest.mark.parametrize(
@@ -758,7 +751,7 @@ def test_feature_identical_pair_is_degenerate():
 )
 def test_preference_fit_rejects_a_bad_table_or_comparison(features, left, right, message):
     with pytest.raises(ValueError, match=message):
-        fit_preference_reward(features, [PairwiseComparison(left, right, "left")], learn_rate=0.1, iters=10)
+        fit_preference_reward(features, [(left, right, "left")], learn_rate=0.1, iters=10)
 
 
 # --- infer_discount ------------------------------------------------------------
@@ -941,35 +934,33 @@ def test_patiences_validated():
 
 
 def test_zero_mean_zero_position():
-    problem = PortfolioProblem(np.zeros(3), np.eye(3) * 0.1, 1.0)
-    assert np.allclose(prudent_investor_weights(problem), 0.0)
+    assert np.allclose(prudent_investor_weights(np.zeros(3), np.eye(3) * 0.1, 1.0).weights, 0.0)
 
 
 def test_diagonal_closed_form_fixture():
-    problem = PortfolioProblem(np.array([0.1, 0.2]), np.diag([0.04, 0.04]), 1.0)
-    weights = prudent_investor_weights(problem)
+    weights = prudent_investor_weights(np.array([0.1, 0.2]), np.diag([0.04, 0.04]), 1.0).weights
     assert weights == pytest.approx([1.25, 2.5], abs=1e-9)
 
 
 def test_symmetric_assets_equal_weights():
     sigma = np.array([[0.05, 0.0], [0.0, 0.05]])
-    problem = PortfolioProblem(np.array([0.1, 0.1]), sigma, 2.0)
-    weights = prudent_investor_weights(problem)
+    weights = prudent_investor_weights(np.array([0.1, 0.1]), sigma, 2.0).weights
     assert weights[0] == pytest.approx(weights[1])
 
 
 def test_closed_form_beats_grid_search():
-    problem = PortfolioProblem(np.array([0.1, 0.2]), np.diag([0.04, 0.04]), 1.0)
-    weights = prudent_investor_weights(problem)
+    mu, sigma = np.array([0.1, 0.2]), np.diag([0.04, 0.04])
+    portfolio = prudent_investor_weights(mu, sigma, 1.0)
     grid = np.linspace(-5.0, 5.0, 101)
-    best = max(problem.objective(np.array([x, y])) for x in grid for y in grid)
-    closed = problem.objective(weights)
+    best = max(mean_variance_objective(mu, sigma, 1.0, np.array([x, y])) for x in grid for y in grid)
+    closed = portfolio.objective
+    assert closed == mean_variance_objective(mu, sigma, 1.0, portfolio.weights)
     assert closed >= best - 1e-12
     assert closed - best <= 1e-3
 
 
 def test_portfolio_validation():
     with pytest.raises(ValueError):
-        PortfolioProblem(np.array([0.1, 0.2]), np.array([[0.04, 0.1], [0.0, 0.04]]), 1.0)
+        prudent_investor_weights(np.array([0.1, 0.2]), np.array([[0.04, 0.1], [0.0, 0.04]]), 1.0)
     with pytest.raises(ValueError):
-        PortfolioProblem(np.array([0.1]), np.array([[-0.5]]), 1.0)
+        prudent_investor_weights(np.array([0.1]), np.array([[-0.5]]), 1.0)

@@ -15,7 +15,6 @@ import pytest
 from fidaudit import audit
 from fidaudit import mdp as mdp_module
 from fidaudit.assessment import (
-    PairwiseComparison,
     fit_preference_reward,
     infer_discount,
     maxent_irl,
@@ -297,6 +296,56 @@ def test_rejected_value_is_a_failure_of_that_check(mutate, step, check):
     assert checks[check].evidence["error"] == checks[check].detail
 
 
+@pytest.mark.parametrize(
+    "scenario, path, value, step, check, kind, error",
+    [
+        (
+            "disclosure_demo", ("assessment", "methods", 0, "sigma"), [[0.04, 0.02], [0.0, 0.04]],
+            "assessment", "method[0]", "prudent_investor", "sigma must be symmetric",
+        ),
+        (
+            "disclosure_demo", ("assessment", "methods", 0, "sigma"), [[-0.5, 0.0], [0.0, 0.04]],
+            "assessment", "method[0]", "prudent_investor", "sigma must be positive semi-definite",
+        ),
+        (
+            "disclosure_demo", ("assessment", "methods", 0, "risk_aversion"), 0,
+            "assessment", "method[0]", "prudent_investor", "risk_aversion must be positive",
+        ),
+        (
+            "engagement_prior_warn", ("assessment", "methods", 0, "trajectories"), [[0], [], [2]],
+            "assessment", "method[0]", "preference_fit", "trajectory must be non-empty",
+        ),
+        (
+            "engagement_prior_warn", ("assessment", "methods", 0, "trajectories"), [[0], [0], [2]],
+            "assessment", "method[0]", "preference_fit", "comparison sides must differ",
+        ),
+        (
+            "engagement_prior_warn", ("care", "checks", 0, "likelihood1"), 0,
+            "care", "engagement-proxy-bias", None, "likelihood1 must be strictly positive, got 0.0",
+        ),
+        (
+            "engagement_prior_warn", ("care", "checks", 0, "prior"), 1.5,
+            "care", "engagement-proxy-bias", None, "prior must lie in [0, 1], got 1.5",
+        ),
+        (
+            "disclosure_demo", ("care", "checks", 1, "train"), [0.6, 0.6],
+            "care", "train-deploy-shift", None, "train distribution sums to 1.2",
+        ),
+    ],
+)
+def test_a_kernel_rejecting_a_read_value_fails_its_check_with_the_message(
+    scenario, path, value, step, check, kind, error
+):
+    raw = raw_scenario(f"{scenario}.json")
+    section = raw
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = value
+    record = next(s for s in run_audit(parse_scenario(raw)).steps if s.step == step)
+    evidence = {"error": error} if kind is None else {"kind": kind, "error": error}
+    assert [f for f in record.findings if f.check == check] == [Finding(check, "fail", error, evidence)]
+
+
 def step_findings(raw, step):
     """The findings of one step of the audit of ``raw``, and its status."""
     record = next(s for s in run_audit(parse_scenario(raw)).steps if s.step == step)
@@ -367,7 +416,7 @@ def test_preference_fit_over_the_world_mdp_uses_one_hot_state_features():
     )
     mdp = parse_scenario(raw).world.mdp
     rows = [tuple(i * len(mdp.actions) + j for i, j in t) for t in steps]  # step (s, a) is row s * A + a
-    comparisons = [PairwiseComparison(rows[left], rows[right], side) for left, right, side in judged]
+    comparisons = [(rows[left], rows[right], side) for left, right, side in judged]
     want = fit_preference_reward(one_hot_states(mdp).reshape(-1, len(mdp.states)), comparisons, 0.2, 50)
     _, findings = step_findings(raw, "assessment")
     assert findings[5].check == "preference-fit" and findings[5].status == "pass"
@@ -841,6 +890,26 @@ def test_the_report_goes_to_an_ascii_stdout_as_its_utf8_bytes(tmp_path):
     assert result.returncode == 1, result.stderr
     assert result.stdout == report.read_bytes()
     assert "\u2014".encode("utf-8") in result.stdout
+
+
+def test_validate_writes_to_an_ascii_stdout_as_utf8_bytes(tmp_path):
+    def validate(path):
+        return _fresh_interpreter("-m", "fidaudit.cli", "validate", str(path), env={"PYTHONIOENCODING": "ascii"}, text=False)
+
+    valid = tmp_path / "café.json"
+    valid.write_text((SCENARIOS / "disclosure_demo.json").read_text())
+    result = validate(valid)
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert result.stdout == f"{valid}: valid\n".encode("utf-8")
+
+    raw = raw_scenario("disclosure_demo.json")
+    raw["context"]["norms"][0]["binding"]["report_node"] = "Zé"
+    invalid = tmp_path / "invalid.json"
+    invalid.write_text(json.dumps(raw))
+    result = validate(invalid)
+    assert (result.returncode, result.stderr) == (2, b"")
+    problem = "context.norms[0].binding.report_node: node 'Zé' not declared in world.macid\n"
+    assert result.stdout == problem.encode("utf-8")
 
 
 def test_importing_the_cli_loads_no_third_party_module_but_numpy():

@@ -3,8 +3,6 @@ import math
 import pytest
 
 from fidaudit.care import (
-    BinaryEvidence,
-    DiscreteDistributionPair,
     distribution_shift_score,
     inductive_bias_diagnostic,
     prudence_report,
@@ -16,7 +14,7 @@ from fidaudit.findings import Finding, worst
 
 
 def test_unit_ratio_posterior_equals_prior():
-    report = inductive_bias_diagnostic(BinaryEvidence(0.37, 0.4, 0.4))
+    report = inductive_bias_diagnostic(0.37, 0.4, 0.4)
     assert report.ratio == 1.0
     assert report.posterior == 0.37
     assert report.prior_dominated
@@ -24,7 +22,7 @@ def test_unit_ratio_posterior_equals_prior():
 
 
 def test_strong_evidence_not_dominated():
-    report = inductive_bias_diagnostic(BinaryEvidence(0.5, 0.9, 0.1))
+    report = inductive_bias_diagnostic(0.5, 0.9, 0.1)
     assert report.ratio == pytest.approx(9.0)
     # Bayes arithmetic: 0.5*0.9 / (0.5*0.9 + 0.5*0.1)
     assert report.posterior == pytest.approx(0.9)
@@ -33,18 +31,18 @@ def test_strong_evidence_not_dominated():
 
 
 def test_degenerate_prior_flagged():
-    report = inductive_bias_diagnostic(BinaryEvidence(1.0, 0.2, 0.8))
+    report = inductive_bias_diagnostic(1.0, 0.2, 0.8)
     assert report.posterior == 1.0
     assert report.degenerate_prior
 
 
 def test_zero_likelihood_rejected():
     with pytest.raises(ValueError, match=r"likelihood1 must be strictly positive, got 0\.0"):
-        BinaryEvidence(0.5, 0.0, 0.5)
+        inductive_bias_diagnostic(0.5, 0.0, 0.5)
     with pytest.raises(ValueError, match=r"likelihood1 must be strictly positive, got nan"):
-        BinaryEvidence(0.5, math.nan, 0.5)
+        inductive_bias_diagnostic(0.5, math.nan, 0.5)
     with pytest.raises(ValueError, match=r"prior must lie in \[0, 1\], got nan"):
-        BinaryEvidence(math.nan, 0.5, 0.5)
+        inductive_bias_diagnostic(math.nan, 0.5, 0.5)
 
 
 def test_posterior_matches_brute_force_bayes(rng):
@@ -52,7 +50,7 @@ def test_posterior_matches_brute_force_bayes(rng):
         prior = float(rng.uniform(0.0, 1.0))
         l1 = float(rng.uniform(0.01, 1.0))
         l0 = float(rng.uniform(0.01, 1.0))
-        report = inductive_bias_diagnostic(BinaryEvidence(prior, l1, l0))
+        report = inductive_bias_diagnostic(prior, l1, l0)
         joint1 = prior * l1
         joint0 = (1.0 - prior) * l0
         assert report.posterior == pytest.approx(joint1 / (joint1 + joint0), abs=1e-12)
@@ -60,8 +58,8 @@ def test_posterior_matches_brute_force_bayes(rng):
 
 
 def test_dominance_threshold_is_log_symmetric():
-    wide = inductive_bias_diagnostic(BinaryEvidence(0.5, 0.5, 0.52), dominance_threshold=0.1)
-    mirrored = inductive_bias_diagnostic(BinaryEvidence(0.5, 0.52, 0.5), dominance_threshold=0.1)
+    wide = inductive_bias_diagnostic(0.5, 0.5, 0.52, dominance_threshold=0.1)
+    mirrored = inductive_bias_diagnostic(0.5, 0.52, 0.5, dominance_threshold=0.1)
     assert wide.prior_dominated and mirrored.prior_dominated
 
 
@@ -69,23 +67,20 @@ def test_dominance_threshold_is_log_symmetric():
 
 
 def test_identical_distributions_zero():
-    pair = DiscreteDistributionPair(("a", "b"), (0.4, 0.6), (0.4, 0.6))
-    score = distribution_shift_score(pair)
+    score = distribution_shift_score(("a", "b"), (0.4, 0.6), (0.4, 0.6))
     assert score.kl_nats == 0.0
     assert not score.absolute_continuity_violation
 
 
 def test_uniform_vs_skewed_formula():
-    pair = DiscreteDistributionPair(("a", "b"), (0.9, 0.1), (0.5, 0.5))
-    score = distribution_shift_score(pair)
+    score = distribution_shift_score(("a", "b"), (0.9, 0.1), (0.5, 0.5))
     expected = 0.5 * math.log(0.5 / 0.9) + 0.5 * math.log(0.5 / 0.1)
     assert score.kl_nats == pytest.approx(expected)
     assert score.kl_nats == pytest.approx(0.5108, abs=1e-4)
 
 
 def test_absolute_continuity_violation_reported():
-    pair = DiscreteDistributionPair(("a", "b"), (1.0, 0.0), (0.5, 0.5))
-    score = distribution_shift_score(pair)
+    score = distribution_shift_score(("a", "b"), (1.0, 0.0), (0.5, 0.5))
     assert score.absolute_continuity_violation
     assert score.kl_nats is None
     assert score.violating_points == ("b",)
@@ -94,13 +89,13 @@ def test_absolute_continuity_violation_reported():
 def test_support_mismatch_rejected():
     # each distribution is a row with one entry per support point, in support order
     with pytest.raises(ValueError, match=r"train distribution has 1 entries, expected one per support point \(2\)"):
-        DiscreteDistributionPair(("a", "b"), (1.0,), (0.5, 0.5))
+        distribution_shift_score(("a", "b"), (1.0,), (0.5, 0.5))
     with pytest.raises(ValueError, match=r"deploy distribution has 3 entries, expected one per support point \(2\)"):
-        DiscreteDistributionPair(("a", "b"), (0.5, 0.5), (0.5, 0.25, 0.25))
+        distribution_shift_score(("a", "b"), (0.5, 0.5), (0.5, 0.25, 0.25))
     with pytest.raises(ValueError, match="deploy distribution has negative or NaN mass nan at 'b'"):
-        DiscreteDistributionPair(("a", "b"), (0.5, 0.5), (1.0, math.nan))
+        distribution_shift_score(("a", "b"), (0.5, 0.5), (1.0, math.nan))
     with pytest.raises(ValueError, match="train distribution has negative or NaN mass -0.5 at 'b'"):
-        DiscreteDistributionPair(("a", "b"), (1.5, -0.5), (0.5, 0.5))
+        distribution_shift_score(("a", "b"), (1.5, -0.5), (0.5, 0.5))
 
 
 def test_kl_nonnegative_and_asymmetric(rng):
@@ -110,8 +105,8 @@ def test_kl_nonnegative_and_asymmetric(rng):
         raw /= raw.sum(axis=1, keepdims=True)
         support = ("x", "y", "z")
         train, deploy = raw.tolist()
-        forward = distribution_shift_score(DiscreteDistributionPair(support, train, deploy))
-        backward = distribution_shift_score(DiscreteDistributionPair(support, deploy, train))
+        forward = distribution_shift_score(support, train, deploy)
+        backward = distribution_shift_score(support, deploy, train)
         assert forward.kl_nats >= 0.0
         if abs(forward.kl_nats - backward.kl_nats) > 1e-9:
             asymmetric_found = True

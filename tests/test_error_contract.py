@@ -19,8 +19,8 @@ import pytest
 
 import fidaudit
 from fidaudit.aggregation import impartiality_check
-from fidaudit.assessment import PortfolioProblem, feasible_rewards_irl, infer_discount
-from fidaudit.care import BinaryEvidence, inductive_bias_diagnostic
+from fidaudit.assessment import feasible_rewards_irl, infer_discount, prudent_investor_weights
+from fidaudit.care import inductive_bias_diagnostic
 from fidaudit.mdp import DiscountSpec, RewardOption, detect_preference_reversal, value_iteration
 
 from test_assessment import chain_walk_mdp
@@ -98,10 +98,10 @@ BEHAVIOR = np.zeros(4, dtype=int)  # "right" in each state of the chain walk
     [
         (lambda: infer_discount(chain_walk_mdp(), BEHAVIOR, [0.5, 0.9], [NAN, 1.0]), "prior has negative or NaN"),
         (lambda: infer_discount(chain_walk_mdp(), BEHAVIOR, [0.5], [1.0], temperature=NAN), "temperature must be"),
-        (lambda: PortfolioProblem([1.0], [[1.0]], NAN), "risk_aversion must be positive"),
+        (lambda: prudent_investor_weights([1.0], [[1.0]], NAN), "risk_aversion must be positive"),
         (lambda: feasible_rewards_irl(chain_walk_mdp(), BEHAVIOR, 0.9, NAN), "bound must be positive"),
         (lambda: DiscountSpec("hyperbolic", k=NAN), "hyperbolic discount needs k > 0, got nan"),
-        (lambda: inductive_bias_diagnostic(BinaryEvidence(0.5, 0.5, 0.5), NAN), "dominance_threshold must be"),
+        (lambda: inductive_bias_diagnostic(0.5, 0.5, 0.5, NAN), "dominance_threshold must be"),
         (lambda: value_iteration(chain_walk_mdp(), 0.9, tol=NAN), "tol must be positive"),
         (lambda: impartiality_check({"p": 0.9, "agent": 0.0}, "agent", cap=NAN), "favoritism cap is negative or"),
         (

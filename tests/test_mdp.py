@@ -20,7 +20,7 @@ from fidaudit.mdp import (
     solve_exact,
     value_iteration,
 )
-from helpers import delayed_reward_chain, stacked_expected_next
+from helpers import contraction_gaps, delayed_reward_chain, stacked_expected_next
 
 
 def single_state_mdp(rewards):
@@ -92,7 +92,8 @@ def test_contraction_bound_on_random_mdps(rng):
         mdp = random_mdp(rng, 4, 3)
         beta = float(rng.uniform(0.3, 0.95))
         result = value_iteration(mdp, beta)
-        gaps = result.gap_history
+        gaps, values = contraction_gaps(mdp, beta)
+        assert (len(gaps), values.tobytes()) == (result.iterations, result.values.tobytes())
         for previous, current in zip(gaps, gaps[1:]):
             assert current <= beta * previous + 1e-12
 

@@ -80,7 +80,7 @@ def test_keyword_construction_with_the_defaults_the_reader_uses():
     assert Role(id="r").description == ""
     context = ContextSpec(name="n", purposes=("p",), roles=(), norms=(), care_standard="prudent-user")
     assert context.subsidiary_duties == ()
-    assert ValueFunction(np.zeros(1), np.zeros((1, 1)), 1, True).gap_history == ()
+    assert ValueFunction._fields == ("values", "q", "iterations", "converged")
 
 
 def test_construction_errors_keep_their_messages():
