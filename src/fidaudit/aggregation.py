@@ -12,12 +12,12 @@ per principal, each with one entry per option in declared option order:
 the scenario reader's rows as they are.
 
 The ordinal rules (Borda, plurality, dictator) are positional scoring
-rules, each written once as a ``points`` table over the ballots; the
-winner and the manipulation search both read it. The search scores
-blocks of profiles, and one misreport per distinct score row in each,
-with one integer numpy kernel. It enumerates only the counted voters'
-ballots, and for the anonymous rules only non-decreasing profiles: both
-contain the first witness of the full scan.
+rules, each written once as a ``points`` table over the ballots, which
+the manipulation search reads. It scores blocks of profiles, and one
+misreport per distinct score row in each, with one integer numpy kernel.
+It enumerates only the counted voters' ballots, and for the anonymous
+rules only non-decreasing profiles: both contain the first witness of
+the full scan.
 """
 
 from __future__ import annotations
@@ -167,13 +167,6 @@ def _scorers(rule: VotingRule, n_voters: int) -> tuple[int, ...]:
     return (rule.dictator_voter,) if rule.kind == "dictator" else tuple(range(n_voters))
 
 
-def _winner(rule: VotingRule, profile: tuple[tuple[int, ...], ...], n_options: int) -> int:
-    """Single winner; score ties break to the lowest option index."""
-    ballots, _, points, _ = _scoring_tables(rule.kind, n_options)
-    rows = [ballots.index(profile[voter]) for voter in _scorers(rule, len(profile))]
-    return int(points[rows].sum(axis=0).argmax())
-
-
 class ManipulationInstance(NamedTuple):
     """A witnessed profitable misreport under the rule."""
 
@@ -199,9 +192,9 @@ def find_manipulation(
     integer kernel over blocks of profiles: each profile's score is the
     sum of its counted ballots' ``points`` rows, and each voter's
     misreports are scored at once by swapping that voter's row for every
-    other row. ``argmax`` takes the first maximum, which is the
-    lowest-index tie-break of ``_winner``. Two steps skip what cannot
-    change the first witness:
+    other row. ``argmax`` takes the first maximum, so a score tie goes to
+    the lowest option index. Two steps skip what cannot change the first
+    witness:
 
     - Only counted voters can change the winner, so only they are tried
       and only their ballots are enumerated; the first witness has every

@@ -142,8 +142,8 @@ def _attempt(check: str, evidence: dict, run) -> list[Finding]:
         return run()
     except ValueError as exc:
         evidence = {**evidence, "error": str(exc)}
-        if isinstance(exc, NoConvergence) and exc.cycle:
-            evidence["cycle_period"] = len(exc.cycle)
+        if isinstance(exc, NoConvergence) and exc.period is not None:
+            evidence["cycle_period"] = exc.period
         return [Finding(check, FAIL, str(exc), evidence)]
 
 

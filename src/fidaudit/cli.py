@@ -30,7 +30,7 @@ from pathlib import Path
 from . import __version__
 from .audit import EXIT_CODES, emit_report, run_audit
 from .context import catalog_lookup
-from .errors import SchemaError, UnknownContextLabel
+from .errors import SchemaError
 from .loyalty import INFO_TOL
 from .scenario import load_scenario, read_document, validate_scenario
 
@@ -92,7 +92,11 @@ def _validate(args: argparse.Namespace) -> int:
 
 
 def _catalog(args: argparse.Namespace) -> int:
-    entries = catalog_lookup(args.context_label)
+    try:
+        entries = catalog_lookup(args.context_label)
+    except ValueError as exc:  # an unknown label, with the nearest known one
+        print(exc, file=sys.stderr)
+        return 2
     lines = [args.context_label + ("  [proposed context, not yet determined by law]" if entries[0].speculative else "")]
     for entry in entries:
         flags = []
@@ -141,8 +145,6 @@ def main(argv: list[str] | None = None) -> int:
     except SchemaError as exc:
         where = f"{exc.path}: " if exc.path else ""
         print(f"schema error: {where}{exc}", file=sys.stderr)
-    except UnknownContextLabel as exc:  # from `catalog`
-        print(exc, file=sys.stderr)
     except Exception as exc:  # noqa: BLE001 - a traceback would exit 1, which reads as "warn"
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
     return 2

@@ -16,8 +16,6 @@ import json
 from importlib import resources
 from typing import Mapping, NamedTuple, Sequence
 
-from .errors import UnknownContextLabel
-
 BEST_INTERESTS = "best_interests"
 OBEDIENCE = "obedience"
 
@@ -203,15 +201,12 @@ def catalog_lookup(context_label: str) -> tuple[SubsidiaryDutyEntry, ...]:
     import difflib  # only an unknown label needs it, so a `check` call never loads it
 
     close = difflib.get_close_matches(context_label, catalog_labels(), n=1)
-    suggestion = close[0] if close else None
-    hint = f"; did you mean {suggestion!r}?" if suggestion else ""
-    raise UnknownContextLabel(
-        f"unknown context label {context_label!r}{hint}", suggestion=suggestion
-    )
+    hint = f"; did you mean {close[0]!r}?" if close else ""
+    raise ValueError(f"unknown context label {context_label!r}{hint}")
 
 
 def duty_entry(key: str) -> SubsidiaryDutyEntry:
     try:
         return _index()[key]
     except KeyError:
-        raise UnknownContextLabel(f"unknown catalog key {key!r}") from None
+        raise ValueError(f"unknown catalog key {key!r}") from None

@@ -30,8 +30,8 @@ index. The equilibrium warm start enumerates, in blocks, the deterministic
 profiles of every decision but the last, a profile's joint being the
 chance factors' product times its rules' 0/1 arrays, and picks the last
 decision's rule row by row against each. Every best-response search runs
-one loop of sweeps (``_iterate`` over ``_improve``), from the warm start
-or from any other profile.
+one loop of sweeps (``_iterate``), from the warm start or from any other
+profile.
 
 Every query is exact on the model it is given, barren nodes included.
 ``Macid.ancestral(targets)`` restricts a model to the targets, every
@@ -537,39 +537,31 @@ def _best_response_detail(
     return deterministic_rule(model, node_id, w.argmax(axis=1)), best_value, current_value
 
 
-def _improve(model: Macid, profile: dict[str, np.ndarray], nodes) -> bool:
-    """One best-response sweep over ``nodes``: a node that is not already
-    playing a best response switches, in ``profile``, to the
-    lexicographically smallest one. Returns whether any rule changed."""
-    changed = False
-    for nid in nodes:
-        rule, best_value, current_value = _best_response_detail(model, profile, nid)
-        if best_value > current_value + _GAIN_MARGIN:
-            profile[nid] = rule
-            changed = True
-    return changed
-
-
 def _iterate(model: Macid, start: PolicyProfile, nodes) -> dict[str, np.ndarray]:
-    """The fixed point that best-response sweeps over ``nodes`` (``_improve``)
-    reach from the profile ``start``. Raises ``NoConvergence`` carrying the
-    observed cycle if a sweep revisits a profile, and with no cycle if
-    ``MAX_ROUNDS`` sweeps pass without a fixed point."""
+    """The fixed point that best-response sweeps over ``nodes`` reach from
+    ``start``: in a sweep, each node not playing a best response switches
+    to the lexicographically smallest one, and a sweep with no switch
+    returns the profile. A revisited profile raises ``NoConvergence`` with
+    the cycle's period, and ``MAX_ROUNDS`` sweeps without a fixed point
+    raise it with none."""
     profile = dict(start)
 
     def key() -> bytes:  # rules hold no NaN, so equal bytes mean equal rules, stochastic ones too
         return b"".join(profile[nid].tobytes() for nid in nodes)
 
-    seen = {key(): 0}
-    history = [dict(profile)]
-    for _ in range(MAX_ROUNDS):
-        if not _improve(model, profile, nodes):
+    seen = {key(): 0}  # each visited profile -> the sweeps run before it
+    for sweep in range(1, MAX_ROUNDS + 1):
+        changed = False
+        for nid in nodes:
+            rule, best_value, current_value = _best_response_detail(model, profile, nid)
+            if best_value > current_value + _GAIN_MARGIN:
+                profile[nid] = rule
+                changed = True
+        if not changed:
             return profile
-        if key() in seen:
-            cycle = history[seen[key()]:]
-            raise NoConvergence(f"best-response iteration cycles with period {len(cycle)}", cycle=cycle)
-        seen[key()] = len(history)
-        history.append(dict(profile))
+        period = sweep - seen.setdefault(key(), sweep)  # 0 for a profile not seen before
+        if period:
+            raise NoConvergence(f"best-response iteration cycles with period {period}", period=period)
     raise NoConvergence(f"no equilibrium after {MAX_ROUNDS} rounds")
 
 
@@ -649,8 +641,9 @@ def solve_equilibrium(model: Macid) -> dict[str, np.ndarray]:
     sorted-id order, from the welfare warm start (``_welfare_warm_start``).
     A full sweep with no change is a fixed point and hence a Nash
     equilibrium (no unilateral deviation at any single decision node raises
-    its owner's expected utility); a revisited profile or ``MAX_ROUNDS``
-    sweeps without one raise ``NoConvergence``.
+    its owner's expected utility). A revisited profile raises
+    ``NoConvergence`` with the cycle's period, and ``MAX_ROUNDS`` sweeps
+    without a fixed point raise it with none.
     """
     return _iterate(model, _welfare_warm_start(model), model.decision_nodes())
 

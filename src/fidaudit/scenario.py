@@ -16,7 +16,8 @@ the kernels as it was read. ``aggregation.class_score`` is not read: every
 priority class holds one principal class, so a sum and a min agree. Care
 check names and attestation duties must be distinct, and a care check may
 not take a name the audit gives its own care findings: ``standard``,
-``section``, ``step-error`` or one that starts with ``duty:``.
+``section``, ``step-error`` or one that starts with ``duty:``. A
+principal class's ``role`` must be a role of the context, if there is one.
 
 Each entry of a kind-tagged list, an assessment method or a care check,
 is a ``types.SimpleNamespace``: its ``kind`` and the typed fields that the
@@ -156,6 +157,7 @@ class _Reader:
         self.action_index: dict[str, int] = {}
         self.default_beta = 0.9
         self.options: tuple[str, ...] | None = None  # the aggregation's, once it declares a method
+        self.role_ids: set[str] | None = None  # the context's, once one is read
         self.tables: dict[str, np.ndarray] = {}  # every dense table read, by path: the digest hashes these
 
     def fail(self, path: str, message: str) -> None:
@@ -466,6 +468,7 @@ class _Reader:
         )
         if len(self.problems) > start:
             return None
+        self.role_ids = {role.id for role in spec.roles}
         for vpath, message in validate_context(spec):
             self.fail(f"{path}.{vpath}", message)
         # bound node ids must exist in the declared influence model
@@ -500,6 +503,9 @@ class _Reader:
             class_id=self.str_, role=self.str_, rank=self.int_,
             relationship=partial(self.choice, options=("best_interests", "obedience")),
         )
+        role = fields["role"]
+        if self.role_ids is not None and role is not None and role not in self.role_ids:
+            self.fail(f"{path}.role", f"undeclared role {role!r}")
         return None if fields["relationship"] is None else PrincipalClassSpec(**fields)
 
     # assessment

@@ -323,6 +323,19 @@ def numpy_preference_fit(features, comparisons, learn_rate, iters):
     return theta, float(np.sum(_log_sigmoid(diff_matrix @ theta)))
 
 
+def reference_winner(rule, profile, n_options):
+    """The ``VotingRule``'s winner on ``profile`` by a scalar scoring loop:
+    Borda gives n - 1 - place points, plurality and dictator one point to
+    the top choice (only the dictator's ballot counts); a score tie goes to
+    the lowest option index."""
+    voters = [rule.dictator_voter] if rule.kind == "dictator" else range(len(profile))
+    scores = [0] * n_options
+    for voter in voters:
+        for place, option in enumerate(profile[voter]):
+            scores[option] += n_options - 1 - place if rule.kind == "borda" else int(place == 0)
+    return scores.index(max(scores))
+
+
 def mean_variance_objective(mu, sigma, risk_aversion, w):
     """mu'w - lambda w'Sigma w, the objective ``prudent_investor_weights``
     maximizes, evaluated at ``w``."""

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from fidaudit.aggregation import VotingRule, find_manipulation, pareto_front, _winner
+from fidaudit.aggregation import VotingRule, find_manipulation, pareto_front
 from fidaudit.assessment import (
     demo_log_likelihood,
     feasible_rewards_irl,
@@ -47,7 +47,7 @@ from fidaudit.mdp import (
 )
 from fidaudit.scenario import load_scenario
 
-from helpers import contraction_gaps, guess_model, mean_variance_objective, run_cli, xor_model
+from helpers import contraction_gaps, guess_model, mean_variance_objective, reference_winner, run_cli, xor_model
 from test_assessment import chain_walk_mdp, timing_choice_mdp
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
@@ -277,8 +277,8 @@ def test_criterion_09_manipulation_search():
         + (instance.insincere_ballot,)
         + instance.profile[instance.voter + 1 :]
     )
-    assert _winner(VotingRule("borda"), instance.profile, 3) == instance.sincere_winner
-    assert _winner(VotingRule("borda"), trial, 3) == instance.manipulated_winner
+    assert reference_winner(VotingRule("borda"), instance.profile, 3) == instance.sincere_winner
+    assert reference_winner(VotingRule("borda"), trial, 3) == instance.manipulated_winner
     rank = {o: i for i, o in enumerate(instance.profile[instance.voter])}
     assert rank[instance.manipulated_winner] < rank[instance.sincere_winner]
     assert find_manipulation(VotingRule("dictator", 0), 3, 3) is None

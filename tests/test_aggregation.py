@@ -13,8 +13,9 @@ from fidaudit.aggregation import (
     impartiality_check,
     lexicographic_select,
     pareto_front,
-    _winner,
 )
+
+from helpers import reference_winner
 
 
 # --- approval_winners -------------------------------------------------------
@@ -177,31 +178,17 @@ def test_borda_three_by_three_manipulable():
     instance = find_manipulation(VotingRule("borda"), 3, 3)
     assert instance is not None
     # verify the witness end to end
-    sincere_winner = _winner(VotingRule("borda"), instance.profile, 3)
+    sincere_winner = reference_winner(VotingRule("borda"), instance.profile, 3)
     assert sincere_winner == instance.sincere_winner
     trial = (
         instance.profile[: instance.voter]
         + (instance.insincere_ballot,)
         + instance.profile[instance.voter + 1 :]
     )
-    new_winner = _winner(VotingRule("borda"), trial, 3)
+    new_winner = reference_winner(VotingRule("borda"), trial, 3)
     assert new_winner == instance.manipulated_winner
     sincere_rank = {o: i for i, o in enumerate(instance.profile[instance.voter])}
     assert sincere_rank[new_winner] < sincere_rank[sincere_winner]
-
-
-def _reference_winner(rule, profile, n_options):
-    # reference: the scalar scoring loop, ties to the lowest option index
-    if rule.kind == "dictator":
-        return profile[rule.dictator_voter][0]
-    scores = [0] * n_options
-    for ballot in profile:
-        if rule.kind == "borda":
-            for position, option in enumerate(ballot):
-                scores[option] += n_options - 1 - position
-        else:
-            scores[ballot[0]] += 1
-    return scores.index(max(scores))
 
 
 def _reference_manipulation(rule, n_voters, n_options, sorted_profiles=False):
@@ -213,12 +200,12 @@ def _reference_manipulation(rule, n_voters, n_options, sorted_profiles=False):
     else:
         profiles = itertools.product(ballots, repeat=n_voters)
     for profile in profiles:
-        sincere_winner = _reference_winner(rule, profile, n_options)
+        sincere_winner = reference_winner(rule, profile, n_options)
         for voter in range(n_voters):
             rank = {option: position for position, option in enumerate(profile[voter])}
             for insincere in ballots:
                 trial = profile[:voter] + (insincere,) + profile[voter + 1 :]
-                new_winner = _reference_winner(rule, trial, n_options)
+                new_winner = reference_winner(rule, trial, n_options)
                 if rank[new_winner] < rank[sincere_winner]:
                     return ManipulationInstance(profile, voter, insincere, sincere_winner, new_winner)
     return None

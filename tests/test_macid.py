@@ -178,7 +178,7 @@ def test_equilibrium_matching_pennies_reports_cycle(monkeypatch):
     monkeypatch.setattr(macid, "MAX_ROUNDS", 20)
     with pytest.raises(NoConvergence) as exc:
         solve_equilibrium(model)
-    assert len(exc.value.cycle) >= 2
+    assert exc.value.period >= 2
 
 
 def test_best_response_loop_from_a_stochastic_start():
@@ -187,10 +187,13 @@ def test_best_response_loop_from_a_stochastic_start():
     # the mixed equilibrium is a fixed point: no deterministic rule gains
     fixed = macid._iterate(model, {"A": half, "B": half}, ("A", "B"))
     assert fixed["A"] is half and fixed["B"] is half
-    # off it, the cycle the sweeps enter holds only 0/1 rules
+    # off it, every best response is a 0/1 rule, so the cycle the sweeps enter holds only those
+    start = {"A": np.array([0.7, 0.3]), "B": half}
+    for nid in ("A", "B"):
+        assert sorted(macid._best_response_detail(model, start, nid)[0].tolist()) == [0.0, 1.0]
     with pytest.raises(NoConvergence, match="period 2") as exc:
-        macid._iterate(model, {"A": np.array([0.7, 0.3]), "B": half}, ("A", "B"))
-    assert [sorted(p["A"].tolist() + p["B"].tolist()) for p in exc.value.cycle] == [[0.0, 0.0, 1.0, 1.0]] * 2
+        macid._iterate(model, start, ("A", "B"))
+    assert exc.value.period == 2
 
 
 def test_equilibrium_deviation_check_on_random_common_interest_models(rng):
@@ -702,12 +705,12 @@ def _ref_warm_start(model, budget=macid._WARM_START_BUDGET):
 def _ref_solve(model, start):
     """Best-response iteration from the profile ``start``, at most
     ``macid.MAX_ROUNDS`` sweeps; returns the equilibrium's rules as lists
-    or ("cycle", message, cycle)."""
+    or ("cycle", message, period), the period None at the round cap."""
     decisions = model.decision_nodes()
     profile = dict(start)
     key = lambda: tuple(tuple(profile[n].ravel().tolist()) for n in decisions)  # noqa: E731
-    seen, history = {key(): 0}, [dict(profile)]
-    for _ in range(macid.MAX_ROUNDS):
+    seen = {key(): 0}
+    for sweep in range(1, macid.MAX_ROUNDS + 1):
         changed = False
         for nid in decisions:
             rule, best_value, current_value = _ref_best_response(model, profile, nid)
@@ -716,11 +719,10 @@ def _ref_solve(model, start):
         if not changed:
             return _tables(profile)
         if key() in seen:
-            cycle = [_tables(p) for p in history[seen[key()]:]]
-            return ("cycle", f"best-response iteration cycles with period {len(cycle)}", cycle)
-        seen[key()] = len(history)
-        history.append(dict(profile))
-    return ("cycle", f"no equilibrium after {macid.MAX_ROUNDS} rounds", [])
+            period = sweep - seen[key()]
+            return ("cycle", f"best-response iteration cycles with period {period}", period)
+        seen[key()] = sweep
+    return ("cycle", f"no equilibrium after {macid.MAX_ROUNDS} rounds", None)
 
 
 _DOMAINS = (("v0", "v1"), ("v10", "v2"), ("v0", "v1", "v2"), ("v2", "v10", "v1"))
@@ -820,7 +822,7 @@ def _matches_reference(model, profile, monkeypatch):
     try:
         solved = _tables(solve_equilibrium(model))
     except NoConvergence as exc:
-        solved = ("cycle", str(exc), [_tables(p) for p in exc.cycle])
+        solved = ("cycle", str(exc), exc.period)
     _same(solved, _ref_solve(model, start))
     return isinstance(solved, tuple)
 

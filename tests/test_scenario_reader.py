@@ -182,6 +182,10 @@ def unknown_loyalty_role(raw):
     raw["loyalty"]["tables"]["regulator"] = [0.0, 1.0]
 
 
+def undeclared_principal_role(raw):
+    raw["principals"][0]["role"] = "nobody"
+
+
 def empty_utilities(raw):
     raw["aggregation"]["utilities"] = {}
 
@@ -255,6 +259,7 @@ def attestation_duty_repeated(raw):
         ("engagement_prior_warn.json", zero_width_feature_rows, "assessment.methods[0].feature_rows"),
         ("trust_portfolio.json", zero_dim_feature_table, "assessment.methods[5].features.dim"),
         ("disclosure_demo.json", unknown_loyalty_role, "loyalty.tables.regulator"),
+        ("disclosure_demo.json", undeclared_principal_role, "principals[0].role"),
         ("disclosure_demo.json", empty_utilities, "aggregation.utilities"),
         ("disclosure_demo.json", short_profile_row, "world.macid.profile"),
         ("disclosure_demo.json", profile_without_receiver, "world.macid.profile"),
