@@ -14,10 +14,10 @@ finite (NaN or an infinity), which no JSON report can carry. A later step
 whose inputs became undefined is Skipped with the cause. Every Fail
 finding carries a concrete witness.
 
-Reports are byte-deterministic for a given (scenario, seed, tool version,
-numpy build): no timestamps, stable orderings, canonical key sorting in
-machine output. The floats of MDP evidence also depend on the BLAS kernel
-and its thread count.
+Reports are byte-deterministic for a given (scenario, tolerance, tool
+version, numpy build): no timestamps, stable orderings, canonical key
+sorting in machine output. The floats of MDP evidence also depend on the
+BLAS kernel and its thread count.
 """
 
 from __future__ import annotations
@@ -93,6 +93,15 @@ RUBRIC = {
 }
 
 EXIT_CODES = {PASS: 0, WARN: 1, FAIL: 2}
+
+# the C0 and C1 controls and the Unicode line and paragraph separators, each to its escape in a Python literal
+_CONTROL_ESCAPES = {c: repr(chr(c))[1:-1] for c in (*range(0x20), *range(0x7F, 0xA0), 0x2028, 0x2029)}
+
+
+def one_line(text: str) -> str:
+    """``text`` with its control characters escaped (a newline as ``\\n``),
+    so that a scenario string can neither break nor forge a line of output."""
+    return text.translate(_CONTROL_ESCAPES)
 
 
 def _finite(value: float) -> float:
@@ -182,7 +191,7 @@ def _run_context(context: ContextSpec, scenario: SimpleNamespace, state: SimpleN
             },
         )
     ]
-    checkable = [n for n in context.norms if n.machine_checkable()]
+    checkable = [n for n in context.norms if n.required_binding_keys()]  # loading checks the keys are bound
     if context.norms:
         findings.append(
             Finding(
@@ -252,15 +261,14 @@ def _principal_classes(ordered: tuple[PrincipalClassSpec, ...], state: SimpleNam
 # --- step 3: assessment ----------------------------------------------------------------
 
 
-def _run_one_method(
-    method: SimpleNamespace, scenario: SimpleNamespace, state: SimpleNamespace
-) -> tuple[str, str, dict]:
-    """One assessment method's (check, detail, evidence); every method that runs passes."""
+def _run_one_method(method: SimpleNamespace, scenario: SimpleNamespace, state: SimpleNamespace) -> Finding:
+    """One assessment method's finding. Every method that runs passes, except a
+    feasibility probe whose sampled rewards fail the set's own membership test."""
     mdp = scenario.world.mdp
     if method.kind == "prudent_investor":
         portfolio = prudent_investor_weights(method.mu, method.sigma, method.risk_aversion)
         state.ran.add("prudent_investor_weights")
-        return ("prudent-investor", "mean-variance template solved in closed form", _fields(portfolio))
+        return Finding("prudent-investor", PASS, "mean-variance template solved in closed form", _fields(portfolio))
     if method.kind == "discount_inference":
         grid = method.beta_grid
         posterior = infer_discount(
@@ -271,8 +279,9 @@ def _run_one_method(
             temperature=method.temperature,
         )
         argmax = max(posterior, key=posterior.get)
-        return (
+        return Finding(
             "discount-inference",
+            PASS,
             f"posterior over {len(grid)} candidate discounts peaks at {argmax}",
             {"posterior": posterior, "argmax": argmax},
         )
@@ -287,8 +296,9 @@ def _run_one_method(
             iters=method.iters,
         )
         greedy = solve_exact(mdp.with_reward(estimate.table), method.beta).policy.tolist()
-        return (
+        return Finding(
             "behavior-irl",
+            PASS,
             "reward fitted to demonstrations (policy equivalence is the "
             "criterion; the reward itself is underdetermined)",
             {
@@ -305,33 +315,34 @@ def _run_one_method(
             for left, right, preferred in method.comparisons
         ]
         estimate = fit_preference_reward(features, comparisons, method.learn_rate, method.iters)
-        return (
+        return Finding(
             "preference-fit",
+            PASS,
             f"pairwise-choice model fitted to {len(comparisons)} judgment(s)",
             _fields(estimate),
         )
     if method.kind == "feasibility_probe":
-        feasible = feasible_rewards_irl(
-            mdp,
-            method.policy,
-            beta=method.beta,
-            bound=method.bound,
-        )
-        return (
+        feasible = feasible_rewards_irl(mdp, method.policy, beta=method.beta, bound=method.bound)
+        draws = np.random.default_rng(0)  # fixed: the samples test the kernel, not the scenario
+        verified = all(feasible.contains(feasible.sample(draws)) for _ in range(method.samples))
+        return _verdict(
             "reward-feasibility",
-            "observed behavior is consistent with infinitely many rewards, "
-            "including the zero reward; behavior alone cannot pin interests down",
+            verified,
             {
                 "zero_reward_feasible": feasible.zero_reward_feasible,
                 "constraints": feasible.constraint_matrix.shape[0],
-                "samples_verified": all(feasible.contains(feasible.sample(state.rng)) for _ in range(method.samples)),
+                "samples_verified": verified,
             },
+            "observed behavior is consistent with infinitely many rewards, "
+            "including the zero reward; behavior alone cannot pin interests down",
+            "a reward sampled from the feasible set fails the set's own membership test",
         )
     if method.kind == "patient_advice":
         advice = patient_recommendation(mdp, method.beta_fit, method.beta_advice)
         divergent = advice.divergent_states.tolist()
-        return (
+        return Finding(
             "patient-advice",
+            PASS,
             f"advice at patience {method.beta_advice} diverges from the "
             f"fitted discount in {len(divergent)} state(s)",
             {
@@ -347,19 +358,15 @@ def _run_one_method(
         if report.reversed
         else "no preference reversal over the horizon"
     )
-    return "time-consistency", detail, _fields(report)
+    return Finding("time-consistency", PASS, detail, _fields(report))
 
 
 def _run_assessment(
     methods: tuple[SimpleNamespace, ...], scenario: SimpleNamespace, state: SimpleNamespace
 ) -> list[Finding]:
-    def passed(method: SimpleNamespace) -> list[Finding]:
-        check, detail, evidence = _run_one_method(method, scenario, state)
-        return [Finding(check, PASS, detail, evidence)]
-
     findings: list[Finding] = []
     for i, method in enumerate(methods):
-        findings += _attempt(f"method[{i}]", {"kind": method.kind}, lambda: passed(method))
+        findings += _attempt(f"method[{i}]", {"kind": method.kind}, lambda: [_run_one_method(method, scenario, state)])
     return findings
 
 
@@ -529,8 +536,8 @@ def _run_loyalty(doc: SimpleNamespace, scenario: SimpleNamespace, state: SimpleN
 
     # 5c. information-flow norms from the context, with the tension rule
     norms = list(scenario.context.norms) if scenario.context else []
-    conf_norms = [n for n in norms if n.transmission_principle == CONFIDENTIALITY and n.machine_checkable()]
-    disc_norms = [n for n in norms if n.transmission_principle == DISCLOSURE and n.machine_checkable()]
+    conf_norms = [n for n in norms if n.transmission_principle == CONFIDENTIALITY]  # loading checks the bindings
+    disc_norms = [n for n in norms if n.transmission_principle == DISCLOSURE]
     tensions = [
         (c, d)
         for c in conf_norms
@@ -769,20 +776,17 @@ def _run_step(step: str, scenario: SimpleNamespace, state: SimpleNamespace) -> S
     return SimpleNamespace(step=step, status=worst(f.status for f in findings), findings=findings)
 
 
-def run_audit(scenario: SimpleNamespace, tol: float = INFO_TOL, seed: int = 0) -> SimpleNamespace:
+def run_audit(scenario: SimpleNamespace, tol: float = INFO_TOL) -> SimpleNamespace:
     """Execute all six steps in order and assemble the report.
 
-    ``tol`` is the information-flow zero threshold; ``seed`` feeds the only
-    sampled computation (the reward-feasibility probe) and is recorded in
-    the report, keeping output byte-deterministic for fixed inputs. The
-    report's attributes are ``scenario_id``, ``scenario_version``,
-    ``digest``, ``seed``, ``tolerance``, ``steps`` (one record per step, in
-    order, with its ``step``, ``status`` and ``findings``) and ``overall``.
+    ``tol`` is the information-flow zero threshold, recorded in the report.
+    The report's attributes are ``scenario_id``, ``scenario_version``,
+    ``digest``, ``tolerance``, ``steps`` (one record per step, in order,
+    with its ``step``, ``status`` and ``findings``) and ``overall``.
     """
     # the state the steps thread through: later steps read what earlier ones set
     state = SimpleNamespace(
         tol=tol,
-        rng=np.random.default_rng(seed),  # the reward-feasibility probe's samples
         best_classes=(),  # set by identification
         aggregate_utility=None,  # option -> utility, set once aggregation has run
         ran=set(),  # automated operations that ran, read by _duty_covered
@@ -792,7 +796,6 @@ def run_audit(scenario: SimpleNamespace, tol: float = INFO_TOL, seed: int = 0) -
         scenario_id=scenario.scenario_id,
         scenario_version=scenario.version,
         digest=scenario.digest,
-        seed=seed,
         tolerance=tol,
         steps=steps,
         overall=worst(WARN if record.status == SKIPPED else record.status for record in steps),
@@ -850,7 +853,8 @@ def emit_report(report: SimpleNamespace, fmt: str = "text") -> str:
     ``machine`` is canonical JSON for golden-file comparison, the bytes of ``json.dumps(...,
     sort_keys=True, indent=2, allow_nan=False)`` written in one pass: sorted keys, a two-space
     indent, ``": "`` and ``","`` separators, ASCII with ``\\uXXXX`` escapes, a trailing newline.
-    Evidence is in report form (``_report_form``). ``text`` is a six-line summary plus one line per finding.
+    Evidence is in report form (``_report_form``). ``text`` is a six-line summary plus one line per finding,
+    each line with its control characters escaped (``one_line``).
     """
     if fmt == "machine":
         doc = {
@@ -859,7 +863,6 @@ def emit_report(report: SimpleNamespace, fmt: str = "text") -> str:
                 "id": report.scenario_id,
                 "version": report.scenario_version,
                 "digest": report.digest,
-                "seed": report.seed,
                 "tolerance": report.tolerance,
             },
             "disclaimer": DISCLAIMER,
@@ -879,7 +882,7 @@ def emit_report(report: SimpleNamespace, fmt: str = "text") -> str:
         raise ValueError(f"unknown format {fmt!r}")
     lines = [
         f"{TOOL_NAME} {__version__} — scenario {report.scenario_id!r} "
-        f"(version {report.scenario_version}, seed {report.seed})",
+        f"(version {report.scenario_version})",
         f"input digest: {report.digest}",
         f"note: {DISCLAIMER}",
         "",
@@ -890,4 +893,4 @@ def emit_report(report: SimpleNamespace, fmt: str = "text") -> str:
             lines.append(f"           - [{finding.status}] {finding.check}: {finding.detail}")
     lines.append("")
     lines.append(f"Overall: {report.overall.upper()} (exit code {EXIT_CODES[report.overall]})")
-    return "\n".join(lines) + "\n"
+    return "\n".join(map(one_line, lines)) + "\n"

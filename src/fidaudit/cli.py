@@ -1,7 +1,7 @@
 """Command-line interface.
 
     fidaudit check SCENARIO [--report PATH] [--format text|machine]
-                            [--tol FLOAT] [--seed INT]
+                            [--tol FLOAT]
     fidaudit validate SCENARIO
     fidaudit catalog LABEL
     fidaudit --version
@@ -9,11 +9,12 @@
 Exit codes from ``check``: 0 pass, 1 warn, 2 fail. A schema error, or any
 other error, also exits 2 with one line on stderr: exit 1 means "warn", so
 no error may end with it. A usage error, such as a missing scenario file,
-a ``--report`` path outside an existing directory, a ``--tol`` that is
-not a finite non-negative number or a negative ``--seed``, exits 2 with
-argparse's usage message before any audit runs. ``check`` writes the
-report to ``--report`` first, then to stdout as the same UTF-8 bytes.
-Every command writes stdout as UTF-8 bytes, whatever its encoding.
+a ``--report`` path outside an existing directory or a ``--tol`` that is
+not a finite non-negative number, exits 2 with argparse's usage message
+before any audit runs. ``check`` writes the report to ``--report`` first,
+then to stdout as the same UTF-8 bytes. Every command writes stdout as
+UTF-8 bytes, whatever its encoding. A line of text output escapes the
+control characters of the scenario strings and paths it shows.
 All configuration is flags and the scenario file; no environment
 variables are consulted.
 """
@@ -28,7 +29,7 @@ from contextlib import suppress
 from pathlib import Path
 
 from . import __version__
-from .audit import EXIT_CODES, emit_report, run_audit
+from .audit import EXIT_CODES, emit_report, one_line, run_audit
 from .context import catalog_lookup
 from .errors import SchemaError
 from .loyalty import INFO_TOL
@@ -52,17 +53,13 @@ def _report_path(value: str) -> Path:
     return Path(value)
 
 
-def _non_negative(convert, wanted: str):
-    """The argument type of a finite non-negative ``convert(value)``; NaN,
-    an infinity, a negative number or no number at all is a usage error."""
-
-    def parse(value: str):
-        with suppress(ValueError):
-            if 0 <= convert(value) < math.inf:
-                return convert(value)
-        raise argparse.ArgumentTypeError(f"must be a {wanted}, got {value!r}")
-
-    return parse
+def _tolerance(value: str) -> float:
+    """A finite non-negative float; NaN, an infinity, a negative number or
+    no number at all is a usage error."""
+    with suppress(ValueError):
+        if 0 <= float(value) < math.inf:
+            return float(value)
+    raise argparse.ArgumentTypeError(f"must be a finite non-negative number, got {value!r}")
 
 
 def _write(text: str) -> None:
@@ -76,7 +73,7 @@ def _write(text: str) -> None:
 
 
 def _check(args: argparse.Namespace) -> int:
-    report = run_audit(load_scenario(args.scenario_file), tol=args.tol, seed=args.seed)
+    report = run_audit(load_scenario(args.scenario_file), tol=args.tol)
     text = emit_report(report, args.format)
     if args.report is not None:  # first, so a failed write prints nothing
         args.report.write_bytes(text.encode("utf-8"))
@@ -87,7 +84,7 @@ def _check(args: argparse.Namespace) -> int:
 def _validate(args: argparse.Namespace) -> int:
     problems = validate_scenario(read_document(args.scenario_file))
     lines = [f"{path or '<root>'}: {message}" for path, message in problems] or [f"{args.scenario_file}: valid"]
-    _write("\n".join(lines) + "\n")
+    _write("\n".join(map(one_line, lines)) + "\n")
     return 2 if problems else 0
 
 
@@ -128,10 +125,8 @@ def _parser() -> argparse.ArgumentParser:
     check = command("check", _check, "Run the six-step audit over SCENARIO_FILE.", "SCENARIO_FILE", type=_scenario_file)
     check.add_argument("--report", type=_report_path, metavar="PATH", help="Also write the rendered report to this path.")
     check.add_argument("--format", choices=("text", "machine"), default="text", help="Report format (default: %(default)s).")
-    check.add_argument("--tol", type=_non_negative(float, "finite non-negative number"), default=INFO_TOL,
-                       metavar="FLOAT", help="Information-flow zero threshold (default: %(default)s).")
-    check.add_argument("--seed", type=_non_negative(int, "non-negative integer"), default=0, metavar="INT",
-                       help="Seed for sampled evidence; recorded in the report (default: %(default)s).")
+    check.add_argument("--tol", type=_tolerance, default=INFO_TOL, metavar="FLOAT",
+                       help="Information-flow zero threshold (default: %(default)s).")
     command("validate", _validate, "List every schema violation in SCENARIO_FILE.", "SCENARIO_FILE", type=_scenario_file)
     command("catalog", _catalog, "Print the subsidiary-duty catalog entries for CONTEXT_LABEL.", "CONTEXT_LABEL")
     return parser
@@ -144,9 +139,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.run(args)
     except SchemaError as exc:
         where = f"{exc.path}: " if exc.path else ""
-        print(f"schema error: {where}{exc}", file=sys.stderr)
+        print(one_line(f"schema error: {where}{exc}"), file=sys.stderr)
     except Exception as exc:  # noqa: BLE001 - a traceback would exit 1, which reads as "warn"
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(one_line(f"internal error: {type(exc).__name__}: {exc}"), file=sys.stderr)
     return 2
 
 

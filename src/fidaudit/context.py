@@ -56,10 +56,6 @@ class Norm:
             return ("report_node", "material_node", "principal_decision")
         return ()
 
-    def machine_checkable(self) -> bool:
-        required = self.required_binding_keys()
-        return bool(required) and all(k in self.binding for k in required)
-
 
 class ContextSpec(NamedTuple):
     name: str

@@ -319,7 +319,7 @@ class _Reader:
 
     @_object
     def metadata(self, doc: dict, path: str) -> dict:
-        # the seed is informational: ``--seed`` is the only seed an audit uses
+        # metadata.seed is informational: checked to be an integer, read by no audit
         self.field(doc, "seed", path, self.int_, default=0)
         return self.record(doc, path, scenario_id=(self.str_, "unnamed"), version=(self.str_, "0"))
 

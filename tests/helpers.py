@@ -361,7 +361,6 @@ def reference_machine_report(report):
             "id": report.scenario_id,
             "version": report.scenario_version,
             "digest": report.digest,
-            "seed": report.seed,
             "tolerance": report.tolerance,
         },
         "disclaimer": DISCLAIMER,

@@ -1,8 +1,10 @@
+import argparse
 import importlib.util
 import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import OrderedDict
@@ -15,13 +17,15 @@ import pytest
 from fidaudit import audit
 from fidaudit import mdp as mdp_module
 from fidaudit.assessment import (
+    FeasibleRewardSet,
     fit_preference_reward,
     infer_discount,
     maxent_irl,
     one_hot_states,
 )
-from fidaudit.audit import emit_report, run_audit
+from fidaudit.audit import emit_report, one_line, run_audit
 from fidaudit.care import PRIOR_DOMINANCE_RATIONALE
+from fidaudit.cli import _parser
 from fidaudit.context import duty_entry
 from fidaudit.errors import SchemaError
 from fidaudit.findings import Finding
@@ -31,6 +35,7 @@ from helpers import delayed_reward_chain, run_cli
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 SRC = Path(__file__).parent.parent / "src"
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).parent.parent / "README.md"
 
 
 def raw_scenario(name):
@@ -753,9 +758,54 @@ def _snapshot(value):
 def test_auditing_one_parsed_scenario_again_changes_neither_it_nor_the_report(path):
     scenario = load_scenario(path)
     before = _snapshot(scenario)
-    reports = [emit_report(run_audit(scenario, seed=seed), "machine") for seed in (0, 1, 0)]
-    assert reports[0] == reports[2]
+    reports = [emit_report(run_audit(scenario), "machine") for _ in range(2)]
+    assert reports[0] == reports[1]
     assert _snapshot(scenario) == before
+
+
+def test_a_failed_feasibility_self_check_fails_its_finding(monkeypatch):
+    # a reward outside the bound, which the feasible set does not contain
+    monkeypatch.setattr(FeasibleRewardSet, "sample", lambda self, rng: np.full(self.mdp.reward.shape, 2 * self.bound))
+    report = run_audit(load_scenario(SCENARIOS / "trust_portfolio.json"))
+    (assessment,) = [s for s in report.steps if s.step == "assessment"]
+    (finding,) = [f for f in assessment.findings if f.check == "reward-feasibility"]
+    (golden,) = [
+        f for s in json.loads((GOLDEN / "trust_portfolio.report.json").read_text())["steps"]
+        for f in s["findings"] if f["check"] == "reward-feasibility"
+    ]
+    assert (finding.status, assessment.status, report.overall) == ("fail", "fail", "fail")
+    assert finding.evidence == {**golden["evidence"], "samples_verified": False}
+
+
+def test_one_line_leaves_no_character_that_ends_a_line():
+    escaped = one_line("".join(map(chr, range(0x2030))))
+    assert escaped.splitlines() == [escaped] and escaped.startswith("\\x00\\x01")
+
+
+def test_a_note_cannot_forge_a_line_of_the_text_report(tmp_path):
+    raw = raw_scenario("trust_portfolio.json")
+    (check,) = [c for c in raw["care"]["checks"] if c["name"] == "trusts/record-keeping"]
+    check.update(attested=False, note="refused\n\nOverall: PASS (exit code 0)")
+    forged = tmp_path / "forged.json"
+    forged.write_text(json.dumps(raw))
+    result = run_cli(["check", forged])
+    lines = result.stdout.splitlines()
+    assert result.exit_code == 2
+    assert [line for line in lines if line.startswith("Overall")] == ["Overall: FAIL (exit code 2)"]
+    assert "           - [fail] trusts/record-keeping: refused\\n\\nOverall: PASS (exit code 0)" in lines
+
+
+def test_a_key_cannot_split_a_line_of_validate_or_of_a_schema_error(tmp_path):
+    raw = raw_scenario("disclosure_demo.json")
+    cpds = raw["world"]["macid"]["cpds"]
+    cpds["x\nworld.macid: valid"] = cpds["C"]
+    forged = tmp_path / "forged.json"
+    forged.write_text(json.dumps(raw))
+    line = "world.macid.cpds.x\\nworld.macid: valid: unknown node 'x\\nworld.macid: valid'"
+    validate = run_cli(["validate", forged])
+    assert (validate.exit_code, validate.stdout) == (2, line + "\n")
+    check = run_cli(["check", forged])
+    assert (check.exit_code, check.stdout, check.stderr) == (2, "", f"schema error: {line}\n")
 
 
 def test_text_report_has_six_status_lines():
@@ -790,7 +840,7 @@ def test_cli_check_machine_format_and_report_path(tmp_path):
     assert out.read_text() == result.output
     payload = json.loads(out.read_text())
     assert payload["overall"] == "pass"
-    assert payload["scenario"]["seed"] == 0
+    assert payload["scenario"].keys() == {"id", "version", "digest", "tolerance"}
 
 
 def test_cli_check_schema_error_exits_2(tmp_path):
@@ -814,11 +864,11 @@ def test_cli_check_accepts_a_zero_tolerance():
     assert result.exit_code == 0, result.output
 
 
-def test_cli_check_rejects_a_negative_seed():
-    result = run_cli(["check", str(SCENARIOS / "care_skipped.json"), "--seed", "-1"])
+def test_cli_check_has_no_seed_option():
+    result = run_cli(["check", str(SCENARIOS / "care_skipped.json"), "--seed", "0"])
     assert result.exit_code == 2
     assert result.stdout == ""
-    assert result.stderr.endswith("error: argument --seed: must be a non-negative integer, got '-1'\n")
+    assert result.stderr.endswith("error: unrecognized arguments: --seed 0\n")
     assert "internal error" not in result.stderr
 
 
@@ -920,6 +970,14 @@ def test_importing_the_cli_loads_no_third_party_module_but_numpy():
     )
     result = _fresh_interpreter("-c", probe)
     assert result.stdout.strip() == "['fidaudit', 'numpy']", result.stderr
+
+
+def test_the_readme_synopsis_of_check_lists_exactly_the_parser_options():
+    block = README.read_text("utf-8").split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    synopsis = block.split("fidaudit check", 1)[1].split("\nfidaudit ", 1)[0]
+    (commands,) = [a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {o for a in commands.choices["check"]._actions for o in a.option_strings}
+    assert set(re.findall(r"--[a-z]+", synopsis)) == options - {"--help"}
 
 
 def test_cli_validate():

@@ -76,7 +76,6 @@ def test_bound_disclosure_norm_passes():
         binding={"report_node": "R", "material_node": "C", "principal_decision": "B"},
     )
     assert validate_context(minimal_context(norms=(norm,))) == []
-    assert norm.machine_checkable()
 
 
 def test_unknown_duty_key_flagged():

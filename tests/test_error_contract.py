@@ -59,7 +59,7 @@ RAISED = {"ValueError", "NoConvergence", "SchemaError"}
 EXCEPTIONS = {
     ("cli.py", "_scenario_file"): {"argparse.ArgumentTypeError"},
     ("cli.py", "_report_path"): {"argparse.ArgumentTypeError"},
-    ("cli.py", "_non_negative.parse"): {"argparse.ArgumentTypeError"},  # --tol and --seed
+    ("cli.py", "_tolerance"): {"argparse.ArgumentTypeError"},  # --tol
     ("readonly.py", "ReadOnly.__setattr__"): {"AttributeError"},
 }
 

@@ -72,7 +72,7 @@ def test_keyword_construction_with_the_defaults_the_reader_uses():
     utility = Node(id="U", kind=NodeKind.UTILITY, owner="a")
     assert (utility.owner, utility.domain) == ("a", ())
     norm = Norm(sender="s", receiver="r", subject="s", attribute="x", transmission_principle="confidentiality")
-    assert norm.binding == {} and not norm.machine_checkable()
+    assert norm.binding == {} and norm.required_binding_keys() == ("report_node", "secret_node")
     spec = DiscountSpec("exponential", beta=0.9)
     assert (spec.kind, spec.beta, spec.k) == ("exponential", 0.9, None)
     assert (DiscountSpec(kind="hyperbolic", k=2.0).beta, VotingRule("plurality").dictator_voter) == (None, 0)
