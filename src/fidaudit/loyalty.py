@@ -43,6 +43,7 @@ from .macid import (
     NodeKind,
     PolicyProfile,
     _check_profile,
+    _Checked,
     _iterate,
     deterministic_rule,
     expected_utility,
@@ -115,12 +116,12 @@ def _restrict(
     model: Macid, profile: PolicyProfile, targets: tuple[str, ...]
 ) -> tuple[Macid, PolicyProfile]:
     """``model`` restricted to ``targets``, the utility nodes and their
-    ancestors, with ``profile``'s rules for the decisions kept. The profile
-    is checked against the full model first, so a missing or malformed rule
-    at a dropped decision still raises."""
+    ancestors, with ``profile``'s rules for the decisions kept, ``_Checked``.
+    The profile is checked against the full model, so a missing or malformed
+    rule at a dropped decision still raises."""
     _check_profile(model, profile)
     model = model.ancestral(targets)
-    return model, {nid: profile[nid] for nid in model.decision_nodes()}
+    return model, _Checked(model, {nid: profile[nid] for nid in model.decision_nodes()})
 
 
 def confidentiality_check(

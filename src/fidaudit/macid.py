@@ -9,21 +9,26 @@ is an exact computation rather than an estimate.
 Every table is a float array on its node's scope (``Macid.scope``): one
 axis per parent in declared order, then, for a CPD or a decision rule, one
 axis for the node's own values. A policy profile maps each decision node
-to such a rule array; a deterministic rule is a 0/1 array
-(``deterministic_rule``). A model works out at construction, once, what
-its queries read: the outcome shape, each node's plan (``_Plan``: how
-``_place`` moves a table on its scope onto the axes of ``outcome_order``),
-the CPD factors and each agent's total utility so placed, and the product
-of the chance factors that lead the outcome order, all read-only. A
-derived model (``ancestral``, ``with_edge``,
-``replace_decision_with_constant_chance``) takes its parent's checked
-read-only tables as they are and checks only those it adds; if its outcome
-order is the parent's, it shares the parent's plans and placed factors and
+to such a rule array; a deterministic rule is a read-only 0/1 array
+(``deterministic_rule``). Construction costs what the tables cost: it
+works out the outcome shape, each node's plan (``_Plan``: how ``_place``
+moves a table on its scope onto the axes of ``outcome_order``) and the
+CPD factors so placed. Each agent's total utility so placed and the
+product of the chance factors that lead the outcome order can span the
+joint, so they are built on first use. A derived model (``ancestral``,
+``with_edge``, ``replace_decision_with_constant_chance``) takes its
+parent's checked read-only tables as they are and checks only those it
+adds; if its outcome order is the parent's, it shares the parent's plans,
+placed factors and utility arrays, goes on from its leading product and
 places only its new table. The joint is the factors' broadcast product,
-taken in outcome order from the leading chance product (``_chain``);
+taken in outcome order from the leading chance product (``_chain``); an
+expected utility folds it times the agent's utility array directly, and
 best-response payoffs are that product less the node's own factor, times
-the owner's utility array. Every sum is a left-to-right fold from 0.0
-(``_fold``), so each result has the bits a per-cell Python loop gives.
+the owner's utility array. A profile is checked once per model: queries
+take as it is a profile ``_Checked`` for the model, which the loyalty
+checks' restriction and the equilibrium search return. Every sum is a
+left-to-right fold from 0.0 (``_fold``), so each result has the bits a
+per-cell Python loop gives.
 Deterministic rules are enumerated, and sums over a rule's rows taken, in
 the rows' declared order (``parent_assignments``); ties go to the lowest
 index. The equilibrium warm start enumerates, in blocks, the deterministic
@@ -40,8 +45,9 @@ kept node depends on them), so the law of the kept nodes and every agent's
 utility are unchanged, and a query that reads only kept nodes can run on
 the smaller joint (Shachter 1986).
 
-All values are immutable after construction and every operation is a pure
-function, so concurrent use needs no locking.
+A model never changes and every operation is a pure function, so
+concurrent use needs no locking: what a model builds on first use is kept
+read-only, and a race there only computes the same bits twice.
 """
 
 from __future__ import annotations
@@ -127,15 +133,14 @@ class Macid(ReadOnly):
     node to its table on the node's scope (``scope``); construction checks
     them and keeps read-only float copies. Derived at construction:
     ``node_map`` (id -> node), ``outcome_order`` and ``outcome_shape``,
-    each node's ``_Plan``, and, read-only on the outcome axes,
-    ``cpd_factors`` (each chance node's CPD factor), ``utility_arrays``
-    (each agent's total utility) and ``_lead``, the count and product of
-    the chance factors that lead the outcome order.
+    each node's ``_Plan`` and ``cpd_factors`` (each chance node's CPD
+    factor on the outcome axes); on first use, read-only,
+    ``utility_arrays`` (each agent's total utility so placed) and ``_lead``.
     """
 
     __slots__ = (
         "nodes", "edges", "cpds", "utilities", "agents", "node_map", "outcome_order", "outcome_shape", "cpd_factors",
-        "utility_arrays", "_plans", "_lead",
+        "_plans", "_decisions", "_base", "_memo",
     )
 
     def __init__(
@@ -222,18 +227,32 @@ class Macid(ReadOnly):
 
         # a parent's table on a new scope has failed its check above
         shared = base.cpd_factors if same else {}
-        cpd_factors = {nid: shared[nid] if nid in shared else _place(self, nid, cpd) for nid, cpd in self.cpds.items()}
-        # each agent's utility nodes, in sorted order, summed on the outcome axes
-        utility_arrays = base.utility_arrays if same else {
-            a: np.asarray(sum(_place(self, u, self.utilities[u]) for u in self.utility_nodes_of(a))) for a in agents
+        cpd_factors = {
+            nid: shared[nid] if nid in shared else _frozen(_place(self, nid, cpd)) for nid, cpd in self.cpds.items()
         }
-        k, lead = base._lead if same else (0, np.ones((1,) * len(shape)))
-        while k < len(outcome_order) and outcome_order[k] in cpd_factors:
-            lead = np.where(lead == 0.0, lead, lead * cpd_factors[outcome_order[k]])
-            k += 1
-        for arr in (*cpd_factors.values(), *utility_arrays.values(), lead):
-            arr.flags.writeable = False
-        self._set(cpd_factors=cpd_factors, utility_arrays=utility_arrays, _lead=(k, lead))
+        decisions = tuple(sorted(n.id for n in nodes if n.kind is NodeKind.DECISION))
+        self._set(cpd_factors=cpd_factors, _decisions=decisions, _base=base if same else None, _memo={})
+
+    @property
+    def utility_arrays(self) -> dict[str, np.ndarray]:
+        """Each agent's utility nodes, in sorted order, summed on the outcome axes."""
+        if "utility" not in self._memo:
+            self._memo["utility"] = self._base.utility_arrays if self._base is not None else {
+                a: _frozen(np.asarray(sum(_place(self, u, self.utilities[u]) for u in self.utility_nodes_of(a))))
+                for a in self.agents
+            }
+        return self._memo["utility"]
+
+    @property
+    def _lead(self) -> tuple[int, np.ndarray]:
+        """The count and product of the chance factors that lead the outcome order."""
+        if "lead" not in self._memo:
+            k, prod = self._base._lead if self._base is not None else (0, np.ones((1,) * len(self.outcome_shape)))
+            while k < len(self.outcome_order) and self.outcome_order[k] in self.cpd_factors:
+                prod = np.where(prod == 0.0, prod, prod * self.cpd_factors[self.outcome_order[k]])
+                k += 1
+            self._memo["lead"] = (k, _frozen(prod))
+        return self._memo["lead"]
 
     def _derive(self, nodes, edges, cpds, checked: tuple[str, ...]) -> "Macid":
         """``Macid(nodes, edges, cpds, self.utilities, self.agents)``, taking
@@ -266,9 +285,7 @@ class Macid(ReadOnly):
         return itertools.product(*domains)
 
     def decision_nodes(self) -> tuple[str, ...]:
-        return tuple(
-            sorted(n.id for n in self.nodes if n.kind is NodeKind.DECISION)
-        )
+        return self._decisions
 
     def utility_nodes_of(self, agent: str) -> tuple[str, ...]:
         if agent not in self.agents:
@@ -382,9 +399,30 @@ def _check_table(model: Macid, nid: str, table) -> None:
             raise ValueError(f"row {key} for {nid!r} {problem}")
 
 
+class _Checked(ReadOnly, Mapping):
+    """A read-only profile that ``_check_profile`` passes on ``model``
+    unchecked: one checked for it, or built from such rules."""
+
+    __slots__ = ("model", "_rules")
+
+    def __init__(self, model: Macid, rules: dict[str, np.ndarray]) -> None:
+        self._set(model=model, _rules=rules)
+
+    def __getitem__(self, nid: str) -> np.ndarray:
+        return self._rules[nid]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._rules)
+
+    def __len__(self) -> int:
+        return len(self._rules)
+
+
 def _check_profile(model: Macid, profile: PolicyProfile) -> None:
-    """Raise unless ``profile`` gives a valid rule to each decision node of
-    ``model`` and to no other node."""
+    """Raise unless ``profile``, if not ``_Checked`` for ``model``, gives a
+    valid rule to each decision node of ``model`` and to no other node."""
+    if isinstance(profile, _Checked) and profile.model is model:
+        return
     for nid in profile:
         if model.node(nid).kind is not NodeKind.DECISION:
             raise ValueError(f"rule for non-decision node {nid!r}")
@@ -402,9 +440,16 @@ def _fold(values: np.ndarray, keep: tuple[int, ...] | list[int] = ()) -> np.ndar
     other axes in C order, as a left-to-right fold from 0.0: the order a
     Python loop adds in. ``np.add.accumulate`` is sequential where
     ``np.sum`` is pairwise, and adding 0.0 turns a -0.0 into +0.0."""
+    if not keep:
+        return np.add.accumulate(values.reshape(-1))[-1] + 0.0
     rest = [i for i in range(values.ndim) if i not in keep]
     flat = values.transpose([*keep, *rest]).reshape([*(values.shape[i] for i in keep), -1])
     return np.cumsum(flat, axis=-1)[..., -1] + 0.0
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 def _place(model: Macid, nid: str, local: np.ndarray) -> np.ndarray:
@@ -444,11 +489,6 @@ def joint_distribution(model: Macid, profile: PolicyProfile) -> dict[Assignment,
     return dict(zip(itertools.product(*domains), _chain(model, profile).ravel().tolist()))
 
 
-def _joint_array(model: Macid, profile: PolicyProfile) -> np.ndarray:
-    joint = joint_distribution(model, profile)
-    return np.fromiter(joint.values(), float, len(joint)).reshape(model.outcome_shape)
-
-
 def marginal(
     model: Macid, profile: PolicyProfile, node_ids: tuple[str, ...]
 ) -> dict[Assignment, float]:
@@ -461,7 +501,7 @@ def marginal(
     for nid in node_ids:
         if nid not in positions:
             raise ValueError(f"{nid!r} is not a chance or decision node of the model")
-    joint = _joint_array(model, profile)
+    joint = np.fromiter(joint_distribution(model, profile).values(), float).reshape(model.outcome_shape)
     kept = sorted({positions[nid] for nid in node_ids})
     sums = _fold(joint, kept).ravel()
     slots = [kept.index(positions[nid]) for nid in node_ids]
@@ -470,11 +510,11 @@ def marginal(
 
 
 def expected_utility(model: Macid, profile: PolicyProfile, agent: str) -> float:
-    """Sum over joint assignments of probability times the agent's utilities."""
-    joint = _joint_array(model, profile)
+    """The chain-rule product (``_chain``) times the agent's utility array, folded."""
     if agent not in model.agents:
         raise ValueError(f"unknown agent {agent!r}")
-    return float(_fold(joint * model.utility_arrays[agent]))
+    _check_profile(model, profile)
+    return float(_fold(_chain(model, profile) * model.utility_arrays[agent]))
 
 
 # -- deterministic rules and equilibrium --------------------------------------
@@ -484,12 +524,12 @@ def deterministic_rule(model: Macid, node_id: str, actions) -> np.ndarray:
     """The 0/1 rule array of ``node_id`` that plays action index
     ``actions[r]`` at the node's r-th parent assignment (declared order).
     A scalar plays one action everywhere; leading axes of ``actions`` give
-    a stack of rules, one per entry."""
+    a stack of rules, one per entry. The array is read-only."""
     sizes = model._plans[model.node(node_id).id].sizes
     actions = np.asarray(actions)
     if actions.ndim == 0:
         actions = np.full(math.prod(sizes[:-1]), actions)
-    return np.eye(sizes[-1])[actions].reshape(*actions.shape[:-1], *sizes)
+    return _frozen(np.eye(sizes[-1])[actions].reshape(*actions.shape[:-1], *sizes))
 
 
 def enumerate_deterministic_rules(model: Macid, node_id: str) -> Iterator[np.ndarray]:
@@ -514,13 +554,14 @@ def best_response(
     if model.node(node_id).kind is not NodeKind.DECISION:
         raise ValueError(f"{node_id!r} is not a decision node")
     _check_profile(model, profile)
-    return _best_response_detail(model, profile, node_id)[:2]
+    actions, best_value, _ = _best_response_detail(model, profile, node_id)
+    return deterministic_rule(model, node_id, actions), best_value
 
 
 def _best_response_detail(
     model: Macid, profile: PolicyProfile, node_id: str
 ) -> tuple[np.ndarray, float, float]:
-    """Best response plus the owner's value of the node's current rule.
+    """Best response (an action index per row) plus the owner's value of the node's current rule.
 
     Row payoffs W[r][a] are the owner's expected utility mass routed
     through parent assignment r when the node plays action ``a`` there,
@@ -534,16 +575,16 @@ def _best_response_detail(
     w = _fold(mass, model._plans[node_id].pos).reshape(-1, len(node.domain))
     best_value = float(_fold(w.max(axis=1)))
     current_value = float(_fold(_fold(np.reshape(profile[node_id], w.shape) * w, (0,))))
-    return deterministic_rule(model, node_id, w.argmax(axis=1)), best_value, current_value
+    return w.argmax(axis=1), best_value, current_value
 
 
-def _iterate(model: Macid, start: PolicyProfile, nodes) -> dict[str, np.ndarray]:
+def _iterate(model: Macid, start: PolicyProfile, nodes) -> _Checked:
     """The fixed point that best-response sweeps over ``nodes`` reach from
-    ``start``: in a sweep, each node not playing a best response switches
-    to the lexicographically smallest one, and a sweep with no switch
-    returns the profile. A revisited profile raises ``NoConvergence`` with
-    the cycle's period, and ``MAX_ROUNDS`` sweeps without a fixed point
-    raise it with none."""
+    ``start``, a valid profile: in a sweep, each node not playing a best
+    response switches to the lexicographically smallest one, and a sweep
+    with no switch returns the profile, as checked (``_Checked``). A
+    revisited profile raises ``NoConvergence`` with the cycle's period, and
+    ``MAX_ROUNDS`` sweeps without a fixed point raise it with none."""
     profile = dict(start)
 
     def key() -> bytes:  # rules hold no NaN, so equal bytes mean equal rules, stochastic ones too
@@ -553,12 +594,12 @@ def _iterate(model: Macid, start: PolicyProfile, nodes) -> dict[str, np.ndarray]
     for sweep in range(1, MAX_ROUNDS + 1):
         changed = False
         for nid in nodes:
-            rule, best_value, current_value = _best_response_detail(model, profile, nid)
+            actions, best_value, current_value = _best_response_detail(model, profile, nid)
             if best_value > current_value + _GAIN_MARGIN:
-                profile[nid] = rule
+                profile[nid] = deterministic_rule(model, nid, actions)
                 changed = True
         if not changed:
-            return profile
+            return _Checked(model, profile)
         period = sweep - seen.setdefault(key(), sweep)  # 0 for a profile not seen before
         if period:
             raise NoConvergence(f"best-response iteration cycles with period {period}", period=period)
@@ -634,8 +675,8 @@ def _welfare_warm_start(model: Macid) -> dict[str, np.ndarray]:
     return {nid: deterministic_rule(model, nid, part) for nid, part in parts}
 
 
-def solve_equilibrium(model: Macid) -> dict[str, np.ndarray]:
-    """Pure-strategy Nash equilibrium in deterministic rules.
+def solve_equilibrium(model: Macid) -> PolicyProfile:
+    """Pure-strategy Nash equilibrium in deterministic rules, ``_Checked`` for ``model``.
 
     Best-response iteration (``_iterate``) over the decision nodes in
     sorted-id order, from the welfare warm start (``_welfare_warm_start``).
@@ -655,9 +696,7 @@ def is_equilibrium(model: Macid, profile: PolicyProfile) -> bool:
         agent = model.node_map[nid].owner
         current = expected_utility(model, profile, agent)
         for rule in enumerate_deterministic_rules(model, nid):
-            trial = dict(profile)
-            trial[nid] = rule
-            if expected_utility(model, trial, agent) > current + 1e-9:
+            if expected_utility(model, {**profile, nid: rule}, agent) > current + 1e-9:
                 return False
     return True
 

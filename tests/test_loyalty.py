@@ -366,15 +366,17 @@ def test_ancestral_keeps_targets_utilities_and_their_ancestors():
 
 def test_barren_nodes_add_no_joint_work(monkeypatch):
     # 11 and 12 isolated binary nodes multiply the unpruned joint by 2**11
-    # and 2**12; pruned, no joint is larger than the model without them
+    # and 2**12; pruned, no joint is larger than the model without them.
+    # Every joint, expected utility, best response and warm start goes
+    # through the chain-rule product, so it is counted there.
     cells = []
-    real = macid.joint_distribution
+    real = macid._chain
 
-    def counting(model, profile):
+    def counting(model, profile, skip=()):
         cells.append(math.prod(len(model.node_map[n].domain) for n in model.outcome_order))
-        return real(model, profile)
+        return real(model, profile, skip)
 
-    monkeypatch.setattr(macid, "joint_distribution", counting)
+    monkeypatch.setattr(macid, "_chain", counting)
     small, wide = disclosure_model(), with_extra(disclosure_model(), isolated(11))
     for copying in (True, False):
         cells.clear()

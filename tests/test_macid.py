@@ -87,6 +87,35 @@ def test_joint_rejects_malformed_rule(bad, message):
         joint_distribution(model, {"B": np.array(bad)})
 
 
+QUERIES = {
+    "joint_distribution": joint_distribution,
+    "marginal": lambda model, profile: marginal(model, profile, ("C", "B_b")),
+    "expected_utility": lambda model, profile: expected_utility(model, profile, "bob"),
+}
+
+
+@pytest.mark.parametrize("query", QUERIES.values(), ids=QUERIES)
+def test_only_a_profile_checked_for_the_model_skips_the_check(query):
+    model = disclosure_model()
+    solved = solve_equilibrium(model)
+    with pytest.raises(TypeError):
+        solved["B_b"] = solved["R_a"]
+    with pytest.raises(ValueError):
+        solved["B_b"][...] = 0.0
+    # an equal plain dict is checked, and answers as the solved profile does
+    plain = dict(solved)
+    assert repr(query(model, plain)) == repr(query(model, solved))
+    with pytest.raises(ValueError, match=r"row \('1',\) for 'R_a' sums to 1\.4, not 1"):
+        query(model, {**plain, "R_a": np.array([[1.0, 0.0], [0.7, 0.7]])})
+    with pytest.raises(ValueError, match="no rule for decision node 'B_b'"):
+        query(model, {"R_a": solved["R_a"]})
+    # a model derived from the one it was solved on checks it again
+    extended = model.with_edge("C", "B_b")
+    for profile in (solved, plain):
+        with pytest.raises(ValueError, match=r"table for 'B_b' has shape \(2, 2\), expected \(2, 2, 2\)"):
+            query(extended, profile)
+
+
 def test_joint_sums_to_one_under_stochastic_rules():
     model = disclosure_model()
     profile = {"R_a": np.array([[0.3, 0.7], [0.9, 0.1]]), "B_b": np.array([[0.5, 0.5], [0.2, 0.8]])}
@@ -190,7 +219,8 @@ def test_best_response_loop_from_a_stochastic_start():
     # off it, every best response is a 0/1 rule, so the cycle the sweeps enter holds only those
     start = {"A": np.array([0.7, 0.3]), "B": half}
     for nid in ("A", "B"):
-        assert sorted(macid._best_response_detail(model, start, nid)[0].tolist()) == [0.0, 1.0]
+        actions = macid._best_response_detail(model, start, nid)[0]
+        assert sorted(deterministic_rule(model, nid, actions).tolist()) == [0.0, 1.0]
     with pytest.raises(NoConvergence, match="period 2") as exc:
         macid._iterate(model, start, ("A", "B"))
     assert exc.value.period == 2
@@ -1076,16 +1106,25 @@ def test_rules_follow_the_declared_parent_assignments():
 
 
 def test_cpd_and_utility_arrays_are_built_once_per_model(monkeypatch):
-    model = disclosure_model()
-    tables = (model.cpds, model.utilities, model.cpd_factors, model.utility_arrays)
-    for arr in (arr for table in tables for arr in table.values()):
-        with pytest.raises(ValueError):
-            arr[...] = 0.0
-    assert model.cpds["C"].shape == (2,) and model.utilities["U_b"].shape == (2, 2)
     placed, checked = [], []
     place, check = macid._place, macid._check_table
     monkeypatch.setattr(macid, "_place", lambda m, nid, local: placed.append((nid, local)) or place(m, nid, local))
     monkeypatch.setattr(macid, "_check_table", lambda m, nid, table: checked.append((nid, table)) or check(m, nid, table))
+    model = disclosure_model()
+    # construction places the CPDs alone; each agent's utility array and the
+    # leading chance product are built on first use, once
+    assert sorted(nid for nid, _ in placed) == sorted(model.cpds)
+    placed.clear()
+    tables = (model.cpds, model.utilities, model.cpd_factors, model.utility_arrays)
+    lead = model._lead
+    assert sorted(nid for nid, _ in placed) == sorted(model.utilities)
+    assert model.utility_arrays is tables[-1] and model._lead is lead
+    for arr in (*(arr for table in tables for arr in table.values()), lead[1]):
+        with pytest.raises(ValueError):
+            arr[...] = 0.0
+    assert model.cpds["C"].shape == (2,) and model.utilities["U_b"].shape == (2, 2)
+    placed.clear()
+    checked.clear()
 
     profile = solve_equilibrium(model)
     for agent in model.agents:
@@ -1103,6 +1142,7 @@ def test_cpd_and_utility_arrays_are_built_once_per_model(monkeypatch):
     assert (placed, checked) == ([], [])
     assert extended.cpds is model.cpds and extended.utilities is model.utilities
     assert extended.cpd_factors == model.cpd_factors and extended.utility_arrays is model.utility_arrays
+    assert extended._lead[1] is model._lead[1]
     assert extended._plans["C"] is model._plans["C"] and extended._plans["B_b"] != model._plans["B_b"]
     silenced = model.replace_decision_with_constant_chance("R_a", "1")
     assert silenced.outcome_order == model.outcome_order
@@ -1113,8 +1153,11 @@ def test_cpd_and_utility_arrays_are_built_once_per_model(monkeypatch):
     assert silenced.utility_arrays is model.utility_arrays
     placed.clear()
     checked.clear()
+    # its leading product goes on from the parent's, through the new CPD
+    assert (model._lead[0], silenced._lead[0]) == (1, 2) and placed + checked == []
 
-    # one that drops nodes places every table again, and checks none
+    # one that drops nodes places its CPDs again, its utility tables on
+    # first use, once, and checks none
     wide = Macid(
         nodes=model.nodes + (Node("X", NodeKind.CHANCE, domain=("0", "1")),),
         edges={**model.edges, "X": ("C",)},
@@ -1126,5 +1169,8 @@ def test_cpd_and_utility_arrays_are_built_once_per_model(monkeypatch):
     checked.clear()
     kept = wide.ancestral(("B_b",))
     assert kept.outcome_order == model.outcome_order and checked == []
-    assert sorted(nid for nid, _ in placed) == sorted((*model.cpds, *model.utilities))
+    assert sorted(nid for nid, _ in placed) == sorted(model.cpds)
     assert all(kept.cpds[nid] is wide.cpds[nid] for nid in kept.cpds)
+    placed.clear()
+    assert kept.utility_arrays is kept.utility_arrays
+    assert sorted(nid for nid, _ in placed) == sorted(model.utilities)

@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -348,6 +349,27 @@ def test_macid_tables_reach_the_kernels_as_arrays():
             assert got[nid].reshape(-1, width).tolist() == np.reshape(rows, (-1, width)).tolist()
     assert model.cpds["C"].shape == (2,) and model.utilities["U_b"].tolist() == [[1.0, -0.5], [0.25, 2.0]]
     assert world.profile["R_a"].tolist() == [[0.75, 0.25], [0.0, 1.0]]
+
+
+def test_validating_an_influence_model_costs_its_tables():
+    # 20 independent binary nodes, each the only parent of its own client
+    # utility node, make the joint 2**23 cells; loading builds only the
+    # tables (numpy's buffers are traced too)
+    raw = raw_scenario("disclosure_demo.json")
+    doc = raw["world"]["macid"]
+    for i in range(20):
+        doc["nodes"] += [{"id": f"M_{i}", "kind": "chance", "domain": ["0", "1"]},
+                         {"id": f"V_{i}", "kind": "utility", "owner": "client"}]
+        doc["edges"].update({f"M_{i}": [], f"V_{i}": [f"M_{i}"]})
+        doc["cpds"][f"M_{i}"] = [[0.5, 0.5]]
+        doc["utilities"][f"V_{i}"] = [0.0, 1.0]
+    tracemalloc.start()
+    try:
+        assert validate_scenario(raw) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 # --- integers, booleans and paths ------------------------------------------------
