@@ -117,8 +117,9 @@ def _restrict(
 ) -> tuple[Macid, PolicyProfile]:
     """``model`` restricted to ``targets``, the utility nodes and their
     ancestors, with ``profile``'s rules for the decisions kept, ``_Checked``.
-    The profile is checked against the full model, so a missing or malformed
-    rule at a dropped decision still raises."""
+    A profile not ``_Checked`` for ``model`` (the scenario reader's is) is
+    checked against the full model, so a missing or malformed rule at a
+    dropped decision still raises."""
     _check_profile(model, profile)
     model = model.ancestral(targets)
     return model, _Checked(model, {nid: profile[nid] for nid in model.decision_nodes()})

@@ -6,10 +6,16 @@ decision rules, and utility nodes carry real-valued tables over their
 parents. Everything is finite and enumerated exactly, so every query below
 is an exact computation rather than an estimate.
 
-Every table is a float array on its node's scope (``Macid.scope``): one
-axis per parent in declared order, then, for a CPD or a decision rule, one
-axis for the node's own values. A policy profile maps each decision node
-to such a rule array; a deterministic rule is a read-only 0/1 array
+One order rules the nodes: the declared one (``Macid.nodes``). Decisions
+are swept, enumerated and checked in it, each agent's utility nodes are
+summed in it, and the outcome order is it with each node moved after its
+parents (``_topological_order``). So a rename changes no result, though
+the declared order can still choose between equilibria.
+
+Every table is a float array on its node's scope: one axis per parent in
+declared order, then, for a CPD or a decision rule, one axis for the
+node's own values. A policy profile maps each decision node to such a
+rule array; a deterministic rule is a read-only 0/1 array
 (``deterministic_rule``). Construction costs what the tables cost: it
 works out the outcome shape, each node's plan (``_Plan``: how ``_place``
 moves a table on its scope onto the axes of ``outcome_order``) and the
@@ -25,16 +31,16 @@ taken in outcome order from the leading chance product (``_chain``); an
 expected utility folds it times the agent's utility array directly, and
 best-response payoffs are that product less the node's own factor, times
 the owner's utility array. A profile is checked once per model: queries
-take as it is a profile ``_Checked`` for the model, which the loyalty
-checks' restriction and the equilibrium search return. Every sum is a
-left-to-right fold from 0.0 (``_fold``), so each result has the bits a
-per-cell Python loop gives.
+take as it is a profile ``_Checked`` for the model, which the scenario
+reader, the loyalty checks' restriction and the equilibrium search
+return. Every sum is a left-to-right fold from 0.0 (``_fold``), so each
+result has the bits a per-cell Python loop gives.
 Deterministic rules are enumerated, and sums over a rule's rows taken, in
 the rows' declared order (``parent_assignments``); ties go to the lowest
 index. The equilibrium warm start enumerates, in blocks, the deterministic
-profiles of every decision but the last, a profile's joint being the
-chance factors' product times its rules' 0/1 arrays, and picks the last
-decision's rule row by row against each. Every best-response search runs
+profiles of every decision but the last declared, a profile's joint being
+the chance factors' product times its rules' 0/1 arrays, and picks the last
+one's rule row by row against each. Every best-response search runs
 one loop of sweeps (``_iterate``), from the warm start or from any other
 profile.
 
@@ -130,7 +136,7 @@ class Macid(ReadOnly):
 
     ``edges`` lists each node's parents (order matters: it fixes the axes
     of every table). ``cpds`` and ``utilities`` map each chance and utility
-    node to its table on the node's scope (``scope``); construction checks
+    node to its table on the node's scope; construction checks
     them and keeps read-only float copies. Derived at construction:
     ``node_map`` (id -> node), ``outcome_order`` and ``outcome_shape``,
     each node's ``_Plan`` and ``cpd_factors`` (each chance node's CPD
@@ -180,7 +186,7 @@ class Macid(ReadOnly):
             if n.kind is NodeKind.UTILITY and children[n.id]:
                 raise ValueError(f"utility node {n.id!r} has children {children[n.id]}")
 
-        order = _topological_order(edges, children)
+        order = _topological_order(nodes, edges)
 
         for n in nodes:
             if n.kind is NodeKind.CHANCE:
@@ -230,12 +236,12 @@ class Macid(ReadOnly):
         cpd_factors = {
             nid: shared[nid] if nid in shared else _frozen(_place(self, nid, cpd)) for nid, cpd in self.cpds.items()
         }
-        decisions = tuple(sorted(n.id for n in nodes if n.kind is NodeKind.DECISION))
+        decisions = tuple(n.id for n in nodes if n.kind is NodeKind.DECISION)
         self._set(cpd_factors=cpd_factors, _decisions=decisions, _base=base if same else None, _memo={})
 
     @property
     def utility_arrays(self) -> dict[str, np.ndarray]:
-        """Each agent's utility nodes, in sorted order, summed on the outcome axes."""
+        """Each agent's utility nodes, in declared order, summed on the outcome axes."""
         if "utility" not in self._memo:
             self._memo["utility"] = self._base.utility_arrays if self._base is not None else {
                 a: _frozen(np.asarray(sum(_place(self, u, self.utilities[u]) for u in self.utility_nodes_of(a))))
@@ -273,11 +279,6 @@ class Macid(ReadOnly):
     def parents(self, node_id: str) -> tuple[str, ...]:
         return self.edges[self.node(node_id).id]
 
-    def scope(self, node_id: str) -> tuple[str, ...]:
-        """The nodes a table of ``node_id`` has one axis for: its parents in
-        declared order, then the node itself unless it is a utility node."""
-        return self.parents(node_id) + ((node_id,) if self.node_map[node_id].domain else ())
-
     def parent_assignments(self, node_id: str) -> Iterator[Assignment]:
         """Joint parent assignments in row-major declared-domain order: the
         rows of the node's table."""
@@ -290,9 +291,7 @@ class Macid(ReadOnly):
     def utility_nodes_of(self, agent: str) -> tuple[str, ...]:
         if agent not in self.agents:
             raise ValueError(f"unknown agent {agent!r}")
-        return tuple(
-            sorted(n.id for n in self.nodes if n.kind is NodeKind.UTILITY and n.owner == agent)
-        )
+        return tuple(n.id for n in self.nodes if n.kind is NodeKind.UTILITY and n.owner == agent)
 
     def with_edge(self, parent: str, child: str) -> "Macid":
         """Copy of the model with ``parent`` appended to ``child``'s parents.
@@ -353,24 +352,18 @@ class Macid(ReadOnly):
         return self._derive(nodes, edges, cpds, (node_id,))
 
 
-def _topological_order(
-    edges: Mapping[str, tuple[str, ...]], children: Mapping[str, list[str]]
-) -> tuple[str, ...]:
-    """Kahn's algorithm with sorted-id tie-break; raises on cycles."""
-    remaining_parents = {nid: set(ps) for nid, ps in edges.items()}
-    ready = sorted(nid for nid, ps in remaining_parents.items() if not ps)
-    order: list[str] = []
-    while ready:
-        nid = ready.pop(0)
+def _topological_order(nodes: tuple[Node, ...], edges: Mapping[str, tuple[str, ...]]) -> tuple[str, ...]:
+    """The node ids, each after its parents: every step places the
+    earliest-declared node whose parents are all placed, so a declared
+    order that is already topological is kept. Raises on cycles."""
+    left, placed, order = [n.id for n in nodes], set(), []
+    while left:
+        nid = next((nid for nid in left if placed.issuperset(edges[nid])), None)
+        if nid is None:
+            raise ValueError("edge structure contains a cycle")
+        left.remove(nid)
+        placed.add(nid)
         order.append(nid)
-        newly = []
-        for c in children[nid]:
-            remaining_parents[c].discard(nid)
-            if not remaining_parents[c]:
-                newly.append(c)
-        ready = sorted(ready + newly)
-    if len(order) != len(children):
-        raise ValueError("edge structure contains a cycle")
     return tuple(order)
 
 
@@ -538,7 +531,7 @@ def enumerate_deterministic_rules(model: Macid, node_id: str) -> Iterator[np.nda
     node = model.node(node_id)
     if node.kind is not NodeKind.DECISION:
         raise ValueError(f"{node_id!r} is not a decision node")
-    for idx in itertools.product(range(len(node.domain)), repeat=len(list(model.parent_assignments(node_id)))):
+    for idx in itertools.product(range(len(node.domain)), repeat=math.prod(model._plans[node_id].sizes[:-1])):
         yield deterministic_rule(model, node_id, np.array(idx))
 
 
@@ -617,9 +610,9 @@ def _welfare_warm_start(model: Macid) -> dict[str, np.ndarray]:
     Beyond the enumeration budget (all profiles times all outcomes), fall
     back to the lexicographically smallest profile.
 
-    Welfare is linear in the last decision's rule, row by row, so only the
-    other decisions' profiles are enumerated (single policy updating,
-    Lauritzen & Nilsson 2001): for each, the last decision's row payoffs
+    Welfare is linear in the last declared decision's rule, row by row, so
+    only the other decisions' profiles are enumerated (single policy
+    updating, Lauritzen & Nilsson 2001): for each, the last one's row payoffs
     ``w[r][a]`` are the agents' utility mass routed through parent
     assignment r and action a, as in ``_best_response_detail``, and its
     rule takes in each row the first action, unless a later one beats the
@@ -632,7 +625,7 @@ def _welfare_warm_start(model: Macid) -> dict[str, np.ndarray]:
     gain together.
     """
     decisions = model.decision_nodes()
-    rows = [len(list(model.parent_assignments(nid))) for nid in decisions]
+    rows = [math.prod(model._plans[nid].sizes[:-1]) for nid in decisions]
     # A profile's number in that order has one mixed-radix digit per
     # decision and row in declared order: the action index played there.
     radix = [len(model.node_map[nid].domain) for nid, n in zip(decisions, rows) for _ in range(n)]
@@ -679,7 +672,7 @@ def solve_equilibrium(model: Macid) -> PolicyProfile:
     """Pure-strategy Nash equilibrium in deterministic rules, ``_Checked`` for ``model``.
 
     Best-response iteration (``_iterate``) over the decision nodes in
-    sorted-id order, from the welfare warm start (``_welfare_warm_start``).
+    declared order, from the welfare warm start (``_welfare_warm_start``).
     A full sweep with no change is a fixed point and hence a Nash
     equilibrium (no unilateral deviation at any single decision node raises
     its owner's expected utility). A revisited profile raises

@@ -7,9 +7,11 @@ nested arrays ordered by the declared id lists (states, actions, domains,
 outcomes), and demos/comparisons reference states and actions by index.
 A ``world.macid`` CPD, utility table or profile rule lists one row per
 parent assignment in declared order and becomes one float array on the
-node's scope (``Macid.scope``), the rows reshaped onto it; a CPD or rule
-row must hold one entry per value of its node, and a declared profile must
-give a valid rule to each decision node and to no other node. Each
+node's scope, one axis per parent in declared order and, for a CPD or
+rule, one for the node's values; a CPD or rule row must hold one entry per
+value of its node. A declared profile must give a valid rule to each
+decision node and to no other node; it is checked here, once, and reaches
+the audit read-only, as ``macid._Checked`` for ``world.macid``. Each
 ``aggregation.utilities`` class and each ``loyalty.tables`` role is one
 row of floats in declared ``options`` or ``outcomes`` order, and reaches
 the kernels as it was read. ``aggregation.class_score`` is not read: every
@@ -80,7 +82,7 @@ from .assessment import DEFAULT_TEMPERATURE
 from .care import DOMINANCE_THRESHOLD
 from .context import ContextSpec, Norm, PrincipalClassSpec, Role, validate_context
 from .errors import SchemaError
-from .macid import Macid, Node, NodeKind, _check_profile
+from .macid import Macid, Node, NodeKind, _check_profile, _Checked
 from .mdp import MAX_ITERS_CAP, DiscountSpec, Mdp, RewardOption
 
 SUPPORTED_SCHEMA_VERSIONS = (1,)
@@ -366,7 +368,7 @@ class _Reader:
         return out
 
     @_object
-    def macid(self, doc: dict, path: str) -> tuple[Macid, dict | None] | None:
+    def macid(self, doc: dict, path: str) -> tuple[Macid, _Checked | None] | None:
         start = len(self.problems)
         nodes = self.field(doc, "nodes", path, self.list_, item=self.node, nonempty=True) or ()
         edges = {}
@@ -377,7 +379,8 @@ class _Reader:
         sizes = {n.id: len(n.domain) for n in nodes}
 
         def shape(nid: str, rows: bool) -> tuple[int, ...] | None:
-            """The sizes of ``Macid.scope(nid)``, when every node in it is known."""
+            """The sizes of a table of ``nid``, one per parent and, for a
+            CPD or rule (``rows``), one for the node: when all are known."""
             parents = edges.get(nid, ())
             if parents is None or any(n not in sizes for n in (*parents, nid)):
                 return None
@@ -407,7 +410,9 @@ class _Reader:
         except ValueError as exc:
             self.fail(f"{path}.profile", str(exc))
             return None
-        return model, profile
+        for rule in profile.values():
+            rule.flags.writeable = False
+        return model, _Checked(model, profile)
 
     @_object
     def mdp(self, doc: dict, path: str) -> Mdp | None:
@@ -776,8 +781,8 @@ def parse_scenario(raw: Any) -> SimpleNamespace:
     "unnamed" and "0" by default), ``digest``, ``world`` and one per entry
     of ``SECTIONS``, None for an omitted section:
 
-    - ``world``: ``macid``, ``profile`` (decision node id -> rule array)
-      and ``mdp``, each None when not declared;
+    - ``world``: ``macid``, ``profile`` (decision node id -> rule array,
+      ``macid._Checked``) and ``mdp``, each None when not declared;
     - ``context``, a ContextSpec; ``principals``, a tuple of
       PrincipalClassSpec; ``assessment``, a tuple of methods;
     - ``aggregation``: ``method``, ``options``, ``ballots`` (a tuple of

@@ -338,7 +338,7 @@ def test_best_response_matches_exhaustive_search_under_stochastic_rules(rng):
 
 def test_best_response_rejects_an_incomplete_profile_and_a_bad_node():
     model = disclosure_model()
-    with pytest.raises(ValueError, match="no rule for decision node 'B_b'"):
+    with pytest.raises(ValueError, match="no rule for decision node 'R_a'"):
         best_response(model, {}, "B_b")
     with pytest.raises(ValueError, match="unknown node 'ghost'"):
         best_response(model, disclosure_profile(model), "ghost")
@@ -638,7 +638,8 @@ def test_joint_reruns_bit_identical(rng):
 
 def _cell(table, model, nid, assignment, positions):
     """The entry of ``nid``'s table at the values ``assignment`` gives its scope."""
-    index = tuple(model.node_map[n].domain.index(assignment[positions[n]]) for n in model.scope(nid))
+    scope = model.parents(nid) + ((nid,) if model.node_map[nid].domain else ())
+    index = tuple(model.node_map[n].domain.index(assignment[positions[n]]) for n in scope)
     return float(table[index])
 
 
@@ -886,7 +887,7 @@ def _derived_models(model, profile, rng, max_cells=1500):
             except ValueError as exc:
                 assert str(exc) == "edge structure contains a cycle"
                 continue
-            scope = tuple(len(extended.node_map[n].domain) for n in extended.scope(d))
+            scope = tuple(len(extended.node_map[n].domain) for n in (*extended.parents(d), d))
             derived.append(("with_edge", extended, {**profile, d: _random_tables(rng, scope)}))
     return [
         (kind, m, p) for kind, m, p in derived
@@ -902,6 +903,10 @@ def test_kernel_matches_scalar_reference_bit_for_bit(monkeypatch):
     kinds = set()
     for _ in range(300):
         model, profile = _random_influence_model(rng)
+        # declared out of topological order, so that a derived model can
+        # change its outcome order
+        order = rng.permutation(len(model.nodes))
+        model = Macid(tuple(model.nodes[i] for i in order), model.edges, model.cpds, model.utilities, model.agents)
         unsorted += any(list(n.domain) != sorted(n.domain) for n in model.nodes)
         cycles += _matches_reference(model, profile, monkeypatch)
         for kind, derived, derived_profile in _derived_models(model, profile, rng):
@@ -954,7 +959,7 @@ def test_warm_start_budget_is_inclusive(monkeypatch):
 
 def test_warm_start_across_blocks_matches_reference(monkeypatch):
     # C -> R -> B over three values: the warm start enumerates the 27 rules
-    # of B and picks R, the last decision, row by row, over 27 outcomes
+    # of R and picks B, the last decision, row by row, over 27 outcomes
     # each; 64-cell blocks hold 2 of those profiles, so the scan crosses
     # block boundaries. Six best profiles tie (R a bijection, B its
     # inverse), and the first in product order must win.
@@ -979,7 +984,7 @@ def test_warm_start_across_blocks_matches_reference(monkeypatch):
     *outer, last = model.decision_nodes()
     n_outer = math.prod(len(model.node_map[n].domain) ** len(list(model.parent_assignments(n))) for n in outer)
     n_outcomes = math.prod(len(model.node_map[n].domain) for n in model.outcome_order)
-    assert (outer, last, n_outer, n_outcomes) == (["B"], "R", 27, 27)
+    assert (outer, last, n_outer, n_outcomes) == (["R"], "B", 27, 27)
     assert n_outer > 2 * (macid._BLOCK_CELLS // n_outcomes)  # three blocks or more
     _same(_tables(macid._welfare_warm_start(model)), _tables(_ref_warm_start(model)))
 
@@ -1016,7 +1021,7 @@ def test_warm_start_on_relay_chains_matches_reference(monkeypatch):
 def test_warm_start_enumerates_only_the_other_decisions_rules(monkeypatch):
     # the silenced (2,3) chain: B_b and R2 have 27 rules each, 729 profiles
     model = relay_chain_model(2, 3, np.random.default_rng(1)).replace_decision_with_constant_chance("R1", "v0")
-    assert model.decision_nodes() == ("B_b", "R2")
+    assert model.decision_nodes() == ("R2", "B_b")
     stacked = {}
     rule = macid.deterministic_rule
 
@@ -1027,8 +1032,8 @@ def test_warm_start_enumerates_only_the_other_decisions_rules(monkeypatch):
 
     monkeypatch.setattr(macid, "deterministic_rule", counting)
     start = macid._welfare_warm_start(model)
-    # B_b's rules are enumerated once; R2, the last decision, is chosen row by row
-    assert stacked == {"B_b": 27}
+    # R2's rules are enumerated once; B_b, the last decision, is chosen row by row
+    assert stacked == {"R2": 27}
     _same(_tables(start), _tables(_ref_warm_start(model)))
 
 

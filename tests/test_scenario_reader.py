@@ -12,8 +12,10 @@ from pathlib import Path
 import pytest
 import numpy as np
 
+from fidaudit import macid
 from fidaudit.audit import emit_report, run_audit
 from fidaudit.errors import SchemaError
+from fidaudit.loyalty import confidentiality_check, disclosure_check
 from fidaudit.mdp import MAX_ITERS_CAP
 from fidaudit.scenario import parse_scenario, validate_scenario
 from helpers import reference_machine_report, run_cli
@@ -343,12 +345,35 @@ def test_macid_tables_reach_the_kernels_as_arrays():
     assert [sorted(got) for got, _ in tables] == [sorted(doc[key]) for _, key in tables]
     for got, key in tables:
         for nid, rows in doc[key].items():
-            shape = tuple(len(model.node(n).domain) for n in model.scope(nid))
+            scope = model.parents(nid) + ((nid,) if key != "utilities" else ())
+            shape = tuple(len(model.node(n).domain) for n in scope)
             assert isinstance(got[nid], np.ndarray) and got[nid].dtype == float and got[nid].shape == shape
             width = shape[-1] if key != "utilities" else 1
             assert got[nid].reshape(-1, width).tolist() == np.reshape(rows, (-1, width)).tolist()
     assert model.cpds["C"].shape == (2,) and model.utilities["U_b"].tolist() == [[1.0, -0.5], [0.25, 2.0]]
     assert world.profile["R_a"].tolist() == [[0.75, 0.25], [0.0, 1.0]]
+
+
+def test_the_declared_profile_is_checked_once(monkeypatch):
+    scenario = parse_scenario(raw_scenario("disclosure_demo.json"))
+    model, profile = scenario.world.macid, scenario.world.profile
+    assert isinstance(profile, macid._Checked) and profile.model is model
+    for rule in profile.values():
+        with pytest.raises(ValueError):
+            rule[...] = 0.0
+    # the audit checks only the CPDs of the silenced models it builds
+    checked, check = [], macid._check_table
+    monkeypatch.setattr(
+        macid, "_check_table", lambda m, nid, table: checked.append(m.node_map[nid].kind) or check(m, nid, table)
+    )
+    run_audit(scenario)
+    assert checked and set(checked) == {macid.NodeKind.CHANCE}
+    # a plain mapping is still checked, with the same messages
+    for kernel, nodes in ((confidentiality_check, ("R_a", "C")), (disclosure_check, ("R_a", "C", "B_b"))):
+        with pytest.raises(ValueError, match="no rule for decision node 'B_b'"):
+            kernel(model, {"R_a": profile["R_a"]}, *nodes)
+        with pytest.raises(ValueError, match=r"row \('lo',\) for 'R_a' sums to 2.0, not 1"):
+            kernel(model, {**profile, "R_a": np.ones((2, 2))}, *nodes)
 
 
 def test_validating_an_influence_model_costs_its_tables():
