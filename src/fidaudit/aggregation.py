@@ -3,9 +3,9 @@
 Approval counting, Pareto filtering over partially ordered utilities,
 lexicographic selection in priority order, exhaustive manipulation search
 for small ordinal rules, and the impartiality test. Outputs never hide
-discretion points: winner ties are returned as sets and index tie-breaks
-are flagged, so an audit can see exactly where a choice was made rather
-than forced.
+discretion points: tied winners are all returned, in declared option
+order, and index tie-breaks are flagged, so an audit can see exactly
+where a choice was made rather than forced.
 
 Pareto filtering and lexicographic selection read utilities as rows, one
 per principal, each with one entry per option in declared option order:
@@ -47,8 +47,8 @@ class ApprovalBallot(NamedTuple):
 def approval_winners(ballots: Sequence[ApprovalBallot], options: Sequence[str]) -> SimpleNamespace:
     """Options with maximal approval count; ties returned, never broken.
 
-    The result's attributes are ``winners`` (a frozenset), ``counts``
-    (option -> approvals, in ``options`` order) and ``tied``.
+    The result's attributes are ``winners`` (a tuple) and ``counts``
+    (option -> approvals), both in ``options`` order, and ``tied``.
     """
     if not options:
         raise ValueError("option universe is empty")
@@ -60,7 +60,7 @@ def approval_winners(ballots: Sequence[ApprovalBallot], options: Sequence[str]) 
                 raise ValueError(f"ballot from {ballot.voter!r} approves unknown option {o!r}")
             counts[o] += 1
     top = max(counts.values())
-    winners = frozenset(o for o, c in counts.items() if c == top)
+    winners = tuple(o for o, c in counts.items() if c == top)
     return SimpleNamespace(winners=winners, counts=counts, tied=len(winners) > 1)
 
 
@@ -80,8 +80,9 @@ def _check_rows(ids: Sequence[str], utilities: Sequence[Sequence[float]], what: 
                 raise ValueError(f"utility of row {i} for {what} {key!r} is not finite")
 
 
-def pareto_front(options: Sequence[str], utilities: Sequence[Sequence[float]]) -> frozenset[str]:
-    """Options not dominated in every principal's utility simultaneously.
+def pareto_front(options: Sequence[str], utilities: Sequence[Sequence[float]]) -> tuple[str, ...]:
+    """Options not dominated in every principal's utility simultaneously,
+    in ``options`` order.
 
     ``utilities`` holds one row per principal, in ``options`` order. o is
     dominated iff some o' is at least as good for every principal and
@@ -90,7 +91,7 @@ def pareto_front(options: Sequence[str], utilities: Sequence[Sequence[float]]) -
     """
     _check_rows(options, utilities, "option")
     vectors = [tuple(row[j] for row in utilities) for j in range(len(options))]
-    return frozenset(
+    return tuple(
         option
         for option, vec in zip(options, vectors)
         if not any(all(map(ge, other, vec)) and any(map(gt, other, vec)) for other in vectors)

@@ -111,9 +111,9 @@ def _finite(value: float) -> float:
 
 
 def _jsonable(value: Any) -> Any:
-    """``value`` in report form, built of JSON types only: lists, string
-    keys and sorted sets. A number that is not finite is a ValueError: no
-    JSON report can carry it."""
+    """``value`` in report form, built of JSON types only: lists and string
+    keys. A number that is not finite is a ValueError: no JSON report can
+    carry it."""
     if value is None or type(value) in (str, int, bool) or (type(value) is float and math.isfinite(value)):
         return value
     if isinstance(value, dict):
@@ -126,8 +126,6 @@ def _jsonable(value: Any) -> Any:
         return _finite(value)
     if isinstance(value, (np.integer,)):
         return int(value)
-    if isinstance(value, frozenset):
-        return sorted(value)
     return value
 
 

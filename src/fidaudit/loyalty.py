@@ -40,10 +40,10 @@ from typing import Sequence
 from .aggregation import _check_rows
 from .macid import (
     Macid,
-    NodeKind,
     PolicyProfile,
     _check_profile,
     _Checked,
+    _decision,
     _iterate,
     deterministic_rule,
     expected_utility,
@@ -162,7 +162,7 @@ def materiality_value(
     information; the most favorable constant is used.
     """
     best = 0.0
-    for value in model.node(report_node).domain:
+    for value in _decision(model, report_node).domain:
         silenced = model.replace_decision_with_constant_chance(report_node, value)
         best = max(best, value_of_information(silenced, principal_decision, material_node))
     return best
@@ -194,9 +194,6 @@ def disclosure_check(
     else empty.
     """
     model, profile = _restrict(model, profile, (report_node, material_node, principal_decision))
-    if model.node_map[report_node].kind is not NodeKind.DECISION:
-        raise ValueError(f"report node {report_node!r} must be a decision node")
-
     voi = materiality_value(model, report_node, material_node, principal_decision)
     if voi <= tol:
         return SimpleNamespace(

@@ -21,20 +21,22 @@ works out the outcome shape, each node's plan (``_Plan``: how ``_place``
 moves a table on its scope onto the axes of ``outcome_order``) and the
 CPD factors so placed. Each agent's total utility so placed and the
 product of the chance factors that lead the outcome order can span the
-joint, so they are built on first use. A derived model (``ancestral``,
-``with_edge``, ``replace_decision_with_constant_chance``) takes its
-parent's checked read-only tables as they are and checks only those it
-adds; if its outcome order is the parent's, it shares the parent's plans,
-placed factors and utility arrays, goes on from its leading product and
-places only its new table. The joint is the factors' broadcast product,
-taken in outcome order from the leading chance product (``_chain``); an
-expected utility folds it times the agent's utility array directly, and
-best-response payoffs are that product less the node's own factor, times
-the owner's utility array. A profile is checked once per model: queries
-take as it is a profile ``_Checked`` for the model, which the scenario
-reader, the loyalty checks' restriction and the equilibrium search
-return. Every sum is a left-to-right fold from 0.0 (``_fold``), so each
-result has the bits a per-cell Python loop gives.
+joint, so they are built on first use. Each rule is checked in one place:
+``Macid(...)`` checks every parent list and table, ``_decision`` that a
+node is a decision and ``_check_profile`` a profile. A derived model
+(``ancestral``, ``with_edge``, ``replace_decision_with_constant_chance``)
+takes its tables as they are; if its outcome order is the parent's, it
+shares the parent's placed factors and utility arrays and the plans of
+the nodes whose parents are unchanged, goes on from its leading product
+and places only its new table. The joint is the factors' broadcast
+product, taken in outcome order from the leading chance product
+(``_chain``); an expected utility folds it times the agent's utility
+array directly, and best-response payoffs are that product less the
+node's own factor, times the owner's utility array. A profile is checked
+once per model: queries take as it is a profile ``_Checked`` for the
+model, which the scenario reader, the loyalty checks' restriction and the
+equilibrium search return. Every sum is a left-to-right fold from 0.0
+(``_fold``), so each result has the bits a per-cell Python loop gives.
 Deterministic rules are enumerated, and sums over a rule's rows taken, in
 the rows' declared order (``parent_assignments``); ties go to the lowest
 index. The equilibrium warm start enumerates, in blocks, the deterministic
@@ -153,12 +155,12 @@ class Macid(ReadOnly):
         self, nodes: tuple[Node, ...], edges: Mapping[str, tuple[str, ...]], cpds: Mapping[str, np.ndarray],
         utilities: Mapping[str, np.ndarray], agents: tuple[str, ...],
     ) -> None:
-        self._build(nodes, edges, cpds, utilities, agents, None, ())
+        self._build(nodes, edges, cpds, utilities, agents, None)
 
-    def _build(self, nodes, edges, cpds, utilities, agents, base: "Macid | None", checked: tuple[str, ...]) -> None:
+    def _build(self, nodes, edges, cpds, utilities, agents, base: "Macid | None") -> None:
         """Check the model and work out what its queries read. Without
-        ``base`` every table is copied and checked; else only those of
-        ``checked``, the nodes with a new table or scope (``_derive``)."""
+        ``base`` every table is copied and checked; a model derived from
+        ``base`` takes its tables as they are (``_derive``)."""
         node_map = {n.id: n for n in nodes}
         if len(node_map) != len(nodes):
             raise ValueError("duplicate node ids")
@@ -203,7 +205,7 @@ class Macid(ReadOnly):
         outcome_order = tuple(nid for nid in order if node_map[nid].kind is not NodeKind.UTILITY)
         same = base is not None and base.outcome_order == outcome_order
         shape = tuple(len(node_map[nid].domain) for nid in outcome_order)
-        plans = {nid: base._plans[nid] for nid in node_map if nid not in checked} if same else {}
+        plans = {nid: base._plans[nid] for nid in node_map if edges[nid] == base.edges[nid]} if same else {}
         positions = {nid: i for i, nid in enumerate(outcome_order)}
         for n in nodes:
             if n.id not in plans:
@@ -220,10 +222,8 @@ class Macid(ReadOnly):
         for name, tables in (("cpds", cpds), ("utilities", utilities)):
             if base is None:
                 tables = {nid: np.array(table, dtype=float) for nid, table in tables.items()}
-            for nid in checked if base is not None else tables:
-                if nid in tables:
-                    _check_table(self, nid, tables[nid])
-                    tables[nid].flags.writeable = False
+                for nid, table in tables.items():
+                    _check_table(self, nid, _frozen(table))
             self._set(**{name: tables})
 
         owners = {n.owner for n in nodes if n.kind is NodeKind.UTILITY}
@@ -231,7 +231,7 @@ class Macid(ReadOnly):
             if agent not in owners:
                 raise ValueError(f"agent {agent!r} owns no utility node")
 
-        # a parent's table on a new scope has failed its check above
+        # a derived model changes the parents of a decision alone, so a CPD it shares keeps its scope
         shared = base.cpd_factors if same else {}
         cpd_factors = {
             nid: shared[nid] if nid in shared else _frozen(_place(self, nid, cpd)) for nid, cpd in self.cpds.items()
@@ -260,11 +260,12 @@ class Macid(ReadOnly):
             self._memo["lead"] = (k, _frozen(prod))
         return self._memo["lead"]
 
-    def _derive(self, nodes, edges, cpds, checked: tuple[str, ...]) -> "Macid":
+    def _derive(self, nodes, edges, cpds) -> "Macid":
         """``Macid(nodes, edges, cpds, self.utilities, self.agents)``, taking
-        this model's tables as they are but those of ``checked``."""
+        the tables as they are: this model's checked read-only ones, and the
+        read-only point mass of a silenced decision."""
         model = object.__new__(Macid)
-        model._build(nodes, edges, cpds, self.utilities, self.agents, self, checked)
+        model._build(nodes, edges, cpds, self.utilities, self.agents, self)
         return model
 
     # -- structure helpers -------------------------------------------------
@@ -296,14 +297,13 @@ class Macid(ReadOnly):
     def with_edge(self, parent: str, child: str) -> "Macid":
         """Copy of the model with ``parent`` appended to ``child``'s parents.
 
-        ``child`` must be a decision node (the only supported target): the
-        table of a chance or utility node has no axis for ``parent``.
+        ``child`` must be a decision node: the table of a chance or utility
+        node has no axis for ``parent``.
         """
-        if parent in self.parents(child):
-            raise ValueError(f"{parent!r} is already a parent of {child!r}")
+        _decision(self, child)
         edges = dict(self.edges)
         edges[child] = edges[child] + (parent,)
-        return self._derive(self.nodes, edges, self.cpds, (child,))
+        return self._derive(self.nodes, edges, self.cpds)
 
     def ancestral(self, targets) -> "Macid":
         """The model restricted to ``targets``, every utility node and all of
@@ -328,7 +328,6 @@ class Macid(ReadOnly):
             tuple(n for n in self.nodes if n.id in kept),
             {nid: ps for nid, ps in self.edges.items() if nid in kept},
             {nid: cpd for nid, cpd in self.cpds.items() if nid in kept},
-            (),
         )
 
     def replace_decision_with_constant_chance(self, node_id: str, value: str) -> "Macid":
@@ -338,9 +337,7 @@ class Macid(ReadOnly):
         exists (so downstream tables keep their shape) but carries no
         information and offers no strategic choice.
         """
-        node = self.node(node_id)
-        if node.kind is not NodeKind.DECISION:
-            raise ValueError(f"{node_id!r} is not a decision node")
+        node = _decision(self, node_id)
         nodes = tuple(
             Node(n.id, NodeKind.CHANCE, None, n.domain) if n.id == node_id else n
             for n in self.nodes
@@ -348,8 +345,8 @@ class Macid(ReadOnly):
         edges = dict(self.edges)
         edges[node_id] = ()
         cpds = dict(self.cpds)
-        cpds[node_id] = np.eye(len(node.domain))[node.domain.index(value)]
-        return self._derive(nodes, edges, cpds, (node_id,))
+        cpds[node_id] = _frozen(np.eye(len(node.domain))[node.domain.index(value)])
+        return self._derive(nodes, edges, cpds)
 
 
 def _topological_order(nodes: tuple[Node, ...], edges: Mapping[str, tuple[str, ...]]) -> tuple[str, ...]:
@@ -365,6 +362,14 @@ def _topological_order(nodes: tuple[Node, ...], edges: Mapping[str, tuple[str, .
         placed.add(nid)
         order.append(nid)
     return tuple(order)
+
+
+def _decision(model: Macid, nid: str) -> Node:
+    """The decision node ``nid``; any other node is a ValueError."""
+    node = model.node(nid)
+    if node.kind is not NodeKind.DECISION:
+        raise ValueError(f"{nid!r} is not a decision node")
+    return node
 
 
 # -- table validation ----------------------------------------------------------
@@ -504,8 +509,7 @@ def marginal(
 
 def expected_utility(model: Macid, profile: PolicyProfile, agent: str) -> float:
     """The chain-rule product (``_chain``) times the agent's utility array, folded."""
-    if agent not in model.agents:
-        raise ValueError(f"unknown agent {agent!r}")
+    model.utility_nodes_of(agent)  # an unknown agent raises before the profile is checked
     _check_profile(model, profile)
     return float(_fold(_chain(model, profile) * model.utility_arrays[agent]))
 
@@ -528,9 +532,7 @@ def deterministic_rule(model: Macid, node_id: str, actions) -> np.ndarray:
 def enumerate_deterministic_rules(model: Macid, node_id: str) -> Iterator[np.ndarray]:
     """All deterministic rules for ``node_id``, in lexicographic order of
     the actions they play at the rows in declared order."""
-    node = model.node(node_id)
-    if node.kind is not NodeKind.DECISION:
-        raise ValueError(f"{node_id!r} is not a decision node")
+    node = _decision(model, node_id)
     for idx in itertools.product(range(len(node.domain)), repeat=math.prod(model._plans[node_id].sizes[:-1])):
         yield deterministic_rule(model, node_id, np.array(idx))
 
@@ -544,8 +546,7 @@ def best_response(
     Equivalent to an exhaustive search over all deterministic rules for the
     node (the rowwise argmax is exact because payoffs decompose by row).
     """
-    if model.node(node_id).kind is not NodeKind.DECISION:
-        raise ValueError(f"{node_id!r} is not a decision node")
+    _decision(model, node_id)
     _check_profile(model, profile)
     actions, best_value, _ = _best_response_detail(model, profile, node_id)
     return deterministic_rule(model, node_id, actions), best_value
@@ -707,16 +708,11 @@ def value_of_information(model: Macid, decision: str, chance: str) -> float:
     optimum (in particular any model where this is the only decision) the
     value is non-negative.
     """
-    if model.node(decision).kind is not NodeKind.DECISION:
-        raise ValueError(f"{decision!r} is not a decision node")
+    owner = _decision(model, decision).owner
     if model.node(chance).kind is not NodeKind.CHANCE:
         raise ValueError(f"{chance!r} is not a chance node")
-    if chance in model.parents(decision):
-        raise ValueError(f"{chance!r} is already observed by {decision!r}")
-
-    owner = model.node_map[decision].owner
+    extended = model.with_edge(chance, decision)  # a chance node already observed is a duplicate parent
     base = expected_utility(model, solve_equilibrium(model), owner)
-    extended = model.with_edge(chance, decision)
     informed = expected_utility(extended, solve_equilibrium(extended), owner)
     return informed - base
 

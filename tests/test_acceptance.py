@@ -251,7 +251,7 @@ def test_criterion_08_pareto_front_oracle():
     for _ in range(1000):
         rows = rng.integers(0, 6, size=(3, 20)).astype(float).tolist()
         fast = pareto_front(options, rows)
-        oracle = set()
+        oracle = []
         for j, o in enumerate(options):
             vec = [row[j] for row in rows]
             dominated = False
@@ -263,9 +263,9 @@ def test_criterion_08_pareto_front_oracle():
                     dominated = True
                     break
             if not dominated:
-                oracle.add(o)
-        assert fast == frozenset(oracle)
-    report_line(8, "pareto-front-oracle", "1000 random 3x20 matrices, exact set equality")
+                oracle.append(o)
+        assert fast == tuple(oracle)
+    report_line(8, "pareto-front-oracle", "1000 random 3x20 matrices, exact equality in option order")
 
 
 def test_criterion_09_manipulation_search():

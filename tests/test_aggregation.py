@@ -24,18 +24,18 @@ from helpers import reference_winner
 def test_unanimous_approval():
     ballots = [ApprovalBallot(f"v{i}", frozenset({"A"})) for i in range(3)]
     result = approval_winners(ballots, ["A", "B"])
-    assert result.winners == frozenset({"A"})
+    assert result.winners == ("A",)
     assert result.counts == {"A": 3, "B": 0}
 
 
-def test_tie_returned_as_set():
+def test_tie_returned_in_declared_order():
     ballots = [
         ApprovalBallot("v0", frozenset({"A", "B"})),
         ApprovalBallot("v1", frozenset({"A"})),
         ApprovalBallot("v2", frozenset({"B"})),
     ]
-    result = approval_winners(ballots, ["A", "B"])
-    assert result.winners == frozenset({"A", "B"})
+    result = approval_winners(ballots, ["B", "A"])
+    assert result.winners == ("B", "A")
     assert result.tied
 
 
@@ -46,7 +46,7 @@ def test_simple_counting():
         ApprovalBallot("v2", frozenset({"C"})),
     ]
     result = approval_winners(ballots, ["A", "B", "C"])
-    assert result.winners == frozenset({"A"})
+    assert result.winners == ("A",)
     assert result.counts == {"A": 2, "B": 1, "C": 1}
 
 
@@ -82,22 +82,22 @@ def test_approval_anonymous_and_monotone(rng):
 
 
 def test_front_by_inspection():
-    assert pareto_front(["x", "y", "z"], [[1, 2, 0], [2, 1, 0]]) == frozenset({"x", "y"})
+    assert pareto_front(["y", "z", "x"], [[2, 0, 1], [1, 0, 2]]) == ("y", "x")
 
 
 def test_single_option_front():
-    assert pareto_front(["only"], [[5.0]]) == frozenset({"only"})
+    assert pareto_front(["only"], [[5.0]]) == ("only",)
 
 
 def test_equal_vectors_both_survive():
-    assert pareto_front(["x", "y"], [[1, 1], [1, 1]]) == frozenset({"x", "y"})
+    assert pareto_front(["y", "x"], [[1, 1], [1, 1]]) == ("y", "x")
 
 
 def brute_force_front(options, rows):
     def vector(j):
         return [row[j] for row in rows]
 
-    out = set()
+    out = []
     for j, o in enumerate(options):
         vec = vector(j)
         if not any(
@@ -106,13 +106,13 @@ def brute_force_front(options, rows):
             for k in range(len(options))
             if k != j
         ):
-            out.add(o)
-    return frozenset(out)
+            out.append(o)
+    return tuple(out)
 
 
 def test_front_matches_quadratic_oracle(rng):
     for _ in range(200):
-        options = [f"o{i}" for i in range(8)]
+        options = [f"o{i}" for i in rng.permutation(8)]
         rows = rng.integers(0, 5, size=(3, 8)).astype(float).tolist()
         assert pareto_front(options, rows) == brute_force_front(options, rows)
 

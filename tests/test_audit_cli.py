@@ -301,6 +301,15 @@ def test_rejected_value_is_a_failure_of_that_check(mutate, step, check):
     assert checks[check].evidence["error"] == checks[check].detail
 
 
+@pytest.mark.parametrize("report_node", ["C", "U_a"])
+def test_a_report_node_that_is_not_a_decision_fails_the_disclosure_norm(report_node):
+    raw = raw_scenario("disclosure_demo.json")
+    raw["context"]["norms"][0]["binding"]["report_node"] = report_node
+    record = next(s for s in run_audit(parse_scenario(raw)).steps if s.step == "loyalty")
+    finding = next(f for f in record.findings if f.check == "disclosure:market-state")
+    assert (finding.status, finding.detail) == ("fail", f"'{report_node}' is not a decision node")
+
+
 @pytest.mark.parametrize(
     "scenario, path, value, step, check, kind, error",
     [
@@ -1287,7 +1296,7 @@ def test_report_form_types_are_pinned():
         assert got == expected and type(got) is kind, value
     table = audit._jsonable(np.array([[1.5, 2.0], [3.0, -4.0]]))
     assert table == [[1.5, 2.0], [3.0, -4.0]] and all(type(x) is float for row in table for x in row)
-    assert audit._jsonable(frozenset({"b", "c", "a"})) == ["a", "b", "c"]
+    assert audit._jsonable(("b", "c", "a")) == ["b", "c", "a"]
     assert audit._jsonable({(1, "x"): (1, 2)}) == {"(1, 'x')": [1, 2]}
     assert audit._jsonable([True, 1]) == [True, 1] and type(audit._jsonable([True])[0]) is bool
     zero = audit._jsonable(-0.0)

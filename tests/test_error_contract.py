@@ -257,7 +257,7 @@ REJECTIONS = [
     ),
     pytest.param(lambda: coin_model().utility_nodes_of("ghost"), "unknown agent 'ghost'", id="utility-nodes-agent"),
     pytest.param(
-        lambda: disclosure_model().with_edge("C", "R_a"), "'C' is already a parent of 'R_a'", id="with-edge-repeat"
+        lambda: disclosure_model().with_edge("C", "R_a"), "duplicate parent 'C' of 'R_a'", id="with-edge-repeat"
     ),
     pytest.param(
         lambda: coin_model().replace_decision_with_constant_chance("coin", "H"),

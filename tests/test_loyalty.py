@@ -259,8 +259,17 @@ def test_copying_report_discloses():
 
 def test_disclosure_report_node_must_be_a_decision():
     model = disclosure_model()
-    with pytest.raises(ValueError, match="report node 'C' must be a decision node"):
-        disclosure_check(model, disclosure_profile(model), "C", "C", "B_b")
+    for report_node in ("C", "U_a"):
+        with pytest.raises(ValueError, match=f"^'{report_node}' is not a decision node$"):
+            disclosure_check(model, disclosure_profile(model), report_node, "C", "B_b")
+
+
+def test_materiality_of_a_report_that_is_not_a_decision_raises():
+    # a utility node has no domain to silence it with: it read as immaterial
+    model = disclosure_model()
+    for report_node in ("C", "U_a"):
+        with pytest.raises(ValueError, match=f"^'{report_node}' is not a decision node$"):
+            materiality_value(model, report_node, "C", "B_b")
 
 
 @pytest.mark.parametrize("nodes", [("ghost", "C", "B_b"), ("R_a", "ghost", "B_b"), ("R_a", "C", "ghost")])
@@ -401,12 +410,13 @@ def _outcome(check, *args):
 
 
 def test_barren_nodes_leave_verdicts_bit_for_bit(rng):
-    confidential = disclosed = 0
+    confidential = disclosed = reordered = 0
     for _ in range(150):
         model, profile = _random_influence_model(rng)
         shown = list(model.outcome_order)
         if not shown:
             continue
+        reordered += shown != [n.id for n in model.nodes if n.kind is not NodeKind.UTILITY]
         # barren nodes may observe any node, but nothing observes them
         domains = {nid: model.node_map[nid].domain for nid in shown}
 
@@ -445,7 +455,7 @@ def test_barren_nodes_leave_verdicts_bit_for_bit(rng):
                 with pytest.raises(ValueError, match="no rule for decision node 'y0'"):
                     disclosure_check(wide, profile, *args)
                 break
-    assert confidential > 50 and disclosed > 10
+    assert confidential > 50 and disclosed > 10 and reordered > 10
 
 
 def second_channel_model():

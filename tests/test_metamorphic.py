@@ -4,12 +4,17 @@ that cannot matter by the README's rules must leave its report as it was.
 - A consistent rename of every node id of ``world.macid``, bindings
   included, gives the same machine report once the names are mapped back.
   The digest hashes the document, so it is left out.
+- So does a consistent rename of every role, principal class, option,
+  MDP state and MDP action id.
 - Reversing the key order of every JSON object gives byte-identical
   machine and text reports, digest included.
+- A barren chance node (one no other node observes) added to an influence
+  model leaves every finding as it was.
 
 They run on the shipped scenarios and on those ``bench/gen.py`` writes at
-seeds 1-3 (its influence models for the rename), and the rename also on
-a two-equilibrium game whose verdict once followed the names.
+seeds 1-3 (its influence models for the node rename and the barren node),
+the node rename also on a two-equilibrium game whose verdict once followed
+the names, and the id rename also on an approval tie.
 """
 
 import copy
@@ -65,13 +70,13 @@ def _renamed(doc):
 
 
 def _named_back(value, names):
-    """A parsed report with every new node id, in keys and strings, put back."""
+    """A parsed report with every new id, in keys and strings, put back."""
     if isinstance(value, dict):
         return {_named_back(k, names): _named_back(v, names) for k, v in value.items()}
     if isinstance(value, list):
         return [_named_back(v, names) for v in value]
     if isinstance(value, str):
-        return re.sub(r"node\d{3}", lambda m: names.get(m.group(), m.group()), value)
+        return re.sub(r"(?:node|role|class|option|state|action)\d{3}", lambda m: names.get(m.group(), m.group()), value)
     return value
 
 
@@ -91,6 +96,110 @@ def test_renaming_every_node_leaves_the_report(scenarios):
         if got != _without_digest(_reports(doc)[0]):
             differ.append(name)
     assert differ == []
+
+
+def _renamed_ids(doc):
+    """``doc`` with every role, principal class, option, MDP state and MDP
+    action id renamed where it is declared and where it is referred to,
+    and the new id -> old id map. Each kind's new ids sort in the reverse
+    of its old ids' sorted order, so a list sorted by id comes back
+    reversed."""
+    doc = copy.deepcopy(doc)
+    context, aggregation = doc.get("context") or {}, doc.get("aggregation") or {}
+    mdp = (doc.get("world") or {}).get("mdp") or {}
+    declared = {
+        "role": [role["id"] for role in context.get("roles", [])],
+        "class": [principal["class_id"] for principal in doc.get("principals", [])],
+        "option": aggregation.get("options") or [],
+        "state": mdp.get("states", []),
+        "action": mdp.get("actions", []),
+    }
+    new = {
+        kind: {old: f"{kind}{len(ids) - i:03d}" for i, old in enumerate(sorted(ids))} for kind, ids in declared.items()
+    }
+    role, cls, option, state, action = (new[kind].get for kind in declared)
+    for entry in context.get("roles", []):
+        entry["id"] = role(entry["id"])
+    for norm in context.get("norms", []):
+        for key in ("sender", "receiver", "subject"):
+            norm[key] = role(norm[key], norm[key])
+    for principal in doc.get("principals", []):
+        principal["role"], principal["class_id"] = role(principal["role"]), cls(principal["class_id"])
+    for key in ("utilities", "weights"):
+        if aggregation.get(key):
+            aggregation[key] = {cls(k, k): v for k, v in aggregation[key].items()}
+    if aggregation.get("favored"):
+        aggregation["favored"] = cls(aggregation["favored"], aggregation["favored"])
+    if aggregation.get("options"):
+        aggregation["options"] = [option(o) for o in aggregation["options"]]
+    for ballot in aggregation.get("ballots") or []:
+        ballot["approved"] = [option(o) for o in ballot["approved"]]
+    tables = (doc.get("loyalty") or {}).get("tables") or {}
+    if tables.get("outcomes"):
+        tables["outcomes"] = [option(o, o) for o in tables["outcomes"]]
+    if mdp:
+        mdp["states"], mdp["actions"] = [state(s) for s in mdp["states"]], [action(a) for a in mdp["actions"]]
+    for method in (doc.get("assessment") or {}).get("methods", []):
+        for key in ("policy", "behavior"):
+            if key in method:
+                method[key] = {state(s): action(a) for s, a in method[key].items()}
+    return doc, {v: k for ids in new.values() for k, v in ids.items()}
+
+
+def _approval_tie():
+    """``care_skipped.json`` with ``income`` and ``growth`` approved twice
+    each: the winners are a tie, declared ``income`` first, which sorts
+    last."""
+    raw = raw_scenario("care_skipped.json")
+    raw["aggregation"]["ballots"][0]["approved"] = ["growth"]
+    return "care_skipped-tie", raw
+
+
+def test_renaming_every_role_class_option_state_and_action_leaves_the_report(scenarios):
+    differ = []
+    for name, doc in [*scenarios, _approval_tie()]:
+        renamed, names = _renamed_ids(doc)
+        got = _named_back(_without_digest(_reports(renamed)[0]), names)
+        if got != _without_digest(_reports(doc)[0]):
+            differ.append(name)
+    assert differ == []
+
+
+def test_the_approval_tie_lists_its_winners_in_declared_order():
+    report = json.loads(_reports(_approval_tie()[1])[0])
+    aggregation = next(step for step in report["steps"] if step["step"] == "aggregation")
+    approval = next(f for f in aggregation["findings"] if f["check"] == "approval")
+    assert approval["evidence"]["winners"] == ["income", "growth"] and approval["evidence"]["tied"]
+
+
+def _with_barren_node(doc, first, parent):
+    """``doc`` with a binary chance node ``barren`` that no node observes,
+    declared first or last, observing ``parent`` or nothing."""
+    doc = copy.deepcopy(doc)
+    macid = doc["world"]["macid"]
+    node = {"id": "barren", "kind": "chance", "domain": ["0", "1"]}
+    macid["nodes"] = [node, *macid["nodes"]] if first else [*macid["nodes"], node]
+    parents = [parent] if parent else []
+    macid["edges"]["barren"] = parents
+    sizes = [len(n["domain"]) for n in macid["nodes"] if n["id"] in parents]
+    macid["cpds"]["barren"] = [[0.25, 0.75]] * (sizes[0] if sizes else 1)
+    return doc
+
+
+def _findings(machine: str) -> list:
+    return [step["findings"] for step in json.loads(machine)["steps"]]
+
+
+def test_a_barren_chance_node_leaves_every_finding(scenarios):
+    influence = [(name, doc) for name, doc in scenarios if (doc.get("world") or {}).get("macid")]
+    differ = []
+    for name, doc in influence:
+        want = _findings(_reports(doc)[0])
+        last_shown = [n["id"] for n in doc["world"]["macid"]["nodes"] if n["kind"] != "utility"][-1]
+        for first, parent in ((True, None), (False, last_shown)):
+            if _findings(_reports(_with_barren_node(doc, first, parent))[0]) != want:
+                differ.append((name, first))
+    assert len(influence) == 65 and differ == []
 
 
 def _reversed_keys(value):

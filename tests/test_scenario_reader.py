@@ -361,19 +361,20 @@ def test_the_declared_profile_is_checked_once(monkeypatch):
     for rule in profile.values():
         with pytest.raises(ValueError):
             rule[...] = 0.0
-    # the audit checks only the CPDs of the silenced models it builds
+    # the audit checks no table: the models it derives take theirs as they are
     checked, check = [], macid._check_table
     monkeypatch.setattr(
         macid, "_check_table", lambda m, nid, table: checked.append(m.node_map[nid].kind) or check(m, nid, table)
     )
     run_audit(scenario)
-    assert checked and set(checked) == {macid.NodeKind.CHANCE}
+    assert checked == []
     # a plain mapping is still checked, with the same messages
     for kernel, nodes in ((confidentiality_check, ("R_a", "C")), (disclosure_check, ("R_a", "C", "B_b"))):
         with pytest.raises(ValueError, match="no rule for decision node 'B_b'"):
             kernel(model, {"R_a": profile["R_a"]}, *nodes)
         with pytest.raises(ValueError, match=r"row \('lo',\) for 'R_a' sums to 2.0, not 1"):
             kernel(model, {**profile, "R_a": np.ones((2, 2))}, *nodes)
+    assert checked and set(checked) == {macid.NodeKind.DECISION}
 
 
 def test_validating_an_influence_model_costs_its_tables():
