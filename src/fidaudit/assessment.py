@@ -23,12 +23,12 @@ itself as the quantity of interest: a posterior over a candidate grid, and
 re-solved advice at a higher patience than the fitted one.
 
 Behavior data comes as indices and dense arrays in MDP order: a policy is
-an (S,) array of action indices, a demo is a sequence of (state index,
-action index) steps, features are an (S, A, d) tensor (``one_hot_states``
-gives the default), and a preference judgment is a (left, right,
-preferred) triple whose sides name rows of a (rows, d) feature table.
-Results come back as arrays and indices too; only the report names
-states and actions.
+an (S,) array of action indices. Both fits read one form: features are a
+(rows, d) table, over an MDP the (S·A, d) table whose row s·A + a holds
+the features of step (s, a) (``one_hot_states`` gives the default), and a
+trajectory, a demo or a side of a preference judgment, is a sequence of
+the rows of its steps. Results come back as arrays and indices too; only
+the report names states and actions.
 """
 
 from __future__ import annotations
@@ -44,13 +44,11 @@ from .mdp import Mdp, _check_beta, _check_policy, _expected_next, _fold_actions,
 RIDGE_EPSILON = 1e-8
 FEASIBLE_TOL = 1e-9  # slack FeasibleRewardSet.contains allows on each bound
 DEFAULT_TEMPERATURE = 0.01  # infer_discount's softmax choice temperature
-Step = tuple[int, int]  # (state index, action index) in MDP order
 
 
 def one_hot_states(mdp: Mdp) -> np.ndarray:
-    """One-hot state features: a contiguous (S, A, S) tensor, phi(s, a) = e_s."""
-    n_s, n_a = len(mdp.states), len(mdp.actions)
-    return np.repeat(np.eye(n_s)[:, None, :], n_a, axis=1)
+    """One-hot state features: contiguous (S·A, S) rows, row s·A + a = e_s."""
+    return np.repeat(np.eye(len(mdp.states)), len(mdp.actions), axis=0)
 
 
 # --- feasible reward set (degeneracy made explicit) -----------------------
@@ -146,55 +144,54 @@ def feasible_rewards_irl(
 # --- maximum-entropy IRL -----------------------------------------------------
 
 
-def _check_feature_entries(table: np.ndarray) -> np.ndarray:
-    """``table`` (d features on its last axis); d = 0 or a non-finite entry is a ValueError."""
-    if table.shape[-1] == 0:
+def _feature_table(features: np.ndarray, rows: int | None = None) -> np.ndarray:
+    """``features`` as a contiguous (rows, d) float table; another shape (or
+    another row count than ``rows``), d = 0 or a non-finite entry is a
+    ValueError."""
+    table = np.asarray(features, dtype=float)
+    if table.ndim != 2 or rows not in (None, table.shape[0]):
+        raise ValueError(f"features have shape {table.shape}, expected ({'rows' if rows is None else rows}, d)")
+    if table.shape[1] == 0:
         raise ValueError("features have zero width: d >= 1 required")
     if not np.all(np.isfinite(table)):
         raise ValueError("features have non-finite entries")
-    return table
+    return np.ascontiguousarray(table)
 
 
-def _feature_tensor(mdp: Mdp, features: np.ndarray) -> np.ndarray:
-    """``features`` as a contiguous (S, A, d) float tensor; a wrong shape,
-    d = 0 or a non-finite entry is a ValueError."""
-    dense = np.ascontiguousarray(features, dtype=float)
+def _trajectory(steps: Sequence[int], rows: int) -> Sequence[int]:
+    """``steps`` as given; an empty trajectory or a step that is not one of
+    ``rows`` table rows is a ValueError, which names the step."""
+    if not steps:
+        raise ValueError("trajectory must be non-empty")
+    for r in steps:
+        if r not in range(rows):
+            raise ValueError(f"trajectory step {r!r} not in the feature table")
+    return steps
+
+
+def _visits(mdp: Mdp, demos: Sequence[Sequence[int]]):
+    """The demos' steps as (time, row) index arrays in demo order, and their
+    visit counts n_t(s, a) as a (T, S, A) array; each demo is checked by
+    ``_trajectory``."""
     n_s, n_a = len(mdp.states), len(mdp.actions)
-    if dense.ndim != 3 or dense.shape[:2] != (n_s, n_a):
-        raise ValueError(f"features have shape {dense.shape}, expected ({n_s}, {n_a}, d)")
-    return _check_feature_entries(dense)
-
-
-def _visits(mdp: Mdp, demos: Sequence[Sequence[Step]]):
-    """The demos' steps as (time, state, action) index arrays in demo order,
-    and their visit counts n_t(s, a) as a (T, S, A) array. An empty demo is
-    a ValueError, and so is a step outside the MDP, which the error names."""
-    n_s, n_a = len(mdp.states), len(mdp.actions)
-    rows = []
-    for d in demos:
-        if not d:
-            raise ValueError("trajectory must be non-empty")
-        for t, (s, a) in enumerate(d):
-            if s not in range(n_s) or a not in range(n_a):
-                raise ValueError(f"trajectory step ({s!r}, {a!r}) not in the MDP")
-            rows.append((t, s, a))
-    steps = np.array(rows, dtype=int).reshape(-1, 3).T
-    counts = np.zeros((int(steps[0].max()) + 1, n_s, n_a))
+    steps = [(t, r) for d in demos for t, r in enumerate(_trajectory(d, n_s * n_a))]
+    steps = np.array(steps, dtype=int).reshape(-1, 2).T
+    counts = np.zeros((int(steps[0].max()) + 1, n_s * n_a))
     np.add.at(counts, tuple(steps), 1.0)
-    return steps, counts
+    return steps, counts.reshape(-1, n_s, n_a)
 
 
 def demo_log_likelihood(
     mdp: Mdp,
     features: np.ndarray,
-    demos: Sequence[Sequence[Step]],
+    demos: Sequence[Sequence[int]],
     theta: np.ndarray,
     beta: float,
 ) -> tuple[float, np.ndarray]:
     """Log-likelihood of the demos under the soft policy, with exact gradient.
-    ``features`` is an (S, A, d) tensor in MDP order; each demo is a
-    sequence of (state index, action index) steps. The inputs are checked
-    as in ``maxent_irl``, and ``theta`` must have shape (d,)."""
+    ``features`` is an (S·A, d) table in MDP order; each demo is a
+    sequence of the rows of its steps. The inputs are checked as in
+    ``maxent_irl``, and ``theta`` must have shape (d,)."""
     work = _Workspace(mdp, features, demos, beta)
     grad = work.evaluate(theta)
     return work.demo_log_prob(), grad
@@ -205,8 +202,8 @@ class _Workspace:
 
     Built once from the MDP, the features, the demos and ``beta``, whose
     checks it runs: non-empty demos, ``_check_beta``, ``_visits`` and
-    ``_feature_tensor``. It holds the flat (S·A, S) transition and (S·A, d)
-    feature views, the demos' visit counts n_t(s, a) and state counts n_t(s)
+    ``_feature_table``. It holds the flat (S·A, S) transition view and the
+    (S·A, d) features, the demos' visit counts n_t(s, a) and state counts n_t(s)
     as per-step views, the (T, S, A) ``policies`` buffer and its per-step
     views, and one step's (S, A) and (S,) buffers, with the Q buffer's
     action columns; the (S,) buffers that broadcast over the actions are
@@ -219,16 +216,15 @@ class _Workspace:
         "reward", "q", "flat_q", "columns", "w", "flat_w", "weight", "value", "occupancy", "peak", "norm", "gap",
     )
 
-    def __init__(self, mdp: Mdp, features: np.ndarray, demos: Sequence[Sequence[Step]], beta: float) -> None:
+    def __init__(self, mdp: Mdp, features: np.ndarray, demos: Sequence[Sequence[int]], beta: float) -> None:
         if not demos:
             raise ValueError("demos must be non-empty")
         _check_beta(beta)
         steps, counts = _visits(mdp, demos)
-        dense = _feature_tensor(mdp, features)
         n_s, n_a = counts.shape[1:]
+        self.features = _feature_table(features, n_s * n_a)
         self.steps, self.beta = tuple(steps), beta
         self.transition = mdp.transition.reshape(n_s * n_a, n_s)
-        self.features = dense.reshape(n_s * n_a, -1)
         self.counts, self.state_counts = tuple(counts), tuple(_fold_actions(np.add, counts))
         self.policies = np.empty(counts.shape)
         self.step_policies = tuple(self.policies)
@@ -302,7 +298,7 @@ class _Workspace:
         """The sum of log pi_t(a | s) over the demos' steps, in demo order,
         under the policies of the last ``evaluate``."""
         total = 0.0
-        for p in self.policies[self.steps].tolist():
+        for p in self.policies.reshape(len(self.policies), -1)[self.steps].tolist():
             total += math.log(p)
         return total
 
@@ -310,7 +306,7 @@ class _Workspace:
 def maxent_irl(
     mdp: Mdp,
     features: np.ndarray,
-    demos: Sequence[Sequence[Step]],
+    demos: Sequence[Sequence[int]],
     beta: float,
     learn_rate: float,
     iters: int,
@@ -383,18 +379,13 @@ def fit_preference_reward(
     sums or a theta that overflowed give non-finite weights and
     log-likelihood, and no warning.
     """
-    table = np.asarray(features, dtype=float)
-    if table.ndim != 2:
-        raise ValueError(f"features have shape {table.shape}, expected (rows, d)")
-    _check_feature_entries(table)
+    table = _feature_table(features)
     if not comparisons:
         raise ValueError("need at least one comparison")
 
     def counts(rows: tuple[int, ...]) -> np.ndarray:
         total = np.zeros(table.shape[1])
         for r in rows:  # summed from 0.0 in step order
-            if r not in range(table.shape[0]):
-                raise ValueError(f"trajectory step {r!r} not in the feature table")
             total += table[r]
         return total
 
@@ -403,8 +394,8 @@ def fit_preference_reward(
         for left, right, preferred in comparisons:
             if preferred not in ("left", "right"):
                 raise ValueError("preferred must be 'left' or 'right'")
-            if not left or not right:
-                raise ValueError("trajectory must be non-empty")
+            _trajectory(left, len(table))
+            _trajectory(right, len(table))
             if left == right:
                 raise ValueError("comparison sides must differ")
             winner, loser = (left, right) if preferred == "left" else (right, left)

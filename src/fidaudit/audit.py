@@ -284,10 +284,9 @@ def _run_one_method(method: SimpleNamespace, scenario: SimpleNamespace, state: S
             {"posterior": posterior, "argmax": argmax},
         )
     if method.kind == "maxent_irl":
-        features = one_hot_states(mdp) if method.features is None else method.features.reshape(*mdp.reward.shape, -1)
         estimate = maxent_irl(
             mdp,
-            features,
+            one_hot_states(mdp) if method.features is None else method.features,
             method.demos,
             beta=method.beta,
             learn_rate=method.learn_rate,
@@ -305,9 +304,7 @@ def _run_one_method(method: SimpleNamespace, scenario: SimpleNamespace, state: S
             },
         )
     if method.kind == "preference_fit":
-        features = method.features
-        if features is None:  # one-hot state features, row s * A + a
-            features = one_hot_states(mdp).reshape(-1, len(mdp.states))
+        features = one_hot_states(mdp) if method.features is None else method.features
         comparisons = [
             (method.trajectories[left], method.trajectories[right], preferred)
             for left, right, preferred in method.comparisons

@@ -522,7 +522,7 @@ def deterministic_rule(model: Macid, node_id: str, actions) -> np.ndarray:
     ``actions[r]`` at the node's r-th parent assignment (declared order).
     A scalar plays one action everywhere; leading axes of ``actions`` give
     a stack of rules, one per entry. The array is read-only."""
-    sizes = model._plans[model.node(node_id).id].sizes
+    sizes = model._plans[_decision(model, node_id).id].sizes
     actions = np.asarray(actions)
     if actions.ndim == 0:
         actions = np.full(math.prod(sizes[:-1]), actions)
@@ -532,8 +532,8 @@ def deterministic_rule(model: Macid, node_id: str, actions) -> np.ndarray:
 def enumerate_deterministic_rules(model: Macid, node_id: str) -> Iterator[np.ndarray]:
     """All deterministic rules for ``node_id``, in lexicographic order of
     the actions they play at the rows in declared order."""
-    node = _decision(model, node_id)
-    for idx in itertools.product(range(len(node.domain)), repeat=math.prod(model._plans[node_id].sizes[:-1])):
+    *rows, n_actions = deterministic_rule(model, node_id, 0).shape
+    for idx in itertools.product(range(n_actions), repeat=math.prod(rows)):
         yield deterministic_rule(model, node_id, np.array(idx))
 
 

@@ -29,7 +29,6 @@ The id tuples are kept only so that a report can name states and actions.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -163,12 +162,6 @@ class ValueFunction(NamedTuple):
         return np.argmax(self.q, axis=1)
 
 
-def default_max_iters(beta: float, tol: float) -> int:
-    """Iteration budget from the contraction rate, hard-capped."""
-    bound = math.ceil(math.log(tol * (1.0 - beta)) / math.log(beta))
-    return min(10 * max(bound, 1), MAX_ITERS_CAP)
-
-
 def _check_beta(beta: float) -> None:
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
@@ -194,7 +187,7 @@ def value_iteration(
     mdp: Mdp,
     beta: float,
     tol: float = 1e-9,
-    max_iters: int | None = None,
+    max_iters: int = MAX_ITERS_CAP,
     start: np.ndarray | None = None,
 ) -> ValueFunction:
     """Optimal values by the Bellman backup V <- max_a r + beta * E[V].
@@ -202,14 +195,12 @@ def value_iteration(
     Sweeps from ``start`` (zeros by default) and stops once successive
     sweeps differ by at most ``tol`` in sup norm, which bounds the Bellman
     residual of the returned V by beta * tol. Iterate gaps contract at
-    rate beta. If ``max_iters`` sweeps pass first, the partial result is
-    returned with ``converged=False``.
+    rate beta. If ``max_iters`` sweeps (``MAX_ITERS_CAP`` by default) pass
+    first, the partial result is returned with ``converged=False``.
     """
     _check_beta(beta)
     if not tol > 0:
         raise ValueError("tol must be positive")
-    if max_iters is None:
-        max_iters = default_max_iters(beta, tol)
     v = np.zeros(len(mdp.states)) if start is None else np.asarray(start, dtype=float)
     for it in range(1, max_iters + 1):
         q = mdp.reward + beta * _expected_next(mdp, v)

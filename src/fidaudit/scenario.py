@@ -23,11 +23,12 @@ principal class's ``role`` must be a role of the context, if there is one.
 
 Each entry of a kind-tagged list, an assessment method or a care check,
 is a ``types.SimpleNamespace``: its ``kind`` and the typed fields that the
-reader method named by ``kind`` builds. Demos are tuples of (state index,
-action index) steps. ``features`` is a (rows, d) array: a declared table,
-one row per (state, action) in MDP order, so that step (s, a) is row
-s * A + a, or the free-standing ``feature_rows``; None stands for one-hot
-state features. A ``preference_fit`` trajectory is the tuple of its rows.
+reader method named by ``kind`` builds. Both reward fits read one form:
+``features`` is a (rows, d) array, a declared table of one row per (state,
+action) in MDP order, so that step (s, a) is row s * A + a, or the
+free-standing ``feature_rows``; None stands for one-hot state features. A
+trajectory, a ``maxent_irl`` demo or a ``preference_fit`` trajectory, is
+the tuple of its steps' rows.
 A ``distribution_shift`` check's ``train`` and ``deploy`` are rows of
 floats in ``support`` order.
 
@@ -532,18 +533,13 @@ class _Reader:
         """A list of trajectories, each a list of steps that ``step`` reads."""
         return self.list_(value, path, partial(self.list_, item=step))
 
-    def step(self, value: Any, path: str) -> tuple[int, int] | None:
-        """[state_index, action_index] as an index pair."""
+    def row(self, value: Any, path: str) -> int | None:
+        """[state_index, action_index] as its feature row s * A + a."""
         pair = self.list_(value, path, length=2)
         if pair is None:
             return None
         s, a = self.index(pair[0], path, len(self.states)), self.index(pair[1], path, len(self.actions))
-        return None if s is None or a is None else (s, a)
-
-    def row(self, value: Any, path: str) -> int | None:
-        """[state_index, action_index] as its feature row s * A + a."""
-        step = self.step(value, path)
-        return None if step is None else step[0] * len(self.actions) + step[1]
+        return None if s is None or a is None else s * len(self.actions) + a
 
     @_object
     def policy(self, doc: dict, path: str) -> np.ndarray | None:
@@ -600,7 +596,7 @@ class _Reader:
     def maxent_irl(self, doc: Mapping[str, Any], path: str) -> dict:
         return self.record(
             doc, path,
-            features=(self.features, None), demos=partial(self.trajectories, step=self.step),
+            features=(self.features, None), demos=partial(self.trajectories, step=self.row),
             beta=(self.num, self.default_beta), learn_rate=self.num, iters=self.count,
         )
 

@@ -13,7 +13,7 @@ from fidaudit import __version__
 from fidaudit.audit import DISCLAIMER, RUBRIC, TOOL_NAME
 from fidaudit.cli import main
 from fidaudit.macid import Macid, Node, NodeKind, deterministic_rule
-from fidaudit.mdp import Mdp, default_max_iters, value_iteration
+from fidaudit.mdp import MAX_ITERS_CAP, Mdp, value_iteration
 
 
 def match_table(domain=("0", "1")):
@@ -193,7 +193,7 @@ def contraction_gaps(mdp, beta, tol=1e-9):
     does, at a gap of at most ``tol`` or after its default budget."""
     v = np.zeros(len(mdp.states))
     gaps = []
-    for _ in range(default_max_iters(beta, tol)):
+    for _ in range(MAX_ITERS_CAP):
         sweep = value_iteration(mdp, beta, tol, max_iters=1, start=v)
         gaps.append(float(np.max(np.abs(sweep.values - v))))
         v = sweep.values
@@ -209,10 +209,11 @@ def stacked_expected_next(mdp, v):
     return mdp.transition @ v
 
 
-def stacked_linear_reward(dense, theta):
-    """phi(s, a) . theta as the stacked (S, A, d) @ (d,) product: the
-    reference for the flat (S * A, d) one of ``assessment._Workspace``."""
-    return dense @ theta
+def stacked_linear_reward(mdp, features, theta):
+    """phi(s, a) . theta as the stacked (S, A, d) @ (d,) product of the
+    (S * A, d) ``features``: the reference for the flat one of
+    ``assessment._Workspace``."""
+    return features.reshape(*mdp.reward.shape, -1) @ theta
 
 
 def looped_feasible_sample(feasible, rng):
@@ -236,13 +237,13 @@ def looped_feasible_sample(feasible, rng):
     return reward
 
 
-def numpy_log_likelihood(mdp, dense, counts, theta, beta, stacked=False):
+def numpy_log_likelihood(mdp, features, counts, theta, beta, stacked=False):
     """``assessment._Workspace.evaluate`` with numpy's reductions over the
     action axis and a fresh array per step: the backward soft pass, then
     the forward occupancy pass. An oracle that the column folds and
     in-place steps must equal bit for bit while A < 8. The transition and
-    feature products are the flat (S * A, ·) ones, written out here rather
-    than taken from the library; with ``stacked`` the reward and E[V] are
+    feature products are the flat (S * A, ·) ones over the (S * A, d)
+    ``features``, written out here rather than taken from the library; with ``stacked`` the reward and E[V] are
     the stacked products of ``stacked_linear_reward`` and
     ``stacked_expected_next`` instead. Returns the (T, S, A) policies and
     the gradient."""
@@ -250,9 +251,9 @@ def numpy_log_likelihood(mdp, dense, counts, theta, beta, stacked=False):
     flat_transition = mdp.transition.reshape(n_s * n_a, n_s)
     theta = np.asarray(theta, float)
     if stacked:
-        reward = stacked_linear_reward(dense, theta)
+        reward = stacked_linear_reward(mdp, features, theta)
     else:
-        reward = (dense.reshape(n_s * n_a, -1) @ theta).reshape(n_s, n_a)
+        reward = (features @ theta).reshape(n_s, n_a)
     policies = np.empty(counts.shape)
     v = np.zeros(n_s)
     for t in range(horizon - 1, -1, -1):
@@ -270,7 +271,7 @@ def numpy_log_likelihood(mdp, dense, counts, theta, beta, stacked=False):
         w = counts[t] - (state_counts[t] - occupancy)[:, None] * policies[t]
         weight += w
         occupancy = beta * (w.reshape(-1) @ flat_transition)
-    return policies, weight.reshape(-1) @ dense.reshape(n_s * n_a, -1)
+    return policies, weight.reshape(-1) @ features
 
 
 def looped_feasible_constraints(mdp, chosen, beta):

@@ -112,14 +112,14 @@ def test_criterion_03_maxent_gradient_finite_differences():
         transition = rng.uniform(0.05, 1.0, size=(4, 2, 4))
         transition /= transition.sum(axis=2, keepdims=True)
         mdp = Mdp(("s0", "s1", "s2", "s3"), ("a0", "a1"), transition, np.zeros((4, 2)))
-        features = rng.normal(size=(4, 2, 3))
+        features = rng.normal(size=(8, 3))
         demos = []
         for _ in range(3):
             steps = []
             i = int(rng.integers(0, 4))
             for _ in range(4):
                 j = int(rng.integers(0, 2))
-                steps.append((i, j))
+                steps.append(i * 2 + j)
                 i = int(rng.choice(4, p=transition[i, j]))
             demos.append(steps)
         theta = rng.normal(size=3)
@@ -146,7 +146,7 @@ def test_criterion_04_irl_policy_equivalence_and_zero_feasibility():
         steps = []
         for _ in range(6):
             j = int(demonstrated[i])
-            steps.append((i, j))
+            steps.append(i * len(mdp.actions) + j)
             i = int(np.argmax(mdp.transition[i, j]))
         demos.append(steps)
     estimate = maxent_irl(mdp, features, demos, beta=0.9, learn_rate=0.2, iters=150)

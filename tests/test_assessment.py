@@ -180,8 +180,8 @@ def test_a_bad_policy_array_is_a_value_error(call, policy, message):
 
 def test_maxent_zero_information_features_keep_theta_zero():
     mdp = chain_walk_mdp()
-    constant = np.ones((4, 2, 2))
-    demos = [((0, 0), (1, 0))]  # s0 right, s1 right
+    constant = np.ones((8, 2))
+    demos = [(0, 2)]  # s0 right, s1 right
     estimate = maxent_irl(mdp, constant, demos, beta=0.9, learn_rate=0.1, iters=50)
     assert np.allclose(estimate.weights, 0.0)
     assert estimate.grad_norm == pytest.approx(0.0, abs=1e-12)
@@ -197,7 +197,7 @@ def test_maxent_recovers_demonstrated_policy():
         steps = []
         for _ in range(6):
             j = int(demonstrated[i])
-            steps.append((i, j))
+            steps.append(i * len(mdp.actions) + j)
             i = int(np.argmax(mdp.transition[i, j]))
         demos.append(steps)
     estimate = maxent_irl(mdp, features, demos, beta=0.9, learn_rate=0.2, iters=150)
@@ -209,14 +209,14 @@ def test_maxent_recovers_demonstrated_policy():
 def test_maxent_gradient_matches_finite_differences(rng):
     for _ in range(3):
         mdp = random_dynamics(rng, 4, 2)
-        features = rng.normal(size=(4, 2, 3))
+        features = rng.normal(size=(8, 3))
         demos = []
         for _ in range(3):
             steps = []
             i = int(rng.integers(0, 4))
             for _ in range(4):
                 j = int(rng.integers(0, 2))
-                steps.append((i, j))
+                steps.append(i * 2 + j)
                 i = int(rng.choice(4, p=mdp.transition[i, j]))
             demos.append(steps)
         for _ in range(4):
@@ -235,9 +235,9 @@ def test_maxent_gradient_matches_finite_differences(rng):
 
 def test_maxent_log_likelihood_is_that_of_the_returned_theta(monkeypatch):
     mdp = chain_walk_mdp()
-    demos = [((0, 0), (1, 0), (2, 1))]  # s0 right, s1 right, s2 left
+    demos = [(0, 2, 5)]  # s0 right, s1 right, s2 left
     one_hot = one_hot_states(mdp)
-    zero = np.zeros((4, 2, 2))
+    zero = np.zeros((8, 2))
     calls = []
     kernel = assessment._Workspace.evaluate
 
@@ -256,11 +256,13 @@ def test_maxent_log_likelihood_is_that_of_the_returned_theta(monkeypatch):
     assert estimate.grad_norm > 0.0
 
 
-def _einsum_log_likelihood(mdp, dense, demos, theta, beta):
+def _einsum_log_likelihood(mdp, features, demos, theta, beta):
     # reference: the backward pass that carries the value gradients
     # dQ_t/dtheta (S, A, d) and dV_t/dtheta (S, d) through every step, with
     # both contractions written as np.einsum; log pi_t(s, a) has gradient
     # dQ_t(s, a) - dV_t(s)
+    n_a = len(mdp.actions)
+    dense = features.reshape(len(mdp.states), n_a, -1)
     horizon = max(len(d) for d in demos)
     reward = dense @ theta
     v = np.zeros(len(mdp.states))
@@ -277,22 +279,23 @@ def _einsum_log_likelihood(mdp, dense, demos, theta, beta):
         grad_vs[t] = grad_v = np.einsum("ij,ijd->id", policies[t], grad_qs[t])
     total, grad = 0.0, np.zeros(theta.shape[0])
     for demo in demos:
-        for t, (i, j) in enumerate(demo):
+        for t, (i, j) in enumerate(divmod(r, n_a) for r in demo):
             total += math.log(policies[t][i, j])
             grad += grad_qs[t][i, j] - grad_vs[t][i]
     return total, grad
 
 
 def _random_demos(rng, mdp, lengths, choose=None):
-    """One demo per length: actions from ``choose`` (a state index -> action
-    index map) or uniform, next states drawn from the dynamics."""
+    """One demo per length, as the rows of its steps: actions from
+    ``choose`` (a state index -> action index map) or uniform, next states
+    drawn from the dynamics."""
     n_s, n_a = mdp.transition.shape[:2]
     demos = []
     for length in lengths:
         i, steps = int(rng.integers(0, n_s)), []
         for _ in range(length):
             j = int(rng.integers(0, n_a)) if choose is None else choose[i]
-            steps.append((i, j))
+            steps.append(i * n_a + j)
             i = int(rng.choice(n_s, p=mdp.transition[i, j]))
         demos.append(steps)
     return demos
@@ -301,7 +304,7 @@ def _random_demos(rng, mdp, lengths, choose=None):
 def test_demo_log_likelihood_matches_einsum_reference(rng):
     for n_states, dim in [(3, 1), (5, 4), (8, 6), (12, 12)]:
         mdp = random_dynamics(rng, n_states, 3)
-        features = rng.normal(size=(n_states, 3, dim))
+        features = rng.normal(size=(n_states * 3, dim))
         demos = _random_demos(rng, mdp, [1, 4, 7, 2])
         for beta in (0.5, 0.999):
             theta = rng.normal(size=dim)
@@ -319,13 +322,13 @@ def test_log_likelihood_equals_the_numpy_reduction_oracle_bit_for_bit():
     rng = np.random.default_rng(11)
     for n_states, n_actions, dim in [(20, 2, None), (50, 2, None), (100, 2, None), (6, 1, 2), (12, 3, 5), (9, 7, 3)]:
         mdp = random_dynamics(rng, n_states, n_actions)
-        dense = one_hot_states(mdp) if dim is None else rng.normal(size=(n_states, n_actions, dim))
+        dense = one_hot_states(mdp) if dim is None else rng.normal(size=(n_states * n_actions, dim))
         for lengths in ([10] * 5, [1] * 3):
             demos = _random_demos(rng, mdp, lengths)
             _, counts = assessment._visits(mdp, demos)
             assert counts.shape[0] == lengths[0]
             for beta in (0.9, 0.99, 0.999):
-                theta = rng.normal(size=dense.shape[2])
+                theta = rng.normal(size=dense.shape[1])
                 work = assessment._Workspace(mdp, dense, demos, beta)
                 grad = work.evaluate(theta)
                 want_policies, want_grad = numpy_log_likelihood(mdp, dense, counts, theta, beta)
@@ -337,7 +340,7 @@ def _oracle_fit(mdp, dense, demos, beta, learn_rate, iters):
     """``maxent_irl``'s steps over ``numpy_log_likelihood``: the weights, the
     final gradient and each step's (policies, gradient)."""
     _, counts = assessment._visits(mdp, demos)
-    theta = np.zeros(dense.shape[2])
+    theta = np.zeros(dense.shape[1])
     passes = [numpy_log_likelihood(mdp, dense, counts, theta, beta)]
     for _ in range(iters):
         theta = theta + learn_rate * passes[-1][1]
@@ -353,13 +356,13 @@ def test_one_workspace_runs_a_sequence_of_thetas_bit_for_bit():
     worlds = []
     for n_states, n_actions, dim in [(20, 2, None), (9, 3, 4), (6, 1, 2)]:
         mdp = random_dynamics(rng, n_states, n_actions)
-        dense = one_hot_states(mdp) if dim is None else rng.normal(size=(n_states, n_actions, dim))
+        dense = one_hot_states(mdp) if dim is None else rng.normal(size=(n_states * n_actions, dim))
         worlds.append((mdp, dense, _random_demos(rng, mdp, [10, 3, 7])))
     for mdp, dense, demos in worlds:
         _, counts = assessment._visits(mdp, demos)
         work = assessment._Workspace(mdp, dense, demos, 0.95)
         grads = []
-        for theta in [rng.normal(size=dense.shape[2]) for _ in range(4)] + [np.zeros(dense.shape[2])]:
+        for theta in [rng.normal(size=dense.shape[1]) for _ in range(4)] + [np.zeros(dense.shape[1])]:
             grads.append(work.evaluate(theta))
             want_policies, want_grad = numpy_log_likelihood(mdp, dense, counts, theta, 0.95)
             assert work.policies.tobytes() == want_policies.tobytes()
@@ -393,7 +396,7 @@ def test_one_workspace_runs_a_sequence_of_thetas_bit_for_bit():
 def test_mutating_returned_arrays_leaves_later_passes_unchanged():
     rng = np.random.default_rng(17)
     mdp = random_dynamics(rng, 8, 2)
-    dense = rng.normal(size=(8, 2, 3))
+    dense = rng.normal(size=(16, 3))
     demos = _random_demos(rng, mdp, [5, 5])
     first, second = rng.normal(size=3), rng.normal(size=3)
     want = demo_log_likelihood(mdp, dense, demos, second, 0.9)
@@ -455,12 +458,12 @@ def test_flat_products_agree_with_the_stacked_products(monkeypatch):
     rng = np.random.default_rng(5)
     for n_states, n_actions, dim in [(20, 2, None), (50, 2, None), (100, 2, None), (6, 1, 2), (12, 3, 5), (9, 7, 3)]:
         world = random_dynamics(rng, n_states, n_actions).with_reward(rng.random((n_states, n_actions)))
-        dense = one_hot_states(world) if dim is None else rng.normal(size=(n_states, n_actions, dim))
+        dense = one_hot_states(world) if dim is None else rng.normal(size=(n_states * n_actions, dim))
         myopic = world.reward.argmax(axis=1)
         demos = _random_demos(rng, world, [10] * 5, choose=myopic.tolist())
         _, counts = assessment._visits(world, demos)
         for beta in (0.9, 0.99, 0.999):
-            theta = rng.normal(size=dense.shape[2])
+            theta = rng.normal(size=dense.shape[1])
             feasible = feasible_rewards_irl(world, rng.integers(0, n_actions, size=n_states), beta, bound=1.0)
             seed = int(rng.integers(1 << 30))
 
@@ -481,7 +484,7 @@ def test_flat_products_agree_with_the_stacked_products(monkeypatch):
             def stacked_evaluate(work, theta):
                 # the same pass over the stacked reward and E[V] products
                 policies, grad = numpy_log_likelihood(world, dense, counts, theta, beta, stacked=True)
-                work.reward[...] = stacked_linear_reward(dense, theta)
+                work.reward[...] = stacked_linear_reward(world, dense, theta)
                 work.policies[...] = policies
                 return grad
 
@@ -527,33 +530,34 @@ def test_maxent_fit_matches_the_einsum_gradient_fit():
         assert float(np.max(np.abs(estimate.weights - theta))) <= 1e-12 * float(np.max(np.abs(theta)))
         assert abs(estimate.grad_norm - grad_norm) <= 1e-12 * grad_norm
         greedy = policy_iteration(mdp.with_reward(estimate.table), beta).policy
-        assert np.array_equal(greedy, policy_iteration(mdp.with_reward(dense @ theta), beta).policy)
+        assert np.array_equal(greedy, policy_iteration(mdp.with_reward((dense @ theta).reshape(-1, 2)), beta).policy)
 
 
 def test_one_hot_states_is_a_contiguous_identity_per_action():
     mdp = chain_walk_mdp()
     features = one_hot_states(mdp)
-    assert features.shape == (4, 2, 4) and features.flags.c_contiguous
-    for j in range(2):
-        assert np.array_equal(features[:, j], np.eye(4))
+    assert features.shape == (8, 4) and features.flags.c_contiguous
+    for j in range(2):  # row s * A + a is e_s
+        assert np.array_equal(features[j::2], np.eye(4))
 
 
 @pytest.mark.parametrize(
     "features, demos, message",
     [
-        (np.zeros((4, 2, 4)), [((0, 0), (4, 0))], re.escape("trajectory step (4, 0) not in the MDP")),
-        (np.zeros((4, 2, 4)), [((0, 0), (1, 2))], re.escape("trajectory step (1, 2) not in the MDP")),
-        (np.zeros((4, 2, 4)), [((0, 0), (-1, 0))], re.escape("trajectory step (-1, 0) not in the MDP")),
-        (np.zeros((4, 2, 4)), [((0, 0), (1.5, 0))], re.escape("trajectory step (1.5, 0) not in the MDP")),
-        (np.zeros((4, 2, 4)), [((0, 0),), ()], "trajectory must be non-empty"),
-        (np.zeros((4, 2, 4)), [], "demos must be non-empty"),
-        (np.ones((8, 4)), [((0, 0),)], re.escape("features have shape (8, 4), expected (4, 2, d)")),
-        (np.ones((4, 3, 4)), [((0, 0),)], re.escape("features have shape (4, 3, 4), expected (4, 2, d)")),
-        (np.full((4, 2, 4), np.nan), [((0, 0),)], "features have non-finite entries"),
-        (np.zeros((4, 2, 0)), [((0, 0),)], re.escape("features have zero width: d >= 1 required")),
+        # row 8 is state 4's first step; a (state, action) pair is not a row
+        (np.zeros((8, 4)), [(0, 8)], re.escape("trajectory step 8 not in the feature table")),
+        (np.zeros((8, 4)), [(0, (1, 1))], re.escape("trajectory step (1, 1) not in the feature table")),
+        (np.zeros((8, 4)), [(0, -1)], re.escape("trajectory step -1 not in the feature table")),
+        (np.zeros((8, 4)), [(0, 1.5)], re.escape("trajectory step 1.5 not in the feature table")),
+        (np.zeros((8, 4)), [(0,), ()], "trajectory must be non-empty"),
+        (np.zeros((8, 4)), [], "demos must be non-empty"),
+        (np.ones((4, 2, 4)), [(0,)], re.escape("features have shape (4, 2, 4), expected (8, d)")),
+        (np.ones((12, 4)), [(0,)], re.escape("features have shape (12, 4), expected (8, d)")),
+        (np.full((8, 4), np.nan), [(0,)], "features have non-finite entries"),
+        (np.zeros((8, 0)), [(0,)], re.escape("features have zero width: d >= 1 required")),
     ],
     ids=[
-        "state", "action", "negative", "float", "empty-demo", "no-demos", "flat-features", "wrong-actions",
+        "state", "action", "negative", "float", "empty-demo", "no-demos", "tensor-features", "wrong-actions",
         "nan-features", "zero-width",
     ],
 )
@@ -568,8 +572,8 @@ def test_a_demo_step_outside_the_mdp_is_named(features, demos, message):
 def test_demo_log_likelihood_checks_beta_as_maxent_irl_does():
     mdp = chain_walk_mdp()
     for call in (
-        lambda: demo_log_likelihood(mdp, np.zeros((4, 2, 4)), [((0, 0),)], np.zeros(4), 1.5),
-        lambda: maxent_irl(mdp, np.zeros((4, 2, 4)), [((0, 0),)], beta=1.5, learn_rate=0.1, iters=5),
+        lambda: demo_log_likelihood(mdp, np.zeros((8, 4)), [(0,)], np.zeros(4), 1.5),
+        lambda: maxent_irl(mdp, np.zeros((8, 4)), [(0,)], beta=1.5, learn_rate=0.1, iters=5),
     ):
         with pytest.raises(ValueError, match=re.escape("beta must lie in (0, 1), got 1.5")):
             call()
@@ -579,7 +583,7 @@ def test_demo_log_likelihood_checks_beta_as_maxent_irl_does():
 def test_demo_log_likelihood_names_d_for_a_theta_of_the_wrong_shape(theta):
     shape = np.shape(theta)
     with pytest.raises(ValueError, match=re.escape(f"theta has shape {shape}, expected (d,) = (4,)")):
-        demo_log_likelihood(chain_walk_mdp(), np.zeros((4, 2, 4)), [((0, 0),)], theta, 0.9)
+        demo_log_likelihood(chain_walk_mdp(), np.zeros((8, 4)), [(0,)], theta, 0.9)
 
 
 # --- fit_preference_reward --------------------------------------------------------

@@ -408,8 +408,8 @@ def test_world_discount_gives_the_default_beta_of_a_declared_feature_fit(discoun
     status, findings = step_findings(raw, "assessment")
     assert status == "pass"
     mdp = scenario.world.mdp
-    features = np.array(table).reshape(len(states), len(actions), 2)
-    want = maxent_irl(mdp, features, demos, beta=beta, learn_rate=0.1, iters=20)
+    rows = [[s * len(actions) + a for s, a in demo] for demo in demos]  # step (s, a) is row s * A + a
+    want = maxent_irl(mdp, np.array(table), rows, beta=beta, learn_rate=0.1, iters=20)
     assert findings[5].check == "behavior-irl"
     assert np.array_equal(findings[5].evidence["weights"], want.weights)
     assert findings[5].evidence["grad_norm"] == want.grad_norm
@@ -431,11 +431,31 @@ def test_preference_fit_over_the_world_mdp_uses_one_hot_state_features():
     mdp = parse_scenario(raw).world.mdp
     rows = [tuple(i * len(mdp.actions) + j for i, j in t) for t in steps]  # step (s, a) is row s * A + a
     comparisons = [(rows[left], rows[right], side) for left, right, side in judged]
-    want = fit_preference_reward(one_hot_states(mdp).reshape(-1, len(mdp.states)), comparisons, 0.2, 50)
+    want = fit_preference_reward(one_hot_states(mdp), comparisons, 0.2, 50)
     _, findings = step_findings(raw, "assessment")
     assert findings[5].check == "preference-fit" and findings[5].status == "pass"
     assert np.array_equal(findings[5].evidence["weights"], want.weights)
     assert findings[5].evidence["log_likelihood"] == want.log_likelihood
+
+
+@pytest.mark.parametrize(
+    "method",
+    [
+        {"kind": "maxent_irl", "features": "one_hot_states", "demos": [[[0, 0], [1, 0]], [[2, 1], [3, 0], [4, 1]]],
+         "learn_rate": 0.1, "iters": 20},
+        {"kind": "preference_fit", "trajectories": [[[0, 0], [1, 0]], [[2, 1], [3, 0], [4, 1]]],
+         "comparisons": [{"left": 0, "right": 1, "preferred": "left"}], "learn_rate": 0.2, "iters": 50},
+    ],
+    ids=["maxent_irl", "preference_fit"],
+)
+def test_default_one_hot_features_equal_a_declared_one_hot_table(method):
+    raw = raw_scenario("trust_portfolio.json")
+    states, actions = raw["world"]["mdp"]["states"], raw["world"]["mdp"]["actions"]
+    table = [[float(j == i) for j in range(len(states))] for i in range(len(states)) for _ in actions]
+    raw["assessment"]["methods"] += [method, dict(method, features={"dim": len(states), "table": table})]
+    status, findings = step_findings(raw, "assessment")
+    assert status == "pass" and len(findings) == 7
+    assert audit._report_form(findings[5]) == audit._report_form(findings[6])
 
 
 def test_an_overflowing_preference_fit_fails_on_non_finite_evidence():

@@ -168,7 +168,7 @@ REJECTIONS = [
     # 7 demos take action a and 6 take b: the first gradient is 0.5, and
     # after one long step the policy all but always takes a, so it is 5.91
     pytest.param(
-        lambda: maxent_irl(_one_state_mdp(), np.array([[[1.0], [0.0]]]), [[(0, 0)]] * 7 + [[(0, 1)]] * 6, 0.9, 10.0, 5),
+        lambda: maxent_irl(_one_state_mdp(), np.array([[1.0], [0.0]]), [[0]] * 7 + [[1]] * 6, 0.9, 10.0, 5),
         "gradient norm 5.91 exceeds 10x initial 0.5",
         id="maxent-blow-up",
     ),

@@ -365,6 +365,13 @@ def test_an_unknown_node_id_is_a_value_error(call):
         call(disclosure_model())
 
 
+@pytest.mark.parametrize("node_id", ["C", "U_a"])
+def test_deterministic_rule_takes_decision_nodes_only(node_id):
+    # a chance node's point mass or a utility node's 0/1 table is no rule
+    with pytest.raises(ValueError, match=f"'{node_id}' is not a decision node"):
+        deterministic_rule(disclosure_model(), node_id, 1)
+
+
 def test_with_edge_keeps_the_structural_and_table_checks():
     # D -> C: C descends from the decision, so showing C to D is a cycle
     model = Macid(

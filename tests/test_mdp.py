@@ -9,7 +9,6 @@ from fidaudit.mdp import (
     Mdp,
     RewardOption,
     ValueFunction,
-    default_max_iters,
     detect_preference_reversal,
     discount_weight,
     evaluate_policy,
@@ -419,11 +418,6 @@ def test_discount_spec_validation():
         DiscountSpec("hyperbolic", k=0.0)
     with pytest.raises(ValueError, match="unknown discount kind 'weird'"):
         DiscountSpec("weird")
-
-
-def test_default_max_iters_capped():
-    assert default_max_iters(0.999999, 1e-12) == 100_000
-    assert default_max_iters(0.5, 1e-6) >= 10
 
 
 # --- preference reversal -----------------------------------------------------------

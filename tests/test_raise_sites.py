@@ -1,9 +1,10 @@
-"""Each rule of the influence models raises from one place.
+"""Each rule of the library raises from one place.
 
 An error message's template is its text with each formatted value as
-``{}``. No template may be raised from two sites across ``macid.py`` and
-``loyalty.py``: a rule checked twice can drift into two messages, or into
-one site that a later change skips.
+``{}``. No template may be raised from two sites across the library's
+modules: a rule checked twice can drift into two messages, or into one
+site that a later change skips. ``cli.py`` is left out: its argparse type
+errors share only the generic ``"{value!r} {problem}"`` shape.
 """
 
 import ast
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import fidaudit
 
-MODULES = [Path(fidaudit.__file__).parent / name for name in ("macid.py", "loyalty.py")]
+MODULES = sorted(path for path in Path(fidaudit.__file__).parent.glob("*.py") if path.name != "cli.py")
 
 
 def _template(node: ast.expr) -> str | None:
