@@ -160,11 +160,12 @@ def _feature_table(features: np.ndarray, rows: int | None = None) -> np.ndarray:
 
 def _trajectory(steps: Sequence[int], rows: int) -> Sequence[int]:
     """``steps`` as given; an empty trajectory or a step that is not one of
-    ``rows`` table rows is a ValueError, which names the step."""
+    ``rows`` table rows, an integer in 0..rows-1 (not a bool or a float), is
+    a ValueError, which names the step."""
     if not steps:
         raise ValueError("trajectory must be non-empty")
     for r in steps:
-        if r not in range(rows):
+        if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or not 0 <= r < rows:
             raise ValueError(f"trajectory step {r!r} not in the feature table")
     return steps
 

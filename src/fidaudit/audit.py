@@ -43,7 +43,6 @@ from .assessment import (
     fit_preference_reward,
     infer_discount,
     maxent_irl,
-    one_hot_states,
     patient_recommendation,
     prudent_investor_weights,
 )
@@ -129,9 +128,11 @@ def _jsonable(value: Any) -> Any:
     return value
 
 
-def _fields(result, *omit: str) -> dict:
-    """The fields of a kernel's result, a NamedTuple or a namespace, less those named in ``omit``."""
-    fields = result._asdict() if isinstance(result, tuple) else vars(result)
+def _fields(record, *omit: str) -> dict:
+    """The fields of a record, less those named in ``omit``: a kernel's
+    result (a NamedTuple or a namespace) as report evidence, or a method or
+    check record the reader built as its kernel's keyword arguments."""
+    fields = record._asdict() if isinstance(record, tuple) else vars(record)
     return {k: v for k, v in fields.items() if k not in omit}
 
 
@@ -264,34 +265,20 @@ def _run_one_method(method: SimpleNamespace, scenario: SimpleNamespace, state: S
     feasibility probe whose sampled rewards fail the set's own membership test."""
     mdp = scenario.world.mdp
     if method.kind == "prudent_investor":
-        portfolio = prudent_investor_weights(method.mu, method.sigma, method.risk_aversion)
+        portfolio = prudent_investor_weights(**_fields(method, "kind"))
         state.ran.add("prudent_investor_weights")
         return Finding("prudent-investor", PASS, "mean-variance template solved in closed form", _fields(portfolio))
     if method.kind == "discount_inference":
-        grid = method.beta_grid
-        posterior = infer_discount(
-            mdp,
-            method.behavior,
-            grid,
-            method.prior,
-            temperature=method.temperature,
-        )
+        posterior = infer_discount(mdp, **_fields(method, "kind"))
         argmax = max(posterior, key=posterior.get)
         return Finding(
             "discount-inference",
             PASS,
-            f"posterior over {len(grid)} candidate discounts peaks at {argmax}",
+            f"posterior over {len(method.beta_grid)} candidate discounts peaks at {argmax}",
             {"posterior": posterior, "argmax": argmax},
         )
     if method.kind == "maxent_irl":
-        estimate = maxent_irl(
-            mdp,
-            one_hot_states(mdp) if method.features is None else method.features,
-            method.demos,
-            beta=method.beta,
-            learn_rate=method.learn_rate,
-            iters=method.iters,
-        )
+        estimate = maxent_irl(mdp, **_fields(method, "kind"))
         greedy = solve_exact(mdp.with_reward(estimate.table), method.beta).policy.tolist()
         return Finding(
             "behavior-irl",
@@ -304,16 +291,11 @@ def _run_one_method(method: SimpleNamespace, scenario: SimpleNamespace, state: S
             },
         )
     if method.kind == "preference_fit":
-        features = one_hot_states(mdp) if method.features is None else method.features
-        comparisons = [
-            (method.trajectories[left], method.trajectories[right], preferred)
-            for left, right, preferred in method.comparisons
-        ]
-        estimate = fit_preference_reward(features, comparisons, method.learn_rate, method.iters)
+        estimate = fit_preference_reward(**_fields(method, "kind"))
         return Finding(
             "preference-fit",
             PASS,
-            f"pairwise-choice model fitted to {len(comparisons)} judgment(s)",
+            f"pairwise-choice model fitted to {len(method.comparisons)} judgment(s)",
             _fields(estimate),
         )
     if method.kind == "feasibility_probe":
@@ -333,7 +315,7 @@ def _run_one_method(method: SimpleNamespace, scenario: SimpleNamespace, state: S
             "a reward sampled from the feasible set fails the set's own membership test",
         )
     if method.kind == "patient_advice":
-        advice = patient_recommendation(mdp, method.beta_fit, method.beta_advice)
+        advice = patient_recommendation(mdp, **_fields(method, "kind"))
         divergent = advice.divergent_states.tolist()
         return Finding(
             "patient-advice",
@@ -695,9 +677,7 @@ def _run_care(doc: SimpleNamespace, scenario: SimpleNamespace, state: SimpleName
 
 def _care_check(entry: SimpleNamespace) -> Finding:
     if entry.kind == "inductive_bias":
-        diagnostic = inductive_bias_diagnostic(
-            entry.prior, entry.likelihood1, entry.likelihood0, dominance_threshold=entry.dominance_threshold
-        )
+        diagnostic = inductive_bias_diagnostic(**_fields(entry, "kind", "name"))
         note = diagnostic.rationale
         if diagnostic.degenerate_prior:
             note = (note + "; " if note else "") + "degenerate prior pins the posterior"
@@ -710,7 +690,7 @@ def _care_check(entry: SimpleNamespace) -> Finding:
             bad=WARN,
         )
     if entry.kind == "distribution_shift":
-        score = distribution_shift_score(entry.support, entry.train, entry.deploy)
+        score = distribution_shift_score(**_fields(entry, "kind", "name"))
         return _verdict(
             entry.name,
             not score.absolute_continuity_violation,

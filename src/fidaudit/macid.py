@@ -521,9 +521,13 @@ def deterministic_rule(model: Macid, node_id: str, actions) -> np.ndarray:
     """The 0/1 rule array of ``node_id`` that plays action index
     ``actions[r]`` at the node's r-th parent assignment (declared order).
     A scalar plays one action everywhere; leading axes of ``actions`` give
-    a stack of rules, one per entry. The array is read-only."""
+    a stack of rules, one per entry. The array is read-only. An action
+    index that is not an integer (a bool, a float) or lies outside 0..n-1
+    for the node's n actions is a ValueError."""
     sizes = model._plans[_decision(model, node_id).id].sizes
     actions = np.asarray(actions)
+    if actions.dtype.kind not in "iu" or (actions.size and not 0 <= actions.min() <= actions.max() < sizes[-1]):
+        raise ValueError(f"actions of {node_id!r} must be integers in 0..{sizes[-1] - 1}")
     if actions.ndim == 0:
         actions = np.full(math.prod(sizes[:-1]), actions)
     return _frozen(np.eye(sizes[-1])[actions].reshape(*actions.shape[:-1], *sizes))

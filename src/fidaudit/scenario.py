@@ -23,14 +23,19 @@ principal class's ``role`` must be a role of the context, if there is one.
 
 Each entry of a kind-tagged list, an assessment method or a care check,
 is a ``types.SimpleNamespace``: its ``kind`` and the typed fields that the
-reader method named by ``kind`` builds. Both reward fits read one form:
-``features`` is a (rows, d) array, a declared table of one row per (state,
-action) in MDP order, so that step (s, a) is row s * A + a, or the
-free-standing ``feature_rows``; None stands for one-hot state features. A
-trajectory, a ``maxent_irl`` demo or a ``preference_fit`` trajectory, is
-the tuple of its steps' rows.
-A ``distribution_shift`` check's ``train`` and ``deploy`` are rows of
-floats in ``support`` order.
+reader method named by ``kind`` builds. The reader finishes each record,
+so a method, or an ``inductive_bias`` or ``distribution_shift`` check
+less its ``name``, holds exactly its kernel's arguments but the MDP, and
+the audit passes it on as it is. Both reward fits read one form:
+``features`` is always a (rows, d) array: a declared table of one row per
+(state, action) in MDP order, so that step (s, a) is row s * A + a, the
+one-hot state table (``assessment.one_hot_states``) for a field that is
+absent, null or ``"one_hot_states"``, or the free-standing
+``feature_rows``. A trajectory, a ``maxent_irl`` demo or a
+``preference_fit`` trajectory, is the tuple of its steps' rows, and a
+``preference_fit`` comparison is (left rows, right rows, preferred side),
+each side the trajectory its index names. A ``distribution_shift``
+check's ``train`` and ``deploy`` are rows of floats in ``support`` order.
 
 One reader walks a document once: it checks each field and builds its
 value in the same pass, recording every problem with its path. The
@@ -79,7 +84,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from .aggregation import ApprovalBallot
-from .assessment import DEFAULT_TEMPERATURE
+from .assessment import DEFAULT_TEMPERATURE, one_hot_states
 from .care import DOMINANCE_THRESHOLD
 from .context import ContextSpec, Norm, PrincipalClassSpec, Role, validate_context
 from .errors import SchemaError
@@ -154,6 +159,7 @@ class _Reader:
         self.problems: list[tuple[str, str]] = []
         self.node_ids: set[str] = set()
         self.has_mdp = False
+        self.world_mdp: Mdp | None = None  # once built: the one-hot features are read off it
         self.states: tuple[str, ...] = ()
         self.actions: tuple[str, ...] = ()
         self.state_index: dict[str, int] = {}  # id -> index, so a policy map reads in O(S)
@@ -295,7 +301,7 @@ class _Reader:
         types = list(map(type, entries))  # numpy reads a boolean as 0 or 1
         if bool in types:
             at = np.unravel_index(types.index(bool), shape)
-            return self.fail(path + "".join(f"[{i}]" for i in at), "number required")
+            return self.num(True, path + "".join(f"[{i}]" for i in at))
         self.tables[path] = arr = arr.astype(float, copy=False)
         return arr
 
@@ -444,6 +450,7 @@ class _Reader:
             except ValueError as exc:
                 self.fail(f"{path}.discount", str(exc))
                 return None
+        self.world_mdp = mdp
         return mdp
 
     @_object
@@ -546,21 +553,18 @@ class _Reader:
         """A state id -> action id map naming every state, as the (S,)
         array of the action index it picks in each state."""
         start = len(self.problems)
-        for s, a in doc.items():
+        for s in doc:
             self.id_(s, f"{path}.{s}", self.state_index, "state")
-            self.id_(a, f"{path}.{s}", self.action_index, "action")
-        for s in self.states:
-            if s not in doc:
-                self.fail(f"{path}.{s}", "required")
+        picked = [self.field(doc, s, path, self.id_, ids=self.action_index, what="action") for s in self.states]
         if len(self.problems) > start:
             return None
-        return np.array([self.action_index[doc[s]] for s in self.states])
+        return np.array([self.action_index[a] for a in picked])
 
     def features(self, value: Any, path: str) -> np.ndarray | None:
-        """A declared table as (S * A, dim) rows in MDP order, or None for
-        one-hot state features."""
-        if value == "one_hot_states":
-            return None
+        """A declared table as (S * A, dim) rows in MDP order; absent, null
+        or "one_hot_states", the one-hot state table (S * A, S)."""
+        if value is None or value == "one_hot_states":
+            return None if self.world_mdp is None else one_hot_states(self.world_mdp)
         doc = self.obj(value, path)
         if doc is None:
             return None
@@ -594,39 +598,36 @@ class _Reader:
         return dict(fields, beta_grid=grid, prior=prior)
 
     def maxent_irl(self, doc: Mapping[str, Any], path: str) -> dict:
-        return self.record(
-            doc, path,
-            features=(self.features, None), demos=partial(self.trajectories, step=self.row),
-            beta=(self.num, self.default_beta), learn_rate=self.num, iters=self.count,
+        return dict(
+            features=self.features(doc.get("features"), f"{path}.features"),
+            **self.record(
+                doc, path,
+                demos=partial(self.trajectories, step=self.row),
+                beta=(self.num, self.default_beta), learn_rate=self.num, iters=self.count,
+            ),
         )
 
     def preference_fit(self, doc: Mapping[str, Any], path: str) -> dict:
         if self.has_mdp:
-            fields = self.record(
-                doc, path, features=(self.features, None), trajectories=partial(self.trajectories, step=self.row)
-            )
+            features, row = self.features(doc.get("features"), f"{path}.features"), self.row
         else:
             # a free-standing universe: trajectories index the feature rows
             features = self.field(doc, "feature_rows", path, self.table)
             row = self.int_ if features is None else partial(self.index, n=len(features))
-            trajectories = self.field(doc, "trajectories", path, self.trajectories, step=row)
-            fields = {"features": features, "trajectories": trajectories}
-        n = None if fields["trajectories"] is None else len(fields["trajectories"])
-        return dict(
-            fields,
-            **self.record(
-                doc, path,
-                comparisons=partial(self.list_, item=partial(self.comparison, n=n)),
-                learn_rate=self.num, iters=self.count,
-            ),
-        )
+        trajectories = self.field(doc, "trajectories", path, self.trajectories, step=row)
+        comparisons = partial(self.list_, item=partial(self.comparison, trajectories=trajectories))
+        fields = self.record(doc, path, comparisons=comparisons, learn_rate=self.num, iters=self.count)
+        return dict(features=features, **fields)
 
     @_object
-    def comparison(self, doc: dict, path: str, n: int | None) -> tuple[int, int, str]:
-        """(left, right, preferred side); the sides index the trajectories."""
-        side = self.int_ if n is None else partial(self.index, n=n)
-        fields = self.record(doc, path, left=side, right=side, preferred=partial(self.choice, options=("left", "right")))
-        return tuple(fields.values())
+    def comparison(self, doc: dict, path: str, trajectories: tuple | None) -> tuple | None:
+        """(left rows, right rows, preferred side): each side is read as an
+        index into ``trajectories`` and becomes that trajectory."""
+        side = self.int_ if trajectories is None else partial(self.index, n=len(trajectories))
+        choice = partial(self.choice, options=("left", "right"))
+        left, right, preferred = self.record(doc, path, left=side, right=side, preferred=choice).values()
+        if trajectories is not None and left is not None and right is not None:
+            return trajectories[left], trajectories[right], preferred
 
     def feasibility_probe(self, doc: Mapping[str, Any], path: str) -> dict:
         return self.record(
@@ -780,7 +781,9 @@ def parse_scenario(raw: Any) -> SimpleNamespace:
     - ``world``: ``macid``, ``profile`` (decision node id -> rule array,
       ``macid._Checked``) and ``mdp``, each None when not declared;
     - ``context``, a ContextSpec; ``principals``, a tuple of
-      PrincipalClassSpec; ``assessment``, a tuple of methods;
+      PrincipalClassSpec; ``assessment``, a tuple of methods, each holding
+      its ``kind`` and its kernel's arguments (``features`` always a
+      table; see the module docstring);
     - ``aggregation``: ``method``, ``options``, ``ballots`` (a tuple of
       ApprovalBallot), ``utilities`` (class id -> row in ``options``
       order), ``weights``, ``agent_id``, ``favored``, ``favoritism_cap``

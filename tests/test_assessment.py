@@ -549,6 +549,9 @@ def test_one_hot_states_is_a_contiguous_identity_per_action():
         (np.zeros((8, 4)), [(0, (1, 1))], re.escape("trajectory step (1, 1) not in the feature table")),
         (np.zeros((8, 4)), [(0, -1)], re.escape("trajectory step -1 not in the feature table")),
         (np.zeros((8, 4)), [(0, 1.5)], re.escape("trajectory step 1.5 not in the feature table")),
+        # equal to row 1, but no row index
+        (np.zeros((8, 4)), [(0, 1.0)], re.escape("trajectory step 1.0 not in the feature table")),
+        (np.zeros((8, 4)), [(0, True)], re.escape("trajectory step True not in the feature table")),
         (np.zeros((8, 4)), [(0,), ()], "trajectory must be non-empty"),
         (np.zeros((8, 4)), [], "demos must be non-empty"),
         (np.ones((4, 2, 4)), [(0,)], re.escape("features have shape (4, 2, 4), expected (8, d)")),
@@ -557,7 +560,7 @@ def test_one_hot_states_is_a_contiguous_identity_per_action():
         (np.zeros((8, 0)), [(0,)], re.escape("features have zero width: d >= 1 required")),
     ],
     ids=[
-        "state", "action", "negative", "float", "empty-demo", "no-demos", "tensor-features", "wrong-actions",
+        "state", "action", "negative", "float", "integral-float", "bool", "empty-demo", "no-demos", "tensor-features", "wrong-actions",
         "nan-features", "zero-width",
     ],
 )
@@ -745,13 +748,15 @@ def test_feature_identical_pair_is_degenerate():
         (np.eye(2), (0, 2), (1,), "trajectory step 2 not in the feature table"),
         (np.eye(2), (0,), (-1,), "trajectory step -1 not in the feature table"),
         (np.eye(2), (0,), (0.5,), "trajectory step 0.5 not in the feature table"),
+        (np.eye(2), (0,), (1.0,), "trajectory step 1.0 not in the feature table"),
+        (np.eye(2), (0,), (True,), "trajectory step True not in the feature table"),
         (np.ones(2), (0,), (1,), re.escape("features have shape (2,), expected (rows, d)")),
         (np.array([[1.0], [np.inf]]), (0,), (1,), "features have non-finite entries"),
         (np.zeros((2, 0)), (0,), (1,), re.escape("features have zero width: d >= 1 required")),
         (np.eye(2), (), (1,), "trajectory must be non-empty"),
         (np.eye(2), (0, 1), (0, 1), "comparison sides must differ"),
     ],
-    ids=["past-end", "negative", "float", "one-axis", "infinite", "zero-width", "empty-side", "same-sides"],
+    ids=["past-end", "negative", "float", "integral-float", "bool", "one-axis", "infinite", "zero-width", "empty-side", "same-sides"],
 )
 def test_preference_fit_rejects_a_bad_table_or_comparison(features, left, right, message):
     with pytest.raises(ValueError, match=message):

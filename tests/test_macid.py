@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -370,6 +371,16 @@ def test_deterministic_rule_takes_decision_nodes_only(node_id):
     # a chance node's point mass or a utility node's 0/1 table is no rule
     with pytest.raises(ValueError, match=f"'{node_id}' is not a decision node"):
         deterministic_rule(disclosure_model(), node_id, 1)
+
+
+@pytest.mark.parametrize(
+    "actions", [-1, True, 1.0, 5, [0, 2], [True, False], [0.0, 1.0]],
+    ids=["negative", "bool", "float", "too-large", "one-too-large", "bools", "floats"],
+)
+def test_deterministic_rule_takes_action_indices_only(actions):
+    # a negative index would play the last action, a boolean mask the identity
+    with pytest.raises(ValueError, match=re.escape("actions of 'R_a' must be integers in 0..1")):
+        deterministic_rule(disclosure_model(), "R_a", actions)
 
 
 def test_with_edge_keeps_the_structural_and_table_checks():

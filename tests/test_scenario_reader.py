@@ -3,6 +3,7 @@
 import copy
 import functools
 import hashlib
+import inspect
 import json
 import math
 import random
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 import numpy as np
 
-from fidaudit import macid
+from fidaudit import assessment, care, macid
 from fidaudit.audit import emit_report, run_audit
 from fidaudit.errors import SchemaError
 from fidaudit.loyalty import confidentiality_check, disclosure_check
@@ -304,6 +305,51 @@ def test_validate_and_check_name_a_parent_listed_twice(tmp_path):
     assert checked.stderr == f"schema error: {message}\n"
 
 
+# kind -> the kernel the audit passes its record to, and the record's fields that are no argument
+KERNELS = {
+    "prudent_investor": (assessment.prudent_investor_weights, ("kind",)),
+    "discount_inference": (assessment.infer_discount, ("kind",)),
+    "maxent_irl": (assessment.maxent_irl, ("kind",)),
+    "preference_fit": (assessment.fit_preference_reward, ("kind",)),
+    "patient_advice": (assessment.patient_recommendation, ("kind",)),
+    "inductive_bias": (care.inductive_bias_diagnostic, ("kind", "name")),
+    "distribution_shift": (care.distribution_shift_score, ("kind", "name")),
+}
+
+
+def _kind_records():
+    """Every method and care check record of the shipped scenarios, with a
+    ``maxent_irl`` and a ``preference_fit`` over the MDP added."""
+    raw = raw_scenario("trust_portfolio.json")
+    steps = [[[0, 0], [1, 0]], [[2, 1], [3, 0]]]
+    raw["assessment"]["methods"] += [
+        {"kind": "maxent_irl", "demos": steps, "learn_rate": 0.1, "iters": 5},
+        {"kind": "preference_fit", "trajectories": steps, "comparisons": [{"left": 0, "right": 1, "preferred": "left"}],
+         "learn_rate": 0.1, "iters": 5},
+    ]
+    scenarios = [parse_scenario(raw)] + [parse_scenario(raw_scenario(p.name)) for p in sorted(SCENARIOS.glob("*.json"))]
+    return [r for s in scenarios for r in (*(s.assessment or ()), *(s.care.checks if s.care else ()))]
+
+
+@pytest.mark.parametrize("kind", KERNELS)
+def test_each_record_holds_exactly_its_kernels_arguments(kind):
+    kernel, omit = KERNELS[kind]
+    records = [r for r in _kind_records() if r.kind == kind]
+    assert records
+    arguments = set(inspect.signature(kernel).parameters) - {"mdp"}
+    for record in records:
+        assert set(vars(record)) - set(omit) == arguments
+
+
+def test_preference_sides_and_default_features_are_resolved_in_the_reader():
+    scenario = parse_scenario(raw_scenario("trust_portfolio.json"))
+    over_mdp, free = [r for r in _kind_records() if r.kind == "preference_fit"]
+    # step (s, a) is row s * A + a of the one-hot state table, for A = 2 actions
+    assert over_mdp.comparisons == (((0, 2), (5, 6), "left"),)
+    assert np.array_equal(over_mdp.features, assessment.one_hot_states(scenario.world.mdp))
+    assert free.comparisons == (((2,), (0,), "left"), ((0,), (1,), "left"))
+
+
 def test_policy_maps_reach_the_kernels_as_action_indices():
     raw = raw_scenario("trust_portfolio.json")
     shipped = parse_scenario(raw)
@@ -322,14 +368,15 @@ def test_policy_maps_reach_the_kernels_as_action_indices():
 
 def test_a_policy_map_names_each_unknown_or_missing_id():
     raw = raw_scenario("trust_portfolio.json")
-    # l1 missing; an unknown state, an unknown action and a non-string action
+    # l1 missing; an unknown state, an unknown action and a non-string action:
+    # the keys that name no state first, then each state's action in declared order
     raw["assessment"]["methods"][4]["policy"] = {"c0": "now", "zz": "now", "e1": "later", "l2": 1, "l3": "wait"}
     path = "assessment.methods[4].policy"
     assert validate_scenario(raw) == [
         (f"{path}.zz", "unknown state 'zz'"),
         (f"{path}.e1", "unknown action 'later'"),
-        (f"{path}.l2", "unknown action 1"),
         (f"{path}.l1", "required"),
+        (f"{path}.l2", "unknown action 1"),
     ]
 
 
